@@ -3,15 +3,20 @@
 The detector segments each point-cloud frame into clusters of obstacle
 cells on a bird's-eye-view grid (fixed ground-height gate + 8-connected
 components) and fits a minimum-area oriented 3D box to each cluster.
+
+The grid is sparse: it keeps statistics for the occupied cells only, and
+clustering labels just the bounding box of the obstacle cells. The dense
+8-channel feature array is built on demand by `BevGrid.features`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateGeometry, InvalidArgument
 from .geometry import wrap_angle
@@ -66,24 +71,40 @@ class PointCloudFrame:
 
 @dataclass
 class BevGrid:
-    """Bird's-eye-view grid of per-cell channel features.
+    """Sparse bird's-eye-view grid: statistics of the occupied cells only.
 
-    `features` is (W, H, 8): max height, intensity of the highest point,
-    mean height, mean intensity, point count, angle of the cell center,
-    distance of the cell center, occupancy flag.
+    `cells` holds the sorted flat ids (i * n + j) of the K occupied cells and
+    `stats` is (K, 5): max height, intensity of the highest point, mean
+    height, mean intensity, point count. `features` expands them into the
+    dense (n, n, 8) channel array, adding the angle and distance of each cell
+    center and the occupancy flag.
     """
 
     cell_size: float
     extent: float
-    features: np.ndarray
+    cells: np.ndarray
+    stats: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.features.shape[:2]
+        n = int(round(2 * self.extent / self.cell_size))
+        return n, n
+
+    @property
+    def features(self) -> np.ndarray:
+        n = self.shape[0]
+        feats = np.zeros((n, n, 8))
+        c = self.cell_center(np.arange(n))
+        feats[:, :, F_ANGLE] = np.arctan2(c[None, :], c[:, None])
+        feats[:, :, F_DISTANCE] = np.hypot(c[:, None], c[None, :])
+        flat = feats.reshape(n * n, 8)
+        flat[self.cells, :F_ANGLE] = self.stats
+        flat[self.cells, F_OCCUPANCY] = 1.0
+        return feats
 
     def cell_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map xy coordinates to integer cell indices; mask marks in-bounds points."""
-        n = self.features.shape[0]
+        n = self.shape[0]
         idx = np.floor((points[:, :2] + self.extent) / self.cell_size).astype(int)
         mask = np.all((idx >= 0) & (idx < n), axis=1)
         return idx, mask
@@ -93,45 +114,30 @@ class BevGrid:
 
 
 def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGrid:
-    """Compute the 8 per-cell channel measurements for one frame."""
-    n = int(round(2 * config.extent / config.cell_size))
-    feats = np.zeros((n, n, 8))
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    cx = (ii + 0.5) * config.cell_size - config.extent
-    cy = (jj + 0.5) * config.cell_size - config.extent
-    feats[:, :, F_ANGLE] = np.arctan2(cy, cx)
-    feats[:, :, F_DISTANCE] = np.hypot(cx, cy)
-
-    grid = BevGrid(config.cell_size, config.extent, feats)
-    if len(frame) == 0:
-        return grid
-
+    """Compute the per-cell statistics of the occupied cells of one frame."""
+    grid = BevGrid(config.cell_size, config.extent, np.zeros(0, dtype=int), np.zeros((0, 5)))
+    n = grid.shape[0]
     idx, mask = grid.cell_indices(frame.points)
-    pts = frame.points[mask]
-    inten = frame.intensities[mask]
-    if len(pts) == 0:
+    if not mask.any():
         return grid
+    z = frame.points[mask, 2]
+    inten = frame.intensities[mask]
     flat = idx[mask, 0] * n + idx[mask, 1]
 
-    counts = np.bincount(flat, minlength=n * n)
-    sum_z = np.bincount(flat, weights=pts[:, 2], minlength=n * n)
-    sum_i = np.bincount(flat, weights=inten, minlength=n * n)
-
-    # highest point per cell via lexicographic sort on (cell, z)
-    order = np.lexsort((pts[:, 2], flat))
-    last_of_cell = np.r_[order[np.flatnonzero(np.diff(flat[order]))], order[-1]]
-    occupied_cells = flat[last_of_cell]
-
-    occ = counts > 0
-    feats.reshape(n * n, 8)[occupied_cells, F_MAX_HEIGHT] = pts[last_of_cell, 2]
-    feats.reshape(n * n, 8)[occupied_cells, F_TOP_INTENSITY] = inten[last_of_cell]
-    with np.errstate(invalid="ignore"):
-        feats.reshape(n * n, 8)[:, F_MEAN_HEIGHT] = np.where(occ, sum_z / np.maximum(counts, 1), 0.0)
-        feats.reshape(n * n, 8)[:, F_MEAN_INTENSITY] = np.where(occ, sum_i / np.maximum(counts, 1), 0.0)
-    feats.reshape(n * n, 8)[:, F_COUNT] = counts
-    feats.reshape(n * n, 8)[:, F_OCCUPANCY] = occ.astype(float)
-    return grid
+    # one sort by (cell, z): each cell is a run whose last point is the highest
+    order = np.lexsort((z, flat))
+    flat, z, inten = flat[order], z[order], inten[order]
+    start = np.r_[0, np.flatnonzero(np.diff(flat)) + 1]
+    last = np.r_[start[1:], len(flat)] - 1
+    counts = np.diff(np.r_[start, len(flat)])
+    stats = np.c_[
+        z[last],
+        inten[last],
+        np.add.reduceat(z, start) / counts,
+        np.add.reduceat(inten, start) / counts,
+        counts,
+    ]
+    return BevGrid(config.cell_size, config.extent, flat[start], stats)
 
 
 @dataclass
@@ -153,52 +159,48 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     the ground-height gate; clusters smaller than min_cluster_points are
     dropped.
     """
-    obstacle = (grid.features[:, :, F_OCCUPANCY] > 0) & (
-        grid.features[:, :, F_MAX_HEIGHT] >= config.ground_height
-    )
-    labels, n_labels = ndimage.label(obstacle, structure=np.ones((3, 3), dtype=int))
-    if n_labels == 0:
+    n = grid.shape[0]
+    cells = grid.cells[grid.stats[:, F_MAX_HEIGHT] >= config.ground_height]
+    if len(cells) == 0:
         return []
 
+    # label only the bounding box of the obstacle cells; raster order, and so
+    # the label numbering, is the same as on the full grid
+    ci, cj = np.divmod(cells, n)
+    i0, j0 = ci.min(), cj.min()
+    obstacle = np.zeros((ci.max() - i0 + 1, cj.max() - j0 + 1), dtype=bool)
+    obstacle[ci - i0, cj - j0] = True
+    labels, n_labels = ndimage.label(obstacle, structure=np.ones((3, 3), dtype=int))
+    cell_label = labels[ci - i0, cj - j0]
+
+    # keep only obstacle points, not road surface hits sharing the cell; every
+    # such point lies in an obstacle cell
     idx, mask = grid.cell_indices(frame.points)
-    point_label = np.zeros(len(frame.points), dtype=int)
-    point_label[mask] = labels[idx[mask, 0], idx[mask, 1]]
-    # keep only obstacle points, not road surface hits sharing the cell
-    point_label[frame.points[:, 2] < config.ground_height] = 0
+    keep = np.flatnonzero(mask & (frame.points[:, 2] >= config.ground_height))
+    point_label = cell_label[np.searchsorted(cells, idx[keep, 0] * n + idx[keep, 1])]
 
-    clusters = []
-    for lab in range(1, n_labels + 1):
-        member = frame.points[point_label == lab]
-        if len(member) >= config.min_cluster_points:
-            clusters.append(Cluster(member, frame.agent_id, frame.timestamp))
-    return clusters
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    order = np.argsort(point_label, kind="stable")
+    bounds = np.cumsum(np.bincount(point_label, minlength=n_labels + 1)[1:-1])
+    members = np.split(frame.points[keep[order]], bounds)
+    return [
+        Cluster(m, frame.agent_id, frame.timestamp)
+        for m in members
+        if len(m) >= config.min_cluster_points
+    ]
 
 
 def convex_hull(points2d) -> np.ndarray:
-    """Graham scan; returns hull vertices in counter-clockwise order."""
-    pts = np.unique(np.asarray(points2d, dtype=float).reshape(-1, 2), axis=0)
+    """Qhull convex hull; vertices counter-clockwise from the lowest, then leftmost, one."""
+    pts = np.asarray(points2d, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
-        raise DegenerateGeometry("convex hull needs at least 3 distinct points")
-
-    pivot = pts[np.lexsort((pts[:, 0], pts[:, 1]))][0]
-    rel = pts - pivot
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    order = np.lexsort((dist, angles))
-    sorted_pts = pts[order]
-
-    hull = []
-    for p in sorted_pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 1e-12:
-            hull.pop()
-        hull.append(p)
-    if len(hull) < 3:
-        raise DegenerateGeometry("all points are collinear")
-    return np.array(hull)
+        raise DegenerateGeometry("convex hull needs at least 3 points")
+    try:
+        vertices = ConvexHull(pts).vertices
+    except QhullError:
+        raise DegenerateGeometry("all points are identical or collinear") from None
+    hull = pts[vertices]
+    start = np.lexsort((hull[:, 0], hull[:, 1]))[0]
+    return np.roll(hull, -start, axis=0)
 
 
 def min_area_rect(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -333,11 +335,8 @@ def fit_bounding_box(cluster: Cluster, config: DetectionConfig | None = None) ->
         raise DegenerateGeometry("cluster too small to fit a box")
     pts = cluster.points
 
-    try:
-        hull = convex_hull(pts[:, :2])
-        center2d, extents, angle = min_area_rect(hull)
-    except DegenerateGeometry:
-        raise
+    hull = convex_hull(pts[:, :2])
+    center2d, extents, angle = min_area_rect(hull)
 
     target = _dominant_direction(hull)
     target_ang = math.atan2(target[1], target[0])

@@ -20,10 +20,3 @@ class DegenerateGeometry(CavtrajError, ValueError):
 class ValidationError(CavtrajError, ValueError):
     """A config file, map file, or input stream failed validation."""
 
-
-class OutOfHorizon(CavtrajError, ValueError):
-    """A prediction horizon exceeds the configured bound."""
-
-
-class NotACandidate(CavtrajError, ValueError):
-    """A trajectory pair cannot be scored (overlapping or too far apart)."""

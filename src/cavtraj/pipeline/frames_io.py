@@ -1,8 +1,10 @@
 """File formats for point-cloud frames and agent pose streams.
 
-Frame files: one CSV per LiDAR frame, header ``t,x,y,z,intensity``, one
-point per row (t repeats the frame timestamp). Frames of one agent live in
-a directory and are read in sorted filename order.
+Frame files: one CSV per LiDAR frame, header ``t,x,y,z,intensity``, then a
+``# t=<timestamp>`` line that records the frame time exactly (so empty
+frames keep theirs), then one point per row (t repeats the frame timestamp,
+to 6 decimals). Frames of one agent live in a directory and are read in
+sorted filename order.
 
 Pose files: one CSV per agent. Map-frame mode has header
 ``t,x,y,z,roll,pitch,yaw``; geodetic mode has header
@@ -12,7 +14,7 @@ map origin on load.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from ..geometry import EulerAngles, GeodeticCoord, RigidTransform, geodetic_to_m
 _FRAME_HEADER = "t,x,y,z,intensity"
 _POSE_HEADER_MAP = "t,x,y,z,roll,pitch,yaw"
 _POSE_HEADER_GEO = "t,lat,lon,alt,roll,pitch,yaw"
+_STAMP_PREFIX = "# t="
 
 
 def write_frame_csv(path, frame: PointCloudFrame) -> None:
@@ -32,37 +35,39 @@ def write_frame_csv(path, frame: PointCloudFrame) -> None:
     rows = np.c_[np.full(len(frame), frame.timestamp), frame.points, frame.intensities]
     with path.open("w") as fh:
         fh.write(_FRAME_HEADER + "\n")
+        fh.write(f"{_STAMP_PREFIX}{frame.timestamp!r}\n")
         for r in rows:
             fh.write(f"{r[0]:.6f},{r[1]:.6f},{r[2]:.6f},{r[3]:.6f},{r[4]:.4f}\n")
 
 
 def read_frame_csv(path, agent_id: int = 0) -> PointCloudFrame:
+    """Read one frame; the recorded timestamp line wins over the t column."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
         if header != _FRAME_HEADER:
             raise ValidationError(f"{path}: expected header '{_FRAME_HEADER}', got '{header}'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2) if path.stat().st_size > len(header) + 2 else np.zeros((0, 5))
-    if data.size == 0:
-        return PointCloudFrame(timestamp=_timestamp_from_name(path), points=np.zeros((0, 3)),
-                               intensities=np.zeros(0), agent_id=agent_id)
+        line = fh.readline()
+        timestamp = None
+        try:
+            if line.startswith(_STAMP_PREFIX):
+                timestamp = float(line[len(_STAMP_PREFIX):])
+                line = fh.readline()
+            data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2) if line else np.zeros((0, 5))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if data.shape[1] != 5:
         raise ValidationError(f"{path}: expected 5 columns, got {data.shape[1]}")
+    if timestamp is None:
+        if not data.size:
+            raise ValidationError(f"{path}: empty frame without a recorded timestamp")
+        timestamp = float(data[0, 0])
     return PointCloudFrame(
-        timestamp=float(data[0, 0]),
+        timestamp=timestamp,
         points=data[:, 1:4],
         intensities=data[:, 4],
         agent_id=agent_id,
     )
-
-
-def _timestamp_from_name(path: Path) -> float:
-    # frame_<index>.csv written at a fixed rate; empty frames carry no rows
-    stem = path.stem.split("_")[-1]
-    try:
-        return float(int(stem)) * 0.1
-    except ValueError:
-        return 0.0
 
 
 def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:

@@ -22,6 +22,7 @@ from cavtraj.detection import (
     min_area_rect,
 )
 from cavtraj.errors import DegenerateGeometry
+from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, VehicleSpec, generate_scenario
 from conftest import box_surface_points, make_frame
 
 CFG = DetectionConfig(cell_size=0.5, extent=20.0)
@@ -111,6 +112,32 @@ def test_cluster_min_points_filter():
     assert cluster_points(grid, frame, CFG) == []
 
 
+def test_cluster_obstacle_cells_on_grid_border():
+    n = int(round(2 * CFG.extent / CFG.cell_size))
+    lo, hi = -CFG.extent + 0.1, CFG.extent - 0.1  # cells 0 and n - 1
+    pts = np.vstack([blob((lo, lo), size=0.05), blob((hi, hi), size=0.05, seed=1)])
+    frame = make_frame(pts)
+    grid = bev_grid_features(frame, CFG)
+    assert grid_cell_of(grid, (lo, lo)) == (0, 0)
+    assert grid_cell_of(grid, (hi, hi)) == (n - 1, n - 1)
+    clusters = cluster_points(grid, frame, CFG)
+    assert [len(c) for c in clusters] == [40, 40]
+    np.testing.assert_array_equal(clusters[0].points, pts[:40])
+
+
+def test_cluster_diagonal_touch_is_one_cluster():
+    # two blobs in cells (i, j) and (i + 1, j + 1): 8-connected, one cluster
+    a, b = blob((0.25, 0.25), size=0.2), blob((0.75, 0.75), size=0.2, seed=1)
+    frame = make_frame(np.vstack([a, b]))
+    grid = bev_grid_features(frame, CFG)
+    clusters = cluster_points(grid, frame, CFG)
+    assert len(clusters) == 1
+    np.testing.assert_array_equal(clusters[0].points, frame.points)
+    # one empty cell between them splits the pair
+    frame = make_frame(np.vstack([a, blob((1.25, 1.25), size=0.2, seed=1)]))
+    assert len(cluster_points(bev_grid_features(frame, CFG), frame, CFG)) == 2
+
+
 def test_cluster_k_separated_objects():
     rng = np.random.default_rng(5)
     k = 6
@@ -131,6 +158,10 @@ def test_hull_unit_square_with_interior():
     hull = convex_hull(pts)
     assert len(hull) == 4
     assert {(0, 0), (1, 0), (1, 1), (0, 1)} == {tuple(v) for v in hull}
+    # heavy duplicates: counter-clockwise from the lowest, then leftmost, vertex
+    rect = [[2, 1], [0, 1], [2, 0], [0, 0], [1, 0.5]]
+    hull = convex_hull(np.repeat(rect, [5, 3, 7, 4, 9], axis=0))
+    np.testing.assert_array_equal(hull, [[0, 0], [2, 0], [2, 1], [0, 1]])
 
 
 def test_hull_circle_points_all_kept_in_order():
@@ -144,18 +175,22 @@ def test_hull_circle_points_all_kept_in_order():
 
 
 def test_hull_ccw_orientation_and_containment():
-    rng = np.random.default_rng(123)
-    pts = rng.uniform(-5, 5, size=(100, 2))
-    hull = convex_hull(pts)
-    area2 = 0.0
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    assert area2 > 0  # ccw
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        assert np.all(cross >= -1e-9)  # every point on the left of every edge
+    inputs = [
+        np.random.default_rng(123).uniform(-5, 5, size=(100, 2)),
+        # two points collinear, up to rounding, with a hull edge
+        np.array([[40.09, 39.835], [39.775, 40.225], [40.06, 39.955], [39.955, 40.375], [39.565, 40.345]]),
+    ]
+    for pts in inputs:
+        hull = convex_hull(pts)
+        area2 = 0.0
+        for i in range(len(hull)):
+            a, b = hull[i], hull[(i + 1) % len(hull)]
+            area2 += a[0] * b[1] - b[0] * a[1]
+        assert area2 > 0  # ccw
+        for i in range(len(hull)):
+            a, b = hull[i], hull[(i + 1) % len(hull)]
+            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            assert np.all(cross >= -1e-9)  # every point on the left of every edge
 
 
 def brute_force_hull_vertices(pts):
@@ -186,6 +221,10 @@ def test_hull_degenerate_inputs():
         convex_hull([[0, 0], [1, 1]])
     with pytest.raises(DegenerateGeometry):
         convex_hull([[0, 0], [1, 1], [2, 2], [3, 3]])
+    with pytest.raises(DegenerateGeometry):
+        convex_hull(np.full((20, 2), 1.5))
+    with pytest.raises(DegenerateGeometry):
+        convex_hull(np.zeros((0, 2)))
 
 
 # --- minimum-area rectangle --------------------------------------------------
@@ -321,3 +360,37 @@ def test_detect_objects_end_to_end():
     centers = sorted([(b.x, b.y) for b in boxes])
     assert centers[0] == pytest.approx((-6.0, -3.0), abs=0.2)
     assert centers[1] == pytest.approx((8.0, 2.0), abs=0.2)
+
+
+def test_detect_objects_scenario_frame_pinned():
+    # boxes of one seeded scenario frame, pinned from the dense-grid, Graham-scan detector
+    spec = ScenarioSpec(
+        duration=0.1,
+        seed=3,
+        road=RoadSpec(length=120.0, n_lanes=2),
+        agents=[VehicleSpec(1, 1, 40.0, 20.0)],
+        svs=[VehicleSpec(101, 2, 48.0, 20.0), VehicleSpec(102, 1, 60.0, 22.0)],
+    )
+    frame = generate_scenario(spec).frames[1][0]
+    boxes = detect_objects(frame, DetectionConfig())
+    expected = [
+        (-29.962614, -7.534118, 2.149243, 0.148508, 0.075953, 3.501148, 0.732245, 0.3),
+        (-29.967742, 3.872965, 2.140754, 0.190636, 0.051969, 3.540693, -2.742139, 0.3),
+        (-9.967054, -7.528311, 2.145714, 0.188146, 0.060623, 3.514934, 0.806091, 0.3),
+        (-9.963543, 3.874439, 2.149594, 0.155911, 0.060028, 3.516082, 0.633996, 0.3),
+        (8.005787, -3.693281, 1.00049, 4.6933, 1.927165, 1.306831, 3.141055, 1.0),
+        (10.036912, -7.529698, 2.15792, 0.159559, 0.062979, 3.520278, 0.652307, 0.3),
+        (10.040486, 3.878345, 2.14913, 0.16196, 0.078183, 3.519247, -2.557192, 0.3),
+        (18.300439, -0.004782, 1.011893, 1.895413, 1.294888, 1.292232, 1.566614, 1.0),
+        (19.391312, -0.313469, 1.00707, 1.215809, 0.350898, 1.22539, 1.575897, 0.2),
+        (19.388769, 0.762726, 1.016481, 0.346249, 0.310747, 1.202238, 3.140202, 0.14),
+        (20.003361, -0.481769, 1.00329, 0.934228, 0.346913, 1.275636, -1.564887, 0.18),
+        (21.08919, 0.003494, 1.008455, 2.531501, 1.880972, 1.291071, -0.002261, 1.0),
+        (30.040928, -7.518685, 2.162824, 0.1669, 0.101043, 3.492443, -2.810238, 0.3),
+        (30.046009, 3.869039, 2.139862, 0.161366, 0.062636, 3.518683, -2.513349, 0.3),
+    ]
+    got = [
+        tuple(round(v, 6) for v in (b.x, b.y, b.z, b.length, b.width, b.height, b.heading, b.confidence))
+        for b in boxes
+    ]
+    assert got == expected
