@@ -3,6 +3,11 @@
 Per-agent detection sets are synchronized by timestamp, projected into a
 common frame by rigid transform, and deduplicated by BEV IoU, keeping the
 higher-confidence box of each overlapping pair.
+
+The IoU is computed only for pairs whose circumcircles, of radius
+½·hypot(length, width), meet (with a relative slack of 1e-9 against
+rounding). Disjoint circles mean disjoint footprints and an IoU of 0, below
+any threshold in (0, 1], so the gate changes no fusion decision.
 """
 
 from __future__ import annotations
@@ -145,10 +150,13 @@ def late_fuse(
 
     Boxes overlapping with BEV IoU >= threshold collapse to the
     higher-confidence one (ties: lower agent id); provenance records every
-    agent whose detection merged into the surviving box.
+    agent whose detection merged into the surviving box. A box joins the
+    first kept box it overlaps.
     """
     if not sets:
         raise InvalidArgument("late_fuse needs at least one detection set")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise InvalidArgument(f"iou_threshold must be in (0, 1]: {iou_threshold}")
     for ds in sets:
         if ds.agent_id not in transforms:
             raise ValidationError(f"missing transform for agent {ds.agent_id}")
@@ -166,15 +174,18 @@ def late_fuse(
     )
     kept: list[OrientedBox] = []
     contributors: list[set[int]] = []
+    kept_x, kept_y, kept_r = (np.empty(len(candidates)) for _ in range(3))
     for k in order:
         box, aid = candidates[k]
-        absorbed = False
-        for i, other in enumerate(kept):
-            if iou_bev(box, other) >= iou_threshold:
+        n = len(kept)
+        radius = 0.5 * math.hypot(box.length, box.width)
+        gap = np.hypot(kept_x[:n] - box.x, kept_y[:n] - box.y)
+        for i in np.flatnonzero(gap <= (kept_r[:n] + radius) * (1.0 + 1e-9)):
+            if iou_bev(box, kept[i]) >= iou_threshold:
                 contributors[i].add(aid)
-                absorbed = True
                 break
-        if not absorbed:
+        else:
+            kept_x[n], kept_y[n], kept_r[n] = box.x, box.y, radius
             kept.append(box)
             contributors.append({aid})
 

@@ -73,9 +73,6 @@ class MapPoint:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise InvalidArgument("non-finite map point")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def rotation_from_euler(angles: EulerAngles) -> np.ndarray:
     """3x3 rotation matrix for the yaw-pitch-roll (Z-Y-X) composition.
@@ -148,13 +145,6 @@ class RigidTransform:
     def from_euler_translation(cls, angles: EulerAngles, translation) -> "RigidTransform":
         return cls(rotation_from_euler(angles), translation)
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "RigidTransform":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise InvalidArgument(f"homogeneous matrix must be 4x4, got {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
-
     @property
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -167,14 +157,11 @@ class RigidTransform:
         return euler_from_rotation(self.rotation)
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self @ other)(p) = self(other(p))."""
+        """self after other: the transform taking p to self(other(p))."""
         return RigidTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         rot_t = self.rotation.T
@@ -182,11 +169,6 @@ class RigidTransform:
 
     def apply(self, points) -> np.ndarray:
         return transform_points(self, points)
-
-
-def invert_transform(transform: RigidTransform) -> RigidTransform:
-    """Inverse transform: invert(T) composed with T is the identity."""
-    return transform.inverse()
 
 
 def relative_transform(t_a_map: RigidTransform, t_b_map: RigidTransform) -> RigidTransform:

@@ -16,9 +16,12 @@ normals form a continuous field, so downtrack advances smoothly along curves
 and across joints; for evenly spaced vertices on a circle the normal line is
 exactly radial.
 
-Which lanelet a point belongs to, whether it lies inside a lanelet's
-corridor, and how many lanes are present are still decided by the distance
-to the nearest chord of each polyline.
+The lanelet choice, the corridor test and the lane count use the nearest
+chord of each polyline. At load every segment of every centerline and
+boundary is stacked into flat arrays, so a query is one vectorised
+projection onto all segments (no spatial prefilter); `np.minimum.reduceat`
+gives each polyline's least distance and the first segment attaining it,
+the one a per-polyline `argmin` picks.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _bisect(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
 
 
 class _Polyline:
-    """2D polyline with cached segment geometry for fast projection."""
+    """2D polyline with cached segment geometry and vertex normals."""
 
     __slots__ = ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "length", "normals")
 
@@ -89,39 +92,15 @@ class _Polyline:
         # segment's normal until VectorMap joins them to a neighbour lanelet
         self.normals = np.r_[seg_normal[:1], _bisect(seg_normal[:-1], seg_normal[1:]), seg_normal[-1:]]
 
-    def project(self, xy) -> tuple[float, float, float, bool]:
-        """Project a 2D point onto the nearest chord.
-
-        Returns (arc_length, crosstrack_right_positive, distance, interior):
-        `interior` is True when the unclamped perpendicular foot falls inside
-        the polyline span (0.5 m end tolerance). On a curve the chord foot is
-        off the true one by up to offset·turn/2 per segment, so these values
-        pick the lanelet and test the corridor; `frenet` gives the exact
-        coordinates.
-        """
-        p = np.asarray(xy, dtype=float)[:2]
-        rel = p - self.seg_start
-        t_raw = np.einsum("ij,ij->i", rel, self.seg_dir)
-        t = np.clip(t_raw, 0.0, self.seg_len)
-        foot = self.seg_start + t[:, None] * self.seg_dir
-        diff = p - foot
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        k = int(np.argmin(dist))
-        # right-positive lateral offset relative to the travel direction
-        cross = diff[k, 0] * self.seg_dir[k, 1] - diff[k, 1] * self.seg_dir[k, 0]
-        s = float(self.cum_len[k] + t[k])
-        interior = -0.5 <= (self.cum_len[k] + t_raw[k]) <= self.length + 0.5
-        return s, float(cross), float(dist[k]), interior
-
     def frenet(self, xy, s_chord: float) -> tuple[float, float]:
         """Arc length and right-positive crosstrack of the foot on the vertex normals.
 
         On segment k with unit direction e and length L the foot is
         P(u) = start + u·e, at the u where p − P(u) is parallel to
         N(u) = N_k + (u/L)·(N_{k+1} − N_k). The search starts on the segment
-        holding `s_chord` (from `project`) and walks to the neighbour while u
-        leaves [0, L]. On the first and last segment u extrapolates past the
-        end, which keeps downtrack continuous across lanelet joints.
+        holding `s_chord` (the nearest chord's foot) and walks to the neighbour
+        while u leaves [0, L]. On the first and last segment u extrapolates past
+        the end, which keeps downtrack continuous across lanelet joints.
         """
         p = np.asarray(xy, dtype=float)[:2]
         last = len(self.seg_len) - 1
@@ -199,6 +178,7 @@ class VectorMap:
             self.lanelets[ll.lanelet_id] = ll
         self._validate_connectivity()
         self._link_lane_chains()
+        self._stack_segments()
 
     def _validate_connectivity(self):
         for ll in self.lanelets.values():
@@ -246,47 +226,68 @@ class VectorMap:
                 offset += self.lanelets[cur].length
             ll.chain_offset = offset
 
+    def _stack_segments(self):
+        # polylines: the lanelets' centerlines in id order, then their left,
+        # then their right boundaries; each polyline's segments are contiguous
+        self._by_id = [self.lanelets[i] for i in sorted(self.lanelets)]
+        sides = ("centerline", "left_boundary", "right_boundary")
+        polys = [getattr(ll, side) for side in sides for ll in self._by_id]
+        counts = [len(p.seg_len) for p in polys]
+        self._poly_first = np.r_[0, np.cumsum(counts)[:-1]]
+        self._poly_len = np.array([p.length for p in polys])
+        self._seg_poly = np.repeat(np.arange(len(polys)), counts)
+        self._seg_index = np.arange(self._seg_poly.size)
+        # one contiguous array per coordinate
+        self._seg_x, self._seg_y = np.concatenate([p.seg_start for p in polys]).T.copy()
+        self._seg_dx, self._seg_dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
+        self._seg_len = np.concatenate([p.seg_len for p in polys])
+        self._seg_cum = np.concatenate([p.cum_len[:-1] for p in polys])
+
     def to_frenet(self, point, margin: float = 0.5) -> FrenetCoord | None:
-        """Project a map point; None marks off-road (beyond boundaries + margin)."""
+        """Project a map point; None marks off-road (beyond boundaries + margin).
+
+        A lanelet is a candidate when the foot on its centerline's nearest
+        chord falls inside the centerline's span (0.5 m end tolerance) and
+        the point is at most `margin` outside either boundary's nearest chord.
+        The least (distance rounded to 1e-9, |offset|, lanelet id) wins.
+        `total_lanes` counts lanes whose centerline foot is inside the span
+        and within the lateral window. A non-finite point is off-road.
+        """
         xy = np.asarray(point, dtype=float)[:2]
-        best = None
-        for ll in sorted(self.lanelets.values(), key=lambda l: l.lanelet_id):
-            s, cross, dist, interior = ll.centerline.project(xy)
-            if not interior:
-                continue
-            _, y_left, _, _ = ll.left_boundary.project(xy)
-            _, y_right, _, _ = ll.right_boundary.project(xy)
-            if y_left < -margin or y_right > margin:
-                continue  # outside this lanelet's corridor
-            key = (round(dist, 9), abs(cross), ll.lanelet_id)
-            if best is None or key < best[0]:
-                best = (key, ll, s)
+        if not np.isfinite(xy).all():
+            return None
+        x, y = xy.tolist()
+        t_raw = (x - self._seg_x) * self._seg_dx + (y - self._seg_y) * self._seg_dy
+        t = np.minimum(np.maximum(t_raw, 0.0), self._seg_len)
+        diff_x = x - (self._seg_x + t * self._seg_dx)
+        diff_y = y - (self._seg_y + t * self._seg_dy)
+        dist = np.hypot(diff_x, diff_y)
+        nearest = np.minimum.reduceat(dist, self._poly_first)
+        hit = np.where(dist == nearest[self._seg_poly], self._seg_index, self._seg_index.size)
+        k = np.minimum.reduceat(hit, self._poly_first)  # first nearest segment per polyline
+        cross = diff_x[k] * self._seg_dy[k] - diff_y[k] * self._seg_dx[k]
+        along = self._seg_cum[k] + t_raw[k]
+        interior = (-0.5 <= along) & (along <= self._poly_len + 0.5)
+
+        n = len(self._by_id)
+        center, y_left, y_right = cross[:n], cross[n : 2 * n], cross[2 * n :]
+        inside = interior[:n] & (y_left >= -margin) & (y_right <= margin)
+        keys = ((round(float(nearest[j]), 9), abs(float(center[j])), self._by_id[j].lanelet_id, j)
+                for j in np.flatnonzero(inside))
+        best = min(keys, default=None)
         if best is None:
             return None
-        _, ll, s_chord = best
-        s, cross = ll.centerline.frenet(xy, s_chord)
+        j = best[-1]
+        ll = self._by_id[j]
+        s, crosstrack = ll.centerline.frenet(xy, float(self._seg_cum[k[j]] + t[k[j]]))
+        in_window = interior[:n] & (np.abs(center) <= self.lateral_window)
         return FrenetCoord(
             downtrack=ll.chain_offset + s,
-            crosstrack=cross,
+            crosstrack=crosstrack,
             lanelet_id=ll.lanelet_id,
             lane_id=ll.lane_id,
-            total_lanes=self._total_lanes_at(xy),
+            total_lanes=len({self._by_id[i].lane_id for i in np.flatnonzero(in_window)}),
         )
-
-    def _total_lanes_at(self, xy) -> int:
-        lanes = set()
-        for ll in self.lanelets.values():
-            _, cross, dist, interior = ll.centerline.project(xy)
-            if interior and abs(cross) <= self.lateral_window:
-                lanes.add(ll.lane_id)
-        return len(lanes)
-
-    def is_on_road(self, point, margin: float = 0.5) -> bool:
-        return self.to_frenet(point, margin) is not None
-
-
-def to_frenet(point, vmap: VectorMap, margin: float = 0.5) -> FrenetCoord | None:
-    return vmap.to_frenet(point, margin)
 
 
 def filter_on_road(tracks, vmap: VectorMap, margin: float = 0.5):

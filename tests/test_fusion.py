@@ -5,6 +5,7 @@ import pytest
 
 from cavtraj.detection import OrientedBox
 from cavtraj.errors import InvalidArgument, ValidationError
+from cavtraj import fusion
 from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_sets
 from cavtraj.geometry import EulerAngles, RigidTransform
 
@@ -200,3 +201,84 @@ def test_late_fuse_output_has_no_overlapping_pair():
     for i in range(len(fused.boxes)):
         for j in range(i + 1, len(fused.boxes)):
             assert iou_bev(fused.boxes[i], fused.boxes[j]) < 0.3
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
+def test_late_fuse_threshold_outside_unit_interval_rejected(threshold):
+    s = make_set(0.0, 0, [box(0, 0)])
+    with pytest.raises(InvalidArgument, match="iou_threshold"):
+        late_fuse([s], {0: RigidTransform.identity()}, iou_threshold=threshold)
+
+
+def all_pairs_fuse(sets, transforms, iou_threshold):
+    """Reference: every candidate is tested against every kept box, in kept order."""
+    candidates = []
+    for ds in sorted(sets, key=lambda s: s.agent_id):
+        candidates += [(project_box(b, transforms[ds.agent_id]), ds.agent_id) for b in ds.boxes]
+    order = sorted(range(len(candidates)), key=lambda k: (-candidates[k][0].confidence, candidates[k][1], k))
+    kept, contributors = [], []
+    for k in order:
+        b, aid = candidates[k]
+        for i, other in enumerate(kept):
+            if iou_bev(b, other) >= iou_threshold:
+                contributors[i].add(aid)
+                break
+        else:
+            kept.append(b)
+            contributors.append({aid})
+    return kept, [tuple(sorted(c)) for c in contributors]
+
+
+def _touching_sets():
+    # two pairs whose circumcircles touch exactly (d == r_a + r_b in floating
+    # point) where their footprints meet corner to corner, one rotated, one
+    # axis-aligned. Clipping the first pair leaves a sliver of rounding-level
+    # area (IoU about 2e-33), so at a threshold below that the two boxes
+    # merge: the gate must let touching circles through.
+    diag = -math.atan2(3.0, 4.0)
+    return [
+        make_set(0.0, 0, [box(0.0, 0.0, l=4.0, w=3.0, heading=diag, conf=0.8),
+                          box(20.0, 0.0, l=4.0, w=2.0, conf=0.9)]),
+        make_set(0.0, 1, [box(5.0, 0.0, l=4.0, w=3.0, heading=diag, conf=0.9),
+                          box(24.0, 2.0, l=4.0, w=2.0, conf=0.8)]),
+    ]
+
+
+@pytest.mark.parametrize("threshold", [1e-40, 1e-12, 0.05, 0.3, 0.7, 1.0])
+def test_late_fuse_matches_all_pairs_reference(threshold):
+    rng = np.random.default_rng(41)
+    cases = [_touching_sets()]
+    for _ in range(30):
+        # a few objects seen by up to four agents, each view jittered, plus clutter
+        objects = [(rng.uniform(-25, 25), rng.uniform(-8, 8), rng.uniform(-math.pi, math.pi))
+                   for _ in range(rng.integers(1, 8))]
+        sets = []
+        for aid in range(rng.integers(1, 5)):
+            boxes = [box(x + rng.normal(0, 0.6), y + rng.normal(0, 0.6), l=rng.uniform(3.5, 5.0),
+                         w=rng.uniform(1.5, 2.2), heading=h + rng.normal(0, 0.2),
+                         conf=round(rng.uniform(0.2, 1.0), 1))
+                     for x, y, h in objects if rng.uniform() < 0.8]
+            boxes += [box(rng.uniform(-30, 30), rng.uniform(-10, 10), l=rng.uniform(0.2, 1.0),
+                          w=0.2, conf=0.3) for _ in range(rng.integers(0, 4))]
+            sets.append(make_set(0.0, aid, boxes))
+        cases.append(sets)
+    for sets in cases:
+        transforms = {ds.agent_id: RigidTransform.identity() for ds in sets}
+        fused = late_fuse(sets, transforms, iou_threshold=threshold)
+        assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms, threshold)
+
+
+def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append((round(a.x, 6), round(b.x, 6)))
+        return iou_bev(a, b)
+
+    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+    sets = [make_set(0.0, 0, [box(0, 0), box(30, 0), box(60, 0)]),
+            make_set(0.0, 1, [box(0.5, 0, conf=0.5), box(64.4, 0, conf=0.5)])]
+    fused = late_fuse(sets, {0: RigidTransform.identity(), 1: RigidTransform.identity()})
+    # circumradius of a 4 x 2 box is sqrt(5): 0.5 m and 4.4 m gaps are inside 2*sqrt(5)
+    assert sorted(calls) == [(0.5, 0.0), (64.4, 60.0)]
+    assert fused.provenance == [(0, 1), (0,), (0,), (1,)]

@@ -12,7 +12,6 @@ from cavtraj.geometry import (
     RigidTransform,
     geodetic_to_map,
     euler_from_rotation,
-    invert_transform,
     map_to_geodetic,
     relative_transform,
     rotation_from_euler,
@@ -80,19 +79,19 @@ def test_euler_round_trip():
 
 def test_invert_identity():
     ident = RigidTransform.identity()
-    np.testing.assert_allclose(invert_transform(ident).matrix, np.eye(4))
+    np.testing.assert_allclose(ident.inverse().matrix, np.eye(4))
 
 
 def test_invert_pure_translation():
     t = RigidTransform(np.eye(3), [1, 2, 3])
-    np.testing.assert_allclose(invert_transform(t).translation, [-1, -2, -3])
+    np.testing.assert_allclose(t.inverse().translation, [-1, -2, -3])
 
 
 def test_invert_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(50):
         t = random_transform(rng)
-        np.testing.assert_allclose(invert_transform(invert_transform(t)).matrix, t.matrix, atol=1e-9)
+        np.testing.assert_allclose(t.inverse().inverse().matrix, t.matrix, atol=1e-9)
         np.testing.assert_allclose(t.compose(t.inverse()).matrix, np.eye(4), atol=1e-9)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cavtraj.errors import ValidationError
-from cavtraj.world_model import filter_on_road, load_vector_map, to_frenet, vector_map_from_dict
+from cavtraj.world_model import FrenetCoord, filter_on_road, load_vector_map, vector_map_from_dict
 
 MAPS = Path(__file__).parent / "fixtures" / "maps"
 
@@ -260,3 +260,112 @@ def test_filter_on_road_mixed_labels(straight):
     kept_ids = {id(t) for t, _ in filter_on_road(tracks, straight)}
     for track, on_road in zip(tracks, labels):
         assert (id(track) in kept_ids) == on_road
+
+
+# --- stacked projection against a per-lanelet chord loop ---------------------
+
+
+def _chord_project(line, xy):
+    # nearest chord of one polyline: (arc length, right-positive offset, distance, interior)
+    rel = xy - line.seg_start
+    t_raw = np.einsum("ij,ij->i", rel, line.seg_dir)
+    t = np.clip(t_raw, 0.0, line.seg_len)
+    diff = xy - (line.seg_start + t[:, None] * line.seg_dir)
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    k = int(np.argmin(dist))
+    cross = diff[k, 0] * line.seg_dir[k, 1] - diff[k, 1] * line.seg_dir[k, 0]
+    interior = -0.5 <= line.cum_len[k] + t_raw[k] <= line.length + 0.5
+    return float(line.cum_len[k] + t[k]), float(cross), float(dist[k]), interior
+
+
+def chord_loop_frenet(vmap, point, margin=0.5):
+    """Reference: project onto each lanelet's polylines one lanelet at a time."""
+    xy = np.asarray(point, dtype=float)[:2]
+    best, lanes = None, set()
+    for ll in sorted(vmap.lanelets.values(), key=lambda l: l.lanelet_id):
+        s, cross, dist, interior = _chord_project(ll.centerline, xy)
+        if not interior:
+            continue
+        if abs(cross) <= vmap.lateral_window:
+            lanes.add(ll.lane_id)
+        if _chord_project(ll.left_boundary, xy)[1] < -margin or _chord_project(ll.right_boundary, xy)[1] > margin:
+            continue
+        key = (round(dist, 9), abs(cross), ll.lanelet_id)
+        if best is None or key < best[0]:
+            best = (key, ll, s)
+    if best is None:
+        return None
+    _, ll, s_chord = best
+    s, cross = ll.centerline.frenet(xy, s_chord)
+    return FrenetCoord(ll.chain_offset + s, cross, ll.lanelet_id, ll.lane_id, len(lanes))
+
+
+def _on_polyline(line, s):
+    # point at arc length s (extrapolated past the ends) and the unit right normal there
+    k = min(max(int(np.searchsorted(line.cum_len, s, side="right")) - 1, 0), len(line.seg_len) - 1)
+    e = line.seg_dir[k]
+    return line.seg_start[k] + (s - line.cum_len[k]) * e, np.array([e[1], -e[0]])
+
+
+def _probe_points(vmap, rng, n):
+    """Vertices, plus seeded points on the road, at the margin, past the ends and off the map."""
+    lines = [(ll, line) for ll in vmap.lanelets.values()
+             for line in (ll.centerline, ll.left_boundary, ll.right_boundary)]
+    points = [p for _, line in lines for p in line.points[:, :2]]
+    lo = np.min(points, axis=0) - 100.0
+    hi = np.max(points, axis=0) + 100.0
+    points += [np.array([math.nan, 0.0]), np.array([math.inf, 1.0]), np.array([-math.inf, math.nan])]
+    for _ in range(n):
+        ll, line = lines[rng.integers(len(lines))]
+        kind = rng.integers(6)
+        if kind == 0:  # on the road and a little beyond it
+            p, normal = _on_polyline(ll.centerline, rng.uniform(0.0, ll.length))
+            points.append(p + rng.uniform(-3.0, 3.0) * normal)
+        elif kind == 1:  # just inside or just past boundary + margin
+            right = rng.uniform() < 0.5
+            p, normal = _on_polyline(ll.right_boundary if right else ll.left_boundary,
+                                     rng.uniform(0.0, ll.length))
+            points.append(p + (0.5 + rng.uniform(-0.02, 0.02)) * (normal if right else -normal))
+        elif kind == 2:  # around the 0.5 m end tolerance of a centerline
+            s = -rng.uniform(0.0, 1.0) if rng.uniform() < 0.5 else ll.length + rng.uniform(0.0, 1.0)
+            p, normal = _on_polyline(ll.centerline, s)
+            points.append(p + rng.uniform(-2.0, 2.0) * normal)
+        elif kind == 3:  # near a vertex, where neighbouring chords tie
+            angle = rng.uniform(-math.pi, math.pi)
+            points.append(line.points[rng.integers(len(line.points)), :2]
+                          + rng.uniform(0.0, 3.0) * np.array([math.cos(angle), math.sin(angle)]))
+        elif kind == 4:  # anywhere around the map
+            points.append(rng.uniform(lo, hi))
+        else:  # far off the map
+            points.append(rng.uniform(-1.0, 1.0, 2) * 1e4)
+    return points
+
+
+@pytest.mark.parametrize("name", ["straight.json", "arc.json", "freeway3.json", "freeway3_window", "right_angle_bend"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
+def test_to_frenet_matches_chord_loop(name):
+    if name == "right_angle_bend":
+        vmap = _right_angle_bend(10.0, 1.85)
+    elif name == "freeway3_window":
+        # lane centres 3.7 m apart: neighbouring lanes sit exactly on the window edge
+        vmap = vector_map_from_dict({**json.loads((MAPS / "freeway3.json").read_text()), "lateral_window": 3.7})
+    else:
+        vmap = load_vector_map(MAPS / name)
+    rng = np.random.default_rng(17)
+    results = []
+    for p in _probe_points(vmap, rng, 400):
+        got, want = vmap.to_frenet(p), chord_loop_frenet(vmap, p)
+        assert got == want, p
+        results.append(got)
+    # the probes reach both sides of the road edge
+    assert any(r is None for r in results) and any(r is not None for r in results)
+
+
+def test_to_frenet_first_of_tied_chords_decides():
+    # outside the bend's corner both legs of each polyline reach the point from
+    # their shared vertex; the first leg counts, and by the right boundary's
+    # first leg (12, -3) lies 1.15 m outside the road, past the 0.5 m margin
+    vmap = _right_angle_bend(10.0, 1.85)
+    assert vmap.to_frenet((12.0, -3.0)) is None
+    assert chord_loop_frenet(vmap, (12.0, -3.0)) is None
+    assert vmap.to_frenet((12.0, -2.2)) is not None
