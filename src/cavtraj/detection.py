@@ -1,12 +1,16 @@
-"""BEV-grid object detection: cell features, clustering, and box fitting.
+"""BEV-grid object detection: cell statistics, clustering, and box fitting.
 
 The detector segments each point-cloud frame into clusters of obstacle
 cells on a bird's-eye-view grid (fixed ground-height gate + 8-connected
 components) and fits a minimum-area oriented 3D box to each cluster.
 
 The grid is sparse: it keeps statistics for the occupied cells only, and
-clustering labels just the bounding box of the obstacle cells. The dense
-8-channel feature array is built on demand by `BevGrid.features`.
+clustering labels just the bounding box of the obstacle cells.
+
+A box's heading lies along the long side of its footprint; its sign is
+arbitrary (a box and its half-turn are the same box). Later stages treat it
+that way: BEV IoU does not depend on it, and the tracker aligns it to the
+track's heading.
 """
 
 from __future__ import annotations
@@ -21,15 +25,12 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import DegenerateGeometry, InvalidArgument
 from .geometry import wrap_angle
 
-# feature plane indices, in the order the grid stores them
+# column indices of BevGrid.stats
 F_MAX_HEIGHT = 0
 F_TOP_INTENSITY = 1
 F_MEAN_HEIGHT = 2
 F_MEAN_INTENSITY = 3
 F_COUNT = 4
-F_ANGLE = 5
-F_DISTANCE = 6
-F_OCCUPANCY = 7
 
 
 @dataclass
@@ -75,9 +76,7 @@ class BevGrid:
 
     `cells` holds the sorted flat ids (i * n + j) of the K occupied cells and
     `stats` is (K, 5): max height, intensity of the highest point, mean
-    height, mean intensity, point count. `features` expands them into the
-    dense (n, n, 8) channel array, adding the angle and distance of each cell
-    center and the occupancy flag.
+    height, mean intensity, point count.
     """
 
     cell_size: float
@@ -90,27 +89,12 @@ class BevGrid:
         n = int(round(2 * self.extent / self.cell_size))
         return n, n
 
-    @property
-    def features(self) -> np.ndarray:
-        n = self.shape[0]
-        feats = np.zeros((n, n, 8))
-        c = self.cell_center(np.arange(n))
-        feats[:, :, F_ANGLE] = np.arctan2(c[None, :], c[:, None])
-        feats[:, :, F_DISTANCE] = np.hypot(c[:, None], c[None, :])
-        flat = feats.reshape(n * n, 8)
-        flat[self.cells, :F_ANGLE] = self.stats
-        flat[self.cells, F_OCCUPANCY] = 1.0
-        return feats
-
     def cell_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map xy coordinates to integer cell indices; mask marks in-bounds points."""
         n = self.shape[0]
         idx = np.floor((points[:, :2] + self.extent) / self.cell_size).astype(int)
         mask = np.all((idx >= 0) & (idx < n), axis=1)
         return idx, mask
-
-    def cell_center(self, ij: np.ndarray) -> np.ndarray:
-        return (np.asarray(ij) + 0.5) * self.cell_size - self.extent
 
 
 def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGrid:
@@ -206,36 +190,35 @@ def convex_hull(points2d) -> np.ndarray:
 def min_area_rect(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimum-area enclosing rectangle of a convex polygon (rotating calipers).
 
-    Returns (center, extents, angle): extents are the side lengths along the
-    angle direction and its perpendicular.
+    The least rectangle has a side on a hull edge (Freeman & Shapira, 1975),
+    so the hull is projected onto every edge frame in one matrix product and
+    the first edge of least area wins. Returns (center, extents, angle):
+    extents are the side lengths along the angle direction and its
+    perpendicular.
     """
     hull = np.asarray(hull, dtype=float)
     if hull.ndim != 2 or len(hull) < 3:
         raise DegenerateGeometry("min_area_rect needs a polygon with >= 3 vertices")
 
     edges = np.roll(hull, -1, axis=0) - hull
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    if np.any(lengths < 1e-12):
-        edges = edges[lengths >= 1e-12]
-        if len(edges) == 0:
-            raise DegenerateGeometry("degenerate polygon")
+    edges = edges[np.hypot(edges[:, 0], edges[:, 1]) >= 1e-12]
+    if len(edges) == 0:
+        raise DegenerateGeometry("degenerate polygon")
     angles = np.arctan2(edges[:, 1], edges[:, 0])
 
-    best = None
-    for ang in angles:
-        c, s = math.cos(ang), math.sin(ang)
-        rot = np.array([[c, s], [-s, c]])  # rotate by -ang: edge becomes +x
-        proj = hull @ rot.T
-        lo, hi = proj.min(axis=0), proj.max(axis=0)
-        area = (hi[0] - lo[0]) * (hi[1] - lo[1])
-        if best is None or area < best[0]:
-            center_local = (lo + hi) / 2.0
-            best = (area, rot.T @ center_local, hi - lo, ang)
-
-    if best is None or best[2][0] * best[2][1] < 1e-15:
+    # column pair k is edge k's frame rotation: its edge becomes +x
+    c, s = np.cos(angles), np.sin(angles)
+    proj = (hull @ np.stack([np.c_[c, -s], np.c_[s, c]]).reshape(2, -1)).reshape(len(hull), -1, 2)
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    extents = hi - lo
+    area = extents[:, 0] * extents[:, 1]
+    k = int(np.argmin(area))
+    if area[k] < 1e-15:
         raise DegenerateGeometry("polygon has zero area")
-    _, center, extents, angle = best
-    return center, extents, wrap_angle(angle)
+    # back to the map frame; matmul rounds this transposed view differently
+    # from the same matrix stored C-ordered, so the center keeps this layout
+    rot = np.array([[c[k], s[k]], [-s[k], c[k]]])
+    return rot.T @ ((lo[k] + hi[k]) / 2.0), extents[k], wrap_angle(angles[k])
 
 
 @dataclass(frozen=True)
@@ -303,54 +286,21 @@ class OrientedBox:
         )
 
 
-def _dominant_direction(hull: np.ndarray) -> np.ndarray:
-    """Direction supported by the three extremal hull vertices.
-
-    Takes the most-distant vertex pair (hull diameter) plus the vertex
-    farthest from their line; returns the direction of the longest side of
-    that triangle.
-    """
-    d = hull[:, None, :] - hull[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", d, d)
-    i, j = np.unravel_index(np.argmax(dist2), dist2.shape)
-    p1, p2 = hull[i], hull[j]
-    chord = p2 - p1
-    chord_len = np.linalg.norm(chord)
-    offsets = hull - p1
-    lateral = np.abs(offsets[:, 0] * chord[1] - offsets[:, 1] * chord[0]) / max(chord_len, 1e-12)
-    p3 = hull[int(np.argmax(lateral))]
-    sides = [(p2 - p1), (p3 - p1), (p3 - p2)]
-    return max(sides, key=np.linalg.norm)
-
-
 def fit_bounding_box(cluster: Cluster, config: DetectionConfig | None = None) -> OrientedBox:
     """Fit a minimum-area oriented box to a cluster.
 
-    The footprint comes from the rotating-calipers rectangle of the
-    projected hull; the heading is the rectangle axis better aligned with
-    the three-extremal-point direction; height spans min to max point z.
+    The footprint is the rotating-calipers rectangle of the projected hull;
+    the heading lies along its long side, with an arbitrary sign; height
+    spans min to max point z.
     """
     config = config or DetectionConfig()
     if len(cluster) < 3:
         raise DegenerateGeometry("cluster too small to fit a box")
     pts = cluster.points
 
-    hull = convex_hull(pts[:, :2])
-    center2d, extents, angle = min_area_rect(hull)
-
-    target = _dominant_direction(hull)
-    target_ang = math.atan2(target[1], target[0])
-    # pick the rectangle axis (angle or angle + pi/2) closer to the target direction mod pi
-    cand = [(angle, extents[0], extents[1]), (angle + math.pi / 2.0, extents[1], extents[0])]
-    def axis_mismatch(a):
-        d = abs(wrap_angle(a - target_ang))
-        return min(d, math.pi - d)
-    heading, length, width = min(cand, key=lambda c: axis_mismatch(c[0]))
+    center2d, (length, width), heading = min_area_rect(convex_hull(pts[:, :2]))
     if length < width:
-        # near-square footprint where the heuristic picked the short axis;
-        # keep the l >= w contract and rotate the heading a quarter turn
-        heading += math.pi / 2.0
-        length, width = width, length
+        heading, length, width = heading + math.pi / 2.0, width, length
 
     z_min, z_max = pts[:, 2].min(), pts[:, 2].max()
     height = max(z_max - z_min, config.min_box_height)

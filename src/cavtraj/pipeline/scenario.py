@@ -226,7 +226,6 @@ class ScenarioData:
     vector_map: dict
     poses: dict[int, list[tuple[float, RigidTransform]]]
     frames: dict[int, list[PointCloudFrame]]
-    dynamic_masks: dict[int, list[np.ndarray]]  # per agent, per frame: True = SV hull point
     ground_truth: list[GroundTruthRow]
 
 
@@ -328,7 +327,6 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
 
     poses = {a.vehicle_id: [] for a in spec.agents}
     frames = {a.vehicle_id: [] for a in spec.agents}
-    masks = {a.vehicle_id: [] for a in spec.agents}
     ground_truth = []
 
     agents = sorted(spec.agents, key=lambda a: a.vehicle_id)
@@ -351,19 +349,16 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         for agent in agents:
             ax, ay, _ = agent_states[agent.vehicle_id]
             world_pts = []
-            dyn_flags = []
 
             ground = _ground_points_near(spec, (ax, ay))
             if len(ground):
                 world_pts.append(ground)
-                dyn_flags.append(np.zeros(len(ground), dtype=bool))
 
             if len(statics):
                 d = np.hypot(statics[:, 0] - ax, statics[:, 1] - ay)
                 near = statics[d <= sensor.range]
                 if len(near):
                     world_pts.append(near)
-                    dyn_flags.append(np.zeros(len(near), dtype=bool))
 
             for sv in svs:
                 if _dropout_active(spec, sv.vehicle_id, t):
@@ -378,15 +373,9 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
                 hull = hull[keep]
                 if len(hull):
                     world_pts.append(hull)
-                    dyn_flags.append(np.ones(len(hull), dtype=bool))
                     visibility[sv.vehicle_id].append(agent.vehicle_id)
 
-            if world_pts:
-                cloud = np.vstack(world_pts)
-                dyn = np.concatenate(dyn_flags)
-            else:
-                cloud = np.zeros((0, 3))
-                dyn = np.zeros(0, dtype=bool)
+            cloud = np.vstack(world_pts) if world_pts else np.zeros((0, 3))
 
             # map -> agent frame, then sensor noise
             pose = poses[agent.vehicle_id][-1][1]
@@ -401,7 +390,6 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
                     agent_id=agent.vehicle_id,
                 )
             )
-            masks[agent.vehicle_id].append(dyn)
 
         for sv in svs:
             seen = tuple(sorted(visibility[sv.vehicle_id]))
@@ -433,7 +421,6 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         vector_map=build_vector_map_dict(road, name=spec.name),
         poses=poses,
         frames=frames,
-        dynamic_masks=masks,
         ground_truth=ground_truth,
     )
 

@@ -309,6 +309,28 @@ def _load_schema() -> dict:
         return json.load(fh)
 
 
+def _polyline_points(entry: dict, side: str) -> np.ndarray:
+    """(n, 3) float array of a lanelet's polyline; every point is three finite numbers.
+
+    The schema checks only that a polyline is a list of at least two items;
+    one pass here replaces its per-number walk.
+    """
+    points = entry[side]
+    if not all(
+        isinstance(p, list) and len(p) == 3
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+        for p in points
+    ):
+        raise ValidationError(f"{side}: points must be [x, y, z] lists of numbers")
+    try:
+        arr = np.array(points, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{side}: coordinate out of float range") from None
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{side}: non-finite coordinate")
+    return arr
+
+
 def vector_map_from_dict(data: dict) -> VectorMap:
     """Build and validate a VectorMap from parsed JSON."""
     try:
@@ -323,9 +345,9 @@ def vector_map_from_dict(data: dict) -> VectorMap:
                 Lanelet(
                     lanelet_id=int(entry["lanelet_id"]),
                     lane_id=int(entry["lane_id"]),
-                    centerline=_Polyline(np.array(entry["centerline"], dtype=float)),
-                    left_boundary=_Polyline(np.array(entry["left_boundary"], dtype=float)),
-                    right_boundary=_Polyline(np.array(entry["right_boundary"], dtype=float)),
+                    centerline=_Polyline(_polyline_points(entry, "centerline")),
+                    left_boundary=_Polyline(_polyline_points(entry, "left_boundary")),
+                    right_boundary=_Polyline(_polyline_points(entry, "right_boundary")),
                     predecessors=tuple(entry.get("predecessors", ())),
                     successors=tuple(entry.get("successors", ())),
                 )

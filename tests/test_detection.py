@@ -5,13 +5,10 @@ import pytest
 
 from cavtraj.detection import (
     DetectionConfig,
-    F_ANGLE,
     F_COUNT,
-    F_DISTANCE,
     F_MAX_HEIGHT,
     F_MEAN_HEIGHT,
     F_MEAN_INTENSITY,
-    F_OCCUPANCY,
     F_TOP_INTENSITY,
     Cluster,
     bev_grid_features,
@@ -22,6 +19,7 @@ from cavtraj.detection import (
     min_area_rect,
 )
 from cavtraj.errors import DegenerateGeometry
+from cavtraj.geometry import wrap_angle
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, VehicleSpec, generate_scenario
 from conftest import box_surface_points, make_frame
 
@@ -34,56 +32,53 @@ def grid_cell_of(grid, xy):
     return tuple(idx[0])
 
 
+def cell_stats(grid, xy):
+    """The stats row of the occupied cell holding xy."""
+    i, j = grid_cell_of(grid, xy)
+    k = int(np.searchsorted(grid.cells, i * grid.shape[1] + j))
+    assert k < len(grid.cells) and grid.cells[k] == i * grid.shape[1] + j
+    return grid.stats[k]
+
+
 def test_bev_single_point_features():
     frame = make_frame([[0.25, 0.25, 1.5]], intensity=10.0)
     grid = bev_grid_features(frame, CFG)
-    i, j = grid_cell_of(grid, (0.25, 0.25))
-    cell = grid.features[i, j]
+    assert len(grid.cells) == 1
+    cell = cell_stats(grid, (0.25, 0.25))
     assert cell[F_MAX_HEIGHT] == pytest.approx(1.5)
     assert cell[F_MEAN_HEIGHT] == pytest.approx(1.5)
     assert cell[F_TOP_INTENSITY] == pytest.approx(10.0)
     assert cell[F_MEAN_INTENSITY] == pytest.approx(10.0)
     assert cell[F_COUNT] == 1
-    assert cell[F_OCCUPANCY] == 1
 
 
 def test_bev_two_point_statistics():
     frame = make_frame([[0.1, 0.1, 1.0], [0.2, 0.2, 3.0]])
     grid = bev_grid_features(frame, CFG)
-    i, j = grid_cell_of(grid, (0.15, 0.15))
-    cell = grid.features[i, j]
+    assert len(grid.cells) == 1
+    cell = cell_stats(grid, (0.15, 0.15))
     assert cell[F_MAX_HEIGHT] == pytest.approx(3.0)
     assert cell[F_MEAN_HEIGHT] == pytest.approx(2.0)
     assert cell[F_COUNT] == 2
 
 
-def test_bev_angle_and_distance_channels():
-    frame = make_frame([[10.0, 0.0, 1.0]])
-    grid = bev_grid_features(frame, CFG)
-    i, j = grid_cell_of(grid, (10.0, 0.0))
-    cx, cy = grid.cell_center((i, j))
-    cell = grid.features[i, j]
-    # direct trigonometric evaluation of the cell-center channels
-    assert cell[F_DISTANCE] == pytest.approx(math.hypot(cx, cy))
-    assert cell[F_ANGLE] == pytest.approx(math.atan2(cy, cx))
-    assert cell[F_DISTANCE] == pytest.approx(10.0, abs=CFG.cell_size)
-    assert abs(cell[F_ANGLE]) < 0.05
-
-
 def test_bev_empty_frame():
     frame = make_frame(np.zeros((0, 3)))
     grid = bev_grid_features(frame, CFG)
-    assert np.all(grid.features[:, :, F_OCCUPANCY] == 0)
-    assert np.all(grid.features[:, :, F_COUNT] == 0)
+    assert grid.cells.shape == (0,)
+    assert grid.stats.shape == (0, 5)
 
 
 def test_bev_occupancy_iff_count():
+    # a cell is listed iff a point falls in it, and its count is that cell's points
     rng = np.random.default_rng(1)
-    frame = make_frame(np.c_[rng.uniform(-15, 15, (200, 2)), rng.uniform(0, 2, 200)])
+    frame = make_frame(np.c_[rng.uniform(-25, 25, (200, 2)), rng.uniform(0, 2, 200)])
     grid = bev_grid_features(frame, CFG)
-    occ = grid.features[:, :, F_OCCUPANCY]
-    cnt = grid.features[:, :, F_COUNT]
-    assert np.array_equal(occ > 0, cnt > 0)
+    idx, mask = grid.cell_indices(frame.points)
+    assert 0 < mask.sum() < len(mask)
+    occupied, counts = np.unique(idx[mask, 0] * grid.shape[1] + idx[mask, 1], return_counts=True)
+    np.testing.assert_array_equal(grid.cells, occupied)
+    np.testing.assert_array_equal(grid.stats[:, F_COUNT], counts)
 
 
 def blob(center, n=40, size=0.8, z=1.0, seed=0):
@@ -286,6 +281,76 @@ def test_rect_never_beats_axis_aligned_bbox():
         assert extents[0] * extents[1] <= aabb[0] * aabb[1] + 1e-9
 
 
+def rect_edge_loop(hull):
+    """Per-edge rotating-calipers loop: the first edge of strictly least area wins."""
+    hull = np.asarray(hull, dtype=float)
+    edges = np.roll(hull, -1, axis=0) - hull
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    if np.any(lengths < 1e-12):
+        edges = edges[lengths >= 1e-12]
+    angles = np.arctan2(edges[:, 1], edges[:, 0])
+    best = None
+    for ang in angles:
+        c, s = math.cos(ang), math.sin(ang)
+        rot = np.array([[c, s], [-s, c]])  # rotate by -ang: edge becomes +x
+        proj = hull @ rot.T
+        lo, hi = proj.min(axis=0), proj.max(axis=0)
+        area = (hi[0] - lo[0]) * (hi[1] - lo[1])
+        if best is None or area < best[0]:
+            center_local = (lo + hi) / 2.0
+            best = (area, rot.T @ center_local, hi - lo, ang)
+    _, center, extents, angle = best
+    return center, extents, wrap_angle(angle)
+
+
+def regular_polygon(k, radius=1.0, phase=0.0, center=(0.0, 0.0)):
+    ang = phase + 2 * math.pi * np.arange(k) / k
+    return np.c_[center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)]
+
+
+def rect_hulls():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(3, 120))
+        scale = 10 ** rng.uniform(-1, 1.5)
+        ang = rng.uniform(-math.pi, math.pi)
+        rot = [[math.cos(ang), math.sin(ang)], [-math.sin(ang), math.cos(ang)]]
+        pts = rng.normal(size=(n, 2)) * [scale, scale * rng.uniform(0.05, 1)] @ rot
+        try:
+            yield convex_hull(pts + rng.uniform(-60, 60, 2))
+        except DegenerateGeometry:
+            continue
+    # tied areas: every edge of a square, a rectangle's opposite sides, an octagon
+    yield np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    yield np.array([[3.0, -1.0], [7.0, -1.0], [7.0, 1.0], [3.0, 1.0]])
+    yield regular_polygon(4, radius=2.0, phase=0.3, center=(10.0, -4.0))
+    yield regular_polygon(8)
+    yield regular_polygon(8, radius=3.0, phase=0.1, center=(-20.0, 35.0))
+    # a repeated vertex gives a zero-length edge, which is skipped
+    yield np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.5, 1.0], [0.0, 1.5]])
+
+
+def test_rect_matches_per_edge_loop_bit_for_bit():
+    count = 0
+    for hull in rect_hulls():
+        center, extents, angle = min_area_rect(hull)
+        ref_center, ref_extents, ref_angle = rect_edge_loop(hull)
+        assert center.tobytes() == ref_center.tobytes()
+        assert extents.tobytes() == ref_extents.tobytes()
+        assert angle == ref_angle
+        count += 1
+    assert count > 250
+
+
+def test_rect_degenerate_inputs():
+    with pytest.raises(DegenerateGeometry):
+        min_area_rect(np.zeros((2, 2)))
+    with pytest.raises(DegenerateGeometry):
+        min_area_rect(np.full((4, 2), 3.0))  # every edge has zero length
+    with pytest.raises(DegenerateGeometry):
+        min_area_rect([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])  # zero area
+
+
 def test_rect_contains_all_hull_points():
     rng = np.random.default_rng(19)
     pts = rng.uniform(-5, 5, size=(50, 2))
@@ -319,6 +384,19 @@ def test_fit_box_rotated_45deg():
     assert box.width == pytest.approx(2.0, abs=CFG.cell_size)
     heading_mod = math.degrees(box.heading) % 180.0
     assert min(abs(heading_mod - 45.0), abs(heading_mod - 225.0)) < 2.0
+
+
+def test_fit_box_heading_on_long_side():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(10, 80))
+        pts = np.c_[rng.normal(size=(n, 2)) * rng.uniform(0.1, 3.0, 2), rng.uniform(0.5, 2.0, n)]
+        box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
+        _, (e0, e1), angle = min_area_rect(convex_hull(pts[:, :2]))
+        assert box.length == max(e0, e1) and box.width == min(e0, e1)
+        long_side = angle if e0 >= e1 else angle + math.pi / 2
+        turn = (box.heading - long_side) % math.pi
+        assert min(turn, math.pi - turn) < 1e-12
 
 
 def test_fit_box_planar_cluster_height_clamped():
@@ -363,7 +441,8 @@ def test_detect_objects_end_to_end():
 
 
 def test_detect_objects_scenario_frame_pinned():
-    # boxes of one seeded scenario frame, pinned from the dense-grid, Graham-scan detector
+    # boxes of one seeded scenario frame, pinned from the dense-grid, Graham-scan
+    # detector; box 9's heading is a half-turn off that detector's (sign is arbitrary)
     spec = ScenarioSpec(
         duration=0.1,
         seed=3,
@@ -383,7 +462,7 @@ def test_detect_objects_scenario_frame_pinned():
         (10.040486, 3.878345, 2.14913, 0.16196, 0.078183, 3.519247, -2.557192, 0.3),
         (18.300439, -0.004782, 1.011893, 1.895413, 1.294888, 1.292232, 1.566614, 1.0),
         (19.391312, -0.313469, 1.00707, 1.215809, 0.350898, 1.22539, 1.575897, 0.2),
-        (19.388769, 0.762726, 1.016481, 0.346249, 0.310747, 1.202238, 3.140202, 0.14),
+        (19.388769, 0.762726, 1.016481, 0.346249, 0.310747, 1.202238, -0.001391, 0.14),
         (20.003361, -0.481769, 1.00329, 0.934228, 0.346913, 1.275636, -1.564887, 0.18),
         (21.08919, 0.003494, 1.008455, 2.531501, 1.880972, 1.291071, -0.002261, 1.0),
         (30.040928, -7.518685, 2.162824, 0.1669, 0.101043, 3.492443, -2.810238, 0.3),

@@ -67,6 +67,47 @@ def test_load_schema_violation_rejected():
         vector_map_from_dict({"lanelets": [{"lanelet_id": 1}]})
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.nan, "non-finite"),
+        (math.inf, "non-finite"),
+        (-math.inf, "non-finite"),
+        (10**400, "out of float range"),
+        (True, "lists of numbers"),
+        ("1.85", "lists of numbers"),
+        (None, "lists of numbers"),
+    ],
+    ids=["nan", "inf", "-inf", "huge-int", "bool", "string", "null"],
+)
+def test_load_bad_coordinate_rejected(tmp_path, value, message):
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts
+    data = json.loads((MAPS / "straight.json").read_text())
+    data["lanelets"][1]["left_boundary"][0][1] = value
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=f"lanelet 101: left_boundary: .*{message}"):
+        load_vector_map(path)
+
+
+@pytest.mark.parametrize(
+    "polyline, message",
+    [
+        ([[40.0, 1.85], [42.0, 1.85]], "lanelet 101: right_boundary: .*lists of numbers"),
+        ([[40.0, 1.85, 0.0, 1.0], [42.0, 1.85, 0.0]], "lanelet 101: right_boundary: .*lists of numbers"),
+        ([[40.0, 1.85, 0.0], (42.0, 1.85, 0.0)], "lanelet 101: right_boundary: .*lists of numbers"),
+        ([[40.0, 1.85, 0.0]], "schema"),
+        ("40,1.85,0", "schema"),
+    ],
+    ids=["2-value-point", "4-value-point", "tuple-point", "single-point", "string"],
+)
+def test_load_bad_polyline_shape_rejected(polyline, message):
+    data = json.loads((MAPS / "straight.json").read_text())
+    data["lanelets"][1]["right_boundary"] = polyline
+    with pytest.raises(ValidationError, match=message):
+        vector_map_from_dict(data)
+
+
 def test_load_bad_json_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
