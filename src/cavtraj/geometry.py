@@ -171,14 +171,6 @@ class RigidTransform:
         return transform_points(self, points)
 
 
-def relative_transform(t_a_map: RigidTransform, t_b_map: RigidTransform) -> RigidTransform:
-    """Transform taking frame-a coordinates into frame-b coordinates.
-
-    Computed as (T_b^map)^-1 @ T_a^map; both inputs must share the map frame.
-    """
-    return t_b_map.inverse().compose(t_a_map)
-
-
 def transform_points(transform: RigidTransform, points) -> np.ndarray:
     """Apply p' = R p + t to an (N, 3) array (or a single 3-vector)."""
     pts = np.asarray(points, dtype=float)

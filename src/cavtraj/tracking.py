@@ -1,15 +1,16 @@
 """Kalman-filter multi-object tracker over fused detections.
 
-State per track: position, velocity, acceleration (constant-acceleration
-model) plus heading; box dimensions are smoothed separately with an
-exponential moving average. Detections are associated to predicted track
-positions with the Hungarian algorithm under a Euclidean gate.
+x, y and z run identical constant-acceleration filters over [position,
+velocity, acceleration] that never couple, so one (3, 3) covariance serves
+all three axes; the heading is a scalar random walk. Box dimensions are
+EMA-smoothed. Detections are associated to predicted track positions with
+the Hungarian algorithm under a Euclidean gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,13 +19,6 @@ from .detection import OrientedBox
 from .errors import InvalidArgument
 from .fusion import FusedFrame
 from .geometry import wrap_angle
-
-# state layout: [x, y, z, vx, vy, vz, ax, ay, az, heading]
-_NX = 10
-_POS = slice(0, 3)
-_VEL = slice(3, 6)
-_ACC = slice(6, 9)
-_HEAD = 9
 
 
 @dataclass
@@ -46,75 +40,50 @@ class TrackingConfig:
 
 @dataclass
 class Track:
-    """One tracked object; `state` covers kinematics, dims are EMA-smoothed."""
+    """One tracked object; box dims are EMA-smoothed.
+
+    `state` rows are x, y, z and its columns position, velocity, acceleration;
+    `covariance` is the (3, 3) [p, v, a] covariance shared by the three axes.
+    """
 
     track_id: int
     state: np.ndarray
     covariance: np.ndarray
+    heading: float
+    heading_var: float
     length: float
     width: float
     height: float
     hits: int = 1
     misses: int = 0
-    last_timestamp: float = 0.0
 
     @property
     def position(self) -> np.ndarray:
-        return self.state[_POS]
+        return self.state[:, 0]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.state[_VEL]
+        return self.state[:, 1]
 
     @property
     def acceleration(self) -> np.ndarray:
-        return self.state[_ACC]
-
-    @property
-    def heading(self) -> float:
-        return float(self.state[_HEAD])
+        return self.state[:, 2]
 
     @property
     def speed(self) -> float:
-        return float(np.hypot(self.state[3], self.state[4]))
+        return float(np.hypot(self.state[0, 1], self.state[1, 1]))
 
 
-def _transition(dt: float) -> np.ndarray:
-    f = np.eye(_NX)
-    for axis in range(3):
-        f[axis, 3 + axis] = dt
-        f[axis, 6 + axis] = 0.5 * dt * dt
-        f[3 + axis, 6 + axis] = dt
-    return f
-
-
-def _process_noise(config: TrackingConfig, dt: float) -> np.ndarray:
-    scale = dt / config.nominal_dt
-    diag = np.r_[
-        np.full(3, config.q_pos**2),
-        np.full(3, config.q_vel**2),
-        np.full(3, config.q_acc**2),
-        [config.q_heading**2],
-    ]
-    return np.diag(diag * scale)
-
-
-_H = np.zeros((4, _NX))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = 1.0
-_H[3, _HEAD] = 1.0
-
-
-def kf_predict(track: Track, dt: float, config: TrackingConfig | None = None) -> Track:
-    """Advance a track by dt with the constant-acceleration model."""
+def kf_predict(track: Track, dt: float, config: TrackingConfig) -> None:
+    """Advance a track in place by dt with the constant-acceleration model."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise InvalidArgument(f"dt must be positive, got {dt}")
-    config = config or TrackingConfig()
-    f = _transition(dt)
-    state = f @ track.state
-    state[_HEAD] = wrap_angle(state[_HEAD])
-    cov = f @ track.covariance @ f.T + _process_noise(config, dt)
-    cov = 0.5 * (cov + cov.T)
-    return replace(track, state=state, covariance=cov, last_timestamp=track.last_timestamp + dt)
+    scale = dt / config.nominal_dt
+    f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
+    track.state = track.state @ f.T
+    cov = f @ track.covariance @ f.T + np.diag([config.q_pos**2, config.q_vel**2, config.q_acc**2]) * scale
+    track.covariance = 0.5 * (cov + cov.T)
+    track.heading_var += config.q_heading**2 * scale
 
 
 def _aligned_heading(measured: float, predicted: float) -> float:
@@ -123,33 +92,33 @@ def _aligned_heading(measured: float, predicted: float) -> float:
     return min(candidates, key=lambda h: abs(wrap_angle(h - predicted)))
 
 
-def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> Track:
-    """Measurement update with the detected box center and heading."""
-    r = np.diag(
-        [config.r_pos**2, config.r_pos**2, config.r_pos**2, config.r_heading**2]
-    )
-    z = np.array([box.x, box.y, box.z, _aligned_heading(box.heading, track.heading)])
-    innovation = z - _H @ track.state
-    innovation[3] = wrap_angle(innovation[3])
-    s = _H @ track.covariance @ _H.T + r
-    gain = track.covariance @ _H.T @ np.linalg.inv(s)
-    state = track.state + gain @ innovation
-    state[_HEAD] = wrap_angle(state[_HEAD])
-    ikh = np.eye(_NX) - gain @ _H
-    cov = ikh @ track.covariance @ ikh.T + gain @ r @ gain.T  # Joseph form
-    cov = 0.5 * (cov + cov.T)
+def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> None:
+    """Measurement update in place with the detected box center and heading.
+
+    Each axis measures only its position, so the innovation is a scalar per
+    axis and every axis shares the gain P[:, 0] / (P[0, 0] + r_pos^2).
+    """
+    p, r = track.covariance, config.r_pos**2
+    gain = p[:, 0] / (p[0, 0] + r)
+    innovation = np.array([box.x, box.y, box.z]) - track.position
+    track.state = track.state + np.outer(innovation, gain)
+    ikh = np.eye(3)
+    ikh[:, 0] -= gain
+    cov = ikh @ p @ ikh.T + r * np.outer(gain, gain)  # Joseph form
+    track.covariance = 0.5 * (cov + cov.T)
+
+    r_h = config.r_heading**2
+    k = track.heading_var / (track.heading_var + r_h)
+    innovation_h = wrap_angle(_aligned_heading(box.heading, track.heading) - track.heading)
+    track.heading = wrap_angle(track.heading + k * innovation_h)
+    track.heading_var = (1 - k) ** 2 * track.heading_var + k * k * r_h
 
     beta = config.dim_ema
-    return replace(
-        track,
-        state=state,
-        covariance=cov,
-        length=(1 - beta) * track.length + beta * box.length,
-        width=(1 - beta) * track.width + beta * box.width,
-        height=(1 - beta) * track.height + beta * box.height,
-        hits=track.hits + 1,
-        misses=0,
-    )
+    track.length = (1 - beta) * track.length + beta * box.length
+    track.width = (1 - beta) * track.width + beta * box.width
+    track.height = (1 - beta) * track.height + beta * box.height
+    track.hits += 1
+    track.misses = 0
 
 
 @dataclass
@@ -191,29 +160,19 @@ class MultiObjectTracker:
         self._next_id = 1
         self._last_timestamp: float | None = None
 
-    def _new_track(self, box: OrientedBox, timestamp: float) -> Track:
+    def _new_track(self, box: OrientedBox) -> Track:
         c = self.config
-        state = np.zeros(_NX)
-        state[_POS] = [box.x, box.y, box.z]
-        state[_HEAD] = box.heading
-        cov = np.diag(
-            np.r_[
-                np.full(3, c.r_pos**2),
-                np.full(3, c.init_vel_sigma**2),
-                np.full(3, c.init_acc_sigma**2),
-                [c.r_heading**2 * 4],
-            ]
-        )
+        state = np.zeros((3, 3))
+        state[:, 0] = [box.x, box.y, box.z]
         track = Track(
             track_id=self._next_id,
             state=state,
-            covariance=cov,
+            covariance=np.diag([c.r_pos**2, c.init_vel_sigma**2, c.init_acc_sigma**2]),
+            heading=box.heading,
+            heading_var=c.r_heading**2 * 4,
             length=box.length,
             width=box.width,
             height=box.height,
-            hits=1,
-            misses=0,
-            last_timestamp=timestamp,
         )
         self._next_id += 1
         return track
@@ -226,21 +185,21 @@ class MultiObjectTracker:
                 f"frame timestamps must increase: {frame.timestamp} after {self._last_timestamp}"
             )
 
-        if self._last_timestamp is not None and self.tracks:
+        if self._last_timestamp is not None:
             dt = frame.timestamp - self._last_timestamp
-            self.tracks = [kf_predict(t, dt, c) for t in self.tracks]
+            for track in self.tracks:
+                kf_predict(track, dt, c)
 
         assignment = associate(self.tracks, frame.boxes, c.association_gate)
         for ti, di in assignment.pairs:
-            self.tracks[ti] = kf_update(self.tracks[ti], frame.boxes[di], c)
-            self.tracks[ti].last_timestamp = frame.timestamp
+            kf_update(self.tracks[ti], frame.boxes[di], c)
 
         for ti in assignment.unmatched_tracks:
             self.tracks[ti].misses += 1
         self.tracks = [t for t in self.tracks if t.misses <= c.max_age]
 
         for di in assignment.unmatched_detections:
-            self.tracks.append(self._new_track(frame.boxes[di], frame.timestamp))
+            self.tracks.append(self._new_track(frame.boxes[di]))
 
         self._last_timestamp = frame.timestamp
         return [t for t in self.tracks if t.hits >= c.confirm_hits and t.misses == 0]

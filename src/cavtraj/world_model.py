@@ -354,7 +354,14 @@ def vector_map_from_dict(data: dict) -> VectorMap:
             )
         except ValidationError as exc:
             raise ValidationError(f"lanelet {entry.get('lanelet_id')}: {exc}") from exc
-    return VectorMap(lanelets, name=data.get("name", ""), lateral_window=data.get("lateral_window", 15.0))
+    # the schema's exclusiveMinimum lets NaN and infinity through
+    try:
+        lateral_window = float(data.get("lateral_window", 15.0))
+    except OverflowError:
+        lateral_window = math.inf
+    if not math.isfinite(lateral_window):
+        raise ValidationError("lateral_window: non-finite or out of float range")
+    return VectorMap(lanelets, name=data.get("name", ""), lateral_window=lateral_window)
 
 
 def load_vector_map(path) -> VectorMap:

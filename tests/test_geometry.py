@@ -13,7 +13,6 @@ from cavtraj.geometry import (
     geodetic_to_map,
     euler_from_rotation,
     map_to_geodetic,
-    relative_transform,
     rotation_from_euler,
     transform_points,
     wrap_angle,
@@ -102,28 +101,6 @@ def test_compose_invert_group_property():
         lhs = t1.compose(t2).inverse()
         rhs = t2.inverse().compose(t1.inverse())
         np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-9)
-
-
-def test_relative_transform_same_pose_is_identity():
-    rng = np.random.default_rng(17)
-    t = random_transform(rng)
-    np.testing.assert_allclose(relative_transform(t, t).matrix, np.eye(4), atol=1e-9)
-
-
-def test_relative_transform_translation_only():
-    t_a = RigidTransform(np.eye(3), [10, 0, 0])
-    rel = relative_transform(t_a, RigidTransform.identity())
-    np.testing.assert_allclose(rel.translation, [10, 0, 0], atol=1e-12)
-
-
-def test_relative_transform_two_path_equivalence():
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        t_a, t_b = random_transform(rng), random_transform(rng)
-        point = rng.uniform(-10, 10, size=3)
-        via_map = t_b.inverse().apply(t_a.apply(point))
-        direct = relative_transform(t_a, t_b).apply(point)
-        np.testing.assert_allclose(direct, via_map, atol=1e-9)
 
 
 def test_transform_points_identity_and_translation():

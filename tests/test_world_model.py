@@ -90,6 +90,16 @@ def test_load_bad_coordinate_rejected(tmp_path, value, message):
         load_vector_map(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
+def test_load_bad_lateral_window_rejected(tmp_path, value):
+    data = json.loads((MAPS / "straight.json").read_text())
+    data["lateral_window"] = value
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="lateral_window: non-finite"):
+        load_vector_map(path)
+
+
 @pytest.mark.parametrize(
     "polyline, message",
     [
