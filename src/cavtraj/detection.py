@@ -1,11 +1,13 @@
-"""BEV-grid object detection: cell statistics, clustering, and box fitting.
+"""BEV-grid object detection: ground gate, clustering, and box fitting.
 
 The detector segments each point-cloud frame into clusters of obstacle
 cells on a bird's-eye-view grid (fixed ground-height gate + 8-connected
 components) and fits a minimum-area oriented 3D box to each cluster.
 
-The grid is sparse: it keeps statistics for the occupied cells only, and
-clustering labels just the bounding box of the obstacle cells.
+The grid is sparse and holds obstacle cells only: points below the ground
+gate are dropped before binning, the remaining points are binned once, and
+clustering reads each kept point's cell from that same pass. Labelling runs
+on just the bounding box of the obstacle cells.
 
 A box's heading lies along the long side of its footprint; its sign is
 arbitrary (a box and its half-turn are the same box). Later stages treat it
@@ -25,19 +27,11 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import DegenerateGeometry, InvalidArgument
 from .geometry import wrap_angle
 
-# column indices of BevGrid.stats
-F_MAX_HEIGHT = 0
-F_TOP_INTENSITY = 1
-F_MEAN_HEIGHT = 2
-F_MEAN_INTENSITY = 3
-F_COUNT = 4
-
-
 @dataclass
 class DetectionConfig:
     cell_size: float = 0.2
     extent: float = 80.0            # grid covers [-extent, extent] in x and y
-    ground_height: float = 0.3      # cells whose max height is below this are ground
+    ground_height: float = 0.3      # points below this height are ground
     min_cluster_points: int = 10
     min_box_height: float = 0.1
     confidence_saturation: int = 100
@@ -72,17 +66,19 @@ class PointCloudFrame:
 
 @dataclass
 class BevGrid:
-    """Sparse bird's-eye-view grid: statistics of the occupied cells only.
+    """Sparse bird's-eye-view grid of the obstacle cells of one frame.
 
-    `cells` holds the sorted flat ids (i * n + j) of the K occupied cells and
-    `stats` is (K, 5): max height, intensity of the highest point, mean
-    height, mean intensity, point count.
+    Only points at or above the ground-height gate are binned. `cells` holds
+    the sorted flat ids (i * n + j) of the K cells such points fall in,
+    `kept` the frame indices of those points that fall on the grid, in frame
+    order, and `kept_cell` each kept point's index into `cells`.
     """
 
     cell_size: float
     extent: float
     cells: np.ndarray
-    stats: np.ndarray
+    kept: np.ndarray
+    kept_cell: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -98,30 +94,18 @@ class BevGrid:
 
 
 def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGrid:
-    """Compute the per-cell statistics of the occupied cells of one frame."""
-    grid = BevGrid(config.cell_size, config.extent, np.zeros(0, dtype=int), np.zeros((0, 5)))
-    n = grid.shape[0]
-    idx, mask = grid.cell_indices(frame.points)
-    if not mask.any():
-        return grid
-    z = frame.points[mask, 2]
-    inten = frame.intensities[mask]
-    flat = idx[mask, 0] * n + idx[mask, 1]
+    """Bin the points that clear the ground gate; list the cells they fall in.
 
-    # one sort by (cell, z): each cell is a run whose last point is the highest
-    order = np.lexsort((z, flat))
-    flat, z, inten = flat[order], z[order], inten[order]
-    start = np.r_[0, np.flatnonzero(np.diff(flat)) + 1]
-    last = np.r_[start[1:], len(flat)] - 1
-    counts = np.diff(np.r_[start, len(flat)])
-    stats = np.c_[
-        z[last],
-        inten[last],
-        np.add.reduceat(z, start) / counts,
-        np.add.reduceat(inten, start) / counts,
-        counts,
-    ]
-    return BevGrid(config.cell_size, config.extent, flat[start], stats)
+    A cell is listed exactly when an in-bounds point with z >= ground_height
+    falls in it; points off the grid are dropped.
+    """
+    empty = np.zeros(0, dtype=int)
+    grid = BevGrid(config.cell_size, config.extent, empty, empty, empty)
+    above = np.flatnonzero(frame.points[:, 2] >= config.ground_height)
+    idx, mask = grid.cell_indices(frame.points[above])
+    grid.kept = above[mask]
+    grid.cells, grid.kept_cell = np.unique(idx[mask, 0] * grid.shape[0] + idx[mask, 1], return_inverse=True)
+    return grid
 
 
 @dataclass
@@ -137,35 +121,27 @@ class Cluster:
 
 
 def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfig) -> list[Cluster]:
-    """Group obstacle cells into clusters by 8-connected components.
+    """Group the grid's obstacle cells into clusters by 8-connected components.
 
-    Cells are obstacle candidates when occupied and their max height clears
-    the ground-height gate; clusters smaller than min_cluster_points are
-    dropped.
+    A cluster holds the kept points of its cells, in frame order; ground
+    points sharing a cell with an obstacle never reach it. Clusters smaller
+    than min_cluster_points are dropped.
     """
-    n = grid.shape[0]
-    cells = grid.cells[grid.stats[:, F_MAX_HEIGHT] >= config.ground_height]
-    if len(cells) == 0:
+    if len(grid.cells) == 0:
         return []
 
     # label only the bounding box of the obstacle cells; raster order, and so
     # the label numbering, is the same as on the full grid
-    ci, cj = np.divmod(cells, n)
+    ci, cj = np.divmod(grid.cells, grid.shape[0])
     i0, j0 = ci.min(), cj.min()
     obstacle = np.zeros((ci.max() - i0 + 1, cj.max() - j0 + 1), dtype=bool)
     obstacle[ci - i0, cj - j0] = True
     labels, n_labels = ndimage.label(obstacle, structure=np.ones((3, 3), dtype=int))
-    cell_label = labels[ci - i0, cj - j0]
-
-    # keep only obstacle points, not road surface hits sharing the cell; every
-    # such point lies in an obstacle cell
-    idx, mask = grid.cell_indices(frame.points)
-    keep = np.flatnonzero(mask & (frame.points[:, 2] >= config.ground_height))
-    point_label = cell_label[np.searchsorted(cells, idx[keep, 0] * n + idx[keep, 1])]
+    point_label = labels[ci - i0, cj - j0][grid.kept_cell]
 
     order = np.argsort(point_label, kind="stable")
     bounds = np.cumsum(np.bincount(point_label, minlength=n_labels + 1)[1:-1])
-    members = np.split(frame.points[keep[order]], bounds)
+    members = np.split(frame.points[grid.kept[order]], bounds)
     return [
         Cluster(m, frame.agent_id, frame.timestamp)
         for m in members

@@ -21,6 +21,10 @@ TAU = 2.0 * math.pi
 
 def wrap_angle(a):
     """Wrap an angle (scalar or array) to (-pi, pi]."""
+    if isinstance(a, float) and math.isfinite(a):
+        # the array path's arithmetic on a Python or NumPy float64 scalar, without NumPy calls
+        wrapped = a - TAU * math.floor((a + math.pi) / TAU)
+        return math.pi if wrapped <= -math.pi else float(wrapped)
     wrapped = np.asarray(a) - TAU * np.floor((np.asarray(a) + math.pi) / TAU)
     wrapped = np.where(wrapped <= -math.pi, math.pi, wrapped)
     if np.isscalar(a) or np.ndim(a) == 0:

@@ -28,16 +28,15 @@ _FRAME_HEADER = "t,x,y,z,intensity"
 _POSE_HEADER_MAP = "t,x,y,z,roll,pitch,yaw"
 _POSE_HEADER_GEO = "t,lat,lon,alt,roll,pitch,yaw"
 _STAMP_PREFIX = "# t="
+_FRAME_ROW = "%.6f,%.6f,%.6f,%.6f,%.4f\n"
 
 
 def write_frame_csv(path, frame: PointCloudFrame) -> None:
     path = Path(path)
     rows = np.c_[np.full(len(frame), frame.timestamp), frame.points, frame.intensities]
+    body = (_FRAME_ROW * len(rows)) % tuple(rows.ravel().tolist())
     with path.open("w") as fh:
-        fh.write(_FRAME_HEADER + "\n")
-        fh.write(f"{_STAMP_PREFIX}{frame.timestamp!r}\n")
-        for r in rows:
-            fh.write(f"{r[0]:.6f},{r[1]:.6f},{r[2]:.6f},{r[3]:.6f},{r[4]:.4f}\n")
+        fh.write(f"{_FRAME_HEADER}\n{_STAMP_PREFIX}{frame.timestamp!r}\n{body}")
 
 
 def read_frame_csv(path, agent_id: int = 0) -> PointCloudFrame:

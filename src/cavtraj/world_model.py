@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ValidationError
 
 _CONNECT_TOL = 0.1  # m, successor start must sit on predecessor end
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ class VectorMap:
         self._poly_first = np.r_[0, np.cumsum(counts)[:-1]]
         self._poly_len = np.array([p.length for p in polys])
         self._seg_poly = np.repeat(np.arange(len(polys)), counts)
-        self._seg_index = np.arange(self._seg_poly.size)
         # one contiguous array per coordinate
         self._seg_x, self._seg_y = np.concatenate([p.seg_start for p in polys]).T.copy()
         self._seg_dx, self._seg_dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
@@ -261,10 +261,16 @@ class VectorMap:
         t = np.minimum(np.maximum(t_raw, 0.0), self._seg_len)
         diff_x = x - (self._seg_x + t * self._seg_dx)
         diff_y = y - (self._seg_y + t * self._seg_dy)
-        dist = np.hypot(diff_x, diff_y)
-        nearest = np.minimum.reduceat(dist, self._poly_first)
-        hit = np.where(dist == nearest[self._seg_poly], self._seg_index, self._seg_index.size)
-        k = np.minimum.reduceat(hit, self._poly_first)  # first nearest segment per polyline
+        # hypot decides only among segments whose squared distance is within a
+        # relative 1e-9 of their polyline's least; the floor keeps underflowed squares in
+        dist2 = diff_x * diff_x + diff_y * diff_y
+        bound = np.minimum.reduceat(dist2, self._poly_first) * (1.0 + 1e-9) + _TINY
+        cand = np.flatnonzero(dist2 <= bound[self._seg_poly])
+        first = np.searchsorted(cand, self._poly_first)  # each polyline's first candidate
+        dist = np.hypot(diff_x[cand], diff_y[cand])
+        nearest = np.minimum.reduceat(dist, first)
+        hit = np.where(dist == nearest[self._seg_poly[cand]], cand, self._seg_poly.size)
+        k = np.minimum.reduceat(hit, first)  # first nearest segment per polyline
         cross = diff_x[k] * self._seg_dy[k] - diff_y[k] * self._seg_dx[k]
         along = self._seg_cum[k] + t_raw[k]
         interior = (-0.5 <= along) & (along <= self._poly_len + 0.5)

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from cavtraj import detection
 from cavtraj.detection import (
     DetectionConfig,
-    F_COUNT,
-    F_MAX_HEIGHT,
-    F_MEAN_HEIGHT,
-    F_MEAN_INTENSITY,
-    F_TOP_INTENSITY,
     Cluster,
     bev_grid_features,
     cluster_points,
@@ -32,53 +29,161 @@ def grid_cell_of(grid, xy):
     return tuple(idx[0])
 
 
-def cell_stats(grid, xy):
-    """The stats row of the occupied cell holding xy."""
+def flat_cell(grid, xy):
     i, j = grid_cell_of(grid, xy)
-    k = int(np.searchsorted(grid.cells, i * grid.shape[1] + j))
-    assert k < len(grid.cells) and grid.cells[k] == i * grid.shape[1] + j
-    return grid.stats[k]
+    return i * grid.shape[1] + j
 
 
 def test_bev_single_point_features():
+    # one point above the gate lists its cell; the same point on the ground lists none
     frame = make_frame([[0.25, 0.25, 1.5]], intensity=10.0)
     grid = bev_grid_features(frame, CFG)
-    assert len(grid.cells) == 1
-    cell = cell_stats(grid, (0.25, 0.25))
-    assert cell[F_MAX_HEIGHT] == pytest.approx(1.5)
-    assert cell[F_MEAN_HEIGHT] == pytest.approx(1.5)
-    assert cell[F_TOP_INTENSITY] == pytest.approx(10.0)
-    assert cell[F_MEAN_INTENSITY] == pytest.approx(10.0)
-    assert cell[F_COUNT] == 1
+    np.testing.assert_array_equal(grid.cells, [flat_cell(grid, (0.25, 0.25))])
+    np.testing.assert_array_equal(grid.kept, [0])
+    np.testing.assert_array_equal(grid.kept_cell, [0])
+    grid = bev_grid_features(make_frame([[0.25, 0.25, CFG.ground_height - 1e-9]]), CFG)
+    assert grid.cells.size == grid.kept.size == grid.kept_cell.size == 0
+    # the gate is inclusive
+    grid = bev_grid_features(make_frame([[0.25, 0.25, CFG.ground_height]]), CFG)
+    np.testing.assert_array_equal(grid.kept, [0])
 
 
 def test_bev_two_point_statistics():
-    frame = make_frame([[0.1, 0.1, 1.0], [0.2, 0.2, 3.0]])
+    # a mixed cell is listed and keeps only its obstacle point; a cell holding
+    # only ground points is not listed; an obstacle point off the grid is dropped
+    off = CFG.extent + 0.1
+    frame = make_frame([[0.1, 0.1, 0.1], [0.2, 0.2, 3.0], [5.1, 5.1, 0.0], [5.2, 5.2, 0.29], [off, 0.0, 2.0]])
     grid = bev_grid_features(frame, CFG)
-    assert len(grid.cells) == 1
-    cell = cell_stats(grid, (0.15, 0.15))
-    assert cell[F_MAX_HEIGHT] == pytest.approx(3.0)
-    assert cell[F_MEAN_HEIGHT] == pytest.approx(2.0)
-    assert cell[F_COUNT] == 2
+    np.testing.assert_array_equal(grid.cells, [flat_cell(grid, (0.15, 0.15))])
+    np.testing.assert_array_equal(grid.kept, [1])
+    np.testing.assert_array_equal(grid.kept_cell, [0])
 
 
 def test_bev_empty_frame():
-    frame = make_frame(np.zeros((0, 3)))
-    grid = bev_grid_features(frame, CFG)
-    assert grid.cells.shape == (0,)
-    assert grid.stats.shape == (0, 5)
+    for points in (np.zeros((0, 3)), [[1.0, 1.0, 0.0], [2.0, -3.0, 0.2]]):
+        frame = make_frame(points)
+        grid = bev_grid_features(frame, CFG)
+        assert grid.cells.shape == grid.kept.shape == grid.kept_cell.shape == (0,)
+        assert cluster_points(grid, frame, CFG) == []
 
 
 def test_bev_occupancy_iff_count():
-    # a cell is listed iff a point falls in it, and its count is that cell's points
+    # a cell is listed iff an in-bounds point with z >= ground_height falls in it;
+    # kept lists exactly those points, in frame order, each mapped to its cell
     rng = np.random.default_rng(1)
-    frame = make_frame(np.c_[rng.uniform(-25, 25, (200, 2)), rng.uniform(0, 2, 200)])
+    frame = make_frame(np.c_[rng.uniform(-25, 25, (400, 2)), rng.uniform(0, 2, 400)])
     grid = bev_grid_features(frame, CFG)
     idx, mask = grid.cell_indices(frame.points)
-    assert 0 < mask.sum() < len(mask)
-    occupied, counts = np.unique(idx[mask, 0] * grid.shape[1] + idx[mask, 1], return_counts=True)
-    np.testing.assert_array_equal(grid.cells, occupied)
-    np.testing.assert_array_equal(grid.stats[:, F_COUNT], counts)
+    obstacle = mask & (frame.points[:, 2] >= CFG.ground_height)
+    assert 0 < obstacle.sum() < mask.sum()
+    assert (~mask & (frame.points[:, 2] >= CFG.ground_height)).any()  # obstacle points off the grid
+    flat = idx[:, 0] * grid.shape[1] + idx[:, 1]
+    np.testing.assert_array_equal(grid.cells, np.unique(flat[obstacle]))
+    np.testing.assert_array_equal(grid.kept, np.flatnonzero(obstacle))
+    np.testing.assert_array_equal(grid.cells[grid.kept_cell], flat[obstacle])
+    assert np.setdiff1d(flat[mask], flat[obstacle]).size > 0  # ground-only cells exist
+
+
+def test_cluster_mixed_cells_keep_only_obstacle_points():
+    # road returns share the blob's cells but never reach its cluster
+    obstacle = blob((2.0, 2.0))
+    rng = np.random.default_rng(4)
+    ground = np.c_[rng.uniform(1.0, 3.0, (60, 2)), rng.uniform(-0.1, CFG.ground_height - 1e-6, 60)]
+    frame = make_frame(np.vstack([ground[:30], obstacle, ground[30:]]))
+    grid = bev_grid_features(frame, CFG)
+    idx, _ = grid.cell_indices(ground)
+    assert np.isin(idx[:, 0] * grid.shape[1] + idx[:, 1], grid.cells).any()  # mixed cells exist
+    clusters = cluster_points(grid, frame, CFG)
+    assert len(clusters) == 1
+    np.testing.assert_array_equal(clusters[0].points, obstacle)
+
+
+def stats_grid_clusters(frame, config):
+    """Reference: per-cell statistics of every occupied cell, then searchsorted labelling.
+
+    Occupied cells come from one (cell, z) lexsort with (max height, top
+    intensity, mean height, mean intensity, count) per cell; a cell is an
+    obstacle when its max height clears the gate, and each point above the
+    gate finds its cell by binary search. Returns the clusters' point arrays.
+    """
+    n = int(round(2 * config.extent / config.cell_size))
+    idx = np.floor((frame.points[:, :2] + config.extent) / config.cell_size).astype(int)
+    mask = np.all((idx >= 0) & (idx < n), axis=1)
+    if not mask.any():
+        return []
+    z, inten = frame.points[mask, 2], frame.intensities[mask]
+    flat = idx[mask, 0] * n + idx[mask, 1]
+    order = np.lexsort((z, flat))
+    flat, z, inten = flat[order], z[order], inten[order]
+    start = np.r_[0, np.flatnonzero(np.diff(flat)) + 1]
+    last = np.r_[start[1:], len(flat)] - 1
+    counts = np.diff(np.r_[start, len(flat)])
+    stats = np.c_[z[last], inten[last], np.add.reduceat(z, start) / counts,
+                  np.add.reduceat(inten, start) / counts, counts]
+
+    cells = flat[start][stats[:, 0] >= config.ground_height]
+    if len(cells) == 0:
+        return []
+    ci, cj = np.divmod(cells, n)
+    i0, j0 = ci.min(), cj.min()
+    obstacle = np.zeros((ci.max() - i0 + 1, cj.max() - j0 + 1), dtype=bool)
+    obstacle[ci - i0, cj - j0] = True
+    labels, n_labels = ndimage.label(obstacle, structure=np.ones((3, 3), dtype=int))
+    cell_label = labels[ci - i0, cj - j0]
+    keep = np.flatnonzero(mask & (frame.points[:, 2] >= config.ground_height))
+    point_label = cell_label[np.searchsorted(cells, idx[keep, 0] * n + idx[keep, 1])]
+    order = np.argsort(point_label, kind="stable")
+    bounds = np.cumsum(np.bincount(point_label, minlength=n_labels + 1)[1:-1])
+    members = np.split(frame.points[keep[order]], bounds)
+    return [m for m in members if len(m) >= config.min_cluster_points]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind", ["ground_heavy", "poles"])
+def test_clusters_match_stats_reference(kind, seed):
+    v = VehicleSpec
+    if kind == "ground_heavy":
+        spec = ScenarioSpec(duration=0.2, seed=seed, road=RoadSpec(length=200.0, n_lanes=2),
+                            agents=[v(1, 1, 60.0, 22.0)], svs=[v(101, 2, 70.0, 23.0), v(102, 1, 80.0, 21.0)],
+                            ground_spacing=0.4, walls=True)
+    else:
+        spec = ScenarioSpec(duration=0.2, seed=seed, road=RoadSpec(length=200.0, n_lanes=3),
+                            agents=[v(1, 2, 80.0, 25.0)], svs=[v(101, 1, 80.0, 25.0), v(102, 3, 81.0, 25.1)],
+                            poles=True)
+    cfg = DetectionConfig()
+    frames = [f for per_agent in generate_scenario(spec).frames.values() for f in per_agent]
+    mixed = 0
+    for frame in frames:
+        grid = bev_grid_features(frame, cfg)
+        got = [c.points for c in cluster_points(grid, frame, cfg)]
+        want = stats_grid_clusters(frame, cfg)
+        assert len(want) > 2
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        idx, mask = grid.cell_indices(frame.points)
+        ground = mask & (frame.points[:, 2] < cfg.ground_height)
+        mixed += np.isin(idx[ground, 0] * grid.shape[1] + idx[ground, 1], grid.cells).sum()
+    assert mixed > 0  # ground points share obstacle cells and are left out
+
+
+def test_detect_objects_looks_up_layers_at_call_time(monkeypatch):
+    # a tracer wraps these two by name on the module; detect_objects must see the wrappers
+    calls = {"bev_grid_features": 0, "cluster_points": 0}
+
+    def counted(name):
+        orig = getattr(detection, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(detection, name, counted(name))
+    frames = [make_frame(blob((k, 0.0), seed=k), timestamp=0.1 * k) for k in range(3)]
+    for k, frame in enumerate(frames, start=1):
+        assert len(detection.detect_objects(frame, CFG)) == 1
+        assert calls == {"bev_grid_features": k, "cluster_points": k}
 
 
 def blob(center, n=40, size=0.8, z=1.0, seed=0):

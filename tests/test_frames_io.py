@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavtraj.detection import PointCloudFrame
 from cavtraj.errors import ValidationError
 from cavtraj.geometry import EulerAngles, RigidTransform
 from cavtraj.pipeline.frames_io import read_frame_csv, read_pose_csv, write_frame_csv, write_pose_csv
@@ -15,6 +16,33 @@ def test_frame_round_trip(tmp_path, rng):
     assert back.agent_id == 2
     np.testing.assert_allclose(back.points, frame.points, atol=5e-7)
     np.testing.assert_allclose(back.intensities, frame.intensities, atol=5e-5)
+
+
+def write_frame_rows_loop(path, frame):
+    """Reference: the row-by-row writer, one f-string per point."""
+    rows = np.c_[np.full(len(frame), frame.timestamp), frame.points, frame.intensities]
+    with path.open("w") as fh:
+        fh.write("t,x,y,z,intensity\n")
+        fh.write(f"# t={frame.timestamp!r}\n")
+        for r in rows:
+            fh.write(f"{r[0]:.6f},{r[1]:.6f},{r[2]:.6f},{r[3]:.6f},{r[4]:.4f}\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 54_000])
+def test_frame_writer_matches_row_loop_bytes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-60.0, 60.0, (n, 4)) * 10.0 ** rng.integers(-7, 2, (n, 4))
+    # negative zero, values that print as -0, and exact binary half-way cases
+    # at the 6th (k / 2^7) and 4th (k / 2^5) decimal
+    special = np.array([0.0, -0.0, -1e-9, 1e-9, -4e-7, 5e-7, 2.0**-7, -(2.0**-7), 3 * 2.0**-7,
+                        2.0**-5, -(2.0**-5), 5 * 2.0**-5, 1e6 + 2.0**-7, -(1e6 + 2.0**-5)])
+    if n:
+        flat = values.ravel()
+        flat[rng.integers(0, flat.size, flat.size // 4)] = rng.choice(special, flat.size // 4)
+    frame = PointCloudFrame(timestamp=0.1 + 0.2, points=values[:, :3], intensities=values[:, 3])
+    write_frame_csv(tmp_path / "one_call.csv", frame)
+    write_frame_rows_loop(tmp_path / "loop.csv", frame)
+    assert (tmp_path / "one_call.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_empty_frame_keeps_its_timestamp(tmp_path):

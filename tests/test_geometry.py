@@ -9,6 +9,7 @@ from cavtraj.geometry import (
     EulerAngles,
     GeodeticCoord,
     MapPoint,
+    TAU,
     RigidTransform,
     geodetic_to_map,
     euler_from_rotation,
@@ -197,3 +198,20 @@ def test_geodetic_round_trip():
         g = map_to_geodetic(p, ORIGIN)
         back = geodetic_to_map(g, ORIGIN)
         np.testing.assert_allclose([back.x, back.y, back.z], [p.x, p.y, p.z], atol=1e-6)
+
+
+def test_wrap_angle_scalar_matches_array_path_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    values = np.r_[
+        rng.uniform(-50.0, 50.0, 100_000),
+        rng.normal(size=100_000) * 10.0 ** rng.uniform(-12, 17, 100_000),
+        [k * math.pi + d for k in range(-20, 21) for d in (-1e-15, 0.0, 1e-15)],
+        [np.nextafter(k * math.pi, side) for k in range(-20, 21) for side in (-math.inf, math.inf)],
+        [0.0, -0.0, math.pi, -math.pi, TAU, -TAU, 1e17, -1e17],
+    ]
+    wrapped = wrap_angle(values)
+    for a, w in zip(values.tolist(), wrapped.tolist()):
+        for scalar in (a, np.float64(a)):
+            got = wrap_angle(scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(w).tobytes(), a
