@@ -172,18 +172,14 @@ class RigidTransform:
         return RigidTransform(rot_t, -rot_t @ self.translation)
 
     def apply(self, points) -> np.ndarray:
-        return transform_points(self, points)
-
-
-def transform_points(transform: RigidTransform, points) -> np.ndarray:
-    """Apply p' = R p + t to an (N, 3) array (or a single 3-vector)."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
-        raise InvalidArgument(f"points must be (N, 3), got {pts.shape}")
-    out = pts @ transform.rotation.T + transform.translation
-    return out[0] if single else out
+        """Apply p' = R p + t to an (N, 3) array (or a single 3-vector)."""
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        if pts.shape[1] != 3:
+            raise InvalidArgument(f"points must be (N, 3), got {pts.shape}")
+        out = pts @ self.rotation.T + self.translation
+        return out[0] if single else out
 
 
 # --- WGS-84 transverse Mercator (UTM) ------------------------------------

@@ -1,79 +1,80 @@
 """File formats for point-cloud frames and agent pose streams.
 
-Frame files: one CSV per LiDAR frame, header ``t,x,y,z,intensity``, then a
-``# t=<timestamp>`` line that records the frame time exactly (so empty
-frames keep theirs), then one point per row (t repeats the frame timestamp,
-to 6 decimals). Frames of one agent live in a directory and are read in
-sorted filename order.
+Frame files: one uncompressed ``np.savez`` archive per LiDAR frame, holding
+exactly three float64 arrays: ``timestamp`` (0-d), ``points`` (N, 3) and
+``intensities`` (N,). Values round-trip bit for bit, and an empty frame
+keeps its timestamp. Frames of one agent live in a directory as
+``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
+filename order. The reader accepts only what the writer writes.
 
 Pose files: one CSV per agent. Map-frame mode has header
-``t,x,y,z,roll,pitch,yaw``; geodetic mode has header
-``t,lat,lon,alt,roll,pitch,yaw`` and is converted through the configured
-map origin on load.
+``t,x,y,z,roll,pitch,yaw`` and each value is written as its shortest
+round-trip ``repr``; geodetic mode has header ``t,lat,lon,alt,roll,pitch,yaw``
+(the external GNSS input) and is converted through the configured map origin
+on load.
 """
 
 from __future__ import annotations
 
-import itertools
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..detection import PointCloudFrame
-from ..errors import ValidationError
+from ..errors import InvalidArgument, ValidationError
 from ..geometry import EulerAngles, GeodeticCoord, RigidTransform, geodetic_to_map
 
-_FRAME_HEADER = "t,x,y,z,intensity"
+_FRAME_ARRAYS = ("timestamp", "points", "intensities")
 _POSE_HEADER_MAP = "t,x,y,z,roll,pitch,yaw"
 _POSE_HEADER_GEO = "t,lat,lon,alt,roll,pitch,yaw"
-_STAMP_PREFIX = "# t="
-_FRAME_ROW = "%.6f,%.6f,%.6f,%.6f,%.4f\n"
 
 
-def write_frame_csv(path, frame: PointCloudFrame) -> None:
+def write_frame(path, frame: PointCloudFrame) -> None:
+    with Path(path).open("wb") as fh:
+        np.savez(fh, timestamp=np.float64(frame.timestamp), points=frame.points, intensities=frame.intensities)
+
+
+def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
+    """Read one frame file; anything write_frame would not write raises ValidationError."""
     path = Path(path)
-    rows = np.c_[np.full(len(frame), frame.timestamp), frame.points, frame.intensities]
-    body = (_FRAME_ROW * len(rows)) % tuple(rows.ravel().tolist())
-    with path.open("w") as fh:
-        fh.write(f"{_FRAME_HEADER}\n{_STAMP_PREFIX}{frame.timestamp!r}\n{body}")
+    try:
+        # np.load leaks the handle of a path it opens when the zip is unreadable, and
+        # returns a member that lacks the .npy header as raw bytes
+        with path.open("rb") as fh:
+            loaded = np.load(fh, allow_pickle=False)
+            if isinstance(loaded, np.ndarray):
+                raise TypeError("a plain .npy array, not an .npz archive")
+            with loaded:
+                arrays = {name: np.asarray(loaded[name]) for name in loaded.files}
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if sorted(arrays) != sorted(_FRAME_ARRAYS):
+        raise ValidationError(f"{path}: expected arrays {list(_FRAME_ARRAYS)}, got {list(arrays)}")
+    timestamp, points, intensities = (arrays[name] for name in _FRAME_ARRAYS)
+    kinds = [(a.dtype, a.ndim) for a in (timestamp, points, intensities)]
+    if kinds != [(np.float64, 0), (np.float64, 2), (np.float64, 1)] or points.shape[1] != 3:
+        got = ", ".join(f"{name} {arrays[name].dtype}{arrays[name].shape}" for name in _FRAME_ARRAYS)
+        raise ValidationError(f"{path}: expected float64 timestamp (), points (N, 3), intensities (N,); got {got}")
+    try:
+        return PointCloudFrame(float(timestamp), points, intensities, agent_id)
+    except InvalidArgument as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def read_frame_csv(path, agent_id: int = 0) -> PointCloudFrame:
-    """Read one frame; the recorded timestamp line wins over the t column."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != _FRAME_HEADER:
-            raise ValidationError(f"{path}: expected header '{_FRAME_HEADER}', got '{header}'")
-        line = fh.readline()
-        timestamp = None
-        try:
-            if line.startswith(_STAMP_PREFIX):
-                timestamp = float(line[len(_STAMP_PREFIX):])
-                line = fh.readline()
-            data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2) if line else np.zeros((0, 5))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    if data.shape[1] != 5:
-        raise ValidationError(f"{path}: expected 5 columns, got {data.shape[1]}")
-    if timestamp is None:
-        if not data.size:
-            raise ValidationError(f"{path}: empty frame without a recorded timestamp")
-        timestamp = float(data[0, 0])
-    return PointCloudFrame(
-        timestamp=timestamp,
-        points=data[:, 1:4],
-        intensities=data[:, 4],
-        agent_id=agent_id,
-    )
+def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for k, frame in enumerate(frames):
+        write_frame(directory / f"frame_{k:06d}.npz", frame)
 
 
 def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:
     directory = Path(directory)
     if not directory.is_dir():
         raise ValidationError(f"frame directory not found: {directory}")
-    frames = [read_frame_csv(p, agent_id) for p in sorted(directory.glob("*.csv"))]
+    frames = [read_frame(p, agent_id) for p in sorted(directory.glob("*.npz"))]
     if not frames:
         raise ValidationError(f"no frame files in {directory}")
     return frames
@@ -86,13 +87,12 @@ class PoseSample:
 
 
 def write_pose_csv(path, samples: list[tuple[float, RigidTransform]]) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
+    with Path(path).open("w") as fh:
         fh.write(_POSE_HEADER_MAP + "\n")
         for t, tf in samples:
             e = tf.euler
-            x, y, z = tf.translation
-            fh.write(f"{t:.6f},{x:.6f},{y:.6f},{z:.6f},{e.roll:.9f},{e.pitch:.9f},{e.yaw:.9f}\n")
+            values = (t, *tf.translation, e.roll, e.pitch, e.yaw)
+            fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
 def read_pose_csv(path, origin: GeodeticCoord | None = None) -> list[PoseSample]:
@@ -100,29 +100,32 @@ def read_pose_csv(path, origin: GeodeticCoord | None = None) -> list[PoseSample]
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header == _POSE_HEADER_MAP:
-        geodetic = False
-    elif header == _POSE_HEADER_GEO:
-        geodetic = True
-        if origin is None:
-            raise ValidationError(f"{path}: geodetic pose file needs a configured map origin")
-    else:
-        raise ValidationError(f"{path}: unrecognized pose header '{header}'")
+        if header not in (_POSE_HEADER_MAP, _POSE_HEADER_GEO):
+            raise ValidationError(f"{path}: unrecognized pose header '{header}'")
+        lines = [line for line in fh if line.strip()]
+    geodetic = header == _POSE_HEADER_GEO
+    if geodetic and origin is None:
+        raise ValidationError(f"{path}: geodetic pose file needs a configured map origin")
+    if not lines:
+        raise ValidationError(f"{path}: no pose samples")
+    try:
+        body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if body.shape[1] != 7:
         raise ValidationError(f"{path}: expected 7 columns, got {body.shape[1]}")
+    if not np.isfinite(body).all():
+        raise ValidationError(f"{path}: non-finite pose value")
 
     samples = []
-    for row in body:
-        t = float(row[0])
+    for t, x, y, z, roll, pitch, yaw in body.tolist():
         if geodetic:
-            p = geodetic_to_map(GeodeticCoord(row[1], row[2], row[3]), origin)
-            translation = (p.x, p.y, p.z)
-        else:
-            translation = tuple(row[1:4])
-        transform = RigidTransform.from_euler_translation(
-            EulerAngles(row[4], row[5], row[6]), translation
-        )
+            try:
+                p = geodetic_to_map(GeodeticCoord(x, y, z), origin)
+            except InvalidArgument as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+            x, y, z = p.x, p.y, p.z
+        transform = RigidTransform.from_euler_translation(EulerAngles(roll, pitch, yaw), (x, y, z))
         samples.append(PoseSample(t, transform))
     times = [s.timestamp for s in samples]
     if any(b <= a for a, b in zip(times, times[1:])):

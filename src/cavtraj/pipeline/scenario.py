@@ -19,7 +19,7 @@ import numpy as np
 from ..detection import PointCloudFrame
 from ..errors import ValidationError
 from ..geometry import EulerAngles, RigidTransform, wrap_angle
-from .frames_io import write_frame_csv, write_pose_csv
+from .frames_io import write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
 
@@ -441,9 +441,7 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
     for aid in sorted(data.frames):
         agent_dir = out / "agents" / f"agent_{aid}"
         frame_dir = agent_dir / "frames"
-        frame_dir.mkdir(parents=True, exist_ok=True)
-        for k, frame in enumerate(data.frames[aid]):
-            write_frame_csv(frame_dir / f"frame_{k:06d}.csv", frame)
+        write_frame_dir(frame_dir, data.frames[aid])
         write_pose_csv(agent_dir / "poses.csv", data.poses[aid])
         agent_entries.append(
             {

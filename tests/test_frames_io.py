@@ -1,84 +1,138 @@
+import zipfile
+
 import numpy as np
 import pytest
 
-from cavtraj.detection import PointCloudFrame
 from cavtraj.errors import ValidationError
-from cavtraj.geometry import EulerAngles, RigidTransform
-from cavtraj.pipeline.frames_io import read_frame_csv, read_pose_csv, write_frame_csv, write_pose_csv
+from cavtraj.geometry import EulerAngles, GeodeticCoord, RigidTransform, rotation_from_euler
+from cavtraj.pipeline.frames_io import read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv
 from conftest import make_frame
 
 
 def test_frame_round_trip(tmp_path, rng):
-    frame = make_frame(rng.uniform(-40, 40, (50, 3)), timestamp=0.3, agent_id=2, intensity=17.5)
-    write_frame_csv(tmp_path / "frame_000003.csv", frame)
-    back = read_frame_csv(tmp_path / "frame_000003.csv", agent_id=2)
-    assert back.timestamp == 0.3
+    frame = make_frame(rng.uniform(-40, 40, (50, 3)), timestamp=0.1 + 0.2, agent_id=2)
+    frame.intensities[:] = rng.uniform(0.0, 255.0, 50)
+    write_frame(tmp_path / "frame_000003.npz", frame)
+    back = read_frame(tmp_path / "frame_000003.npz", agent_id=2)
+    assert back.timestamp == 0.1 + 0.2
     assert back.agent_id == 2
-    np.testing.assert_allclose(back.points, frame.points, atol=5e-7)
-    np.testing.assert_allclose(back.intensities, frame.intensities, atol=5e-5)
-
-
-def write_frame_rows_loop(path, frame):
-    """Reference: the row-by-row writer, one f-string per point."""
-    rows = np.c_[np.full(len(frame), frame.timestamp), frame.points, frame.intensities]
-    with path.open("w") as fh:
-        fh.write("t,x,y,z,intensity\n")
-        fh.write(f"# t={frame.timestamp!r}\n")
-        for r in rows:
-            fh.write(f"{r[0]:.6f},{r[1]:.6f},{r[2]:.6f},{r[3]:.6f},{r[4]:.4f}\n")
-
-
-@pytest.mark.parametrize("n", [0, 1, 54_000])
-def test_frame_writer_matches_row_loop_bytes(tmp_path, n):
-    rng = np.random.default_rng(n)
-    values = rng.uniform(-60.0, 60.0, (n, 4)) * 10.0 ** rng.integers(-7, 2, (n, 4))
-    # negative zero, values that print as -0, and exact binary half-way cases
-    # at the 6th (k / 2^7) and 4th (k / 2^5) decimal
-    special = np.array([0.0, -0.0, -1e-9, 1e-9, -4e-7, 5e-7, 2.0**-7, -(2.0**-7), 3 * 2.0**-7,
-                        2.0**-5, -(2.0**-5), 5 * 2.0**-5, 1e6 + 2.0**-7, -(1e6 + 2.0**-5)])
-    if n:
-        flat = values.ravel()
-        flat[rng.integers(0, flat.size, flat.size // 4)] = rng.choice(special, flat.size // 4)
-    frame = PointCloudFrame(timestamp=0.1 + 0.2, points=values[:, :3], intensities=values[:, 3])
-    write_frame_csv(tmp_path / "one_call.csv", frame)
-    write_frame_rows_loop(tmp_path / "loop.csv", frame)
-    assert (tmp_path / "one_call.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    np.testing.assert_array_equal(back.points, frame.points)
+    np.testing.assert_array_equal(back.intensities, frame.intensities)
 
 
 def test_empty_frame_keeps_its_timestamp(tmp_path):
     # the file name suggests t = 0.5 at 10 Hz; the recorded time must win
-    write_frame_csv(tmp_path / "frame_000005.csv", make_frame(np.zeros((0, 3)), timestamp=1.25))
-    back = read_frame_csv(tmp_path / "frame_000005.csv")
+    write_frame(tmp_path / "frame_000005.npz", make_frame(np.zeros((0, 3)), timestamp=1.25))
+    back = read_frame(tmp_path / "frame_000005.npz")
     assert back.timestamp == 1.25
     assert len(back) == 0
     assert back.points.shape == (0, 3)
 
 
-@pytest.mark.parametrize("text", ["t,x,y,z,intensity\n", "t,x,y,z,intensity\n# t=soon\n"])
-def test_empty_frame_without_recorded_timestamp_rejected(tmp_path, text):
-    path = tmp_path / "frame_000001.csv"
-    path.write_text(text)
-    with pytest.raises(ValidationError):
-        read_frame_csv(path)
+def test_frame_dir_round_trip(tmp_path, rng):
+    frames = [make_frame(rng.uniform(-9, 9, (n, 3)), timestamp=0.1 * k) for k, n in enumerate([3, 0, 7])]
+    write_frame_dir(tmp_path / "frames", frames)
+    assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == [
+        "frame_000000.npz", "frame_000001.npz", "frame_000002.npz"]
+    back = read_frame_dir(tmp_path / "frames", agent_id=4)
+    assert [f.timestamp for f in back] == [f.timestamp for f in frames]
+    for b, f in zip(back, frames):
+        assert b.agent_id == 4
+        np.testing.assert_array_equal(b.points, f.points)
+
+
+def _savez(path, **overrides):
+    """A frame archive with some arrays replaced; None leaves an array out."""
+    arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3), "intensities": np.arange(4.0)}
+    arrays.update(overrides)
+    with path.open("wb") as fh:
+        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def _truncated(path):
+    _savez(path)
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _plain_npy(path):
+    with path.open("wb") as fh:
+        np.save(fh, np.arange(12.0).reshape(4, 3))
+
+
+def _raw_member(path):
+    _savez(path, intensities=None)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("intensities", b"0.0,1.0,2.0,3.0")
+
+
+MALFORMED_FRAMES = {
+    "not_a_zip": lambda p: p.write_text("t,x,y,z,intensity\n0.5,0.0,1.0,2.0,0.0\n"),
+    "empty_file": lambda p: p.write_bytes(b""),
+    "truncated_zip": _truncated,
+    "plain_npy": _plain_npy,
+    "missing_array": lambda p: _savez(p, intensities=None),
+    "extra_array": lambda p: _savez(p, ring=np.zeros(4)),
+    "object_array": lambda p: _savez(p, points=np.arange(12.0).reshape(4, 3).astype(object)),
+    "raw_member": _raw_member,
+    "timestamp_shape": lambda p: _savez(p, timestamp=np.array([0.5])),
+    "timestamp_dtype": lambda p: _savez(p, timestamp=np.int64(5)),
+    "points_flat": lambda p: _savez(p, points=np.arange(12.0)),
+    "points_two_columns": lambda p: _savez(p, points=np.arange(8.0).reshape(4, 2)),
+    "points_float32": lambda p: _savez(p, points=np.arange(12.0, dtype=np.float32).reshape(4, 3)),
+    "intensities_2d": lambda p: _savez(p, intensities=np.arange(4.0).reshape(4, 1)),
+    "length_mismatch": lambda p: _savez(p, intensities=np.arange(3.0)),
+    "nan_timestamp": lambda p: _savez(p, timestamp=np.float64("nan")),
+    "inf_point": lambda p: _savez(p, points=np.array([[0.0, 1.0, np.inf]] * 4)),
+}
+
+
+@pytest.mark.parametrize("write_bad", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys())
+def test_malformed_frame_rejected(tmp_path, write_bad):
+    path = tmp_path / "frame_000000.npz"
+    write_bad(path)
+    with pytest.raises(ValidationError, match="frame_000000.npz"):
+        read_frame(path)
 
 
 def test_pose_stream_round_trip(tmp_path):
     samples = [
         (0.1 * k, RigidTransform.from_euler_translation(
-            EulerAngles(0.01 * k, -0.02 * k, 0.3 * k - 1.0), (10.0 + k, -5.0 * k, 0.5)))
+            EulerAngles(0.01 * k, -0.02 * k, 0.3 * k - 1.0), (10.0 + k / 3, -5.0 * k, 0.5)))
         for k in range(6)
     ]
     write_pose_csv(tmp_path / "poses.csv", samples)
     back = read_pose_csv(tmp_path / "poses.csv")
-    assert [s.timestamp for s in back] == pytest.approx([t for t, _ in samples], abs=1e-9)
+    assert [s.timestamp for s in back] == [t for t, _ in samples]
     for s, (_, tf) in zip(back, samples):
-        np.testing.assert_allclose(s.transform.translation, tf.translation, atol=1e-6)
-        np.testing.assert_allclose(s.transform.rotation, tf.rotation, atol=1e-8)
+        np.testing.assert_array_equal(s.transform.translation, tf.translation)
+        # the rotation is rebuilt from exactly the written Euler angles
+        np.testing.assert_array_equal(s.transform.rotation, rotation_from_euler(tf.euler))
+        np.testing.assert_allclose(s.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("reader", [read_frame_csv, read_pose_csv])
+@pytest.mark.parametrize("reader", [read_frame, read_pose_csv])
 def test_bad_header_rejected(tmp_path, reader):
     path = tmp_path / "bad.csv"
     path.write_text("time,x,y\n0.0,1.0,2.0\n")
     with pytest.raises(ValidationError):
         reader(path)
+
+
+MALFORMED_POSES = {
+    "malformed_number": "t,x,y,z,roll,pitch,yaw\n0.0,abc,0,0,0,0,0\n",
+    "ragged_row": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0,0\n0.1,0,0,0,0,0\n",
+    "header_only": "t,x,y,z,roll,pitch,yaw\n",
+    "blank_body": "t,x,y,z,roll,pitch,yaw\n\n  \n",
+    "six_columns": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0\n",
+    "nan_time": "t,x,y,z,roll,pitch,yaw\nnan,0,0,0,0,0,0\n",
+    "latitude_out_of_range": "t,lat,lon,alt,roll,pitch,yaw\n0.0,95.0,11.0,0,0,0,0\n",
+    "time_not_increasing": "t,x,y,z,roll,pitch,yaw\n0.1,0,0,0,0,0,0\n0.1,1,0,0,0,0,0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_POSES.values(), ids=MALFORMED_POSES.keys())
+def test_malformed_pose_file_rejected(tmp_path, text):
+    path = tmp_path / "poses.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="poses.csv"):
+        read_pose_csv(path, origin=GeodeticCoord(48.0, 11.0))

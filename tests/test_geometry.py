@@ -15,7 +15,6 @@ from cavtraj.geometry import (
     euler_from_rotation,
     map_to_geodetic,
     rotation_from_euler,
-    transform_points,
     wrap_angle,
 )
 
@@ -106,8 +105,8 @@ def test_compose_invert_group_property():
 
 def test_transform_points_identity_and_translation():
     cloud = np.random.default_rng(23).uniform(-5, 5, size=(40, 3))
-    np.testing.assert_allclose(transform_points(RigidTransform.identity(), cloud), cloud)
-    shifted = transform_points(RigidTransform(np.eye(3), [0, 0, 5]), [1.0, 1.0, 0.0])
+    np.testing.assert_allclose(RigidTransform.identity().apply(cloud), cloud)
+    shifted = RigidTransform(np.eye(3), [0, 0, 5]).apply([1.0, 1.0, 0.0])
     np.testing.assert_allclose(shifted, [1, 1, 5])
 
 
@@ -120,7 +119,7 @@ def test_transform_points_preserves_pairwise_distances():
     rng = np.random.default_rng(29)
     cloud = rng.uniform(-20, 20, size=(30, 3))
     t = random_transform(rng)
-    moved = transform_points(t, cloud)
+    moved = t.apply(cloud)
     orig_d = np.linalg.norm(cloud[:, None] - cloud[None, :], axis=-1)
     new_d = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
     np.testing.assert_allclose(new_d, orig_d, atol=1e-9)

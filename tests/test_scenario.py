@@ -1,8 +1,8 @@
 import json
 
 import numpy as np
-import pytest
 
+from cavtraj.geometry import rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
@@ -15,15 +15,17 @@ from cavtraj.pipeline.scenario import (
 from cavtraj.world_model import load_vector_map, vector_map_from_dict
 
 
+SPEC = ScenarioSpec(
+    duration=0.3,
+    seed=5,
+    road=RoadSpec(length=120.0, n_lanes=2),
+    agents=[VehicleSpec(1, 1, 40.0, 20.0), VehicleSpec(2, 2, 30.0, 18.0)],
+    svs=[VehicleSpec(101, 2, 48.0, 20.0), VehicleSpec(102, 1, 60.0, 22.0)],
+)
+
+
 def test_write_scenario_round_trip(tmp_path):
-    spec = ScenarioSpec(
-        duration=0.3,
-        seed=5,
-        road=RoadSpec(length=120.0, n_lanes=2),
-        agents=[VehicleSpec(1, 1, 40.0, 20.0), VehicleSpec(2, 2, 30.0, 18.0)],
-        svs=[VehicleSpec(101, 2, 48.0, 20.0), VehicleSpec(102, 1, 60.0, 22.0)],
-    )
-    data = generate_scenario(spec)
+    data = generate_scenario(SPEC)
     out = write_scenario(data, tmp_path / "scenario")
 
     config = json.loads((out / "config.json").read_text())
@@ -46,16 +48,28 @@ def test_write_scenario_round_trip(tmp_path):
         for back, frame in zip(frames, data.frames[aid]):
             assert back.agent_id == aid
             assert len(back) == len(frame) > 0
-            assert back.timestamp == pytest.approx(frame.timestamp, abs=1e-6)
-            np.testing.assert_allclose(back.points, frame.points, atol=1e-6)
-            np.testing.assert_allclose(back.intensities, frame.intensities, atol=1e-4)
+            assert back.timestamp == frame.timestamp
+            np.testing.assert_array_equal(back.points, frame.points)
+            np.testing.assert_array_equal(back.intensities, frame.intensities)
         poses = read_pose_csv(out / entry["pose_file"])
         assert len(poses) == len(data.poses[aid])
         for back, (t, tf) in zip(poses, data.poses[aid]):
-            assert back.timestamp == pytest.approx(t, abs=1e-6)
-            np.testing.assert_allclose(back.transform.translation, tf.translation, atol=1e-6)
-            np.testing.assert_allclose(back.transform.rotation, tf.rotation, atol=1e-8)
+            assert back.timestamp == t
+            np.testing.assert_array_equal(back.transform.translation, tf.translation)
+            # the rotation is rebuilt from exactly the written Euler angles
+            np.testing.assert_array_equal(back.transform.rotation, rotation_from_euler(tf.euler))
+            np.testing.assert_allclose(back.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
 
     lines = (out / "ground_truth.csv").read_text().splitlines()
     assert lines[0] == GROUND_TRUTH_HEADER
     assert len(lines) - 1 == len(data.ground_truth) > 0
+
+
+def test_write_scenario_is_byte_identical_when_repeated(tmp_path):
+    data = generate_scenario(SPEC)
+    outs = [write_scenario(data, tmp_path / name) for name in ("first", "second")]
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1]
+    assert any(p.suffix == ".npz" for p in files[0])
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
