@@ -240,15 +240,6 @@ class OrientedBox:
             ]
         )
 
-    def corners3d(self) -> np.ndarray:
-        """(8, 3) corners: footprint at bottom height then top height."""
-        foot = self.footprint()
-        z_lo = self.z - self.height / 2.0
-        z_hi = self.z + self.height / 2.0
-        bottom = np.c_[foot, np.full(4, z_lo)]
-        top = np.c_[foot, np.full(4, z_hi)]
-        return np.vstack([bottom, top])
-
     def contains_bev(self, points: np.ndarray, inflation: float = 0.0) -> np.ndarray:
         """Mask of points whose xy falls inside the (inflated) footprint."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

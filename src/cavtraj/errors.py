@@ -9,10 +9,6 @@ class InvalidArgument(CavtrajError, ValueError):
     """An argument violates a precondition (non-finite, wrong range, ...)."""
 
 
-class UnsupportedRegion(CavtrajError, ValueError):
-    """Geodetic input falls outside the configured UTM zone."""
-
-
 class DegenerateGeometry(CavtrajError, ValueError):
     """Geometry input is degenerate (too few points, collinear, zero area)."""
 

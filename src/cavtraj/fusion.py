@@ -118,17 +118,15 @@ def iou_bev(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def project_box(box: OrientedBox, transform: RigidTransform) -> OrientedBox:
-    """Re-express a box in another frame by transforming its corners.
+    """Re-express a box in another frame as an upright box.
 
-    The transformed bottom face is re-fit as an upright box: the center is
-    the corner mean, the heading comes from the projected length edge, and
-    the edge lengths carry the dimensions over unchanged.
+    The center is transformed as a point. The heading is that of the
+    transformed length axis projected onto the ground plane. The dimensions
+    carry over unchanged.
     """
-    corners = transform.apply(box.corners3d())
-    center = corners.mean(axis=0)
-    # bottom face corners: +l+w, -l+w, -l-w, +l-w (see OrientedBox.footprint)
-    length_edge = corners[0] - corners[1]
-    heading = math.atan2(length_edge[1], length_edge[0])
+    rot = transform.rotation
+    center = rot @ (box.x, box.y, box.z) + transform.translation
+    axis = rot @ (math.cos(box.heading), math.sin(box.heading), 0.0)
     return OrientedBox(
         x=float(center[0]),
         y=float(center[1]),
@@ -136,7 +134,7 @@ def project_box(box: OrientedBox, transform: RigidTransform) -> OrientedBox:
         length=box.length,
         width=box.width,
         height=box.height,
-        heading=wrap_angle(heading),
+        heading=wrap_angle(math.atan2(axis[1], axis[0])),
         confidence=box.confidence,
     )
 

@@ -1,8 +1,8 @@
-"""Coordinate frames, rigid transforms, and geodetic conversion.
+"""Coordinate frames and rigid transforms.
 
 Conventions:
-  * map frame: x east, y north, z up, origin at a configured geodetic point
-    (usually the start of the reference vehicle's route).
+  * map frame: x east, y north, z up, in meters. Agent poses, lanelets, fused
+    boxes and trajectories are all expressed in it.
   * vehicle/LiDAR frames: x forward, y left, z up.
   * Euler angles compose as yaw-pitch-roll (Z-Y-X): R = Rz(yaw) Ry(pitch) Rx(roll).
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, UnsupportedRegion
+from .errors import InvalidArgument
 
 TAU = 2.0 * math.pi
 
@@ -46,36 +46,6 @@ class EulerAngles:
             if not math.isfinite(value):
                 raise InvalidArgument(f"non-finite {name}: {value!r}")
             object.__setattr__(self, name, wrap_angle(value))
-
-
-@dataclass(frozen=True)
-class GeodeticCoord:
-    """WGS-84 latitude/longitude in degrees, altitude in meters."""
-
-    latitude: float
-    longitude: float
-    altitude: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.latitude) and abs(self.latitude) <= 90.0):
-            raise InvalidArgument(f"latitude out of range: {self.latitude!r}")
-        if not (math.isfinite(self.longitude) and abs(self.longitude) <= 180.0):
-            raise InvalidArgument(f"longitude out of range: {self.longitude!r}")
-        if not math.isfinite(self.altitude):
-            raise InvalidArgument(f"non-finite altitude: {self.altitude!r}")
-
-
-@dataclass(frozen=True)
-class MapPoint:
-    """Point in the east/north/up map frame (meters)."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise InvalidArgument("non-finite map point")
 
 
 def rotation_from_euler(angles: EulerAngles) -> np.ndarray:
@@ -180,139 +150,3 @@ class RigidTransform:
             raise InvalidArgument(f"points must be (N, 3), got {pts.shape}")
         out = pts @ self.rotation.T + self.translation
         return out[0] if single else out
-
-
-# --- WGS-84 transverse Mercator (UTM) ------------------------------------
-#
-# Krueger eta/xi series in the third flattening n, coefficients to n^6;
-# good to well under 1 cm inside a zone.
-
-_WGS84_A = 6378137.0
-_WGS84_F = 1.0 / 298.257223563
-_UTM_K0 = 0.9996
-_UTM_FALSE_EASTING = 500000.0
-
-_N = _WGS84_F / (2.0 - _WGS84_F)
-_E2 = _WGS84_F * (2.0 - _WGS84_F)
-_E = math.sqrt(_E2)
-
-_A_BAR = _WGS84_A / (1.0 + _N) * (1.0 + _N**2 / 4.0 + _N**4 / 64.0 + _N**6 / 256.0)
-
-_ALPHA = (
-    _N / 2.0 - 2.0 * _N**2 / 3.0 + 5.0 * _N**3 / 16.0 + 41.0 * _N**4 / 180.0
-    - 127.0 * _N**5 / 288.0 + 7891.0 * _N**6 / 37800.0,
-    13.0 * _N**2 / 48.0 - 3.0 * _N**3 / 5.0 + 557.0 * _N**4 / 1440.0
-    + 281.0 * _N**5 / 630.0 - 1983433.0 * _N**6 / 1935360.0,
-    61.0 * _N**3 / 240.0 - 103.0 * _N**4 / 140.0 + 15061.0 * _N**5 / 26880.0
-    + 167603.0 * _N**6 / 181440.0,
-    49561.0 * _N**4 / 161280.0 - 179.0 * _N**5 / 168.0 + 6601661.0 * _N**6 / 7257600.0,
-    34729.0 * _N**5 / 80640.0 - 3418889.0 * _N**6 / 1995840.0,
-    212378941.0 * _N**6 / 319334400.0,
-)
-
-_BETA = (
-    _N / 2.0 - 2.0 * _N**2 / 3.0 + 37.0 * _N**3 / 96.0 - _N**4 / 360.0
-    - 81.0 * _N**5 / 512.0 + 96199.0 * _N**6 / 604800.0,
-    _N**2 / 48.0 + _N**3 / 15.0 - 437.0 * _N**4 / 1440.0 + 46.0 * _N**5 / 105.0
-    - 1118711.0 * _N**6 / 3870720.0,
-    17.0 * _N**3 / 480.0 - 37.0 * _N**4 / 840.0 - 209.0 * _N**5 / 4480.0
-    + 5569.0 * _N**6 / 90720.0,
-    4397.0 * _N**4 / 161280.0 - 11.0 * _N**5 / 504.0 - 830251.0 * _N**6 / 7257600.0,
-    4583.0 * _N**5 / 161280.0 - 108847.0 * _N**6 / 3991680.0,
-    20648693.0 * _N**6 / 638668800.0,
-)
-
-
-def utm_zone(longitude: float) -> int:
-    """UTM zone number (1..60) containing a longitude in degrees."""
-    return int(math.floor((longitude + 180.0) / 6.0)) % 60 + 1
-
-
-def _zone_central_meridian(zone: int) -> float:
-    return zone * 6.0 - 183.0
-
-
-def geodetic_to_utm(coord: GeodeticCoord, zone: int | None = None) -> tuple[float, float, int]:
-    """Convert to UTM easting/northing (meters) within `zone` (default: natural zone)."""
-    if zone is None:
-        zone = utm_zone(coord.longitude)
-    lat = math.radians(coord.latitude)
-    dlon = math.radians(coord.longitude - _zone_central_meridian(zone))
-
-    # conformal latitude
-    t = math.sinh(math.atanh(math.sin(lat)) - _E * math.atanh(_E * math.sin(lat)))
-    xi_p = math.atan2(t, math.cos(dlon))
-    eta_p = math.asinh(math.sin(dlon) / math.hypot(t, math.cos(dlon)))
-
-    xi = xi_p
-    eta = eta_p
-    for j, a in enumerate(_ALPHA, start=1):
-        xi += a * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += a * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
-
-    easting = _UTM_FALSE_EASTING + _UTM_K0 * _A_BAR * eta
-    northing = _UTM_K0 * _A_BAR * xi
-    if coord.latitude < 0.0:
-        northing += 10000000.0
-    return easting, northing, zone
-
-
-def utm_to_geodetic(easting: float, northing: float, zone: int, south: bool = False) -> GeodeticCoord:
-    """Inverse UTM conversion (altitude is returned as 0)."""
-    if south:
-        northing -= 10000000.0
-    xi = northing / (_UTM_K0 * _A_BAR)
-    eta = (easting - _UTM_FALSE_EASTING) / (_UTM_K0 * _A_BAR)
-
-    xi_p = xi
-    eta_p = eta
-    for j, b in enumerate(_BETA, start=1):
-        xi_p -= b * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
-        eta_p -= b * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
-
-    t_p = math.sin(xi_p) / math.hypot(math.sinh(eta_p), math.cos(xi_p))
-    dlon = math.atan2(math.sinh(eta_p), math.cos(xi_p))
-
-    # invert the conformal latitude by Newton iteration on tau = tan(lat)
-    tau = t_p
-    for _ in range(20):
-        sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
-        f_val = tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau) - t_p
-        d_tau = (
-            (math.hypot(1.0, sigma) * math.hypot(1.0, tau) - sigma * tau)
-            * (1.0 - _E2)
-            * math.hypot(1.0, tau)
-            / (1.0 + (1.0 - _E2) * tau * tau)
-        )
-        step = f_val / d_tau
-        tau -= step
-        if abs(step) < 1e-15:
-            break
-
-    lat = math.degrees(math.atan(tau))
-    lon = _zone_central_meridian(zone) + math.degrees(dlon)
-    return GeodeticCoord(lat, lon, 0.0)
-
-
-def geodetic_to_map(coord: GeodeticCoord, origin: GeodeticCoord) -> MapPoint:
-    """Project a geodetic coordinate into the map frame anchored at `origin`.
-
-    Both coordinates must fall in the origin's UTM zone; crossing a zone
-    boundary raises UnsupportedRegion.
-    """
-    zone = utm_zone(origin.longitude)
-    if utm_zone(coord.longitude) != zone:
-        raise UnsupportedRegion(
-            f"longitude {coord.longitude} is outside UTM zone {zone} of the map origin"
-        )
-    e0, n0, _ = geodetic_to_utm(origin, zone)
-    e1, n1, _ = geodetic_to_utm(coord, zone)
-    return MapPoint(e1 - e0, n1 - n0, coord.altitude - origin.altitude)
-
-
-def map_to_geodetic(point: MapPoint, origin: GeodeticCoord) -> GeodeticCoord:
-    """Inverse of geodetic_to_map for the same origin."""
-    zone = utm_zone(origin.longitude)
-    e0, n0, _ = geodetic_to_utm(origin, zone)
-    coord = utm_to_geodetic(e0 + point.x, n0 + point.y, zone, south=origin.latitude < 0.0)
-    return GeodeticCoord(coord.latitude, coord.longitude, origin.altitude + point.z)

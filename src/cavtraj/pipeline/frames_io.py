@@ -7,11 +7,9 @@ keeps its timestamp. Frames of one agent live in a directory as
 ``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
 filename order. The reader accepts only what the writer writes.
 
-Pose files: one CSV per agent. Map-frame mode has header
-``t,x,y,z,roll,pitch,yaw`` and each value is written as its shortest
-round-trip ``repr``; geodetic mode has header ``t,lat,lon,alt,roll,pitch,yaw``
-(the external GNSS input) and is converted through the configured map origin
-on load.
+Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
+agent's map-frame pose at each time. Each value is written as its shortest
+round-trip ``repr``. A file with any other header is rejected.
 """
 
 from __future__ import annotations
@@ -24,11 +22,10 @@ import numpy as np
 
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError
-from ..geometry import EulerAngles, GeodeticCoord, RigidTransform, geodetic_to_map
+from ..geometry import EulerAngles, RigidTransform
 
 _FRAME_ARRAYS = ("timestamp", "points", "intensities")
-_POSE_HEADER_MAP = "t,x,y,z,roll,pitch,yaw"
-_POSE_HEADER_GEO = "t,lat,lon,alt,roll,pitch,yaw"
+_POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
 
 
 def write_frame(path, frame: PointCloudFrame) -> None:
@@ -88,24 +85,21 @@ class PoseSample:
 
 def write_pose_csv(path, samples: list[tuple[float, RigidTransform]]) -> None:
     with Path(path).open("w") as fh:
-        fh.write(_POSE_HEADER_MAP + "\n")
+        fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:
             e = tf.euler
             values = (t, *tf.translation, e.roll, e.pitch, e.yaw)
             fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
-def read_pose_csv(path, origin: GeodeticCoord | None = None) -> list[PoseSample]:
-    """Read a pose stream; geodetic files require a map origin."""
+def read_pose_csv(path) -> list[PoseSample]:
+    """Read a map-frame pose stream; a malformed file raises ValidationError."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
-        if header not in (_POSE_HEADER_MAP, _POSE_HEADER_GEO):
+        if header != _POSE_HEADER:
             raise ValidationError(f"{path}: unrecognized pose header '{header}'")
         lines = [line for line in fh if line.strip()]
-    geodetic = header == _POSE_HEADER_GEO
-    if geodetic and origin is None:
-        raise ValidationError(f"{path}: geodetic pose file needs a configured map origin")
     if not lines:
         raise ValidationError(f"{path}: no pose samples")
     try:
@@ -119,12 +113,6 @@ def read_pose_csv(path, origin: GeodeticCoord | None = None) -> list[PoseSample]
 
     samples = []
     for t, x, y, z, roll, pitch, yaw in body.tolist():
-        if geodetic:
-            try:
-                p = geodetic_to_map(GeodeticCoord(x, y, z), origin)
-            except InvalidArgument as exc:
-                raise ValidationError(f"{path}: {exc}") from None
-            x, y, z = p.x, p.y, p.z
         transform = RigidTransform.from_euler_translation(EulerAngles(roll, pitch, yaw), (x, y, z))
         samples.append(PoseSample(t, transform))
     times = [s.timestamp for s in samples]

@@ -90,15 +90,21 @@ class RoadSpec:
         return self.n_lanes * self.lane_width / 2.0
 
 
+def _lanelet_bounds(road: RoadSpec, lane: int) -> np.ndarray:
+    """Arc-length bounds of a lane's lanelets, equal chunks of at most _LANELET_CHUNK."""
+    lane_len = road.lane_length(lane)
+    n_chunks = max(1, int(math.ceil(lane_len / _LANELET_CHUNK - 1e-9)))
+    return np.linspace(0.0, lane_len, n_chunks + 1)
+
+
 def build_vector_map_dict(road: RoadSpec, name: str = "road") -> dict:
     """Vector map JSON content for a RoadSpec (lanelet chains per lane)."""
     step = road.sample_step if road.kind == "straight" else min(road.sample_step, 0.5)
     lanelets = []
     for lane in range(1, road.n_lanes + 1):
         offset = road.lane_offset(lane)
-        lane_len = road.lane_length(lane)
-        n_chunks = max(1, int(math.ceil(lane_len / _LANELET_CHUNK - 1e-9)))
-        bounds = np.linspace(0.0, lane_len, n_chunks + 1)
+        bounds = _lanelet_bounds(road, lane)
+        n_chunks = len(bounds) - 1
         for k in range(n_chunks):
             s0, s1 = bounds[k], bounds[k + 1]
             n_pts = max(2, int(math.ceil((s1 - s0) / step)) + 1)
@@ -308,10 +314,8 @@ def _dropout_active(spec: ScenarioSpec, sv_id: int, t: float) -> bool:
 
 
 def _lanelet_of(road: RoadSpec, lane: int, s: float) -> int:
-    lane_len = road.lane_length(lane)
-    n_chunks = max(1, int(math.ceil(lane_len / _LANELET_CHUNK - 1e-9)))
-    k = min(n_chunks - 1, int(s / (lane_len / n_chunks)))
-    return lane * 100 + k
+    # searching the interior bounds only keeps an s just outside the lane in its first or last lanelet
+    return lane * 100 + int(np.searchsorted(_lanelet_bounds(road, lane)[1:-1], s, side="right"))
 
 
 def generate_scenario(spec: ScenarioSpec) -> ScenarioData:

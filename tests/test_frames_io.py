@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavtraj.errors import ValidationError
-from cavtraj.geometry import EulerAngles, GeodeticCoord, RigidTransform, rotation_from_euler
+from cavtraj.geometry import EulerAngles, RigidTransform, rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv
 from conftest import make_frame
 
@@ -125,7 +125,7 @@ MALFORMED_POSES = {
     "blank_body": "t,x,y,z,roll,pitch,yaw\n\n  \n",
     "six_columns": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0\n",
     "nan_time": "t,x,y,z,roll,pitch,yaw\nnan,0,0,0,0,0,0\n",
-    "latitude_out_of_range": "t,lat,lon,alt,roll,pitch,yaw\n0.0,95.0,11.0,0,0,0,0\n",
+    "geodetic_header": "t,lat,lon,alt,roll,pitch,yaw\n0.0,48.0,11.0,0,0,0,0\n",
     "time_not_increasing": "t,x,y,z,roll,pitch,yaw\n0.1,0,0,0,0,0,0\n0.1,1,0,0,0,0,0\n",
 }
 
@@ -135,4 +135,4 @@ def test_malformed_pose_file_rejected(tmp_path, text):
     path = tmp_path / "poses.csv"
     path.write_text(text)
     with pytest.raises(ValidationError, match="poses.csv"):
-        read_pose_csv(path, origin=GeodeticCoord(48.0, 11.0))
+        read_pose_csv(path)

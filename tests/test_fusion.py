@@ -139,6 +139,26 @@ def test_project_box_pure_yaw_moves_heading():
     assert (p.x, p.y) == pytest.approx((0.0, 10.0), abs=1e-9)
 
 
+def test_project_box_matches_corner_reference():
+    # reference: transform the 8 corners, take their mean as the center and the
+    # bottom face's length edge for the heading
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        b = box(*rng.uniform(-60, 60, 2), z=rng.uniform(-2, 2), l=rng.uniform(3, 12),
+                w=rng.uniform(1.5, 2.9), h=rng.uniform(1.2, 4), heading=rng.uniform(-math.pi, math.pi))
+        t = RigidTransform.from_euler_translation(
+            EulerAngles(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rng.uniform(-500, 500, 3),
+        )
+        foot = b.footprint()
+        corners = np.vstack([np.c_[foot, np.full(4, b.z + dz)] for dz in (-b.height / 2, b.height / 2)])
+        corners = t.apply(corners)
+        edge = corners[0] - corners[1]
+        p = project_box(b, t)
+        np.testing.assert_allclose([p.x, p.y, p.z], corners.mean(axis=0), rtol=0, atol=1e-12)
+        assert abs(math.remainder(p.heading - math.atan2(edge[1], edge[0]), 2 * math.pi)) <= 1e-12
+
+
 def test_late_fuse_single_agent_passthrough():
     s = make_set(0.0, 0, [box(5, 0), box(20, 3)])
     fused = late_fuse([s], {0: RigidTransform.identity()})

@@ -2,18 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from cavtraj.errors import InvalidArgument, UnsupportedRegion
+from cavtraj.errors import InvalidArgument
 from cavtraj.geometry import (
     EulerAngles,
-    GeodeticCoord,
-    MapPoint,
     TAU,
     RigidTransform,
-    geodetic_to_map,
     euler_from_rotation,
-    map_to_geodetic,
     rotation_from_euler,
     wrap_angle,
 )
@@ -136,67 +131,6 @@ def test_wrap_angle_range():
         assert -math.pi < w <= math.pi
         assert abs(math.sin(w) - math.sin(a)) < 1e-12
         assert abs(math.cos(w) - math.cos(a)) < 1e-12
-
-
-# --- geodetic conversion ---------------------------------------------------
-
-# near the zone-11 central meridian so grid north stays aligned with true north
-ORIGIN = GeodeticCoord(34.05, -117.05, 100.0)
-
-
-def meridian_radius(lat_deg):
-    # independent ellipsoid oracle: meridian radius of curvature
-    a = 6378137.0
-    e2 = 0.00669437999014
-    s = math.sin(math.radians(lat_deg))
-    return a * (1 - e2) / (1 - e2 * s * s) ** 1.5
-
-
-def test_geodetic_origin_maps_to_zero():
-    p = geodetic_to_map(ORIGIN, ORIGIN)
-    np.testing.assert_allclose([p.x, p.y, p.z], [0, 0, 0], atol=1e-9)
-
-
-def test_geodetic_small_latitude_offset():
-    g = GeodeticCoord(ORIGIN.latitude + 1e-5, ORIGIN.longitude, ORIGIN.altitude)
-    p = geodetic_to_map(g, ORIGIN)
-    expected = meridian_radius(ORIGIN.latitude) * math.radians(1e-5)
-    assert expected == pytest.approx(1.106, abs=5e-3)
-    assert p.y == pytest.approx(expected, abs=0.01)
-    assert abs(p.x) < 0.01
-
-
-def test_geodetic_meridian_distance_100m():
-    # geodesic oracle: integrate the meridian radius over latitude
-    dlat = 100.0 / meridian_radius(ORIGIN.latitude)
-    lat1 = ORIGIN.latitude + math.degrees(dlat)
-    arc, _ = quad(lambda lat: meridian_radius(lat), ORIGIN.latitude, lat1)
-    arc *= math.pi / 180.0
-    g = GeodeticCoord(lat1, ORIGIN.longitude, ORIGIN.altitude)
-    p0 = geodetic_to_map(ORIGIN, ORIGIN)
-    p1 = geodetic_to_map(g, ORIGIN)
-    dist = math.hypot(p1.x - p0.x, p1.y - p0.y)
-    assert dist == pytest.approx(arc, abs=0.1)
-
-
-def test_geodetic_altitude_difference():
-    g = GeodeticCoord(ORIGIN.latitude, ORIGIN.longitude, 130.0)
-    assert geodetic_to_map(g, ORIGIN).z == pytest.approx(30.0)
-
-
-def test_geodetic_cross_zone_rejected():
-    g = GeodeticCoord(34.05, -110.0, 0.0)  # zone 12 vs origin zone 11
-    with pytest.raises(UnsupportedRegion):
-        geodetic_to_map(g, ORIGIN)
-
-
-def test_geodetic_round_trip():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        p = MapPoint(*rng.uniform(-2000, 2000, size=2), rng.uniform(-50, 50))
-        g = map_to_geodetic(p, ORIGIN)
-        back = geodetic_to_map(g, ORIGIN)
-        np.testing.assert_allclose([back.x, back.y, back.z], [p.x, p.y, p.z], atol=1e-6)
 
 
 def test_wrap_angle_scalar_matches_array_path_bit_for_bit():

@@ -62,9 +62,20 @@ def test_load_reversing_centerline_rejected():
         vector_map_from_dict(joint)
 
 
-def test_load_schema_violation_rejected():
-    with pytest.raises(ValidationError, match="schema"):
-        vector_map_from_dict({"lanelets": [{"lanelet_id": 1}]})
+SCHEMA_VIOLATIONS = {
+    "lanelet_missing_keys": {"lanelets": [{"lanelet_id": 1}]},
+    # the map frame has no geodetic anchor: a map that names one is rejected, not read as if it had none
+    "geodetic_origin": {
+        **json.loads((MAPS / "straight.json").read_text()),
+        "origin": {"latitude": 48.0, "longitude": 11.0},
+    },
+}
+
+
+@pytest.mark.parametrize("data", SCHEMA_VIOLATIONS.values(), ids=SCHEMA_VIOLATIONS.keys())
+def test_load_schema_violation_rejected(data):
+    with pytest.raises(ValidationError, match="schema violation"):
+        vector_map_from_dict(data)
 
 
 @pytest.mark.parametrize(
