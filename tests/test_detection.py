@@ -1,23 +1,25 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from scipy.spatial import ConvexHull, QhullError
+
 from cavtraj import detection
 from cavtraj.detection import (
     DetectionConfig,
-    Cluster,
+    OrientedBox,
     bev_grid_features,
     cluster_points,
-    convex_hull,
+    convex_hulls,
     detect_objects,
-    fit_bounding_box,
-    min_area_rect,
+    fit_boxes,
+    min_area_rects,
 )
-from cavtraj.errors import DegenerateGeometry
 from cavtraj.geometry import wrap_angle
-from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, VehicleSpec, generate_scenario
+from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
 from conftest import box_surface_points, make_frame
 
 CFG = DetectionConfig(cell_size=0.5, extent=20.0)
@@ -95,7 +97,7 @@ def test_cluster_mixed_cells_keep_only_obstacle_points():
     assert np.isin(idx[:, 0] * grid.shape[1] + idx[:, 1], grid.cells).any()  # mixed cells exist
     clusters = cluster_points(grid, frame, CFG)
     assert len(clusters) == 1
-    np.testing.assert_array_equal(clusters[0].points, obstacle)
+    np.testing.assert_array_equal(clusters[0], obstacle)
 
 
 def stats_grid_clusters(frame, config):
@@ -155,7 +157,7 @@ def test_clusters_match_stats_reference(kind, seed):
     mixed = 0
     for frame in frames:
         grid = bev_grid_features(frame, cfg)
-        got = [c.points for c in cluster_points(grid, frame, cfg)]
+        got = cluster_points(grid, frame, cfg)
         want = stats_grid_clusters(frame, cfg)
         assert len(want) > 2
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -222,7 +224,7 @@ def test_cluster_obstacle_cells_on_grid_border():
     assert grid_cell_of(grid, (hi, hi)) == (n - 1, n - 1)
     clusters = cluster_points(grid, frame, CFG)
     assert [len(c) for c in clusters] == [40, 40]
-    np.testing.assert_array_equal(clusters[0].points, pts[:40])
+    np.testing.assert_array_equal(clusters[0], pts[:40])
 
 
 def test_cluster_diagonal_touch_is_one_cluster():
@@ -232,7 +234,7 @@ def test_cluster_diagonal_touch_is_one_cluster():
     grid = bev_grid_features(frame, CFG)
     clusters = cluster_points(grid, frame, CFG)
     assert len(clusters) == 1
-    np.testing.assert_array_equal(clusters[0].points, frame.points)
+    np.testing.assert_array_equal(clusters[0], frame.points)
     # one empty cell between them splits the pair
     frame = make_frame(np.vstack([a, blob((1.25, 1.25), size=0.2, seed=1)]))
     assert len(cluster_points(bev_grid_features(frame, CFG), frame, CFG)) == 2
@@ -253,21 +255,29 @@ def test_cluster_k_separated_objects():
 # --- convex hull -----------------------------------------------------------
 
 
+def hull_of(pts):
+    """The hull of one segment from the batched convex_hulls."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    hulls, counts = convex_hulls(pts, np.array([len(pts)]))
+    assert counts.tolist() == [len(hulls)]
+    return hulls
+
+
 def test_hull_unit_square_with_interior():
     pts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.2, 0.7], [0.9, 0.1]]
-    hull = convex_hull(pts)
+    hull = hull_of(pts)
     assert len(hull) == 4
     assert {(0, 0), (1, 0), (1, 1), (0, 1)} == {tuple(v) for v in hull}
     # heavy duplicates: counter-clockwise from the lowest, then leftmost, vertex
     rect = [[2, 1], [0, 1], [2, 0], [0, 0], [1, 0.5]]
-    hull = convex_hull(np.repeat(rect, [5, 3, 7, 4, 9], axis=0))
+    hull = hull_of(np.repeat(rect, [5, 3, 7, 4, 9], axis=0))
     np.testing.assert_array_equal(hull, [[0, 0], [2, 0], [2, 1], [0, 1]])
 
 
 def test_hull_circle_points_all_kept_in_order():
     angles = np.linspace(0, 2 * math.pi, 24, endpoint=False)
     pts = np.c_[np.cos(angles), np.sin(angles)]
-    hull = convex_hull(pts)
+    hull = hull_of(pts)
     assert len(hull) == 24
     hull_angles = np.arctan2(hull[:, 1], hull[:, 0])
     diffs = np.diff(np.unwrap(hull_angles))
@@ -281,7 +291,7 @@ def test_hull_ccw_orientation_and_containment():
         np.array([[40.09, 39.835], [39.775, 40.225], [40.06, 39.955], [39.955, 40.375], [39.565, 40.345]]),
     ]
     for pts in inputs:
-        hull = convex_hull(pts)
+        hull = hull_of(pts)
         area2 = 0.0
         for i in range(len(hull)):
             a, b = hull[i], hull[(i + 1) % len(hull)]
@@ -312,19 +322,22 @@ def brute_force_hull_vertices(pts):
 def test_hull_matches_brute_force_oracle():
     rng = np.random.default_rng(99)
     pts = rng.uniform(-10, 10, size=(500, 2))
-    hull = convex_hull(pts)
+    hull = hull_of(pts)
     assert {tuple(v) for v in hull} == brute_force_hull_vertices(pts)
 
 
 def test_hull_degenerate_inputs():
-    with pytest.raises(DegenerateGeometry):
-        convex_hull([[0, 0], [1, 1]])
-    with pytest.raises(DegenerateGeometry):
-        convex_hull([[0, 0], [1, 1], [2, 2], [3, 3]])
-    with pytest.raises(DegenerateGeometry):
-        convex_hull(np.full((20, 2), 1.5))
-    with pytest.raises(DegenerateGeometry):
-        convex_hull(np.zeros((0, 2)))
+    # two points, collinear points and one repeated point make no polygon,
+    # whatever segments surround them
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    degenerate = [np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+                  np.full((20, 2), 1.5), np.array([[4.0, 5.0]])]
+    for pts, n in zip(degenerate, [2, 2, 1, 1]):
+        assert len(hull_of(pts)) == n
+        hulls, counts = convex_hulls(np.vstack([square, pts, square]), np.array([4, len(pts), 4]))
+        assert counts.tolist() == [4, n, 4]
+        np.testing.assert_array_equal(hulls[:4], square)
+        np.testing.assert_array_equal(hulls[-4:], square)
 
 
 # --- minimum-area rectangle --------------------------------------------------
@@ -344,9 +357,16 @@ def rect_scan_oracle(hull):
     return best
 
 
+def rect_of(hull):
+    """The rectangle of one polygon from the batched min_area_rects."""
+    hull = np.asarray(hull, dtype=float)
+    center, extents, angle, _ = min_area_rects(hull, np.array([len(hull)]))
+    return center[0], extents[0], angle[0]
+
+
 def test_rect_axis_aligned_unit_square():
-    hull = convex_hull([[0, 0], [1, 0], [1, 1], [0, 1]])
-    center, extents, angle = min_area_rect(hull)
+    hull = hull_of([[0, 0], [1, 0], [1, 1], [0, 1]])
+    center, extents, angle = rect_of(hull)
     np.testing.assert_allclose(center, [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(sorted(extents), [1, 1], atol=1e-12)
     assert math.isclose(angle % (math.pi / 2), 0.0, abs_tol=1e-9) or math.isclose(
@@ -358,7 +378,7 @@ def test_rect_rotated_square_area_invariant():
     ang = math.radians(30)
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ rot.T
-    _, extents, _ = min_area_rect(convex_hull(square))
+    _, extents, _ = rect_of(hull_of(square))
     assert extents[0] * extents[1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -366,11 +386,10 @@ def test_rect_matches_rotation_scan_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         pts = rng.uniform(-8, 8, size=(rng.integers(5, 40), 2))
-        try:
-            hull = convex_hull(pts)
-        except DegenerateGeometry:
+        hull = hull_of(pts)
+        if len(hull) < 3:
             continue
-        _, extents, _ = min_area_rect(hull)
+        _, extents, _ = rect_of(hull)
         area = extents[0] * extents[1]
         oracle = rect_scan_oracle(hull)
         assert area == pytest.approx(oracle, rel=1e-6)
@@ -380,8 +399,8 @@ def test_rect_never_beats_axis_aligned_bbox():
     rng = np.random.default_rng(17)
     for _ in range(30):
         pts = rng.uniform(-5, 5, size=(20, 2))
-        hull = convex_hull(pts)
-        _, extents, _ = min_area_rect(hull)
+        hull = hull_of(pts)
+        _, extents, _ = rect_of(hull)
         aabb = (pts.max(axis=0) - pts.min(axis=0))
         assert extents[0] * extents[1] <= aabb[0] * aabb[1] + 1e-9
 
@@ -421,10 +440,9 @@ def rect_hulls():
         ang = rng.uniform(-math.pi, math.pi)
         rot = [[math.cos(ang), math.sin(ang)], [-math.sin(ang), math.cos(ang)]]
         pts = rng.normal(size=(n, 2)) * [scale, scale * rng.uniform(0.05, 1)] @ rot
-        try:
-            yield convex_hull(pts + rng.uniform(-60, 60, 2))
-        except DegenerateGeometry:
-            continue
+        hull = hull_of(pts + rng.uniform(-60, 60, 2))
+        if len(hull) >= 3:
+            yield hull
     # tied areas: every edge of a square, a rectangle's opposite sides, an octagon
     yield np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     yield np.array([[3.0, -1.0], [7.0, -1.0], [7.0, 1.0], [3.0, 1.0]])
@@ -436,31 +454,34 @@ def rect_hulls():
 
 
 def test_rect_matches_per_edge_loop_bit_for_bit():
-    count = 0
-    for hull in rect_hulls():
-        center, extents, angle = min_area_rect(hull)
+    # each polygon alone, and all of them in one batch padded to the longest
+    hulls = list(rect_hulls())
+    assert len(hulls) > 250
+    batch = min_area_rects(np.concatenate(hulls), np.array([len(h) for h in hulls]))
+    for k, hull in enumerate(hulls):
         ref_center, ref_extents, ref_angle = rect_edge_loop(hull)
-        assert center.tobytes() == ref_center.tobytes()
-        assert extents.tobytes() == ref_extents.tobytes()
-        assert angle == ref_angle
-        count += 1
-    assert count > 250
+        for center, extents, angle in (rect_of(hull), (batch[0][k], batch[1][k], batch[2][k])):
+            assert center.tobytes() == ref_center.tobytes()
+            assert extents.tobytes() == ref_extents.tobytes()
+            assert angle == ref_angle
 
 
 def test_rect_degenerate_inputs():
-    with pytest.raises(DegenerateGeometry):
-        min_area_rect(np.zeros((2, 2)))
-    with pytest.raises(DegenerateGeometry):
-        min_area_rect(np.full((4, 2), 3.0))  # every edge has zero length
-    with pytest.raises(DegenerateGeometry):
-        min_area_rect([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])  # zero area
+    # every edge of zero length: no edge, infinite area; a flat polygon: zero area
+    polygons = [np.full((4, 2), 3.0), np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+    _, _, _, area = min_area_rects(np.concatenate(polygons), np.array([4, 3, 3]))
+    assert area[0] == math.inf and area[1] < 1e-15 and area[2] == pytest.approx(1.0)
+    # fit_boxes gives no box for either, nor for a two-point cluster
+    flat = [np.c_[p, np.ones(len(p))] for p in (np.zeros((2, 2)), *polygons[:2])]
+    assert fit_boxes(flat, CFG) == []
 
 
 def test_rect_contains_all_hull_points():
     rng = np.random.default_rng(19)
     pts = rng.uniform(-5, 5, size=(50, 2))
-    hull = convex_hull(pts)
-    center, extents, angle = min_area_rect(hull)
+    hull = hull_of(pts)
+    center, extents, angle = rect_of(hull)
     c, s = math.cos(angle), math.sin(angle)
     rel = hull - center
     along = rel[:, 0] * c + rel[:, 1] * s
@@ -472,9 +493,14 @@ def test_rect_contains_all_hull_points():
 # --- box fitting -------------------------------------------------------------
 
 
+def fit_one(pts):
+    (box,) = fit_boxes([pts], CFG)
+    return box
+
+
 def test_fit_box_axis_aligned_vehicle():
     pts = box_surface_points((5.0, 3.0), 4.0, 2.0, 1.5)
-    box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
+    box = fit_one(pts)
     assert box.length == pytest.approx(4.0, abs=CFG.cell_size)
     assert box.width == pytest.approx(2.0, abs=CFG.cell_size)
     assert box.height == pytest.approx(1.5 - 0.4, abs=0.01)  # z spans z_base..height
@@ -484,7 +510,7 @@ def test_fit_box_axis_aligned_vehicle():
 
 def test_fit_box_rotated_45deg():
     pts = box_surface_points((0.0, 0.0), 4.0, 2.0, 1.5, heading=math.radians(45))
-    box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
+    box = fit_one(pts)
     assert box.length == pytest.approx(4.0, abs=CFG.cell_size)
     assert box.width == pytest.approx(2.0, abs=CFG.cell_size)
     heading_mod = math.degrees(box.heading) % 180.0
@@ -496,8 +522,8 @@ def test_fit_box_heading_on_long_side():
     for _ in range(200):
         n = int(rng.integers(10, 80))
         pts = np.c_[rng.normal(size=(n, 2)) * rng.uniform(0.1, 3.0, 2), rng.uniform(0.5, 2.0, n)]
-        box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
-        _, (e0, e1), angle = min_area_rect(convex_hull(pts[:, :2]))
+        box = fit_one(pts)
+        _, (e0, e1), angle = rect_of(hull_of(pts[:, :2]))
         assert box.length == max(e0, e1) and box.width == min(e0, e1)
         long_side = angle if e0 >= e1 else angle + math.pi / 2
         turn = (box.heading - long_side) % math.pi
@@ -507,7 +533,7 @@ def test_fit_box_heading_on_long_side():
 def test_fit_box_planar_cluster_height_clamped():
     rng = np.random.default_rng(3)
     pts = np.c_[rng.uniform(-2, 2, (30, 2)), np.full(30, 1.0)]
-    box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
+    box = fit_one(pts)
     assert box.height == CFG.min_box_height
 
 
@@ -515,7 +541,7 @@ def test_fit_box_footprint_contains_all_points():
     rng = np.random.default_rng(11)
     for seed in range(10):
         pts = blob((rng.uniform(-5, 5), rng.uniform(-5, 5)), n=60, seed=seed)
-        box = fit_bounding_box(Cluster(pts, 0, 0.0), CFG)
+        box = fit_one(pts)
         assert np.all(box.contains_bev(pts, inflation=1e-9))
 
 
@@ -524,10 +550,126 @@ def test_confidence_monotone_in_point_count():
     base = blob((0, 0), n=200, seed=7)
     last = -1.0
     for n in (10, 30, 60, 100, 150, 200):
-        box = fit_bounding_box(Cluster(base[:n], 0, 0.0), CFG)
+        box = fit_one(base[:n])
         assert box.confidence >= last
         last = box.confidence
     assert last == 1.0
+
+
+def qhull_hull(pts2d):
+    """Qhull's hull re-rooted at its lowest, then leftmost, vertex; None if Qhull finds no polygon."""
+    if len(pts2d) < 3:
+        return None
+    try:
+        hull = pts2d[ConvexHull(pts2d).vertices]
+    except QhullError:
+        return None
+    return np.roll(hull, -np.lexsort((hull[:, 0], hull[:, 1]))[0], axis=0)
+
+
+def test_hulls_match_qhull_on_lattice_segments():
+    # small integer lattices: repeated points, collinear runs and tied
+    # extremes everywhere, many segments in one call
+    rng = np.random.default_rng(41)
+    segments = [rng.integers(0, int(rng.integers(1, 6)), size=(int(rng.integers(1, 40)), 2)).astype(float)
+                + rng.integers(-50, 50, 2) for _ in range(400)]
+    hulls, counts = convex_hulls(np.concatenate(segments), np.array([len(s) for s in segments]))
+    starts = np.cumsum(counts) - counts
+    polygons = 0
+    for pts, start, count in zip(segments, starts, counts):
+        ref = qhull_hull(pts)
+        if ref is None:
+            assert count == len(np.unique(pts, axis=0)[:2])  # a point or the two ends of a line
+        else:
+            np.testing.assert_array_equal(hulls[start:start + count], ref)
+            polygons += 1
+    assert 150 < polygons < 390
+
+
+def qhull_box(pts, config):
+    """The per-cluster box fit that fit_boxes replaces; None for a degenerate cluster.
+
+    Qhull's hull, re-rooted, then the per-edge rectangle loop; the heading
+    turns to the long side; height and confidence as in fit_boxes.
+    """
+    hull = qhull_hull(pts[:, :2])
+    if hull is None:
+        return None
+    center, (length, width), heading = rect_edge_loop(hull)
+    if length * width < 1e-15:
+        return None
+    if length < width:
+        heading, length, width = heading + math.pi / 2.0, width, length
+    z_min, z_max = pts[:, 2].min(), pts[:, 2].max()
+    return OrientedBox(
+        x=float(center[0]),
+        y=float(center[1]),
+        z=float((z_min + z_max) / 2.0),
+        length=float(max(length, 1e-6)),
+        width=float(max(width, 1e-6)),
+        height=float(max(z_max - z_min, config.min_box_height)),
+        heading=float(wrap_angle(heading)),
+        confidence=float(min(1.0, len(pts) / config.confidence_saturation)),
+    )
+
+
+def box_bits(boxes):
+    return [np.array([b.x, b.y, b.z, b.length, b.width, b.height, b.heading, b.confidence]).tobytes() for b in boxes]
+
+
+@pytest.mark.parametrize("kind", ["straight_poles", "sparse_arc", "walls_lattice"])
+def test_fit_boxes_match_per_cluster_qhull_path(kind):
+    v = VehicleSpec
+    if kind == "straight_poles":
+        spec = ScenarioSpec(duration=0.3, seed=5, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 80.0, 25.0)],
+                            svs=[v(101, 1, 80.0, 25.0), v(102, 3, 81.0, 25.1), v(103, 2, 92.0, 24.0)], poles=True)
+    elif kind == "sparse_arc":
+        spec = ScenarioSpec(duration=0.3, seed=6, road=RoadSpec(kind="arc", radius=150.0, arc_angle_deg=60.0, n_lanes=2),
+                            agents=[v(1, 1, 40.0, 20.0), v(2, 2, 30.0, 20.0)],
+                            svs=[v(101, 2, 45.0, 20.0), v(102, 1, 30.0, 20.0)], sensor=SensorSpec(base_spacing=0.3),
+                            ground_spacing=0.0, poles=False)
+    else:
+        spec = ScenarioSpec(duration=0.3, seed=7, road=RoadSpec(length=200.0, n_lanes=2), agents=[v(1, 1, 60.0, 22.0)],
+                            svs=[v(101, 2, 70.0, 23.0), v(102, 1, 80.0, 21.0)], ground_spacing=0.4, walls=True)
+    cfg = DetectionConfig()
+    n_boxes = 0
+    for frame in (f for per_agent in generate_scenario(spec).frames.values() for f in per_agent):
+        clusters = cluster_points(bev_grid_features(frame, cfg), frame, cfg)
+        want = [b for b in (qhull_box(c, cfg) for c in clusters) if b is not None]
+        assert box_bits(fit_boxes(clusters, cfg)) == box_bits(want)
+        n_boxes += len(want)
+    assert n_boxes > 12
+
+
+def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
+    rng = np.random.default_rng(31)
+    corners = np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 1.5], [4.0, 2.0, 1.0], [0.0, 2.0, 2.0], [2.0, 1.0, 1.2]])
+    valid = [blob((3.0 * k, -2.0), n=int(rng.integers(3, 60)), seed=k) for k in range(5)]
+    valid.append(np.repeat(corners, [9, 4, 7, 5, 11], axis=0) + [10.0, 10.0, 0.0])  # heavy duplicates
+    valid.append(box_surface_points((-8.0, 6.0), 4.5, 1.9, 1.6, heading=0.3))      # stacked rings share xy
+    line = np.arange(12.0)
+    degenerate = [
+        np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),                    # two points
+        np.full((15, 3), 2.5),                                            # one point, repeated
+        np.c_[line, 2.0 * line + 1.0, np.ones(12)],                       # collinear
+        np.repeat([[1.0, 1.0, 0.5], [3.0, 2.0, 0.7], [5.0, 3.0, 0.6]], 8, axis=0),  # collinear, repeated
+        np.array([[0.0, 0.0, 1.0], [0.5, 1e-16, 1.0], [1.0, 0.0, 1.0]]),  # a polygon of area below 1e-15
+        np.zeros((0, 3)),
+    ]
+    clusters = [valid[0], degenerate[0], valid[1], degenerate[1], degenerate[2], valid[2], valid[3],
+                degenerate[3], valid[4], degenerate[4], valid[5], degenerate[5], valid[6]]
+    boxes = fit_boxes(clusters, CFG)
+    alone = [fit_boxes([c], CFG) for c in valid]
+    assert [len(a) for a in alone] == [1] * len(valid)
+    assert box_bits(boxes) == box_bits([a[0] for a in alone])
+    ref = [qhull_box(c, CFG) for c in valid]
+    assert box_bits(boxes[:-1]) == box_bits(ref[:-1])
+    # the noiseless box's walls are collinear up to rounding: Qhull merges
+    # those vertices, the chain keeps them, so the two differ in the last bits
+    np.testing.assert_allclose(astuple(boxes[-1]), astuple(ref[-1]), rtol=0, atol=1e-12)
+    assert fit_boxes(degenerate, CFG) == []
+    assert all(qhull_box(c, CFG) is None for c in degenerate)
+    assert fit_boxes([], CFG) == []
 
 
 def test_detect_objects_end_to_end():
