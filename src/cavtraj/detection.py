@@ -50,18 +50,14 @@ class DetectionConfig:
 
 @dataclass
 class PointCloudFrame:
-    """One LiDAR frame: (N, 3) points plus per-point intensity."""
+    """One LiDAR frame: its capture time and (N, 3) points in the sensor frame."""
 
     timestamp: float
     points: np.ndarray
-    intensities: np.ndarray
     agent_id: int = 0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.intensities = np.asarray(self.intensities, dtype=float).reshape(-1)
-        if len(self.intensities) != len(self.points):
-            raise InvalidArgument("points and intensities length mismatch")
         if not math.isfinite(self.timestamp):
             raise InvalidArgument("non-finite timestamp")
         if self.points.size and not np.all(np.isfinite(self.points)):
@@ -177,18 +173,6 @@ class OrientedBox:
                 center - half_l * axis_l - half_w * axis_w,
                 center + half_l * axis_l - half_w * axis_w,
             ]
-        )
-
-    def contains_bev(self, points: np.ndarray, inflation: float = 0.0) -> np.ndarray:
-        """Mask of points whose xy falls inside the (inflated) footprint."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        dx = pts[:, 0] - self.x
-        dy = pts[:, 1] - self.y
-        along = dx * c + dy * s
-        across = -dx * s + dy * c
-        return (np.abs(along) <= self.length / 2.0 + inflation) & (
-            np.abs(across) <= self.width / 2.0 + inflation
         )
 
 

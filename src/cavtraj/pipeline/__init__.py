@@ -1,1 +1,1 @@
-"""Orchestration: config, scenario generation, CSV schema, runner, CLI."""
+"""Synthetic scenario generation and the frame, pose and scenario file formats."""

@@ -1,36 +1,42 @@
 """File formats for point-cloud frames and agent pose streams.
 
 Frame files: one uncompressed ``np.savez`` archive per LiDAR frame, holding
-exactly three float64 arrays: ``timestamp`` (0-d), ``points`` (N, 3) and
-``intensities`` (N,). Values round-trip bit for bit, and an empty frame
-keeps its timestamp. Frames of one agent live in a directory as
+exactly two float64 arrays: ``timestamp`` (0-d), the capture time in
+seconds, and ``points`` (N, 3), the x, y, z of each return in metres in the
+sensor frame. Both are finite. Values round-trip bit for bit, and an empty
+frame keeps its timestamp. Frames of one agent live in a directory as
 ``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
-filename order. The reader accepts only what the writer writes.
+filename order. The reader accepts only what the writer writes: an archive
+with any other array, a missing one, another dtype or another shape raises
+ValidationError.
 
 Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
-agent's map-frame pose at each time. Each value is written as its shortest
-round-trip ``repr``. A file with any other header is rejected.
+agent's map-frame pose at each time: translation in metres and ZYX Euler
+angles in radians. Each value is written as its shortest round-trip
+``repr``. The reader rejects any other header, a row that is not seven
+finite numbers, an empty body and times that do not strictly increase.
 """
 
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.transform import Rotation, Slerp
 
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError
 from ..geometry import EulerAngles, RigidTransform
 
-_FRAME_ARRAYS = ("timestamp", "points", "intensities")
+_FRAME_ARRAYS = ("timestamp", "points")
 _POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
 
 
 def write_frame(path, frame: PointCloudFrame) -> None:
     with Path(path).open("wb") as fh:
-        np.savez(fh, timestamp=np.float64(frame.timestamp), points=frame.points, intensities=frame.intensities)
+        np.savez(fh, timestamp=np.float64(frame.timestamp), points=frame.points)
 
 
 def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
@@ -49,13 +55,12 @@ def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
         raise ValidationError(f"{path}: {exc}") from None
     if sorted(arrays) != sorted(_FRAME_ARRAYS):
         raise ValidationError(f"{path}: expected arrays {list(_FRAME_ARRAYS)}, got {list(arrays)}")
-    timestamp, points, intensities = (arrays[name] for name in _FRAME_ARRAYS)
-    kinds = [(a.dtype, a.ndim) for a in (timestamp, points, intensities)]
-    if kinds != [(np.float64, 0), (np.float64, 2), (np.float64, 1)] or points.shape[1] != 3:
+    timestamp, points = arrays["timestamp"], arrays["points"]
+    if [(a.dtype, a.ndim) for a in (timestamp, points)] != [(np.float64, 0), (np.float64, 2)] or points.shape[1] != 3:
         got = ", ".join(f"{name} {arrays[name].dtype}{arrays[name].shape}" for name in _FRAME_ARRAYS)
-        raise ValidationError(f"{path}: expected float64 timestamp (), points (N, 3), intensities (N,); got {got}")
+        raise ValidationError(f"{path}: expected float64 timestamp (), points (N, 3); got {got}")
     try:
-        return PointCloudFrame(float(timestamp), points, intensities, agent_id)
+        return PointCloudFrame(float(timestamp), points, agent_id)
     except InvalidArgument as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -77,13 +82,14 @@ def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:
     return frames
 
 
-@dataclass
-class PoseSample:
+class PoseSample(NamedTuple):
+    """An agent's map-frame pose at one time."""
+
     timestamp: float
     transform: RigidTransform
 
 
-def write_pose_csv(path, samples: list[tuple[float, RigidTransform]]) -> None:
+def write_pose_csv(path, samples: list[PoseSample]) -> None:
     with Path(path).open("w") as fh:
         fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:
@@ -122,9 +128,20 @@ def read_pose_csv(path) -> list[PoseSample]:
 
 
 def pose_at(samples: list[PoseSample], t: float, tolerance: float = 0.5) -> RigidTransform:
-    """Pose nearest to t (no interpolation beyond nearest sample)."""
+    """Pose at time t from time-ordered samples, one of which lies within `tolerance` of t.
+
+    Between two samples the translation is interpolated linearly and the
+    rotation by slerp. At a sample's own time, and before the first or after
+    the last sample, that sample's stored transform is returned as is.
+    """
     times = np.array([s.timestamp for s in samples])
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > tolerance:
+    if not abs(times[k] - t) <= tolerance:
         raise ValidationError(f"no pose within {tolerance} s of t={t:.3f}")
-    return samples[k].transform
+    after = int(np.searchsorted(times, t, side="right"))
+    if times[k] == t or after in (0, len(times)):
+        return samples[k].transform
+    (t0, a), (t1, b) = samples[after - 1], samples[after]
+    w = (t - t0) / (t1 - t0)
+    rotation = Slerp([t0, t1], Rotation.from_matrix([a.rotation, b.rotation]))(t).as_matrix()
+    return RigidTransform(rotation, (1.0 - w) * a.translation + w * b.translation)

@@ -19,7 +19,7 @@ import numpy as np
 from ..detection import PointCloudFrame
 from ..errors import ValidationError
 from ..geometry import EulerAngles, RigidTransform, wrap_angle
-from .frames_io import write_frame_dir, write_pose_csv
+from .frames_io import PoseSample, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
 
@@ -230,7 +230,7 @@ class GroundTruthRow:
 class ScenarioData:
     spec: ScenarioSpec
     vector_map: dict
-    poses: dict[int, list[tuple[float, RigidTransform]]]
+    poses: dict[int, list[PoseSample]]
     frames: dict[int, list[PointCloudFrame]]
     ground_truth: list[GroundTruthRow]
 
@@ -347,7 +347,7 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
             x, y, heading = _vehicle_pose(road, agent, t)
             agent_states[agent.vehicle_id] = (x, y, heading)
             pose = RigidTransform.from_euler_translation(EulerAngles(0, 0, heading), (x, y, 0.0))
-            poses[agent.vehicle_id].append((t, pose))
+            poses[agent.vehicle_id].append(PoseSample(t, pose))
 
         visibility = {sv.vehicle_id: [] for sv in svs}
         for agent in agents:
@@ -382,17 +382,12 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
             cloud = np.vstack(world_pts) if world_pts else np.zeros((0, 3))
 
             # map -> agent frame, then sensor noise
-            pose = poses[agent.vehicle_id][-1][1]
+            pose = poses[agent.vehicle_id][-1].transform
             local = pose.inverse().apply(cloud) if len(cloud) else cloud
             if sensor.noise_sigma > 0 and len(local):
                 local = local + rng.normal(0.0, sensor.noise_sigma, size=local.shape)
             frames[agent.vehicle_id].append(
-                PointCloudFrame(
-                    timestamp=t,
-                    points=local,
-                    intensities=np.full(len(local), 20.0),
-                    agent_id=agent.vehicle_id,
-                )
+                PointCloudFrame(timestamp=t, points=local, agent_id=agent.vehicle_id)
             )
 
         for sv in svs:

@@ -69,10 +69,6 @@ class Track:
     def acceleration(self) -> np.ndarray:
         return self.state[:, 2]
 
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(self.state[0, 1], self.state[1, 1]))
-
 
 def kf_predict(track: Track, dt: float, config: TrackingConfig) -> None:
     """Advance a track in place by dt with the constant-acceleration model."""

@@ -1,7 +1,30 @@
 """Vector map with Frenet projection, on-road tests, and lane lookup.
 
 The map is a set of lanelets (atomic lane segments) with centerline and
-boundary polylines. Downtrack distance is measured from the start of a
+boundary polylines, read from a JSON file in the map frame:
+
+    {"name": "freeway", "lateral_window": 15.0,
+     "lanelets": [{"lanelet_id": 100, "lane_id": 1,
+                   "centerline": [[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
+                   "left_boundary": [...], "right_boundary": [...],
+                   "predecessors": [], "successors": [101]}, ...]}
+
+The top level is an object with only the keys `name` (a string, default
+""), `lateral_window` (a finite number > 0 in metres, default 15) and
+`lanelets` (required, a non-empty list). Each lanelet is an object that
+needs `lanelet_id`, `lane_id` and the three polylines and may carry other
+keys, which are ignored. Ids are integers >= 0; an integral number such as
+100.0 counts, true and false do not. `predecessors` and `successors` are
+optional lists of integer lanelet ids. A polyline is a list of at least two
+[x, y, z] points of finite numbers in metres, with no zero-length segment
+and no half-turn. Every listed predecessor and successor must exist, lanelet
+ids must be unique, a successor must start within 0.1 m of its
+predecessor's end, and each lane's chain of same-lane successors must be
+linear and acyclic. A breach of the structural rules raises ValidationError
+"vector map schema violation at <path>", where the path lists the keys and
+indices down to the offending value; every other breach names its lanelet.
+
+Downtrack distance is measured from the start of a
 lanelet's chain (predecessors of the same lane); crosstrack is positive to
 the right of the driving direction.
 
@@ -29,15 +52,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ValidationError
 
 _CONNECT_TOL = 0.1  # m, successor start must sit on predecessor end
+_MAP_KEYS = ("name", "lateral_window", "lanelets")
+_POLYLINES = ("centerline", "left_boundary", "right_boundary")
+_LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
 _TINY = np.finfo(float).tiny
 
 
@@ -231,8 +255,7 @@ class VectorMap:
         # polylines: the lanelets' centerlines in id order, then their left,
         # then their right boundaries; each polyline's segments are contiguous
         self._by_id = [self.lanelets[i] for i in sorted(self.lanelets)]
-        sides = ("centerline", "left_boundary", "right_boundary")
-        polys = [getattr(ll, side) for side in sides for ll in self._by_id]
+        polys = [getattr(ll, side) for side in _POLYLINES for ll in self._by_id]
         counts = [len(p.seg_len) for p in polys]
         self._poly_first = np.r_[0, np.cumsum(counts)[:-1]]
         self._poly_len = np.array([p.length for p in polys])
@@ -310,64 +333,87 @@ def filter_on_road(tracks, vmap: VectorMap, margin: float = 0.5):
     return kept
 
 
-def _load_schema() -> dict:
-    with resources.files("cavtraj.data").joinpath("vector_map.schema.json").open() as fh:
-        return json.load(fh)
+def _violation(path: list, message: str) -> ValidationError:
+    return ValidationError(f"vector map schema violation at {path}: {message}")
 
 
-def _polyline_points(entry: dict, side: str) -> np.ndarray:
-    """(n, 3) float array of a lanelet's polyline; every point is three finite numbers.
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    The schema checks only that a polyline is a list of at least two items;
-    one pass here replaces its per-number walk.
-    """
-    points = entry[side]
-    if not all(
-        isinstance(p, list) and len(p) == 3
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
-        for p in points
-    ):
-        raise ValidationError(f"{side}: points must be [x, y, z] lists of numbers")
+
+def _is_integer(value) -> bool:
+    # JSON has one number type: 100.0 is an integer, true is not
+    return _is_number(value) and (not isinstance(value, float) or value.is_integer())
+
+
+def _lanelet_from_dict(entry, path: list) -> Lanelet:
+    """One lanelet; the structural rules raise a schema violation at their path."""
+    if not isinstance(entry, dict):
+        raise _violation(path, "a lanelet must be an object")
+    missing = [key for key in _LANELET_KEYS if key not in entry]
+    if missing:
+        raise _violation(path, f"missing keys {missing}")
+    for key in ("lanelet_id", "lane_id"):
+        if not (_is_integer(entry[key]) and entry[key] >= 0):
+            raise _violation(path + [key], f"{entry[key]!r} is not an integer >= 0")
+    links = {}
+    for key in ("predecessors", "successors"):
+        ids = entry.get(key, [])
+        if not isinstance(ids, list):
+            raise _violation(path + [key], f"{ids!r} is not a list of lanelet ids")
+        for k, value in enumerate(ids):
+            if not _is_integer(value):
+                raise _violation(path + [key, k], f"{value!r} is not an integer")
+        links[key] = tuple(int(v) for v in ids)
+    for side in _POLYLINES:
+        if not (isinstance(entry[side], list) and len(entry[side]) >= 2):
+            raise _violation(path + [side], "a polyline is a list of at least 2 points")
+
+    lanelet_id = int(entry["lanelet_id"])
+    polylines = {}
     try:
-        arr = np.array(points, dtype=float)
-    except OverflowError:
-        raise ValidationError(f"{side}: coordinate out of float range") from None
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{side}: non-finite coordinate")
-    return arr
+        for side in _POLYLINES:
+            points = entry[side]
+            if not all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in points):
+                raise ValidationError(f"{side}: points must be [x, y, z] lists of numbers")
+            try:
+                arr = np.array(points, dtype=float)
+            except OverflowError:
+                raise ValidationError(f"{side}: coordinate out of float range") from None
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{side}: non-finite coordinate")
+            polylines[side] = _Polyline(arr)
+    except ValidationError as exc:
+        raise ValidationError(f"lanelet {lanelet_id}: {exc}") from exc
+    return Lanelet(lanelet_id=lanelet_id, lane_id=int(entry["lane_id"]), **polylines, **links)
 
 
-def vector_map_from_dict(data: dict) -> VectorMap:
-    """Build and validate a VectorMap from parsed JSON."""
+def vector_map_from_dict(data) -> VectorMap:
+    """Build and validate a VectorMap from parsed JSON; the rules are in the module docstring."""
+    if not isinstance(data, dict):
+        raise _violation([], "the map must be an object")
+    extra = [key for key in data if key not in _MAP_KEYS]
+    if extra:
+        raise _violation([], f"unexpected keys {extra}")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise _violation(["name"], f"{name!r} is not a string")
+    lateral_window = data.get("lateral_window", 15.0)
+    if not _is_number(lateral_window) or lateral_window <= 0:
+        raise _violation(["lateral_window"], f"{lateral_window!r} is not a number > 0")
     try:
-        jsonschema.validate(data, _load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"vector map schema violation at {list(exc.absolute_path)}: {exc.message}") from exc
-
-    lanelets = []
-    for entry in data["lanelets"]:
-        try:
-            lanelets.append(
-                Lanelet(
-                    lanelet_id=int(entry["lanelet_id"]),
-                    lane_id=int(entry["lane_id"]),
-                    centerline=_Polyline(_polyline_points(entry, "centerline")),
-                    left_boundary=_Polyline(_polyline_points(entry, "left_boundary")),
-                    right_boundary=_Polyline(_polyline_points(entry, "right_boundary")),
-                    predecessors=tuple(entry.get("predecessors", ())),
-                    successors=tuple(entry.get("successors", ())),
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"lanelet {entry.get('lanelet_id')}: {exc}") from exc
-    # the schema's exclusiveMinimum lets NaN and infinity through
-    try:
-        lateral_window = float(data.get("lateral_window", 15.0))
+        lateral_window = float(lateral_window)
     except OverflowError:
         lateral_window = math.inf
-    if not math.isfinite(lateral_window):
+    if not math.isfinite(lateral_window):  # NaN passes the comparison above
         raise ValidationError("lateral_window: non-finite or out of float range")
-    return VectorMap(lanelets, name=data.get("name", ""), lateral_window=lateral_window)
+    if "lanelets" not in data:
+        raise _violation([], "missing key 'lanelets'")
+    entries = data["lanelets"]
+    if not (isinstance(entries, list) and entries):
+        raise _violation(["lanelets"], "lanelets must be a non-empty list")
+    lanelets = [_lanelet_from_dict(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
+    return VectorMap(lanelets, name=name, lateral_window=lateral_window)
 
 
 def load_vector_map(path) -> VectorMap:

@@ -42,14 +42,19 @@ def box_surface_points(center, length, width, height, heading=0.0, spacing=0.15,
     return pts
 
 
-def make_frame(points, timestamp=0.0, agent_id=0, intensity=10.0):
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return PointCloudFrame(
-        timestamp=timestamp,
-        points=points,
-        intensities=np.full(len(points), float(intensity)),
-        agent_id=agent_id,
-    )
+def make_frame(points, timestamp=0.0, agent_id=0):
+    return PointCloudFrame(timestamp=timestamp, points=points, agent_id=agent_id)
+
+
+def in_footprint(box, points, inflation=0.0):
+    """Mask of the points whose xy falls inside the box's (inflated) footprint rectangle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    dx = pts[:, 0] - box.x
+    dy = pts[:, 1] - box.y
+    along = dx * c + dy * s
+    across = -dx * s + dy * c
+    return (np.abs(along) <= box.length / 2.0 + inflation) & (np.abs(across) <= box.width / 2.0 + inflation)
 
 
 @pytest.fixture

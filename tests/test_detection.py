@@ -20,7 +20,7 @@ from cavtraj.detection import (
 )
 from cavtraj.geometry import wrap_angle
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
-from conftest import box_surface_points, make_frame
+from conftest import box_surface_points, in_footprint, make_frame
 
 CFG = DetectionConfig(cell_size=0.5, extent=20.0)
 
@@ -38,7 +38,7 @@ def flat_cell(grid, xy):
 
 def test_bev_single_point_features():
     # one point above the gate lists its cell; the same point on the ground lists none
-    frame = make_frame([[0.25, 0.25, 1.5]], intensity=10.0)
+    frame = make_frame([[0.25, 0.25, 1.5]])
     grid = bev_grid_features(frame, CFG)
     np.testing.assert_array_equal(grid.cells, [flat_cell(grid, (0.25, 0.25))])
     np.testing.assert_array_equal(grid.kept, [0])
@@ -101,29 +101,26 @@ def test_cluster_mixed_cells_keep_only_obstacle_points():
 
 
 def stats_grid_clusters(frame, config):
-    """Reference: per-cell statistics of every occupied cell, then searchsorted labelling.
+    """Reference: the max height of every occupied cell, then searchsorted labelling.
 
-    Occupied cells come from one (cell, z) lexsort with (max height, top
-    intensity, mean height, mean intensity, count) per cell; a cell is an
-    obstacle when its max height clears the gate, and each point above the
-    gate finds its cell by binary search. Returns the clusters' point arrays.
+    Occupied cells come from one (cell, z) lexsort that puts each cell's max
+    height last; a cell is an obstacle when its max height clears the gate,
+    and each point above the gate finds its cell by binary search. Returns
+    the clusters' point arrays.
     """
     n = int(round(2 * config.extent / config.cell_size))
     idx = np.floor((frame.points[:, :2] + config.extent) / config.cell_size).astype(int)
     mask = np.all((idx >= 0) & (idx < n), axis=1)
     if not mask.any():
         return []
-    z, inten = frame.points[mask, 2], frame.intensities[mask]
+    z = frame.points[mask, 2]
     flat = idx[mask, 0] * n + idx[mask, 1]
     order = np.lexsort((z, flat))
-    flat, z, inten = flat[order], z[order], inten[order]
+    flat, z = flat[order], z[order]
     start = np.r_[0, np.flatnonzero(np.diff(flat)) + 1]
     last = np.r_[start[1:], len(flat)] - 1
-    counts = np.diff(np.r_[start, len(flat)])
-    stats = np.c_[z[last], inten[last], np.add.reduceat(z, start) / counts,
-                  np.add.reduceat(inten, start) / counts, counts]
 
-    cells = flat[start][stats[:, 0] >= config.ground_height]
+    cells = flat[start][z[last] >= config.ground_height]
     if len(cells) == 0:
         return []
     ci, cj = np.divmod(cells, n)
@@ -542,7 +539,7 @@ def test_fit_box_footprint_contains_all_points():
     for seed in range(10):
         pts = blob((rng.uniform(-5, 5), rng.uniform(-5, 5)), n=60, seed=seed)
         box = fit_one(pts)
-        assert np.all(box.contains_bev(pts, inflation=1e-9))
+        assert np.all(in_footprint(box, pts, inflation=1e-9))
 
 
 def test_confidence_monotone_in_point_count():

@@ -1,23 +1,25 @@
+import math
 import zipfile
 
 import numpy as np
 import pytest
 
 from cavtraj.errors import ValidationError
-from cavtraj.geometry import EulerAngles, RigidTransform, rotation_from_euler
-from cavtraj.pipeline.frames_io import read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv
+from cavtraj.geometry import EulerAngles, RigidTransform, rotation_from_euler, wrap_angle
+from cavtraj.pipeline.frames_io import (
+    PoseSample, pose_at, read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv)
 from conftest import make_frame
 
 
 def test_frame_round_trip(tmp_path, rng):
     frame = make_frame(rng.uniform(-40, 40, (50, 3)), timestamp=0.1 + 0.2, agent_id=2)
-    frame.intensities[:] = rng.uniform(0.0, 255.0, 50)
     write_frame(tmp_path / "frame_000003.npz", frame)
     back = read_frame(tmp_path / "frame_000003.npz", agent_id=2)
     assert back.timestamp == 0.1 + 0.2
     assert back.agent_id == 2
     np.testing.assert_array_equal(back.points, frame.points)
-    np.testing.assert_array_equal(back.intensities, frame.intensities)
+    with np.load(tmp_path / "frame_000003.npz") as archive:
+        assert sorted(archive.files) == ["points", "timestamp"]
 
 
 def test_empty_frame_keeps_its_timestamp(tmp_path):
@@ -43,7 +45,7 @@ def test_frame_dir_round_trip(tmp_path, rng):
 
 def _savez(path, **overrides):
     """A frame archive with some arrays replaced; None leaves an array out."""
-    arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3), "intensities": np.arange(4.0)}
+    arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3)}
     arrays.update(overrides)
     with path.open("wb") as fh:
         np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
@@ -60,9 +62,9 @@ def _plain_npy(path):
 
 
 def _raw_member(path):
-    _savez(path, intensities=None)
+    _savez(path, points=None)
     with zipfile.ZipFile(path, "a") as zf:
-        zf.writestr("intensities", b"0.0,1.0,2.0,3.0")
+        zf.writestr("points", b"0.0,1.0,2.0,3.0")
 
 
 MALFORMED_FRAMES = {
@@ -70,8 +72,9 @@ MALFORMED_FRAMES = {
     "empty_file": lambda p: p.write_bytes(b""),
     "truncated_zip": _truncated,
     "plain_npy": _plain_npy,
-    "missing_array": lambda p: _savez(p, intensities=None),
+    "missing_array": lambda p: _savez(p, points=None),
     "extra_array": lambda p: _savez(p, ring=np.zeros(4)),
+    "leftover_intensities": lambda p: _savez(p, intensities=np.full(4, 20.0)),
     "object_array": lambda p: _savez(p, points=np.arange(12.0).reshape(4, 3).astype(object)),
     "raw_member": _raw_member,
     "timestamp_shape": lambda p: _savez(p, timestamp=np.array([0.5])),
@@ -79,8 +82,6 @@ MALFORMED_FRAMES = {
     "points_flat": lambda p: _savez(p, points=np.arange(12.0)),
     "points_two_columns": lambda p: _savez(p, points=np.arange(8.0).reshape(4, 2)),
     "points_float32": lambda p: _savez(p, points=np.arange(12.0, dtype=np.float32).reshape(4, 3)),
-    "intensities_2d": lambda p: _savez(p, intensities=np.arange(4.0).reshape(4, 1)),
-    "length_mismatch": lambda p: _savez(p, intensities=np.arange(3.0)),
     "nan_timestamp": lambda p: _savez(p, timestamp=np.float64("nan")),
     "inf_point": lambda p: _savez(p, points=np.array([[0.0, 1.0, np.inf]] * 4)),
 }
@@ -136,3 +137,41 @@ def test_malformed_pose_file_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValidationError, match="poses.csv"):
         read_pose_csv(path)
+
+
+def _yaw_pose(t, yaw, xyz):
+    return PoseSample(t, RigidTransform.from_euler_translation(EulerAngles(0.0, 0.0, yaw), xyz))
+
+
+def test_pose_at_halfway_interpolates():
+    samples = [_yaw_pose(1.0, 0.1, (2.0, -4.0, 0.5)), _yaw_pose(1.2, 0.3, (6.0, 0.0, 1.5))]
+    pose = pose_at(samples, 1.1)
+    np.testing.assert_allclose(pose.translation, [4.0, -2.0, 1.0], rtol=0, atol=1e-12)
+    e = pose.euler
+    assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert e.yaw == pytest.approx(0.2, abs=1e-12)
+    # a quarter of the way, off the midpoint
+    assert pose_at(samples, 1.05).euler.yaw == pytest.approx(0.15, abs=1e-12)
+
+
+def test_pose_at_slerps_across_pi():
+    # 3.0 -> -3.0 rad turns 0.283 rad through pi, not 6 rad back through 0
+    samples = [_yaw_pose(0.0, 3.0, (0.0, 0.0, 0.0)), _yaw_pose(0.1, -3.0, (1.0, 0.0, 0.0))]
+    assert wrap_angle(pose_at(samples, 0.05).euler.yaw - math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert pose_at(samples, 0.025).euler.yaw == pytest.approx(3.0 + (2 * math.pi - 6.0) / 4, abs=1e-12)
+
+
+def test_pose_at_sample_time_returns_the_stored_transform():
+    samples = [_yaw_pose(0.1 * k, 0.3 * k - 1.0, (10.0 + k / 3, -5.0 * k, 0.5)) for k in range(5)]
+    for s in samples:
+        assert pose_at(samples, s.timestamp) is s.transform
+    # within tolerance outside the sampled span the end sample holds
+    assert pose_at(samples, -0.2) is samples[0].transform
+    assert pose_at(samples, 0.7) is samples[-1].transform
+
+
+@pytest.mark.parametrize("t", [-0.6, 1.0, math.nan], ids=["before", "after", "nan"])
+def test_pose_at_beyond_tolerance_rejected(t):
+    samples = [_yaw_pose(0.0, 0.0, (0.0, 0.0, 0.0)), _yaw_pose(0.4, 0.1, (1.0, 0.0, 0.0))]
+    with pytest.raises(ValidationError, match="no pose within 0.5 s"):
+        pose_at(samples, t)

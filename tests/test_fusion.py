@@ -8,6 +8,7 @@ from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj import fusion
 from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_sets
 from cavtraj.geometry import EulerAngles, RigidTransform
+from conftest import in_footprint
 
 
 def box(x, y, l=4.0, w=2.0, h=1.5, heading=0.0, conf=0.8, z=0.75):
@@ -71,8 +72,8 @@ def raster_iou(a, b, n=700):
     ys = np.linspace(lo[1], hi[1], n)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.c_[gx.ravel(), gy.ravel(), np.zeros(n * n)]
-    in_a = a.contains_bev(pts)
-    in_b = b.contains_bev(pts)
+    in_a = in_footprint(a, pts)
+    in_b = in_footprint(b, pts)
     inter = np.count_nonzero(in_a & in_b)
     union = np.count_nonzero(in_a | in_b)
     return inter / union if union else 0.0

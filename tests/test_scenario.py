@@ -50,7 +50,6 @@ def test_write_scenario_round_trip(tmp_path):
             assert len(back) == len(frame) > 0
             assert back.timestamp == frame.timestamp
             np.testing.assert_array_equal(back.points, frame.points)
-            np.testing.assert_array_equal(back.intensities, frame.intensities)
         poses = read_pose_csv(out / entry["pose_file"])
         assert len(poses) == len(data.poses[aid])
         for back, (t, tf) in zip(poses, data.poses[aid]):

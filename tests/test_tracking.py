@@ -163,7 +163,7 @@ def test_tracker_speed_converges_to_truth():
     for k in range(25):
         t = 0.1 * (k + 1)
         out = tracker.step(frame(t, [det(speed * t, 0.0)]))
-    assert out and out[0].speed == pytest.approx(speed, rel=0.02)
+    assert out and np.hypot(*out[0].velocity[:2]) == pytest.approx(speed, rel=0.02)
 
 
 def test_tracker_id_switch_after_long_dropout():

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,70 @@ SCHEMA_VIOLATIONS = {
 def test_load_schema_violation_rejected(data):
     with pytest.raises(ValidationError, match="schema violation"):
         vector_map_from_dict(data)
+
+
+def _lanelet_1(**fields):
+    return lambda data: data["lanelets"][1].update(fields)
+
+
+# one case per structural rule of the map format: (in-place edit of the straight map, path the error names)
+MAP_RULES = {
+    "top_level_not_object": (None, []),
+    "extra_top_level_key": (lambda d: d.update(version=2), []),
+    "lanelets_missing": (lambda d: d.pop("lanelets"), []),
+    "lanelets_not_list": (lambda d: d.update(lanelets={"100": {}}), ["lanelets"]),
+    "lanelets_empty": (lambda d: d.update(lanelets=[]), ["lanelets"]),
+    # a list that holds every key name passes a membership test for each key
+    "lanelet_not_object": (lambda d: d["lanelets"].insert(1, list(d["lanelets"][1])), ["lanelets", 1]),
+    "lanelet_missing_key": (lambda d: d["lanelets"][1].pop("lane_id"), ["lanelets", 1]),
+    "lanelet_id_negative": (_lanelet_1(lanelet_id=-1), ["lanelets", 1, "lanelet_id"]),
+    "lanelet_id_bool": (_lanelet_1(lanelet_id=True), ["lanelets", 1, "lanelet_id"]),
+    "lanelet_id_fraction": (_lanelet_1(lanelet_id=101.5), ["lanelets", 1, "lanelet_id"]),
+    "lanelet_id_string": (_lanelet_1(lanelet_id="101"), ["lanelets", 1, "lanelet_id"]),
+    "lane_id_negative": (_lanelet_1(lane_id=-1), ["lanelets", 1, "lane_id"]),
+    "lane_id_nan": (_lanelet_1(lane_id=math.nan), ["lanelets", 1, "lane_id"]),
+    "successors_not_list": (_lanelet_1(successors=102), ["lanelets", 1, "successors"]),
+    "successor_string": (_lanelet_1(successors=["102"]), ["lanelets", 1, "successors", 0]),
+    "predecessor_bool": (_lanelet_1(predecessors=[100, True]), ["lanelets", 1, "predecessors", 1]),
+    "predecessor_fraction": (_lanelet_1(predecessors=[100.5]), ["lanelets", 1, "predecessors", 0]),
+    "centerline_one_point": (_lanelet_1(centerline=[[50.0, 0.0, 0.0]]), ["lanelets", 1, "centerline"]),
+    "left_boundary_string": (_lanelet_1(left_boundary="50,1.85,0"), ["lanelets", 1, "left_boundary"]),
+    "right_boundary_tuple": (_lanelet_1(right_boundary=([50.0, -1.85, 0.0], [100.0, -1.85, 0.0])),
+                             ["lanelets", 1, "right_boundary"]),
+    "name_not_string": (lambda d: d.update(name=7), ["name"]),
+    "lateral_window_string": (lambda d: d.update(lateral_window="15"), ["lateral_window"]),
+    "lateral_window_bool": (lambda d: d.update(lateral_window=True), ["lateral_window"]),
+    "lateral_window_zero": (lambda d: d.update(lateral_window=0), ["lateral_window"]),
+    "lateral_window_negative": (lambda d: d.update(lateral_window=-1.5), ["lateral_window"]),
+    "lateral_window_minus_inf": (lambda d: d.update(lateral_window=-math.inf), ["lateral_window"]),
+}
+
+
+@pytest.mark.parametrize("edit, path", MAP_RULES.values(), ids=MAP_RULES.keys())
+def test_map_structural_rule_rejected_at_its_path(edit, path):
+    data = json.loads((MAPS / "straight.json").read_text())
+    if edit is None:
+        data = [data]
+    else:
+        edit(data)
+    with pytest.raises(ValidationError, match=re.escape(f"vector map schema violation at {path}: ")):
+        vector_map_from_dict(data)
+
+
+def test_map_integral_float_ids_and_extra_lanelet_keys_accepted(straight):
+    data = json.loads((MAPS / "straight.json").read_text())
+    for entry in data["lanelets"]:
+        entry["note"] = "ignored"
+        for key in ("lanelet_id", "lane_id"):
+            entry[key] = float(entry[key])
+        for key in ("predecessors", "successors"):
+            entry[key] = [float(i) for i in entry[key]]
+    vmap = vector_map_from_dict(data)
+    assert sorted(vmap.lanelets) == sorted(straight.lanelets)
+    for lid, ll in vmap.lanelets.items():
+        ref = straight.lanelets[lid]
+        assert (ll.lane_id, ll.predecessors, ll.successors, ll.chain_offset) == (
+            ref.lane_id, ref.predecessors, ref.successors, ref.chain_offset)
 
 
 @pytest.mark.parametrize(
