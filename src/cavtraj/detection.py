@@ -1,13 +1,20 @@
-"""BEV-grid object detection: ground gate, clustering, and box fitting.
+"""Range-image object detection: ground gate, clustering, and box fitting.
 
-The detector segments each point-cloud frame into clusters of obstacle
-cells on a bird's-eye-view grid (fixed ground-height gate + 8-connected
-components) and fits a minimum-area oriented 3D box to each cluster.
+The detector keeps each frame's obstacle points (z at or above a fixed
+ground-height gate, within the extent), links them into clusters by
+range-adaptive single linkage, and fits a minimum-area oriented 3D box to
+each cluster.
 
-The grid is sparse and holds obstacle cells only: points below the ground
-gate are dropped before binning, the remaining points are binned once, and
-clustering reads each kept point's cell from that same pass. Labelling runs
-on just the bounding box of the obstacle cells.
+LiDAR returns thin out with range, so two points link when they lie within
+`link_angle * r` of each other, r being the range from the sensor, floored
+at `1.5 * cell_size` near it. The points are binned once on a log-polar
+range image (Bogoslavskyi & Stachniss, IROS 2016): azimuth by ln(range),
+bins about `link_angle / 2` wide both ways, floored at `cell_size` near the
+sensor, the azimuth wrapped. A bin links to a bin within two steps only
+when the bounding boxes of their points lie within the link distance (the
+merge guard, needed because bins are coarser than points); the clusters are
+the connected components of those links. No two linked points end in
+different clusters; the rules and why they hold are in `cluster_points`.
 
 Boxes are fitted to all clusters of a frame at once, on their points
 concatenated into segments. Points strictly inside each cluster's
@@ -29,23 +36,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidArgument
 from .geometry import wrap_angle
 
 @dataclass
 class DetectionConfig:
-    cell_size: float = 0.2
-    extent: float = 80.0            # grid covers [-extent, extent] in x and y
+    cell_size: float = 0.2          # m, the range image's finest bin, near the sensor
+    extent: float = 80.0            # points beyond [-extent, extent] in x or y are dropped
     ground_height: float = 0.3      # points below this height are ground
     min_cluster_points: int = 10
     min_box_height: float = 0.1
     confidence_saturation: int = 100
+    link_angle: float = 0.045       # rad, obstacle points link within link_angle * range
 
     def __post_init__(self):
-        if self.cell_size <= 0 or self.extent <= 0:
-            raise InvalidArgument("cell_size and extent must be positive")
+        for name in ("cell_size", "extent", "link_angle"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
 
 
 @dataclass
@@ -69,71 +80,152 @@ class PointCloudFrame:
 
 @dataclass
 class BevGrid:
-    """Sparse bird's-eye-view grid of the obstacle cells of one frame.
+    """Sparse log-polar range image of the obstacle points of one frame.
 
-    Only points at or above the ground-height gate are binned. `cells` holds
-    the sorted flat ids (i * n + j) of the K cells such points fall in,
-    `kept` the frame indices of those points that fall on the grid, in frame
-    order, and `kept_cell` each kept point's index into `cells`.
+    `kept` holds the frame indices of the points at or above the ground gate
+    and within the extent, ordered by bin and, within a bin, by frame order.
+    `keys` holds the sorted keys ring * stride + sector of the K occupied
+    bins, `starts` each bin's first position in `kept`, and `sectors` the
+    sector count of every ring up to the outermost occupied one; the stride
+    is the largest sector count.
     """
 
-    cell_size: float
-    extent: float
-    cells: np.ndarray
     kept: np.ndarray
-    kept_cell: np.ndarray
+    keys: np.ndarray
+    starts: np.ndarray
+    sectors: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = int(round(2 * self.extent / self.cell_size))
-        return n, n
 
-    def cell_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map xy coordinates to integer cell indices; mask marks in-bounds points."""
-        n = self.shape[0]
-        idx = np.floor((points[:, :2] + self.extent) / self.cell_size).astype(int)
-        mask = np.all((idx >= 0) & (idx < n), axis=1)
-        return idx, mask
+def _bearing(x: np.ndarray) -> np.ndarray:
+    """Largest angle at the sensor between two points q, p with |p - q| <= x * |p|."""
+    return np.where(x < 1.0, np.arcsin(np.minimum(x, 1.0)), math.pi)
+
+
+def _rings(r: np.ndarray, config: DetectionConfig) -> np.ndarray:
+    """Ring of each range: cell_size wide up to r0 = 2 cell_size / link_angle, then link_angle / 2 in ln(range)."""
+    h = config.link_angle / 2.0
+    r0 = config.cell_size / h
+    s = np.where(r < r0, r / config.cell_size, (1.0 + np.log(np.maximum(r, r0) / r0)) / h)
+    return np.floor(s).astype(np.int64)
+
+
+def _sector_counts(n_rings: int, config: DetectionConfig) -> np.ndarray:
+    """Azimuth sectors of rings 0 .. n_rings - 1 (see the range image in `cluster_points`).
+
+    Ring k inside r0 has inner radius k * cell_size, so a link reaching it
+    spans at most _bearing(max(link_angle, 1.5 / k)).
+    """
+    k = np.arange(n_rings)
+    with np.errstate(divide="ignore"):
+        near = np.floor(3.0 * math.pi / _bearing(np.maximum(config.link_angle, 1.5 / k))).astype(np.int64)
+    far = math.floor(4.0 * math.pi / _bearing(config.link_angle))
+    return np.where(k * config.link_angle / 2.0 < 1.0, near, far)
 
 
 def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGrid:
-    """Bin the points that clear the ground gate; list the cells they fall in.
+    """Bin the obstacle points on the log-polar range image; list the occupied bins.
 
-    A cell is listed exactly when an in-bounds point with z >= ground_height
-    falls in it; points off the grid are dropped.
+    A point is kept when z >= ground_height and |x|, |y| <= extent; its bin
+    is (ring, sector) of its xy range and azimuth from the sensor.
     """
-    empty = np.zeros(0, dtype=int)
-    grid = BevGrid(config.cell_size, config.extent, empty, empty, empty)
-    above = np.flatnonzero(frame.points[:, 2] >= config.ground_height)
-    idx, mask = grid.cell_indices(frame.points[above])
-    grid.kept = above[mask]
-    grid.cells, grid.kept_cell = np.unique(idx[mask, 0] * grid.shape[0] + idx[mask, 1], return_inverse=True)
-    return grid
+    kept = np.flatnonzero(frame.points[:, 2] >= config.ground_height)
+    x, y = frame.points[kept, 0], frame.points[kept, 1]
+    inside = (np.abs(x) <= config.extent) & (np.abs(y) <= config.extent)
+    kept, x, y = kept[inside], x[inside], y[inside]
+    if len(kept) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return BevGrid(kept, empty, empty, empty)
+    ring = _rings(np.hypot(x, y), config)
+    sectors = _sector_counts(int(ring.max()) + 1, config)
+    n = sectors[ring]
+    sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64) % n
+    key = ring * int(sectors.max()) + sector
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return BevGrid(kept[order], key[starts], starts, sectors)
+
+
+# candidate links of a bin: the next two sectors of its ring, and the five
+# sectors around the one under its centre in each of the two inner rings
+_RING_STEP = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2])
+_SECTOR_STEP = np.array([1, 2, -2, -1, 0, 1, 2, -2, -1, 0, 1, 2])
 
 
 def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfig) -> list[np.ndarray]:
-    """Group the grid's obstacle cells into clusters by 8-connected components.
+    """Group the obstacle points by range-adaptive single linkage on the range image.
 
-    Returns each cluster's (n, 3) points: the kept points of its cells, in
-    frame order; ground points sharing a cell with an obstacle never reach
-    it. Clusters smaller than min_cluster_points are dropped.
+    Two points p, q link when |p - q| <= max(link_angle * min(r_p, r_q),
+    1.5 * cell_size), r being the xy range from the sensor. The range image
+    makes this cheap and safe:
+
+    - Rings are cell_size wide up to r0 = 2 cell_size / link_angle and
+      link_angle / 2 wide in ln(range) beyond, so a linked pair lies at
+      most two rings apart.
+    - Beyond r0 every ring has the same sectors, each at least
+      asin(link_angle) / 2 wide, so a linked pair lies at most two sectors
+      apart. Nearer rings have fewer sectors, each at least 2/3 of the
+      largest bearing of a link reaching that ring, so the five sectors
+      around the one under a bin's centre, in either of the two inner
+      rings, hold every linked point; ring 0 is three sectors. This
+      near-sensor floor keeps a blob around the sensor in one piece.
+    - Every bin is tested against those candidates, and a candidate link is
+      kept when the gap between the two bins' xy bounding boxes is at most
+      max(link_angle * min(r1, r2), 1.5 * cell_size), with r1, r2 the
+      bins' largest ranges. The guard splits neighbouring bins whose points
+      are farther apart than a link.
+    - The clusters are the connected components of the kept links, the
+      points of each bin joined.
+
+    Guarantee: no two linked points end in different clusters, so every
+    cluster is a union of whole components of exact single linkage; a bin
+    may join points up to a bin diagonal apart. Returns each cluster's (n, 3)
+    points, bin by bin and in frame order within a bin; clusters are ordered
+    by their first bin, and those smaller than min_cluster_points are dropped.
     """
-    if len(grid.cells) == 0:
+    keys, starts, sectors = grid.keys, grid.starts, grid.sectors
+    n_bins = len(keys)
+    if n_bins == 0:
         return []
+    pts = frame.points[grid.kept]
+    x_lo, x_hi = np.minimum.reduceat(pts[:, 0], starts), np.maximum.reduceat(pts[:, 0], starts)
+    y_lo, y_hi = np.minimum.reduceat(pts[:, 1], starts), np.maximum.reduceat(pts[:, 1], starts)
+    r_hi = np.maximum.reduceat(np.hypot(pts[:, 0], pts[:, 1]), starts)
 
-    # label only the bounding box of the obstacle cells; raster order, and so
-    # the label numbering, is the same as on the full grid
-    ci, cj = np.divmod(grid.cells, grid.shape[0])
-    i0, j0 = ci.min(), cj.min()
-    obstacle = np.zeros((ci.max() - i0 + 1, cj.max() - j0 + 1), dtype=bool)
-    obstacle[ci - i0, cj - j0] = True
-    labels, n_labels = ndimage.label(obstacle, structure=np.ones((3, 3), dtype=int))
-    point_label = labels[ci - i0, cj - j0][grid.kept_cell]
+    # candidate bins, all offsets in one lookup; the sector under a bin's centre
+    # in a ring of m sectors is floor((sector + 1/2) * m / n), its own for m = n
+    stride = int(sectors.max())
+    ring, sector = np.divmod(keys, stride)
+    t_ring = ring[:, None] - np.arange(3)
+    inside = (t_ring >= 0)[:, _RING_STEP]
+    t_ring = np.maximum(t_ring, 0)
+    m = sectors[t_ring]
+    centre = (2 * sector[:, None] + 1) * m // (2 * m[:, :1])
+    t_key = ((t_ring * stride)[:, _RING_STEP] + (centre[:, _RING_STEP] + _SECTOR_STEP) % m[:, _RING_STEP]).ravel()
+    at = np.minimum(np.searchsorted(keys, t_key), n_bins - 1)
+    hit = inside.ravel() & (keys[at] == t_key)
+    a, b = np.repeat(np.arange(n_bins), len(_RING_STEP))[hit], at[hit]
 
-    order = np.argsort(point_label, kind="stable")
-    bounds = np.cumsum(np.bincount(point_label, minlength=n_labels + 1)[1:-1])
-    members = np.split(frame.points[grid.kept[order]], bounds)
-    return [m for m in members if len(m) >= config.min_cluster_points]
+    gap_x = np.maximum(0.0, np.maximum(x_lo[b] - x_hi[a], x_lo[a] - x_hi[b]))
+    gap_y = np.maximum(0.0, np.maximum(y_lo[b] - y_hi[a], y_lo[a] - y_hi[b]))
+    reach = np.maximum(config.link_angle * np.minimum(r_hi[a], r_hi[b]), 1.5 * config.cell_size)
+    link = gap_x * gap_x + gap_y * gap_y <= reach * reach
+    # a is sorted, so the kept links are already rows of a CSR matrix
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(a[link], minlength=n_bins))))
+    graph = csr_matrix((np.ones(int(link.sum())), b[link], indptr), shape=(n_bins, n_bins))
+    n_comp, label = connected_components(graph, connection="weak")
+
+    # expand the bins of each big enough component, in label order
+    size = np.diff(np.append(starts, len(pts)))
+    comp_size = np.bincount(label, weights=size, minlength=n_comp).astype(np.int64)
+    big = comp_size >= config.min_cluster_points
+    if not big.any():
+        return []
+    use = np.flatnonzero(big[label])
+    use = use[np.argsort(label[use], kind="stable")]
+    count = size[use]
+    pos = np.repeat(starts[use] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return np.split(pts[pos], np.cumsum(comp_size[big])[:-1])
 
 
 @dataclass(frozen=True)

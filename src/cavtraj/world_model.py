@@ -49,6 +49,7 @@ the one a per-polyline `argmin` picks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -337,8 +338,12 @@ def _violation(path: list, message: str) -> ValidationError:
     return ValidationError(f"vector map schema violation at {path}: {message}")
 
 
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_number_type(type(value))
 
 
 def _is_integer(value) -> bool:
@@ -374,7 +379,9 @@ def _lanelet_from_dict(entry, path: list) -> Lanelet:
     try:
         for side in _POLYLINES:
             points = entry[side]
-            if not all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in points):
+            # each distinct point and coordinate type is tested once, not each number
+            if not (all(issubclass(t, list) for t in set(map(type, points))) and set(map(len, points)) == {3}
+                    and all(map(_is_number_type, set(map(type, itertools.chain.from_iterable(points)))))):
                 raise ValidationError(f"{side}: points must be [x, y, z] lists of numbers")
             try:
                 arr = np.array(points, dtype=float)

@@ -1,8 +1,12 @@
-"""Pinned output of the per-step chain on a short seeded scenario.
+"""The per-step chain on short seeded scenarios: pinned rows, and one track per vehicle.
 
-The rows were produced by the all-pairs fusion loop and the per-lanelet
-chord projection; a faster implementation must reproduce them to 1e-9.
+The pinned rows come from the range-image clustering; a faster
+implementation must reproduce them to 1e-9.
 """
+
+import math
+
+import pytest
 
 from cavtraj.detection import DetectionConfig, detect_objects
 from cavtraj.fusion import DetectionSet, late_fuse
@@ -11,19 +15,22 @@ from cavtraj.tracking import MultiObjectTracker, TrackingConfig
 from cavtraj.world_model import filter_on_road, vector_map_from_dict
 
 
-def chain_rows():
-    """Rows of one seeded run: detect_objects -> late_fuse -> MultiObjectTracker.step -> filter_on_road."""
-    spec = ScenarioSpec(
+def sparse_arc(seed, svs):
+    """A 1 s, 2-lane arc with two agents and a sparse beam (step 0.03 rad), no ground or poles."""
+    return ScenarioSpec(
         duration=1.0,
-        seed=4,
+        seed=seed,
         road=RoadSpec(kind="arc", radius=150.0, arc_angle_deg=60.0, n_lanes=2),
         agents=[VehicleSpec(1, 1, 40.0, 20.0), VehicleSpec(2, 2, 30.0, 20.0)],
-        svs=[VehicleSpec(101, 2, 45.0, 20.0), VehicleSpec(102, 1, 30.0, 20.0)],
+        svs=svs,
         sensor=SensorSpec(base_spacing=0.3),
         ground_spacing=0.0,
         poles=False,
     )
-    data = generate_scenario(spec)
+
+
+def chain_rows(data):
+    """Rows of one run: detect_objects -> late_fuse -> MultiObjectTracker.step -> filter_on_road."""
     vmap = vector_map_from_dict(data.vector_map)
     tracker = MultiObjectTracker(TrackingConfig())
     config = DetectionConfig()
@@ -43,68 +50,46 @@ def chain_rows():
 
 # (track id, time, x, y, downtrack, crosstrack, lanelet, lane, total lanes)
 EXPECTED = [
-    (1, 0.2, 32.723424483, 5.505441795, 32.99468872, 0.003826891, 100, 1, 2),
-    (3, 0.2, 34.411998943, 5.751505315, 34.694265456, 0.14651861, 100, 1, 2),
-    (5, 0.2, 35.905625767, 6.059224872, 36.216484375, 0.201592769, 100, 1, 2),
-    (6, 0.2, 34.859260164, 6.760914385, 35.366867654, -0.7300877, 100, 1, 2),
-    (9, 0.2, 32.238074035, 4.471541469, 32.297227753, 0.906489696, 100, 1, 2),
-    (10, 0.2, 47.783742989, 5.83137912, 48.599370748, 0.031259236, 201, 2, 2),
-    (3, 0.3, 37.513613438, 5.90620222, 37.732013145, 0.74701057, 100, 1, 2),
-    (5, 0.3, 37.77980929, 6.421430414, 38.118606402, 0.316074707, 100, 1, 2),
-    (6, 0.3, 36.604420082, 7.18532069, 37.171693991, -0.718789657, 100, 1, 2),
-    (10, 0.3, 49.628946836, 6.444026667, 50.543129521, 0.042727195, 201, 2, 2),
-    (11, 0.3, 34.790253489, 6.153762205, 35.156026513, -0.15623778, 100, 1, 2),
-    (12, 0.3, 35.642136169, 5.510077835, 35.829670117, 0.671075473, 100, 1, 2),
-    (13, 0.3, 37.642268476, 7.399520974, 38.235008376, -0.664880237, 100, 1, 2),
-    (1, 0.4, 35.488473863, 6.148677484, 35.833421925, 0.014264858, 100, 1, 2),
-    (3, 0.4, 40.039848971, 6.314311029, 40.26244581, 1.010229088, 101, 1, 2),
-    (5, 0.4, 39.771188463, 7.070844728, 40.20680461, 0.209431754, 101, 1, 2),
-    (6, 0.4, 38.66374756, 7.729117729, 39.312015521, -0.718989287, 101, 1, 2),
-    (9, 0.4, 36.185588507, 5.395481769, 36.326797204, 0.913330507, 100, 1, 2),
-    (10, 0.4, 51.555987916, 7.125824008, 52.586675254, 0.041691489, 201, 2, 2),
-    (11, 0.4, 36.91614322, 6.491705887, 37.301418057, 0.030416506, 100, 1, 2),
-    (12, 0.4, 37.539487888, 5.883002922, 37.751108027, 0.775955976, 100, 1, 2),
-    (13, 0.4, 39.619634714, 8.054756917, 40.325181301, -0.779077201, 101, 1, 2),
-    (3, 0.5, 42.392873462, 6.952570207, 42.68343918, 1.047039348, 101, 1, 2),
-    (5, 0.5, 41.630156325, 7.195855583, 42.02394849, 0.598632274, 101, 1, 2),
-    (6, 0.5, 40.831109074, 7.813576302, 41.428840864, -0.216866801, 101, 1, 2),
-    (10, 0.5, 53.516042627, 7.834275137, 54.670146701, 0.054786307, 201, 2, 2),
-    (11, 0.5, 38.246842179, 6.443281287, 38.574550962, 0.414507851, 100, 1, 2),
-    (12, 0.5, 39.488719238, 6.543733063, 39.795153213, 0.642025251, 101, 1, 2),
-    (13, 0.5, 41.435379965, 8.23810239, 42.128972535, -0.456480828, 101, 1, 2),
-    (6, 0.6, 42.741896362, 8.588368087, 43.485149618, -0.419906939, 101, 1, 2),
-    (9, 0.6, 40.140105959, 6.419132716, 40.386377887, 0.936337943, 101, 1, 2),
-    (10, 0.6, 55.481890842, 8.58972315, 56.775408163, 0.055079827, 201, 2, 2),
-    (12, 0.6, 41.728867693, 7.261690193, 42.1367117, 0.563050252, 101, 1, 2),
-    (13, 0.6, 43.39090837, 8.829749348, 44.178404545, -0.461669968, 101, 1, 2),
-    (18, 0.6, 40.743412659, 7.559895569, 41.27453515, 0.002659006, 101, 1, 2),
-    (5, 0.7, 45.174565968, 8.519274725, 45.788160479, 0.367863654, 101, 1, 2),
-    (6, 0.7, 44.637497671, 9.317618332, 45.518358897, -0.555623759, 101, 1, 2),
-    (9, 0.7, 42.118957621, 6.974825927, 42.428766905, 0.948161445, 101, 1, 2),
-    (10, 0.7, 57.433454876, 9.370189534, 58.876498001, 0.055914956, 201, 2, 2),
-    (12, 0.7, 43.105045878, 7.999385777, 43.662063187, 0.248982497, 101, 1, 2),
-    (13, 0.7, 45.26502327, 9.615947471, 46.20975254, -0.648744205, 101, 1, 2),
-    (3, 0.8, 48.184478645, 8.831145544, 48.730342034, 1.015644732, 101, 1, 2),
-    (5, 0.8, 46.854142464, 9.18951219, 47.589011382, 0.251333318, 101, 1, 2),
-    (6, 0.8, 46.524812616, 10.029342927, 47.541474853, -0.649485872, 101, 1, 2),
-    (9, 0.8, 45.089989087, 8.141495169, 45.593603955, 0.70226071, 101, 1, 2),
-    (10, 0.8, 59.359630901, 10.17397308, 60.962914272, 0.054369161, 201, 2, 2),
-    (11, 0.8, 43.772356513, 7.432489273, 44.132805541, 0.986047037, 101, 1, 2),
-    (12, 0.8, 45.214310901, 9.215472714, 46.038262161, -0.282907915, 101, 1, 2),
-    (13, 0.8, 47.224881442, 10.01959825, 48.20460612, -0.41809512, 101, 1, 2),
-    (18, 0.8, 43.906070651, 8.49975072, 44.573862693, 0.005730617, 101, 1, 2),
-    (3, 0.9, 49.808648901, 9.516285645, 50.478154319, 0.902466076, 101, 1, 2),
-    (5, 0.9, 48.883306438, 10.023476077, 49.776044892, 0.116744961, 101, 1, 2),
-    (6, 0.9, 48.418855915, 10.729070049, 49.569216051, -0.702278773, 101, 1, 2),
-    (9, 0.9, 47.312792362, 8.913988184, 47.93567238, 0.658006256, 101, 1, 2),
-    (10, 0.9, 61.257807423, 10.999151029, 63.031993759, 0.050584639, 201, 2, 2),
-    (11, 0.9, 45.43153323, 7.984529192, 45.86977259, 0.955547899, 101, 1, 2),
-    (12, 0.9, 47.487884837, 10.356370513, 48.563043899, -0.652551012, 101, 1, 2),
-    (13, 0.9, 49.026148244, 10.860052838, 50.188459396, -0.625413113, 101, 1, 2),
-    (16, 0.9, 60.289522784, 11.631855986, 62.397254686, -0.917464986, 201, 2, 2),
-    (18, 0.9, 45.876499727, 9.324107834, 46.702773146, -0.182511578, 101, 1, 2),
+    (1, 0.2, 48.079783504, 5.954915055, 48.919229079, 0.007541872, 201, 2, 2),
+    (2, 0.2, 33.62443172, 5.709222207, 33.918416307, 0.006917682, 100, 1, 2),
+    (1, 0.3, 50.004134783, 6.600590352, 50.948833569, 0.01792201, 201, 2, 2),
+    (2, 0.3, 35.606168096, 6.182336466, 35.955744164, 0.009955304, 100, 1, 2),
+    (1, 0.4, 51.908229179, 7.272812178, 52.967838202, 0.023546464, 201, 2, 2),
+    (2, 0.4, 37.563429719, 6.672397596, 37.973230909, 0.018384849, 100, 1, 2),
+    (1, 0.5, 53.804222393, 7.954530829, 54.98212597, 0.044260202, 201, 2, 2),
+    (2, 0.5, 39.509188992, 7.174675908, 39.982288691, 0.03943584, 101, 1, 2),
+    (1, 0.6, 55.686276595, 8.675012101, 56.996750982, 0.050512343, 201, 2, 2),
+    (2, 0.6, 41.454823635, 7.717619672, 42.001655647, 0.048649562, 101, 1, 2),
+    (1, 0.7, 57.550056191, 9.418846565, 59.002794885, 0.054962937, 201, 2, 2),
+    (2, 0.7, 43.378467105, 8.287520409, 44.0072664, 0.053171749, 101, 1, 2),
+    (1, 0.8, 59.398123496, 10.190035809, 61.004608105, 0.054600857, 201, 2, 2),
+    (2, 0.8, 45.283199757, 8.882879026, 46.002165276, 0.054830582, 101, 1, 2),
+    (1, 0.9, 61.2359515, 10.990030684, 63.008323662, 0.050143102, 201, 2, 2),
+    (2, 0.9, 47.186839783, 9.505796534, 48.004392112, 0.05688414, 101, 1, 2),
 ]
 
 
 def test_chain_rows_pinned():
-    assert chain_rows() == EXPECTED
+    data = generate_scenario(sparse_arc(4, [VehicleSpec(101, 2, 45.0, 20.0), VehicleSpec(102, 1, 30.0, 20.0)]))
+    rows = chain_rows(data)
+    assert rows == EXPECTED
+    # one confirmed track per visible SV
+    assert len({r[0] for r in rows}) == len({g.sv_id for g in data.ground_truth}) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_every_visible_sv_keeps_one_track(seed):
+    # four SVs 5-43 m from the agents in alternating lanes; far hulls are
+    # sampled every 0.5-1.3 m, so a detector that fragments them, or drops
+    # the fragments as too small, loses vehicles or multiplies track ids
+    svs = [VehicleSpec(101, 2, 45.0, 20.0), VehicleSpec(102, 1, 55.0, 20.0),
+           VehicleSpec(103, 2, 64.0, 20.0), VehicleSpec(104, 1, 73.0, 20.0)]
+    data = generate_scenario(sparse_arc(seed, svs))
+    rows = chain_rows(data)
+    visible = {g.sv_id for g in data.ground_truth}
+    assert visible == {101, 102, 103, 104}
+    for sv in visible:
+        last = max((g for g in data.ground_truth if g.sv_id == sv), key=lambda g: g.time)
+        near = [math.hypot(r[2] - last.x, r[3] - last.y) for r in rows if r[1] == round(last.time, 9)]
+        assert near and min(near) < 2.0, f"SV {sv} has no confirmed on-road track at t={last.time}"
+    assert len({r[0] for r in rows}) <= 1.5 * len(visible)
