@@ -242,30 +242,38 @@ class OrientedBox:
     confidence: float = 1.0
 
     def __post_init__(self):
-        if not (self.length >= self.width > 0 and self.height > 0):
+        if not all(map(math.isfinite, (self.x, self.y, self.z, self.heading))):
             raise InvalidArgument(
-                f"box dims must satisfy l >= w > 0, h > 0: "
+                f"box center and heading must be finite: "
+                f"x={self.x} y={self.y} z={self.z} heading={self.heading}"
+            )
+        if not (self.length >= self.width > 0 and self.height > 0
+                and math.isfinite(self.length) and math.isfinite(self.height)):
+            raise InvalidArgument(
+                f"box dims must be finite and satisfy l >= w > 0, h > 0: "
                 f"l={self.length} w={self.width} h={self.height}"
             )
         if not 0.0 <= self.confidence <= 1.0:
             raise InvalidArgument(f"confidence must be in [0, 1]: {self.confidence}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    def footprint(self) -> np.ndarray:
-        """BEV corner polygon (4, 2), counter-clockwise."""
+    def footprint(self) -> list[tuple[float, float]]:
+        """BEV corners as four (x, y) float pairs, counter-clockwise.
+
+        Corner k is center ± half-length · (cos, sin) ± half-width · (−sin,
+        cos), summed in that order; BEV IoU clips these floats directly.
+        """
         c, s = math.cos(self.heading), math.sin(self.heading)
-        axis_l = np.array([c, s])
-        axis_w = np.array([-s, c])
         half_l, half_w = self.length / 2.0, self.width / 2.0
-        center = np.array([self.x, self.y])
-        return np.array(
-            [
-                center + half_l * axis_l + half_w * axis_w,
-                center - half_l * axis_l + half_w * axis_w,
-                center - half_l * axis_l - half_w * axis_w,
-                center + half_l * axis_l - half_w * axis_w,
-            ]
-        )
+        lc, ls, wc, ws = half_l * c, half_l * s, half_w * c, half_w * s
+        front_x, front_y = self.x + lc, self.y + ls
+        rear_x, rear_y = self.x - lc, self.y - ls
+        return [
+            (front_x - ws, front_y + wc),
+            (rear_x - ws, rear_y + wc),
+            (rear_x + ws, rear_y - wc),
+            (front_x + ws, front_y - wc),
+        ]
 
 
 def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -4,6 +4,14 @@ Per-agent detection sets are synchronized by timestamp, projected into a
 common frame by rigid transform, and deduplicated by BEV IoU, keeping the
 higher-confidence box of each overlapping pair.
 
+BEV IoU clips one footprint by the other in plain Python floats, without
+NumPy: Sutherland-Hodgman (Sutherland & Hodgman, 1974) cuts the four
+corners of the first box by each edge of the second in turn. A vertex is
+inside an edge when its signed distance is >= -1e-12; where a polygon edge
+crosses the clip edge and the two signed distances differ by more than
+1e-15, the crossing point prev + t * (cur - prev) joins the polygon. The
+areas are shoelace sums.
+
 The IoU is computed only for pairs whose circumcircles, of radius
 ½·hypot(length, width), meet (with a relative slack of 1e-9 against
 rounding). Disjoint circles mean disjoint footprints and an IoU of 0, below
@@ -47,8 +55,12 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     contributes its nearest unconsumed set within `tolerance`. Sets with no
     partner pass through alone.
     """
+    if not tolerance >= 0.0:
+        raise InvalidArgument(f"tolerance must be non-negative: {tolerance!r}")
     for agent_id, sets in streams.items():
         times = [s.timestamp for s in sets]
+        if not all(map(math.isfinite, times)):
+            raise InvalidArgument(f"detection stream of agent {agent_id} has a non-finite timestamp")
         if any(b < a for a, b in zip(times, times[1:])):
             raise InvalidArgument(f"detection stream of agent {agent_id} is not time-ordered")
         if any(s.agent_id != agent_id for s in sets):
@@ -75,46 +87,42 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     return groups
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clipping of `subject` by convex ccw polygon `clip`."""
-    output = list(subject)
-    for i in range(len(clip)):
-        a, b = clip[i], clip[(i + 1) % len(clip)]
-        edge = b - a
-        if not output:
-            break
-        inputs, output = output, []
-        # signed distance from the clip edge; >= 0 means inside (left of edge)
-        side = lambda p: edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
-        prev = inputs[-1]
-        s_prev = side(prev)
-        for cur in inputs:
-            s_cur = side(cur)
-            if (s_cur >= -1e-12) != (s_prev >= -1e-12):
-                denom = s_prev - s_cur
-                if abs(denom) > 1e-15:
-                    t = s_prev / denom
-                    output.append(prev + t * (cur - prev))
-            if s_cur >= -1e-12:
-                output.append(cur)
-            prev, s_prev = cur, s_cur
-    return np.array(output) if output else np.zeros((0, 2))
+def _shoelace(poly: list[tuple[float, float]]) -> float:
+    """Area of a simple polygon given as (x, y) pairs."""
+    xy = yx = 0.0
+    for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
+        xy += x0 * y1
+        yx += y0 * x1
+    return 0.5 * abs(xy - yx)
 
 
 def iou_bev(a: OrientedBox, b: OrientedBox) -> float:
     """Bird's-eye-view IoU of two oriented boxes via convex polygon clipping."""
     pa, pb = a.footprint(), b.footprint()
-    inter_poly = _clip_polygon(pa, pb)
-    inter = _polygon_area(inter_poly) if len(inter_poly) >= 3 else 0.0
-    union = _polygon_area(pa) + _polygon_area(pb) - inter
+    inter = pa
+    for (ax, ay), (bx, by) in zip(pb, pb[1:] + pb[:1]):
+        if not inter:
+            break
+        ex, ey = bx - ax, by - ay
+        inputs, inter = inter, []
+        # signed distance from the clip edge; >= -1e-12 means inside (left of edge)
+        px, py = inputs[-1]
+        s_prev = ex * (py - ay) - ey * (px - ax)
+        for cx, cy in inputs:
+            s_cur = ex * (cy - ay) - ey * (cx - ax)
+            if (s_cur >= -1e-12) != (s_prev >= -1e-12):
+                denom = s_prev - s_cur
+                if abs(denom) > 1e-15:
+                    t = s_prev / denom
+                    inter.append((px + t * (cx - px), py + t * (cy - py)))
+            if s_cur >= -1e-12:
+                inter.append((cx, cy))
+            px, py, s_prev = cx, cy, s_cur
+    inter_area = _shoelace(inter) if len(inter) >= 3 else 0.0
+    union = _shoelace(pa) + _shoelace(pb) - inter_area
     if union <= 0.0:
         return 0.0
-    return float(min(1.0, max(0.0, inter / union)))
+    return min(1.0, max(0.0, inter_area / union))
 
 
 def project_box(box: OrientedBox, transform: RigidTransform) -> OrientedBox:

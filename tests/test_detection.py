@@ -661,6 +661,18 @@ def test_confidence_monotone_in_point_count():
     assert last == 1.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("x", math.nan), ("y", math.inf), ("z", -math.inf), ("heading", math.nan), ("heading", math.inf),
+     ("length", math.inf), ("width", math.inf), ("height", math.inf), ("length", math.nan)],
+)
+def test_box_rejects_non_finite_fields(field, value):
+    fields = dict(x=1.0, y=2.0, z=0.5, length=4.0, width=2.0, height=1.5, heading=0.3)
+    OrientedBox(**fields)
+    with pytest.raises(InvalidArgument):
+        OrientedBox(**{**fields, field: value})
+
+
 def qhull_hull(pts2d):
     """Qhull's hull re-rooted at its lowest, then leftmost, vertex; None if Qhull finds no polygon."""
     if len(pts2d) < 3:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cavtraj.detection import OrientedBox
+from cavtraj.detection import DetectionConfig, OrientedBox, detect_objects
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj import fusion
 from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_sets
 from cavtraj.geometry import EulerAngles, RigidTransform
+from cavtraj.pipeline.frames_io import pose_at
+from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
 from conftest import in_footprint
 
 
@@ -48,6 +50,25 @@ def test_sync_unordered_stream_rejected():
     streams = {0: [make_set(0.2, 0), make_set(0.1, 0)]}
     with pytest.raises(InvalidArgument):
         sync_sets(streams, tolerance=0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sync_non_finite_timestamp_rejected(bad):
+    streams = {0: [make_set(0.0, 0), make_set(bad, 0), make_set(0.2, 0)], 1: [make_set(0.0, 1)]}
+    with pytest.raises(InvalidArgument, match="non-finite timestamp"):
+        sync_sets(streams, tolerance=0.05)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -0.01, -math.inf])
+def test_sync_nan_or_negative_tolerance_rejected(tolerance):
+    streams = {0: [make_set(0.0, 0)], 1: [make_set(0.0, 1)]}
+    with pytest.raises(InvalidArgument, match="tolerance"):
+        sync_sets(streams, tolerance=tolerance)
+
+
+def test_sync_zero_tolerance_pairs_only_equal_timestamps():
+    streams = {0: [make_set(0.0, 0), make_set(0.1, 0)], 1: [make_set(0.0, 1), make_set(0.11, 1)]}
+    assert [len(g) for g in sync_sets(streams, tolerance=0.0)] == [2, 1, 1]
 
 
 def test_sync_three_agents():
@@ -91,7 +112,7 @@ def test_iou_disjoint_boxes():
 def test_iou_known_half_overlap():
     a = OrientedBox(0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 1.0)
     b = OrientedBox(0.5, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 1.0)
-    assert iou_bev(a, b) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert iou_bev(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_iou_matches_raster_oracle():
@@ -112,6 +133,110 @@ def test_iou_symmetry_and_bounds():
         v = iou_bev(a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(iou_bev(b, a), abs=1e-9)
+
+
+def reference_polygon_area(poly: np.ndarray) -> float:
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def reference_clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clipping of `subject` by convex ccw polygon `clip`, on NumPy rows."""
+    output = list(subject)
+    for i in range(len(clip)):
+        a, b = clip[i], clip[(i + 1) % len(clip)]
+        edge = b - a
+        if not output:
+            break
+        inputs, output = output, []
+        # signed distance from the clip edge; >= 0 means inside (left of edge)
+        side = lambda p: edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
+        prev = inputs[-1]
+        s_prev = side(prev)
+        for cur in inputs:
+            s_cur = side(cur)
+            if (s_cur >= -1e-12) != (s_prev >= -1e-12):
+                denom = s_prev - s_cur
+                if abs(denom) > 1e-15:
+                    t = s_prev / denom
+                    output.append(prev + t * (cur - prev))
+            if s_cur >= -1e-12:
+                output.append(cur)
+            prev, s_prev = cur, s_cur
+    return np.array(output) if output else np.zeros((0, 2))
+
+
+def reference_iou_bev(a, b):
+    """BEV IoU by clipping NumPy corner arrays: the float kernel's oracle."""
+    pa, pb = np.array(a.footprint()), np.array(b.footprint())
+    inter_poly = reference_clip_polygon(pa, pb)
+    inter = reference_polygon_area(inter_poly) if len(inter_poly) >= 3 else 0.0
+    union = reference_polygon_area(pa) + reference_polygon_area(pb) - inter
+    if union <= 0.0:
+        return 0.0
+    return float(min(1.0, max(0.0, inter / union)))
+
+
+def rotated_about(x, y, angle, cx, cy):
+    c, s = math.cos(angle), math.sin(angle)
+    return cx + c * x - s * y, cy + s * x + c * y
+
+
+def oracle_pairs(rng, n):
+    """n seeded pairs of each kind: random, identical, nested, disjoint with meeting circles, shared edge."""
+    def dims():
+        return float(rng.uniform(2.5, 6.0)), float(rng.uniform(1.2, 2.5))
+
+    def rand_box():
+        l, w = dims()
+        return box(*rng.uniform(-3, 3, 2).tolist(), l=l, w=w, heading=float(rng.uniform(-math.pi, math.pi)))
+
+    pairs = {"random": [], "identical": [], "nested": [], "disjoint": [], "shared_edge": []}
+    for _ in range(n):
+        pairs["random"].append((rand_box(), rand_box()))
+        a = rand_box()
+        pairs["identical"].append((a, box(a.x, a.y, l=a.length, w=a.width, heading=a.heading)))
+        # inner circumradius + offset <= (0.4 / 2 + 0.1) * hypot(1, 1) * w < w / 2
+        inner_l = float(rng.uniform(0.1, 0.4)) * a.width
+        inner = box(a.x + float(rng.uniform(-0.1, 0.1)) * a.width, a.y + float(rng.uniform(-0.1, 0.1)) * a.width,
+                    l=inner_l, w=inner_l * float(rng.uniform(0.3, 1.0)), heading=float(rng.uniform(-math.pi, math.pi)))
+        pairs["nested"].append((a, inner) if rng.uniform() < 0.5 else (inner, a))
+        # both along one axis at a random angle, the gap between their ends a
+        # share of the circles' overlap: the circles meet, the boxes do not
+        (la, wa), (lb, wb) = dims(), dims()
+        overlap = 0.5 * (math.hypot(la, wa) + math.hypot(lb, wb)) - (la / 2 + lb / 2)
+        angle, cx, cy = float(rng.uniform(-math.pi, math.pi)), *rng.uniform(-50, 50, 2).tolist()
+        d = la / 2 + lb / 2 + overlap * float(rng.uniform(0.05, 0.95))
+        pairs["disjoint"].append((box(cx, cy, l=la, w=wa, heading=angle),
+                                  box(*rotated_about(d, 0.0, angle, cx, cy), l=lb, w=wb, heading=angle)))
+        # same width, end to end: the two boxes share one short edge
+        l_b = float(rng.uniform(wa, 6.0))
+        pairs["shared_edge"].append((box(cx, cy, l=la, w=wa, heading=angle),
+                                     box(*rotated_about(la / 2 + l_b / 2, 0.0, angle, cx, cy),
+                                         l=l_b, w=wa, heading=angle)))
+    return pairs
+
+
+def test_iou_matches_numpy_reference_kernel():
+    rng = np.random.default_rng(2024)
+    pairs = oracle_pairs(rng, 420)
+    # in late_fuse's order: agent 0's candidate against agent 1's kept box
+    pairs["touching"] = [tuple(ds.boxes[0] for ds in _touching_sets())]
+    assert sum(len(p) for p in pairs.values()) >= 2000
+    for kind, kind_pairs in pairs.items():
+        for a, b in kind_pairs:
+            got, want = iou_bev(a, b), reference_iou_bev(a, b)
+            assert abs(got - want) <= 1e-12, (kind, a, b, got, want)
+            if kind == "identical":
+                assert got == pytest.approx(1.0, abs=1e-12)
+            elif kind == "nested":
+                small, big = sorted((a, b), key=lambda x: x.length * x.width)
+                assert got == pytest.approx(small.length * small.width / (big.length * big.width), abs=1e-12)
+            elif kind in ("disjoint", "shared_edge"):
+                assert got <= 1e-12
+            elif kind == "touching":
+                # the gate's corner case: a rounding-level sliver, but not zero
+                assert 0.0 < got < 1e-20
 
 
 # --- projection and late fusion ------------------------------------------------
@@ -303,3 +428,48 @@ def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
     # circumradius of a 4 x 2 box is sqrt(5): 0.5 m and 4.4 m gaps are inside 2*sqrt(5)
     assert sorted(calls) == [(0.5, 0.0), (64.4, 60.0)]
     assert fused.provenance == [(0, 1), (0,), (0,), (1,)]
+
+
+def short_arc_fleet(seed):
+    """1 s on a 4-lane arc (R 400 m): 4 agents in adjacent lanes, 25 SVs every 9 m, sparse beam."""
+    v = VehicleSpec
+    return ScenarioSpec(
+        duration=1.0,
+        seed=seed,
+        road=RoadSpec(kind="arc", radius=400.0, arc_angle_deg=100.0, n_lanes=4, sample_step=0.5),
+        agents=[v(1, 1, 190.0, 25.0), v(2, 2, 170.0, 25.0), v(3, 3, 210.0, 25.0), v(4, 4, 185.0, 25.0)],
+        svs=[v(200 + k, 1 + k % 4, 95.0 + 9.0 * k, 21.0 + (7 * k % 9) * 0.9) for k in range(25)],
+        sensor=SensorSpec(base_spacing=0.3),
+        poles=False,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_late_fuse_decisions_on_scenario_match_numpy_reference(monkeypatch, seed):
+    data = generate_scenario(short_arc_fleet(seed))
+    config = DetectionConfig()
+    streams = {aid: [DetectionSet(f.timestamp, aid, detect_objects(f, config)) for f in frames]
+               for aid, frames in sorted(data.frames.items())}
+    groups = sync_sets(streams, tolerance=0.05)
+    assert [len(g) for g in groups] == [4] * 10
+
+    runs, asked = [], []
+    for kernel in (iou_bev, reference_iou_bev):
+        calls = []
+
+        def iou(a, b, kernel=kernel, calls=calls):
+            calls.append((a, b, kernel(a, b)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(fusion, "iou_bev", iou)
+        runs.append([late_fuse(g, {ds.agent_id: pose_at(data.poses[ds.agent_id], ds.timestamp) for ds in g})
+                     for g in groups])
+        asked.append(calls)
+    fast, ref = runs
+    assert [(f.boxes, f.provenance) for f in fast] == [(r.boxes, r.provenance) for r in ref]
+    assert sum(len(p) > 1 for f in fast for p in f.provenance) > 50
+    # both kernels were asked the same pairs; at map coordinates of some 300 m
+    # the shoelace sums cancel to about 1e-11 of the area, so the kernels'
+    # sums, taken in different orders, differ there
+    assert len(asked[0]) > 100 and [c[:2] for c in asked[0]] == [c[:2] for c in asked[1]]
+    assert max(abs(x[2] - y[2]) for x, y in zip(*asked)) <= 1e-10
