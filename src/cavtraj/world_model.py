@@ -40,11 +40,15 @@ and across joints; for evenly spaced vertices on a circle the normal line is
 exactly radial.
 
 The lanelet choice, the corridor test and the lane count use the nearest
-chord of each polyline. At load every segment of every centerline and
-boundary is stacked into flat arrays, so a query is one vectorised
-projection onto all segments (no spatial prefilter); `np.minimum.reduceat`
-gives each polyline's least distance and the first segment attaining it,
-the one a per-polyline `argmin` picks.
+chord of each polyline. At load the centerline segments of all lanelets are
+stacked into flat arrays, and so are the boundary segments, lanelet by
+lanelet. `VectorMap.project` takes a batch of points in two vectorised
+stages: every point against every centerline segment, which tells for each
+lanelet whether the centerline foot lies inside its span, then only those
+interior (point, lanelet) pairs against their own lanelet's two boundaries.
+There is no spatial prefilter. `np.minimum.reduceat` gives each polyline's
+least distance and the first segment attaining it, the one a per-polyline
+`argmin` picks.
 """
 
 from __future__ import annotations
@@ -57,13 +61,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InvalidArgument, ValidationError
 
 _CONNECT_TOL = 0.1  # m, successor start must sit on predecessor end
 _MAP_KEYS = ("name", "lateral_window", "lanelets")
 _POLYLINES = ("centerline", "left_boundary", "right_boundary")
 _LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
 _TINY = np.finfo(float).tiny
+_PAIRS = 16_384  # (point, centerline segment) pairs per chunk: float64 temporaries of 128 KiB
 
 
 @dataclass(frozen=True)
@@ -253,85 +258,175 @@ class VectorMap:
             ll.chain_offset = offset
 
     def _stack_segments(self):
-        # polylines: the lanelets' centerlines in id order, then their left,
-        # then their right boundaries; each polyline's segments are contiguous
+        # stage 1 stacks the centerlines in lanelet id order, stage 2 each
+        # lanelet's left then right boundary, lanelet by lanelet
         self._by_id = [self.lanelets[i] for i in sorted(self.lanelets)]
-        polys = [getattr(ll, side) for side in _POLYLINES for ll in self._by_id]
-        counts = [len(p.seg_len) for p in polys]
-        self._poly_first = np.r_[0, np.cumsum(counts)[:-1]]
-        self._poly_len = np.array([p.length for p in polys])
-        self._seg_poly = np.repeat(np.arange(len(polys)), counts)
-        # one contiguous array per coordinate
-        self._seg_x, self._seg_y = np.concatenate([p.seg_start for p in polys]).T.copy()
-        self._seg_dx, self._seg_dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
-        self._seg_len = np.concatenate([p.seg_len for p in polys])
-        self._seg_cum = np.concatenate([p.cum_len[:-1] for p in polys])
+        self._center = _Segments([ll.centerline for ll in self._by_id])
+        self._bounds = _Segments([line for ll in self._by_id for line in (ll.left_boundary, ll.right_boundary)])
+        self._center_len = np.array([ll.length for ll in self._by_id])
+        # a full chunk's (point, centerline segment) pairs, flattened point by
+        # point: each pair's (point, lanelet) group and each group's first pair
+        first, n = self._center.first, len(self._by_id)
+        self._chunk = max(_PAIRS // int(first[-1]), 1)
+        rows = np.arange(self._chunk)[:, None]
+        self._group_of = (rows * n + np.repeat(np.arange(n), np.diff(first))).ravel()
+        self._group_first = (rows * first[-1] + first[:-1]).ravel()
 
     def to_frenet(self, point, margin: float = 0.5) -> FrenetCoord | None:
-        """Project a map point; None marks off-road (beyond boundaries + margin).
+        """Project one map point; None marks off-road. See `project`."""
+        return self.project([point], margin)[0]
+
+    def project(self, points, margin: float = 0.5) -> list[FrenetCoord | None]:
+        """Project map points; None marks off-road (beyond boundaries + margin).
 
         A lanelet is a candidate when the foot on its centerline's nearest
         chord falls inside the centerline's span (0.5 m end tolerance) and
         the point is at most `margin` outside either boundary's nearest chord.
         The least (distance rounded to 1e-9, |offset|, lanelet id) wins.
         `total_lanes` counts lanes whose centerline foot is inside the span
-        and within the lateral window. A non-finite point is off-road.
-        """
-        xy = np.asarray(point, dtype=float)[:2]
-        if not np.isfinite(xy).all():
-            return None
-        x, y = xy.tolist()
-        t_raw = (x - self._seg_x) * self._seg_dx + (y - self._seg_y) * self._seg_dy
-        t = np.minimum(np.maximum(t_raw, 0.0), self._seg_len)
-        diff_x = x - (self._seg_x + t * self._seg_dx)
-        diff_y = y - (self._seg_y + t * self._seg_dy)
-        # hypot decides only among segments whose squared distance is within a
-        # relative 1e-9 of their polyline's least; the floor keeps underflowed squares in
-        dist2 = diff_x * diff_x + diff_y * diff_y
-        bound = np.minimum.reduceat(dist2, self._poly_first) * (1.0 + 1e-9) + _TINY
-        cand = np.flatnonzero(dist2 <= bound[self._seg_poly])
-        first = np.searchsorted(cand, self._poly_first)  # each polyline's first candidate
-        dist = np.hypot(diff_x[cand], diff_y[cand])
-        nearest = np.minimum.reduceat(dist, first)
-        hit = np.where(dist == nearest[self._seg_poly[cand]], cand, self._seg_poly.size)
-        k = np.minimum.reduceat(hit, first)  # first nearest segment per polyline
-        cross = diff_x[k] * self._seg_dy[k] - diff_y[k] * self._seg_dx[k]
-        along = self._seg_cum[k] + t_raw[k]
-        interior = (-0.5 <= along) & (along <= self._poly_len + 0.5)
+        and within the lateral window; it is 0 when even the winner's offset
+        exceeds the window. A non-finite point is off-road.
 
-        n = len(self._by_id)
-        center, y_left, y_right = cross[:n], cross[n : 2 * n], cross[2 * n :]
-        inside = interior[:n] & (y_left >= -margin) & (y_right <= margin)
-        keys = ((round(float(nearest[j]), 9), abs(float(center[j])), self._by_id[j].lanelet_id, j)
-                for j in np.flatnonzero(inside))
-        best = min(keys, default=None)
-        if best is None:
-            return None
-        j = best[-1]
-        ll = self._by_id[j]
-        s, crosstrack = ll.centerline.frenet(xy, float(self._seg_cum[k[j]] + t[k[j]]))
-        in_window = interior[:n] & (np.abs(center) <= self.lateral_window)
-        return FrenetCoord(
-            downtrack=ll.chain_offset + s,
-            crosstrack=crosstrack,
-            lanelet_id=ll.lanelet_id,
-            lane_id=ll.lane_id,
-            total_lanes=len({self._by_id[i].lane_id for i in np.flatnonzero(in_window)}),
-        )
+        A point is a sequence of at least two real numbers (x, y, ...), and
+        only x and y are read. A malformed point or a NaN margin raises
+        InvalidArgument.
+
+        Stage 1 projects the points, in chunks of at most `_PAIRS` (point,
+        centerline segment) pairs, onto every centerline segment; that gives
+        each lanelet's nearest centerline chord and whether its foot is
+        inside the span. Stage 2 projects only the interior (point, lanelet)
+        pairs, all in one pass, onto their own lanelet's two boundaries: no
+        other boundary result is read.
+        """
+        if math.isnan(margin):
+            raise InvalidArgument("margin is NaN")
+        xy = np.empty((len(points), 2))
+        for i, point in enumerate(points):
+            coords = np.asarray(point)
+            if coords.ndim != 1 or coords.size < 2 or coords.dtype.kind not in "fiu":
+                raise InvalidArgument(f"point {i} is not a sequence of at least two real numbers: {point!r}")
+            xy[i] = coords[:2]
+        result: list[FrenetCoord | None] = [None] * len(points)
+        finite = np.flatnonzero(np.isfinite(xy).all(axis=1))
+        if finite.size == 0:
+            return result
+        xy = xy[finite]
+        pairs = [self._centerline_pairs(xy[lo:lo + self._chunk], lo) for lo in range(0, len(xy), self._chunk)]
+        row, lane, nearest, center, s_chord = (np.concatenate(a) for a in zip(*pairs))
+        inside = self._within_boundaries(xy, row, lane, margin)
+        in_window = np.abs(center) <= self.lateral_window
+
+        # the least key per point, and the lanes within the window
+        best, lanes = {}, {}
+        for r, j, dist, off, ok, win, s in zip(row.tolist(), lane.tolist(), nearest.tolist(), center.tolist(),
+                                               inside.tolist(), in_window.tolist(), s_chord.tolist()):
+            ll = self._by_id[j]
+            if win:
+                lanes.setdefault(r, set()).add(ll.lane_id)
+            if ok:
+                key = (round(dist, 9), abs(off), ll.lanelet_id)
+                if r not in best or key < best[r][0]:
+                    best[r] = (key, ll, s)
+        for r, (_, ll, s) in best.items():
+            downtrack, crosstrack = ll.centerline.frenet(xy[r], s)
+            result[finite[r]] = FrenetCoord(
+                downtrack=ll.chain_offset + downtrack,
+                crosstrack=crosstrack,
+                lanelet_id=ll.lanelet_id,
+                lane_id=ll.lane_id,
+                total_lanes=len(lanes.get(r, ())),
+            )
+        return result
+
+    def _centerline_pairs(self, xy: np.ndarray, row0: int):
+        """Stage 1: a chunk of points against every centerline segment.
+
+        Returns, for each (point, lanelet) pair whose nearest centerline chord
+        has its foot inside the span: the point's row (counted from row0), the
+        lanelet's index, the chord distance and offset, and the arc length of
+        the foot.
+        """
+        c, n, m = self._center, len(self._by_id), len(xy)
+        x, y = xy[:, :1], xy[:, 1:]
+        t_raw = (x - c.x) * c.dx + (y - c.y) * c.dy
+        t = np.minimum(np.maximum(t_raw, 0.0), c.len)
+        diff_x = x - (c.x + t * c.dx)
+        diff_y = y - (c.y + t * c.dy)
+        k = _first_nearest(diff_x.ravel(), diff_y.ravel(),
+                           self._group_first[:m * n], self._group_of[:m * c.len.size])
+        along = c.cum[k % c.len.size] + t_raw.flat[k]
+        interior = np.flatnonzero((-0.5 <= along) & (along <= np.tile(self._center_len, m) + 0.5))
+        row, lane = np.divmod(interior, n)
+        k = k[interior]
+        seg = k % c.len.size
+        nearest = np.hypot(diff_x.flat[k], diff_y.flat[k])
+        center = diff_x.flat[k] * c.dy[seg] - diff_y.flat[k] * c.dx[seg]
+        return row0 + row, lane, nearest, center, c.cum[seg] + t.flat[k]
+
+    def _within_boundaries(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray, margin: float) -> np.ndarray:
+        """Stage 2: whether each (point, lanelet) pair is at most `margin` outside both boundaries.
+
+        Each pair is projected onto its own lanelet's left and right boundary
+        only, the two boundary chords its result reads.
+        """
+        if len(row) == 0:
+            return np.zeros(0, dtype=bool)
+        b = self._bounds
+        start, mid, end = b.first[2 * lane], b.first[2 * lane + 1], b.first[2 * lane + 2]
+        sizes = np.column_stack([mid - start, end - mid]).ravel()  # left, right per pair
+        first = np.r_[0, np.cumsum(sizes)[:-1]]
+        idx = np.arange(first[-1] + sizes[-1]) + np.repeat(start - first[::2], end - start)
+        x, y = np.repeat(xy[row, 0], end - start), np.repeat(xy[row, 1], end - start)
+        seg_x, seg_y, seg_dx, seg_dy = b.x[idx], b.y[idx], b.dx[idx], b.dy[idx]
+        t = np.minimum(np.maximum((x - seg_x) * seg_dx + (y - seg_y) * seg_dy, 0.0), b.len[idx])
+        diff_x = x - (seg_x + t * seg_dx)
+        diff_y = y - (seg_y + t * seg_dy)
+        k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
+        cross = diff_x[k] * seg_dy[k] - diff_y[k] * seg_dx[k]
+        return (cross[0::2] >= -margin) & (cross[1::2] <= margin)
+
+
+class _Segments:
+    """The segments of consecutive polylines as flat arrays, one per coordinate."""
+
+    __slots__ = ("x", "y", "dx", "dy", "len", "cum", "first")
+
+    def __init__(self, polys: list[_Polyline]):
+        # polyline i spans the segments first[i]:first[i + 1]
+        self.first = np.r_[0, np.cumsum([len(p.seg_len) for p in polys])]
+        self.x, self.y = np.concatenate([p.seg_start for p in polys]).T.copy()
+        self.dx, self.dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
+        self.len = np.concatenate([p.seg_len for p in polys])
+        self.cum = np.concatenate([p.cum_len[:-1] for p in polys])
+
+
+def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, group_of: np.ndarray) -> np.ndarray:
+    """Index of the first nearest chord in each group of point-to-chord offsets.
+
+    Group g holds the offsets first[g]:first[g + 1], and group_of maps each
+    offset to its group. hypot decides only among offsets whose squared length
+    is within a relative 1e-9 of their group's least; the floor keeps
+    underflowed squares in.
+    """
+    dist2 = diff_x * diff_x + diff_y * diff_y
+    bound = np.minimum.reduceat(dist2, first) * (1.0 + 1e-9) + _TINY
+    cand = np.flatnonzero(dist2 <= bound[group_of])
+    cand_first = np.searchsorted(cand, first)  # each group's first candidate
+    dist = np.hypot(diff_x[cand], diff_y[cand])
+    hit = np.where(dist == np.minimum.reduceat(dist, cand_first)[group_of[cand]], cand, dist2.size)
+    return np.minimum.reduceat(hit, cand_first)
 
 
 def filter_on_road(tracks, vmap: VectorMap, margin: float = 0.5):
     """Keep tracks whose center projects on-road; annotate with FrenetCoord.
 
-    `tracks` is any iterable of objects exposing .position (3-vector).
-    Returns a list of (track, FrenetCoord) pairs.
+    `tracks` is any iterable of objects exposing .position (3-vector); all
+    positions go through one `VectorMap.project` call. Returns a list of
+    (track, FrenetCoord) pairs in input order.
     """
-    kept = []
-    for track in tracks:
-        fc = vmap.to_frenet(track.position, margin)
-        if fc is not None:
-            kept.append((track, fc))
-    return kept
+    tracks = list(tracks)
+    coords = vmap.project([track.position for track in tracks], margin)
+    return [(track, fc) for track, fc in zip(tracks, coords) if fc is not None]
 
 
 def _violation(path: list, message: str) -> ValidationError:

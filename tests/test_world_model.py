@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavtraj.errors import ValidationError
+from cavtraj.errors import InvalidArgument, ValidationError
+from cavtraj.pipeline.scenario import RoadSpec, build_vector_map_dict
 from cavtraj.world_model import FrenetCoord, filter_on_road, load_vector_map, vector_map_from_dict
 
 MAPS = Path(__file__).parent / "fixtures" / "maps"
@@ -479,13 +480,16 @@ def test_to_frenet_matches_chord_loop(name):
     else:
         vmap = load_vector_map(MAPS / name)
     rng = np.random.default_rng(17)
+    points = _probe_points(vmap, rng, 400)
     results = []
-    for p in _probe_points(vmap, rng, 400):
+    for p in points:
         got, want = vmap.to_frenet(p), chord_loop_frenet(vmap, p)
         assert got == want, p
         results.append(got)
     # the probes reach both sides of the road edge
     assert any(r is None for r in results) and any(r is not None for r in results)
+    # one batch of the whole set, across chunk boundaries, gives the same coordinates
+    assert vmap.project(points) == results
 
 
 def test_to_frenet_first_of_tied_chords_decides():
@@ -496,3 +500,61 @@ def test_to_frenet_first_of_tied_chords_decides():
     assert vmap.to_frenet((12.0, -3.0)) is None
     assert chord_loop_frenet(vmap, (12.0, -3.0)) is None
     assert vmap.to_frenet((12.0, -2.2)) is not None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
+def test_project_matches_chord_loop_two_points_per_chunk():
+    # the arc_fleet road: 5 621 centerline segments, so a chunk of 16 384
+    # (point, segment) pairs holds 2 points and a batch crosses many chunks
+    vmap = vector_map_from_dict(build_vector_map_dict(
+        RoadSpec(kind="arc", radius=400.0, arc_angle_deg=100.0, n_lanes=4, sample_step=0.5)))
+    assert sum(len(ll.centerline.seg_len) for ll in vmap.lanelets.values()) == 5621
+    rng = np.random.default_rng(19)
+    probes = _probe_points(vmap, rng, 150)
+    points = [probes[i] for i in sorted(rng.choice(len(probes) - 153, 60, replace=False))] + probes[-153:]
+    got = vmap.project(points)
+    assert got == [chord_loop_frenet(vmap, p) for p in points]
+    assert any(r is None for r in got) and any(r is not None for r in got)
+
+
+def test_project_empty_non_finite_and_mixed_batches(freeway):
+    assert freeway.project([]) == []
+    non_finite = [(math.nan, 0.0), (math.inf, 1.0, 0.0), np.array([-math.inf, math.nan, 0.0])]
+    assert freeway.project(non_finite) == [None, None, None]
+    on_road, off_road = (150.0, 1.8, 0.0), (150.0, 40.0, 0.0)
+    mixed = [on_road, non_finite[0], off_road, np.array(on_road), non_finite[2]]
+    want = freeway.to_frenet(on_road)
+    assert want is not None and freeway.to_frenet(off_road) is None
+    assert freeway.project(mixed) == [want, None, None, want, None]
+
+
+def test_project_winner_outside_lateral_window_counts_no_lane(straight):
+    # the winner's centerline offset (1 m) exceeds the 0.5 m window: still on-road, 0 lanes
+    data = json.loads((MAPS / "straight.json").read_text())
+    narrow = vector_map_from_dict({**data, "lateral_window": 0.5})
+    [fc] = narrow.project([(20.0, 1.0, 0.0)])
+    wide = straight.to_frenet((20.0, 1.0, 0.0))
+    assert fc == FrenetCoord(wide.downtrack, wide.crosstrack, wide.lanelet_id, wide.lane_id, 0)
+    assert wide.total_lanes == 1
+
+
+def test_nan_margin_rejected(straight):
+    with pytest.raises(InvalidArgument, match="margin"):
+        straight.project([(20.0, 0.0, 0.0)], math.nan)
+    with pytest.raises(InvalidArgument, match="margin"):
+        straight.to_frenet((20.0, 0.0, 0.0), margin=math.nan)
+    with pytest.raises(InvalidArgument, match="margin"):
+        filter_on_road([FakeTrack(20.0, 0.0)], straight, margin=math.nan)
+    with pytest.raises(InvalidArgument, match="margin"):
+        filter_on_road([], straight, margin=math.nan)
+
+
+@pytest.mark.parametrize("point", [
+    (20.0,), (), 20.0, np.array([[20.0, 0.0]]), ("20", 0.0), (None, 0.0), ("a", "b"), np.array([True, False]),
+    (20.0, 1j),
+])
+def test_malformed_point_rejected(straight, point):
+    with pytest.raises(InvalidArgument, match="point"):
+        straight.to_frenet(point)
+    with pytest.raises(InvalidArgument, match="point 1"):
+        straight.project([(20.0, 0.0, 0.0), point])
