@@ -16,6 +16,13 @@ merge guard, needed because bins are coarser than points); the clusters are
 the connected components of those links. No two linked points end in
 different clusters; the rules and why they hold are in `cluster_points`.
 
+Binning sorts the points once by bin key; the grid keeps their x, y and
+range in that order, so clustering reads contiguous columns. The keys are
+computed in int64 but sorted in the narrowest unsigned type that holds
+them: at the default config every key is below 2**16, so the stable sort
+is a radix sort. Candidate bins are found in a dense table of bin slots,
+one int32 per possible key; `cluster_points` states its size.
+
 Boxes are fitted to all clusters of a frame at once, on their points
 concatenated into segments. Points strictly inside each cluster's
 extreme-point octagon are dropped (Akl & Toussaint, 1978); on a dense frame
@@ -53,10 +60,12 @@ class DetectionConfig:
     link_angle: float = 0.045       # rad, obstacle points link within link_angle * range
 
     def __post_init__(self):
-        for name in ("cell_size", "extent", "link_angle"):
+        for name in ("cell_size", "extent", "link_angle", "min_box_height", "confidence_saturation"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
+        if not math.isfinite(self.ground_height):
+            raise InvalidArgument(f"ground_height must be finite: {self.ground_height!r}")
 
 
 @dataclass
@@ -83,14 +92,21 @@ class BevGrid:
     """Sparse log-polar range image of the obstacle points of one frame.
 
     `kept` holds the frame indices of the points at or above the ground gate
-    and within the extent, ordered by bin and, within a bin, by frame order.
-    `keys` holds the sorted keys ring * stride + sector of the K occupied
-    bins, `starts` each bin's first position in `kept`, and `sectors` the
-    sector count of every ring up to the outermost occupied one; the stride
-    is the largest sector count.
+    and within the extent, ordered by bin and, within a bin, by frame order;
+    `x`, `y` and `r` hold those points' coordinates and xy range, sorted the
+    same way. `keys` holds the sorted int64 keys ring * stride + sector of
+    the K occupied bins, `starts` each bin's first position in `kept`, and
+    `sectors` the sector count of every ring up to the outermost occupied
+    one; the stride is the largest sector count, so every key is below
+    len(sectors) * stride. The points are sorted on their keys cast to the
+    narrowest unsigned type below that bound: uint16 at the default config
+    (44 082 keys at most), uint32 for a finer `link_angle` (172 072 at 0.02).
     """
 
     kept: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
     keys: np.ndarray
     starts: np.ndarray
     sectors: np.ndarray
@@ -132,18 +148,21 @@ def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGri
     x, y = frame.points[kept, 0], frame.points[kept, 1]
     inside = (np.abs(x) <= config.extent) & (np.abs(y) <= config.extent)
     kept, x, y = kept[inside], x[inside], y[inside]
+    r = np.hypot(x, y)
     if len(kept) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return BevGrid(kept, empty, empty, empty)
-    ring = _rings(np.hypot(x, y), config)
+        return BevGrid(kept, x, y, r, empty, empty, empty)
+    ring = _rings(r, config)
     sectors = _sector_counts(int(ring.max()) + 1, config)
     n = sectors[ring]
     sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64) % n
-    key = ring * int(sectors.max()) + sector
-    order = np.argsort(key, kind="stable")
+    stride = int(sectors.max())
+    key = ring * stride + sector
+    # keys below 2**16 sort by radix in uint16, in the same stable order
+    order = np.argsort(key.astype(np.min_scalar_type(len(sectors) * stride)), kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return BevGrid(kept[order], key[starts], starts, sectors)
+    return BevGrid(kept[order], x[order], y[order], r[order], key[starts], starts, sectors)
 
 
 # candidate links of a bin: the next two sectors of its ring, and the five
@@ -177,6 +196,13 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     - The clusters are the connected components of the kept links, the
       points of each bin joined.
 
+    Candidates are looked up in a dense int32 table of bin slots indexed by
+    key, len(sectors) * stride entries: at most 2 / link_angle *
+    (1 + ln(sqrt(2) * extent / r0)) + 1 rings of 4 pi / asin(link_angle)
+    sectors, so it grows as 1 / link_angle**2. At the default config that
+    is 44 082 entries (172 KiB) on a frame reaching the extent's corner; at
+    link_angle 0.02, 172 072 (672 KiB).
+
     Guarantee: no two linked points end in different clusters, so every
     cluster is a union of whole components of exact single linkage; a bin
     may join points up to a bin diagonal apart. Returns each cluster's (n, 3)
@@ -187,10 +213,9 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     n_bins = len(keys)
     if n_bins == 0:
         return []
-    pts = frame.points[grid.kept]
-    x_lo, x_hi = np.minimum.reduceat(pts[:, 0], starts), np.maximum.reduceat(pts[:, 0], starts)
-    y_lo, y_hi = np.minimum.reduceat(pts[:, 1], starts), np.maximum.reduceat(pts[:, 1], starts)
-    r_hi = np.maximum.reduceat(np.hypot(pts[:, 0], pts[:, 1]), starts)
+    x_lo, x_hi = np.minimum.reduceat(grid.x, starts), np.maximum.reduceat(grid.x, starts)
+    y_lo, y_hi = np.minimum.reduceat(grid.y, starts), np.maximum.reduceat(grid.y, starts)
+    r_hi = np.maximum.reduceat(grid.r, starts)
 
     # candidate bins, all offsets in one lookup; the sector under a bin's centre
     # in a ring of m sectors is floor((sector + 1/2) * m / n), its own for m = n
@@ -202,8 +227,12 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     m = sectors[t_ring]
     centre = (2 * sector[:, None] + 1) * m // (2 * m[:, :1])
     t_key = ((t_ring * stride)[:, _RING_STEP] + (centre[:, _RING_STEP] + _SECTOR_STEP) % m[:, _RING_STEP]).ravel()
-    at = np.minimum(np.searchsorted(keys, t_key), n_bins - 1)
-    hit = inside.ravel() & (keys[at] == t_key)
+    # every candidate key is below len(sectors) * stride, so a dense table
+    # of bin slots (-1 where empty) answers each lookup in one gather
+    slot = np.full(len(sectors) * stride, -1, dtype=np.int32)
+    slot[keys] = np.arange(n_bins, dtype=np.int32)
+    at = slot[t_key]
+    hit = inside.ravel() & (at >= 0)
     a, b = np.repeat(np.arange(n_bins), len(_RING_STEP))[hit], at[hit]
 
     gap_x = np.maximum(0.0, np.maximum(x_lo[b] - x_hi[a], x_lo[a] - x_hi[b]))
@@ -216,7 +245,7 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     n_comp, label = connected_components(graph, connection="weak")
 
     # expand the bins of each big enough component, in label order
-    size = np.diff(np.append(starts, len(pts)))
+    size = np.diff(np.append(starts, len(grid.kept)))
     comp_size = np.bincount(label, weights=size, minlength=n_comp).astype(np.int64)
     big = comp_size >= config.min_cluster_points
     if not big.any():
@@ -225,7 +254,7 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     use = use[np.argsort(label[use], kind="stable")]
     count = size[use]
     pos = np.repeat(starts[use] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return np.split(pts[pos], np.cumsum(comp_size[big])[:-1])
+    return np.split(np.take(frame.points, grid.kept[pos], axis=0), np.cumsum(comp_size[big])[:-1])
 
 
 @dataclass(frozen=True)
@@ -276,6 +305,25 @@ class OrientedBox:
         ]
 
 
+def _octagon_corners(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each segment's first points of least and greatest x, y, x + y and y - x, as (8, K) positions.
+
+    A segment's first point attaining a row's extreme is the first flat
+    position of that row's equality at or after the segment's start.
+    Rows run counter-clockwise from the lowest corner: directions -y,
+    x - y, x, x + y, y, y - x, -x, -x - y.
+    """
+    starts = np.cumsum(sizes) - sizes
+    keys = np.stack([x, y, x + y, y - x])
+    row = len(x) * np.arange(4)[:, None]
+    lo, hi = (
+        flat[np.searchsorted(flat, row + starts)] - row
+        for flat in (np.flatnonzero(keys == np.repeat(best.reduceat(keys, starts, axis=1), sizes, axis=1))
+                     for best in (np.minimum, np.maximum))
+    )
+    return np.stack([lo[1], lo[3], hi[0], hi[2], hi[1], hi[3], lo[0], lo[2]])
+
+
 def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mask of the points strictly inside their segment's extreme-point octagon.
 
@@ -283,16 +331,7 @@ def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.n
     x + y and y - x. They are points of the segment, so a point strictly
     inside the octagon is no hull vertex (Akl & Toussaint, 1978).
     """
-    n = len(x)
-    starts = np.cumsum(sizes) - sizes
-    keys = np.stack([x, y, x + y, y - x])
-    lo, hi = (
-        np.minimum.reduceat(np.where(keys == np.repeat(best.reduceat(keys, starts, axis=1), sizes, axis=1),
-                                     np.arange(n), n), starts, axis=1)
-        for best in (np.minimum, np.maximum)
-    )
-    # counter-clockwise from the lowest: directions -y, x - y, x, x + y, y, y - x, -x, -x - y
-    corner = np.stack([lo[1], lo[3], hi[0], hi[2], hi[1], hi[3], lo[0], lo[2]])
+    corner = _octagon_corners(x, y, sizes)
     cx, cy = x[corner], y[corner]
 
     # fast path, exact in floating point: in every direction, one of the four
@@ -311,8 +350,10 @@ def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.n
     flat = (ex == 0) & (ey == 0)
     bound[flat] = -1.0                  # a zero-length edge passes every point
     bound[0, flat.all(axis=0)] = 1.0    # and a single-point octagon none
-    s, px, py = seg[rest], x[rest], y[rest]
-    inside[rest] = np.all(ex[:, s] * py - ey[:, s] * px > bound[:, s], axis=0)
+    # rest is sorted by segment, so each segment's edges repeat over its run
+    run = np.bincount(seg[rest], minlength=len(sizes))
+    inside[rest] = np.all(np.repeat(ex, run, axis=1) * y[rest] - np.repeat(ey, run, axis=1) * x[rest]
+                          > np.repeat(bound, run, axis=1), axis=0)
     return inside
 
 
@@ -396,8 +437,8 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     k_count, m = len(counts), int(counts.max())
     j = np.arange(m)
     first = (np.cumsum(counts) - counts)[:, None]
-    vert = hulls[first + np.minimum(j, counts[:, None] - 1)]       # (K, m, 2)
-    edge = hulls[first + (j + 1) % counts[:, None]] - vert
+    vert = np.take(hulls, first + np.minimum(j, counts[:, None] - 1), axis=0)      # (K, m, 2)
+    edge = np.take(hulls, first + (j + 1) % counts[:, None], axis=0) - vert
     angle = np.arctan2(edge[:, :, 1], edge[:, :, 0])
     c, s = np.cos(angle), np.sin(angle)
 
@@ -468,5 +509,5 @@ def fit_boxes(clusters: list[np.ndarray], config: DetectionConfig) -> list[Orien
 def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None) -> list[OrientedBox]:
     """Full per-frame detector: grid features, clustering, box fitting."""
     config = config or DetectionConfig()
-    grid = bev_grid_features(frame, config)
-    return fit_boxes(cluster_points(grid, frame, config), config)
+    # nested, so the grid is freed before the boxes are fitted
+    return fit_boxes(cluster_points(bev_grid_features(frame, config), frame, config), config)

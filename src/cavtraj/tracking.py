@@ -126,8 +126,8 @@ class Assignment:
 
 def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -> Assignment:
     """Hungarian assignment on Euclidean distance, gated at `gate` meters."""
-    if gate <= 0.0:
-        raise InvalidArgument("gate must be positive")
+    if not gate > 0.0:  # NaN too: every cost <= NaN is false
+        raise InvalidArgument(f"gate must be positive: {gate!r}")
     if not tracks or not detections:
         return Assignment([], list(range(len(tracks))), list(range(len(detections))))
 

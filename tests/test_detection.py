@@ -29,11 +29,21 @@ CFG = DetectionConfig(cell_size=0.5, extent=20.0)
 @pytest.mark.parametrize(
     "field, value",
     [("link_angle", 0.0), ("link_angle", -0.01), ("link_angle", math.nan), ("link_angle", math.inf),
-     ("cell_size", 0.0), ("cell_size", math.nan), ("extent", -1.0), ("extent", math.nan)],
+     ("cell_size", 0.0), ("cell_size", math.nan), ("extent", -1.0), ("extent", math.nan),
+     # a non-finite ground gate keeps no point or every point; a bad
+     # saturation or height floor makes every box raise or warn
+     ("ground_height", math.nan), ("ground_height", math.inf), ("ground_height", -math.inf),
+     ("confidence_saturation", 0), ("confidence_saturation", -5), ("confidence_saturation", math.nan),
+     ("confidence_saturation", math.inf), ("min_box_height", math.nan), ("min_box_height", 0.0),
+     ("min_box_height", -0.1)],
 )
 def test_config_rejects_non_positive_or_non_finite_values(field, value):
     with pytest.raises(InvalidArgument, match=field):
         DetectionConfig(**{field: value})
+
+
+def test_config_accepts_a_negative_ground_height():
+    assert DetectionConfig(ground_height=-1.5).ground_height == -1.5
 
 
 def test_bev_single_point_features():
@@ -113,6 +123,29 @@ def check_bins(cfg):
     assert near > 10 and far > 10
     # sectors never get finer toward the sensor, and ring 0 has three
     assert grid.sectors[0] == 3 and (np.diff(grid.sectors) >= 0).all()
+
+
+@pytest.mark.parametrize("link_angle, key_type", [(0.045, np.uint16), (0.02, np.uint32)])
+def test_both_key_widths(link_angle, key_type):
+    # the default config's keys fit 16 bits, link_angle 0.02's do not; in
+    # both, bins are strictly increasing int64 keys, the highest key gets a
+    # bin of its own and clusters are the exact single-linkage components
+    cfg = DetectionConfig(link_angle=link_angle, min_cluster_points=1)
+    rng = np.random.default_rng(3)
+    centres = [(0.0, 0.0), (12.0, 5.0), (-30.0, 0.2), (-68.0, -0.5), (40.0, -45.0), (-10.0, 60.0)]
+    clumps = [np.c_[rng.normal(c, 0.3, (40, 2)), rng.uniform(0.5, 2.0, 40)] for c in centres]
+    # the farthest point, just short of azimuth +pi: last ring, last sector
+    lone = np.array([[-79.0, 1e-9, 1.0]])
+    points = np.vstack(clumps + [lone])
+    frame = make_frame(points)
+    grid = bev_grid_features(frame, cfg)
+    stride = int(grid.sectors.max())
+    assert np.min_scalar_type(len(grid.sectors) * stride) == key_type
+    assert grid.keys.dtype == np.int64 and (np.diff(grid.keys) > 0).all()
+    assert grid.keys[-1] == len(grid.sectors) * stride - 1
+    assert grid.starts[-1] == len(grid.kept) - 1 and grid.kept[-1] == len(points) - 1
+    got, want = assert_no_component_split(points, cfg)
+    assert same_partition(got, want) and got[-1] not in got[:-1]
 
 
 def cluster_of_each_point(clusters, points):
@@ -703,6 +736,26 @@ def test_hulls_match_qhull_on_lattice_segments():
     assert 150 < polygons < 390
 
 
+def test_octagon_prune_is_per_segment_and_keeps_every_hull_vertex():
+    # one batched call masks each segment as a call on that segment alone
+    # would, and never masks a vertex of the segment's hull
+    rng = np.random.default_rng(43)
+    segments = [np.c_[rng.normal(size=(int(k), 2)) * rng.uniform(0.1, 5.0, 2) + rng.uniform(-50, 50, 2)]
+                if k % 3 else rng.integers(0, 4, size=(int(k), 2)).astype(float)
+                for k in rng.integers(1, 120, 300)]
+    sizes = np.array([len(s) for s in segments])
+    xy = np.concatenate(segments)
+    inside = detection._octagon_interior(xy[:, 0].copy(), xy[:, 1].copy(), np.repeat(np.arange(len(sizes)), sizes), sizes)
+    alone = np.concatenate([detection._octagon_interior(s[:, 0].copy(), s[:, 1].copy(), np.zeros(len(s), dtype=int),
+                                                        np.array([len(s)])) for s in segments])
+    np.testing.assert_array_equal(inside, alone)
+    assert 0.5 * len(xy) < inside.sum() < len(xy)
+    for pts, masked in zip(segments, np.split(inside, np.cumsum(sizes)[:-1])):
+        ref = qhull_hull(pts)
+        if ref is not None:
+            assert not (masked[:, None] & (pts[:, None, :] == ref[None]).all(axis=2)).any()
+
+
 def qhull_box(pts, config):
     """The per-cluster box fit that fit_boxes replaces; None for a degenerate cluster.
 
@@ -834,3 +887,37 @@ def test_detect_objects_scenario_frame_pinned():
         for b in boxes
     ]
     assert got == expected
+
+
+def test_detect_objects_pinned():
+    # boxes of two seeded frames to 1e-9: a dense straight-road frame with
+    # SVs beside and ahead of the agent and poles, and a sparse arc frame
+    v = VehicleSpec
+    dense = ScenarioSpec(duration=0.1, seed=11, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 100.0, 25.0)],
+                         svs=[v(101, 1, 100.0, 25.0), v(102, 3, 101.0, 25.1), v(103, 2, 112.0, 24.0)], poles=True)
+    arc = ScenarioSpec(duration=0.1, seed=7, road=RoadSpec(kind="arc", radius=150.0, arc_angle_deg=60.0, n_lanes=2),
+                       agents=[v(1, 1, 40.0, 20.0)], svs=[v(101, 2, 52.0, 20.0), v(102, 1, 70.0, 20.0)],
+                       sensor=SensorSpec(base_spacing=0.3), ground_spacing=0.0, poles=False)
+    expected = {
+        "dense": [
+            (0.993655822, -3.697410895, 1.002177536, 4.708983062, 1.933283926, 1.339338374, -0.000766839, 1.0),
+            (-0.007188213, 3.700794643, 1.011057314, 4.732839666, 1.920855794, 1.308733301, 0.002640613, 1.0),
+            (12.005457397, 0.000931027, 1.003095515, 4.697139468, 1.910049915, 1.326397337, -3.136441997, 1.0),
+            (-9.974384751, -7.524419881, 2.13692953, 0.168823114, 0.074191731, 3.51506167, -2.571381279, 0.3),
+            (10.05041403, -7.515670469, 2.156325322, 0.155634399, 0.071239733, 3.519266965, 0.500640252, 0.3),
+            (10.040700614, 7.5826158, 2.165770489, 0.168788154, 0.075499149, 3.549356083, 0.886003548, 0.3),
+            (-9.961853597, 7.574321947, 2.136528471, 0.144702845, 0.060067074, 3.505246565, 0.761996108, 0.3),
+            (-29.955241822, -7.53119631, 2.144058466, 0.182223273, 0.069870212, 3.571372366, -2.64701803, 0.3),
+            (30.037889185, -7.521990683, 2.152256845, 0.164899649, 0.067977386, 3.458821185, 0.581742511, 0.3),
+            (30.03526332, 7.579576159, 2.143978054, 0.178790567, 0.084226253, 3.547553125, 0.823341776, 0.3),
+            (-29.948151926, 7.580274432, 2.144028693, 0.18043812, 0.06330351, 3.521571102, 0.543300187, 0.3),
+        ],
+        "arc": [
+            (10.988644359, -3.320885968, 1.000155461, 4.69421042, 1.896926372, 1.300981311, -3.064624089, 1.0),
+            (29.785962769, 3.020301361, 1.000782553, 4.642764635, 1.859268718, 1.269920584, 0.204740292, 0.54),
+        ],
+    }
+    for name, spec in (("dense", dense), ("arc", arc)):
+        frame = generate_scenario(spec).frames[1][0]
+        got = [tuple(round(x, 9) for x in astuple(b)) for b in detect_objects(frame, DetectionConfig())]
+        assert got == expected[name], name

@@ -90,6 +90,17 @@ def test_associate_gated_out():
     assert a.unmatched_tracks == [0] and a.unmatched_detections == [0]
 
 
+@pytest.mark.parametrize("gate", [0.0, -1.0, math.nan, -math.inf])
+def test_associate_rejects_non_positive_or_nan_gate(gate):
+    with pytest.raises(InvalidArgument, match="gate"):
+        associate([make_track()], [det(0.5, 0.0, z=0.0)], gate=gate)
+
+
+def test_associate_accepts_infinite_gate():
+    a = associate([make_track()], [det(500.0, 0.0, z=0.0)], gate=math.inf)
+    assert a.pairs == [(0, 0)]
+
+
 def brute_force_min_cost(cost):
     n_rows, n_cols = cost.shape
     best = math.inf
