@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -66,6 +67,9 @@ class DetectionConfig:
                 raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
         if not math.isfinite(self.ground_height):
             raise InvalidArgument(f"ground_height must be finite: {self.ground_height!r}")
+        n = self.min_cluster_points
+        if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
+            raise InvalidArgument(f"min_cluster_points must be an integer >= 1: {n!r}")
 
 
 @dataclass

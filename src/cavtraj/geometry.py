@@ -112,30 +112,12 @@ class RigidTransform:
         )
 
     @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_euler_translation(cls, angles: EulerAngles, translation) -> "RigidTransform":
         return cls(rotation_from_euler(angles), translation)
 
     @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @property
     def euler(self) -> EulerAngles:
         return euler_from_rotation(self.rotation)
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: the transform taking p to self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     def inverse(self) -> "RigidTransform":
         rot_t = self.rotation.T

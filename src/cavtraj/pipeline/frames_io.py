@@ -8,13 +8,14 @@ frame keeps its timestamp. Frames of one agent live in a directory as
 ``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
 filename order. The reader accepts only what the writer writes: an archive
 with any other array, a missing one, another dtype or another shape raises
-ValidationError.
+ValidationError, and so does a path that cannot be opened.
 
 Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
 agent's map-frame pose at each time: translation in metres and ZYX Euler
 angles in radians. Each value is written as its shortest round-trip
 ``repr``. The reader rejects any other header, a row that is not seven
-finite numbers, an empty body and times that do not strictly increase.
+finite numbers, an empty body, times that do not strictly increase and a
+file that cannot be opened or decoded as text.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
                 raise TypeError("a plain .npy array, not an .npz archive")
             with loaded:
                 arrays = {name: np.asarray(loaded[name]) for name in loaded.files}
-    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     if sorted(arrays) != sorted(_FRAME_ARRAYS):
         raise ValidationError(f"{path}: expected arrays {list(_FRAME_ARRAYS)}, got {list(arrays)}")
@@ -101,11 +102,14 @@ def write_pose_csv(path, samples: list[PoseSample]) -> None:
 def read_pose_csv(path) -> list[PoseSample]:
     """Read a map-frame pose stream; a malformed file raises ValidationError."""
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != _POSE_HEADER:
-            raise ValidationError(f"{path}: unrecognized pose header '{header}'")
-        lines = [line for line in fh if line.strip()]
+    try:
+        with path.open() as fh:
+            header = fh.readline().strip()
+            lines = [line for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if header != _POSE_HEADER:
+        raise ValidationError(f"{path}: unrecognized pose header '{header}'")
     if not lines:
         raise ValidationError(f"{path}: no pose samples")
     try:
@@ -134,6 +138,8 @@ def pose_at(samples: list[PoseSample], t: float, tolerance: float = 0.5) -> Rigi
     rotation by slerp. At a sample's own time, and before the first or after
     the last sample, that sample's stored transform is returned as is.
     """
+    if not samples:
+        raise ValidationError(f"no pose samples to take t={t:.3f} from")
     times = np.array([s.timestamp for s in samples])
     k = int(np.argmin(np.abs(times - t)))
     if not abs(times[k] - t) <= tolerance:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,6 +37,19 @@ class TrackingConfig:
     dim_ema: float = 0.3
     init_vel_sigma: float = 10.0
     init_acc_sigma: float = 3.0
+
+    def __post_init__(self):
+        for name in ("q_pos", "q_vel", "q_acc", "q_heading", "r_pos", "r_heading", "nominal_dt",
+                     "association_gate", "init_vel_sigma", "init_acc_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
+        if not 0.0 < self.dim_ema <= 1.0:
+            raise InvalidArgument(f"dim_ema must be in (0, 1]: {self.dim_ema!r}")
+        for name, least in (("confirm_hits", 1), ("max_age", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
+                raise InvalidArgument(f"{name} must be an integer >= {least}: {value!r}")
 
 
 @dataclass
@@ -176,6 +190,8 @@ class MultiObjectTracker:
     def step(self, frame: FusedFrame) -> list[Track]:
         """Process one fused frame; returns the confirmed tracks seen in it."""
         c = self.config
+        if not math.isfinite(frame.timestamp):
+            raise InvalidArgument(f"non-finite frame timestamp: {frame.timestamp!r}")
         if self._last_timestamp is not None and frame.timestamp <= self._last_timestamp:
             raise InvalidArgument(
                 f"frame timestamps must increase: {frame.timestamp} after {self._last_timestamp}"

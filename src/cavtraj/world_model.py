@@ -3,18 +3,17 @@
 The map is a set of lanelets (atomic lane segments) with centerline and
 boundary polylines, read from a JSON file in the map frame:
 
-    {"name": "freeway", "lateral_window": 15.0,
+    {"name": "freeway",
      "lanelets": [{"lanelet_id": 100, "lane_id": 1,
                    "centerline": [[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
                    "left_boundary": [...], "right_boundary": [...],
                    "predecessors": [], "successors": [101]}, ...]}
 
 The top level is an object with only the keys `name` (a string, default
-""), `lateral_window` (a finite number > 0 in metres, default 15) and
-`lanelets` (required, a non-empty list). Each lanelet is an object that
-needs `lanelet_id`, `lane_id` and the three polylines and may carry other
-keys, which are ignored. Ids are integers >= 0; an integral number such as
-100.0 counts, true and false do not. `predecessors` and `successors` are
+"") and `lanelets` (required, a non-empty list). Each lanelet is an object
+that needs `lanelet_id`, `lane_id` and the three polylines and may carry
+other keys, which are ignored. Ids are integers >= 0; an integral number
+such as 100.0 counts, true and false do not. `predecessors` and `successors` are
 optional lists of integer lanelet ids. A polyline is a list of at least two
 [x, y, z] points of finite numbers in metres, with no zero-length segment
 and no half-turn. Every listed predecessor and successor must exist, lanelet
@@ -23,6 +22,7 @@ predecessor's end, and each lane's chain of same-lane successors must be
 linear and acyclic. A breach of the structural rules raises ValidationError
 "vector map schema violation at <path>", where the path lists the keys and
 indices down to the offending value; every other breach names its lanelet.
+A file that cannot be read or parsed as JSON raises ValidationError too.
 
 Downtrack distance is measured from the start of a
 lanelet's chain (predecessors of the same lane); crosstrack is positive to
@@ -39,11 +39,11 @@ normals form a continuous field, so downtrack advances smoothly along curves
 and across joints; for evenly spaced vertices on a circle the normal line is
 exactly radial.
 
-The lanelet choice, the corridor test and the lane count use the nearest
-chord of each polyline. At load the centerline segments of all lanelets are
-stacked into flat arrays, and so are the boundary segments, lanelet by
-lanelet. `VectorMap.project` takes a batch of points in two vectorised
-stages: every point against every centerline segment, which tells for each
+The lanelet choice and the corridor test use the nearest chord of each
+polyline. At load the centerline segments of all lanelets are stacked into
+flat arrays, and so are the boundary segments, lanelet by lanelet.
+`VectorMap.project` takes a batch of points in two vectorised stages: every
+point against every centerline segment, which tells for each
 lanelet whether the centerline foot lies inside its span, then only those
 interior (point, lanelet) pairs against their own lanelet's two boundaries.
 There is no spatial prefilter. `np.minimum.reduceat` gives each polyline's
@@ -64,7 +64,8 @@ import numpy as np
 from .errors import InvalidArgument, ValidationError
 
 _CONNECT_TOL = 0.1  # m, successor start must sit on predecessor end
-_MAP_KEYS = ("name", "lateral_window", "lanelets")
+_ON_ROAD_MARGIN = 0.5  # m, how far outside a lanelet's boundaries a point still counts as on it
+_MAP_KEYS = ("name", "lanelets")
 _POLYLINES = ("centerline", "left_boundary", "right_boundary")
 _LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
 _TINY = np.finfo(float).tiny
@@ -73,19 +74,18 @@ _PAIRS = 16_384  # (point, centerline segment) pairs per chunk: float64 temporar
 
 @dataclass(frozen=True)
 class FrenetCoord:
-    """Road-aligned coordinates plus lane bookkeeping.
+    """Road-aligned coordinates of a point and the lanelet and lane it is on.
 
     `downtrack` is the distance along the lane chain to the foot of the point
     on the interpolated vertex normal; `crosstrack` is the signed distance
-    from that foot along the normal, positive to the right. The lanelet, lane
-    and lane count come from chord distances (see the module docstring).
+    from that foot along the normal, positive to the right. The lanelet, and
+    with it the lane, is chosen by chord distances (see the module docstring).
     """
 
     downtrack: float
     crosstrack: float
     lanelet_id: int
     lane_id: int
-    total_lanes: int
 
 
 def _right_normal(direction: np.ndarray) -> np.ndarray:
@@ -199,9 +199,8 @@ def _join_normals(pred: Lanelet, succ: Lanelet) -> None:
 class VectorMap:
     """Immutable-after-load lanelet map supporting Frenet queries."""
 
-    def __init__(self, lanelets: list[Lanelet], name: str = "", lateral_window: float = 15.0):
+    def __init__(self, lanelets: list[Lanelet], name: str = ""):
         self.name = name
-        self.lateral_window = lateral_window
         self.lanelets: dict[int, Lanelet] = {}
         for ll in lanelets:
             if ll.lanelet_id in self.lanelets:
@@ -272,24 +271,18 @@ class VectorMap:
         self._group_of = (rows * n + np.repeat(np.arange(n), np.diff(first))).ravel()
         self._group_first = (rows * first[-1] + first[:-1]).ravel()
 
-    def to_frenet(self, point, margin: float = 0.5) -> FrenetCoord | None:
-        """Project one map point; None marks off-road. See `project`."""
-        return self.project([point], margin)[0]
-
-    def project(self, points, margin: float = 0.5) -> list[FrenetCoord | None]:
-        """Project map points; None marks off-road (beyond boundaries + margin).
+    def project(self, points) -> list[FrenetCoord | None]:
+        """Project map points; None marks off-road.
 
         A lanelet is a candidate when the foot on its centerline's nearest
         chord falls inside the centerline's span (0.5 m end tolerance) and
-        the point is at most `margin` outside either boundary's nearest chord.
-        The least (distance rounded to 1e-9, |offset|, lanelet id) wins.
-        `total_lanes` counts lanes whose centerline foot is inside the span
-        and within the lateral window; it is 0 when even the winner's offset
-        exceeds the window. A non-finite point is off-road.
+        the point is at most `_ON_ROAD_MARGIN` (0.5 m) outside either
+        boundary's nearest chord. Among the candidates the least (centerline
+        chord distance rounded to 1e-9, |offset|, lanelet id) wins; a point
+        with no candidate, or a non-finite one, is off-road.
 
         A point is a sequence of at least two real numbers (x, y, ...), and
-        only x and y are read. A malformed point or a NaN margin raises
-        InvalidArgument.
+        only x and y are read. A malformed point raises InvalidArgument.
 
         Stage 1 projects the points, in chunks of at most `_PAIRS` (point,
         centerline segment) pairs, onto every centerline segment; that gives
@@ -298,8 +291,6 @@ class VectorMap:
         pairs, all in one pass, onto their own lanelet's two boundaries: no
         other boundary result is read.
         """
-        if math.isnan(margin):
-            raise InvalidArgument("margin is NaN")
         xy = np.empty((len(points), 2))
         for i, point in enumerate(points):
             coords = np.asarray(point)
@@ -313,20 +304,15 @@ class VectorMap:
         xy = xy[finite]
         pairs = [self._centerline_pairs(xy[lo:lo + self._chunk], lo) for lo in range(0, len(xy), self._chunk)]
         row, lane, nearest, center, s_chord = (np.concatenate(a) for a in zip(*pairs))
-        inside = self._within_boundaries(xy, row, lane, margin)
-        in_window = np.abs(center) <= self.lateral_window
+        inside = self._within_boundaries(xy, row, lane)
 
-        # the least key per point, and the lanes within the window
-        best, lanes = {}, {}
-        for r, j, dist, off, ok, win, s in zip(row.tolist(), lane.tolist(), nearest.tolist(), center.tolist(),
-                                               inside.tolist(), in_window.tolist(), s_chord.tolist()):
+        # the least key per point among its candidates
+        best = {}
+        for r, j, dist, off, s in zip(*(a[inside].tolist() for a in (row, lane, nearest, center, s_chord))):
             ll = self._by_id[j]
-            if win:
-                lanes.setdefault(r, set()).add(ll.lane_id)
-            if ok:
-                key = (round(dist, 9), abs(off), ll.lanelet_id)
-                if r not in best or key < best[r][0]:
-                    best[r] = (key, ll, s)
+            key = (round(dist, 9), abs(off), ll.lanelet_id)
+            if r not in best or key < best[r][0]:
+                best[r] = (key, ll, s)
         for r, (_, ll, s) in best.items():
             downtrack, crosstrack = ll.centerline.frenet(xy[r], s)
             result[finite[r]] = FrenetCoord(
@@ -334,7 +320,6 @@ class VectorMap:
                 crosstrack=crosstrack,
                 lanelet_id=ll.lanelet_id,
                 lane_id=ll.lane_id,
-                total_lanes=len(lanes.get(r, ())),
             )
         return result
 
@@ -363,8 +348,8 @@ class VectorMap:
         center = diff_x.flat[k] * c.dy[seg] - diff_y.flat[k] * c.dx[seg]
         return row0 + row, lane, nearest, center, c.cum[seg] + t.flat[k]
 
-    def _within_boundaries(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray, margin: float) -> np.ndarray:
-        """Stage 2: whether each (point, lanelet) pair is at most `margin` outside both boundaries.
+    def _within_boundaries(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray) -> np.ndarray:
+        """Stage 2: whether each (point, lanelet) pair is at most `_ON_ROAD_MARGIN` outside both boundaries.
 
         Each pair is projected onto its own lanelet's left and right boundary
         only, the two boundary chords its result reads.
@@ -383,7 +368,7 @@ class VectorMap:
         diff_y = y - (seg_y + t * seg_dy)
         k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
         cross = diff_x[k] * seg_dy[k] - diff_y[k] * seg_dx[k]
-        return (cross[0::2] >= -margin) & (cross[1::2] <= margin)
+        return (cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN)
 
 
 class _Segments:
@@ -417,7 +402,7 @@ def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, gr
     return np.minimum.reduceat(hit, cand_first)
 
 
-def filter_on_road(tracks, vmap: VectorMap, margin: float = 0.5):
+def filter_on_road(tracks, vmap: VectorMap):
     """Keep tracks whose center projects on-road; annotate with FrenetCoord.
 
     `tracks` is any iterable of objects exposing .position (3-vector); all
@@ -425,7 +410,7 @@ def filter_on_road(tracks, vmap: VectorMap, margin: float = 0.5):
     (track, FrenetCoord) pairs in input order.
     """
     tracks = list(tracks)
-    coords = vmap.project([track.position for track in tracks], margin)
+    coords = vmap.project([track.position for track in tracks])
     return [(track, fc) for track, fc in zip(tracks, coords) if fc is not None]
 
 
@@ -437,13 +422,9 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_number_type(type(value))
-
-
 def _is_integer(value) -> bool:
     # JSON has one number type: 100.0 is an integer, true is not
-    return _is_number(value) and (not isinstance(value, float) or value.is_integer())
+    return _is_number_type(type(value)) and (not isinstance(value, float) or value.is_integer())
 
 
 def _lanelet_from_dict(entry, path: list) -> Lanelet:
@@ -500,22 +481,13 @@ def vector_map_from_dict(data) -> VectorMap:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise _violation(["name"], f"{name!r} is not a string")
-    lateral_window = data.get("lateral_window", 15.0)
-    if not _is_number(lateral_window) or lateral_window <= 0:
-        raise _violation(["lateral_window"], f"{lateral_window!r} is not a number > 0")
-    try:
-        lateral_window = float(lateral_window)
-    except OverflowError:
-        lateral_window = math.inf
-    if not math.isfinite(lateral_window):  # NaN passes the comparison above
-        raise ValidationError("lateral_window: non-finite or out of float range")
     if "lanelets" not in data:
         raise _violation([], "missing key 'lanelets'")
     entries = data["lanelets"]
     if not (isinstance(entries, list) and entries):
         raise _violation(["lanelets"], "lanelets must be a non-empty list")
     lanelets = [_lanelet_from_dict(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
-    return VectorMap(lanelets, name=name, lateral_window=lateral_window)
+    return VectorMap(lanelets, name=name)
 
 
 def load_vector_map(path) -> VectorMap:
@@ -523,8 +495,9 @@ def load_vector_map(path) -> VectorMap:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON and non-UTF-8 bytes; RecursionError, nesting too deep to parse
+        raise ValidationError(f"{path}: unreadable JSON map: {exc}") from exc
     try:
         return vector_map_from_dict(data)
     except ValidationError as exc:

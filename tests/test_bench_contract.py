@@ -1,0 +1,60 @@
+"""The benchmark in perfbench/ imports and runs against the package as it stands.
+
+No CI step runs the benchmark, so a change under src/ that breaks what
+perfbench/ uses of the package (a name, a signature, a return type) would
+otherwise show only when the benchmark itself runs. This runs one short pass
+of the benchmark's chain from memory and from files, and one traced pass.
+"""
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import bench  # noqa: E402
+import chain  # noqa: E402
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+from cavtraj.pipeline import scenario  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def data():
+    # disk_replay shortened to 1 s: 10 frames of one agent, two SVs confirmed within it
+    return scenario.generate_scenario(replace(workloads.disk_replay(0), duration=1.0))
+
+
+def _sources(data, directory):
+    """(source, map source) in memory and from a write_scenario directory, as the benchmark builds them."""
+    disk = workloads.WORKLOADS["disk_replay"]
+    bench._write(data, directory)
+    return {"memory": bench._source(replace(disk, from_disk=False), data, directory),
+            "disk": bench._source(disk, data, directory)}
+
+
+def _run(source, map_source):
+    vmap, tracker, det_config = chain.setup(map_source)
+    return chain.run_pass(source, vmap, tracker, det_config)
+
+
+def test_chain_pass_from_memory_and_from_files_agree(data, tmp_path):
+    lane_of = {ll["lanelet_id"]: ll["lane_id"] for ll in data.vector_map["lanelets"]}
+    passes = {name: _run(*source) for name, source in _sources(data, tmp_path).items()}
+    for result in passes.values():
+        assert result.failed == 0
+        assert result.rows
+        assert chain.check_rows(result.rows, lane_of) == []
+    assert passes["memory"].digest() == passes["disk"].digest()
+
+
+def test_traced_pass_reads_every_counter(data, tmp_path):
+    source, map_source = _sources(data, tmp_path)["disk"]
+    with tracer.Tracer() as tr:
+        result = _run(source, map_source)
+    assert result.failed == 0 and result.rows
+    assert tr.counter_errors == set()
+    metrics = tracer.layer_metrics(tr)
+    assert metrics["world_model.map_load.lanelets"][0] == len(data.vector_map["lanelets"])

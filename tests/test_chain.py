@@ -44,28 +44,28 @@ def chain_rows(data):
         for track, fc in filter_on_road(tracker.step(late_fuse(sets, transforms)), vmap):
             rows.append((track.track_id, round(sets[0].timestamp, 9),
                          *(round(float(v), 9) for v in (track.position[0], track.position[1], fc.downtrack, fc.crosstrack)),
-                         fc.lanelet_id, fc.lane_id, fc.total_lanes))
+                         fc.lanelet_id, fc.lane_id))
     return rows
 
 
-# (track id, time, x, y, downtrack, crosstrack, lanelet, lane, total lanes)
+# (track id, time, x, y, downtrack, crosstrack, lanelet, lane)
 EXPECTED = [
-    (1, 0.2, 48.079783504, 5.954915055, 48.919229079, 0.007541872, 201, 2, 2),
-    (2, 0.2, 33.62443172, 5.709222207, 33.918416307, 0.006917682, 100, 1, 2),
-    (1, 0.3, 50.004134783, 6.600590352, 50.948833569, 0.01792201, 201, 2, 2),
-    (2, 0.3, 35.606168096, 6.182336466, 35.955744164, 0.009955304, 100, 1, 2),
-    (1, 0.4, 51.908229179, 7.272812178, 52.967838202, 0.023546464, 201, 2, 2),
-    (2, 0.4, 37.563429719, 6.672397596, 37.973230909, 0.018384849, 100, 1, 2),
-    (1, 0.5, 53.804222393, 7.954530829, 54.98212597, 0.044260202, 201, 2, 2),
-    (2, 0.5, 39.509188992, 7.174675908, 39.982288691, 0.03943584, 101, 1, 2),
-    (1, 0.6, 55.686276595, 8.675012101, 56.996750982, 0.050512343, 201, 2, 2),
-    (2, 0.6, 41.454823635, 7.717619672, 42.001655647, 0.048649562, 101, 1, 2),
-    (1, 0.7, 57.550056191, 9.418846565, 59.002794885, 0.054962937, 201, 2, 2),
-    (2, 0.7, 43.378467105, 8.287520409, 44.0072664, 0.053171749, 101, 1, 2),
-    (1, 0.8, 59.398123496, 10.190035809, 61.004608105, 0.054600857, 201, 2, 2),
-    (2, 0.8, 45.283199757, 8.882879026, 46.002165276, 0.054830582, 101, 1, 2),
-    (1, 0.9, 61.2359515, 10.990030684, 63.008323662, 0.050143102, 201, 2, 2),
-    (2, 0.9, 47.186839783, 9.505796534, 48.004392112, 0.05688414, 101, 1, 2),
+    (1, 0.2, 48.079783504, 5.954915055, 48.919229079, 0.007541872, 201, 2),
+    (2, 0.2, 33.62443172, 5.709222207, 33.918416307, 0.006917682, 100, 1),
+    (1, 0.3, 50.004134783, 6.600590352, 50.948833569, 0.01792201, 201, 2),
+    (2, 0.3, 35.606168096, 6.182336466, 35.955744164, 0.009955304, 100, 1),
+    (1, 0.4, 51.908229179, 7.272812178, 52.967838202, 0.023546464, 201, 2),
+    (2, 0.4, 37.563429719, 6.672397596, 37.973230909, 0.018384849, 100, 1),
+    (1, 0.5, 53.804222393, 7.954530829, 54.98212597, 0.044260202, 201, 2),
+    (2, 0.5, 39.509188992, 7.174675908, 39.982288691, 0.03943584, 101, 1),
+    (1, 0.6, 55.686276595, 8.675012101, 56.996750982, 0.050512343, 201, 2),
+    (2, 0.6, 41.454823635, 7.717619672, 42.001655647, 0.048649562, 101, 1),
+    (1, 0.7, 57.550056191, 9.418846565, 59.002794885, 0.054962937, 201, 2),
+    (2, 0.7, 43.378467105, 8.287520409, 44.0072664, 0.053171749, 101, 1),
+    (1, 0.8, 59.398123496, 10.190035809, 61.004608105, 0.054600857, 201, 2),
+    (2, 0.8, 45.283199757, 8.882879026, 46.002165276, 0.054830582, 101, 1),
+    (1, 0.9, 61.2359515, 10.990030684, 63.008323662, 0.050143102, 201, 2),
+    (2, 0.9, 47.186839783, 9.505796534, 48.004392112, 0.05688414, 101, 1),
 ]
 
 

@@ -35,7 +35,10 @@ CFG = DetectionConfig(cell_size=0.5, extent=20.0)
      ("ground_height", math.nan), ("ground_height", math.inf), ("ground_height", -math.inf),
      ("confidence_saturation", 0), ("confidence_saturation", -5), ("confidence_saturation", math.nan),
      ("confidence_saturation", math.inf), ("min_box_height", math.nan), ("min_box_height", 0.0),
-     ("min_box_height", -0.1)],
+     ("min_box_height", -0.1),
+     # every cluster size >= NaN is false, so a NaN floor keeps no cluster in any frame
+     ("min_cluster_points", math.nan), ("min_cluster_points", 0), ("min_cluster_points", 2.5),
+     ("min_cluster_points", True)],
 )
 def test_config_rejects_non_positive_or_non_finite_values(field, value):
     with pytest.raises(InvalidArgument, match=field):

@@ -84,6 +84,8 @@ MALFORMED_FRAMES = {
     "points_float32": lambda p: _savez(p, points=np.arange(12.0, dtype=np.float32).reshape(4, 3)),
     "nan_timestamp": lambda p: _savez(p, timestamp=np.float64("nan")),
     "inf_point": lambda p: _savez(p, points=np.array([[0.0, 1.0, np.inf]] * 4)),
+    "missing_file": lambda p: None,
+    "directory": lambda p: p.mkdir(),
 }
 
 
@@ -139,6 +141,20 @@ def test_malformed_pose_file_rejected(tmp_path, text):
         read_pose_csv(path)
 
 
+UNREADABLE_POSES = {
+    "missing": lambda p: None,
+    "non_utf8": lambda p: p.write_bytes(b"t,x,y,z,roll,pitch,yaw\n0.0,\xff\xfe,0,0,0,0,0\n"),
+}
+
+
+@pytest.mark.parametrize("make", UNREADABLE_POSES.values(), ids=UNREADABLE_POSES.keys())
+def test_unreadable_pose_file_rejected(tmp_path, make):
+    path = tmp_path / "poses.csv"
+    make(path)
+    with pytest.raises(ValidationError, match="poses.csv"):
+        read_pose_csv(path)
+
+
 def _yaw_pose(t, yaw, xyz):
     return PoseSample(t, RigidTransform.from_euler_translation(EulerAngles(0.0, 0.0, yaw), xyz))
 
@@ -175,3 +191,8 @@ def test_pose_at_beyond_tolerance_rejected(t):
     samples = [_yaw_pose(0.0, 0.0, (0.0, 0.0, 0.0)), _yaw_pose(0.4, 0.1, (1.0, 0.0, 0.0))]
     with pytest.raises(ValidationError, match="no pose within 0.5 s"):
         pose_at(samples, t)
+
+
+def test_pose_at_without_samples_rejected():
+    with pytest.raises(ValidationError, match="no pose samples"):
+        pose_at([], 0.0)

@@ -12,6 +12,7 @@ from cavtraj.pipeline.frames_io import pose_at
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
 from conftest import in_footprint
 
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 def box(x, y, l=4.0, w=2.0, h=1.5, heading=0.0, conf=0.8, z=0.75):
     return OrientedBox(x, y, z, l, w, h, heading, conf)
@@ -287,7 +288,7 @@ def test_project_box_matches_corner_reference():
 
 def test_late_fuse_single_agent_passthrough():
     s = make_set(0.0, 0, [box(5, 0), box(20, 3)])
-    fused = late_fuse([s], {0: RigidTransform.identity()})
+    fused = late_fuse([s], {0: IDENTITY})
     assert len(fused.boxes) == 2
     assert fused.provenance == [(0,), (0,)]
 
@@ -298,7 +299,7 @@ def test_late_fuse_duplicate_keeps_higher_confidence():
     s0 = make_set(0.0, 0, [winner])
     s1 = make_set(0.0, 1, [loser])
     assert iou_bev(winner, loser) > 0.3
-    fused = late_fuse([s0, s1], {0: RigidTransform.identity(), 1: RigidTransform.identity()})
+    fused = late_fuse([s0, s1], {0: IDENTITY, 1: IDENTITY})
     assert len(fused.boxes) == 1
     assert fused.boxes[0].length == pytest.approx(4.4)
     assert fused.provenance == [(0, 1)]
@@ -307,7 +308,7 @@ def test_late_fuse_duplicate_keeps_higher_confidence():
 def test_late_fuse_distinct_objects_all_kept():
     s0 = make_set(0.0, 0, [box(0, 0)])
     s1 = make_set(0.0, 1, [box(30, 0)])
-    fused = late_fuse([s0, s1], {0: RigidTransform.identity(), 1: RigidTransform.identity()})
+    fused = late_fuse([s0, s1], {0: IDENTITY, 1: IDENTITY})
     assert len(fused.boxes) == 2
 
 
@@ -316,7 +317,7 @@ def test_late_fuse_confidence_tie_prefers_lower_agent_id():
     b1 = box(10.1, 0.0, l=3.8, conf=0.7)
     fused = late_fuse(
         [make_set(0.0, 1, [b1]), make_set(0.0, 0, [b0])],
-        {0: RigidTransform.identity(), 1: RigidTransform.identity()},
+        {0: IDENTITY, 1: IDENTITY},
     )
     assert len(fused.boxes) == 1
     assert fused.boxes[0].length == pytest.approx(4.2)
@@ -331,7 +332,7 @@ def test_late_fuse_self_fusion_idempotent_count():
     boxes = [box(0, 0), box(15, 2), box(-12, -4, heading=0.5)]
     s0 = make_set(0.0, 0, boxes)
     s1 = make_set(0.0, 1, boxes)  # duplicated agent view
-    fused = late_fuse([s0, s1], {0: RigidTransform.identity(), 1: RigidTransform.identity()})
+    fused = late_fuse([s0, s1], {0: IDENTITY, 1: IDENTITY})
     assert len(fused.boxes) == len(boxes)
 
 
@@ -341,7 +342,7 @@ def test_late_fuse_output_has_no_overlapping_pair():
     boxes1 = [box(rng.uniform(-30, 30), rng.uniform(-8, 8), conf=rng.uniform(0.2, 1)) for _ in range(12)]
     fused = late_fuse(
         [make_set(0.0, 0, boxes0), make_set(0.0, 1, boxes1)],
-        {0: RigidTransform.identity(), 1: RigidTransform.identity()},
+        {0: IDENTITY, 1: IDENTITY},
         iou_threshold=0.3,
     )
     for i in range(len(fused.boxes)):
@@ -353,7 +354,7 @@ def test_late_fuse_output_has_no_overlapping_pair():
 def test_late_fuse_threshold_outside_unit_interval_rejected(threshold):
     s = make_set(0.0, 0, [box(0, 0)])
     with pytest.raises(InvalidArgument, match="iou_threshold"):
-        late_fuse([s], {0: RigidTransform.identity()}, iou_threshold=threshold)
+        late_fuse([s], {0: IDENTITY}, iou_threshold=threshold)
 
 
 def all_pairs_fuse(sets, transforms, iou_threshold):
@@ -409,7 +410,7 @@ def test_late_fuse_matches_all_pairs_reference(threshold):
             sets.append(make_set(0.0, aid, boxes))
         cases.append(sets)
     for sets in cases:
-        transforms = {ds.agent_id: RigidTransform.identity() for ds in sets}
+        transforms = {ds.agent_id: IDENTITY for ds in sets}
         fused = late_fuse(sets, transforms, iou_threshold=threshold)
         assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms, threshold)
 
@@ -424,7 +425,7 @@ def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
     monkeypatch.setattr(fusion, "iou_bev", counting_iou)
     sets = [make_set(0.0, 0, [box(0, 0), box(30, 0), box(60, 0)]),
             make_set(0.0, 1, [box(0.5, 0, conf=0.5), box(64.4, 0, conf=0.5)])]
-    fused = late_fuse(sets, {0: RigidTransform.identity(), 1: RigidTransform.identity()})
+    fused = late_fuse(sets, {0: IDENTITY, 1: IDENTITY})
     # circumradius of a 4 x 2 box is sqrt(5): 0.5 m and 4.4 m gaps are inside 2*sqrt(5)
     assert sorted(calls) == [(0.5, 0.0), (64.4, 60.0)]
     assert fused.provenance == [(0, 1), (0,), (0,), (1,)]

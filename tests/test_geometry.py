@@ -72,8 +72,9 @@ def test_euler_round_trip():
 
 
 def test_invert_identity():
-    ident = RigidTransform.identity()
-    np.testing.assert_allclose(ident.inverse().matrix, np.eye(4))
+    inv = RigidTransform(np.eye(3), np.zeros(3)).inverse()
+    np.testing.assert_allclose(inv.rotation, np.eye(3))
+    np.testing.assert_allclose(inv.translation, np.zeros(3))
 
 
 def test_invert_pure_translation():
@@ -83,24 +84,19 @@ def test_invert_pure_translation():
 
 def test_invert_round_trip():
     rng = np.random.default_rng(11)
+    cloud = rng.uniform(-20, 20, size=(10, 3))
     for _ in range(50):
         t = random_transform(rng)
-        np.testing.assert_allclose(t.inverse().inverse().matrix, t.matrix, atol=1e-9)
-        np.testing.assert_allclose(t.compose(t.inverse()).matrix, np.eye(4), atol=1e-9)
-
-
-def test_compose_invert_group_property():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        t1, t2 = random_transform(rng), random_transform(rng)
-        lhs = t1.compose(t2).inverse()
-        rhs = t2.inverse().compose(t1.inverse())
-        np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-9)
+        back = t.inverse().inverse()
+        np.testing.assert_allclose(back.rotation, t.rotation, atol=1e-9)
+        np.testing.assert_allclose(back.translation, t.translation, atol=1e-9)
+        np.testing.assert_allclose(t.inverse().apply(t.apply(cloud)), cloud, atol=1e-9)
+        np.testing.assert_allclose(t.apply(t.inverse().apply(cloud)), cloud, atol=1e-9)
 
 
 def test_transform_points_identity_and_translation():
     cloud = np.random.default_rng(23).uniform(-5, 5, size=(40, 3))
-    np.testing.assert_allclose(RigidTransform.identity().apply(cloud), cloud)
+    np.testing.assert_allclose(RigidTransform(np.eye(3), np.zeros(3)).apply(cloud), cloud)
     shifted = RigidTransform(np.eye(3), [0, 0, 5]).apply([1.0, 1.0, 0.0])
     np.testing.assert_allclose(shifted, [1, 1, 5])
 

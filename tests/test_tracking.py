@@ -215,6 +215,51 @@ def test_tracker_rejects_time_regression():
         tracker.step(frame(0.9, []))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_tracker_rejects_non_finite_timestamp(t):
+    # with no track alive nothing else reads the time, and a NaN would disable the order check
+    tracker = MultiObjectTracker()
+    tracker.step(frame(5.0, []))
+    with pytest.raises(InvalidArgument, match="non-finite frame timestamp"):
+        tracker.step(frame(t, []))
+    with pytest.raises(InvalidArgument, match="must increase"):
+        tracker.step(frame(1.0, []))
+
+
+BAD_TRACKING_CONFIGS = {
+    "nominal_dt_zero": ("nominal_dt", 0.0),  # divides by zero at the first predict
+    "q_vel_nan": ("q_vel", math.nan),  # breaks SciPy's assignment at the second step
+    "q_pos_negative": ("q_pos", -0.1),
+    "q_acc_inf": ("q_acc", math.inf),
+    "q_heading_zero": ("q_heading", 0.0),
+    "r_pos_nan": ("r_pos", math.nan),
+    "r_heading_negative": ("r_heading", -0.15),
+    "association_gate_zero": ("association_gate", 0.0),
+    "association_gate_inf": ("association_gate", math.inf),
+    "init_vel_sigma_nan": ("init_vel_sigma", math.nan),
+    "init_acc_sigma_zero": ("init_acc_sigma", 0.0),
+    "dim_ema_nan": ("dim_ema", math.nan),  # NaN box sizes
+    "dim_ema_zero": ("dim_ema", 0.0),
+    "dim_ema_above_one": ("dim_ema", 1.5),
+    "confirm_hits_zero": ("confirm_hits", 0),
+    "confirm_hits_fraction": ("confirm_hits", 2.5),
+    "confirm_hits_bool": ("confirm_hits", True),
+    "max_age_negative": ("max_age", -1),  # drops every track every step
+    "max_age_nan": ("max_age", math.nan),
+}
+
+
+@pytest.mark.parametrize("field, value", BAD_TRACKING_CONFIGS.values(), ids=BAD_TRACKING_CONFIGS.keys())
+def test_tracking_config_rejects_bad_value(field, value):
+    with pytest.raises(InvalidArgument, match=field):
+        TrackingConfig(**{field: value})
+
+
+def test_tracking_config_accepts_the_range_ends():
+    config = TrackingConfig(dim_ema=1.0, confirm_hits=1, max_age=0)
+    assert (config.dim_ema, config.confirm_hits, config.max_age) == (1.0, 1, 0)
+
+
 def test_covariance_stays_spd_over_many_cycles():
     cfg = TrackingConfig()
     track = make_track(vel=(5, 0, 0))

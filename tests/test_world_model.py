@@ -31,9 +31,8 @@ def freeway():
 
 def test_load_minimal_straight_map(straight):
     assert len(straight.lanelets) == 3  # 120 m split into 50 m lanelets
-    fc = straight.to_frenet((5.0, 0.0, 0.0))
-    assert fc is not None
-    assert fc.total_lanes == 1
+    fc = straight.project([(5.0, 0.0, 0.0)])[0]
+    assert fc is not None and fc.lane_id == 1
 
 
 def test_load_freeway_topology(freeway):
@@ -109,11 +108,8 @@ MAP_RULES = {
     "right_boundary_tuple": (_lanelet_1(right_boundary=([50.0, -1.85, 0.0], [100.0, -1.85, 0.0])),
                              ["lanelets", 1, "right_boundary"]),
     "name_not_string": (lambda d: d.update(name=7), ["name"]),
-    "lateral_window_string": (lambda d: d.update(lateral_window="15"), ["lateral_window"]),
-    "lateral_window_bool": (lambda d: d.update(lateral_window=True), ["lateral_window"]),
-    "lateral_window_zero": (lambda d: d.update(lateral_window=0), ["lateral_window"]),
-    "lateral_window_negative": (lambda d: d.update(lateral_window=-1.5), ["lateral_window"]),
-    "lateral_window_minus_inf": (lambda d: d.update(lateral_window=-math.inf), ["lateral_window"]),
+    # not part of the format: rejected like any other extra key
+    "retired_lateral_window": (lambda d: d.update(lateral_window=15.0), []),
 }
 
 
@@ -167,16 +163,6 @@ def test_load_bad_coordinate_rejected(tmp_path, value, message):
         load_vector_map(path)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
-def test_load_bad_lateral_window_rejected(tmp_path, value):
-    data = json.loads((MAPS / "straight.json").read_text())
-    data["lateral_window"] = value
-    path = tmp_path / "map.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValidationError, match="lateral_window: non-finite"):
-        load_vector_map(path)
-
-
 @pytest.mark.parametrize(
     "polyline, message",
     [
@@ -202,23 +188,39 @@ def test_load_bad_json_file(tmp_path):
         load_vector_map(bad)
 
 
+UNREADABLE_MAPS = {
+    "missing": lambda p: None,
+    "non_utf8": lambda p: p.write_bytes(b'{"name": "\xff\xfe", "lanelets": []}'),
+    # json.loads recurses once per level and gives up far below this depth
+    "deep_nesting": lambda p: p.write_text("[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("make", UNREADABLE_MAPS.values(), ids=UNREADABLE_MAPS.keys())
+def test_unreadable_map_file_rejected(tmp_path, make):
+    path = tmp_path / "map.json"
+    make(path)
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load_vector_map(path)
+
+
 def test_frenet_centerline_start_is_origin(straight):
-    fc = straight.to_frenet((0.0, 0.0, 0.0))
+    fc = straight.project([(0.0, 0.0, 0.0)])[0]
     assert fc.downtrack == pytest.approx(0.0, abs=1e-9)
     assert fc.crosstrack == pytest.approx(0.0, abs=1e-9)
 
 
 def test_frenet_straight_offset_point(straight):
     # 1.5 m to the right of the centerline at downtrack 20 (right = -y here)
-    fc = straight.to_frenet((20.0, -1.5, 0.0))
+    fc = straight.project([(20.0, -1.5, 0.0)])[0]
     assert fc.downtrack == pytest.approx(20.0, abs=1e-6)
     assert fc.crosstrack == pytest.approx(1.5, abs=1e-6)
-    left = straight.to_frenet((20.0, 1.5, 0.0))
+    left = straight.project([(20.0, 1.5, 0.0)])[0]
     assert left.crosstrack == pytest.approx(-1.5, abs=1e-6)
 
 
 def test_frenet_downtrack_crosses_lanelet_chain(straight):
-    fc = straight.to_frenet((80.0, 0.4, 0.0))
+    fc = straight.project([(80.0, 0.4, 0.0)])[0]
     assert fc.downtrack == pytest.approx(80.0, abs=1e-6)
     assert fc.lanelet_id == 101  # second lanelet of lane 1
 
@@ -227,7 +229,7 @@ def test_frenet_arc_half_arc_downtrack(arc):
     # halfway around a 50 m radius quarter circle
     radius, angle = 50.0, math.radians(45.0)
     p = (radius * math.sin(angle), radius * (1 - math.cos(angle)), 0.0)
-    fc = arc.to_frenet(p)
+    fc = arc.project([p])[0]
     assert fc is not None
     assert fc.downtrack == pytest.approx(radius * angle, abs=1e-3)
     assert fc.crosstrack == pytest.approx(0.0, abs=1e-3)
@@ -237,32 +239,31 @@ def test_frenet_arc_lateral_sign(arc):
     # a point radially outward from the turn center is right of the path
     radius, angle = 50.0, math.radians(30.0)
     out_p = ((radius + 1.0) * math.sin(angle), 50.0 - (radius + 1.0) * math.cos(angle), 0.0)
-    fc = arc.to_frenet(out_p)
+    fc = arc.project([out_p])[0]
     assert fc.crosstrack == pytest.approx(1.0, abs=2e-3)
 
 
 def test_frenet_off_road_marker(straight):
-    assert straight.to_frenet((20.0, 12.0, 0.0)) is None
-    assert straight.to_frenet((20.0, 2.5, 0.0)) is None  # 0.65 m past boundary+margin
+    assert straight.project([(20.0, 12.0, 0.0)])[0] is None
+    assert straight.project([(20.0, 2.5, 0.0)])[0] is None  # 0.65 m past boundary+margin
 
 
 def test_frenet_margin_keeps_near_boundary_points(straight):
     # boundary at 1.85 m; margin 0.5 keeps up to 2.35
-    assert straight.to_frenet((20.0, -2.2, 0.0)) is not None
+    assert straight.project([(20.0, -2.2, 0.0)])[0] is not None
 
 
 def test_freeway_lane_assignment(freeway):
     for lane, y in ((1, 3.7), (2, 0.0), (3, -3.7)):
-        fc = freeway.to_frenet((150.0, y, 0.0))
+        fc = freeway.project([(150.0, y, 0.0)])[0]
         assert fc.lane_id == lane
-        assert fc.total_lanes == 3
         assert abs(fc.crosstrack) < 1e-6
 
 
 def test_freeway_ties_broken_by_smaller_crosstrack(freeway):
     # point on the shared boundary between lanes 1 and 2 belongs to either;
     # nudge slightly toward lane 2
-    fc = freeway.to_frenet((150.0, 1.8, 0.0))
+    fc = freeway.project([(150.0, 1.8, 0.0)])[0]
     assert fc.lane_id == 2
 
 
@@ -271,7 +272,7 @@ def test_round_trip_straight(straight):
     for _ in range(50):
         x = rng.uniform(0, 120)
         y = rng.uniform(-1.8, 1.8)
-        fc = straight.to_frenet((x, y, 0.0))
+        fc = straight.project([(x, y, 0.0)])[0]
         # analytic inverse for the straight east-bound road
         back = (fc.downtrack, -fc.crosstrack)
         assert back[0] == pytest.approx(x, abs=1e-3)
@@ -285,7 +286,7 @@ def test_round_trip_arc(arc):
         lateral = rng.uniform(-1.5, 1.5)
         radius = 50.0 + lateral
         p = (radius * math.sin(theta), 50.0 - radius * math.cos(theta), 0.0)
-        fc = arc.to_frenet(p)
+        fc = arc.project([p])[0]
         back_theta = fc.downtrack / 50.0
         back_r = 50.0 + fc.crosstrack
         back = (back_r * math.sin(back_theta), 50.0 - back_r * math.cos(back_theta))
@@ -302,7 +303,7 @@ def test_downtrack_steps_evenly_across_arc_joint(arc, lateral):
     downs = []
     for theta in thetas:
         p = (radius * math.sin(theta), 50.0 - radius * math.cos(theta), 0.0)
-        fc = arc.to_frenet(p)
+        fc = arc.project([p])[0]
         downs.append(fc.downtrack)
         back_r = 50.0 + fc.crosstrack
         back_theta = fc.downtrack / 50.0
@@ -331,7 +332,7 @@ def test_frenet_foot_on_interpolated_normal_at_sharp_corner():
             n = normals[seg] + u / 10.0 * (normals[seg + 1] - normals[seg])
             for lateral in (-1.5, 1.5):
                 p = np.add(start, np.multiply(u, direction)) + lateral * n / np.linalg.norm(n)
-                fc = vmap.to_frenet(p)
+                fc = vmap.project([p])[0]
                 assert fc.downtrack == pytest.approx(10.0 * seg + u, abs=1e-9)
                 assert fc.crosstrack == pytest.approx(lateral, abs=1e-9)
 
@@ -341,14 +342,14 @@ def test_frenet_where_normals_cross_takes_the_vertex():
     # has no foot on either leg and maps to the bend's vertex (1, 0)
     vmap = _right_angle_bend(1.0, 0.9)
     p = np.array([0.2, 1.25])
-    fc = vmap.to_frenet(p)
+    fc = vmap.project([p])[0]
     assert fc.downtrack == pytest.approx(1.0, abs=1e-9)
     assert fc.crosstrack == pytest.approx(np.dot(p - (1.0, 0.0), (1.0, -1.0)) / math.sqrt(2.0), abs=1e-9)
 
 
 def test_downtrack_monotone_along_route(freeway):
     ss = np.linspace(0.0, 299.0, 400)
-    downs = [freeway.to_frenet((s, 0.0, 0.0)).downtrack for s in ss]
+    downs = [freeway.project([(s, 0.0, 0.0)])[0].downtrack for s in ss]
     assert all(b >= a - 1e-9 for a, b in zip(downs, downs[1:]))
 
 
@@ -409,13 +410,11 @@ def _chord_project(line, xy):
 def chord_loop_frenet(vmap, point, margin=0.5):
     """Reference: project onto each lanelet's polylines one lanelet at a time."""
     xy = np.asarray(point, dtype=float)[:2]
-    best, lanes = None, set()
+    best = None
     for ll in sorted(vmap.lanelets.values(), key=lambda l: l.lanelet_id):
         s, cross, dist, interior = _chord_project(ll.centerline, xy)
         if not interior:
             continue
-        if abs(cross) <= vmap.lateral_window:
-            lanes.add(ll.lane_id)
         if _chord_project(ll.left_boundary, xy)[1] < -margin or _chord_project(ll.right_boundary, xy)[1] > margin:
             continue
         key = (round(dist, 9), abs(cross), ll.lanelet_id)
@@ -425,7 +424,7 @@ def chord_loop_frenet(vmap, point, margin=0.5):
         return None
     _, ll, s_chord = best
     s, cross = ll.centerline.frenet(xy, s_chord)
-    return FrenetCoord(ll.chain_offset + s, cross, ll.lanelet_id, ll.lane_id, len(lanes))
+    return FrenetCoord(ll.chain_offset + s, cross, ll.lanelet_id, ll.lane_id)
 
 
 def _on_polyline(line, s):
@@ -469,21 +468,18 @@ def _probe_points(vmap, rng, n):
     return points
 
 
-@pytest.mark.parametrize("name", ["straight.json", "arc.json", "freeway3.json", "freeway3_window", "right_angle_bend"])
+@pytest.mark.parametrize("name", ["straight.json", "arc.json", "freeway3.json", "right_angle_bend"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_to_frenet_matches_chord_loop(name):
     if name == "right_angle_bend":
         vmap = _right_angle_bend(10.0, 1.85)
-    elif name == "freeway3_window":
-        # lane centres 3.7 m apart: neighbouring lanes sit exactly on the window edge
-        vmap = vector_map_from_dict({**json.loads((MAPS / "freeway3.json").read_text()), "lateral_window": 3.7})
     else:
         vmap = load_vector_map(MAPS / name)
     rng = np.random.default_rng(17)
     points = _probe_points(vmap, rng, 400)
     results = []
     for p in points:
-        got, want = vmap.to_frenet(p), chord_loop_frenet(vmap, p)
+        got, want = vmap.project([p])[0], chord_loop_frenet(vmap, p)
         assert got == want, p
         results.append(got)
     # the probes reach both sides of the road edge
@@ -497,9 +493,9 @@ def test_to_frenet_first_of_tied_chords_decides():
     # their shared vertex; the first leg counts, and by the right boundary's
     # first leg (12, -3) lies 1.15 m outside the road, past the 0.5 m margin
     vmap = _right_angle_bend(10.0, 1.85)
-    assert vmap.to_frenet((12.0, -3.0)) is None
+    assert vmap.project([(12.0, -3.0)])[0] is None
     assert chord_loop_frenet(vmap, (12.0, -3.0)) is None
-    assert vmap.to_frenet((12.0, -2.2)) is not None
+    assert vmap.project([(12.0, -2.2)])[0] is not None
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
@@ -523,30 +519,9 @@ def test_project_empty_non_finite_and_mixed_batches(freeway):
     assert freeway.project(non_finite) == [None, None, None]
     on_road, off_road = (150.0, 1.8, 0.0), (150.0, 40.0, 0.0)
     mixed = [on_road, non_finite[0], off_road, np.array(on_road), non_finite[2]]
-    want = freeway.to_frenet(on_road)
-    assert want is not None and freeway.to_frenet(off_road) is None
+    want = freeway.project([on_road])[0]
+    assert want is not None and freeway.project([off_road])[0] is None
     assert freeway.project(mixed) == [want, None, None, want, None]
-
-
-def test_project_winner_outside_lateral_window_counts_no_lane(straight):
-    # the winner's centerline offset (1 m) exceeds the 0.5 m window: still on-road, 0 lanes
-    data = json.loads((MAPS / "straight.json").read_text())
-    narrow = vector_map_from_dict({**data, "lateral_window": 0.5})
-    [fc] = narrow.project([(20.0, 1.0, 0.0)])
-    wide = straight.to_frenet((20.0, 1.0, 0.0))
-    assert fc == FrenetCoord(wide.downtrack, wide.crosstrack, wide.lanelet_id, wide.lane_id, 0)
-    assert wide.total_lanes == 1
-
-
-def test_nan_margin_rejected(straight):
-    with pytest.raises(InvalidArgument, match="margin"):
-        straight.project([(20.0, 0.0, 0.0)], math.nan)
-    with pytest.raises(InvalidArgument, match="margin"):
-        straight.to_frenet((20.0, 0.0, 0.0), margin=math.nan)
-    with pytest.raises(InvalidArgument, match="margin"):
-        filter_on_road([FakeTrack(20.0, 0.0)], straight, margin=math.nan)
-    with pytest.raises(InvalidArgument, match="margin"):
-        filter_on_road([], straight, margin=math.nan)
 
 
 @pytest.mark.parametrize("point", [
@@ -555,6 +530,6 @@ def test_nan_margin_rejected(straight):
 ])
 def test_malformed_point_rejected(straight, point):
     with pytest.raises(InvalidArgument, match="point"):
-        straight.to_frenet(point)
+        straight.project([point])
     with pytest.raises(InvalidArgument, match="point 1"):
         straight.project([(20.0, 0.0, 0.0), point])
