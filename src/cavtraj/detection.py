@@ -33,8 +33,8 @@ cluster in one stacked matrix product.
 
 A box's heading lies along the long side of its footprint; its sign is
 arbitrary (a box and its half-turn are the same box). Later stages treat it
-that way: BEV IoU does not depend on it, and the tracker aligns it to the
-track's heading.
+that way: BEV IoU does not depend on it, and the tracker does not read it (a
+track's heading is the direction of its estimated velocity).
 """
 
 from __future__ import annotations
@@ -74,14 +74,20 @@ class DetectionConfig:
 
 @dataclass
 class PointCloudFrame:
-    """One LiDAR frame: its capture time and (N, 3) points in the sensor frame."""
+    """One LiDAR frame: its capture time and (N, 3) points in the sensor frame; [] is (0, 3)."""
 
     timestamp: float
     points: np.ndarray
     agent_id: int = 0
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        try:
+            points = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"points are not an array of numbers: {exc}") from None
+        if points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 3):
+            raise InvalidArgument(f"points must have shape (N, 3), got {points.shape}")
+        self.points = points.reshape(-1, 3)
         if not math.isfinite(self.timestamp):
             raise InvalidArgument("non-finite timestamp")
         if self.points.size and not np.all(np.isfinite(self.points)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,15 @@ from ..geometry import EulerAngles, RigidTransform, wrap_angle
 from .frames_io import PoseSample, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
+
+
+def _check_finite(spec, names, zero_ok: bool = False) -> None:
+    """ValidationError unless each named field is a finite number > 0 (>= 0 if zero_ok)."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (isinstance(value, Real) and math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+            bound = ">= 0" if zero_ok else "> 0"
+            raise ValidationError(f"{type(spec).__name__}.{name} must be finite and {bound}: {value!r}")
 
 
 @dataclass
@@ -37,8 +47,11 @@ class RoadSpec:
     def __post_init__(self):
         if self.kind not in ("straight", "arc"):
             raise ValidationError(f"unknown road kind {self.kind!r}")
-        if self.n_lanes < 1 or self.lane_width <= 0:
-            raise ValidationError("road needs >= 1 lane with positive width")
+        if not (isinstance(self.n_lanes, Integral) and not isinstance(self.n_lanes, bool) and self.n_lanes >= 1):
+            raise ValidationError(f"RoadSpec.n_lanes must be an integer >= 1: {self.n_lanes!r}")
+        _check_finite(self, ("length", "radius", "arc_angle_deg", "lane_width", "sample_step"))
+        if self.kind == "arc" and self.radius <= self.half_width:
+            raise ValidationError(f"arc radius {self.radius} must exceed the road's half width {self.half_width}")
 
     def lane_offset(self, lane: int) -> float:
         """Right-positive lateral offset of a lane center; lane 1 is leftmost."""
@@ -70,14 +83,10 @@ class RoadSpec:
         y = self.radius - radius_lane * math.cos(theta)
         return x, y, theta
 
-    def _lateral(self, heading: float, offset: float) -> tuple[float, float]:
-        # right-positive offset from a frame with the given heading
-        return offset * math.sin(heading), -offset * math.cos(heading)
-
     def offset_point(self, s_road: float, offset: float) -> tuple[float, float]:
+        """(x, y) at a right-positive lateral offset from the road reference line."""
         x, y, heading = self.frame_at(s_road)
-        dx, dy = self._lateral(heading, offset)
-        return x + dx, y + dy
+        return x + offset * math.sin(heading), y - offset * math.cos(heading)
 
     @property
     def road_length(self) -> float:
@@ -161,6 +170,10 @@ class SensorSpec:
     reference_range: float = 10.0   # m
     min_hull_z: float = 0.4         # hull points start above the ground gate
 
+    def __post_init__(self):
+        _check_finite(self, ("range", "base_spacing", "reference_range"))
+        _check_finite(self, ("noise_sigma", "min_hull_z"), zero_ok=True)
+
     def spacing_at(self, distance: float) -> float:
         """Hull sample spacing; density falls off as 1/distance^2."""
         return self.base_spacing * max(distance, 1.0) / self.reference_range
@@ -189,8 +202,8 @@ class ScenarioSpec:
     walls: bool = False             # sound barriers (useful for scan matching)
 
     def validate(self):
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValidationError("duration and dt must be positive")
+        _check_finite(self, ("duration", "dt"))
+        _check_finite(self, ("ground_spacing",), zero_ok=True)
         if not self.agents:
             raise ValidationError("scenario needs at least one agent")
         ids = [a.vehicle_id for a in self.agents]
@@ -233,10 +246,6 @@ class ScenarioData:
     poses: dict[int, list[PoseSample]]
     frames: dict[int, list[PointCloudFrame]]
     ground_truth: list[GroundTruthRow]
-
-
-def _vehicle_pose(road: RoadSpec, v: VehicleSpec, t: float) -> tuple[float, float, float]:
-    return road.point_at(v.s_at(t), v.lane)
 
 
 def _hull_points(center_xy, heading, v: VehicleSpec, spacing, min_z) -> np.ndarray:
@@ -309,10 +318,6 @@ def _ground_points_near(spec: ScenarioSpec, center_xy) -> np.ndarray:
     return pts[keep]
 
 
-def _dropout_active(spec: ScenarioSpec, sv_id: int, t: float) -> bool:
-    return any(d.sv_id == sv_id and d.t_start <= t < d.t_end for d in spec.dropouts)
-
-
 def _lanelet_of(road: RoadSpec, lane: int, s: float) -> int:
     # searching the interior bounds only keeps an s just outside the lane in its first or last lanelet
     return lane * 100 + int(np.searchsorted(_lanelet_bounds(road, lane)[1:-1], s, side="right"))
@@ -337,14 +342,11 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     svs = sorted(spec.svs, key=lambda s: s.vehicle_id)
 
     for t in times:
-        sv_states = {}
-        for sv in svs:
-            x, y, heading = _vehicle_pose(road, sv, t)
-            sv_states[sv.vehicle_id] = (x, y, heading)
+        sv_states = {sv.vehicle_id: road.point_at(sv.s_at(t), sv.lane) for sv in svs}
 
         agent_states = {}
         for agent in agents:
-            x, y, heading = _vehicle_pose(road, agent, t)
+            x, y, heading = road.point_at(agent.s_at(t), agent.lane)
             agent_states[agent.vehicle_id] = (x, y, heading)
             pose = RigidTransform.from_euler_translation(EulerAngles(0, 0, heading), (x, y, 0.0))
             poses[agent.vehicle_id].append(PoseSample(t, pose))
@@ -365,7 +367,7 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
                     world_pts.append(near)
 
             for sv in svs:
-                if _dropout_active(spec, sv.vehicle_id, t):
+                if any(d.sv_id == sv.vehicle_id and d.t_start <= t < d.t_end for d in spec.dropouts):
                     continue
                 sx, sy, sheading = sv_states[sv.vehicle_id]
                 dist = math.hypot(sx - ax, sy - ay)

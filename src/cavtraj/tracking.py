@@ -2,7 +2,9 @@
 
 x, y and z run identical constant-acceleration filters over [position,
 velocity, acceleration] that never couple, so one (3, 3) covariance serves
-all three axes; the heading is a scalar random walk. Box dimensions are
+all three axes. The heading is the direction of the xy velocity (a box's long
+axis has no sign, so only its center and dimensions are read); a stopped
+object's heading follows its velocity noise. Box dimensions are
 EMA-smoothed. Detections are associated to predicted track positions with
 the Hungarian algorithm under a Euclidean gate.
 """
@@ -27,9 +29,7 @@ class TrackingConfig:
     q_pos: float = 0.1          # process noise per nominal step, position (m)
     q_vel: float = 0.5          # velocity (m/s)
     q_acc: float = 0.5          # acceleration (m/s^2)
-    q_heading: float = 0.1      # heading (rad)
     r_pos: float = 0.3          # measurement noise, box center (m)
-    r_heading: float = 0.15     # measurement noise, box heading (rad)
     nominal_dt: float = 0.1     # step the q_* values are quoted for (s)
     association_gate: float = 4.0
     confirm_hits: int = 3
@@ -39,8 +39,8 @@ class TrackingConfig:
     init_acc_sigma: float = 3.0
 
     def __post_init__(self):
-        for name in ("q_pos", "q_vel", "q_acc", "q_heading", "r_pos", "r_heading", "nominal_dt",
-                     "association_gate", "init_vel_sigma", "init_acc_sigma"):
+        for name in ("q_pos", "q_vel", "q_acc", "r_pos", "nominal_dt", "association_gate",
+                     "init_vel_sigma", "init_acc_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
@@ -63,8 +63,6 @@ class Track:
     track_id: int
     state: np.ndarray
     covariance: np.ndarray
-    heading: float
-    heading_var: float
     length: float
     width: float
     height: float
@@ -83,6 +81,11 @@ class Track:
     def acceleration(self) -> np.ndarray:
         return self.state[:, 2]
 
+    @property
+    def heading(self) -> float:
+        """Direction of travel in the xy plane, in (-pi, pi]."""
+        return wrap_angle(math.atan2(self.state[1, 1], self.state[0, 1]))
+
 
 def kf_predict(track: Track, dt: float, config: TrackingConfig) -> None:
     """Advance a track in place by dt with the constant-acceleration model."""
@@ -93,17 +96,10 @@ def kf_predict(track: Track, dt: float, config: TrackingConfig) -> None:
     track.state = track.state @ f.T
     cov = f @ track.covariance @ f.T + np.diag([config.q_pos**2, config.q_vel**2, config.q_acc**2]) * scale
     track.covariance = 0.5 * (cov + cov.T)
-    track.heading_var += config.q_heading**2 * scale
-
-
-def _aligned_heading(measured: float, predicted: float) -> float:
-    """Resolve the pi ambiguity of a fitted box heading against the track."""
-    candidates = (measured, measured + math.pi, measured - math.pi)
-    return min(candidates, key=lambda h: abs(wrap_angle(h - predicted)))
 
 
 def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> None:
-    """Measurement update in place with the detected box center and heading.
+    """Measurement update in place with the detected box center and dimensions.
 
     Each axis measures only its position, so the innovation is a scalar per
     axis and every axis shares the gain P[:, 0] / (P[0, 0] + r_pos^2).
@@ -116,12 +112,6 @@ def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> None:
     ikh[:, 0] -= gain
     cov = ikh @ p @ ikh.T + r * np.outer(gain, gain)  # Joseph form
     track.covariance = 0.5 * (cov + cov.T)
-
-    r_h = config.r_heading**2
-    k = track.heading_var / (track.heading_var + r_h)
-    innovation_h = wrap_angle(_aligned_heading(box.heading, track.heading) - track.heading)
-    track.heading = wrap_angle(track.heading + k * innovation_h)
-    track.heading_var = (1 - k) ** 2 * track.heading_var + k * k * r_h
 
     beta = config.dim_ema
     track.length = (1 - beta) * track.length + beta * box.length
@@ -178,8 +168,6 @@ class MultiObjectTracker:
             track_id=self._next_id,
             state=state,
             covariance=np.diag([c.r_pos**2, c.init_vel_sigma**2, c.init_acc_sigma**2]),
-            heading=box.heading,
-            heading_var=c.r_heading**2 * 4,
             length=box.length,
             width=box.width,
             height=box.height,

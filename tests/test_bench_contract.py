@@ -6,6 +6,7 @@ otherwise show only when the benchmark itself runs. This runs one short pass
 of the benchmark's chain from memory and from files, and one traced pass.
 """
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +49,19 @@ def test_chain_pass_from_memory_and_from_files_agree(data, tmp_path):
         assert result.rows
         assert chain.check_rows(result.rows, lane_of) == []
     assert passes["memory"].digest() == passes["disk"].digest()
+
+
+def test_rows_head_along_the_vehicle(data, tmp_path):
+    # the heading column as chain._trajectory_rows writes it, against the SV within 2 m
+    result = _run(*_sources(data, tmp_path)["memory"])
+    matched = 0
+    for row in result.rows:
+        truth = [g for g in data.ground_truth if g.time == row[1]]
+        g = min(truth, key=lambda g: math.hypot(row[2] - g.x, row[3] - g.y))
+        if math.hypot(row[2] - g.x, row[3] - g.y) < 2.0:
+            matched += 1
+            assert abs(math.remainder(row[4] - g.heading, 2 * math.pi)) < math.pi / 2, (row, g)
+    assert matched >= 10
 
 
 def test_traced_pass_reads_every_counter(data, tmp_path):

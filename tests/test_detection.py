@@ -49,6 +49,41 @@ def test_config_accepts_a_negative_ground_height():
     assert DetectionConfig(ground_height=-1.5).ground_height == -1.5
 
 
+@pytest.mark.parametrize("points", [[], np.zeros((0, 3)), [[1.0, 2.0, 3.0]], np.arange(12.0).reshape(4, 3)],
+                         ids=["empty_list", "empty_array", "one_point", "four_points"])
+def test_frame_keeps_n_by_3_points(points):
+    frame = make_frame(points)
+    expected = np.asarray(points, dtype=float).reshape(-1, 3)
+    assert frame.points.shape == expected.shape and len(frame) == len(expected)
+    np.testing.assert_array_equal(frame.points, expected)
+
+
+BAD_FRAME_POINTS = {
+    "transposed": np.arange(12.0).reshape(3, 4),  # reshaping would make 4 scrambled points
+    "flat": np.arange(6.0),  # reshaping would make 2 points
+    "one_point_flat": [1.0, 2.0, 3.0],
+    "two_columns": np.zeros((4, 2)),
+    "empty_four_columns": np.zeros((0, 4)),
+    "stacked": np.zeros((2, 4, 3)),
+    "scalar": 1.0,
+    "ragged": [[1.0, 2.0, 3.0], [4.0, 5.0]],
+    "text": [["a", "b", "c"]],
+}
+
+
+@pytest.mark.parametrize("points", BAD_FRAME_POINTS.values(), ids=BAD_FRAME_POINTS.keys())
+def test_frame_rejects_points_not_n_by_3(points):
+    with pytest.raises(InvalidArgument, match="points"):
+        make_frame(points)
+
+
+@pytest.mark.parametrize("timestamp, points", [(math.nan, [[0.0, 0.0, 0.0]]), (0.0, [[0.0, math.inf, 0.0]])],
+                         ids=["nan_timestamp", "inf_point"])
+def test_frame_rejects_non_finite_values(timestamp, points):
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        make_frame(points, timestamp=timestamp)
+
+
 def test_bev_single_point_features():
     # one point above the gate lists one bin; the same point on the ground lists none
     frame = make_frame([[3.0, 4.0, 1.5]])

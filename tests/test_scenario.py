@@ -1,13 +1,18 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from cavtraj.errors import ValidationError
 from cavtraj.geometry import rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
     RoadSpec,
     ScenarioSpec,
+    SensorSpec,
     VehicleSpec,
     generate_scenario,
     write_scenario,
@@ -72,3 +77,70 @@ def test_write_scenario_is_byte_identical_when_repeated(tmp_path):
     assert any(p.suffix == ".npz" for p in files[0])
     for rel in files[0]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+BAD_ROADS = {
+    "step_zero": dict(sample_step=0.0),  # was OverflowError when the map was built
+    "step_negative": dict(sample_step=-2.0),  # was 2-point polylines
+    "step_nan": dict(sample_step=math.nan),
+    "length_zero": dict(length=0.0),
+    "length_inf": dict(length=math.inf),
+    "lanes_zero": dict(n_lanes=0),
+    "lanes_fraction": dict(n_lanes=2.5),
+    "lanes_bool": dict(n_lanes=True),
+    "lane_width_nan": dict(lane_width=math.nan),
+    "lane_width_zero": dict(lane_width=0.0),
+    "kind_unknown": dict(kind="spiral"),
+    "arc_radius_at_half_width": dict(kind="arc", radius=3.7, n_lanes=2),
+    "arc_radius_inside_half_width": dict(kind="arc", radius=2.0, n_lanes=2),
+    "arc_radius_nan": dict(kind="arc", radius=math.nan),
+    "arc_angle_zero": dict(kind="arc", arc_angle_deg=0.0),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_ROADS.values(), ids=BAD_ROADS.keys())
+def test_road_spec_rejects_bad_value(fields):
+    with pytest.raises(ValidationError):
+        RoadSpec(**fields)
+
+
+def test_straight_road_is_not_held_to_the_arc_radius():
+    assert RoadSpec(kind="straight", radius=1.0, n_lanes=4).half_width == 7.4
+
+
+BAD_SENSORS = {
+    "base_spacing_zero": dict(base_spacing=0.0),  # was ZeroDivisionError when a hull was sampled
+    "base_spacing_nan": dict(base_spacing=math.nan),
+    "range_negative": dict(range=-50.0),
+    "reference_range_zero": dict(reference_range=0.0),
+    "noise_negative": dict(noise_sigma=-0.01),
+    "noise_inf": dict(noise_sigma=math.inf),
+    "min_hull_z_nan": dict(min_hull_z=math.nan),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_SENSORS.values(), ids=BAD_SENSORS.keys())
+def test_sensor_spec_rejects_bad_value(fields):
+    with pytest.raises(ValidationError):
+        SensorSpec(**fields)
+
+
+BAD_SCENARIOS = {
+    "ground_spacing_nan": dict(ground_spacing=math.nan),  # was ValueError from the lattice
+    "ground_spacing_negative": dict(ground_spacing=-0.4),
+    "duration_nan": dict(duration=math.nan),
+    "dt_zero": dict(dt=0.0),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS.keys())
+def test_scenario_spec_rejects_bad_value(fields):
+    with pytest.raises(ValidationError):
+        generate_scenario(replace(SPEC, **fields))
+
+
+def test_spec_range_ends_accepted():
+    # no noise, no ground lattice and hull points from the ground up are all valid
+    spec = replace(SPEC, duration=0.1, ground_spacing=0.0, sensor=SensorSpec(noise_sigma=0.0, min_hull_z=0.0))
+    frame = generate_scenario(spec).frames[1][0]
+    assert len(frame) > 0 and frame.points.min(axis=0)[2] == 0.0

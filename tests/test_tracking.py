@@ -21,13 +21,11 @@ from cavtraj.tracking import (
 CFG = TrackingConfig()
 
 
-def make_track(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0), heading=0.0, track_id=1):
+def make_track(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0), track_id=1):
     return Track(
         track_id=track_id,
         state=np.array([pos, vel, acc], dtype=float).T,
         covariance=np.eye(3) * 0.1,
-        heading=heading,
-        heading_var=0.1,
         length=4.0,
         width=2.0,
         height=1.5,
@@ -54,11 +52,10 @@ def test_predict_constant_velocity():
 
 def test_predict_stationary_grows_covariance():
     t = make_track()
-    trace_before, heading_var_before = np.trace(t.covariance), t.heading_var
+    trace_before = np.trace(t.covariance)
     kf_predict(t, 0.1, CFG)
     np.testing.assert_allclose(t.position, [0, 0, 0])
     assert np.trace(t.covariance) > trace_before
-    assert t.heading_var > heading_var_before
 
 
 def test_predict_constant_acceleration():
@@ -231,9 +228,7 @@ BAD_TRACKING_CONFIGS = {
     "q_vel_nan": ("q_vel", math.nan),  # breaks SciPy's assignment at the second step
     "q_pos_negative": ("q_pos", -0.1),
     "q_acc_inf": ("q_acc", math.inf),
-    "q_heading_zero": ("q_heading", 0.0),
     "r_pos_nan": ("r_pos", math.nan),
-    "r_heading_negative": ("r_heading", -0.15),
     "association_gate_zero": ("association_gate", 0.0),
     "association_gate_inf": ("association_gate", math.inf),
     "init_vel_sigma_nan": ("init_vel_sigma", math.nan),
@@ -272,27 +267,61 @@ def test_covariance_stays_spd_over_many_cycles():
             cov = track.covariance
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(cov)) > 0
-            assert track.heading_var > 0
 
 
-def test_heading_update_wraps_shortest_arc():
-    track = make_track(heading=math.pi - 0.05)
-    box = det(0.0, 0.0, z=0.0, heading=-math.pi + 0.05)  # 0.1 rad away across the seam
-    kf_update(track, box, TrackingConfig())
-    assert abs(track.heading) > math.pi - 0.1  # stayed near the seam, no half-turn jump
+# --- heading ----------------------------------------------------------------------------
 
 
-# --- equivalence with the 10-state filter -------------------------------------------
+@pytest.mark.parametrize(
+    "vx, vy, expected",
+    [(10.0, 0.0, 0.0), (0.0, 5.0, math.pi / 2), (-3.0, 3.0, 3 * math.pi / 4), (1.0, -1.0, -math.pi / 4),
+     (-20.0, 0.0, math.pi), (-20.0, -0.0, math.pi)],  # atan2 gives -pi for -0.0; wrapped into (-pi, pi]
+    ids=["east", "north", "north_west", "south_east", "west", "west_negative_zero"],
+)
+def test_heading_is_direction_of_velocity(vx, vy, expected):
+    track = make_track(vel=(vx, vy, 0.7))
+    assert track.heading == expected
+    assert -math.pi < track.heading <= math.pi
+
+
+def test_heading_follows_velocity_through_predict_and_update():
+    track = MultiObjectTracker(CFG)._new_track(det(0.0, 0.0))
+    assert track.heading == 0.0  # a new track has no velocity yet
+    rng = np.random.default_rng(5)
+    for k in range(40):  # a vehicle driving north-west at 14 m/s
+        kf_predict(track, 0.1, CFG)
+        kf_update(track, det(-10.0 * 0.1 * (k + 1), 10.0 * 0.1 * (k + 1), heading=float(rng.uniform(-4, 4))), CFG)
+        assert track.heading == wrap_angle(math.atan2(track.velocity[1], track.velocity[0]))
+    assert track.heading == pytest.approx(3 * math.pi / 4, abs=0.01)
+
+
+def test_box_heading_turned_by_pi_changes_nothing():
+    """A fitted box's heading has no sign; the tracker does not read it at all."""
+    rng = np.random.default_rng(13)
+    tracks = {turn: make_track(pos=(1.0, 2.0, 0.7), vel=(8.0, -3.0, 0.0)) for turn in (0.0, math.pi)}
+    for k in range(30):
+        x, y = 1.0 + 0.8 * (k + 1) + rng.normal(0, 0.2), 2.0 - 0.3 * (k + 1) + rng.normal(0, 0.2)
+        heading = float(rng.uniform(-math.pi, math.pi))
+        for turn, track in tracks.items():
+            kf_predict(track, 0.1, CFG)
+            kf_update(track, det(x, y, heading=heading + turn), CFG)
+        a, b = tracks.values()
+        np.testing.assert_array_equal(a.state, b.state)
+        np.testing.assert_array_equal(a.covariance, b.covariance)
+        assert a.heading == b.heading
+        assert (a.length, a.width, a.height) == (b.length, b.width, b.height)
+
+
+# --- equivalence with the 9-state filter --------------------------------------------
 #
-# The reference below is the earlier 10-state filter, state
-# [x, y, z, vx, vy, vz, ax, ay, az, heading], verbatim but for taking and
-# returning (state, covariance) arrays instead of a Track.
+# The reference below is a 9-state filter, state [x, y, z, vx, vy, vz, ax,
+# ay, az], in the earlier 10-state filter's code less its heading row:
+# full matrices and a matrix inverse, taking and returning (state,
+# covariance) arrays instead of a Track.
 
-_NX = 10
-_HEAD = 9
-_H = np.zeros((4, _NX))
+_NX = 9
+_H = np.zeros((3, _NX))
 _H[0, 0] = _H[1, 1] = _H[2, 2] = 1.0
-_H[3, _HEAD] = 1.0
 
 
 def _ref_transition(dt):
@@ -306,52 +335,29 @@ def _ref_transition(dt):
 
 def _ref_process_noise(config, dt):
     scale = dt / config.nominal_dt
-    diag = np.r_[
-        np.full(3, config.q_pos**2),
-        np.full(3, config.q_vel**2),
-        np.full(3, config.q_acc**2),
-        [config.q_heading**2],
-    ]
+    diag = np.r_[np.full(3, config.q_pos**2), np.full(3, config.q_vel**2), np.full(3, config.q_acc**2)]
     return np.diag(diag * scale)
 
 
 def _ref_new(box, c):
     state = np.zeros(_NX)
     state[0:3] = [box.x, box.y, box.z]
-    state[_HEAD] = box.heading
-    cov = np.diag(
-        np.r_[
-            np.full(3, c.r_pos**2),
-            np.full(3, c.init_vel_sigma**2),
-            np.full(3, c.init_acc_sigma**2),
-            [c.r_heading**2 * 4],
-        ]
-    )
+    cov = np.diag(np.r_[np.full(3, c.r_pos**2), np.full(3, c.init_vel_sigma**2), np.full(3, c.init_acc_sigma**2)])
     return state, cov
 
 
 def _ref_predict(state, covariance, dt, config):
     f = _ref_transition(dt)
-    state = f @ state
-    state[_HEAD] = wrap_angle(state[_HEAD])
     cov = f @ covariance @ f.T + _ref_process_noise(config, dt)
-    return state, 0.5 * (cov + cov.T)
-
-
-def _ref_aligned_heading(measured, predicted):
-    candidates = (measured, measured + math.pi, measured - math.pi)
-    return min(candidates, key=lambda h: abs(wrap_angle(h - predicted)))
+    return f @ state, 0.5 * (cov + cov.T)
 
 
 def _ref_update(state, covariance, box, config):
-    r = np.diag([config.r_pos**2, config.r_pos**2, config.r_pos**2, config.r_heading**2])
-    z = np.array([box.x, box.y, box.z, _ref_aligned_heading(box.heading, float(state[_HEAD]))])
-    innovation = z - _H @ state
-    innovation[3] = wrap_angle(innovation[3])
+    r = np.eye(3) * config.r_pos**2
+    innovation = np.array([box.x, box.y, box.z]) - _H @ state
     s = _H @ covariance @ _H.T + r
     gain = covariance @ _H.T @ np.linalg.inv(s)
     state = state + gain @ innovation
-    state[_HEAD] = wrap_angle(state[_HEAD])
     ikh = np.eye(_NX) - gain @ _H
     cov = ikh @ covariance @ ikh.T + gain @ r @ gain.T  # Joseph form
     return state, 0.5 * (cov + cov.T)
@@ -360,8 +366,8 @@ def _ref_update(state, covariance, box, config):
 def _assert_axes_decoupled(cov):
     """Every cross-axis entry is exactly 0 and the x, y, z blocks are bit-identical."""
     blocks = [[a, 3 + a, 6 + a] for a in range(3)]
-    for i, rows in enumerate(blocks + [[_HEAD]]):
-        for j, cols in enumerate(blocks + [[_HEAD]]):
+    for i, rows in enumerate(blocks):
+        for j, cols in enumerate(blocks):
             if i != j:
                 assert not cov[np.ix_(rows, cols)].any()
     for rows in blocks[1:]:
@@ -369,42 +375,41 @@ def _assert_axes_decoupled(cov):
 
 
 def _assert_matches_reference(track, state, cov):
-    np.testing.assert_allclose(track.state, state[:9].reshape(3, 3).T, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(track.state, state.reshape(3, 3).T, rtol=0, atol=1e-9)
     np.testing.assert_allclose(track.covariance, cov[0:9:3, 0:9:3], rtol=0, atol=1e-9)
-    assert abs(wrap_angle(track.heading - state[_HEAD])) <= 1e-9
-    assert track.heading_var == pytest.approx(cov[_HEAD, _HEAD], rel=0, abs=1e-9)
+    assert abs(wrap_angle(track.heading - math.atan2(state[4], state[3]))) <= 1e-9
 
 
-def test_matches_ten_state_reference():
-    """Seeded drive of both filters: mixed dt, updates and misses, headings across the seam."""
+def test_matches_nine_state_reference():
+    """Seeded drive of both filters: mixed dt, updates and misses, a heading across the seam."""
     cfg = TrackingConfig()
     rng = np.random.default_rng(29)
     pos, vel = np.array([5.0, -3.0, 0.75]), np.array([-20.0, 1.5, 0.0])
 
-    def box_at(heading):
-        heading += math.pi * int(rng.integers(2))  # a fitted box's heading has an arbitrary sign
+    def box_at():
         x, y, z = pos + rng.normal(0, 0.2, 3)
-        return det(x, y, z=z, heading=float(wrap_angle(heading + rng.normal(0, 0.05))))
+        return det(x, y, z=z, heading=float(rng.uniform(-math.pi, math.pi)))  # read by neither filter
 
-    first = box_at(math.pi - 0.02)
+    first = box_at()
     track = MultiObjectTracker(cfg)._new_track(first)
     state, cov = _ref_new(first, cfg)
     updates, sides = 0, set()
     for k in range(300):
         dt = float(rng.uniform(0.05, 0.3))
         pos = pos + vel * dt
-        vel = vel + np.array([math.sin(0.1 * k), -0.5, 0.0]) * dt
+        vel = vel + np.array([math.sin(0.1 * k), -0.5, 0.0]) * dt  # vy turns negative: westward across +-pi
         kf_predict(track, dt, cfg)
         state, cov = _ref_predict(state, cov, dt, cfg)
         _assert_axes_decoupled(cov)
         _assert_matches_reference(track, state, cov)
         if rng.random() < 0.3:  # missed step: predict only
             continue
-        box = box_at(math.pi + 0.1 * math.sin(0.2 * k))  # heading swings across +-pi
+        box = box_at()
         kf_update(track, box, cfg)
         state, cov = _ref_update(state, cov, box, cfg)
         updates += 1
-        sides.add(track.heading > 0)
+        if abs(track.heading) > math.pi / 2:
+            sides.add(track.heading > 0)
         _assert_axes_decoupled(cov)
         _assert_matches_reference(track, state, cov)
     assert 150 < updates < 270
