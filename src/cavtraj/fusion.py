@@ -51,9 +51,12 @@ class FusedFrame:
 def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[list[DetectionSet]]:
     """Group per-agent detection sets into synchronized tuples.
 
-    Greedy: the earliest unconsumed set anchors a group; every other agent
-    contributes its nearest unconsumed set within `tolerance`. Sets with no
-    partner pass through alone.
+    Greedy: the earliest unconsumed set anchors a group (the lowest agent id
+    on a tie); every other agent contributes its first unconsumed set if that
+    lies within `tolerance`. Each stream is time-ordered and the anchor is
+    the earliest of all unconsumed sets, so an agent's first unconsumed set
+    is also its nearest to the anchor, and the groups come out in anchor
+    time order. Sets with no partner pass through alone.
     """
     if not tolerance >= 0.0:
         raise InvalidArgument(f"tolerance must be non-negative: {tolerance!r}")
@@ -66,24 +69,16 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
         if any(s.agent_id != agent_id for s in sets):
             raise InvalidArgument(f"stream of agent {agent_id} contains foreign sets")
 
-    pending = {aid: list(sets) for aid, sets in streams.items()}
+    heads = dict.fromkeys(sorted(streams), 0)
     groups = []
-    while any(pending.values()):
-        anchor_aid = min(
-            (aid for aid in pending if pending[aid]),
-            key=lambda aid: (pending[aid][0].timestamp, aid),
-        )
-        anchor = pending[anchor_aid].pop(0)
-        group = [anchor]
-        for aid in sorted(pending):
-            if aid == anchor_aid or not pending[aid]:
-                continue
-            gaps = [abs(s.timestamp - anchor.timestamp) for s in pending[aid]]
-            best = int(np.argmin(gaps))
-            if gaps[best] <= tolerance:
-                group.append(pending[aid].pop(best))
+    while first := {aid: streams[aid][k] for aid, k in heads.items() if k < len(streams[aid])}:
+        anchor = min(first.values(), key=lambda ds: ds.timestamp)
+        group = [anchor] + [
+            ds for ds in first.values() if ds is not anchor and ds.timestamp - anchor.timestamp <= tolerance
+        ]
+        for ds in group:
+            heads[ds.agent_id] += 1
         groups.append(group)
-    groups.sort(key=lambda g: g[0].timestamp)
     return groups
 
 

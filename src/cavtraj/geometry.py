@@ -104,13 +104,6 @@ class RigidTransform:
     def __setattr__(self, name, value):
         raise AttributeError("RigidTransform is immutable")
 
-    def __repr__(self):
-        e = euler_from_rotation(self.rotation)
-        return (
-            f"RigidTransform(t={np.array2string(self.translation, precision=3)}, "
-            f"rpy=({e.roll:.3f}, {e.pitch:.3f}, {e.yaw:.3f}))"
-        )
-
     @classmethod
     def from_euler_translation(cls, angles: EulerAngles, translation) -> "RigidTransform":
         return cls(rotation_from_euler(angles), translation)

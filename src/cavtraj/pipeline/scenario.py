@@ -64,13 +64,6 @@ class RoadSpec:
             return self.length
         return (self.radius + self.lane_offset(lane)) * math.radians(self.arc_angle_deg)
 
-    def frame_at(self, s_road: float) -> tuple[float, float, float]:
-        """(x, y, heading) of the road reference line at arc length s_road."""
-        if self.kind == "straight":
-            return s_road, 0.0, 0.0
-        theta = s_road / self.radius
-        return self.radius * math.sin(theta), self.radius * (1 - math.cos(theta)), theta
-
     def point_at(self, s_lane: float, lane: int) -> tuple[float, float, float]:
         """(x, y, heading) of a lane center at arc length s_lane along that lane."""
         offset = self.lane_offset(lane)
@@ -85,7 +78,11 @@ class RoadSpec:
 
     def offset_point(self, s_road: float, offset: float) -> tuple[float, float]:
         """(x, y) at a right-positive lateral offset from the road reference line."""
-        x, y, heading = self.frame_at(s_road)
+        if self.kind == "straight":
+            x, y, heading = s_road, 0.0, 0.0
+        else:
+            heading = s_road / self.radius
+            x, y = self.radius * math.sin(heading), self.radius * (1 - math.cos(heading))
         return x + offset * math.sin(heading), y - offset * math.cos(heading)
 
     @property
@@ -117,18 +114,12 @@ def build_vector_map_dict(road: RoadSpec, name: str = "road") -> dict:
         for k in range(n_chunks):
             s0, s1 = bounds[k], bounds[k + 1]
             n_pts = max(2, int(math.ceil((s1 - s0) / step)) + 1)
-            ss = np.linspace(s0, s1, n_pts)
+            s_road = np.linspace(s0, s1, n_pts)
+            if road.kind == "arc":
+                s_road = s_road * road.radius / (road.radius + offset)
 
             def polyline(lat_offset):
-                pts = []
-                for s_lane in ss:
-                    if road.kind == "straight":
-                        s_road = s_lane
-                    else:
-                        s_road = s_lane * road.radius / (road.radius + offset)
-                    x, y = road.offset_point(s_road, lat_offset)
-                    pts.append([float(x), float(y), 0.0])
-                return pts
+                return [[float(x), float(y), 0.0] for x, y in (road.offset_point(s, lat_offset) for s in s_road)]
 
             lanelet_id = lane * 100 + k
             entry = {
@@ -154,6 +145,9 @@ class VehicleSpec:
     length: float = 4.6
     width: float = 1.8
     height: float = 1.6
+
+    def __post_init__(self):
+        _check_finite(self, ("length", "width", "height"))
 
     def s_at(self, t: float) -> float:
         return self.start_s + self.speed * t + 0.5 * self.accel * t * t
@@ -185,6 +179,11 @@ class DropoutWindow:
     t_start: float
     t_end: float
 
+    def __post_init__(self):
+        _check_finite(self, ("t_start", "t_end"), zero_ok=True)
+        if not self.t_start < self.t_end:
+            raise ValidationError(f"dropout of SV {self.sv_id} is empty or reversed: {self.t_start}..{self.t_end}")
+
 
 @dataclass
 class ScenarioSpec:
@@ -212,7 +211,12 @@ class ScenarioSpec:
         sv_ids = [s.vehicle_id for s in self.svs]
         if len(set(sv_ids)) != len(sv_ids):
             raise ValidationError("duplicate sv ids")
+        for d in self.dropouts:
+            if d.sv_id not in sv_ids:
+                raise ValidationError(f"dropout names no SV: {d.sv_id!r}")
         for v in list(self.agents) + list(self.svs):
+            if not (isinstance(v.lane, Integral) and not isinstance(v.lane, bool)):
+                raise ValidationError(f"vehicle {v.vehicle_id} lane must be an integer: {v.lane!r}")
             for t in (0.0, self.duration):
                 s = v.s_at(t)
                 if not -1e-6 <= s <= self.road.lane_length(v.lane) + 1e-6:
@@ -241,7 +245,6 @@ class GroundTruthRow:
 
 @dataclass
 class ScenarioData:
-    spec: ScenarioSpec
     vector_map: dict
     poses: dict[int, list[PoseSample]]
     frames: dict[int, list[PointCloudFrame]]
@@ -258,20 +261,11 @@ def _hull_points(center_xy, heading, v: VehicleSpec, spacing, min_z) -> np.ndarr
     ws = np.linspace(-half_w, half_w, n_w)
     zs = np.linspace(min_z, v.height, n_z)
 
-    side_u = np.repeat(ls, 2 * len(zs))
-    side_v = np.tile(np.repeat([-half_w, half_w], len(zs)), len(ls))
-    side_z = np.tile(zs, 2 * len(ls))
-    end_v = np.repeat(ws, 2 * len(zs))
-    end_u = np.tile(np.repeat([-half_l, half_l], len(zs)), len(ws))
-    end_z = np.tile(zs, 2 * len(ws))
-    roof_u, roof_v = np.meshgrid(ls, ws, indexing="ij")
-    local = np.vstack(
-        [
-            np.c_[side_u, side_v, side_z],
-            np.c_[end_u, end_v, end_z],
-            np.c_[roof_u.ravel(), roof_v.ravel(), np.full(roof_u.size, v.height)],
-        ]
-    )
+    # (u, v, z) per face, in the order the noise is drawn: long sides u-major, ends v-major, then the roof
+    side = np.meshgrid(ls, [-half_w, half_w], zs, indexing="ij")
+    end_v, end_u, end_z = np.meshgrid(ws, [-half_l, half_l], zs, indexing="ij")
+    roof = np.meshgrid(ls, ws, [v.height], indexing="ij")
+    local = np.vstack([np.stack(face, axis=-1).reshape(-1, 3) for face in (side, (end_u, end_v, end_z), roof)])
     c, s = math.cos(heading), math.sin(heading)
     out = np.empty_like(local)
     out[:, 0] = center_xy[0] + local[:, 0] * c - local[:, 1] * s
@@ -354,17 +348,8 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         visibility = {sv.vehicle_id: [] for sv in svs}
         for agent in agents:
             ax, ay, _ = agent_states[agent.vehicle_id]
-            world_pts = []
-
-            ground = _ground_points_near(spec, (ax, ay))
-            if len(ground):
-                world_pts.append(ground)
-
-            if len(statics):
-                d = np.hypot(statics[:, 0] - ax, statics[:, 1] - ay)
-                near = statics[d <= sensor.range]
-                if len(near):
-                    world_pts.append(near)
+            near = np.hypot(statics[:, 0] - ax, statics[:, 1] - ay) <= sensor.range
+            world_pts = [_ground_points_near(spec, (ax, ay)), statics[near]]
 
             for sv in svs:
                 if any(d.sv_id == sv.vehicle_id and d.t_start <= t < d.t_end for d in spec.dropouts):
@@ -381,11 +366,8 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
                     world_pts.append(hull)
                     visibility[sv.vehicle_id].append(agent.vehicle_id)
 
-            cloud = np.vstack(world_pts) if world_pts else np.zeros((0, 3))
-
             # map -> agent frame, then sensor noise
-            pose = poses[agent.vehicle_id][-1].transform
-            local = pose.inverse().apply(cloud) if len(cloud) else cloud
+            local = poses[agent.vehicle_id][-1].transform.inverse().apply(np.vstack(world_pts))
             if sensor.noise_sigma > 0 and len(local):
                 local = local + rng.normal(0.0, sensor.noise_sigma, size=local.shape)
             frames[agent.vehicle_id].append(
@@ -418,7 +400,6 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
             )
 
     return ScenarioData(
-        spec=spec,
         vector_map=build_vector_map_dict(road, name=spec.name),
         poses=poses,
         frames=frames,
@@ -432,25 +413,20 @@ GROUND_TRUTH_HEADER = (
 
 
 def write_scenario(data: ScenarioData, out_dir) -> Path:
-    """Write map, per-agent frames and poses, ground truth, and a run config."""
+    """Write map, ground truth, and per-agent frames and poses; the fixed layout is the format.
+
+    out_dir/map.json, out_dir/ground_truth.csv, and per agent out_dir/agents/agent_<id>/poses.csv
+    and out_dir/agents/agent_<id>/frames/frame_<k:06d>.npz; no manifest lists them.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     (out / "map.json").write_text(json.dumps(data.vector_map))
 
-    agent_entries = []
     for aid in sorted(data.frames):
         agent_dir = out / "agents" / f"agent_{aid}"
-        frame_dir = agent_dir / "frames"
-        write_frame_dir(frame_dir, data.frames[aid])
+        write_frame_dir(agent_dir / "frames", data.frames[aid])
         write_pose_csv(agent_dir / "poses.csv", data.poses[aid])
-        agent_entries.append(
-            {
-                "agent_id": aid,
-                "frames_dir": str(frame_dir.relative_to(out)),
-                "pose_file": str((agent_dir / "poses.csv").relative_to(out)),
-            }
-        )
 
     with (out / "ground_truth.csv").open("w") as fh:
         fh.write(GROUND_TRUTH_HEADER + "\n")
@@ -461,12 +437,4 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
                 f"{row.speed:.6f},{row.accel:.6f},{row.downtrack:.6f},{row.lane_id},"
                 f"{row.lanelet_id},{row.length:.3f},{row.width:.3f},{row.height:.3f},{seen}\n"
             )
-
-    config = {
-        "map": {"file": "map.json"},
-        "agents": agent_entries,
-        "reference_agent": sorted(data.frames)[0],
-        "output_dir": "out",
-    }
-    (out / "config.json").write_text(json.dumps(config, indent=2))
     return out

@@ -82,6 +82,46 @@ def test_sync_three_agents():
     assert [len(g) for g in groups] == [2, 2, 1]
 
 
+def nearest_partner_sync(streams, tolerance):
+    """Reference: each agent's nearest pending set by a full scan, then a stable sort by anchor time."""
+    pending = {aid: list(sets) for aid, sets in streams.items()}
+    groups = []
+    while any(pending.values()):
+        anchor_aid = min((aid for aid in pending if pending[aid]), key=lambda aid: (pending[aid][0].timestamp, aid))
+        anchor = pending[anchor_aid].pop(0)
+        group = [anchor]
+        for aid in sorted(pending):
+            if aid == anchor_aid or not pending[aid]:
+                continue
+            gaps = [abs(s.timestamp - anchor.timestamp) for s in pending[aid]]
+            best = int(np.argmin(gaps))
+            if gaps[best] <= tolerance:
+                group.append(pending[aid].pop(best))
+        groups.append(group)
+    groups.sort(key=lambda g: g[0].timestamp)
+    return groups
+
+
+def random_streams(rng):
+    """1-4 agents at 10 Hz with dropped frames, jitter on a 0.01 s grid and repeated timestamps."""
+    streams = {}
+    for aid in rng.choice(10, size=int(rng.integers(1, 5)), replace=False):
+        times = [round(0.1 * k + 0.01 * int(rng.integers(-4, 5)), 2) for k in range(int(rng.integers(0, 25)))]
+        times = [t for t in times if rng.random() > 0.2]
+        times += [t for t in times if rng.random() < 0.15]
+        streams[int(aid)] = [make_set(t, int(aid)) for t in sorted(times)]
+    return streams
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.05, 1.0])
+def test_sync_matches_nearest_partner_reference(tolerance):
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        streams = random_streams(rng)
+        got = [[id(ds) for ds in g] for g in sync_sets(streams, tolerance)]
+        assert got == [[id(ds) for ds in g] for g in nearest_partner_sync(streams, tolerance)], streams
+
+
 # --- BEV IoU -------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ from cavtraj.geometry import rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
+    DropoutWindow,
     RoadSpec,
     ScenarioSpec,
     SensorSpec,
@@ -33,29 +35,27 @@ def test_write_scenario_round_trip(tmp_path):
     data = generate_scenario(SPEC)
     out = write_scenario(data, tmp_path / "scenario")
 
-    config = json.loads((out / "config.json").read_text())
-    assert config["map"]["file"] == "map.json"
-    assert config["reference_agent"] == 1
-    assert [a["agent_id"] for a in config["agents"]] == [1, 2]
+    frame_files = {f"agents/agent_{aid}/frames/frame_{k:06d}.npz" for aid in (1, 2) for k in range(3)}
+    pose_files = {f"agents/agent_{aid}/poses.csv" for aid in (1, 2)}
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == {"map.json", "ground_truth.csv"} | pose_files | frame_files
 
-    vmap = load_vector_map(out / config["map"]["file"])
+    vmap = load_vector_map(out / "map.json")
     ref = vector_map_from_dict(data.vector_map)
     assert sorted(vmap.lanelets) == sorted(ref.lanelets)
     for lid, lanelet in vmap.lanelets.items():
         np.testing.assert_array_equal(lanelet.centerline.points, ref.lanelets[lid].centerline.points)
 
-    for entry in config["agents"]:
-        aid = entry["agent_id"]
-        assert entry["frames_dir"] == f"agents/agent_{aid}/frames"
-        assert entry["pose_file"] == f"agents/agent_{aid}/poses.csv"
-        frames = read_frame_dir(out / entry["frames_dir"], aid)
+    for aid in (1, 2):
+        agent_dir = out / "agents" / f"agent_{aid}"
+        frames = read_frame_dir(agent_dir / "frames", aid)
         assert len(frames) == len(data.frames[aid]) == 3
         for back, frame in zip(frames, data.frames[aid]):
             assert back.agent_id == aid
             assert len(back) == len(frame) > 0
             assert back.timestamp == frame.timestamp
             np.testing.assert_array_equal(back.points, frame.points)
-        poses = read_pose_csv(out / entry["pose_file"])
+        poses = read_pose_csv(agent_dir / "poses.csv")
         assert len(poses) == len(data.poses[aid])
         for back, (t, tf) in zip(poses, data.poses[aid]):
             assert back.timestamp == t
@@ -125,11 +125,46 @@ def test_sensor_spec_rejects_bad_value(fields):
         SensorSpec(**fields)
 
 
+BAD_VEHICLES = {
+    "length_nan": dict(length=math.nan),  # was a bare ValueError when the hull was sampled
+    "length_inf": dict(length=math.inf),
+    "width_negative": dict(width=-1.8),  # reached the ground truth
+    "height_zero": dict(height=0.0),  # reached the ground truth
+    "height_string": dict(height="1.6"),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_VEHICLES.values(), ids=BAD_VEHICLES.keys())
+def test_vehicle_spec_rejects_bad_value(fields):
+    with pytest.raises(ValidationError):
+        VehicleSpec(101, 1, 48.0, 20.0, **fields)
+
+
+BAD_DROPOUTS = {
+    # each was accepted and never fired
+    "start_nan": (math.nan, 0.5),
+    "end_nan": (0.1, math.nan),
+    "end_inf": (0.1, math.inf),
+    "start_negative": (-0.1, 0.5),
+    "reversed": (0.5, 0.1),
+    "empty": (0.2, 0.2),
+}
+
+
+@pytest.mark.parametrize("window", BAD_DROPOUTS.values(), ids=BAD_DROPOUTS.keys())
+def test_dropout_window_rejects_bad_value(window):
+    with pytest.raises(ValidationError):
+        DropoutWindow(101, *window)
+
+
 BAD_SCENARIOS = {
     "ground_spacing_nan": dict(ground_spacing=math.nan),  # was ValueError from the lattice
     "ground_spacing_negative": dict(ground_spacing=-0.4),
     "duration_nan": dict(duration=math.nan),
     "dt_zero": dict(dt=0.0),
+    "lane_fraction": dict(svs=[VehicleSpec(101, 1.5, 48.0, 20.0)]),  # was a vehicle between lanes
+    "lane_bool": dict(agents=[VehicleSpec(1, True, 40.0, 20.0)]),
+    "dropout_names_no_sv": dict(dropouts=[DropoutWindow(103, 0.1, 0.2)]),  # was silently ignored
 }
 
 
@@ -144,3 +179,70 @@ def test_spec_range_ends_accepted():
     spec = replace(SPEC, duration=0.1, ground_spacing=0.0, sensor=SensorSpec(noise_sigma=0.0, min_hull_z=0.0))
     frame = generate_scenario(spec).frames[1][0]
     assert len(frame) > 0 and frame.points.min(axis=0)[2] == 0.0
+
+
+def test_empty_scene_gives_empty_frames_that_round_trip(tmp_path):
+    # no ground lattice, no poles or walls, the only SV beyond range: nothing to render
+    spec = replace(SPEC, ground_spacing=0.0, poles=False, walls=False, svs=[VehicleSpec(101, 2, 100.0, 5.0)])
+    data = generate_scenario(spec)
+    assert data.ground_truth == []
+    out = write_scenario(data, tmp_path / "empty")
+    assert (out / "ground_truth.csv").read_text() == GROUND_TRUTH_HEADER + "\n"
+    for aid in (1, 2):
+        assert [f.timestamp for f in data.frames[aid]] == [0.0, 0.1, 0.2]
+        back = read_frame_dir(out / "agents" / f"agent_{aid}" / "frames", aid)
+        for frame in data.frames[aid] + back:
+            assert frame.points.shape == (0, 3)
+        assert [f.timestamp for f in back] == [0.0, 0.1, 0.2]
+
+
+PINNED = ScenarioSpec(
+    name="pinned",
+    duration=0.5,
+    seed=3,
+    road=RoadSpec(kind="arc", radius=80.0, arc_angle_deg=60.0, n_lanes=2, sample_step=1.0),
+    agents=[VehicleSpec(1, 1, 20.0, 12.0), VehicleSpec(2, 2, 10.0, 11.0)],
+    svs=[
+        VehicleSpec(101, 2, 24.0, 12.5, length=5.2, width=2.0, height=1.9),
+        VehicleSpec(102, 1, 35.0, 10.0, accel=0.5),
+        VehicleSpec(103, 2, 70.0, 9.0),
+    ],
+    sensor=SensorSpec(range=35.0, base_spacing=0.35),
+    dropouts=[DropoutWindow(102, 0.2, 0.35)],
+    ground_spacing=3.0,
+    poles=True,
+    walls=True,
+)
+
+
+def _rounded(values) -> bytes:
+    # to 1e-9, with -0.0 made 0.0
+    return (np.round(np.asarray(values, dtype=float), 9) + 0.0).tobytes()
+
+
+def scenario_digest(data) -> str:
+    """SHA-256 of frames, poses, map and ground-truth rows, every number rounded to 1e-9."""
+    h = hashlib.sha256()
+    for aid in sorted(data.frames):
+        for frame, (t, pose) in zip(data.frames[aid], data.poses[aid], strict=True):
+            h.update(_rounded([aid, frame.agent_id, frame.timestamp, len(frame), t]))
+            h.update(_rounded([*pose.translation, *pose.rotation.ravel()]))
+            h.update(_rounded(frame.points))
+    h.update(data.vector_map["name"].encode())
+    for ll in data.vector_map["lanelets"]:
+        h.update(json.dumps([ll["lanelet_id"], ll["lane_id"], ll["successors"], ll["predecessors"]]).encode())
+        for side in ("centerline", "left_boundary", "right_boundary"):
+            h.update(_rounded(ll[side]))
+    for r in data.ground_truth:
+        h.update(_rounded([r.sv_id, r.time, r.x, r.y, r.heading, r.speed, r.accel, r.downtrack, r.lane_id,
+                           r.lanelet_id, r.length, r.width, r.height, *r.visible_to, -1]))
+    return h.hexdigest()
+
+
+def test_generator_output_pinned():
+    # the generator on its own, not through the chain: every output fixed to 1e-9
+    data = generate_scenario(PINNED)
+    assert {aid: len(f) for aid, f in data.frames.items()} == {1: 5, 2: 5}
+    seen = {(r.sv_id, r.time) for r in data.ground_truth}
+    assert (102, 0.1) in seen and (102, 0.2) not in seen and (102, 0.3) not in seen and (102, 0.4) in seen
+    assert scenario_digest(data) == "ea1bd9f9dfb592baabc81b703d927c8d57450283961577784701e449115fd7d3"
