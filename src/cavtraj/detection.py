@@ -50,18 +50,20 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InvalidArgument
 from .geometry import wrap_angle
 
+_MIN_BOX_HEIGHT = 0.1               # m, the height of a box fitted to a flat cluster
+_CONFIDENCE_SATURATION = 100        # points; a box's confidence is min(1, points / this)
+
+
 @dataclass
 class DetectionConfig:
     cell_size: float = 0.2          # m, the range image's finest bin, near the sensor
     extent: float = 80.0            # points beyond [-extent, extent] in x or y are dropped
     ground_height: float = 0.3      # points below this height are ground
     min_cluster_points: int = 10
-    min_box_height: float = 0.1
-    confidence_saturation: int = 100
     link_angle: float = 0.045       # rad, obstacle points link within link_angle * range
 
     def __post_init__(self):
-        for name in ("cell_size", "extent", "link_angle", "min_box_height", "confidence_saturation"):
+        for name in ("cell_size", "extent", "link_angle"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
@@ -471,14 +473,16 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     return center, extents[rows, best], wrap_angle(angle[rows, best]), area[rows, best]
 
 
-def fit_boxes(clusters: list[np.ndarray], config: DetectionConfig) -> list[OrientedBox]:
+def fit_boxes(clusters: list[np.ndarray]) -> list[OrientedBox]:
     """Fit a minimum-area oriented box to every cluster of a frame in one pass.
 
     A box's footprint is the rotating-calipers rectangle of its cluster's
     projected hull; the heading lies along its long side, with an arbitrary
-    sign; height spans min to max point z. Degenerate clusters give no box:
-    fewer than 3 points, all collinear or repeated, or a zero-area footprint.
-    The boxes keep the order of their clusters.
+    sign. The height spans min to max point z, floored at _MIN_BOX_HEIGHT,
+    and the confidence is min(1, points / _CONFIDENCE_SATURATION).
+    Degenerate clusters give no box: fewer than 3 points, all collinear or
+    repeated, or a zero-area footprint. The boxes keep the order of their
+    clusters.
     """
     sizes = np.array([len(c) for c in clusters], dtype=int)
     use = np.flatnonzero(sizes >= 3)
@@ -500,7 +504,7 @@ def fit_boxes(clusters: list[np.ndarray], config: DetectionConfig) -> list[Orien
     z_min = np.minimum.reduceat(pts[:, 2], starts)[fit]
     z_max = np.maximum.reduceat(pts[:, 2], starts)[fit]
     swap = extents[:, 0] < extents[:, 1]
-    heading = wrap_angle(np.where(swap, angle + math.pi / 2.0, angle))
+    heading = np.where(swap, angle + math.pi / 2.0, angle)  # OrientedBox wraps it
     length = np.where(swap, extents[:, 1], extents[:, 0])
     width = np.where(swap, extents[:, 0], extents[:, 1])
     rows = zip(
@@ -509,9 +513,9 @@ def fit_boxes(clusters: list[np.ndarray], config: DetectionConfig) -> list[Orien
         ((z_min + z_max) / 2.0).tolist(),
         np.maximum(length, 1e-6).tolist(),
         np.maximum(width, 1e-6).tolist(),
-        np.maximum(z_max - z_min, config.min_box_height).tolist(),
+        np.maximum(z_max - z_min, _MIN_BOX_HEIGHT).tolist(),
         heading.tolist(),
-        np.minimum(1.0, sizes[fit] / config.confidence_saturation).tolist(),
+        np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION).tolist(),
     )
     return [OrientedBox(*row) for row in rows]
 
@@ -520,4 +524,4 @@ def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None
     """Full per-frame detector: grid features, clustering, box fitting."""
     config = config or DetectionConfig()
     # nested, so the grid is freed before the boxes are fitted
-    return fit_boxes(cluster_points(bev_grid_features(frame, config), frame, config), config)
+    return fit_boxes(cluster_points(bev_grid_features(frame, config), frame, config))

@@ -15,7 +15,7 @@ areas are shoelace sums.
 The IoU is computed only for pairs whose circumcircles, of radius
 ½·hypot(length, width), meet (with a relative slack of 1e-9 against
 rounding). Disjoint circles mean disjoint footprints and an IoU of 0, below
-any threshold in (0, 1], so the gate changes no fusion decision.
+the merge threshold, so the gate changes no fusion decision.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import numpy as np
 
 from .detection import OrientedBox
 from .errors import InvalidArgument, ValidationError
-from .geometry import RigidTransform, wrap_angle
+from .geometry import RigidTransform
+
+_IOU_THRESHOLD = 0.3    # boxes overlapping at this BEV IoU or more are one object
 
 
 @dataclass
@@ -137,27 +139,21 @@ def project_box(box: OrientedBox, transform: RigidTransform) -> OrientedBox:
         length=box.length,
         width=box.width,
         height=box.height,
-        heading=wrap_angle(math.atan2(axis[1], axis[0])),
+        heading=math.atan2(axis[1], axis[0]),
         confidence=box.confidence,
     )
 
 
-def late_fuse(
-    sets: list[DetectionSet],
-    transforms: dict[int, RigidTransform],
-    iou_threshold: float = 0.3,
-) -> FusedFrame:
+def late_fuse(sets: list[DetectionSet], transforms: dict[int, RigidTransform]) -> FusedFrame:
     """Merge synchronized per-agent detections in the common frame.
 
-    Boxes overlapping with BEV IoU >= threshold collapse to the
+    Boxes overlapping with BEV IoU >= _IOU_THRESHOLD collapse to the
     higher-confidence one (ties: lower agent id); provenance records every
     agent whose detection merged into the surviving box. A box joins the
     first kept box it overlaps.
     """
     if not sets:
         raise InvalidArgument("late_fuse needs at least one detection set")
-    if not 0.0 < iou_threshold <= 1.0:
-        raise InvalidArgument(f"iou_threshold must be in (0, 1]: {iou_threshold}")
     for ds in sets:
         if ds.agent_id not in transforms:
             raise ValidationError(f"missing transform for agent {ds.agent_id}")
@@ -182,7 +178,7 @@ def late_fuse(
         radius = 0.5 * math.hypot(box.length, box.width)
         gap = np.hypot(kept_x[:n] - box.x, kept_y[:n] - box.y)
         for i in np.flatnonzero(gap <= (kept_r[:n] + radius) * (1.0 + 1e-9)):
-            if iou_bev(box, kept[i]) >= iou_threshold:
+            if iou_bev(box, kept[i]) >= _IOU_THRESHOLD:
                 contributors[i].add(aid)
                 break
         else:

@@ -33,6 +33,7 @@ from ..geometry import EulerAngles, RigidTransform
 
 _FRAME_ARRAYS = ("timestamp", "points")
 _POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
+_POSE_TOLERANCE = 0.5   # s, the farthest a pose may be taken from its nearest sample
 
 
 def write_frame(path, frame: PointCloudFrame) -> None:
@@ -131,8 +132,8 @@ def read_pose_csv(path) -> list[PoseSample]:
     return samples
 
 
-def pose_at(samples: list[PoseSample], t: float, tolerance: float = 0.5) -> RigidTransform:
-    """Pose at time t from time-ordered samples, one of which lies within `tolerance` of t.
+def pose_at(samples: list[PoseSample], t: float) -> RigidTransform:
+    """Pose at time t from time-ordered samples, one of which lies within 0.5 s of t.
 
     Between two samples the translation is interpolated linearly and the
     rotation by slerp. At a sample's own time, and before the first or after
@@ -142,8 +143,8 @@ def pose_at(samples: list[PoseSample], t: float, tolerance: float = 0.5) -> Rigi
         raise ValidationError(f"no pose samples to take t={t:.3f} from")
     times = np.array([s.timestamp for s in samples])
     k = int(np.argmin(np.abs(times - t)))
-    if not abs(times[k] - t) <= tolerance:
-        raise ValidationError(f"no pose within {tolerance} s of t={t:.3f}")
+    if not abs(times[k] - t) <= _POSE_TOLERANCE:
+        raise ValidationError(f"no pose within {_POSE_TOLERANCE} s of t={t:.3f}")
     after = int(np.searchsorted(times, t, side="right"))
     if times[k] == t or after in (0, len(times)):
         return samples[k].transform

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -217,7 +217,11 @@ class ScenarioSpec:
         for v in list(self.agents) + list(self.svs):
             if not (isinstance(v.lane, Integral) and not isinstance(v.lane, bool)):
                 raise ValidationError(f"vehicle {v.vehicle_id} lane must be an integer: {v.lane!r}")
-            for t in (0.0, self.duration):
+            # s(t) is a parabola: a vehicle that turns round between the ends goes farthest there
+            times = [0.0, self.duration]
+            if v.accel and 0.0 < -v.speed / v.accel < self.duration:
+                times.append(-v.speed / v.accel)
+            for t in times:
                 s = v.s_at(t)
                 if not -1e-6 <= s <= self.road.lane_length(v.lane) + 1e-6:
                     raise ValidationError(
@@ -428,13 +432,11 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
         write_frame_dir(agent_dir / "frames", data.frames[aid])
         write_pose_csv(agent_dir / "poses.csv", data.poses[aid])
 
+    # integers as str and floats as their shortest round-trip repr, so the file parses back exactly
     with (out / "ground_truth.csv").open("w") as fh:
         fh.write(GROUND_TRUTH_HEADER + "\n")
         for row in data.ground_truth:
-            seen = ";".join(str(a) for a in row.visible_to)
-            fh.write(
-                f"{row.sv_id},{row.time:.6f},{row.x:.6f},{row.y:.6f},{row.heading:.9f},"
-                f"{row.speed:.6f},{row.accel:.6f},{row.downtrack:.6f},{row.lane_id},"
-                f"{row.lanelet_id},{row.length:.3f},{row.width:.3f},{row.height:.3f},{seen}\n"
-            )
+            *values, seen = astuple(row)
+            fields = [str(v) if isinstance(v, Integral) else repr(float(v)) for v in values]
+            fh.write(",".join(fields + [";".join(map(str, seen))]) + "\n")
     return out

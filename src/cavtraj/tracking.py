@@ -2,11 +2,19 @@
 
 x, y and z run identical constant-acceleration filters over [position,
 velocity, acceleration] that never couple, so one (3, 3) covariance serves
-all three axes. The heading is the direction of the xy velocity (a box's long
-axis has no sign, so only its center and dimensions are read); a stopped
-object's heading follows its velocity noise. Box dimensions are
-EMA-smoothed. Detections are associated to predicted track positions with
-the Hungarian algorithm under a Euclidean gate.
+all three axes. The filter model is fixed:
+
+- process noise Q = diag(0.1 m, 0.5 m/s, 0.5 m/s^2)^2 per nominal 0.1 s
+  step, scaled linearly with the step: Q * dt / 0.1 s;
+- measurement noise R = (0.3 m)^2 on each axis of the box center;
+- a new track starts at its box center with P0 = diag(0.3 m, 10 m/s,
+  3 m/s^2)^2 and zero velocity and acceleration;
+- box dimensions are smoothed by an EMA of weight 0.3 on each new box.
+
+The heading is the direction of the xy velocity (a box's long axis has no
+sign, so only its center and dimensions are read); a stopped object's
+heading follows its velocity noise. Detections are associated to predicted
+track positions with the Hungarian algorithm under a 4 m Euclidean gate.
 """
 
 from __future__ import annotations
@@ -23,29 +31,20 @@ from .errors import InvalidArgument
 from .fusion import FusedFrame
 from .geometry import wrap_angle
 
+_NOMINAL_DT = 0.1                            # s, the step Q is quoted for
+_Q = np.diag([0.1**2, 0.5**2, 0.5**2])       # process noise per nominal step
+_R = 0.3**2                                  # measurement noise, m^2
+_P0 = np.diag([_R, 10.0**2, 3.0**2])         # covariance of a new track
+_DIM_EMA = 0.3                               # weight of a new box's dimensions
+_GATE = 4.0                                  # m, association gate
+
 
 @dataclass
 class TrackingConfig:
-    q_pos: float = 0.1          # process noise per nominal step, position (m)
-    q_vel: float = 0.5          # velocity (m/s)
-    q_acc: float = 0.5          # acceleration (m/s^2)
-    r_pos: float = 0.3          # measurement noise, box center (m)
-    nominal_dt: float = 0.1     # step the q_* values are quoted for (s)
-    association_gate: float = 4.0
-    confirm_hits: int = 3
-    max_age: int = 5
-    dim_ema: float = 0.3
-    init_vel_sigma: float = 10.0
-    init_acc_sigma: float = 3.0
+    confirm_hits: int = 3       # hits before a track is reported
+    max_age: int = 5            # missed steps before a track is dropped
 
     def __post_init__(self):
-        for name in ("q_pos", "q_vel", "q_acc", "r_pos", "nominal_dt", "association_gate",
-                     "init_vel_sigma", "init_acc_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
-        if not 0.0 < self.dim_ema <= 1.0:
-            raise InvalidArgument(f"dim_ema must be in (0, 1]: {self.dim_ema!r}")
         for name, least in (("confirm_hits", 1), ("max_age", 0)):
             value = getattr(self, name)
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
@@ -87,33 +86,32 @@ class Track:
         return wrap_angle(math.atan2(self.state[1, 1], self.state[0, 1]))
 
 
-def kf_predict(track: Track, dt: float, config: TrackingConfig) -> None:
+def kf_predict(track: Track, dt: float) -> None:
     """Advance a track in place by dt with the constant-acceleration model."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise InvalidArgument(f"dt must be positive, got {dt}")
-    scale = dt / config.nominal_dt
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
     track.state = track.state @ f.T
-    cov = f @ track.covariance @ f.T + np.diag([config.q_pos**2, config.q_vel**2, config.q_acc**2]) * scale
+    cov = f @ track.covariance @ f.T + _Q * (dt / _NOMINAL_DT)
     track.covariance = 0.5 * (cov + cov.T)
 
 
-def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> None:
+def kf_update(track: Track, box: OrientedBox) -> None:
     """Measurement update in place with the detected box center and dimensions.
 
     Each axis measures only its position, so the innovation is a scalar per
-    axis and every axis shares the gain P[:, 0] / (P[0, 0] + r_pos^2).
+    axis and every axis shares the gain P[:, 0] / (P[0, 0] + R).
     """
-    p, r = track.covariance, config.r_pos**2
-    gain = p[:, 0] / (p[0, 0] + r)
+    p = track.covariance
+    gain = p[:, 0] / (p[0, 0] + _R)
     innovation = np.array([box.x, box.y, box.z]) - track.position
     track.state = track.state + np.outer(innovation, gain)
     ikh = np.eye(3)
     ikh[:, 0] -= gain
-    cov = ikh @ p @ ikh.T + r * np.outer(gain, gain)  # Joseph form
+    cov = ikh @ p @ ikh.T + _R * np.outer(gain, gain)  # Joseph form
     track.covariance = 0.5 * (cov + cov.T)
 
-    beta = config.dim_ema
+    beta = _DIM_EMA
     track.length = (1 - beta) * track.length + beta * box.length
     track.width = (1 - beta) * track.width + beta * box.width
     track.height = (1 - beta) * track.height + beta * box.height
@@ -121,34 +119,21 @@ def kf_update(track: Track, box: OrientedBox, config: TrackingConfig) -> None:
     track.misses = 0
 
 
-@dataclass
-class Assignment:
-    pairs: list[tuple[int, int]]
-    unmatched_tracks: list[int]
-    unmatched_detections: list[int]
+def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -> list[tuple[int, int]]:
+    """Hungarian assignment on Euclidean distance, gated at `gate` meters.
 
-
-def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -> Assignment:
-    """Hungarian assignment on Euclidean distance, gated at `gate` meters."""
+    Returns the matched (track index, detection index) pairs.
+    """
     if not gate > 0.0:  # NaN too: every cost <= NaN is false
         raise InvalidArgument(f"gate must be positive: {gate!r}")
     if not tracks or not detections:
-        return Assignment([], list(range(len(tracks))), list(range(len(detections))))
+        return []
 
     track_pos = np.array([t.position for t in tracks])
     det_pos = np.array([[d.x, d.y, d.z] for d in detections])
     cost = np.linalg.norm(track_pos[:, None, :] - det_pos[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
-
-    pairs = []
-    unmatched_t = set(range(len(tracks)))
-    unmatched_d = set(range(len(detections)))
-    for i, j in zip(rows, cols):
-        if cost[i, j] <= gate:
-            pairs.append((int(i), int(j)))
-            unmatched_t.discard(int(i))
-            unmatched_d.discard(int(j))
-    return Assignment(pairs, sorted(unmatched_t), sorted(unmatched_d))
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] <= gate]
 
 
 class MultiObjectTracker:
@@ -161,13 +146,12 @@ class MultiObjectTracker:
         self._last_timestamp: float | None = None
 
     def _new_track(self, box: OrientedBox) -> Track:
-        c = self.config
         state = np.zeros((3, 3))
         state[:, 0] = [box.x, box.y, box.z]
         track = Track(
             track_id=self._next_id,
             state=state,
-            covariance=np.diag([c.r_pos**2, c.init_vel_sigma**2, c.init_acc_sigma**2]),
+            covariance=_P0.copy(),
             length=box.length,
             width=box.width,
             height=box.height,
@@ -188,18 +172,17 @@ class MultiObjectTracker:
         if self._last_timestamp is not None:
             dt = frame.timestamp - self._last_timestamp
             for track in self.tracks:
-                kf_predict(track, dt, c)
+                kf_predict(track, dt)
 
-        assignment = associate(self.tracks, frame.boxes, c.association_gate)
-        for ti, di in assignment.pairs:
-            kf_update(self.tracks[ti], frame.boxes[di], c)
-
-        for ti in assignment.unmatched_tracks:
-            self.tracks[ti].misses += 1
+        pairs = associate(self.tracks, frame.boxes, _GATE)
+        for track in self.tracks:
+            track.misses += 1  # kf_update resets a matched track's count
+        for ti, di in pairs:
+            kf_update(self.tracks[ti], frame.boxes[di])
         self.tracks = [t for t in self.tracks if t.misses <= c.max_age]
 
-        for di in assignment.unmatched_detections:
-            self.tracks.append(self._new_track(frame.boxes[di]))
+        matched = {di for _, di in pairs}
+        self.tracks += [self._new_track(box) for di, box in enumerate(frame.boxes) if di not in matched]
 
         self._last_timestamp = frame.timestamp
         return [t for t in self.tracks if t.hits >= c.confirm_hits and t.misses == 0]

@@ -70,5 +70,9 @@ def test_traced_pass_reads_every_counter(data, tmp_path):
         result = _run(source, map_source)
     assert result.failed == 0 and result.rows
     assert tr.counter_errors == set()
+    # a renamed function would leave its span absent and its per-layer metrics at zero
+    required = {"tracking.kf_predict", "tracking.kf_update", "tracking.associate", "fusion.late_fuse",
+                "fusion.project_box"}
+    assert required.isdisjoint(tr.absent)
     metrics = tracer.layer_metrics(tr)
     assert metrics["world_model.map_load.lanelets"][0] == len(data.vector_map["lanelets"])

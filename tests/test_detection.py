@@ -30,12 +30,8 @@ CFG = DetectionConfig(cell_size=0.5, extent=20.0)
     "field, value",
     [("link_angle", 0.0), ("link_angle", -0.01), ("link_angle", math.nan), ("link_angle", math.inf),
      ("cell_size", 0.0), ("cell_size", math.nan), ("extent", -1.0), ("extent", math.nan),
-     # a non-finite ground gate keeps no point or every point; a bad
-     # saturation or height floor makes every box raise or warn
+     # a non-finite ground gate keeps no point or every point
      ("ground_height", math.nan), ("ground_height", math.inf), ("ground_height", -math.inf),
-     ("confidence_saturation", 0), ("confidence_saturation", -5), ("confidence_saturation", math.nan),
-     ("confidence_saturation", math.inf), ("min_box_height", math.nan), ("min_box_height", 0.0),
-     ("min_box_height", -0.1),
      # every cluster size >= NaN is false, so a NaN floor keeps no cluster in any frame
      ("min_cluster_points", math.nan), ("min_cluster_points", 0), ("min_cluster_points", 2.5),
      ("min_cluster_points", True)],
@@ -650,7 +646,7 @@ def test_rect_degenerate_inputs():
     assert area[0] == math.inf and area[1] < 1e-15 and area[2] == pytest.approx(1.0)
     # fit_boxes gives no box for either, nor for a two-point cluster
     flat = [np.c_[p, np.ones(len(p))] for p in (np.zeros((2, 2)), *polygons[:2])]
-    assert fit_boxes(flat, CFG) == []
+    assert fit_boxes(flat) == []
 
 
 def test_rect_contains_all_hull_points():
@@ -670,7 +666,7 @@ def test_rect_contains_all_hull_points():
 
 
 def fit_one(pts):
-    (box,) = fit_boxes([pts], CFG)
+    (box,) = fit_boxes([pts])
     return box
 
 
@@ -710,7 +706,7 @@ def test_fit_box_planar_cluster_height_clamped():
     rng = np.random.default_rng(3)
     pts = np.c_[rng.uniform(-2, 2, (30, 2)), np.full(30, 1.0)]
     box = fit_one(pts)
-    assert box.height == CFG.min_box_height
+    assert box.height == detection._MIN_BOX_HEIGHT
 
 
 def test_fit_box_footprint_contains_all_points():
@@ -794,7 +790,7 @@ def test_octagon_prune_is_per_segment_and_keeps_every_hull_vertex():
             assert not (masked[:, None] & (pts[:, None, :] == ref[None]).all(axis=2)).any()
 
 
-def qhull_box(pts, config):
+def qhull_box(pts):
     """The per-cluster box fit that fit_boxes replaces; None for a degenerate cluster.
 
     Qhull's hull, re-rooted, then the per-edge rectangle loop; the heading
@@ -815,9 +811,9 @@ def qhull_box(pts, config):
         z=float((z_min + z_max) / 2.0),
         length=float(max(length, 1e-6)),
         width=float(max(width, 1e-6)),
-        height=float(max(z_max - z_min, config.min_box_height)),
+        height=float(max(z_max - z_min, detection._MIN_BOX_HEIGHT)),
         heading=float(wrap_angle(heading)),
-        confidence=float(min(1.0, len(pts) / config.confidence_saturation)),
+        confidence=float(min(1.0, len(pts) / detection._CONFIDENCE_SATURATION)),
     )
 
 
@@ -843,8 +839,8 @@ def test_fit_boxes_match_per_cluster_qhull_path(kind):
     n_boxes = 0
     for frame in (f for per_agent in generate_scenario(spec).frames.values() for f in per_agent):
         clusters = cluster_points(bev_grid_features(frame, cfg), frame, cfg)
-        want = [b for b in (qhull_box(c, cfg) for c in clusters) if b is not None]
-        assert box_bits(fit_boxes(clusters, cfg)) == box_bits(want)
+        want = [b for b in (qhull_box(c) for c in clusters) if b is not None]
+        assert box_bits(fit_boxes(clusters)) == box_bits(want)
         n_boxes += len(want)
     assert n_boxes >= 12  # sparse_arc: 2 SVs seen by 2 agents in 3 frames, one box each
 
@@ -866,18 +862,18 @@ def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
     ]
     clusters = [valid[0], degenerate[0], valid[1], degenerate[1], degenerate[2], valid[2], valid[3],
                 degenerate[3], valid[4], degenerate[4], valid[5], degenerate[5], valid[6]]
-    boxes = fit_boxes(clusters, CFG)
-    alone = [fit_boxes([c], CFG) for c in valid]
+    boxes = fit_boxes(clusters)
+    alone = [fit_boxes([c]) for c in valid]
     assert [len(a) for a in alone] == [1] * len(valid)
     assert box_bits(boxes) == box_bits([a[0] for a in alone])
-    ref = [qhull_box(c, CFG) for c in valid]
+    ref = [qhull_box(c) for c in valid]
     assert box_bits(boxes[:-1]) == box_bits(ref[:-1])
     # the noiseless box's walls are collinear up to rounding: Qhull merges
     # those vertices, the chain keeps them, so the two differ in the last bits
     np.testing.assert_allclose(astuple(boxes[-1]), astuple(ref[-1]), rtol=0, atol=1e-12)
-    assert fit_boxes(degenerate, CFG) == []
-    assert all(qhull_box(c, CFG) is None for c in degenerate)
-    assert fit_boxes([], CFG) == []
+    assert fit_boxes(degenerate) == []
+    assert all(qhull_box(c) is None for c in degenerate)
+    assert fit_boxes([]) == []
 
 
 def test_detect_objects_end_to_end():

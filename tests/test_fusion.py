@@ -380,24 +380,13 @@ def test_late_fuse_output_has_no_overlapping_pair():
     rng = np.random.default_rng(71)
     boxes0 = [box(rng.uniform(-30, 30), rng.uniform(-8, 8), conf=rng.uniform(0.2, 1)) for _ in range(12)]
     boxes1 = [box(rng.uniform(-30, 30), rng.uniform(-8, 8), conf=rng.uniform(0.2, 1)) for _ in range(12)]
-    fused = late_fuse(
-        [make_set(0.0, 0, boxes0), make_set(0.0, 1, boxes1)],
-        {0: IDENTITY, 1: IDENTITY},
-        iou_threshold=0.3,
-    )
+    fused = late_fuse([make_set(0.0, 0, boxes0), make_set(0.0, 1, boxes1)], {0: IDENTITY, 1: IDENTITY})
     for i in range(len(fused.boxes)):
         for j in range(i + 1, len(fused.boxes)):
-            assert iou_bev(fused.boxes[i], fused.boxes[j]) < 0.3
+            assert iou_bev(fused.boxes[i], fused.boxes[j]) < fusion._IOU_THRESHOLD
 
 
-@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
-def test_late_fuse_threshold_outside_unit_interval_rejected(threshold):
-    s = make_set(0.0, 0, [box(0, 0)])
-    with pytest.raises(InvalidArgument, match="iou_threshold"):
-        late_fuse([s], {0: IDENTITY}, iou_threshold=threshold)
-
-
-def all_pairs_fuse(sets, transforms, iou_threshold):
+def all_pairs_fuse(sets, transforms):
     """Reference: every candidate is tested against every kept box, in kept order."""
     candidates = []
     for ds in sorted(sets, key=lambda s: s.agent_id):
@@ -407,7 +396,7 @@ def all_pairs_fuse(sets, transforms, iou_threshold):
     for k in order:
         b, aid = candidates[k]
         for i, other in enumerate(kept):
-            if iou_bev(b, other) >= iou_threshold:
+            if iou_bev(b, other) >= fusion._IOU_THRESHOLD:
                 contributors[i].add(aid)
                 break
         else:
@@ -420,8 +409,7 @@ def _touching_sets():
     # two pairs whose circumcircles touch exactly (d == r_a + r_b in floating
     # point) where their footprints meet corner to corner, one rotated, one
     # axis-aligned. Clipping the first pair leaves a sliver of rounding-level
-    # area (IoU about 2e-33), so at a threshold below that the two boxes
-    # merge: the gate must let touching circles through.
+    # area (IoU about 2e-33): the gate must let touching circles through.
     diag = -math.atan2(3.0, 4.0)
     return [
         make_set(0.0, 0, [box(0.0, 0.0, l=4.0, w=3.0, heading=diag, conf=0.8),
@@ -431,8 +419,7 @@ def _touching_sets():
     ]
 
 
-@pytest.mark.parametrize("threshold", [1e-40, 1e-12, 0.05, 0.3, 0.7, 1.0])
-def test_late_fuse_matches_all_pairs_reference(threshold):
+def test_late_fuse_matches_all_pairs_reference():
     rng = np.random.default_rng(41)
     cases = [_touching_sets()]
     for _ in range(30):
@@ -451,8 +438,21 @@ def test_late_fuse_matches_all_pairs_reference(threshold):
         cases.append(sets)
     for sets in cases:
         transforms = {ds.agent_id: IDENTITY for ds in sets}
-        fused = late_fuse(sets, transforms, iou_threshold=threshold)
-        assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms, threshold)
+        fused = late_fuse(sets, transforms)
+        assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms)
+
+
+def test_late_fuse_gate_lets_touching_circles_through(monkeypatch):
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append((a.x, b.x))
+        return iou_bev(a, b)
+
+    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+    late_fuse(_touching_sets(), {0: IDENTITY, 1: IDENTITY})
+    # each touching pair is clipped, and no other pair
+    assert sorted(calls) == [(0.0, 5.0), (24.0, 20.0)]
 
 
 def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
     DropoutWindow,
+    GroundTruthRow,
     RoadSpec,
     ScenarioSpec,
     SensorSpec,
@@ -67,6 +68,30 @@ def test_write_scenario_round_trip(tmp_path):
     lines = (out / "ground_truth.csv").read_text().splitlines()
     assert lines[0] == GROUND_TRUTH_HEADER
     assert len(lines) - 1 == len(data.ground_truth) > 0
+
+
+def _parse_ground_truth(path) -> list[GroundTruthRow]:
+    """ground_truth.csv back into rows: ids as int, visible_to as a tuple, the rest as float."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == GROUND_TRUTH_HEADER
+    names = GROUND_TRUTH_HEADER.split(",")
+    rows = []
+    for line in lines[1:]:
+        *values, seen = line.split(",")
+        parsed = [int(v) if name in ("sv_id", "lane_id", "lanelet_id") else float(v) for name, v in zip(names, values)]
+        rows.append(GroundTruthRow(*parsed, tuple(int(a) for a in seen.split(";"))))
+    return rows
+
+
+def test_ground_truth_file_round_trips_exactly(tmp_path):
+    # an arc and an accelerating and a braking SV give positions, speeds and headings with many digits
+    spec = replace(PINNED, svs=[*PINNED.svs, VehicleSpec(104, 1, 30.0, 13.0, accel=-1.7)])
+    data = generate_scenario(spec)
+    back = _parse_ground_truth(write_scenario(data, tmp_path / "gt") / "ground_truth.csv")
+    assert len(back) == len(data.ground_truth) > 10
+    assert back == data.ground_truth
+    for row, ref in zip(back, data.ground_truth):
+        assert [type(v) for v in astuple(row)] == [type(v) for v in astuple(ref)]
 
 
 def test_write_scenario_is_byte_identical_when_repeated(tmp_path):
@@ -165,6 +190,10 @@ BAD_SCENARIOS = {
     "lane_fraction": dict(svs=[VehicleSpec(101, 1.5, 48.0, 20.0)]),  # was a vehicle between lanes
     "lane_bool": dict(agents=[VehicleSpec(1, True, 40.0, 20.0)]),
     "dropout_names_no_sv": dict(dropouts=[DropoutWindow(103, 0.1, 0.2)]),  # was silently ignored
+    # brakes to a stop at t = 4/3 s and s = 103.3 m on a 100 m lane, then backs up to s = 100 m by
+    # t = 2 s: only the turning point leaves the road
+    "turns_round_off_the_road": dict(duration=2.0, svs=[VehicleSpec(101, 1, 90.0, 20.0, accel=-15.0)],
+                                     road=RoadSpec(length=100.0, n_lanes=2)),
 }
 
 
