@@ -6,7 +6,11 @@ seconds, and ``points`` (N, 3), the x, y, z of each return in metres in the
 sensor frame. Both are finite. Values round-trip bit for bit, and an empty
 frame keeps its timestamp. Frames of one agent live in a directory as
 ``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
-filename order. The reader accepts only what the writer writes: an archive
+filename order, in which their timestamps must not decrease: a file whose
+timestamp falls below its predecessor's raises ValidationError naming it
+(the six-digit names sort out of order from frame 1 000 000 on, where
+``frame_1000000.npz`` sorts before ``frame_100001.npz``). The reader accepts
+only what the writer writes: an archive
 with any other array, a missing one, another dtype or another shape raises
 ValidationError, and so does a path that cannot be opened.
 
@@ -78,9 +82,14 @@ def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:
     directory = Path(directory)
     if not directory.is_dir():
         raise ValidationError(f"frame directory not found: {directory}")
-    frames = [read_frame(p, agent_id) for p in sorted(directory.glob("*.npz"))]
+    paths = sorted(directory.glob("*.npz"))
+    frames = [read_frame(p, agent_id) for p in paths]
     if not frames:
         raise ValidationError(f"no frame files in {directory}")
+    for path, before, frame in zip(paths[1:], frames, frames[1:]):
+        if frame.timestamp < before.timestamp:
+            raise ValidationError(f"{path}: timestamp {frame.timestamp} falls below {before.timestamp} "
+                                  "of the file before it in name order")
     return frames
 
 

@@ -41,14 +41,20 @@ exactly radial.
 
 The lanelet choice and the corridor test use the nearest chord of each
 polyline. At load the centerline segments of all lanelets are stacked into
-flat arrays, and so are the boundary segments, lanelet by lanelet.
-`VectorMap.project` takes a batch of points in two vectorised stages: every
-point against every centerline segment, which tells for each
-lanelet whether the centerline foot lies inside its span, then only those
-interior (point, lanelet) pairs against their own lanelet's two boundaries.
-There is no spatial prefilter. `np.minimum.reduceat` gives each polyline's
-least distance and the first segment attaining it, the one a per-polyline
-`argmin` picks.
+flat arrays, and so are the boundary segments, lanelet by lanelet. Each
+lanelet also gets a reach box: the axis-aligned bounding box of its
+centerline and both boundaries, grown by 1 m (the 0.5 m on-road margin plus
+the 0.5 m end tolerance of the centerline foot). A lanelet can hold a point
+only inside its reach box; this is part of the on-road rule, not only a
+speed-up, because the chord tests alone have no finite reach (see
+`VectorMap.project` for two maps where they admit points 1000 m and 5.19 m
+off the centerline). `VectorMap.project` takes a batch of points: one
+vectorised test against every reach box gives the (point, lanelet) pairs,
+stage 1 projects each pair onto its own lanelet's centerline segments,
+which tells whether the centerline foot lies inside the span, and stage 2
+projects only those interior pairs onto their own lanelet's two
+boundaries. `np.minimum.reduceat` gives each polyline's least distance and
+the first segment attaining it, the one a per-polyline `argmin` picks.
 """
 
 from __future__ import annotations
@@ -65,11 +71,12 @@ from .errors import InvalidArgument, ValidationError
 
 _CONNECT_TOL = 0.1  # m, successor start must sit on predecessor end
 _ON_ROAD_MARGIN = 0.5  # m, how far outside a lanelet's boundaries a point still counts as on it
+_END_TOL = 0.5  # m, how far past either end of a centerline the foot on its nearest chord may fall
 _MAP_KEYS = ("name", "lanelets")
 _POLYLINES = ("centerline", "left_boundary", "right_boundary")
 _LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
 _TINY = np.finfo(float).tiny
-_PAIRS = 16_384  # (point, centerline segment) pairs per chunk: float64 temporaries of 128 KiB
+_PAIRS = 16_384  # (point, centerline segment) pairs per split: float64 temporaries of about 128 KiB
 
 
 @dataclass(frozen=True)
@@ -263,33 +270,48 @@ class VectorMap:
         self._center = _Segments([ll.centerline for ll in self._by_id])
         self._bounds = _Segments([line for ll in self._by_id for line in (ll.left_boundary, ll.right_boundary)])
         self._center_len = np.array([ll.length for ll in self._by_id])
-        # a full chunk's (point, centerline segment) pairs, flattened point by
-        # point: each pair's (point, lanelet) group and each group's first pair
-        first, n = self._center.first, len(self._by_id)
-        self._chunk = max(_PAIRS // int(first[-1]), 1)
-        rows = np.arange(self._chunk)[:, None]
-        self._group_of = (rows * n + np.repeat(np.arange(n), np.diff(first))).ravel()
-        self._group_first = (rows * first[-1] + first[:-1]).ravel()
+        # reach boxes, (2, n) arrays of x and y bounds: the bounding box of each
+        # lanelet's three polylines, grown by the on-road margin and the end tolerance
+        vertices = [line.points for ll in self._by_id for line in (ll.centerline, ll.left_boundary, ll.right_boundary)]
+        first = np.r_[0, np.cumsum([len(v) for v in vertices])][:-1:3]
+        stacked = np.concatenate(vertices)[:, :2]
+        self._reach_lo = (np.minimum.reduceat(stacked, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
+        self._reach_hi = (np.maximum.reduceat(stacked, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
 
     def project(self, points) -> list[FrenetCoord | None]:
         """Project map points; None marks off-road.
 
-        A lanelet is a candidate when the foot on its centerline's nearest
-        chord falls inside the centerline's span (0.5 m end tolerance) and
-        the point is at most `_ON_ROAD_MARGIN` (0.5 m) outside either
-        boundary's nearest chord. Among the candidates the least (centerline
-        chord distance rounded to 1e-9, |offset|, lanelet id) wins; a point
-        with no candidate, or a non-finite one, is off-road.
+        A lanelet is a candidate when the point lies inside its reach box,
+        the foot on its centerline's nearest chord falls inside the
+        centerline's span (`_END_TOL`, 0.5 m, end tolerance) and the point
+        is at most `_ON_ROAD_MARGIN` (0.5 m) outside either boundary's
+        nearest chord. The reach box is the axis-aligned bounding box of
+        the lanelet's three polylines grown by both tolerances, 1 m. Among
+        the candidates the least (centerline chord distance rounded to 1e-9,
+        |offset|, lanelet id) wins; a point with no candidate, or a
+        non-finite one, is off-road.
+
+        Without the reach box the chord tests alone would admit points at
+        any distance: where a boundary's nearest chord has its foot clipped
+        to an end, the offset is taken from the chord's extension line. On a
+        lanelet with centerline (0, 0) -> (10, 0), left boundary (0, 1.75)
+        -> (10, 1.75) and a notched right boundary (0, -1.75) -> (5, -1.75)
+        -> (5, -3) -> (4, -3) -> (4, -2) -> (10, -2), the point (5, -1000)
+        would pass with crosstrack 1000 m; on a right-angle bend with 10 m
+        legs and a 1.85 m half width, (14, -2) would pass with crosstrack
+        5.19 m. Both lie outside the reach box and are off-road.
 
         A point is a sequence of at least two real numbers (x, y, ...), and
         only x and y are read. A malformed point raises InvalidArgument.
 
-        Stage 1 projects the points, in chunks of at most `_PAIRS` (point,
-        centerline segment) pairs, onto every centerline segment; that gives
-        each lanelet's nearest centerline chord and whether its foot is
-        inside the span. Stage 2 projects only the interior (point, lanelet)
-        pairs, all in one pass, onto their own lanelet's two boundaries: no
-        other boundary result is read.
+        One vectorised test of every point against every reach box gives
+        the (point, lanelet) pairs. The pairs are split wherever their
+        cumulative count of (point, centerline segment) pairs passes a
+        multiple of `_PAIRS`, so the temporaries stay bounded for any batch.
+        Stage 1 projects each pair onto its own lanelet's centerline
+        segments; that gives the nearest centerline chord and whether its
+        foot is inside the span. Stage 2 projects only the interior pairs
+        onto their own lanelet's two boundaries.
         """
         xy = np.empty((len(points), 2))
         for i, point in enumerate(points):
@@ -299,16 +321,18 @@ class VectorMap:
             xy[i] = coords[:2]
         result: list[FrenetCoord | None] = [None] * len(points)
         finite = np.flatnonzero(np.isfinite(xy).all(axis=1))
-        if finite.size == 0:
-            return result
         xy = xy[finite]
-        pairs = [self._centerline_pairs(xy[lo:lo + self._chunk], lo) for lo in range(0, len(xy), self._chunk)]
-        row, lane, nearest, center, s_chord = (np.concatenate(a) for a in zip(*pairs))
-        inside = self._within_boundaries(xy, row, lane)
+        (lo_x, lo_y), (hi_x, hi_y) = self._reach_lo, self._reach_hi
+        x, y = xy[:, :1], xy[:, 1:]
+        row, lane = np.nonzero((lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y))
+        # a split starts where a pair's first (point, segment) pair enters the next block of _PAIRS
+        sizes = np.diff(self._center.first)[lane]
+        split = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _PAIRS)) + 1
+        parts = [self._candidates(xy, r, j) for r, j in zip(np.split(row, split), np.split(lane, split))]
 
         # the least key per point among its candidates
         best = {}
-        for r, j, dist, off, s in zip(*(a[inside].tolist() for a in (row, lane, nearest, center, s_chord))):
+        for r, j, dist, off, s in zip(*(np.concatenate(a).tolist() for a in zip(*parts))):
             ll = self._by_id[j]
             key = (round(dist, 9), abs(off), ll.lanelet_id)
             if r not in best or key < best[r][0]:
@@ -323,52 +347,24 @@ class VectorMap:
             )
         return result
 
-    def _centerline_pairs(self, xy: np.ndarray, row0: int):
-        """Stage 1: a chunk of points against every centerline segment.
+    def _candidates(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray):
+        """Stages 1 and 2 for the (point row, lanelet index) pairs of one split.
 
-        Returns, for each (point, lanelet) pair whose nearest centerline chord
-        has its foot inside the span: the point's row (counted from row0), the
-        lanelet's index, the chord distance and offset, and the arc length of
-        the foot.
+        Returns, for each pair that passes both chord tests: the point's
+        row, the lanelet's index, the centerline chord distance and offset,
+        and the arc length of the foot.
         """
-        c, n, m = self._center, len(self._by_id), len(xy)
-        x, y = xy[:, :1], xy[:, 1:]
-        t_raw = (x - c.x) * c.dx + (y - c.y) * c.dy
-        t = np.minimum(np.maximum(t_raw, 0.0), c.len)
-        diff_x = x - (c.x + t * c.dx)
-        diff_y = y - (c.y + t * c.dy)
-        k = _first_nearest(diff_x.ravel(), diff_y.ravel(),
-                           self._group_first[:m * n], self._group_of[:m * c.len.size])
-        along = c.cum[k % c.len.size] + t_raw.flat[k]
-        interior = np.flatnonzero((-0.5 <= along) & (along <= np.tile(self._center_len, m) + 0.5))
-        row, lane = np.divmod(interior, n)
-        k = k[interior]
-        seg = k % c.len.size
-        nearest = np.hypot(diff_x.flat[k], diff_y.flat[k])
-        center = diff_x.flat[k] * c.dy[seg] - diff_y.flat[k] * c.dx[seg]
-        return row0 + row, lane, nearest, center, c.cum[seg] + t.flat[k]
-
-    def _within_boundaries(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        """Stage 2: whether each (point, lanelet) pair is at most `_ON_ROAD_MARGIN` outside both boundaries.
-
-        Each pair is projected onto its own lanelet's left and right boundary
-        only, the two boundary chords its result reads.
-        """
-        if len(row) == 0:
-            return np.zeros(0, dtype=bool)
-        b = self._bounds
-        start, mid, end = b.first[2 * lane], b.first[2 * lane + 1], b.first[2 * lane + 2]
-        sizes = np.column_stack([mid - start, end - mid]).ravel()  # left, right per pair
-        first = np.r_[0, np.cumsum(sizes)[:-1]]
-        idx = np.arange(first[-1] + sizes[-1]) + np.repeat(start - first[::2], end - start)
-        x, y = np.repeat(xy[row, 0], end - start), np.repeat(xy[row, 1], end - start)
-        seg_x, seg_y, seg_dx, seg_dy = b.x[idx], b.y[idx], b.dx[idx], b.dy[idx]
-        t = np.minimum(np.maximum((x - seg_x) * seg_dx + (y - seg_y) * seg_dy, 0.0), b.len[idx])
-        diff_x = x - (seg_x + t * seg_dx)
-        diff_y = y - (seg_y + t * seg_dy)
-        k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
-        cross = diff_x[k] * seg_dy[k] - diff_y[k] * seg_dx[k]
-        return (cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN)
+        c, b = self._center, self._bounds
+        seg, t_raw, t, diff_x, diff_y = c.nearest(xy[row], lane)
+        along = c.cum[seg] + t_raw
+        interior = (-_END_TOL <= along) & (along <= self._center_len[lane] + _END_TOL)
+        row, lane, seg, t, diff_x, diff_y = (a[interior] for a in (row, lane, seg, t, diff_x, diff_y))
+        # the left then the right boundary of each interior pair's own lanelet
+        bseg, _, _, bdiff_x, bdiff_y = b.nearest(np.repeat(xy[row], 2, axis=0), (2 * lane[:, None] + [0, 1]).ravel())
+        cross = bdiff_x * b.dy[bseg] - bdiff_y * b.dx[bseg]
+        inside = (cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN)
+        center = diff_x * c.dy[seg] - diff_y * c.dx[seg]
+        return tuple(a[inside] for a in (row, lane, np.hypot(diff_x, diff_y), center, c.cum[seg] + t))
 
 
 class _Segments:
@@ -383,6 +379,26 @@ class _Segments:
         self.dx, self.dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
         self.len = np.concatenate([p.seg_len for p in polys])
         self.cum = np.concatenate([p.cum_len[:-1] for p in polys])
+
+    def nearest(self, xy: np.ndarray, poly: np.ndarray):
+        """The first nearest chord of polyline poly[g] to the point xy[g], for each g.
+
+        The (point, segment) pairs are flattened group by group. Returns each
+        chord's segment index, the foot's distance along it before and after
+        clipping to the segment, and the offset from the foot to the point.
+        """
+        start = self.first[poly]
+        sizes = self.first[poly + 1] - start
+        first = np.cumsum(sizes) - sizes
+        idx = np.arange(sizes.sum()) + np.repeat(start - first, sizes)
+        x, y = np.repeat(xy[:, 0], sizes), np.repeat(xy[:, 1], sizes)
+        seg_x, seg_y, seg_dx, seg_dy = self.x[idx], self.y[idx], self.dx[idx], self.dy[idx]
+        t_raw = (x - seg_x) * seg_dx + (y - seg_y) * seg_dy
+        t = np.minimum(np.maximum(t_raw, 0.0), self.len[idx])
+        diff_x = x - (seg_x + t * seg_dx)
+        diff_y = y - (seg_y + t * seg_dy)
+        k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
+        return idx[k], t_raw[k], t[k], diff_x[k], diff_y[k]
 
 
 def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, group_of: np.ndarray) -> np.ndarray:

@@ -43,6 +43,14 @@ def test_frame_dir_round_trip(tmp_path, rng):
         np.testing.assert_array_equal(b.points, f.points)
 
 
+def test_frame_dir_out_of_time_order_rejected(tmp_path):
+    # six-digit names sort out of frame order from frame 1 000 000 on
+    for k in (100_000, 100_001, 1_000_000):
+        write_frame(tmp_path / f"frame_{k:06d}.npz", make_frame(np.zeros((0, 3)), timestamp=0.1 * k))
+    with pytest.raises(ValidationError, match=r"frame_100001\.npz: timestamp 10000\.1 falls below 100000\.0"):
+        read_frame_dir(tmp_path)
+
+
 def _savez(path, **overrides):
     """A frame archive with some arrays replaced; None leaves an array out."""
     arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3)}

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj.pipeline.scenario import RoadSpec, build_vector_map_dict
-from cavtraj.world_model import FrenetCoord, filter_on_road, load_vector_map, vector_map_from_dict
+from cavtraj.world_model import _PAIRS, FrenetCoord, filter_on_road, load_vector_map, vector_map_from_dict
 
 MAPS = Path(__file__).parent / "fixtures" / "maps"
 
@@ -407,11 +408,22 @@ def _chord_project(line, xy):
     return float(line.cum_len[k] + t[k]), float(cross), float(dist[k]), interior
 
 
-def chord_loop_frenet(vmap, point, margin=0.5):
-    """Reference: project onto each lanelet's polylines one lanelet at a time."""
+def _in_reach_box(ll, xy):
+    # the bounding box of the lanelet's three polylines, grown by 0.5 m margin + 0.5 m end tolerance
+    vertices = np.concatenate([line.points[:, :2] for line in (ll.centerline, ll.left_boundary, ll.right_boundary)])
+    return bool(np.all(vertices.min(axis=0) - 1.0 <= xy) and np.all(xy <= vertices.max(axis=0) + 1.0))
+
+
+def chord_loop_frenet(vmap, point, margin=0.5, reach=True):
+    """Reference: project onto each lanelet's polylines one lanelet at a time.
+
+    reach=False drops the reach-box condition and leaves the bare chord tests.
+    """
     xy = np.asarray(point, dtype=float)[:2]
     best = None
     for ll in sorted(vmap.lanelets.values(), key=lambda l: l.lanelet_id):
+        if reach and not _in_reach_box(ll, xy):
+            continue
         s, cross, dist, interior = _chord_project(ll.centerline, xy)
         if not interior:
             continue
@@ -498,19 +510,87 @@ def test_to_frenet_first_of_tied_chords_decides():
     assert vmap.project([(12.0, -2.2)])[0] is not None
 
 
+def _notched_lanelet():
+    # a 1 m notch in the right boundary: its chord (5, -1.75) -> (5, -3) points straight at (5, -1000)
+    return vector_map_from_dict({"lanelets": [{
+        "lanelet_id": 1, "lane_id": 1,
+        "centerline": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+        "left_boundary": [[0.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
+        "right_boundary": [[0.0, -1.75, 0.0], [5.0, -1.75, 0.0], [5.0, -3.0, 0.0], [4.0, -3.0, 0.0],
+                           [4.0, -2.0, 0.0], [10.0, -2.0, 0.0]],
+    }]})
+
+
+@pytest.mark.parametrize("vmap, point, crosstrack", [
+    (_notched_lanelet(), (5.0, -1000.0), 1000.0),
+    (_right_angle_bend(10.0, 1.85), (14.0, -2.0), 5.19),
+], ids=["notched_boundary", "right_angle_bend"])
+def test_reach_box_rejects_what_the_bare_chord_tests_admit(vmap, point, crosstrack):
+    # the nearest boundary chord's foot is clipped to its end, and the offset from
+    # its extension line is small however far the point is
+    bare = chord_loop_frenet(vmap, point, reach=False)
+    assert bare is not None and bare.crosstrack == pytest.approx(crosstrack, abs=0.005)
+    assert chord_loop_frenet(vmap, point) is None
+    assert vmap.project([point]) == [None]
+
+
+WORKLOAD_ROADS = {
+    "freeway_baseline": RoadSpec(kind="straight", length=400.0, n_lanes=3),
+    "arc_fleet": RoadSpec(kind="arc", radius=400.0, arc_angle_deg=100.0, n_lanes=4, sample_step=0.5),
+    "disk_replay": RoadSpec(kind="straight", length=300.0, n_lanes=2),
+}
+
+
+@pytest.mark.parametrize("road", WORKLOAD_ROADS.values(), ids=WORKLOAD_ROADS.keys())
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
-def test_project_matches_chord_loop_two_points_per_chunk():
-    # the arc_fleet road: 5 621 centerline segments, so a chunk of 16 384
-    # (point, segment) pairs holds 2 points and a batch crosses many chunks
-    vmap = vector_map_from_dict(build_vector_map_dict(
-        RoadSpec(kind="arc", radius=400.0, arc_angle_deg=100.0, n_lanes=4, sample_step=0.5)))
-    assert sum(len(ll.centerline.seg_len) for ll in vmap.lanelets.values()) == 5621
+def test_reach_box_changes_nothing_on_the_workload_roads(road):
+    vmap = vector_map_from_dict(build_vector_map_dict(road))
+    points = _probe_points(vmap, np.random.default_rng(23), 2000)[-2003:]  # the seeded probes, not the vertices
+    with_reach = [chord_loop_frenet(vmap, p) for p in points]
+    assert with_reach == [chord_loop_frenet(vmap, p, reach=False) for p in points]
+    assert any(r is None for r in with_reach) and any(r is not None for r in with_reach)
+
+
+def _arc_fleet_map():
+    # 58 lanelets, 5 621 centerline segments
+    return vector_map_from_dict(build_vector_map_dict(WORKLOAD_ROADS["arc_fleet"]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
+def test_project_batch_across_pair_splits_matches_single_points():
+    vmap = _arc_fleet_map()
     rng = np.random.default_rng(19)
-    probes = _probe_points(vmap, rng, 150)
-    points = [probes[i] for i in sorted(rng.choice(len(probes) - 153, 60, replace=False))] + probes[-153:]
+    probes = _probe_points(vmap, rng, 300)
+    points = [probes[i] for i in sorted(rng.choice(len(probes) - 303, 60, replace=False))] + probes[-303:]
+    # (point, centerline segment) pairs in the reach boxes: the batch is split at least once
+    pairs = sum(len(ll.centerline.seg_len) for p in points for ll in vmap.lanelets.values()
+                if np.isfinite(p).all() and _in_reach_box(ll, p))
+    assert pairs > 2 * _PAIRS
     got = vmap.project(points)
+    assert got == [vmap.project([p])[0] for p in points]
     assert got == [chord_loop_frenet(vmap, p) for p in points]
     assert any(r is None for r in got) and any(r is not None for r in got)
+
+
+def test_project_memory_stays_bounded_for_a_large_batch():
+    # 20 000 points over the road and 3 m past its edges give about 57 000
+    # (point, lanelet) pairs and 5.6 M (point, centerline segment) pairs, 43 MiB
+    # per float64 temporary in one piece; split, the peak (about 9 MiB) is the
+    # per-point arrays, the (points x lanelets) box test and the result objects
+    road = WORKLOAD_ROADS["arc_fleet"]
+    vmap = _arc_fleet_map()
+    rng = np.random.default_rng(29)
+    s = rng.uniform(0.0, road.road_length, 20_000)
+    lateral = rng.uniform(-road.half_width - 3.0, road.half_width + 3.0, s.size)
+    points = [road.offset_point(a, b) for a, b in zip(s.tolist(), lateral.tolist())]
+    tracemalloc.start()
+    try:
+        got = vmap.project(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(r is not None for r in got) > 10_000
+    assert peak < 16 * 2**20
 
 
 def test_project_empty_non_finite_and_mixed_batches(freeway):
