@@ -443,8 +443,8 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     last vertex, is projected onto all its edge frames in one stacked matrix
     product, and its first edge of least area wins; edges shorter than 1e-12
     are skipped. Returns (centers, extents, angles, areas): extents are the
-    side lengths along the angle direction, which lies in (-pi, pi], and its
-    perpendicular; the area is inf where a polygon has no edge.
+    side lengths along the angle direction, the edge's arctan2 in [-pi, pi],
+    and its perpendicular; the area is inf where a polygon has no edge.
     """
     k_count, m = len(counts), int(counts.max())
     j = np.arange(m)
@@ -470,7 +470,7 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     rot = np.stack([cb, sb, -sb, cb], axis=-1).reshape(k_count, 2, 2)
     mid = (lo[rows, best] + hi[rows, best]) / 2.0
     center = (rot.transpose(0, 2, 1) @ mid[:, :, None])[:, :, 0]
-    return center, extents[rows, best], wrap_angle(angle[rows, best]), area[rows, best]
+    return center, extents[rows, best], angle[rows, best], area[rows, best]
 
 
 def fit_boxes(clusters: list[np.ndarray]) -> list[OrientedBox]:

@@ -5,13 +5,13 @@ exactly two float64 arrays: ``timestamp`` (0-d), the capture time in
 seconds, and ``points`` (N, 3), the x, y, z of each return in metres in the
 sensor frame. Both are finite. Values round-trip bit for bit, and an empty
 frame keeps its timestamp. Frames of one agent live in a directory as
-``frame_000000.npz``, ``frame_000001.npz``, ... and are read in sorted
-filename order, in which their timestamps must not decrease: a file whose
-timestamp falls below its predecessor's raises ValidationError naming it
-(the six-digit names sort out of order from frame 1 000 000 on, where
-``frame_1000000.npz`` sorts before ``frame_100001.npz``). The reader accepts
-only what the writer writes: an archive
-with any other array, a missing one, another dtype or another shape raises
+``frame_000000.npz``, ``frame_000001.npz``, ... (index k as ``{k:06d}``);
+the writer refuses a directory that already holds ``.npz`` files. The
+reader orders them by k, so ``frame_1000000.npz`` follows
+``frame_999999.npz``, and a file whose timestamp falls below its
+predecessor's raises ValidationError naming it. The reader accepts only
+what the writer writes: another ``.npz`` name, an archive with any other
+array, a missing one, another dtype or another shape raises
 ValidationError, and so does a path that cannot be opened.
 
 Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
@@ -24,6 +24,7 @@ file that cannot be opened or decoded as text.
 
 from __future__ import annotations
 
+import re
 import zipfile
 from pathlib import Path
 from typing import NamedTuple
@@ -33,9 +34,10 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError
-from ..geometry import EulerAngles, RigidTransform
+from ..geometry import RigidTransform, euler_from_rotation, rotation_from_euler
 
 _FRAME_ARRAYS = ("timestamp", "points")
+_FRAME_NAME = re.compile(r"frame_([0-9]{6}|[1-9][0-9]{6,})\.npz")  # {k:06d}: one name per k
 _POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
 _POSE_TOLERANCE = 0.5   # s, the farthest a pose may be taken from its nearest sample
 
@@ -73,23 +75,32 @@ def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
 
 def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
     directory = Path(directory)
+    if any(directory.glob("*.npz")):
+        raise InvalidArgument(f"{directory} already holds frame files")
     directory.mkdir(parents=True, exist_ok=True)
     for k, frame in enumerate(frames):
         write_frame(directory / f"frame_{k:06d}.npz", frame)
+
+
+def _frame_index(path: Path) -> int:
+    match = _FRAME_NAME.fullmatch(path.name)
+    if match is None:
+        raise ValidationError(f"{path}: not a frame name write_frame_dir writes")
+    return int(match[1])
 
 
 def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:
     directory = Path(directory)
     if not directory.is_dir():
         raise ValidationError(f"frame directory not found: {directory}")
-    paths = sorted(directory.glob("*.npz"))
+    paths = sorted(directory.glob("*.npz"), key=_frame_index)
     frames = [read_frame(p, agent_id) for p in paths]
     if not frames:
         raise ValidationError(f"no frame files in {directory}")
     for path, before, frame in zip(paths[1:], frames, frames[1:]):
         if frame.timestamp < before.timestamp:
             raise ValidationError(f"{path}: timestamp {frame.timestamp} falls below {before.timestamp} "
-                                  "of the file before it in name order")
+                                  "of the frame before it")
     return frames
 
 
@@ -104,8 +115,7 @@ def write_pose_csv(path, samples: list[PoseSample]) -> None:
     with Path(path).open("w") as fh:
         fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:
-            e = tf.euler
-            values = (t, *tf.translation, e.roll, e.pitch, e.yaw)
+            values = (t, *tf.translation, *euler_from_rotation(tf.rotation))
             fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
@@ -130,15 +140,10 @@ def read_pose_csv(path) -> list[PoseSample]:
         raise ValidationError(f"{path}: expected 7 columns, got {body.shape[1]}")
     if not np.isfinite(body).all():
         raise ValidationError(f"{path}: non-finite pose value")
-
-    samples = []
-    for t, x, y, z, roll, pitch, yaw in body.tolist():
-        transform = RigidTransform.from_euler_translation(EulerAngles(roll, pitch, yaw), (x, y, z))
-        samples.append(PoseSample(t, transform))
-    times = [s.timestamp for s in samples]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if np.any(np.diff(body[:, 0]) <= 0.0):
         raise ValidationError(f"{path}: pose timestamps must strictly increase")
-    return samples
+    return [PoseSample(t, RigidTransform(rotation_from_euler(roll, pitch, yaw), (x, y, z)))
+            for t, x, y, z, roll, pitch, yaw in body.tolist()]
 
 
 def pose_at(samples: list[PoseSample], t: float) -> RigidTransform:

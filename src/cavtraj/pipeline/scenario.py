@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from ..detection import PointCloudFrame
-from ..errors import ValidationError
-from ..geometry import EulerAngles, RigidTransform, wrap_angle
+from ..errors import InvalidArgument, ValidationError
+from ..geometry import RigidTransform, rotation_from_euler, wrap_angle
 from .frames_io import PoseSample, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
@@ -346,7 +346,7 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         for agent in agents:
             x, y, heading = road.point_at(agent.s_at(t), agent.lane)
             agent_states[agent.vehicle_id] = (x, y, heading)
-            pose = RigidTransform.from_euler_translation(EulerAngles(0, 0, heading), (x, y, 0.0))
+            pose = RigidTransform(rotation_from_euler(0.0, 0.0, heading), (x, y, 0.0))
             poses[agent.vehicle_id].append(PoseSample(t, pose))
 
         visibility = {sv.vehicle_id: [] for sv in svs}
@@ -411,18 +411,19 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     )
 
 
-GROUND_TRUTH_HEADER = (
-    "sv_id,time,x,y,heading,speed,accel,downtrack,lane_id,lanelet_id,length,width,height,visible_to"
-)
+GROUND_TRUTH_HEADER = ",".join(f.name for f in fields(GroundTruthRow))
 
 
 def write_scenario(data: ScenarioData, out_dir) -> Path:
     """Write map, ground truth, and per-agent frames and poses; the fixed layout is the format.
 
     out_dir/map.json, out_dir/ground_truth.csv, and per agent out_dir/agents/agent_<id>/poses.csv
-    and out_dir/agents/agent_<id>/frames/frame_<k:06d>.npz; no manifest lists them.
+    and out_dir/agents/agent_<id>/frames/frame_<k:06d>.npz; no manifest lists them. An out_dir
+    that exists and is not empty raises InvalidArgument before anything is written.
     """
     out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise InvalidArgument(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
 
     (out / "map.json").write_text(json.dumps(data.vector_map))
@@ -437,6 +438,6 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
         fh.write(GROUND_TRUTH_HEADER + "\n")
         for row in data.ground_truth:
             *values, seen = astuple(row)
-            fields = [str(v) if isinstance(v, Integral) else repr(float(v)) for v in values]
-            fh.write(",".join(fields + [";".join(map(str, seen))]) + "\n")
+            cells = [str(v) if isinstance(v, Integral) else repr(float(v)) for v in values]
+            fh.write(",".join(cells + [";".join(map(str, seen))]) + "\n")
     return out

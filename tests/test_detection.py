@@ -596,7 +596,7 @@ def rect_edge_loop(hull):
             center_local = (lo + hi) / 2.0
             best = (area, rot.T @ center_local, hi - lo, ang)
     _, center, extents, angle = best
-    return center, extents, wrap_angle(angle)
+    return center, extents, angle
 
 
 def regular_polygon(k, radius=1.0, phase=0.0, center=(0.0, 0.0)):

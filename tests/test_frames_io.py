@@ -4,8 +4,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from cavtraj.errors import ValidationError
-from cavtraj.geometry import EulerAngles, RigidTransform, rotation_from_euler, wrap_angle
+from cavtraj.errors import InvalidArgument, ValidationError
+from cavtraj.geometry import RigidTransform, euler_from_rotation, rotation_from_euler, wrap_angle
 from cavtraj.pipeline.frames_io import (
     PoseSample, pose_at, read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv)
 from conftest import make_frame
@@ -43,12 +43,43 @@ def test_frame_dir_round_trip(tmp_path, rng):
         np.testing.assert_array_equal(b.points, f.points)
 
 
-def test_frame_dir_out_of_time_order_rejected(tmp_path):
-    # six-digit names sort out of frame order from frame 1 000 000 on
-    for k in (100_000, 100_001, 1_000_000):
+def test_frame_dir_reads_in_index_order_past_six_digits(tmp_path):
+    # by name, frame_1000000.npz would sort before frame_100001.npz
+    for k in (100_000, 100_001, 999_999, 1_000_000):
         write_frame(tmp_path / f"frame_{k:06d}.npz", make_frame(np.zeros((0, 3)), timestamp=0.1 * k))
-    with pytest.raises(ValidationError, match=r"frame_100001\.npz: timestamp 10000\.1 falls below 100000\.0"):
+    assert [f.timestamp for f in read_frame_dir(tmp_path)] == [0.1 * k for k in (100_000, 100_001, 999_999, 1_000_000)]
+
+
+def test_frame_dir_out_of_time_order_rejected(tmp_path):
+    # the higher index carries the earlier timestamp
+    for k, t in ((0, 0.5), (1, 0.4)):
+        write_frame(tmp_path / f"frame_{k:06d}.npz", make_frame(np.zeros((0, 3)), timestamp=t))
+    with pytest.raises(ValidationError, match=r"frame_000001\.npz: timestamp 0\.4 falls below 0\.5"):
         read_frame_dir(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["frame_1.npz", "frame_0000001.npz", "frame_-00001.npz", "frame_00000a.npz", "extra.npz"])
+def test_frame_dir_with_a_name_the_writer_never_writes_rejected(tmp_path, name):
+    # six digits, or more without a leading zero, give each index one name
+    write_frame_dir(tmp_path, [make_frame(np.zeros((0, 3)), timestamp=0.0)])
+    write_frame(tmp_path / name, make_frame(np.zeros((0, 3)), timestamp=0.1))
+    with pytest.raises(ValidationError, match=name):
+        read_frame_dir(tmp_path)
+
+
+def test_write_frame_dir_refuses_a_directory_with_frames(tmp_path):
+    # a shorter stream written over a longer one would leave its last frames to be read as new
+    longer = [make_frame(np.zeros((0, 3)), timestamp=0.1 * k) for k in range(5)]
+    write_frame_dir(tmp_path, longer)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(InvalidArgument, match="already holds frame files"):
+        write_frame_dir(tmp_path, longer[:3])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # files of another kind do not count
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "notes.txt").write_text("")
+    write_frame_dir(tmp_path / "other", longer[:1])
+    assert [f.timestamp for f in read_frame_dir(tmp_path / "other")] == [0.0]
 
 
 def _savez(path, **overrides):
@@ -107,8 +138,8 @@ def test_malformed_frame_rejected(tmp_path, write_bad):
 
 def test_pose_stream_round_trip(tmp_path):
     samples = [
-        (0.1 * k, RigidTransform.from_euler_translation(
-            EulerAngles(0.01 * k, -0.02 * k, 0.3 * k - 1.0), (10.0 + k / 3, -5.0 * k, 0.5)))
+        (0.1 * k, RigidTransform(
+            rotation_from_euler(0.01 * k, -0.02 * k, 0.3 * k - 1.0), (10.0 + k / 3, -5.0 * k, 0.5)))
         for k in range(6)
     ]
     write_pose_csv(tmp_path / "poses.csv", samples)
@@ -117,7 +148,7 @@ def test_pose_stream_round_trip(tmp_path):
     for s, (_, tf) in zip(back, samples):
         np.testing.assert_array_equal(s.transform.translation, tf.translation)
         # the rotation is rebuilt from exactly the written Euler angles
-        np.testing.assert_array_equal(s.transform.rotation, rotation_from_euler(tf.euler))
+        np.testing.assert_array_equal(s.transform.rotation, rotation_from_euler(*euler_from_rotation(tf.rotation)))
         np.testing.assert_allclose(s.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
 
 
@@ -136,6 +167,7 @@ MALFORMED_POSES = {
     "blank_body": "t,x,y,z,roll,pitch,yaw\n\n  \n",
     "six_columns": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0\n",
     "nan_time": "t,x,y,z,roll,pitch,yaw\nnan,0,0,0,0,0,0\n",
+    "infinite_yaw": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0,inf\n",
     "geodetic_header": "t,lat,lon,alt,roll,pitch,yaw\n0.0,48.0,11.0,0,0,0,0\n",
     "time_not_increasing": "t,x,y,z,roll,pitch,yaw\n0.1,0,0,0,0,0,0\n0.1,1,0,0,0,0,0\n",
 }
@@ -164,25 +196,27 @@ def test_unreadable_pose_file_rejected(tmp_path, make):
 
 
 def _yaw_pose(t, yaw, xyz):
-    return PoseSample(t, RigidTransform.from_euler_translation(EulerAngles(0.0, 0.0, yaw), xyz))
+    return PoseSample(t, RigidTransform(rotation_from_euler(0.0, 0.0, yaw), xyz))
+
+
+def _yaw(transform):
+    return euler_from_rotation(transform.rotation)[2]
 
 
 def test_pose_at_halfway_interpolates():
     samples = [_yaw_pose(1.0, 0.1, (2.0, -4.0, 0.5)), _yaw_pose(1.2, 0.3, (6.0, 0.0, 1.5))]
     pose = pose_at(samples, 1.1)
     np.testing.assert_allclose(pose.translation, [4.0, -2.0, 1.0], rtol=0, atol=1e-12)
-    e = pose.euler
-    assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=1e-12)
-    assert e.yaw == pytest.approx(0.2, abs=1e-12)
+    assert euler_from_rotation(pose.rotation) == pytest.approx((0.0, 0.0, 0.2), abs=1e-12)
     # a quarter of the way, off the midpoint
-    assert pose_at(samples, 1.05).euler.yaw == pytest.approx(0.15, abs=1e-12)
+    assert _yaw(pose_at(samples, 1.05)) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_pose_at_slerps_across_pi():
     # 3.0 -> -3.0 rad turns 0.283 rad through pi, not 6 rad back through 0
     samples = [_yaw_pose(0.0, 3.0, (0.0, 0.0, 0.0)), _yaw_pose(0.1, -3.0, (1.0, 0.0, 0.0))]
-    assert wrap_angle(pose_at(samples, 0.05).euler.yaw - math.pi) == pytest.approx(0.0, abs=1e-12)
-    assert pose_at(samples, 0.025).euler.yaw == pytest.approx(3.0 + (2 * math.pi - 6.0) / 4, abs=1e-12)
+    assert wrap_angle(_yaw(pose_at(samples, 0.05)) - math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert _yaw(pose_at(samples, 0.025)) == pytest.approx(3.0 + (2 * math.pi - 6.0) / 4, abs=1e-12)
 
 
 def test_pose_at_sample_time_returns_the_stored_transform():

@@ -7,7 +7,7 @@ from cavtraj.detection import DetectionConfig, OrientedBox, detect_objects
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj import fusion
 from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_sets
-from cavtraj.geometry import EulerAngles, RigidTransform
+from cavtraj.geometry import RigidTransform, rotation_from_euler
 from cavtraj.pipeline.frames_io import pose_at
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
 from conftest import in_footprint
@@ -288,8 +288,8 @@ def test_project_box_preserves_dims():
     for _ in range(30):
         b = box(rng.uniform(-20, 20), rng.uniform(-20, 20), l=rng.uniform(3, 6),
                 w=rng.uniform(1.5, 2.5), heading=rng.uniform(-math.pi, math.pi))
-        t = RigidTransform.from_euler_translation(
-            EulerAngles(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-math.pi, math.pi)),
+        t = RigidTransform(
+            rotation_from_euler(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-50, 50, 3),
         )
         p = project_box(b, t)
@@ -300,7 +300,7 @@ def test_project_box_preserves_dims():
 
 def test_project_box_pure_yaw_moves_heading():
     b = box(10.0, 0.0, heading=0.3)
-    t = RigidTransform.from_euler_translation(EulerAngles(0, 0, math.pi / 2), [0, 0, 0])
+    t = RigidTransform(rotation_from_euler(0.0, 0.0, math.pi / 2), [0, 0, 0])
     p = project_box(b, t)
     assert p.heading == pytest.approx(0.3 + math.pi / 2, abs=1e-9)
     assert (p.x, p.y) == pytest.approx((0.0, 10.0), abs=1e-9)
@@ -313,8 +313,8 @@ def test_project_box_matches_corner_reference():
     for _ in range(200):
         b = box(*rng.uniform(-60, 60, 2), z=rng.uniform(-2, 2), l=rng.uniform(3, 12),
                 w=rng.uniform(1.5, 2.9), h=rng.uniform(1.2, 4), heading=rng.uniform(-math.pi, math.pi))
-        t = RigidTransform.from_euler_translation(
-            EulerAngles(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+        t = RigidTransform(
+            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-500, 500, 3),
         )
         foot = b.footprint()

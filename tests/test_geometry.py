@@ -5,7 +5,6 @@ import pytest
 
 from cavtraj.errors import InvalidArgument
 from cavtraj.geometry import (
-    EulerAngles,
     TAU,
     RigidTransform,
     euler_from_rotation,
@@ -15,16 +14,15 @@ from cavtraj.geometry import (
 
 
 def random_transform(rng):
-    angles = EulerAngles(*rng.uniform(-math.pi, math.pi, size=3))
-    return RigidTransform.from_euler_translation(angles, rng.uniform(-50, 50, size=3))
+    return RigidTransform(rotation_from_euler(*rng.uniform(-math.pi, math.pi, size=3)), rng.uniform(-50, 50, size=3))
 
 
 def test_rotation_identity():
-    np.testing.assert_allclose(rotation_from_euler(EulerAngles(0, 0, 0)), np.eye(3))
+    np.testing.assert_allclose(rotation_from_euler(0.0, 0.0, 0.0), np.eye(3))
 
 
 def test_rotation_pure_yaw_maps_x_to_y():
-    rot = rotation_from_euler(EulerAngles(0, 0, math.pi / 2))
+    rot = rotation_from_euler(0.0, 0.0, math.pi / 2)
     np.testing.assert_allclose(rot @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
 
@@ -41,34 +39,36 @@ def test_rotation_terms_match_direct_evaluation():
             [-sp, cp * sr, cp * cr],
         ]
     )
-    np.testing.assert_allclose(rotation_from_euler(EulerAngles(roll, pitch, yaw)), expected, atol=1e-15)
+    np.testing.assert_allclose(rotation_from_euler(roll, pitch, yaw), expected, atol=1e-15)
 
 
 def test_rotation_orthonormal_for_random_angles():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        rot = rotation_from_euler(EulerAngles(*rng.uniform(-math.pi, math.pi, size=3)))
+        rot = rotation_from_euler(*rng.uniform(-math.pi, math.pi, size=3))
         assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-9
         assert abs(np.linalg.det(rot) - 1.0) < 1e-9
 
 
 def test_rotation_rejects_non_finite():
-    with pytest.raises(InvalidArgument):
-        EulerAngles(float("nan"), 0, 0)
+    # a NaN angle gives a NaN matrix, which RigidTransform refuses
+    for angles in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            RigidTransform(rotation_from_euler(*angles), [0, 0, 0])
 
 
 def test_euler_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        angles = EulerAngles(
+        roll, pitch, yaw = (
             rng.uniform(-math.pi, math.pi),
             rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01),
             rng.uniform(-math.pi, math.pi),
         )
-        back = euler_from_rotation(rotation_from_euler(angles))
-        assert abs(wrap_angle(back.roll - angles.roll)) < 1e-9
-        assert abs(back.pitch - angles.pitch) < 1e-9
-        assert abs(wrap_angle(back.yaw - angles.yaw)) < 1e-9
+        back_roll, back_pitch, back_yaw = euler_from_rotation(rotation_from_euler(roll, pitch, yaw))
+        assert abs(wrap_angle(back_roll - roll)) < 1e-9
+        assert abs(back_pitch - pitch) < 1e-9
+        assert abs(wrap_angle(back_yaw - yaw)) < 1e-9
 
 
 def test_invert_identity():
@@ -97,13 +97,19 @@ def test_invert_round_trip():
 def test_transform_points_identity_and_translation():
     cloud = np.random.default_rng(23).uniform(-5, 5, size=(40, 3))
     np.testing.assert_allclose(RigidTransform(np.eye(3), np.zeros(3)).apply(cloud), cloud)
-    shifted = RigidTransform(np.eye(3), [0, 0, 5]).apply([1.0, 1.0, 0.0])
-    np.testing.assert_allclose(shifted, [1, 1, 5])
+    shifted = RigidTransform(np.eye(3), [0, 0, 5]).apply([[1.0, 1.0, 0.0]])
+    np.testing.assert_allclose(shifted, [[1, 1, 5]])
 
 
 def test_transform_points_yaw_90():
-    t = RigidTransform.from_euler_translation(EulerAngles(0, 0, math.pi / 2), [0, 0, 0])
-    np.testing.assert_allclose(t.apply([1.0, 0.0, 0.0]), [0, 1, 0], atol=1e-12)
+    t = RigidTransform(rotation_from_euler(0.0, 0.0, math.pi / 2), [0, 0, 0])
+    np.testing.assert_allclose(t.apply([[1.0, 0.0, 0.0]]), [[0, 1, 0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [[1.0, 0.0, 0.0], np.zeros((4, 2)), np.zeros((2, 4, 3))], ids=["vector", "n2", "3d"])
+def test_transform_points_rejects_all_but_n_by_3(points):
+    with pytest.raises(InvalidArgument, match=r"\(N, 3\)"):
+        RigidTransform(np.eye(3), [0, 0, 0]).apply(points)
 
 
 def test_transform_points_preserves_pairwise_distances():
@@ -138,7 +144,9 @@ def test_wrap_angle_scalar_matches_array_path_bit_for_bit():
         [np.nextafter(k * math.pi, side) for k in range(-20, 21) for side in (-math.inf, math.inf)],
         [0.0, -0.0, math.pi, -math.pi, TAU, -TAU, 1e17, -1e17],
     ]
-    wrapped = wrap_angle(values)
+    # the same arithmetic vectorised in NumPy is the reference
+    wrapped = values - TAU * np.floor((values + math.pi) / TAU)
+    wrapped = np.where(wrapped <= -math.pi, math.pi, wrapped)
     for a, w in zip(values.tolist(), wrapped.tolist()):
         for scalar in (a, np.float64(a)):
             got = wrap_angle(scalar)

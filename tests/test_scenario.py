@@ -6,8 +6,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from cavtraj.errors import ValidationError
-from cavtraj.geometry import rotation_from_euler
+from cavtraj.errors import InvalidArgument, ValidationError
+from cavtraj.geometry import euler_from_rotation, rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
@@ -62,7 +62,7 @@ def test_write_scenario_round_trip(tmp_path):
             assert back.timestamp == t
             np.testing.assert_array_equal(back.transform.translation, tf.translation)
             # the rotation is rebuilt from exactly the written Euler angles
-            np.testing.assert_array_equal(back.transform.rotation, rotation_from_euler(tf.euler))
+            np.testing.assert_array_equal(back.transform.rotation, rotation_from_euler(*euler_from_rotation(tf.rotation)))
             np.testing.assert_allclose(back.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
 
     lines = (out / "ground_truth.csv").read_text().splitlines()
@@ -103,6 +103,21 @@ def test_write_scenario_is_byte_identical_when_repeated(tmp_path):
     for rel in files[0]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
+
+
+def test_write_scenario_refuses_a_non_empty_directory(tmp_path):
+    # a 0.3 s scenario over a 0.5 s one would leave frames at t = 0.3 and 0.4 beside 3 poses,
+    # and pose_at would take the 0.2 s pose for them
+    out = write_scenario(generate_scenario(replace(SPEC, duration=0.5)), tmp_path / "scenario")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(InvalidArgument, match="not empty"):
+        write_scenario(generate_scenario(SPEC), out)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert len(read_frame_dir(out / "agents" / "agent_1" / "frames")) == 5
+    # an existing empty directory is written into
+    (tmp_path / "empty").mkdir()
+    out = write_scenario(generate_scenario(SPEC), tmp_path / "empty")
+    assert len(read_frame_dir(out / "agents" / "agent_1" / "frames")) == 3
 
 BAD_ROADS = {
     "step_zero": dict(sample_step=0.0),  # was OverflowError when the map was built
