@@ -29,8 +29,11 @@ def rotation_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """3x3 rotation matrix of finite angles for the yaw-pitch-roll (Z-Y-X) composition.
 
     Entries are written out term by term; `sy`/`cy` refer to yaw, `sp`/`cp`
-    to pitch, `sr`/`cr` to roll.
+    to pitch, `sr`/`cr` to roll. A non-finite angle raises InvalidArgument.
     """
+    for name, angle in (("roll", roll), ("pitch", pitch), ("yaw", yaw)):
+        if not math.isfinite(angle):
+            raise InvalidArgument(f"non-finite {name} angle: {angle!r}")
     sr, cr = math.sin(roll), math.cos(roll)
     sp, cp = math.sin(pitch), math.cos(pitch)
     sy, cy = math.sin(yaw), math.cos(yaw)

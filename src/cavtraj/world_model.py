@@ -23,6 +23,11 @@ linear and acyclic. A breach of the structural rules raises ValidationError
 "vector map schema violation at <path>", where the path lists the keys and
 indices down to the offending value; every other breach names its lanelet.
 A file that cannot be read or parsed as JSON raises ValidationError too.
+The first breach is raised, with the checks in this order: the structural
+rules of every lanelet; the polylines' points and segments, naming the first
+faulty polyline in input order (lanelet by lanelet, centerline, left then
+right boundary); unique ids; unknown predecessors and successors; successor
+gaps; multiple same-lane predecessors; half-turns at same-lane joints; cycles.
 
 Downtrack distance is measured from the start of a
 lanelet's chain (predecessors of the same lane); crosstrack is positive to
@@ -39,10 +44,21 @@ normals form a continuous field, so downtrack advances smoothly along curves
 and across joints; for evenly spaced vertices on a circle the normal line is
 exactly radial.
 
+At load the geometry of every polyline is built in one stacked pass, in
+input order: one type check over the distinct point and coordinate types,
+one `np.fromiter` conversion, one `np.diff` with the rows that cross from one
+polyline to the next set to NaN (so nothing derived from them can fail a
+check), one `_bisect` for all interior vertex normals, one for all joint
+normals, and a row-wise cumsum over the segment lengths padded with zeros,
+which adds in the order of a cumsum per polyline (one padded block per power
+of two of the segment count, so the padding stays below the points). Each
+polyline holds views of these arrays, and the map is read-only once the
+joint normals are written. The projection stages gather their flat segment
+arrays from the stack by index: the centerlines in lanelet id order, and
+the boundaries lanelet by lanelet, left then right.
+
 The lanelet choice and the corridor test use the nearest chord of each
-polyline. At load the centerline segments of all lanelets are stacked into
-flat arrays, and so are the boundary segments, lanelet by lanelet. Each
-lanelet also gets a reach box: the axis-aligned bounding box of its
+polyline. Each lanelet has a reach box: the axis-aligned bounding box of its
 centerline and both boundaries, grown by 1 m (the 0.5 m on-road margin plus
 the 0.5 m end tolerance of the centerline foot). A lanelet can hold a point
 only inside its reach box; this is part of the on-road rule, not only a
@@ -64,6 +80,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,35 +117,132 @@ def _right_normal(direction: np.ndarray) -> np.ndarray:
     return np.stack([direction[..., 1], -direction[..., 0]], axis=-1)
 
 
-def _bisect(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
-    """Unit vectors halfway between the unit vectors n0 and n1 (last axis)."""
+def _bisect(n0: np.ndarray, n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors halfway between the unit vectors n0 and n1 (last axis).
+
+    Also returns where there is none, a half-turn; those rows are not unit.
+    """
     mid = n0 + n1
     norm = np.hypot(mid[..., 0], mid[..., 1])
-    if np.any(norm < 1e-9):
-        raise ValidationError("polyline turns back on itself")
-    return mid / norm[..., None]
+    half_turn = norm < 1e-9
+    return mid / np.where(half_turn, 1.0, norm)[..., None], half_turn
+
+
+def _numbers(polylines: list):
+    """The coordinates of the polylines' points, one after another, as an iterator."""
+    return itertools.chain.from_iterable(itertools.chain.from_iterable(polylines))
+
+
+def _xyz_lists(polylines: list) -> bool:
+    """Whether every point of the polylines is an [x, y, z] list of numbers.
+
+    Each distinct point and coordinate type is tested once, not each number.
+    """
+    point_types = set(map(type, itertools.chain.from_iterable(polylines)))
+    return (all(issubclass(t, list) for t in point_types)
+            and set(map(len, itertools.chain.from_iterable(polylines))) == {3}
+            and all(map(_is_number_type, set(map(type, _numbers(polylines))))))
+
+
+class _PolylineStack:
+    """The checked geometry of a map's polylines, stacked in input order.
+
+    Polyline i holds the vertices first[i]:first[i + 1] of `points` and
+    `normals`. Segment j runs from vertex j to vertex j + 1, so polyline i
+    owns the segment rows first[i]:first[i + 1] - 1 of `seg_dir` and
+    `seg_len`; the row from one polyline's last vertex to the next one's
+    first is no segment and holds NaN. `cum_len` holds each vertex's arc
+    length along its polyline.
+    """
+
+    __slots__ = ("first", "points", "seg_dir", "seg_len", "cum_len", "normals")
+
+    def __init__(self, polylines: list, lanelet_ids: list[int]):
+        """Check and stack the polylines; polyline i is side i % 3 of lanelet lanelet_ids[i // 3].
+
+        A fault raises ValidationError naming the first faulty polyline.
+        """
+
+        def fail(f: int, fault: str):
+            # polyline f is named only once the polylines before it pass every check
+            if f:
+                _PolylineStack(polylines[:f], lanelet_ids)
+            raise ValidationError(f"lanelet {lanelet_ids[f // 3]}: " + fault.format(side=_POLYLINES[f % 3]))
+
+        def polyline_of(vertex: int) -> int:
+            return int(np.searchsorted(first, vertex, side="right")) - 1
+
+        if not _xyz_lists(polylines):
+            fail(next(f for f, line in enumerate(polylines) if not _xyz_lists([line])),
+                 "{side}: points must be [x, y, z] lists of numbers")
+        counts = np.fromiter(map(len, polylines), dtype=np.intp, count=len(polylines))
+        self.first = first = np.r_[0, np.cumsum(counts)]
+        try:
+            points = np.fromiter(_numbers(polylines), dtype=float, count=3 * first[-1]).reshape(-1, 3)
+        except OverflowError:
+            for f, line in enumerate(polylines):
+                try:
+                    np.fromiter(_numbers([line]), dtype=float)
+                except OverflowError:
+                    fail(f, "{side}: coordinate out of float range")
+        if not np.isfinite(points).all():
+            fail(polyline_of(np.flatnonzero(~np.isfinite(points).all(axis=1))[0]), "{side}: non-finite coordinate")
+
+        with np.errstate(over="ignore"):  # between two polylines far apart; no segment
+            d = np.diff(points[:, :2], axis=0)
+        seg_len = np.hypot(d[:, 0], d[:, 1])
+        # the rows from one polyline's last vertex to the next one's first are
+        # NaN, and so is everything derived from them
+        seg_len[first[1:-1] - 1] = np.nan
+        bad = np.flatnonzero(seg_len < 1e-9)
+        if bad.size:
+            fail(polyline_of(bad[0]), "polyline has zero-length segment")
+        seg_dir = d / seg_len[:, None]
+        seg_normal = _right_normal(seg_dir)
+        # right-pointing unit normal per vertex, bisecting its two segments'
+        # normals; the two ends of each polyline keep their segment's normal
+        # until VectorMap joins them to a neighbour lanelet
+        normals = np.empty((first[-1], 2))
+        normals[1:-1], half_turn = _bisect(seg_normal[:-1], seg_normal[1:])
+        if half_turn.any():  # pair k meets at vertex k + 1
+            fail(polyline_of(half_turn.argmax() + 1), "polyline turns back on itself")
+        normals[first[:-1]] = seg_normal[first[:-1]]
+        normals[first[1:] - 1] = seg_normal[first[1:] - 2]
+
+        # a cumsum along the rows of a zero-padded block adds in the order of a
+        # cumsum per polyline; each block holds the polylines whose segment
+        # counts share a power of two, so its padding stays below its size
+        cum_len = np.zeros(first[-1])
+        sizes = counts - 1
+        block = np.frexp(sizes)[1]
+        for b in np.unique(block).tolist():
+            rows = np.flatnonzero(block == b)
+            inside = np.arange(sizes[rows].max()) < sizes[rows, None]
+            seg = (first[rows, None] + np.arange(inside.shape[1]))[inside]
+            padded = np.zeros(inside.shape)
+            padded[inside] = seg_len[seg]
+            cum_len[seg + 1] = np.cumsum(padded, axis=1)[inside]
+        self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals = points, seg_dir, seg_len, cum_len, normals
+
+    def freeze(self) -> None:
+        for a in (self.first, self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals):
+            a.flags.writeable = False
 
 
 class _Polyline:
-    """2D polyline with cached segment geometry and vertex normals."""
+    """2D polyline: views of its rows of a frozen `_PolylineStack`, with vertex normals."""
 
     __slots__ = ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "length", "normals")
 
-    def __init__(self, points: np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        self.points = pts
-        d = np.diff(pts[:, :2], axis=0)
-        self.seg_len = np.hypot(d[:, 0], d[:, 1])
-        if np.any(self.seg_len < 1e-9):
-            raise ValidationError("polyline has zero-length segment")
-        self.seg_start = pts[:-1, :2]
-        self.seg_dir = d / self.seg_len[:, None]
-        self.cum_len = np.r_[0.0, np.cumsum(self.seg_len)]
+    def __init__(self, stack: _PolylineStack, i: int):
+        start, end = stack.first[i:i + 2].tolist()
+        self.points = stack.points[start:end]
+        self.seg_start = stack.points[start:end - 1, :2]
+        self.seg_dir = stack.seg_dir[start:end - 1]
+        self.seg_len = stack.seg_len[start:end - 1]
+        self.cum_len = stack.cum_len[start:end]
         self.length = float(self.cum_len[-1])
-        seg_normal = _right_normal(self.seg_dir)
-        # right-pointing unit normal per vertex; the two ends keep their
-        # segment's normal until VectorMap joins them to a neighbour lanelet
-        self.normals = np.r_[seg_normal[:1], _bisect(seg_normal[:-1], seg_normal[1:]), seg_normal[-1:]]
+        self.normals = stack.normals[start:end]
 
     def frenet(self, xy, s_chord: float) -> tuple[float, float]:
         """Arc length and right-positive crosstrack of the foot on the vertex normals.
@@ -192,65 +306,83 @@ class Lanelet:
         return self.centerline.length
 
 
-def _join_normals(pred: Lanelet, succ: Lanelet) -> None:
-    """Give the joint of two same-lane lanelets one vertex normal, shared by both."""
-    a, b = pred.centerline, succ.centerline
-    try:
-        joint = _bisect(_right_normal(a.seg_dir[-1]), _right_normal(b.seg_dir[0]))
-    except ValidationError as exc:
-        raise ValidationError(f"lanelets {pred.lanelet_id} -> {succ.lanelet_id}: {exc}") from exc
-    a.normals[-1] = joint
-    b.normals[0] = joint
+class _Links(NamedTuple):
+    """A lanelet's ids and links, as its map entry gives them."""
+
+    lanelet_id: int
+    lane_id: int
+    predecessors: tuple[int, ...]
+    successors: tuple[int, ...]
 
 
 class VectorMap:
-    """Immutable-after-load lanelet map supporting Frenet queries."""
+    """Immutable-after-load lanelet map supporting Frenet queries; `vector_map_from_dict` builds it."""
 
-    def __init__(self, lanelets: list[Lanelet], name: str = ""):
+    def __init__(self, links: list[_Links], stack: _PolylineStack, name: str = ""):
+        """links[k] belongs to the lanelet whose three polylines are rows 3k to 3k + 2 of the stack."""
         self.name = name
-        self.lanelets: dict[int, Lanelet] = {}
-        for ll in lanelets:
-            if ll.lanelet_id in self.lanelets:
-                raise ValidationError(f"duplicate lanelet_id {ll.lanelet_id}")
-            self.lanelets[ll.lanelet_id] = ll
-        self._validate_connectivity()
-        self._link_lane_chains()
-        self._stack_segments()
+        index: dict[int, int] = {}  # lanelet id -> position in links
+        for k, (lanelet_id, *_) in enumerate(links):
+            if lanelet_id in index:
+                raise ValidationError(f"duplicate lanelet_id {lanelet_id}")
+            index[lanelet_id] = k
+        same_lane_pred = self._join_lane_chains(links, index, stack)
+        stack.freeze()
+        self.lanelets: dict[int, Lanelet] = {
+            lanelet_id: Lanelet(lanelet_id, lane_id, *(_Polyline(stack, 3 * k + j) for j in range(3)),
+                                predecessors, successors)
+            for k, (lanelet_id, lane_id, predecessors, successors) in enumerate(links)
+        }
+        self._set_chain_offsets(same_lane_pred)
+        self._stack_segments(stack, np.array([index[i] for i in sorted(index)]))
 
-    def _validate_connectivity(self):
-        for ll in self.lanelets.values():
-            for sid in ll.successors:
-                if sid not in self.lanelets:
-                    raise ValidationError(
-                        f"lanelet {ll.lanelet_id} references unknown successor {sid}"
-                    )
-                succ = self.lanelets[sid]
-                gap = np.linalg.norm(
-                    ll.centerline.points[-1, :2] - succ.centerline.points[0, :2]
-                )
-                if gap > _CONNECT_TOL:
-                    raise ValidationError(
-                        f"successor {sid} of lanelet {ll.lanelet_id} starts {gap:.3f} m "
-                        f"away from its end (tolerance {_CONNECT_TOL} m)"
-                    )
-            for pid in ll.predecessors:
-                if pid not in self.lanelets:
-                    raise ValidationError(
-                        f"lanelet {ll.lanelet_id} references unknown predecessor {pid}"
-                    )
+    @staticmethod
+    def _join_lane_chains(links: list[_Links], index: dict[int, int], stack: _PolylineStack) -> dict[int, int]:
+        """Check the successor links and give each same-lane joint one vertex normal, shared by both lanelets.
 
-    def _link_lane_chains(self):
-        # predecessor within the same lane; lane chains must be linear. Each
-        # same-lane joint gets a shared normal, then each lanelet its offset.
+        Returns each lanelet's predecessor within its lane; lane chains must be linear.
+        """
+        for lanelet_id, _, predecessors, successors in links:
+            for kind, ids in (("successor", successors), ("predecessor", predecessors)):
+                for other in ids:
+                    if other not in index:
+                        raise ValidationError(f"lanelet {lanelet_id} references unknown {kind} {other}")
+        # (predecessor, successor) positions, and the last centerline vertex of
+        # the one and the first of the other
+        pred, succ = np.array([(k, index[sid]) for k, link in enumerate(links) for sid in link.successors],
+                              dtype=np.intp).reshape(-1, 2).T
+        end, start = stack.first[3 * pred + 1] - 1, stack.first[3 * succ]
+        gap = np.hypot(*(stack.points[end, :2] - stack.points[start, :2]).T)
+        far = np.flatnonzero(gap > _CONNECT_TOL)
+        if far.size:
+            m = far[0]
+            raise ValidationError(
+                f"successor {links[succ[m]].lanelet_id} of lanelet {links[pred[m]].lanelet_id} starts {gap[m]:.3f} m "
+                f"away from its end (tolerance {_CONNECT_TOL} m)"
+            )
+
         same_lane_pred: dict[int, int] = {}
-        for ll in self.lanelets.values():
-            for sid in ll.successors:
-                succ = self.lanelets[sid]
-                if succ.lane_id == ll.lane_id:
-                    if sid in same_lane_pred:
-                        raise ValidationError(f"lanelet {sid} has multiple same-lane predecessors")
-                    same_lane_pred[sid] = ll.lanelet_id
-                    _join_normals(ll, succ)
+        joint = []
+        for m, (a, b) in enumerate(zip(pred.tolist(), succ.tolist())):
+            if links[a].lane_id == links[b].lane_id:
+                sid = links[b].lanelet_id
+                if sid in same_lane_pred:
+                    raise ValidationError(f"lanelet {sid} has multiple same-lane predecessors")
+                same_lane_pred[sid] = links[a].lanelet_id
+                joint.append(m)
+        pred, succ, end, start = (a[joint] for a in (pred, succ, end, start))
+        normals, half_turn = _bisect(_right_normal(stack.seg_dir[end - 1]), _right_normal(stack.seg_dir[start]))
+        if half_turn.any():
+            m = half_turn.argmax()
+            raise ValidationError(
+                f"lanelets {links[pred[m]].lanelet_id} -> {links[succ[m]].lanelet_id}: polyline turns back on itself")
+        stack.normals[start] = normals
+        # a lanelet with two same-lane successors keeps the joint of the last one listed
+        last = np.diff(pred, append=-1) != 0
+        stack.normals[end[last]] = normals[last]
+        return same_lane_pred
+
+    def _set_chain_offsets(self, same_lane_pred: dict[int, int]):
         for ll in self.lanelets.values():
             offset = 0.0
             seen = set()
@@ -263,20 +395,21 @@ class VectorMap:
                 offset += self.lanelets[cur].length
             ll.chain_offset = offset
 
-    def _stack_segments(self):
-        # stage 1 stacks the centerlines in lanelet id order, stage 2 each
-        # lanelet's left then right boundary, lanelet by lanelet
+    def _stack_segments(self, stack: _PolylineStack, order: np.ndarray):
+        # order holds the lanelets' positions in the stack, in id order. Stage 1
+        # reads the centerlines in that order, stage 2 each lanelet's left then
+        # right boundary, lanelet by lanelet
         self._by_id = [self.lanelets[i] for i in sorted(self.lanelets)]
-        self._center = _Segments([ll.centerline for ll in self._by_id])
-        self._bounds = _Segments([line for ll in self._by_id for line in (ll.left_boundary, ll.right_boundary)])
+        self._center = _Segments(stack, 3 * order)
+        self._bounds = _Segments(stack, (3 * order[:, None] + [1, 2]).ravel())
         self._center_len = np.array([ll.length for ll in self._by_id])
         # reach boxes, (2, n) arrays of x and y bounds: the bounding box of each
         # lanelet's three polylines, grown by the on-road margin and the end tolerance
-        vertices = [line.points for ll in self._by_id for line in (ll.centerline, ll.left_boundary, ll.right_boundary)]
-        first = np.r_[0, np.cumsum([len(v) for v in vertices])][:-1:3]
-        stacked = np.concatenate(vertices)[:, :2]
-        self._reach_lo = (np.minimum.reduceat(stacked, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
-        self._reach_hi = (np.maximum.reduceat(stacked, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
+        xy, first = stack.points[:, :2], stack.first[:-1:3]
+        self._reach_lo = (np.minimum.reduceat(xy, first)[order] - (_ON_ROAD_MARGIN + _END_TOL)).T
+        self._reach_hi = (np.maximum.reduceat(xy, first)[order] + (_ON_ROAD_MARGIN + _END_TOL)).T
+        for a in (self._center_len, self._reach_lo, self._reach_hi):
+            a.flags.writeable = False
 
     def project(self, points) -> list[FrenetCoord | None]:
         """Project map points; None marks off-road.
@@ -372,13 +505,19 @@ class _Segments:
 
     __slots__ = ("x", "y", "dx", "dy", "len", "cum", "first")
 
-    def __init__(self, polys: list[_Polyline]):
-        # polyline i spans the segments first[i]:first[i + 1]
-        self.first = np.r_[0, np.cumsum([len(p.seg_len) for p in polys])]
-        self.x, self.y = np.concatenate([p.seg_start for p in polys]).T.copy()
-        self.dx, self.dy = np.concatenate([p.seg_dir for p in polys]).T.copy()
-        self.len = np.concatenate([p.seg_len for p in polys])
-        self.cum = np.concatenate([p.cum_len[:-1] for p in polys])
+    def __init__(self, stack: _PolylineStack, lines: np.ndarray):
+        # polyline k is the stack's polyline lines[k] and spans the segments
+        # first[k]:first[k + 1]; rows are those segments' rows in the stack
+        start = stack.first[lines]
+        sizes = stack.first[lines + 1] - start - 1
+        self.first = np.r_[0, np.cumsum(sizes)]
+        rows = np.arange(self.first[-1]) + np.repeat(start - self.first[:-1], sizes)
+        self.x, self.y = stack.points[rows, 0], stack.points[rows, 1]
+        self.dx, self.dy = stack.seg_dir[rows, 0], stack.seg_dir[rows, 1]
+        self.len = stack.seg_len[rows]
+        self.cum = stack.cum_len[rows]
+        for a in (self.first, self.x, self.y, self.dx, self.dy, self.len, self.cum):
+            a.flags.writeable = False
 
     def nearest(self, xy: np.ndarray, poly: np.ndarray):
         """The first nearest chord of polyline poly[g] to the point xy[g], for each g.
@@ -443,8 +582,8 @@ def _is_integer(value) -> bool:
     return _is_number_type(type(value)) and (not isinstance(value, float) or value.is_integer())
 
 
-def _lanelet_from_dict(entry, path: list) -> Lanelet:
-    """One lanelet; the structural rules raise a schema violation at their path."""
+def _lanelet_links(entry, path: list) -> _Links:
+    """One lanelet's ids and links; the structural rules raise a schema violation at their path."""
     if not isinstance(entry, dict):
         raise _violation(path, "a lanelet must be an object")
     missing = [key for key in _LANELET_KEYS if key not in entry]
@@ -453,7 +592,7 @@ def _lanelet_from_dict(entry, path: list) -> Lanelet:
     for key in ("lanelet_id", "lane_id"):
         if not (_is_integer(entry[key]) and entry[key] >= 0):
             raise _violation(path + [key], f"{entry[key]!r} is not an integer >= 0")
-    links = {}
+    links = []
     for key in ("predecessors", "successors"):
         ids = entry.get(key, [])
         if not isinstance(ids, list):
@@ -461,30 +600,11 @@ def _lanelet_from_dict(entry, path: list) -> Lanelet:
         for k, value in enumerate(ids):
             if not _is_integer(value):
                 raise _violation(path + [key, k], f"{value!r} is not an integer")
-        links[key] = tuple(int(v) for v in ids)
+        links.append(tuple(int(v) for v in ids))
     for side in _POLYLINES:
         if not (isinstance(entry[side], list) and len(entry[side]) >= 2):
             raise _violation(path + [side], "a polyline is a list of at least 2 points")
-
-    lanelet_id = int(entry["lanelet_id"])
-    polylines = {}
-    try:
-        for side in _POLYLINES:
-            points = entry[side]
-            # each distinct point and coordinate type is tested once, not each number
-            if not (all(issubclass(t, list) for t in set(map(type, points))) and set(map(len, points)) == {3}
-                    and all(map(_is_number_type, set(map(type, itertools.chain.from_iterable(points)))))):
-                raise ValidationError(f"{side}: points must be [x, y, z] lists of numbers")
-            try:
-                arr = np.array(points, dtype=float)
-            except OverflowError:
-                raise ValidationError(f"{side}: coordinate out of float range") from None
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{side}: non-finite coordinate")
-            polylines[side] = _Polyline(arr)
-    except ValidationError as exc:
-        raise ValidationError(f"lanelet {lanelet_id}: {exc}") from exc
-    return Lanelet(lanelet_id=lanelet_id, lane_id=int(entry["lane_id"]), **polylines, **links)
+    return _Links(int(entry["lanelet_id"]), int(entry["lane_id"]), *links)
 
 
 def vector_map_from_dict(data) -> VectorMap:
@@ -502,8 +622,10 @@ def vector_map_from_dict(data) -> VectorMap:
     entries = data["lanelets"]
     if not (isinstance(entries, list) and entries):
         raise _violation(["lanelets"], "lanelets must be a non-empty list")
-    lanelets = [_lanelet_from_dict(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
-    return VectorMap(lanelets, name=name)
+    links = [_lanelet_links(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
+    stack = _PolylineStack([entry[side] for entry in entries for side in _POLYLINES],
+                           [link.lanelet_id for link in links])
+    return VectorMap(links, stack, name=name)
 
 
 def load_vector_map(path) -> VectorMap:

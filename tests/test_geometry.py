@@ -51,10 +51,19 @@ def test_rotation_orthonormal_for_random_angles():
 
 
 def test_rotation_rejects_non_finite():
-    # a NaN angle gives a NaN matrix, which RigidTransform refuses
     for angles in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
         with pytest.raises(InvalidArgument, match="non-finite"):
             RigidTransform(rotation_from_euler(*angles), [0, 0, 0])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("axis", range(3), ids=["roll", "pitch", "yaw"])
+def test_rotation_from_euler_names_a_non_finite_angle(axis, value):
+    angles = [0.1, 0.2, 0.3]
+    angles[axis] = value
+    name = ("roll", "pitch", "yaw")[axis]
+    with pytest.raises(InvalidArgument, match=f"non-finite {name} angle: {value!r}"):
+        rotation_from_euler(*angles)
 
 
 def test_euler_round_trip():

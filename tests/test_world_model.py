@@ -64,6 +64,41 @@ def test_load_reversing_centerline_rejected():
         vector_map_from_dict(joint)
 
 
+
+def _ring():
+    # two same-lane lanelets, each the other's successor
+    a = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 5.0, 0.0]]
+    b = [[10.0, 5.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]
+    return {"lanelets": [
+        {"lanelet_id": 1, "lane_id": 1, "centerline": a, "left_boundary": a, "right_boundary": a, "successors": [2]},
+        {"lanelet_id": 2, "lane_id": 1, "centerline": b, "left_boundary": b, "right_boundary": b, "successors": [1]},
+    ]}
+
+
+# one case per link rule: (in-place edit of the straight map, the message)
+LINK_RULES = {
+    "duplicate_id": (lambda d: d["lanelets"][2].update(lanelet_id=100), "duplicate lanelet_id 100"),
+    "unknown_predecessor": (lambda d: d["lanelets"][1].update(predecessors=[100, 7]),
+                            "lanelet 101 references unknown predecessor 7"),
+    "successor_gap": (lambda d: d["lanelets"][2]["centerline"].__setitem__(0, [80.0, 0.5, 0.0]),
+                      "successor 102 of lanelet 101 starts 0.500 m away from its end (tolerance 0.1 m)"),
+    "two_same_lane_predecessors": (lambda d: d["lanelets"][0].update(successors=[101, 101]),
+                                   "lanelet 101 has multiple same-lane predecessors"),
+    "cycle": (None, "lane chain containing lanelet 1 has a cycle"),
+}
+
+
+@pytest.mark.parametrize("edit, message", LINK_RULES.values(), ids=LINK_RULES.keys())
+def test_link_rule_rejected(edit, message):
+    if edit is None:
+        data = _ring()
+    else:
+        data = json.loads((MAPS / "straight.json").read_text())
+        edit(data)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        vector_map_from_dict(data)
+
+
 SCHEMA_VIOLATIONS = {
     "lanelet_missing_keys": {"lanelets": [{"lanelet_id": 1}]},
     # the map frame has no geodetic anchor: a map that names one is rejected, not read as if it had none
@@ -613,3 +648,231 @@ def test_malformed_point_rejected(straight, point):
         straight.project([point])
     with pytest.raises(InvalidArgument, match="point 1"):
         straight.project([(20.0, 0.0, 0.0), point])
+
+
+# --- stacked map load against the per-polyline arithmetic --------------------
+
+SIDES = ("centerline", "left_boundary", "right_boundary")
+
+
+def _reference_polyline(points):
+    # one polyline on its own, as map load computed it before the stacked pass
+    pts = np.array(points, dtype=float)
+    d = np.diff(pts[:, :2], axis=0)
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    seg_dir = d / seg_len[:, None]
+    cum_len = np.r_[0.0, np.cumsum(seg_len)]
+    seg_normal = np.stack([seg_dir[:, 1], -seg_dir[:, 0]], axis=-1)
+    mid = seg_normal[:-1] + seg_normal[1:]
+    normals = np.r_[seg_normal[:1], mid / np.hypot(mid[:, 0], mid[:, 1])[:, None], seg_normal[-1:]]
+    return {"points": pts, "seg_start": pts[:-1, :2], "seg_dir": seg_dir, "seg_len": seg_len,
+            "cum_len": cum_len, "length": float(cum_len[-1]), "normals": normals}
+
+
+def reference_geometry(data):
+    """Per-polyline geometry, joint normals, chain offsets, stacked segments and reach boxes.
+
+    Each polyline and joint is computed on its own and the stacks are
+    concatenated copies, lanelet by lanelet in id order.
+    """
+    lanelets = {e["lanelet_id"]: {side: _reference_polyline(e[side]) for side in SIDES} for e in data["lanelets"]}
+    entries = {e["lanelet_id"]: e for e in data["lanelets"]}
+    same_lane_pred = {}
+    for lid, e in entries.items():
+        for sid in e.get("successors", []):
+            if entries[sid]["lane_id"] == e["lane_id"]:
+                same_lane_pred[sid] = lid
+                a, b = lanelets[lid]["centerline"], lanelets[sid]["centerline"]
+                n0 = np.array([a["seg_dir"][-1, 1], -a["seg_dir"][-1, 0]])
+                n1 = np.array([b["seg_dir"][0, 1], -b["seg_dir"][0, 0]])
+                mid = n0 + n1
+                a["normals"][-1] = b["normals"][0] = mid / np.hypot(mid[0], mid[1])
+    offsets = {}
+    for lid in lanelets:
+        offset, cur = 0.0, lid
+        while cur in same_lane_pred:
+            cur = same_lane_pred[cur]
+            offset += lanelets[cur]["centerline"]["length"]
+        offsets[lid] = offset
+    by_id = [lanelets[lid] for lid in sorted(lanelets)]
+
+    def segments(lines):
+        start = np.concatenate([line["seg_start"] for line in lines])
+        direction = np.concatenate([line["seg_dir"] for line in lines])
+        return {"first": np.r_[0, np.cumsum([len(line["seg_len"]) for line in lines])],
+                "x": start[:, 0], "y": start[:, 1], "dx": direction[:, 0], "dy": direction[:, 1],
+                "len": np.concatenate([line["seg_len"] for line in lines]),
+                "cum": np.concatenate([line["cum_len"][:-1] for line in lines])}
+
+    boxes = [np.concatenate([ll[side]["points"][:, :2] for side in SIDES]) for ll in by_id]
+    return {
+        "lanelets": lanelets, "offsets": offsets,
+        "center": segments([ll["centerline"] for ll in by_id]),
+        "bounds": segments([ll[side] for ll in by_id for side in SIDES[1:]]),
+        "reach_lo": np.array([box.min(axis=0) - 1.0 for box in boxes]).T,
+        "reach_hi": np.array([box.max(axis=0) + 1.0 for box in boxes]).T,
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_geometry_matches_reference(data):
+    vmap = vector_map_from_dict(data)
+    want = reference_geometry(data)
+    assert sorted(vmap.lanelets) == sorted(want["lanelets"])
+    for lid, ll in vmap.lanelets.items():
+        assert ll.chain_offset == want["offsets"][lid], lid
+        for side in SIDES:
+            line, ref = getattr(ll, side), want["lanelets"][lid][side]
+            for field in ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "normals"):
+                assert _same_bits(getattr(line, field), ref[field]), (lid, side, field)
+            assert line.length == ref["length"]
+    for name, stacked in (("center", vmap._center), ("bounds", vmap._bounds)):
+        for field, ref in want[name].items():
+            assert _same_bits(getattr(stacked, field), ref), (name, field)
+    assert _same_bits(vmap._reach_lo, want["reach_lo"]) and _same_bits(vmap._reach_hi, want["reach_hi"])
+
+
+@pytest.mark.parametrize("name", ["straight.json", "arc.json", "freeway3.json", *WORKLOAD_ROADS])
+def test_stacked_load_matches_per_polyline_arithmetic(name):
+    if name in WORKLOAD_ROADS:
+        data = build_vector_map_dict(WORKLOAD_ROADS[name])
+    else:
+        data = json.loads((MAPS / name).read_text())
+    assert_geometry_matches_reference(data)
+
+
+def _lanelet(lanelet_id, centerline, left, right, lane_id=1, **links):
+    return {"lanelet_id": lanelet_id, "lane_id": lane_id, "centerline": centerline,
+            "left_boundary": left, "right_boundary": right, **links}
+
+
+# polylines in input order whose end meets the next one's start, or that turn back across that boundary
+SEAMS = {
+    "end_meets_next_start": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+                                      [[10.0, 0.0, 0.0], [10.0, 1.75, 0.0], [0.0, 1.75, 0.0]],
+                                      [[0.0, 1.75, 0.0], [0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
+    "turns_back_to_next_start": [_lanelet(1, [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+                                          [[5.0, 0.0, 0.0], [8.0, 0.0, 0.0], [8.0, 1.75, 0.0]],
+                                          [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
+    "turns_back_into_next": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+                                      [[12.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.75, 0.0]],
+                                      [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
+    "across_lanelets": [
+        _lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], [[0.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
+                 [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]], successors=[2]),
+        _lanelet(2, [[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]], [[10.0, 1.75, 0.0], [20.0, 1.75, 0.0]],
+                 [[20.0, -1.75, 0.0], [10.0, -1.75, 0.0]], predecessors=[1]),
+        _lanelet(3, [[10.0, -1.75, 0.0], [20.0, -1.75, 0.0]], [[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]],
+                 [[0.0, -3.5, 0.0], [20.0, -3.5, 0.0]], lane_id=2),
+    ],
+    # the step from lanelet 1's last polyline to lanelet 2's first overflows
+    "far_apart": [_lanelet(k, *([[x, y, 0.0], [x + 1e300, y, 0.0]] for y in (0.0, 1.75, -1.75)), lane_id=k)
+                  for k, x in ((1, 1e308 - 1e300), (2, -1e308))],
+    # segment counts 1, 2, 3, 299: four blocks of the padded cumsum
+    "mixed_lengths": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+                               [[0.0, 1.75, 0.0], [4.0, 1.75, 0.0], [6.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
+                               [[x / 29.9, -1.75 - 0.01 * math.sin(x), 0.0] for x in range(300)], successors=[2]),
+                      _lanelet(2, [[10.0, 0.0, 0.0], [15.0, 0.1, 0.0], [20.0, 0.0, 0.0]],
+                               [[10.0, 1.75, 0.0], [20.0, 1.75, 0.0]], [[10.0, -1.75, 0.0], [20.0, -1.75, 0.0]])],
+}
+
+
+@pytest.mark.parametrize("lanelets", SEAMS.values(), ids=SEAMS.keys())
+def test_polyline_seams_load(lanelets):
+    assert_geometry_matches_reference({"lanelets": lanelets})
+
+
+def test_same_lane_fork_keeps_the_last_joint():
+    # lanelet 1 lists two same-lane successors: its end normal is the joint with the last one
+    straight = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]
+    data = {"lanelets": [
+        _lanelet(1, straight, straight, straight, successors=[2, 3]),
+        _lanelet(2, [[10.0, 0.0, 0.0], [20.0, 5.0, 0.0]], straight, straight),
+        _lanelet(3, [[10.0, 0.0, 0.0], [20.0, -5.0, 0.0]], straight, straight),
+    ]}
+    assert_geometry_matches_reference(data)
+    vmap = vector_map_from_dict(data)
+    assert _same_bits(vmap.lanelets[1].centerline.normals[-1], vmap.lanelets[3].centerline.normals[0])
+
+
+@pytest.mark.parametrize("lanelet, side, k, point, message", [
+    (0, "centerline", 1, [0.0, 0.0, 0.0], "lanelet 100: polyline has zero-length segment"),
+    (2, "right_boundary", -1, [118.0, -1.85, 0.0], "lanelet 102: polyline has zero-length segment"),
+    (1, "left_boundary", 2, [41.0, 1.85, 0.0], "lanelet 101: polyline turns back on itself"),
+    (0, "centerline", -1, [37.0, 0.0, 0.0], "lanelet 100: polyline turns back on itself"),
+], ids=["zero-first-segment", "zero-last-segment", "half-turn-second-vertex", "half-turn-last-vertex"])
+def test_fault_inside_a_polyline_rejected(lanelet, side, k, point, message):
+    data = json.loads((MAPS / "straight.json").read_text())
+    data["lanelets"][lanelet][side][k] = point
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        vector_map_from_dict(data)
+
+
+# one fault of each kind in a polyline, in the order the checks run
+POLYLINE_FAULTS = {
+    "type": ("string", "{side}: points must be"),
+    "overflow": (10**400, "{side}: coordinate out of float range"),
+    "non_finite": (math.nan, "{side}: non-finite coordinate"),
+    "zero_length": ("repeat", "polyline has zero-length segment"),
+    "half_turn": ("reverse", "polyline turns back on itself"),
+}
+
+
+def _put_fault(line, fault):
+    if fault == "repeat":
+        line[1] = list(line[0])
+    elif fault == "reverse":
+        line[2] = list(line[0])
+    else:
+        line[1][1] = fault
+
+
+@pytest.mark.parametrize("later", POLYLINE_FAULTS)
+@pytest.mark.parametrize("earlier", POLYLINE_FAULTS)
+def test_first_faulty_polyline_is_named(earlier, later):
+    # the later polyline's fault may belong to a check that runs first: the earlier polyline is still named
+    data = json.loads((MAPS / "straight.json").read_text())
+    _put_fault(data["lanelets"][0]["right_boundary"], POLYLINE_FAULTS[earlier][0])
+    _put_fault(data["lanelets"][1]["left_boundary"], POLYLINE_FAULTS[later][0])
+    message = POLYLINE_FAULTS[earlier][1].format(side="right_boundary")
+    with pytest.raises(ValidationError, match=f"^lanelet 100: {re.escape(message)}"):
+        vector_map_from_dict(data)
+
+
+def test_structural_rules_checked_before_geometry():
+    # lanelet 100's centerline turns back, lanelet 101 misses a key: the structural breach is reported
+    data = json.loads((MAPS / "straight.json").read_text())
+    data["lanelets"][0]["centerline"][-1] = [36.0, 0.0, 0.0]
+    del data["lanelets"][1]["lane_id"]
+    with pytest.raises(ValidationError, match=re.escape("vector map schema violation at ['lanelets', 1]: ")):
+        vector_map_from_dict(data)
+
+
+def test_loaded_map_is_read_only(straight):
+    ll = straight.lanelets[101]
+    for array in (ll.centerline.normals, ll.left_boundary.points, ll.right_boundary.cum_len, ll.centerline.seg_dir,
+                  straight._center.x, straight._bounds.cum, straight._reach_lo, straight._center_len):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_load_memory_stays_linear_in_the_points():
+    # one 20 000-point centerline among 300 two-point lanelets: a cumsum over
+    # one (polylines x longest) zero-padded array would need 145 MB
+    short = [_lanelet(k, [[0.0, 10.0 * k, 0.0], [5.0, 10.0 * k, 0.0]], [[0.0, 10.0 * k + 1, 0.0], [5.0, 10.0 * k + 1, 0.0]],
+                      [[0.0, 10.0 * k - 1, 0.0], [5.0, 10.0 * k - 1, 0.0]]) for k in range(1, 301)]
+    long = [[0.5 * k, -10.0, 0.0] for k in range(20_000)]
+    data = {"lanelets": [_lanelet(0, long, [[x, y + 1.0, z] for x, y, z in long], [[x, y - 1.0, z] for x, y, z in long]),
+                         *short]}
+    tracemalloc.start()
+    try:
+        vmap = vector_map_from_dict(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vmap.lanelets[0].length == pytest.approx(0.5 * 19_999)
+    assert peak < 16 * 2**20
