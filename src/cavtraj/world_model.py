@@ -16,18 +16,22 @@ other keys, which are ignored. Ids are integers >= 0; an integral number
 such as 100.0 counts, true and false do not. `predecessors` and `successors` are
 optional lists of integer lanelet ids. A polyline is a list of at least two
 [x, y, z] points of finite numbers in metres, with no zero-length segment
-and no half-turn. Every listed predecessor and successor must exist, lanelet
-ids must be unique, a successor must start within 0.1 m of its
-predecessor's end, and each lane's chain of same-lane successors must be
-linear and acyclic. A breach of the structural rules raises ValidationError
-"vector map schema violation at <path>", where the path lists the keys and
-indices down to the offending value; every other breach names its lanelet.
+and no half-turn. Every listed predecessor and successor must exist, a
+lanelet's predecessors must list it as a successor, lanelet ids must be
+unique, a successor must start within 0.1 m of its predecessor's end, and
+each lane's chain of same-lane successors must be linear (no lanelet has two
+same-lane predecessors or two same-lane successors) and acyclic. A breach of
+the structural rules raises ValidationError "vector map schema violation at
+<path>", where the path lists the keys and indices down to the offending
+value; every other breach names its lanelet.
 A file that cannot be read or parsed as JSON raises ValidationError too.
 The first breach is raised, with the checks in this order: the structural
 rules of every lanelet; the polylines' points and segments, naming the first
 faulty polyline in input order (lanelet by lanelet, centerline, left then
-right boundary); unique ids; unknown predecessors and successors; successor
-gaps; multiple same-lane predecessors; half-turns at same-lane joints; cycles.
+right boundary); unique ids; unknown predecessors and successors;
+predecessors that do not list the lanelet as a successor; successor gaps;
+multiple same-lane predecessors or successors; half-turns at same-lane
+joints; cycles.
 
 Downtrack distance is measured from the start of a
 lanelet's chain (predecessors of the same lane); crosstrack is positive to
@@ -51,11 +55,9 @@ polyline to the next set to NaN (so nothing derived from them can fail a
 check), one `_bisect` for all interior vertex normals, one for all joint
 normals, and a row-wise cumsum over the segment lengths padded with zeros,
 which adds in the order of a cumsum per polyline (one padded block per power
-of two of the segment count, so the padding stays below the points). Each
-polyline holds views of these arrays, and the map is read-only once the
-joint normals are written. The projection stages gather their flat segment
-arrays from the stack by index: the centerlines in lanelet id order, and
-the boundaries lanelet by lanelet, left then right.
+of two of the segment count, so the padding stays below the points). The
+stack is read-only once the joint normals are written, each centerline is a
+view of it, and the projection reads the stack itself.
 
 The lanelet choice and the corridor test use the nearest chord of each
 polyline. Each lanelet has a reach box: the axis-aligned bounding box of its
@@ -295,8 +297,6 @@ class Lanelet:
     lanelet_id: int
     lane_id: int
     centerline: _Polyline
-    left_boundary: _Polyline
-    right_boundary: _Polyline
     predecessors: tuple[int, ...]
     successors: tuple[int, ...]
     chain_offset: float = 0.0  # downtrack of this lanelet's start within its lane chain
@@ -328,17 +328,22 @@ class VectorMap:
             index[lanelet_id] = k
         same_lane_pred = self._join_lane_chains(links, index, stack)
         stack.freeze()
+        self._stack = stack
         self.lanelets: dict[int, Lanelet] = {
-            lanelet_id: Lanelet(lanelet_id, lane_id, *(_Polyline(stack, 3 * k + j) for j in range(3)),
-                                predecessors, successors)
+            lanelet_id: Lanelet(lanelet_id, lane_id, _Polyline(stack, 3 * k), predecessors, successors)
             for k, (lanelet_id, lane_id, predecessors, successors) in enumerate(links)
         }
         self._set_chain_offsets(same_lane_pred)
-        self._stack_segments(stack, np.array([index[i] for i in sorted(index)]))
+        # reach boxes, (2, n) arrays of x and y bounds in input order: the bounding box of
+        # each lanelet's three polylines, grown by the on-road margin and the end tolerance
+        xy, first = stack.points[:, :2], stack.first[:-1:3]
+        self._reach_lo = (np.minimum.reduceat(xy, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
+        self._reach_hi = (np.maximum.reduceat(xy, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
+        self._reach_lo.flags.writeable = self._reach_hi.flags.writeable = False
 
     @staticmethod
     def _join_lane_chains(links: list[_Links], index: dict[int, int], stack: _PolylineStack) -> dict[int, int]:
-        """Check the successor links and give each same-lane joint one vertex normal, shared by both lanelets.
+        """Check the links and give each same-lane joint one vertex normal, shared by both lanelets.
 
         Returns each lanelet's predecessor within its lane; lane chains must be linear.
         """
@@ -347,6 +352,11 @@ class VectorMap:
                 for other in ids:
                     if other not in index:
                         raise ValidationError(f"lanelet {lanelet_id} references unknown {kind} {other}")
+        for lanelet_id, _, predecessors, _ in links:
+            for other in predecessors:
+                if lanelet_id not in links[index[other]].successors:
+                    raise ValidationError(
+                        f"lanelet {lanelet_id} lists predecessor {other}, which does not list it as a successor")
         # (predecessor, successor) positions, and the last centerline vertex of
         # the one and the first of the other
         pred, succ = np.array([(k, index[sid]) for k, link in enumerate(links) for sid in link.successors],
@@ -365,10 +375,12 @@ class VectorMap:
         joint = []
         for m, (a, b) in enumerate(zip(pred.tolist(), succ.tolist())):
             if links[a].lane_id == links[b].lane_id:
-                sid = links[b].lanelet_id
+                pid, sid = links[a].lanelet_id, links[b].lanelet_id
                 if sid in same_lane_pred:
                     raise ValidationError(f"lanelet {sid} has multiple same-lane predecessors")
-                same_lane_pred[sid] = links[a].lanelet_id
+                if joint and pred[joint[-1]] == a:  # the pairs run predecessor by predecessor
+                    raise ValidationError(f"lanelet {pid} has multiple same-lane successors")
+                same_lane_pred[sid] = pid
                 joint.append(m)
         pred, succ, end, start = (a[joint] for a in (pred, succ, end, start))
         normals, half_turn = _bisect(_right_normal(stack.seg_dir[end - 1]), _right_normal(stack.seg_dir[start]))
@@ -376,10 +388,7 @@ class VectorMap:
             m = half_turn.argmax()
             raise ValidationError(
                 f"lanelets {links[pred[m]].lanelet_id} -> {links[succ[m]].lanelet_id}: polyline turns back on itself")
-        stack.normals[start] = normals
-        # a lanelet with two same-lane successors keeps the joint of the last one listed
-        last = np.diff(pred, append=-1) != 0
-        stack.normals[end[last]] = normals[last]
+        stack.normals[start] = stack.normals[end] = normals
         return same_lane_pred
 
     def _set_chain_offsets(self, same_lane_pred: dict[int, int]):
@@ -394,22 +403,6 @@ class VectorMap:
                 cur = same_lane_pred[cur]
                 offset += self.lanelets[cur].length
             ll.chain_offset = offset
-
-    def _stack_segments(self, stack: _PolylineStack, order: np.ndarray):
-        # order holds the lanelets' positions in the stack, in id order. Stage 1
-        # reads the centerlines in that order, stage 2 each lanelet's left then
-        # right boundary, lanelet by lanelet
-        self._by_id = [self.lanelets[i] for i in sorted(self.lanelets)]
-        self._center = _Segments(stack, 3 * order)
-        self._bounds = _Segments(stack, (3 * order[:, None] + [1, 2]).ravel())
-        self._center_len = np.array([ll.length for ll in self._by_id])
-        # reach boxes, (2, n) arrays of x and y bounds: the bounding box of each
-        # lanelet's three polylines, grown by the on-road margin and the end tolerance
-        xy, first = stack.points[:, :2], stack.first[:-1:3]
-        self._reach_lo = (np.minimum.reduceat(xy, first)[order] - (_ON_ROAD_MARGIN + _END_TOL)).T
-        self._reach_hi = (np.maximum.reduceat(xy, first)[order] + (_ON_ROAD_MARGIN + _END_TOL)).T
-        for a in (self._center_len, self._reach_lo, self._reach_hi):
-            a.flags.writeable = False
 
     def project(self, points) -> list[FrenetCoord | None]:
         """Project map points; None marks off-road.
@@ -459,14 +452,15 @@ class VectorMap:
         x, y = xy[:, :1], xy[:, 1:]
         row, lane = np.nonzero((lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y))
         # a split starts where a pair's first (point, segment) pair enters the next block of _PAIRS
-        sizes = np.diff(self._center.first)[lane]
+        sizes = np.diff(self._stack.first)[3 * lane] - 1
         split = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _PAIRS)) + 1
         parts = [self._candidates(xy, r, j) for r, j in zip(np.split(row, split), np.split(lane, split))]
 
         # the least key per point among its candidates
+        lanelets = list(self.lanelets.values())
         best = {}
         for r, j, dist, off, s in zip(*(np.concatenate(a).tolist() for a in zip(*parts))):
-            ll = self._by_id[j]
+            ll = lanelets[j]
             key = (round(dist, 9), abs(off), ll.lanelet_id)
             if r not in best or key < best[r][0]:
                 best[r] = (key, ll, s)
@@ -481,63 +475,48 @@ class VectorMap:
         return result
 
     def _candidates(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray):
-        """Stages 1 and 2 for the (point row, lanelet index) pairs of one split.
+        """Stages 1 and 2 for the (point row, lanelet position) pairs of one split.
 
         Returns, for each pair that passes both chord tests: the point's
-        row, the lanelet's index, the centerline chord distance and offset,
-        and the arc length of the foot.
+        row, the lanelet's position, the centerline chord distance and
+        offset, and the arc length of the foot.
         """
-        c, b = self._center, self._bounds
-        seg, t_raw, t, diff_x, diff_y = c.nearest(xy[row], lane)
-        along = c.cum[seg] + t_raw
-        interior = (-_END_TOL <= along) & (along <= self._center_len[lane] + _END_TOL)
+        stack = self._stack
+        seg, t_raw, t, diff_x, diff_y = _nearest(stack, xy[row], 3 * lane)
+        along = stack.cum_len[seg] + t_raw
+        length = stack.cum_len[stack.first[3 * lane + 1] - 1]
+        interior = (-_END_TOL <= along) & (along <= length + _END_TOL)
         row, lane, seg, t, diff_x, diff_y = (a[interior] for a in (row, lane, seg, t, diff_x, diff_y))
         # the left then the right boundary of each interior pair's own lanelet
-        bseg, _, _, bdiff_x, bdiff_y = b.nearest(np.repeat(xy[row], 2, axis=0), (2 * lane[:, None] + [0, 1]).ravel())
-        cross = bdiff_x * b.dy[bseg] - bdiff_y * b.dx[bseg]
+        bseg, _, _, bdiff_x, bdiff_y = _nearest(stack, np.repeat(xy[row], 2, axis=0), (3 * lane[:, None] + [1, 2]).ravel())
+        cross = bdiff_x * stack.seg_dir[bseg, 1] - bdiff_y * stack.seg_dir[bseg, 0]
         inside = (cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN)
-        center = diff_x * c.dy[seg] - diff_y * c.dx[seg]
-        return tuple(a[inside] for a in (row, lane, np.hypot(diff_x, diff_y), center, c.cum[seg] + t))
+        center = diff_x * stack.seg_dir[seg, 1] - diff_y * stack.seg_dir[seg, 0]
+        return tuple(a[inside] for a in (row, lane, np.hypot(diff_x, diff_y), center, stack.cum_len[seg] + t))
 
 
-class _Segments:
-    """The segments of consecutive polylines as flat arrays, one per coordinate."""
+def _nearest(stack: _PolylineStack, xy: np.ndarray, poly: np.ndarray):
+    """The first nearest chord of the stack's polyline poly[g] to the point xy[g], for each g.
 
-    __slots__ = ("x", "y", "dx", "dy", "len", "cum", "first")
-
-    def __init__(self, stack: _PolylineStack, lines: np.ndarray):
-        # polyline k is the stack's polyline lines[k] and spans the segments
-        # first[k]:first[k + 1]; rows are those segments' rows in the stack
-        start = stack.first[lines]
-        sizes = stack.first[lines + 1] - start - 1
-        self.first = np.r_[0, np.cumsum(sizes)]
-        rows = np.arange(self.first[-1]) + np.repeat(start - self.first[:-1], sizes)
-        self.x, self.y = stack.points[rows, 0], stack.points[rows, 1]
-        self.dx, self.dy = stack.seg_dir[rows, 0], stack.seg_dir[rows, 1]
-        self.len = stack.seg_len[rows]
-        self.cum = stack.cum_len[rows]
-        for a in (self.first, self.x, self.y, self.dx, self.dy, self.len, self.cum):
-            a.flags.writeable = False
-
-    def nearest(self, xy: np.ndarray, poly: np.ndarray):
-        """The first nearest chord of polyline poly[g] to the point xy[g], for each g.
-
-        The (point, segment) pairs are flattened group by group. Returns each
-        chord's segment index, the foot's distance along it before and after
-        clipping to the segment, and the offset from the foot to the point.
-        """
-        start = self.first[poly]
-        sizes = self.first[poly + 1] - start
-        first = np.cumsum(sizes) - sizes
-        idx = np.arange(sizes.sum()) + np.repeat(start - first, sizes)
-        x, y = np.repeat(xy[:, 0], sizes), np.repeat(xy[:, 1], sizes)
-        seg_x, seg_y, seg_dx, seg_dy = self.x[idx], self.y[idx], self.dx[idx], self.dy[idx]
-        t_raw = (x - seg_x) * seg_dx + (y - seg_y) * seg_dy
-        t = np.minimum(np.maximum(t_raw, 0.0), self.len[idx])
-        diff_x = x - (seg_x + t * seg_dx)
-        diff_y = y - (seg_y + t * seg_dy)
-        k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
-        return idx[k], t_raw[k], t[k], diff_x[k], diff_y[k]
+    The (point, segment) pairs are flattened group by group; polyline i's
+    segments are the rows first[i]:first[i + 1] - 1, so no seam row is read.
+    Returns each chord's segment row, the foot's distance along it before and
+    after clipping to the segment, and the offset from the foot to the point.
+    """
+    start = stack.first[poly]
+    sizes = stack.first[poly + 1] - start - 1
+    first = np.cumsum(sizes) - sizes
+    idx = np.arange(sizes.sum()) + np.repeat(start - first, sizes)
+    x, y = np.repeat(xy[:, 0], sizes), np.repeat(xy[:, 1], sizes)
+    # gathered through column views: a 1-D gather is several times faster than indexing rows of a 2-D array
+    seg_x, seg_y = stack.points[:, 0][idx], stack.points[:, 1][idx]
+    seg_dx, seg_dy = stack.seg_dir[:, 0][idx], stack.seg_dir[:, 1][idx]
+    t_raw = (x - seg_x) * seg_dx + (y - seg_y) * seg_dy
+    t = np.minimum(np.maximum(t_raw, 0.0), stack.seg_len[idx])
+    diff_x = x - (seg_x + t * seg_dx)
+    diff_y = y - (seg_y + t * seg_dy)
+    k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
+    return idx[k], t_raw[k], t[k], diff_x[k], diff_y[k]
 
 
 def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, group_of: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def test_load_reversing_centerline_rejected():
     inside, joint = copy.deepcopy(data), copy.deepcopy(data)
     inside["lanelets"][0]["centerline"][-1] = [36.0, 0.0, 0.0]
     joint["lanelets"][1]["centerline"] = [[40.0, 0.0, 0.0], [39.0, 0.0, 0.0]]
-    joint["lanelets"][1]["successors"] = []
+    joint["lanelets"][1]["successors"] = joint["lanelets"][2]["predecessors"] = []
     with pytest.raises(ValidationError, match="lanelet 100: polyline turns back"):
         vector_map_from_dict(inside)
     with pytest.raises(ValidationError, match="lanelets 100 -> 101: polyline turns back"):
@@ -75,15 +75,26 @@ def _ring():
     ]}
 
 
+def _fork(data):
+    # lanelet 100 gets a second same-lane successor, 103, which starts at its end as 101 does
+    line = [[40.0, 0.0, 0.0], [50.0, 5.0, 0.0]]
+    data["lanelets"].append(_lanelet(103, line, line, line, predecessors=[100]))
+    data["lanelets"][0]["successors"].append(103)
+
+
 # one case per link rule: (in-place edit of the straight map, the message)
 LINK_RULES = {
     "duplicate_id": (lambda d: d["lanelets"][2].update(lanelet_id=100), "duplicate lanelet_id 100"),
     "unknown_predecessor": (lambda d: d["lanelets"][1].update(predecessors=[100, 7]),
                             "lanelet 101 references unknown predecessor 7"),
+    # lanelet 101 names 100 as its predecessor, but 100 lists no successor
+    "unmatched_predecessor": (lambda d: d["lanelets"][0].update(successors=[]),
+                              "lanelet 101 lists predecessor 100, which does not list it as a successor"),
     "successor_gap": (lambda d: d["lanelets"][2]["centerline"].__setitem__(0, [80.0, 0.5, 0.0]),
                       "successor 102 of lanelet 101 starts 0.500 m away from its end (tolerance 0.1 m)"),
     "two_same_lane_predecessors": (lambda d: d["lanelets"][0].update(successors=[101, 101]),
                                    "lanelet 101 has multiple same-lane predecessors"),
+    "same_lane_fork": (_fork, "lanelet 100 has multiple same-lane successors"),
     "cycle": (None, "lane chain containing lanelet 1 has a cycle"),
 }
 
@@ -353,14 +364,14 @@ def _right_angle_bend(leg, half_width):
     def polyline(offset):
         return [[0.0, -offset, 0.0], [leg + offset, -offset, 0.0], [leg + offset, leg, 0.0]]
 
-    return vector_map_from_dict({"lanelets": [{
+    return {"lanelets": [{
         "lanelet_id": 1, "lane_id": 1, "centerline": polyline(0.0),
         "left_boundary": polyline(-half_width), "right_boundary": polyline(half_width),
-    }]})
+    }]}
 
 
 def test_frenet_foot_on_interpolated_normal_at_sharp_corner():
-    vmap = _right_angle_bend(10.0, 1.85)
+    vmap = vector_map_from_dict(_right_angle_bend(10.0, 1.85))
     normals = np.array([[0.0, -1.0], [1.0, -1.0], [1.0, 0.0]])
     normals[1] /= math.sqrt(2.0)
     for seg, start, direction in ((0, (0.0, 0.0), (1.0, 0.0)), (1, (10.0, 0.0), (0.0, 1.0))):
@@ -376,7 +387,7 @@ def test_frenet_foot_on_interpolated_normal_at_sharp_corner():
 def test_frenet_where_normals_cross_takes_the_vertex():
     # with 1 m legs the two legs' normals cross inside the lane; a point there
     # has no foot on either leg and maps to the bend's vertex (1, 0)
-    vmap = _right_angle_bend(1.0, 0.9)
+    vmap = vector_map_from_dict(_right_angle_bend(1.0, 0.9))
     p = np.array([0.2, 1.25])
     fc = vmap.project([p])[0]
     assert fc.downtrack == pytest.approx(1.0, abs=1e-9)
@@ -429,84 +440,110 @@ def test_filter_on_road_mixed_labels(straight):
 
 # --- stacked projection against a per-lanelet chord loop ---------------------
 
+SIDES = ("centerline", "left_boundary", "right_boundary")
+
+
+def _reference_polyline(points):
+    # one polyline on its own, as map load computed it before the stacked pass
+    pts = np.array(points, dtype=float)
+    d = np.diff(pts[:, :2], axis=0)
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    seg_dir = d / seg_len[:, None]
+    cum_len = np.r_[0.0, np.cumsum(seg_len)]
+    seg_normal = np.stack([seg_dir[:, 1], -seg_dir[:, 0]], axis=-1)
+    mid = seg_normal[:-1] + seg_normal[1:]
+    normals = np.r_[seg_normal[:1], mid / np.hypot(mid[:, 0], mid[:, 1])[:, None], seg_normal[-1:]]
+    return {"points": pts, "seg_start": pts[:-1, :2], "seg_dir": seg_dir, "seg_len": seg_len,
+            "cum_len": cum_len, "length": float(cum_len[-1]), "normals": normals}
+
+
+def _reference_lines(data):
+    # each lanelet's three polylines, computed one by one from the map dict, in input order
+    return {e["lanelet_id"]: tuple(_reference_polyline(e[side]) for side in SIDES) for e in data["lanelets"]}
+
 
 def _chord_project(line, xy):
     # nearest chord of one polyline: (arc length, right-positive offset, distance, interior)
-    rel = xy - line.seg_start
-    t_raw = np.einsum("ij,ij->i", rel, line.seg_dir)
-    t = np.clip(t_raw, 0.0, line.seg_len)
-    diff = xy - (line.seg_start + t[:, None] * line.seg_dir)
+    rel = xy - line["seg_start"]
+    t_raw = np.einsum("ij,ij->i", rel, line["seg_dir"])
+    t = np.clip(t_raw, 0.0, line["seg_len"])
+    diff = xy - (line["seg_start"] + t[:, None] * line["seg_dir"])
     dist = np.hypot(diff[:, 0], diff[:, 1])
     k = int(np.argmin(dist))
-    cross = diff[k, 0] * line.seg_dir[k, 1] - diff[k, 1] * line.seg_dir[k, 0]
-    interior = -0.5 <= line.cum_len[k] + t_raw[k] <= line.length + 0.5
-    return float(line.cum_len[k] + t[k]), float(cross), float(dist[k]), interior
+    cross = diff[k, 0] * line["seg_dir"][k, 1] - diff[k, 1] * line["seg_dir"][k, 0]
+    interior = -0.5 <= line["cum_len"][k] + t_raw[k] <= line["length"] + 0.5
+    return float(line["cum_len"][k] + t[k]), float(cross), float(dist[k]), interior
 
 
-def _in_reach_box(ll, xy):
-    # the bounding box of the lanelet's three polylines, grown by 0.5 m margin + 0.5 m end tolerance
-    vertices = np.concatenate([line.points[:, :2] for line in (ll.centerline, ll.left_boundary, ll.right_boundary)])
+def _in_reach_box(lines, xy):
+    # the bounding box of a lanelet's three polylines, grown by 0.5 m margin + 0.5 m end tolerance
+    vertices = np.concatenate([line["points"][:, :2] for line in lines])
     return bool(np.all(vertices.min(axis=0) - 1.0 <= xy) and np.all(xy <= vertices.max(axis=0) + 1.0))
 
 
-def chord_loop_frenet(vmap, point, margin=0.5, reach=True):
+def chord_loop_frenet(vmap, lines, point, margin=0.5, reach=True):
     """Reference: project onto each lanelet's polylines one lanelet at a time.
 
-    reach=False drops the reach-box condition and leaves the bare chord tests.
+    lines is `_reference_lines` of the map's dict; only the winner's Frenet
+    foot is taken from vmap. reach=False drops the reach-box condition and
+    leaves the bare chord tests.
     """
     xy = np.asarray(point, dtype=float)[:2]
     best = None
-    for ll in sorted(vmap.lanelets.values(), key=lambda l: l.lanelet_id):
-        if reach and not _in_reach_box(ll, xy):
+    for lid, (center, left, right) in sorted(lines.items()):
+        if reach and not _in_reach_box((center, left, right), xy):
             continue
-        s, cross, dist, interior = _chord_project(ll.centerline, xy)
+        s, cross, dist, interior = _chord_project(center, xy)
         if not interior:
             continue
-        if _chord_project(ll.left_boundary, xy)[1] < -margin or _chord_project(ll.right_boundary, xy)[1] > margin:
+        if _chord_project(left, xy)[1] < -margin or _chord_project(right, xy)[1] > margin:
             continue
-        key = (round(dist, 9), abs(cross), ll.lanelet_id)
+        key = (round(dist, 9), abs(cross), lid)
         if best is None or key < best[0]:
-            best = (key, ll, s)
+            best = (key, lid, s)
     if best is None:
         return None
-    _, ll, s_chord = best
+    _, lid, s_chord = best
+    ll = vmap.lanelets[lid]
     s, cross = ll.centerline.frenet(xy, s_chord)
     return FrenetCoord(ll.chain_offset + s, cross, ll.lanelet_id, ll.lane_id)
 
 
 def _on_polyline(line, s):
     # point at arc length s (extrapolated past the ends) and the unit right normal there
-    k = min(max(int(np.searchsorted(line.cum_len, s, side="right")) - 1, 0), len(line.seg_len) - 1)
-    e = line.seg_dir[k]
-    return line.seg_start[k] + (s - line.cum_len[k]) * e, np.array([e[1], -e[0]])
+    k = min(max(int(np.searchsorted(line["cum_len"], s, side="right")) - 1, 0), len(line["seg_len"]) - 1)
+    e = line["seg_dir"][k]
+    return line["seg_start"][k] + (s - line["cum_len"][k]) * e, np.array([e[1], -e[0]])
 
 
-def _probe_points(vmap, rng, n):
-    """Vertices, plus seeded points on the road, at the margin, past the ends and off the map."""
-    lines = [(ll, line) for ll in vmap.lanelets.values()
-             for line in (ll.centerline, ll.left_boundary, ll.right_boundary)]
-    points = [p for _, line in lines for p in line.points[:, :2]]
+def _probe_points(lines, rng, n):
+    """Vertices, plus seeded points on the road, at the margin, past the ends and off the map.
+
+    lines is `_reference_lines` of the map's dict.
+    """
+    lines = [(three, line) for three in lines.values() for line in three]
+    points = [p for _, line in lines for p in line["points"][:, :2]]
     lo = np.min(points, axis=0) - 100.0
     hi = np.max(points, axis=0) + 100.0
     points += [np.array([math.nan, 0.0]), np.array([math.inf, 1.0]), np.array([-math.inf, math.nan])]
     for _ in range(n):
-        ll, line = lines[rng.integers(len(lines))]
+        (center, left, right), line = lines[rng.integers(len(lines))]
+        length = center["length"]
         kind = rng.integers(6)
         if kind == 0:  # on the road and a little beyond it
-            p, normal = _on_polyline(ll.centerline, rng.uniform(0.0, ll.length))
+            p, normal = _on_polyline(center, rng.uniform(0.0, length))
             points.append(p + rng.uniform(-3.0, 3.0) * normal)
         elif kind == 1:  # just inside or just past boundary + margin
-            right = rng.uniform() < 0.5
-            p, normal = _on_polyline(ll.right_boundary if right else ll.left_boundary,
-                                     rng.uniform(0.0, ll.length))
-            points.append(p + (0.5 + rng.uniform(-0.02, 0.02)) * (normal if right else -normal))
+            to_right = rng.uniform() < 0.5
+            p, normal = _on_polyline(right if to_right else left, rng.uniform(0.0, length))
+            points.append(p + (0.5 + rng.uniform(-0.02, 0.02)) * (normal if to_right else -normal))
         elif kind == 2:  # around the 0.5 m end tolerance of a centerline
-            s = -rng.uniform(0.0, 1.0) if rng.uniform() < 0.5 else ll.length + rng.uniform(0.0, 1.0)
-            p, normal = _on_polyline(ll.centerline, s)
+            s = -rng.uniform(0.0, 1.0) if rng.uniform() < 0.5 else length + rng.uniform(0.0, 1.0)
+            p, normal = _on_polyline(center, s)
             points.append(p + rng.uniform(-2.0, 2.0) * normal)
         elif kind == 3:  # near a vertex, where neighbouring chords tie
             angle = rng.uniform(-math.pi, math.pi)
-            points.append(line.points[rng.integers(len(line.points)), :2]
+            points.append(line["points"][rng.integers(len(line["points"])), :2]
                           + rng.uniform(0.0, 3.0) * np.array([math.cos(angle), math.sin(angle)]))
         elif kind == 4:  # anywhere around the map
             points.append(rng.uniform(lo, hi))
@@ -519,14 +556,15 @@ def _probe_points(vmap, rng, n):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_to_frenet_matches_chord_loop(name):
     if name == "right_angle_bend":
-        vmap = _right_angle_bend(10.0, 1.85)
+        data = _right_angle_bend(10.0, 1.85)
     else:
-        vmap = load_vector_map(MAPS / name)
+        data = json.loads((MAPS / name).read_text())
+    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
     rng = np.random.default_rng(17)
-    points = _probe_points(vmap, rng, 400)
+    points = _probe_points(lines, rng, 400)
     results = []
     for p in points:
-        got, want = vmap.project([p])[0], chord_loop_frenet(vmap, p)
+        got, want = vmap.project([p])[0], chord_loop_frenet(vmap, lines, p)
         assert got == want, p
         results.append(got)
     # the probes reach both sides of the road edge
@@ -539,33 +577,35 @@ def test_to_frenet_first_of_tied_chords_decides():
     # outside the bend's corner both legs of each polyline reach the point from
     # their shared vertex; the first leg counts, and by the right boundary's
     # first leg (12, -3) lies 1.15 m outside the road, past the 0.5 m margin
-    vmap = _right_angle_bend(10.0, 1.85)
+    data = _right_angle_bend(10.0, 1.85)
+    vmap = vector_map_from_dict(data)
     assert vmap.project([(12.0, -3.0)])[0] is None
-    assert chord_loop_frenet(vmap, (12.0, -3.0)) is None
+    assert chord_loop_frenet(vmap, _reference_lines(data), (12.0, -3.0)) is None
     assert vmap.project([(12.0, -2.2)])[0] is not None
 
 
 def _notched_lanelet():
     # a 1 m notch in the right boundary: its chord (5, -1.75) -> (5, -3) points straight at (5, -1000)
-    return vector_map_from_dict({"lanelets": [{
+    return {"lanelets": [{
         "lanelet_id": 1, "lane_id": 1,
         "centerline": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
         "left_boundary": [[0.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
         "right_boundary": [[0.0, -1.75, 0.0], [5.0, -1.75, 0.0], [5.0, -3.0, 0.0], [4.0, -3.0, 0.0],
                            [4.0, -2.0, 0.0], [10.0, -2.0, 0.0]],
-    }]})
+    }]}
 
 
-@pytest.mark.parametrize("vmap, point, crosstrack", [
+@pytest.mark.parametrize("data, point, crosstrack", [
     (_notched_lanelet(), (5.0, -1000.0), 1000.0),
     (_right_angle_bend(10.0, 1.85), (14.0, -2.0), 5.19),
 ], ids=["notched_boundary", "right_angle_bend"])
-def test_reach_box_rejects_what_the_bare_chord_tests_admit(vmap, point, crosstrack):
+def test_reach_box_rejects_what_the_bare_chord_tests_admit(data, point, crosstrack):
     # the nearest boundary chord's foot is clipped to its end, and the offset from
     # its extension line is small however far the point is
-    bare = chord_loop_frenet(vmap, point, reach=False)
+    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
+    bare = chord_loop_frenet(vmap, lines, point, reach=False)
     assert bare is not None and bare.crosstrack == pytest.approx(crosstrack, abs=0.005)
-    assert chord_loop_frenet(vmap, point) is None
+    assert chord_loop_frenet(vmap, lines, point) is None
     assert vmap.project([point]) == [None]
 
 
@@ -579,10 +619,11 @@ WORKLOAD_ROADS = {
 @pytest.mark.parametrize("road", WORKLOAD_ROADS.values(), ids=WORKLOAD_ROADS.keys())
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_reach_box_changes_nothing_on_the_workload_roads(road):
-    vmap = vector_map_from_dict(build_vector_map_dict(road))
-    points = _probe_points(vmap, np.random.default_rng(23), 2000)[-2003:]  # the seeded probes, not the vertices
-    with_reach = [chord_loop_frenet(vmap, p) for p in points]
-    assert with_reach == [chord_loop_frenet(vmap, p, reach=False) for p in points]
+    data = build_vector_map_dict(road)
+    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
+    points = _probe_points(lines, np.random.default_rng(23), 2000)[-2003:]  # the seeded probes, not the vertices
+    with_reach = [chord_loop_frenet(vmap, lines, p) for p in points]
+    assert with_reach == [chord_loop_frenet(vmap, lines, p, reach=False) for p in points]
     assert any(r is None for r in with_reach) and any(r is not None for r in with_reach)
 
 
@@ -593,17 +634,36 @@ def _arc_fleet_map():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_project_batch_across_pair_splits_matches_single_points():
-    vmap = _arc_fleet_map()
+    data = build_vector_map_dict(WORKLOAD_ROADS["arc_fleet"])
+    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
     rng = np.random.default_rng(19)
-    probes = _probe_points(vmap, rng, 300)
+    probes = _probe_points(lines, rng, 300)
     points = [probes[i] for i in sorted(rng.choice(len(probes) - 303, 60, replace=False))] + probes[-303:]
     # (point, centerline segment) pairs in the reach boxes: the batch is split at least once
-    pairs = sum(len(ll.centerline.seg_len) for p in points for ll in vmap.lanelets.values()
-                if np.isfinite(p).all() and _in_reach_box(ll, p))
+    pairs = sum(len(three[0]["seg_len"]) for p in points for three in lines.values()
+                if np.isfinite(p).all() and _in_reach_box(three, p))
     assert pairs > 2 * _PAIRS
     got = vmap.project(points)
     assert got == [vmap.project([p])[0] for p in points]
-    assert got == [chord_loop_frenet(vmap, p) for p in points]
+    assert got == [chord_loop_frenet(vmap, lines, p) for p in points]
+    assert any(r is None for r in got) and any(r is not None for r in got)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_project_does_not_depend_on_the_lanelet_order(order):
+    data = build_vector_map_dict(WORKLOAD_ROADS["arc_fleet"])
+    by_id = vector_map_from_dict(data)
+    assert list(by_id.lanelets) == sorted(by_id.lanelets)
+    entries = data["lanelets"]
+    if order == "reversed":
+        entries = entries[::-1]
+    else:
+        entries = [entries[k] for k in np.random.default_rng(31).permutation(len(entries))]
+    vmap = vector_map_from_dict({"lanelets": entries})
+    assert list(vmap.lanelets) != list(by_id.lanelets)
+    points = _probe_points(_reference_lines(data), np.random.default_rng(37), 1000)
+    got = vmap.project(points)
+    assert got == by_id.project(points)
     assert any(r is None for r in got) and any(r is not None for r in got)
 
 
@@ -652,63 +712,34 @@ def test_malformed_point_rejected(straight, point):
 
 # --- stacked map load against the per-polyline arithmetic --------------------
 
-SIDES = ("centerline", "left_boundary", "right_boundary")
-
-
-def _reference_polyline(points):
-    # one polyline on its own, as map load computed it before the stacked pass
-    pts = np.array(points, dtype=float)
-    d = np.diff(pts[:, :2], axis=0)
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    seg_dir = d / seg_len[:, None]
-    cum_len = np.r_[0.0, np.cumsum(seg_len)]
-    seg_normal = np.stack([seg_dir[:, 1], -seg_dir[:, 0]], axis=-1)
-    mid = seg_normal[:-1] + seg_normal[1:]
-    normals = np.r_[seg_normal[:1], mid / np.hypot(mid[:, 0], mid[:, 1])[:, None], seg_normal[-1:]]
-    return {"points": pts, "seg_start": pts[:-1, :2], "seg_dir": seg_dir, "seg_len": seg_len,
-            "cum_len": cum_len, "length": float(cum_len[-1]), "normals": normals}
-
-
 def reference_geometry(data):
-    """Per-polyline geometry, joint normals, chain offsets, stacked segments and reach boxes.
+    """Per-polyline geometry with joint normals, chain offsets and reach boxes, in input order.
 
-    Each polyline and joint is computed on its own and the stacks are
-    concatenated copies, lanelet by lanelet in id order.
+    Each polyline and joint is computed on its own.
     """
-    lanelets = {e["lanelet_id"]: {side: _reference_polyline(e[side]) for side in SIDES} for e in data["lanelets"]}
-    entries = {e["lanelet_id"]: e for e in data["lanelets"]}
+    lines = _reference_lines(data)
+    lane = {e["lanelet_id"]: e["lane_id"] for e in data["lanelets"]}
     same_lane_pred = {}
-    for lid, e in entries.items():
+    for e in data["lanelets"]:
+        lid = e["lanelet_id"]
         for sid in e.get("successors", []):
-            if entries[sid]["lane_id"] == e["lane_id"]:
+            if lane[sid] == lane[lid]:
                 same_lane_pred[sid] = lid
-                a, b = lanelets[lid]["centerline"], lanelets[sid]["centerline"]
+                a, b = lines[lid][0], lines[sid][0]
                 n0 = np.array([a["seg_dir"][-1, 1], -a["seg_dir"][-1, 0]])
                 n1 = np.array([b["seg_dir"][0, 1], -b["seg_dir"][0, 0]])
                 mid = n0 + n1
                 a["normals"][-1] = b["normals"][0] = mid / np.hypot(mid[0], mid[1])
     offsets = {}
-    for lid in lanelets:
+    for lid in lines:
         offset, cur = 0.0, lid
         while cur in same_lane_pred:
             cur = same_lane_pred[cur]
-            offset += lanelets[cur]["centerline"]["length"]
+            offset += lines[cur][0]["length"]
         offsets[lid] = offset
-    by_id = [lanelets[lid] for lid in sorted(lanelets)]
-
-    def segments(lines):
-        start = np.concatenate([line["seg_start"] for line in lines])
-        direction = np.concatenate([line["seg_dir"] for line in lines])
-        return {"first": np.r_[0, np.cumsum([len(line["seg_len"]) for line in lines])],
-                "x": start[:, 0], "y": start[:, 1], "dx": direction[:, 0], "dy": direction[:, 1],
-                "len": np.concatenate([line["seg_len"] for line in lines]),
-                "cum": np.concatenate([line["cum_len"][:-1] for line in lines])}
-
-    boxes = [np.concatenate([ll[side]["points"][:, :2] for side in SIDES]) for ll in by_id]
+    boxes = [np.concatenate([line["points"][:, :2] for line in three]) for three in lines.values()]
     return {
-        "lanelets": lanelets, "offsets": offsets,
-        "center": segments([ll["centerline"] for ll in by_id]),
-        "bounds": segments([ll[side] for ll in by_id for side in SIDES[1:]]),
+        "lines": lines, "offsets": offsets,
         "reach_lo": np.array([box.min(axis=0) - 1.0 for box in boxes]).T,
         "reach_hi": np.array([box.max(axis=0) + 1.0 for box in boxes]).T,
     }
@@ -720,19 +751,25 @@ def _same_bits(a, b):
 
 
 def assert_geometry_matches_reference(data):
+    # the stack rows of every polyline, and the centerline views, against the reference
     vmap = vector_map_from_dict(data)
     want = reference_geometry(data)
-    assert sorted(vmap.lanelets) == sorted(want["lanelets"])
-    for lid, ll in vmap.lanelets.items():
+    assert list(vmap.lanelets) == list(want["lines"])
+    stack = vmap._stack
+    assert len(stack.first) == 3 * len(vmap.lanelets) + 1
+    for k, (lid, ll) in enumerate(vmap.lanelets.items()):
         assert ll.chain_offset == want["offsets"][lid], lid
-        for side in SIDES:
-            line, ref = getattr(ll, side), want["lanelets"][lid][side]
-            for field in ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "normals"):
-                assert _same_bits(getattr(line, field), ref[field]), (lid, side, field)
-            assert line.length == ref["length"]
-    for name, stacked in (("center", vmap._center), ("bounds", vmap._bounds)):
-        for field, ref in want[name].items():
-            assert _same_bits(getattr(stacked, field), ref), (name, field)
+        for j, ref in enumerate(want["lines"][lid]):
+            start, end = stack.first[3 * k + j:3 * k + j + 2].tolist()
+            rows = {"points": stack.points[start:end], "seg_dir": stack.seg_dir[start:end - 1],
+                    "seg_len": stack.seg_len[start:end - 1], "cum_len": stack.cum_len[start:end],
+                    "normals": stack.normals[start:end]}
+            for field, got in rows.items():
+                assert _same_bits(got, ref[field]), (lid, SIDES[j], field)
+        center = want["lines"][lid][0]
+        for field in ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "normals"):
+            assert _same_bits(getattr(ll.centerline, field), center[field]), (lid, field)
+        assert ll.centerline.length == ll.length == center["length"]
     assert _same_bits(vmap._reach_lo, want["reach_lo"]) and _same_bits(vmap._reach_hi, want["reach_hi"])
 
 
@@ -784,19 +821,6 @@ SEAMS = {
 @pytest.mark.parametrize("lanelets", SEAMS.values(), ids=SEAMS.keys())
 def test_polyline_seams_load(lanelets):
     assert_geometry_matches_reference({"lanelets": lanelets})
-
-
-def test_same_lane_fork_keeps_the_last_joint():
-    # lanelet 1 lists two same-lane successors: its end normal is the joint with the last one
-    straight = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]
-    data = {"lanelets": [
-        _lanelet(1, straight, straight, straight, successors=[2, 3]),
-        _lanelet(2, [[10.0, 0.0, 0.0], [20.0, 5.0, 0.0]], straight, straight),
-        _lanelet(3, [[10.0, 0.0, 0.0], [20.0, -5.0, 0.0]], straight, straight),
-    ]}
-    assert_geometry_matches_reference(data)
-    vmap = vector_map_from_dict(data)
-    assert _same_bits(vmap.lanelets[1].centerline.normals[-1], vmap.lanelets[3].centerline.normals[0])
 
 
 @pytest.mark.parametrize("lanelet, side, k, point, message", [
@@ -853,9 +877,9 @@ def test_structural_rules_checked_before_geometry():
 
 
 def test_loaded_map_is_read_only(straight):
-    ll = straight.lanelets[101]
-    for array in (ll.centerline.normals, ll.left_boundary.points, ll.right_boundary.cum_len, ll.centerline.seg_dir,
-                  straight._center.x, straight._bounds.cum, straight._reach_lo, straight._center_len):
+    ll, stack = straight.lanelets[101], straight._stack
+    for array in (ll.centerline.normals, ll.centerline.seg_dir, stack.first, stack.points, stack.seg_dir,
+                  stack.seg_len, stack.cum_len, stack.normals, straight._reach_lo, straight._reach_hi):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
