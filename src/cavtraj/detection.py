@@ -31,6 +31,15 @@ sorted once, and every cluster's hull comes from one vectorised monotone
 chain (Andrew, 1979). Rotating calipers then score every hull edge of every
 cluster in one stacked matrix product.
 
+No per-frame temporary of the fit holds more than one float64 column of the
+cluster points, bar the calipers' block, which grows with hull sizes: the
+fit reads the clusters' x, y and z as columns, the octagon works one key
+and one side at a time, and clustering gathers each cluster into its own
+array. Blocks of several columns (0.4-0.5 MiB each at 16 000 points) made
+glibc trim the heap after every dense frame and fault it back in on the
+next: 170-540 minor page faults and about 1 ms of system time per
+`freeway_baseline` frame, against 0-20 under this rule.
+
 A box's heading lies along the long side of its footprint; its sign is
 arbitrary (a box and its half-turn are the same box). Later stages treat it
 that way: BEV IoU does not depend on it, and the tracker does not read it (a
@@ -218,8 +227,9 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     Guarantee: no two linked points end in different clusters, so every
     cluster is a union of whole components of exact single linkage; a bin
     may join points up to a bin diagonal apart. Returns each cluster's (n, 3)
-    points, bin by bin and in frame order within a bin; clusters are ordered
-    by their first bin, and those smaller than min_cluster_points are dropped.
+    points in an array of its own, bin by bin and in frame order within a
+    bin; clusters are ordered by their first bin, and those smaller than
+    min_cluster_points are dropped.
     """
     keys, starts, sectors = grid.keys, grid.starts, grid.sectors
     n_bins = len(keys)
@@ -266,7 +276,7 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     use = use[np.argsort(label[use], kind="stable")]
     count = size[use]
     pos = np.repeat(starts[use] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return np.split(np.take(frame.points, grid.kept[pos], axis=0), np.cumsum(comp_size[big])[:-1])
+    return [np.take(frame.points, idx, axis=0) for idx in np.split(grid.kept[pos], np.cumsum(comp_size[big])[:-1])]
 
 
 @dataclass(frozen=True)
@@ -320,19 +330,18 @@ class OrientedBox:
 def _octagon_corners(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each segment's first points of least and greatest x, y, x + y and y - x, as (8, K) positions.
 
-    A segment's first point attaining a row's extreme is the first flat
-    position of that row's equality at or after the segment's start.
+    A segment's first point attaining an extreme is the first position of
+    that key's equality at or after the segment's start. The keys are
+    searched one at a time, so no temporary is wider than one column.
     Rows run counter-clockwise from the lowest corner: directions -y,
     x - y, x, x + y, y, y - x, -x, -x - y.
     """
     starts = np.cumsum(sizes) - sizes
-    keys = np.stack([x, y, x + y, y - x])
-    row = len(x) * np.arange(4)[:, None]
-    lo, hi = (
-        flat[np.searchsorted(flat, row + starts)] - row
-        for flat in (np.flatnonzero(keys == np.repeat(best.reduceat(keys, starts, axis=1), sizes, axis=1))
-                     for best in (np.minimum, np.maximum))
-    )
+    lo, hi = [], []
+    for key in (x, y, x + y, y - x):
+        for best, out in ((np.minimum, lo), (np.maximum, hi)):
+            flat = np.flatnonzero(key == np.repeat(best.reduceat(key, starts), sizes))
+            out.append(flat[np.searchsorted(flat, starts)])
     return np.stack([lo[1], lo[3], hi[0], hi[2], hi[1], hi[3], lo[0], lo[2]])
 
 
@@ -348,10 +357,11 @@ def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.n
 
     # fast path, exact in floating point: in every direction, one of the four
     # diagonal corners lies at least as far out as a point strictly inside
-    # the box they bound
-    box = np.stack([np.maximum(cx[5], cx[7]), np.minimum(cx[1], cx[3]), np.maximum(cy[7], cy[1]), np.minimum(cy[3], cy[5])])
-    left, right, bottom, top = np.repeat(box, sizes, axis=1)
-    inside = (left < x) & (x < right) & (bottom < y) & (y < top)
+    # the box they bound; one side at a time, repeated over its segment's points
+    inside = np.repeat(np.maximum(cx[5], cx[7]), sizes) < x
+    inside &= x < np.repeat(np.minimum(cx[1], cx[3]), sizes)
+    inside &= np.repeat(np.maximum(cy[7], cy[1]), sizes) < y
+    inside &= y < np.repeat(np.minimum(cy[3], cy[5]), sizes)
 
     # the rest against the octagon's edges: a point's cross product with edge
     # k, ex * y - ey * x - (ex * cy - ey * cx), must clear a margin far above
@@ -362,10 +372,14 @@ def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.n
     flat = (ex == 0) & (ey == 0)
     bound[flat] = -1.0                  # a zero-length edge passes every point
     bound[0, flat.all(axis=0)] = 1.0    # and a single-point octagon none
-    # rest is sorted by segment, so each segment's edges repeat over its run
+    # rest is sorted by segment, so each segment's edges repeat over its run;
+    # one edge at a time
     run = np.bincount(seg[rest], minlength=len(sizes))
-    inside[rest] = np.all(np.repeat(ex, run, axis=1) * y[rest] - np.repeat(ey, run, axis=1) * x[rest]
-                          > np.repeat(bound, run, axis=1), axis=0)
+    xr, yr = x[rest], y[rest]
+    clear = np.ones(len(rest), dtype=bool)
+    for k in range(8):
+        clear &= np.repeat(ex[k], run) * yr - np.repeat(ey[k], run) * xr > np.repeat(bound[k], run)
+    inside[rest] = clear
     return inside
 
 
@@ -387,20 +401,20 @@ def _chain(x: np.ndarray, y: np.ndarray, group: np.ndarray) -> np.ndarray:
     return pos
 
 
-def convex_hulls(xy: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Convex hulls of consecutive segments of (N, 2) points, all in one pass.
+def convex_hulls(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convex hulls of consecutive segments of points, all in one pass.
 
-    There is at least one segment; segment s is the next sizes[s] >= 1
-    points. Points strictly inside a segment's octagon are dropped first;
-    the rest are sorted by segment, x and y, and one monotone chain run
-    (Andrew, 1979) gives every segment's lower and upper chains. Returns the
+    The points come as two columns, x and y, of the same length. There is
+    at least one segment; segment s is the next sizes[s] >= 1 points.
+    Points strictly inside a segment's octagon are dropped first; the rest
+    are sorted by segment, x and y, and one monotone chain run (Andrew,
+    1979) gives every segment's lower and upper chains. Returns the
     stacked (T, 2) hull vertices and each segment's vertex count. Each hull
     runs counter-clockwise from its lowest, then leftmost, vertex. Collinear
     and repeated points are no vertices, so a segment whose points are all
     collinear has two and one whose points are all equal has one.
     """
     n_seg = len(sizes)
-    x, y = np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1])
     seg = np.repeat(np.arange(n_seg), sizes)
     outer = ~_octagon_interior(x, y, seg, sizes)
     x, y, seg = x[outer], y[outer], seg[outer]
@@ -488,11 +502,11 @@ def fit_boxes(clusters: list[np.ndarray]) -> list[OrientedBox]:
     use = np.flatnonzero(sizes >= 3)
     if len(use) == 0:
         return []
-    pts = np.concatenate([clusters[i] for i in use])
+    x, y, z = (np.concatenate([clusters[i][:, axis] for i in use]) for axis in range(3))
     sizes = sizes[use]
     starts = np.cumsum(sizes) - sizes
 
-    hulls, counts = convex_hulls(pts[:, :2], sizes)
+    hulls, counts = convex_hulls(x, y, sizes)
     polygon = counts >= 3
     if not polygon.any():
         return []
@@ -501,8 +515,8 @@ def fit_boxes(clusters: list[np.ndarray]) -> list[OrientedBox]:
 
     fit = np.flatnonzero(polygon)[ok]
     center, extents, angle = center[ok], extents[ok], angle[ok]
-    z_min = np.minimum.reduceat(pts[:, 2], starts)[fit]
-    z_max = np.maximum.reduceat(pts[:, 2], starts)[fit]
+    z_min = np.minimum.reduceat(z, starts)[fit]
+    z_max = np.maximum.reduceat(z, starts)[fit]
     swap = extents[:, 0] < extents[:, 1]
     heading = np.where(swap, angle + math.pi / 2.0, angle)  # OrientedBox wraps it
     length = np.where(swap, extents[:, 1], extents[:, 0])

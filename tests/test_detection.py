@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -430,7 +431,7 @@ def test_cluster_k_separated_objects():
 def hull_of(pts):
     """The hull of one segment from the batched convex_hulls."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    hulls, counts = convex_hulls(pts, np.array([len(pts)]))
+    hulls, counts = convex_hulls(pts[:, 0], pts[:, 1], np.array([len(pts)]))
     assert counts.tolist() == [len(hulls)]
     return hulls
 
@@ -506,7 +507,8 @@ def test_hull_degenerate_inputs():
                   np.full((20, 2), 1.5), np.array([[4.0, 5.0]])]
     for pts, n in zip(degenerate, [2, 2, 1, 1]):
         assert len(hull_of(pts)) == n
-        hulls, counts = convex_hulls(np.vstack([square, pts, square]), np.array([4, len(pts), 4]))
+        xy = np.vstack([square, pts, square])
+        hulls, counts = convex_hulls(xy[:, 0], xy[:, 1], np.array([4, len(pts), 4]))
         assert counts.tolist() == [4, n, 4]
         np.testing.assert_array_equal(hulls[:4], square)
         np.testing.assert_array_equal(hulls[-4:], square)
@@ -757,7 +759,8 @@ def test_hulls_match_qhull_on_lattice_segments():
     rng = np.random.default_rng(41)
     segments = [rng.integers(0, int(rng.integers(1, 6)), size=(int(rng.integers(1, 40)), 2)).astype(float)
                 + rng.integers(-50, 50, 2) for _ in range(400)]
-    hulls, counts = convex_hulls(np.concatenate(segments), np.array([len(s) for s in segments]))
+    xy = np.concatenate(segments)
+    hulls, counts = convex_hulls(xy[:, 0], xy[:, 1], np.array([len(s) for s in segments]))
     starts = np.cumsum(counts) - counts
     polygons = 0
     for pts, start, count in zip(segments, starts, counts):
@@ -788,6 +791,33 @@ def test_octagon_prune_is_per_segment_and_keeps_every_hull_vertex():
         ref = qhull_hull(pts)
         if ref is not None:
             assert not (masked[:, None] & (pts[:, None, :] == ref[None]).all(axis=2)).any()
+
+
+def test_octagon_corners_are_each_segments_first_extreme_points():
+    # oracle: argmin / argmax of x, y, x + y and y - x on the segment alone,
+    # which return the first point attaining the extreme; integer lattices
+    # tie everywhere, and one-point segments have all eight corners at 0
+    rng = np.random.default_rng(47)
+    segments = [rng.integers(0, 4, size=(int(k), 2)).astype(float) + rng.integers(-50, 50, 2) if k % 2
+                else rng.normal(size=(int(k), 2)) * rng.uniform(0.1, 5.0, 2) + rng.uniform(-50, 50, 2)
+                for k in rng.integers(1, 80, 300)]
+    segments += [rng.uniform(-50, 50, size=(1, 2)) for _ in range(5)]
+    rng.shuffle(segments)
+    sizes = np.array([len(s) for s in segments])
+    xy = np.concatenate(segments)
+    batched = detection._octagon_corners(xy[:, 0], xy[:, 1], sizes)
+    assert batched.shape == (8, len(segments))
+    ties = 0
+    for pts, start, corners in zip(segments, np.cumsum(sizes) - sizes, batched.T):
+        x, y = pts[:, 0], pts[:, 1]
+        keys = [-y, x - y, x, x + y, y, y - x, -x, -x - y]     # the rows' directions
+        want = [int(np.argmin(y)), int(np.argmin(y - x)), int(np.argmax(x)), int(np.argmax(x + y)),
+                int(np.argmax(y)), int(np.argmax(y - x)), int(np.argmin(x)), int(np.argmin(x + y))]
+        assert (corners - start).tolist() == want
+        assert detection._octagon_corners(x, y, np.array([len(pts)]))[:, 0].tolist() == want
+        ties += sum(int((k == k.max()).sum() > 1) for k in keys)
+    assert sum(len(s) == 1 for s in segments) >= 5
+    assert ties > 300
 
 
 def qhull_box(pts):
@@ -876,6 +906,28 @@ def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
     assert fit_boxes([]) == []
 
 
+def test_fit_boxes_are_layout_independent():
+    # fit_boxes reads each cluster's x, y and z as columns: clusters that are
+    # non-contiguous views give the boxes of their C-contiguous copies, bit for bit
+    clusters = [blob((3.0 * k, -2.0), n=30 + 7 * k, seed=k) for k in range(4)]
+    clusters += [box_surface_points((-8.0, 6.0), 4.5, 1.9, 1.6, heading=0.3),
+                 box_surface_points((12.0, 9.0), 4.2, 1.8, 1.5, heading=-1.1, rng=np.random.default_rng(3), noise=0.02)]
+    wider = [np.c_[c[:, 2], c, np.ones(len(c))] for c in clusters]
+    layouts = {
+        "reversed rows": [c[::-1] for c in clusters],
+        "fortran order": [np.asfortranarray(c) for c in clusters],
+        "columns of a wider array": [w[:, 1:4] for w in wider],
+        "every other row": [np.repeat(c, 2, axis=0)[::2] for c in clusters],
+    }
+    # one batch of all four, cluster k in layout k mod 4
+    layouts["mixed"] = [views[k % 4] for k, views in enumerate(zip(*layouts.values()))]
+    for name, views in layouts.items():
+        assert not any(v.flags.c_contiguous for v in views), name
+        want = fit_boxes([np.ascontiguousarray(v) for v in views])
+        assert len(want) == len(clusters)
+        assert box_bits(fit_boxes(views)) == box_bits(want), name
+
+
 def test_detect_objects_end_to_end():
     pts = np.vstack(
         [
@@ -955,3 +1007,33 @@ def test_detect_objects_pinned():
         frame = generate_scenario(spec).frames[1][0]
         got = [tuple(round(x, 9) for x in astuple(b)) for b in detect_objects(frame, DetectionConfig())]
         assert got == expected[name], name
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_objects_peak_memory_on_the_dense_frame():
+    # the dense frame of test_detect_objects_pinned: 18 120 points, 16 863 of
+    # them in 11 clusters. No per-frame temporary of the octagon prune is
+    # wider than one float64 column of the cluster points (135 KB). One call's
+    # traced peak measured 1 889 692 B (1.80 MiB); the range image and the
+    # clustering set it, so fit_boxes is bounded alone too: it measured
+    # 965 125 B (0.92 MiB), and one (n, 3) or (4, n) block more exceeds 1 MiB
+    v = VehicleSpec
+    dense = ScenarioSpec(duration=0.1, seed=11, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 100.0, 25.0)],
+                         svs=[v(101, 1, 100.0, 25.0), v(102, 3, 101.0, 25.1), v(103, 2, 112.0, 24.0)], poles=True)
+    frame = generate_scenario(dense).frames[1][0]
+    config = DetectionConfig()
+    assert len(frame) == 18_120
+    assert len(detect_objects(frame, config)) == 11   # also warms every first-call cache
+    assert traced_peak(lambda: detect_objects(frame, config)) < 1.85 * 2**20
+    clusters = cluster_points(bev_grid_features(frame, config), frame, config)
+    assert (len(clusters), sum(map(len, clusters))) == (11, 16_863)
+    assert traced_peak(lambda: fit_boxes(clusters)) < 1.0 * 2**20
