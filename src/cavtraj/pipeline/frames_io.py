@@ -12,7 +12,13 @@ reader orders them by k, so ``frame_1000000.npz`` follows
 predecessor's raises ValidationError naming it. The reader accepts only
 what the writer writes: another ``.npz`` name, an archive with any other
 array, a missing one, another dtype or another shape raises
-ValidationError, and so does a path that cannot be opened.
+ValidationError, and so does a path that cannot be opened. Each member must
+be stored (not compressed), hold a C-order array, match the CRC-32 of the
+zip directory, and be exactly as long as its ``.npy`` header says, within
+the file; a header that claims more rows than its member holds is refused
+before anything is allocated. The points of a frame are read straight from
+the file into their array. The frames that ``read_frame_dir`` returns are
+views of one (sum of N, 3) array, which stays alive while any of them does.
 
 Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
 agent's map-frame pose at each time: translation in metres and ZYX Euler
@@ -24,8 +30,12 @@ file that cannot be opened or decoded as text.
 
 from __future__ import annotations
 
+import math
+import os
 import re
+import struct
 import zipfile
+import zlib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,7 +46,10 @@ from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError
 from ..geometry import RigidTransform, euler_from_rotation, rotation_from_euler
 
-_FRAME_ARRAYS = ("timestamp", "points")
+_FRAME_MEMBERS = ["points.npy", "timestamp.npy"]
+_LOCAL_HEADER = struct.Struct("<4s22xHH")   # signature, name and extra field lengths
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+_READ_ERRORS = (OSError, EOFError, ValueError, struct.error, zipfile.BadZipFile)
 _FRAME_NAME = re.compile(r"frame_([0-9]{6}|[1-9][0-9]{6,})\.npz")  # {k:06d}: one name per k
 _POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
 _POSE_TOLERANCE = 0.5   # s, the farthest a pose may be taken from its nearest sample
@@ -44,33 +57,99 @@ _POSE_TOLERANCE = 0.5   # s, the farthest a pose may be taken from its nearest s
 
 def write_frame(path, frame: PointCloudFrame) -> None:
     with Path(path).open("wb") as fh:
-        np.savez(fh, timestamp=np.float64(frame.timestamp), points=frame.points)
+        np.savez(fh, timestamp=np.float64(frame.timestamp), points=np.ascontiguousarray(frame.points))
+
+
+class _Member(NamedTuple):
+    """A float64 array member of a frame file, located and checked up to its data."""
+
+    name: str
+    shape: tuple[int, ...]
+    offset: int      # file position of the array data
+    head_crc: int    # CRC-32 of the .npy header, to be continued over the data
+    crc: int         # CRC-32 of the whole member, from the zip directory
+
+
+def _member(fh, info: zipfile.ZipInfo, file_size: int) -> _Member:
+    """Locate a member's data: stored, C-order float64, header plus data filling the member within the file."""
+    if info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size or info.flag_bits & 1:
+        raise ValueError(f"{info.filename} is not a stored member")
+    fh.seek(info.header_offset)
+    signature, name_len, extra_len = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
+    if signature != b"PK\x03\x04":
+        raise ValueError(f"{info.filename} has no local file header")
+    start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+    fh.seek(start)
+    version = np.lib.format.read_magic(fh)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"{info.filename}: unsupported .npy version {version}")
+    shape, fortran_order, dtype = _HEADER_READERS[version](fh)
+    head_size = fh.tell() - start
+    if dtype != np.float64 or fortran_order or min(shape, default=0) < 0:
+        raise ValueError(f"{info.filename}: expected a C-order float64 array, got {dtype} {shape}"
+                         f"{' in Fortran order' if fortran_order else ''}")
+    data_size = 8 * math.prod(shape)
+    if head_size + data_size != info.file_size or start + info.file_size > file_size:
+        raise ValueError(f"{info.filename}: a {head_size} B header and {data_size} B of data "
+                         f"in a {info.file_size} B member")
+    fh.seek(start)
+    return _Member(info.filename, shape, start + head_size, zlib.crc32(fh.read(head_size)), info.CRC)
+
+
+def _read_into(fh, member: _Member, out: np.ndarray) -> None:
+    """Read a member's data into the C-contiguous float64 array out and check its CRC-32."""
+    data = out.reshape(-1).view(np.uint8)
+    fh.seek(member.offset)
+    if fh.readinto(data) != len(data) or zlib.crc32(data, member.head_crc) != member.crc:
+        raise ValueError(f"Bad CRC-32 for file {member.name!r}")
+
+
+def _frame_layout(path: Path) -> tuple[float, _Member]:
+    """A frame file's timestamp and its checked points member."""
+    with path.open("rb") as fh:
+        with zipfile.ZipFile(fh) as zf:
+            infos = zf.infolist()
+        if sorted(i.filename for i in infos) != _FRAME_MEMBERS:
+            raise ValueError(f"expected members {_FRAME_MEMBERS}, got {[i.filename for i in infos]}")
+        file_size = os.fstat(fh.fileno()).st_size
+        members = {i.filename: _member(fh, i, file_size) for i in infos}
+        timestamp, points = members["timestamp.npy"], members["points.npy"]
+        if timestamp.shape != () or len(points.shape) != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected float64 timestamp (), points (N, 3); "
+                             f"got timestamp {timestamp.shape}, points {points.shape}")
+        t = np.empty(())
+        _read_into(fh, timestamp, t)
+    return float(t), points
+
+
+def _read_frames(paths: list[Path], agent_id: int) -> list[PointCloudFrame]:
+    """Frames whose points are views of one array, each file read straight into its rows."""
+    layouts = []
+    for path in paths:
+        try:
+            layouts.append(_frame_layout(path))
+        except _READ_ERRORS as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    for path, (before, _), (t, _) in zip(paths[1:], layouts, layouts[1:]):
+        if t < before:
+            raise ValidationError(f"{path}: timestamp {t} falls below {before} of the frame before it")
+    ends = np.cumsum([points.shape[0] for _, points in layouts]).tolist()
+    block = np.empty((ends[-1], 3))
+    frames = []
+    for path, (t, points), end in zip(paths, layouts, ends):
+        rows = block[end - points.shape[0]:end]
+        try:
+            with path.open("rb") as fh:
+                _read_into(fh, points, rows)
+            frames.append(PointCloudFrame(t, rows, agent_id))
+        except _READ_ERRORS as exc:   # InvalidArgument from PointCloudFrame is a ValueError
+            raise ValidationError(f"{path}: {exc}") from None
+    return frames
 
 
 def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
     """Read one frame file; anything write_frame would not write raises ValidationError."""
-    path = Path(path)
-    try:
-        # np.load leaks the handle of a path it opens when the zip is unreadable, and
-        # returns a member that lacks the .npy header as raw bytes
-        with path.open("rb") as fh:
-            loaded = np.load(fh, allow_pickle=False)
-            if isinstance(loaded, np.ndarray):
-                raise TypeError("a plain .npy array, not an .npz archive")
-            with loaded:
-                arrays = {name: np.asarray(loaded[name]) for name in loaded.files}
-    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    if sorted(arrays) != sorted(_FRAME_ARRAYS):
-        raise ValidationError(f"{path}: expected arrays {list(_FRAME_ARRAYS)}, got {list(arrays)}")
-    timestamp, points = arrays["timestamp"], arrays["points"]
-    if [(a.dtype, a.ndim) for a in (timestamp, points)] != [(np.float64, 0), (np.float64, 2)] or points.shape[1] != 3:
-        got = ", ".join(f"{name} {arrays[name].dtype}{arrays[name].shape}" for name in _FRAME_ARRAYS)
-        raise ValidationError(f"{path}: expected float64 timestamp (), points (N, 3); got {got}")
-    try:
-        return PointCloudFrame(float(timestamp), points, agent_id)
-    except InvalidArgument as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _read_frames([Path(path)], agent_id)[0]
 
 
 def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
@@ -94,14 +173,9 @@ def read_frame_dir(directory, agent_id: int = 0) -> list[PointCloudFrame]:
     if not directory.is_dir():
         raise ValidationError(f"frame directory not found: {directory}")
     paths = sorted(directory.glob("*.npz"), key=_frame_index)
-    frames = [read_frame(p, agent_id) for p in paths]
-    if not frames:
+    if not paths:
         raise ValidationError(f"no frame files in {directory}")
-    for path, before, frame in zip(paths[1:], frames, frames[1:]):
-        if frame.timestamp < before.timestamp:
-            raise ValidationError(f"{path}: timestamp {frame.timestamp} falls below {before.timestamp} "
-                                  "of the frame before it")
-    return frames
+    return _read_frames(paths, agent_id)
 
 
 class PoseSample(NamedTuple):

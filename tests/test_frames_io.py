@@ -1,3 +1,4 @@
+import io
 import math
 import zipfile
 
@@ -22,6 +23,15 @@ def test_frame_round_trip(tmp_path, rng):
         assert sorted(archive.files) == ["points", "timestamp"]
 
 
+def test_fortran_order_frame_round_trip(tmp_path):
+    # the writer stores C order, the only order the reader accepts
+    points = np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7.0)
+    write_frame(tmp_path / "frame_000000.npz", make_frame(points, timestamp=0.5))
+    back = read_frame(tmp_path / "frame_000000.npz")
+    assert back.points.flags.c_contiguous
+    np.testing.assert_array_equal(back.points, points)
+
+
 def test_empty_frame_keeps_its_timestamp(tmp_path):
     # the file name suggests t = 0.5 at 10 Hz; the recorded time must win
     write_frame(tmp_path / "frame_000005.npz", make_frame(np.zeros((0, 3)), timestamp=1.25))
@@ -41,6 +51,22 @@ def test_frame_dir_round_trip(tmp_path, rng):
     for b, f in zip(back, frames):
         assert b.agent_id == 4
         np.testing.assert_array_equal(b.points, f.points)
+
+
+def test_frame_dir_frames_are_views_of_one_array(tmp_path, rng):
+    frames = [make_frame(rng.uniform(-9, 9, (n, 3)), timestamp=0.1 * k + 0.05) for k, n in enumerate([5, 0, 4])]
+    write_frame_dir(tmp_path, frames)
+    back = read_frame_dir(tmp_path, agent_id=3)
+    for k, b in enumerate(back):
+        one = read_frame(tmp_path / f"frame_{k:06d}.npz", agent_id=3)
+        assert (b.timestamp, b.agent_id, b.points.shape) == (one.timestamp, one.agent_id, one.points.shape)
+        assert b.points.tobytes() == one.points.tobytes()
+    # the 0-point frame between the others keeps its time and shape
+    assert (back[1].timestamp, back[1].points.shape) == (frames[1].timestamp, (0, 3))
+    base = back[0].points.base
+    assert base.shape == (9, 3)
+    assert all(b.points.base is base for b in back)
+    assert np.shares_memory(back[0].points, base) and np.shares_memory(back[2].points, base)
 
 
 def test_frame_dir_reads_in_index_order_past_six_digits(tmp_path):
@@ -100,10 +126,30 @@ def _plain_npy(path):
         np.save(fh, np.arange(12.0).reshape(4, 3))
 
 
-def _raw_member(path):
+def _points_member(path, data, name="points.npy"):
+    """A frame archive whose points member holds the given bytes, with a CRC-32 that matches them."""
     _savez(path, points=None)
     with zipfile.ZipFile(path, "a") as zf:
-        zf.writestr("points", b"0.0,1.0,2.0,3.0")
+        zf.writestr(name, data)
+
+
+def _npy(points, **header):
+    """The .npy bytes of points, with header fields replaced."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": points.shape, **header})
+    return buf.getvalue() + points.tobytes()
+
+
+def _corrupt_payload(path):
+    _savez(path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(np.arange(12.0).tobytes()) + 50] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _compressed(path):
+    with path.open("wb") as fh:
+        np.savez_compressed(fh, timestamp=np.float64(0.5), points=np.arange(12.0).reshape(4, 3))
 
 
 MALFORMED_FRAMES = {
@@ -115,7 +161,12 @@ MALFORMED_FRAMES = {
     "extra_array": lambda p: _savez(p, ring=np.zeros(4)),
     "leftover_intensities": lambda p: _savez(p, intensities=np.full(4, 20.0)),
     "object_array": lambda p: _savez(p, points=np.arange(12.0).reshape(4, 3).astype(object)),
-    "raw_member": _raw_member,
+    "raw_member": lambda p: _points_member(p, b"0.0,1.0,2.0,3.0", name="points"),
+    "corrupt_payload": _corrupt_payload,
+    "huge_shape": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3), shape=(10**12, 3))),
+    "trailing_bytes": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3)) + bytes(24)),
+    "compressed": _compressed,
+    "fortran_order": lambda p: _savez(p, points=np.asfortranarray(np.arange(12.0).reshape(4, 3))),
     "timestamp_shape": lambda p: _savez(p, timestamp=np.array([0.5])),
     "timestamp_dtype": lambda p: _savez(p, timestamp=np.int64(5)),
     "points_flat": lambda p: _savez(p, points=np.arange(12.0)),
