@@ -15,7 +15,23 @@ areas are shoelace sums.
 The IoU is computed only for pairs whose circumcircles, of radius
 ½·hypot(length, width), meet (with a relative slack of 1e-9 against
 rounding). Disjoint circles mean disjoint footprints and an IoU of 0, below
-the merge threshold, so the gate changes no fusion decision.
+the merge threshold, so the gate changes no fusion decision. `late_fuse`
+evaluates the gate for every pair of candidates in one (N, N) comparison,
+with the same float operations as pair by pair. A pair that passes the gate
+is still not clipped when its footprint areas A and B (length times width)
+satisfy min(A, B) < 0.3 * max(A, B) * (1 - 1e-6): the intersection is at
+most min(A, B) and the union at least max(A, B), so the IoU is below the
+threshold. The relative slack of 1e-6 is far above the rounding of the
+clipped areas, so no pair whose computed IoU could reach the threshold is
+skipped, and a pair at exactly the threshold ratio is still clipped. The
+bound is one float comparison per pair; it spares the clip of a pole
+against a wall or a vehicle.
+
+`project_box` projects all boxes of one set at once: their centers and
+heading axes are stacked into (N, 3, 1) columns and multiplied by the
+rotation as one stacked mat-vec, which rounds each box exactly as the
+single product rot @ (x, y, z) does. Stacking them as rows, centers @
+rot.T, would sum in a different order and change the last bits.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .errors import InvalidArgument, ValidationError
 from .geometry import RigidTransform
 
 _IOU_THRESHOLD = 0.3    # boxes overlapping at this BEV IoU or more are one object
+_AREA_FLOOR = _IOU_THRESHOLD * (1.0 - 1e-6)  # below this area ratio a pair cannot merge
 
 
 @dataclass
@@ -122,26 +139,34 @@ def iou_bev(a: OrientedBox, b: OrientedBox) -> float:
     return min(1.0, max(0.0, inter_area / union))
 
 
-def project_box(box: OrientedBox, transform: RigidTransform) -> OrientedBox:
-    """Re-express a box in another frame as an upright box.
+def project_box(boxes: list[OrientedBox], transform: RigidTransform) -> list[OrientedBox]:
+    """Re-express boxes in another frame as upright boxes.
 
-    The center is transformed as a point. The heading is that of the
+    Each center is transformed as a point. A heading is that of the
     transformed length axis projected onto the ground plane. The dimensions
     carry over unchanged.
     """
+    if not boxes:
+        return []
     rot = transform.rotation
-    center = rot @ (box.x, box.y, box.z) + transform.translation
-    axis = rot @ (math.cos(box.heading), math.sin(box.heading), 0.0)
-    return OrientedBox(
-        x=float(center[0]),
-        y=float(center[1]),
-        z=float(center[2]),
-        length=box.length,
-        width=box.width,
-        height=box.height,
-        heading=math.atan2(axis[1], axis[0]),
-        confidence=box.confidence,
-    )
+    centers = np.array([(b.x, b.y, b.z) for b in boxes])
+    axes = np.array([(math.cos(b.heading), math.sin(b.heading), 0.0) for b in boxes])
+    # one mat-vec per box, stacked: each rounds as rot @ (x, y, z) alone does
+    centers = (rot @ centers[:, :, None])[:, :, 0] + transform.translation
+    axes = (rot @ axes[:, :, None])[:, :, 0]
+    return [
+        OrientedBox(
+            x=x,
+            y=y,
+            z=z,
+            length=box.length,
+            width=box.width,
+            height=box.height,
+            heading=math.atan2(ay, ax),
+            confidence=box.confidence,
+        )
+        for box, (x, y, z), (ax, ay, _) in zip(boxes, centers.tolist(), axes.tolist())
+    ]
 
 
 def late_fuse(sets: list[DetectionSet], transforms: dict[int, RigidTransform]) -> FusedFrame:
@@ -160,30 +185,39 @@ def late_fuse(sets: list[DetectionSet], transforms: dict[int, RigidTransform]) -
 
     candidates = []
     for ds in sorted(sets, key=lambda s: s.agent_id):
-        t = transforms[ds.agent_id]
-        for box in ds.boxes:
-            candidates.append((project_box(box, t), ds.agent_id))
+        candidates += [(box, ds.agent_id) for box in project_box(ds.boxes, transforms[ds.agent_id])]
 
     # higher confidence wins; ties by lower agent id, then input order
     order = sorted(
         range(len(candidates)),
         key=lambda k: (-candidates[k][0].confidence, candidates[k][1], k),
     )
+    # the circle gate of every pair at once; a kept box is tested only if it meets the candidate's circle
+    x = np.array([b.x for b, _ in candidates])
+    y = np.array([b.y for b, _ in candidates])
+    radius = np.array([0.5 * math.hypot(b.length, b.width) for b, _ in candidates])
+    near = np.hypot(x[:, None] - x, y[:, None] - y) <= (radius[:, None] + radius) * (1.0 + 1e-9)
+    neighbours: list[list[int]] = [[] for _ in candidates]
+    for k, j in zip(*(a.tolist() for a in np.nonzero(near))):
+        neighbours[k].append(j)
+
     kept: list[OrientedBox] = []
+    kept_area: list[float] = []
     contributors: list[set[int]] = []
-    kept_x, kept_y, kept_r = (np.empty(len(candidates)) for _ in range(3))
+    slot: dict[int, int] = {}  # candidate index -> its position in kept
     for k in order:
         box, aid = candidates[k]
-        n = len(kept)
-        radius = 0.5 * math.hypot(box.length, box.width)
-        gap = np.hypot(kept_x[:n] - box.x, kept_y[:n] - box.y)
-        for i in np.flatnonzero(gap <= (kept_r[:n] + radius) * (1.0 + 1e-9)):
+        area = box.length * box.width
+        for i in sorted(slot[j] for j in neighbours[k] if j in slot):
+            if min(area, kept_area[i]) < _AREA_FLOOR * max(area, kept_area[i]):
+                continue
             if iou_bev(box, kept[i]) >= _IOU_THRESHOLD:
                 contributors[i].add(aid)
                 break
         else:
-            kept_x[n], kept_y[n], kept_r[n] = box.x, box.y, radius
+            slot[k] = len(kept)
             kept.append(box)
+            kept_area.append(area)
             contributors.append({aid})
 
     anchor_time = sets[0].timestamp

@@ -15,6 +15,15 @@ The heading is the direction of the xy velocity (a box's long axis has no
 sign, so only its center and dimensions are read); a stopped object's
 heading follows its velocity noise. Detections are associated to predicted
 track positions with the Hungarian algorithm under a 4 m Euclidean gate.
+
+Each step predicts all tracks in one `kf_predict` call and updates all
+matched tracks in one `kf_update` call: the states and covariances are
+stacked into (T, 3, 3) arrays, and every track then holds row views of the
+result. The stacked algebra is the single-track algebra term for term
+(state @ F^T, F @ P @ F^T, the Joseph form (I - K H) P (I - K H)^T, and the
+outer products as broadcast elementwise products), and NumPy's stacked
+matmul runs the same kernel on each (3, 3) matrix as it does on one alone,
+so a track's numbers do not depend on how many tracks share its step.
 """
 
 from __future__ import annotations
@@ -86,37 +95,48 @@ class Track:
         return wrap_angle(math.atan2(self.state[1, 1], self.state[0, 1]))
 
 
-def kf_predict(track: Track, dt: float) -> None:
-    """Advance a track in place by dt with the constant-acceleration model."""
+def kf_predict(tracks: list[Track], dt: float) -> None:
+    """Advance every track in place by dt with the constant-acceleration model."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise InvalidArgument(f"dt must be positive, got {dt}")
+    if not tracks:
+        return
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
-    track.state = track.state @ f.T
-    cov = f @ track.covariance @ f.T + _Q * (dt / _NOMINAL_DT)
-    track.covariance = 0.5 * (cov + cov.T)
+    state = np.array([t.state for t in tracks]) @ f.T
+    cov = f @ np.array([t.covariance for t in tracks]) @ f.T + _Q * (dt / _NOMINAL_DT)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    for track, s, c in zip(tracks, state, cov):
+        track.state, track.covariance = s, c
 
 
-def kf_update(track: Track, box: OrientedBox) -> None:
-    """Measurement update in place with the detected box center and dimensions.
+def kf_update(tracks: list[Track], boxes: list[OrientedBox]) -> None:
+    """Measurement update in place of tracks[k] with the center and dimensions of boxes[k].
 
     Each axis measures only its position, so the innovation is a scalar per
-    axis and every axis shares the gain P[:, 0] / (P[0, 0] + R).
+    axis and every axis of a track shares the gain P[:, 0] / (P[0, 0] + R).
     """
-    p = track.covariance
-    gain = p[:, 0] / (p[0, 0] + _R)
-    innovation = np.array([box.x, box.y, box.z]) - track.position
-    track.state = track.state + np.outer(innovation, gain)
-    ikh = np.eye(3)
-    ikh[:, 0] -= gain
-    cov = ikh @ p @ ikh.T + _R * np.outer(gain, gain)  # Joseph form
-    track.covariance = 0.5 * (cov + cov.T)
+    if len(tracks) != len(boxes):
+        raise InvalidArgument(f"{len(tracks)} tracks for {len(boxes)} boxes")
+    if not tracks:
+        return
+    state = np.array([t.state for t in tracks])
+    p = np.array([t.covariance for t in tracks])
+    gain = p[:, :, 0] / (p[:, 0, 0] + _R)[:, None]
+    innovation = np.array([[b.x, b.y, b.z] for b in boxes]) - state[:, :, 0]
+    state = state + innovation[:, :, None] * gain[:, None, :]
+    ikh = np.tile(np.eye(3), (len(tracks), 1, 1))
+    ikh[:, :, 0] -= gain
+    cov = ikh @ p @ ikh.transpose(0, 2, 1) + _R * (gain[:, :, None] * gain[:, None, :])  # Joseph form
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
 
     beta = _DIM_EMA
-    track.length = (1 - beta) * track.length + beta * box.length
-    track.width = (1 - beta) * track.width + beta * box.width
-    track.height = (1 - beta) * track.height + beta * box.height
-    track.hits += 1
-    track.misses = 0
+    for track, box, s, c in zip(tracks, boxes, state, cov):
+        track.state, track.covariance = s, c
+        track.length = (1 - beta) * track.length + beta * box.length
+        track.width = (1 - beta) * track.width + beta * box.width
+        track.height = (1 - beta) * track.height + beta * box.height
+        track.hits += 1
+        track.misses = 0
 
 
 def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -> list[tuple[int, int]]:
@@ -170,15 +190,12 @@ class MultiObjectTracker:
             )
 
         if self._last_timestamp is not None:
-            dt = frame.timestamp - self._last_timestamp
-            for track in self.tracks:
-                kf_predict(track, dt)
+            kf_predict(self.tracks, frame.timestamp - self._last_timestamp)
 
         pairs = associate(self.tracks, frame.boxes, _GATE)
         for track in self.tracks:
             track.misses += 1  # kf_update resets a matched track's count
-        for ti, di in pairs:
-            kf_update(self.tracks[ti], frame.boxes[di])
+        kf_update([self.tracks[ti] for ti, _ in pairs], [frame.boxes[di] for _, di in pairs])
         self.tracks = [t for t in self.tracks if t.misses <= c.max_age]
 
         matched = {di for _, di in pairs}

@@ -70,9 +70,14 @@ def test_traced_pass_reads_every_counter(data, tmp_path):
         result = _run(source, map_source)
     assert result.failed == 0 and result.rows
     assert tr.counter_errors == set()
-    # a renamed function would leave its span absent and its per-layer metrics at zero
+    # a renamed function would leave its span absent and its per-layer metrics at zero,
+    # and so would a path that no longer calls it through its module name
     required = {"tracking.kf_predict", "tracking.kf_update", "tracking.associate", "fusion.late_fuse",
                 "fusion.project_box"}
     assert required.isdisjoint(tr.absent)
+    assert required <= {span[0] for span in tr.spans}
+    # the filter runs once per step over all tracks, not once per track
+    steps = tr.calls("tracking.step")
+    assert steps and tr.calls("tracking.kf_predict") <= steps and tr.calls("tracking.kf_update") <= steps
     metrics = tracer.layer_metrics(tr)
     assert metrics["world_model.map_load.lanelets"][0] == len(data.vector_map["lanelets"])

@@ -292,7 +292,7 @@ def test_project_box_preserves_dims():
             rotation_from_euler(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-50, 50, 3),
         )
-        p = project_box(b, t)
+        p, = project_box([b], t)
         assert p.length == pytest.approx(b.length, abs=1e-6)
         assert p.width == pytest.approx(b.width, abs=1e-6)
         assert p.height == pytest.approx(b.height, abs=1e-6)
@@ -301,7 +301,7 @@ def test_project_box_preserves_dims():
 def test_project_box_pure_yaw_moves_heading():
     b = box(10.0, 0.0, heading=0.3)
     t = RigidTransform(rotation_from_euler(0.0, 0.0, math.pi / 2), [0, 0, 0])
-    p = project_box(b, t)
+    p, = project_box([b], t)
     assert p.heading == pytest.approx(0.3 + math.pi / 2, abs=1e-9)
     assert (p.x, p.y) == pytest.approx((0.0, 10.0), abs=1e-9)
 
@@ -321,9 +321,29 @@ def test_project_box_matches_corner_reference():
         corners = np.vstack([np.c_[foot, np.full(4, b.z + dz)] for dz in (-b.height / 2, b.height / 2)])
         corners = t.apply(corners)
         edge = corners[0] - corners[1]
-        p = project_box(b, t)
+        p, = project_box([b], t)
         np.testing.assert_allclose([p.x, p.y, p.z], corners.mean(axis=0), rtol=0, atol=1e-12)
         assert abs(math.remainder(p.heading - math.atan2(edge[1], edge[0]), 2 * math.pi)) <= 1e-12
+
+
+def test_project_box_rounds_as_one_mat_vec_per_box():
+    # the stacked product must round as rot @ (x, y, z) + t does for each box alone;
+    # centers @ rot.T sums in another order and differs in most of these cases
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        t = RigidTransform(
+            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rng.uniform(-500, 500, 3),
+        )
+        boxes = [box(*rng.uniform(-300, 300, 2), z=rng.uniform(-2, 2), heading=rng.uniform(-math.pi, math.pi))
+                 for _ in range(3)]
+        for b, p in zip(boxes, project_box(boxes, t), strict=True):
+            center = t.rotation @ (b.x, b.y, b.z) + t.translation
+            axis = t.rotation @ (math.cos(b.heading), math.sin(b.heading), 0.0)
+            assert (p.x, p.y, p.z) == tuple(center.tolist())
+            assert p.heading == math.atan2(axis[1], axis[0])
+            assert (p.length, p.width, p.height, p.confidence) == (b.length, b.width, b.height, b.confidence)
+    assert project_box([], IDENTITY) == []
 
 
 def test_late_fuse_single_agent_passthrough():
@@ -390,7 +410,7 @@ def all_pairs_fuse(sets, transforms):
     """Reference: every candidate is tested against every kept box, in kept order."""
     candidates = []
     for ds in sorted(sets, key=lambda s: s.agent_id):
-        candidates += [(project_box(b, transforms[ds.agent_id]), ds.agent_id) for b in ds.boxes]
+        candidates += [(p, ds.agent_id) for p in project_box(ds.boxes, transforms[ds.agent_id])]
     order = sorted(range(len(candidates)), key=lambda k: (-candidates[k][0].confidence, candidates[k][1], k))
     kept, contributors = [], []
     for k in order:
@@ -469,6 +489,35 @@ def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
     # circumradius of a 4 x 2 box is sqrt(5): 0.5 m and 4.4 m gaps are inside 2*sqrt(5)
     assert sorted(calls) == [(0.5, 0.0), (64.4, 60.0)]
     assert fused.provenance == [(0, 1), (0,), (0,), (1,)]
+
+
+def test_late_fuse_never_clips_a_pair_whose_areas_rule_out_the_threshold(monkeypatch):
+    # IoU <= min(A, B) / max(A, B): a pole (0.04 m^2) against a wall (6 m^2) can
+    # never reach 0.3, so only the two walls and the two poles are clipped
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(sorted((a.length * a.width, b.length * b.width)))
+        return iou_bev(a, b)
+
+    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+    wall, pole = dict(l=20.0, w=0.3, conf=0.9), dict(l=0.2, w=0.2, conf=0.3)
+    sets = [make_set(0.0, 0, [box(0.0, 0.0, **wall), box(3.0, 0.4, **pole), box(-6.0, -0.3, **pole)]),
+            make_set(0.0, 1, [box(0.2, 0.05, **wall), box(3.02, 0.41, **pole)])]
+    transforms = {0: IDENTITY, 1: IDENTITY}
+    fused = late_fuse(sets, transforms)
+    assert len(calls) == 2 and all(lo >= 0.3 * hi for lo, hi in calls)
+    assert fused.provenance == [(0, 1), (0, 1), (0,)]
+    monkeypatch.setattr(fusion, "iou_bev", iou_bev)
+    assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms)
+
+
+def test_late_fuse_merges_a_box_inside_another_at_area_ratio_0_3():
+    # a 3 x 3 box inside a 10 x 3 box: IoU 9 / 30, exactly at the threshold and the area bound
+    big, small = box(0.0, 0.0, l=10.0, w=3.0, conf=0.9), box(1.0, 0.0, l=3.0, w=3.0, conf=0.5)
+    assert iou_bev(big, small) == 0.3
+    fused = late_fuse([make_set(0.0, 0, [big]), make_set(0.0, 1, [small])], {0: IDENTITY, 1: IDENTITY})
+    assert fused.boxes == [big] and fused.provenance == [(0, 1)]
 
 
 def short_arc_fleet(seed):

@@ -7,6 +7,7 @@ import pytest
 from cavtraj.detection import OrientedBox
 from cavtraj.errors import InvalidArgument
 from cavtraj.fusion import FusedFrame
+from cavtraj import tracking
 from cavtraj.geometry import wrap_angle
 from cavtraj.tracking import (
     MultiObjectTracker,
@@ -44,7 +45,7 @@ def frame(t, boxes):
 
 def test_predict_constant_velocity():
     t = make_track(vel=(10, 0, 0))
-    kf_predict(t, 0.1)
+    kf_predict([t], 0.1)
     assert t.position[0] == pytest.approx(1.0)
     assert t.velocity[0] == pytest.approx(10.0)
 
@@ -52,14 +53,14 @@ def test_predict_constant_velocity():
 def test_predict_stationary_grows_covariance():
     t = make_track()
     trace_before = np.trace(t.covariance)
-    kf_predict(t, 0.1)
+    kf_predict([t], 0.1)
     np.testing.assert_allclose(t.position, [0, 0, 0])
     assert np.trace(t.covariance) > trace_before
 
 
 def test_predict_constant_acceleration():
     t = make_track(acc=(1, 0, 0))
-    kf_predict(t, 1.0)
+    kf_predict([t], 1.0)
     assert t.position[0] == pytest.approx(0.5)
     assert t.velocity[0] == pytest.approx(1.0)
 
@@ -68,7 +69,12 @@ def test_predict_rejects_bad_dt():
     t = make_track()
     for dt in (0.0, -0.1, float("nan")):
         with pytest.raises(InvalidArgument):
-            kf_predict(t, dt)
+            kf_predict([t], dt)
+
+
+def test_update_rejects_unpaired_lists():
+    with pytest.raises(InvalidArgument):
+        kf_update([make_track()], [])
 
 
 # --- association ------------------------------------------------------------------
@@ -240,9 +246,9 @@ def test_covariance_stays_spd_over_many_cycles():
     track = make_track(vel=(5, 0, 0))
     rng = np.random.default_rng(17)
     for k in range(10_000):
-        kf_predict(track, 0.1)
+        kf_predict([track], 0.1)
         box = det(track.position[0] + rng.normal(0, 0.2), rng.normal(0, 0.2))
-        kf_update(track, box)
+        kf_update([track], [box])
         if k % 997 == 0:
             cov = track.covariance
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
@@ -269,8 +275,8 @@ def test_heading_follows_velocity_through_predict_and_update():
     assert track.heading == 0.0  # a new track has no velocity yet
     rng = np.random.default_rng(5)
     for k in range(40):  # a vehicle driving north-west at 14 m/s
-        kf_predict(track, 0.1)
-        kf_update(track, det(-10.0 * 0.1 * (k + 1), 10.0 * 0.1 * (k + 1), heading=float(rng.uniform(-4, 4))))
+        kf_predict([track], 0.1)
+        kf_update([track], [det(-10.0 * 0.1 * (k + 1), 10.0 * 0.1 * (k + 1), heading=float(rng.uniform(-4, 4)))])
         assert track.heading == wrap_angle(math.atan2(track.velocity[1], track.velocity[0]))
     assert track.heading == pytest.approx(3 * math.pi / 4, abs=0.01)
 
@@ -283,8 +289,8 @@ def test_box_heading_turned_by_pi_changes_nothing():
         x, y = 1.0 + 0.8 * (k + 1) + rng.normal(0, 0.2), 2.0 - 0.3 * (k + 1) + rng.normal(0, 0.2)
         heading = float(rng.uniform(-math.pi, math.pi))
         for turn, track in tracks.items():
-            kf_predict(track, 0.1)
-            kf_update(track, det(x, y, heading=heading + turn))
+            kf_predict([track], 0.1)
+            kf_update([track], [det(x, y, heading=heading + turn)])
         a, b = tracks.values()
         np.testing.assert_array_equal(a.state, b.state)
         np.testing.assert_array_equal(a.covariance, b.covariance)
@@ -376,14 +382,14 @@ def test_matches_nine_state_reference():
         dt = float(rng.uniform(0.05, 0.3))
         pos = pos + vel * dt
         vel = vel + np.array([math.sin(0.1 * k), -0.5, 0.0]) * dt  # vy turns negative: westward across +-pi
-        kf_predict(track, dt)
+        kf_predict([track], dt)
         state, cov = _ref_predict(state, cov, dt)
         _assert_axes_decoupled(cov)
         _assert_matches_reference(track, state, cov)
         if rng.random() < 0.3:  # missed step: predict only
             continue
         box = box_at()
-        kf_update(track, box)
+        kf_update([track], [box])
         state, cov = _ref_update(state, cov, box)
         updates += 1
         if abs(track.heading) > math.pi / 2:
@@ -392,3 +398,97 @@ def test_matches_nine_state_reference():
         _assert_matches_reference(track, state, cov)
     assert 150 < updates < 270
     assert sides == {True, False}  # the heading crossed the seam
+
+
+# --- equivalence with the per-track filter -------------------------------------------
+#
+# The reference below is the filter as it was before kf_predict and kf_update
+# took lists: the same algebra on one track's (3, 3) arrays at a time. The
+# batched functions run it on stacked (T, 3, 3) arrays, where NumPy's stacked
+# matmul runs the same kernel per matrix, so every bit must agree.
+
+
+def _per_track_predict(track, dt):
+    if dt <= 0.0 or not math.isfinite(dt):
+        raise InvalidArgument(f"dt must be positive, got {dt}")
+    f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
+    track.state = track.state @ f.T
+    cov = f @ track.covariance @ f.T + tracking._Q * (dt / tracking._NOMINAL_DT)
+    track.covariance = 0.5 * (cov + cov.T)
+
+
+def _per_track_update(track, box):
+    p = track.covariance
+    gain = p[:, 0] / (p[0, 0] + tracking._R)
+    innovation = np.array([box.x, box.y, box.z]) - track.position
+    track.state = track.state + np.outer(innovation, gain)
+    ikh = np.eye(3)
+    ikh[:, 0] -= gain
+    cov = ikh @ p @ ikh.T + tracking._R * np.outer(gain, gain)  # Joseph form
+    track.covariance = 0.5 * (cov + cov.T)
+
+    beta = tracking._DIM_EMA
+    track.length = (1 - beta) * track.length + beta * box.length
+    track.width = (1 - beta) * track.width + beta * box.width
+    track.height = (1 - beta) * track.height + beta * box.height
+    track.hits += 1
+    track.misses = 0
+
+
+def _per_track_tracker_step(monkeypatch, tracker, fr):
+    """One step of `tracker` with the per-track reference in place of the batched filter."""
+    def predict(tracks, dt):
+        for t in tracks:
+            _per_track_predict(t, dt)
+
+    def update(tracks, boxes):
+        for t, b in zip(tracks, boxes):
+            _per_track_update(t, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(tracking, "kf_predict", predict)
+        m.setattr(tracking, "kf_update", update)
+        return tracker.step(fr)
+
+
+def test_batched_filter_matches_per_track_reference(monkeypatch):
+    """Seeded 200-step stream: mixed dt, objects born and lost, missed detections, clutter."""
+    rng = np.random.default_rng(37)
+    # (position at t = 0, velocity, first step, steps seen)
+    objects = [(rng.uniform(-60, 60, 2), rng.uniform(-15, 15, 2), int(rng.integers(0, 170)), int(rng.integers(10, 90)))
+               for _ in range(14)]
+    batched, reference = MultiObjectTracker(), MultiObjectTracker()
+    t, alive = 0.0, set()
+    born = dropped = missed = most = reported = 0
+    for k in range(200):
+        t += float(rng.uniform(0.05, 0.3))
+        boxes = []
+        for p0, v, first, seen in objects:
+            if first <= k < first + seen:
+                if rng.random() < 0.2:
+                    missed += 1
+                    continue
+                x, y = p0 + v * t + rng.normal(0, 0.2, 2)
+                boxes.append(OrientedBox(x, y, 0.75 + rng.normal(0, 0.05), rng.uniform(4.0, 4.8),
+                                         rng.uniform(1.7, 2.0), rng.uniform(1.3, 1.6), 0.0, 0.9))
+        boxes += [det(*rng.uniform(-80, 80, 2)) for _ in range(rng.integers(0, 2))]  # clutter
+        boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+
+        got = batched.step(frame(t, boxes))
+        want = _per_track_tracker_step(monkeypatch, reference, frame(t, boxes))
+        assert [a.track_id for a in got] == [b.track_id for b in want]
+        reported += len(got)
+        assert len(batched.tracks) == len(reference.tracks)
+        for a, b in zip(batched.tracks, reference.tracks):
+            assert (a.track_id, a.hits, a.misses) == (b.track_id, b.hits, b.misses)
+            assert a.state.tobytes() == b.state.tobytes()
+            assert a.covariance.tobytes() == b.covariance.tobytes()
+            assert (a.length, a.width, a.height) == (b.length, b.width, b.height)
+
+        ids = {a.track_id for a in batched.tracks}
+        born += len(ids - alive)
+        dropped += len(alive - ids)
+        alive = ids
+        most = max(most, len(ids))
+    # 122 born, 119 dropped, 122 missed detections, 13 tracks at most, 437 confirmed track rows
+    assert born > 100 and dropped > 100 and missed > 100 and most >= 10 and reported > 400
