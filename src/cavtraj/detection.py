@@ -72,11 +72,12 @@ class DetectionConfig:
     link_angle: float = 0.045       # rad, obstacle points link within link_angle * range
 
     def __post_init__(self):
+        # true and false are not numbers here, as for min_cluster_points
         for name in ("cell_size", "extent", "link_angle"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
-        if not math.isfinite(self.ground_height):
+        if isinstance(self.ground_height, bool) or not math.isfinite(self.ground_height):
             raise InvalidArgument(f"ground_height must be finite: {self.ground_height!r}")
         n = self.min_cluster_points
         if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):

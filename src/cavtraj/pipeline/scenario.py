@@ -26,10 +26,14 @@ _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
 
 
 def _check_finite(spec, names, zero_ok: bool = False) -> None:
-    """ValidationError unless each named field is a finite number > 0 (>= 0 if zero_ok)."""
+    """ValidationError unless each named field is a finite number > 0 (>= 0 if zero_ok).
+
+    True and false are not numbers here, as for the integer fields.
+    """
     for name in names:
         value = getattr(spec, name)
-        if not (isinstance(value, Real) and math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        if not (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+                and (value > 0 or zero_ok and value == 0)):
             bound = ">= 0" if zero_ok else "> 0"
             raise ValidationError(f"{type(spec).__name__}.{name} must be finite and {bound}: {value!r}")
 

@@ -9,10 +9,10 @@ boundary polylines, read from a JSON file in the map frame:
                    "left_boundary": [...], "right_boundary": [...],
                    "predecessors": [], "successors": [101]}, ...]}
 
-The top level is an object with only the keys `name` (a string, default
-"") and `lanelets` (required, a non-empty list). Each lanelet is an object
-that needs `lanelet_id`, `lane_id` and the three polylines and may carry
-other keys, which are ignored. Ids are integers >= 0; an integral number
+The top level is an object with only the keys `name` (optional, a string,
+which is checked and not kept) and `lanelets` (required, a non-empty list).
+Each lanelet is an object that needs `lanelet_id`, `lane_id` and the three
+polylines and may carry other keys, which are ignored. Ids are integers >= 0; an integral number
 such as 100.0 counts, true and false do not. `predecessors` and `successors` are
 optional lists of integer lanelet ids. A polyline is a list of at least two
 [x, y, z] points of finite numbers in metres, with no zero-length segment
@@ -56,8 +56,10 @@ check), one `_bisect` for all interior vertex normals, one for all joint
 normals, and a row-wise cumsum over the segment lengths padded with zeros,
 which adds in the order of a cumsum per polyline (one padded block per power
 of two of the segment count, so the padding stays below the points). The
-stack is read-only once the joint normals are written, each centerline is a
-view of it, and the projection reads the stack itself.
+stack is read-only once the joint normals are written. The stack plus one
+frozen `Lanelet` per lanelet (ids, links, centerline length and chain offset)
+is the whole map, and the projection reads the stack's rows by polyline
+number.
 
 The lanelet choice and the corridor test use the nearest chord of each
 polyline. Each lanelet has a reach box: the axis-aligned bounding box of its
@@ -80,9 +82,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -231,109 +233,41 @@ class _PolylineStack:
             a.flags.writeable = False
 
 
-class _Polyline:
-    """2D polyline: views of its rows of a frozen `_PolylineStack`, with vertex normals."""
-
-    __slots__ = ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "length", "normals")
-
-    def __init__(self, stack: _PolylineStack, i: int):
-        start, end = stack.first[i:i + 2].tolist()
-        self.points = stack.points[start:end]
-        self.seg_start = stack.points[start:end - 1, :2]
-        self.seg_dir = stack.seg_dir[start:end - 1]
-        self.seg_len = stack.seg_len[start:end - 1]
-        self.cum_len = stack.cum_len[start:end]
-        self.length = float(self.cum_len[-1])
-        self.normals = stack.normals[start:end]
-
-    def frenet(self, xy, s_chord: float) -> tuple[float, float]:
-        """Arc length and right-positive crosstrack of the foot on the vertex normals.
-
-        On segment k with unit direction e and length L the foot is
-        P(u) = start + u·e, at the u where p − P(u) is parallel to
-        N(u) = N_k + (u/L)·(N_{k+1} − N_k). The search starts on the segment
-        holding `s_chord` (the nearest chord's foot) and walks to the neighbour
-        while u leaves [0, L]. On the first and last segment u extrapolates past
-        the end, which keeps downtrack continuous across lanelet joints.
-        """
-        p = np.asarray(xy, dtype=float)[:2]
-        last = len(self.seg_len) - 1
-        k = min(int(np.searchsorted(self.cum_len, s_chord, side="right")) - 1, last)
-        u = self._foot(p, k)
-        step = 1 if u > self.seg_len[k] else -1
-        while (u > self.seg_len[k] if step > 0 else u < 0.0) and 0 <= k + step <= last:
-            k += step
-            u = self._foot(p, k)
-        if (u < 0.0 and k > 0) or (u > self.seg_len[k] and k < last):
-            # walked past the point: it lies where the normals of neighbouring
-            # segments cross (inside a sharp bend); take their shared vertex
-            u = min(max(u, 0.0), float(self.seg_len[k]))
-        n0, n1 = self.normals[k], self.normals[k + 1]
-        normal = n0 + (u / self.seg_len[k]) * (n1 - n0)
-        off = p - self.seg_start[k] - u * self.seg_dir[k]
-        cross = (off[0] * normal[0] + off[1] * normal[1]) / math.hypot(normal[0], normal[1])
-        return float(self.cum_len[k] + u), float(cross)
-
-    def _foot(self, p: np.ndarray, k: int) -> float:
-        # p − P(u) ∥ N(u) is cross(r − u·e, N_k + u·m) = 0 with r = p − start
-        # and m = (N_{k+1} − N_k)/L, i.e. qa·u² + qb·u + qc = 0. The root taken
-        # tends to −qc/qb as the segment straightens (m → 0), where 2·qc/den
-        # stays exact.
-        ex, ey = self.seg_dir[k].tolist()
-        nx, ny = self.normals[k].tolist()
-        mx, my = ((self.normals[k + 1] - self.normals[k]) / self.seg_len[k]).tolist()
-        rx, ry = (p - self.seg_start[k]).tolist()
-        qa = mx * ey - my * ex
-        qb = (rx * my - ry * mx) - (ex * ny - ey * nx)
-        qc = rx * ny - ry * nx
-        den = -qb - math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb)
-        if den == 0.0:
-            return float(rx * ex + ry * ey)  # no foot on this segment's normals
-        return float(2.0 * qc / den)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Lanelet:
+    """A lanelet's ids and links as its map entry gives them; load fills in the two lengths.
+
+    Its geometry is the rows of the map's polyline stack: the lanelet at
+    input position k owns polylines 3k (centerline), 3k + 1 and 3k + 2.
+    """
+
     lanelet_id: int
     lane_id: int
-    centerline: _Polyline
     predecessors: tuple[int, ...]
     successors: tuple[int, ...]
+    length: float = 0.0  # of the centerline
     chain_offset: float = 0.0  # downtrack of this lanelet's start within its lane chain
-
-    @property
-    def length(self) -> float:
-        return self.centerline.length
-
-
-class _Links(NamedTuple):
-    """A lanelet's ids and links, as its map entry gives them."""
-
-    lanelet_id: int
-    lane_id: int
-    predecessors: tuple[int, ...]
-    successors: tuple[int, ...]
 
 
 class VectorMap:
     """Immutable-after-load lanelet map supporting Frenet queries; `vector_map_from_dict` builds it."""
 
-    def __init__(self, links: list[_Links], stack: _PolylineStack, name: str = ""):
-        """links[k] belongs to the lanelet whose three polylines are rows 3k to 3k + 2 of the stack."""
-        self.name = name
-        index: dict[int, int] = {}  # lanelet id -> position in links
-        for k, (lanelet_id, *_) in enumerate(links):
-            if lanelet_id in index:
-                raise ValidationError(f"duplicate lanelet_id {lanelet_id}")
-            index[lanelet_id] = k
-        same_lane_pred = self._join_lane_chains(links, index, stack)
+    def __init__(self, lanelets: list[Lanelet], stack: _PolylineStack):
+        """lanelets[k] owns the polylines 3k to 3k + 2 of the stack; its two lengths are filled in here."""
+        index: dict[int, int] = {}  # lanelet id -> input position
+        for k, ll in enumerate(lanelets):
+            if ll.lanelet_id in index:
+                raise ValidationError(f"duplicate lanelet_id {ll.lanelet_id}")
+            index[ll.lanelet_id] = k
+        same_lane_pred = self._join_lane_chains(lanelets, index, stack)
         stack.freeze()
         self._stack = stack
-        self.lanelets: dict[int, Lanelet] = {
-            lanelet_id: Lanelet(lanelet_id, lane_id, _Polyline(stack, 3 * k), predecessors, successors)
-            for k, (lanelet_id, lane_id, predecessors, successors) in enumerate(links)
-        }
-        self._set_chain_offsets(same_lane_pred)
+        # each centerline's length is the arc length at its last vertex
+        length = dict(zip(index, stack.cum_len[stack.first[1::3] - 1].tolist()))
+        offset = _chain_offsets(same_lane_pred, length)
+        self._lanelets = tuple(replace(ll, length=length[ll.lanelet_id], chain_offset=offset[ll.lanelet_id])
+                               for ll in lanelets)  # in input order, as the stack
+        self.lanelets = MappingProxyType({ll.lanelet_id: ll for ll in self._lanelets})
         # reach boxes, (2, n) arrays of x and y bounds in input order: the bounding box of
         # each lanelet's three polylines, grown by the on-road margin and the end tolerance
         xy, first = stack.points[:, :2], stack.first[:-1:3]
@@ -342,40 +276,41 @@ class VectorMap:
         self._reach_lo.flags.writeable = self._reach_hi.flags.writeable = False
 
     @staticmethod
-    def _join_lane_chains(links: list[_Links], index: dict[int, int], stack: _PolylineStack) -> dict[int, int]:
+    def _join_lane_chains(lanelets: list[Lanelet], index: dict[int, int], stack: _PolylineStack) -> dict[int, int]:
         """Check the links and give each same-lane joint one vertex normal, shared by both lanelets.
 
         Returns each lanelet's predecessor within its lane; lane chains must be linear.
         """
-        for lanelet_id, _, predecessors, successors in links:
-            for kind, ids in (("successor", successors), ("predecessor", predecessors)):
-                for other in ids:
+        for ll in lanelets:
+            for kind, others in (("successor", ll.successors), ("predecessor", ll.predecessors)):
+                for other in others:
                     if other not in index:
-                        raise ValidationError(f"lanelet {lanelet_id} references unknown {kind} {other}")
-        for lanelet_id, _, predecessors, _ in links:
-            for other in predecessors:
-                if lanelet_id not in links[index[other]].successors:
+                        raise ValidationError(f"lanelet {ll.lanelet_id} references unknown {kind} {other}")
+        for ll in lanelets:
+            for other in ll.predecessors:
+                if ll.lanelet_id not in lanelets[index[other]].successors:
                     raise ValidationError(
-                        f"lanelet {lanelet_id} lists predecessor {other}, which does not list it as a successor")
+                        f"lanelet {ll.lanelet_id} lists predecessor {other}, which does not list it as a successor")
         # (predecessor, successor) positions, and the last centerline vertex of
         # the one and the first of the other
-        pred, succ = np.array([(k, index[sid]) for k, link in enumerate(links) for sid in link.successors],
+        pred, succ = np.array([(k, index[sid]) for k, ll in enumerate(lanelets) for sid in ll.successors],
                               dtype=np.intp).reshape(-1, 2).T
         end, start = stack.first[3 * pred + 1] - 1, stack.first[3 * succ]
         gap = np.hypot(*(stack.points[end, :2] - stack.points[start, :2]).T)
         far = np.flatnonzero(gap > _CONNECT_TOL)
+        ids = list(index)  # lanelet ids in input order
         if far.size:
             m = far[0]
             raise ValidationError(
-                f"successor {links[succ[m]].lanelet_id} of lanelet {links[pred[m]].lanelet_id} starts {gap[m]:.3f} m "
+                f"successor {ids[succ[m]]} of lanelet {ids[pred[m]]} starts {gap[m]:.3f} m "
                 f"away from its end (tolerance {_CONNECT_TOL} m)"
             )
 
         same_lane_pred: dict[int, int] = {}
         joint = []
         for m, (a, b) in enumerate(zip(pred.tolist(), succ.tolist())):
-            if links[a].lane_id == links[b].lane_id:
-                pid, sid = links[a].lanelet_id, links[b].lanelet_id
+            if lanelets[a].lane_id == lanelets[b].lane_id:
+                pid, sid = ids[a], ids[b]
                 if sid in same_lane_pred:
                     raise ValidationError(f"lanelet {sid} has multiple same-lane predecessors")
                 if joint and pred[joint[-1]] == a:  # the pairs run predecessor by predecessor
@@ -386,23 +321,9 @@ class VectorMap:
         normals, half_turn = _bisect(_right_normal(stack.seg_dir[end - 1]), _right_normal(stack.seg_dir[start]))
         if half_turn.any():
             m = half_turn.argmax()
-            raise ValidationError(
-                f"lanelets {links[pred[m]].lanelet_id} -> {links[succ[m]].lanelet_id}: polyline turns back on itself")
+            raise ValidationError(f"lanelets {ids[pred[m]]} -> {ids[succ[m]]}: polyline turns back on itself")
         stack.normals[start] = stack.normals[end] = normals
         return same_lane_pred
-
-    def _set_chain_offsets(self, same_lane_pred: dict[int, int]):
-        for ll in self.lanelets.values():
-            offset = 0.0
-            seen = set()
-            cur = ll.lanelet_id
-            while cur in same_lane_pred:
-                if cur in seen:
-                    raise ValidationError(f"lane chain containing lanelet {cur} has a cycle")
-                seen.add(cur)
-                cur = same_lane_pred[cur]
-                offset += self.lanelets[cur].length
-            ll.chain_offset = offset
 
     def project(self, points) -> list[FrenetCoord | None]:
         """Project map points; None marks off-road.
@@ -457,15 +378,14 @@ class VectorMap:
         parts = [self._candidates(xy, r, j) for r, j in zip(np.split(row, split), np.split(lane, split))]
 
         # the least key per point among its candidates
-        lanelets = list(self.lanelets.values())
         best = {}
         for r, j, dist, off, s in zip(*(np.concatenate(a).tolist() for a in zip(*parts))):
-            ll = lanelets[j]
-            key = (round(dist, 9), abs(off), ll.lanelet_id)
+            key = (round(dist, 9), abs(off), self._lanelets[j].lanelet_id)
             if r not in best or key < best[r][0]:
-                best[r] = (key, ll, s)
-        for r, (_, ll, s) in best.items():
-            downtrack, crosstrack = ll.centerline.frenet(xy[r], s)
+                best[r] = (key, j, s)
+        for r, (_, j, s) in best.items():
+            ll = self._lanelets[j]
+            downtrack, crosstrack = _frenet(self._stack, 3 * j, xy[r], s)
             result[finite[r]] = FrenetCoord(
                 downtrack=ll.chain_offset + downtrack,
                 crosstrack=crosstrack,
@@ -493,6 +413,21 @@ class VectorMap:
         inside = (cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN)
         center = diff_x * stack.seg_dir[seg, 1] - diff_y * stack.seg_dir[seg, 0]
         return tuple(a[inside] for a in (row, lane, np.hypot(diff_x, diff_y), center, stack.cum_len[seg] + t))
+
+
+def _chain_offsets(same_lane_pred: dict[int, int], length: dict[int, float]) -> dict[int, float]:
+    """Each lanelet's downtrack within its lane chain: the lengths of its same-lane predecessors."""
+    offsets = {}
+    for lanelet_id in length:
+        offset, seen, cur = 0.0, set(), lanelet_id
+        while cur in same_lane_pred:
+            if cur in seen:
+                raise ValidationError(f"lane chain containing lanelet {cur} has a cycle")
+            seen.add(cur)
+            cur = same_lane_pred[cur]
+            offset += length[cur]
+        offsets[lanelet_id] = offset
+    return offsets
 
 
 def _nearest(stack: _PolylineStack, xy: np.ndarray, poly: np.ndarray):
@@ -536,6 +471,55 @@ def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, gr
     return np.minimum.reduceat(hit, cand_first)
 
 
+def _frenet(stack: _PolylineStack, i: int, xy: np.ndarray, s_chord: float) -> tuple[float, float]:
+    """Arc length along the stack's polyline i and right-positive crosstrack of xy's foot on the vertex normals.
+
+    On segment k with unit direction e and length L the foot is
+    P(u) = start + u·e, at the u where p − P(u) is parallel to
+    N(u) = N_k + (u/L)·(N_{k+1} − N_k). The search starts on the segment
+    holding `s_chord` (the nearest chord's foot) and walks to the neighbour
+    while u leaves [0, L]. On the first and last segment u extrapolates past
+    the end, which keeps downtrack continuous across lanelet joints. As in
+    `_nearest`, k is an absolute row: polyline i's segments are the rows
+    first[i] to first[i + 1] - 2.
+    """
+    start, end = stack.first[i:i + 2].tolist()
+    last = end - 2
+    k = min(start + int(np.searchsorted(stack.cum_len[start:end], s_chord, side="right")) - 1, last)
+    u = _foot(stack, xy, k)
+    step = 1 if u > stack.seg_len[k] else -1
+    while (u > stack.seg_len[k] if step > 0 else u < 0.0) and start <= k + step <= last:
+        k += step
+        u = _foot(stack, xy, k)
+    if (u < 0.0 and k > start) or (u > stack.seg_len[k] and k < last):
+        # walked past the point: it lies where the normals of neighbouring
+        # segments cross (inside a sharp bend); take their shared vertex
+        u = min(max(u, 0.0), float(stack.seg_len[k]))
+    n0, n1 = stack.normals[k], stack.normals[k + 1]
+    normal = n0 + (u / stack.seg_len[k]) * (n1 - n0)
+    off = xy - stack.points[k, :2] - u * stack.seg_dir[k]
+    cross = (off[0] * normal[0] + off[1] * normal[1]) / math.hypot(normal[0], normal[1])
+    return float(stack.cum_len[k] + u), float(cross)
+
+
+def _foot(stack: _PolylineStack, p: np.ndarray, k: int) -> float:
+    # p − P(u) ∥ N(u) is cross(r − u·e, N_k + u·m) = 0 with r = p − start
+    # and m = (N_{k+1} − N_k)/L, i.e. qa·u² + qb·u + qc = 0. The root taken
+    # tends to −qc/qb as the segment straightens (m → 0), where 2·qc/den
+    # stays exact.
+    ex, ey = stack.seg_dir[k].tolist()
+    nx, ny = stack.normals[k].tolist()
+    mx, my = ((stack.normals[k + 1] - stack.normals[k]) / stack.seg_len[k]).tolist()
+    rx, ry = (p - stack.points[k, :2]).tolist()
+    qa = mx * ey - my * ex
+    qb = (rx * my - ry * mx) - (ex * ny - ey * nx)
+    qc = rx * ny - ry * nx
+    den = -qb - math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb)
+    if den == 0.0:
+        return float(rx * ex + ry * ey)  # no foot on this segment's normals
+    return float(2.0 * qc / den)
+
+
 def filter_on_road(tracks, vmap: VectorMap):
     """Keep tracks whose center projects on-road; annotate with FrenetCoord.
 
@@ -561,7 +545,7 @@ def _is_integer(value) -> bool:
     return _is_number_type(type(value)) and (not isinstance(value, float) or value.is_integer())
 
 
-def _lanelet_links(entry, path: list) -> _Links:
+def _lanelet_links(entry, path: list) -> Lanelet:
     """One lanelet's ids and links; the structural rules raise a schema violation at their path."""
     if not isinstance(entry, dict):
         raise _violation(path, "a lanelet must be an object")
@@ -583,7 +567,7 @@ def _lanelet_links(entry, path: list) -> _Links:
     for side in _POLYLINES:
         if not (isinstance(entry[side], list) and len(entry[side]) >= 2):
             raise _violation(path + [side], "a polyline is a list of at least 2 points")
-    return _Links(int(entry["lanelet_id"]), int(entry["lane_id"]), *links)
+    return Lanelet(int(entry["lanelet_id"]), int(entry["lane_id"]), *links)
 
 
 def vector_map_from_dict(data) -> VectorMap:
@@ -593,18 +577,17 @@ def vector_map_from_dict(data) -> VectorMap:
     extra = [key for key in data if key not in _MAP_KEYS]
     if extra:
         raise _violation([], f"unexpected keys {extra}")
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise _violation(["name"], f"{name!r} is not a string")
+    if not isinstance(data.get("name", ""), str):
+        raise _violation(["name"], f"{data['name']!r} is not a string")
     if "lanelets" not in data:
         raise _violation([], "missing key 'lanelets'")
     entries = data["lanelets"]
     if not (isinstance(entries, list) and entries):
         raise _violation(["lanelets"], "lanelets must be a non-empty list")
-    links = [_lanelet_links(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
+    lanelets = [_lanelet_links(entry, ["lanelets", k]) for k, entry in enumerate(entries)]
     stack = _PolylineStack([entry[side] for entry in entries for side in _POLYLINES],
-                           [link.lanelet_id for link in links])
-    return VectorMap(links, stack, name=name)
+                           [ll.lanelet_id for ll in lanelets])
+    return VectorMap(lanelets, stack)
 
 
 def load_vector_map(path) -> VectorMap:

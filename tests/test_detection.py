@@ -31,6 +31,8 @@ CFG = DetectionConfig(cell_size=0.5, extent=20.0)
     "field, value",
     [("link_angle", 0.0), ("link_angle", -0.01), ("link_angle", math.nan), ("link_angle", math.inf),
      ("cell_size", 0.0), ("cell_size", math.nan), ("extent", -1.0), ("extent", math.nan),
+     # true and false are not lengths, angles or heights: each was read as 1.0 or 0.0
+     ("cell_size", True), ("extent", True), ("link_angle", True), ("ground_height", False),
      # a non-finite ground gate keeps no point or every point
      ("ground_height", math.nan), ("ground_height", math.inf), ("ground_height", -math.inf),
      # every cluster size >= NaN is false, so a NaN floor keeps no cluster in any frame

@@ -44,8 +44,10 @@ def test_write_scenario_round_trip(tmp_path):
     vmap = load_vector_map(out / "map.json")
     ref = vector_map_from_dict(data.vector_map)
     assert sorted(vmap.lanelets) == sorted(ref.lanelets)
-    for lid, lanelet in vmap.lanelets.items():
-        np.testing.assert_array_equal(lanelet.centerline.points, ref.lanelets[lid].centerline.points)
+    # map.json keeps the lanelet order, so both stacks hold the same polylines in the same rows
+    assert list(vmap.lanelets.values()) == list(ref.lanelets.values())
+    np.testing.assert_array_equal(vmap._stack.first, ref._stack.first)
+    np.testing.assert_array_equal(vmap._stack.points, ref._stack.points)
 
     for aid in (1, 2):
         agent_dir = out / "agents" / f"agent_{aid}"
@@ -130,6 +132,7 @@ BAD_ROADS = {
     "lanes_bool": dict(n_lanes=True),
     "lane_width_nan": dict(lane_width=math.nan),
     "lane_width_zero": dict(lane_width=0.0),
+    "lane_width_bool": dict(lane_width=True),  # was a 1 m lane
     "kind_unknown": dict(kind="spiral"),
     "arc_radius_at_half_width": dict(kind="arc", radius=3.7, n_lanes=2),
     "arc_radius_inside_half_width": dict(kind="arc", radius=2.0, n_lanes=2),
@@ -156,6 +159,8 @@ BAD_SENSORS = {
     "noise_negative": dict(noise_sigma=-0.01),
     "noise_inf": dict(noise_sigma=math.inf),
     "min_hull_z_nan": dict(min_hull_z=math.nan),
+    "range_bool": dict(range=True),  # was a 1 m range
+    "noise_bool": dict(noise_sigma=False),  # was no noise
 }
 
 
@@ -171,6 +176,7 @@ BAD_VEHICLES = {
     "width_negative": dict(width=-1.8),  # reached the ground truth
     "height_zero": dict(height=0.0),  # reached the ground truth
     "height_string": dict(height="1.6"),
+    "length_bool": dict(length=True),  # was a 1 m vehicle
 }
 
 
@@ -188,6 +194,7 @@ BAD_DROPOUTS = {
     "start_negative": (-0.1, 0.5),
     "reversed": (0.5, 0.1),
     "empty": (0.2, 0.2),
+    "start_bool": (False, 0.5),
 }
 
 
@@ -202,6 +209,7 @@ BAD_SCENARIOS = {
     "ground_spacing_negative": dict(ground_spacing=-0.4),
     "duration_nan": dict(duration=math.nan),
     "dt_zero": dict(dt=0.0),
+    "dt_bool": dict(dt=True),  # was a 1 s step
     "lane_fraction": dict(svs=[VehicleSpec(101, 1.5, 48.0, 20.0)]),  # was a vehicle between lanes
     "lane_bool": dict(agents=[VehicleSpec(1, True, 40.0, 20.0)]),
     "dropout_names_no_sv": dict(dropouts=[DropoutWindow(103, 0.1, 0.2)]),  # was silently ignored

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -481,16 +482,50 @@ def _in_reach_box(lines, xy):
     return bool(np.all(vertices.min(axis=0) - 1.0 <= xy) and np.all(xy <= vertices.max(axis=0) + 1.0))
 
 
-def chord_loop_frenet(vmap, lines, point, margin=0.5, reach=True):
+def _reference_foot(line, p, k):
+    # the foot on segment k's interpolated normals, computed on one polyline's own arrays
+    ex, ey = line["seg_dir"][k].tolist()
+    nx, ny = line["normals"][k].tolist()
+    mx, my = ((line["normals"][k + 1] - line["normals"][k]) / line["seg_len"][k]).tolist()
+    rx, ry = (p - line["seg_start"][k]).tolist()
+    qa = mx * ey - my * ex
+    qb = (rx * my - ry * mx) - (ex * ny - ey * nx)
+    qc = rx * ny - ry * nx
+    den = -qb - math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb)
+    if den == 0.0:
+        return float(rx * ex + ry * ey)
+    return float(2.0 * qc / den)
+
+
+def _reference_frenet(line, xy, s_chord):
+    # the foot search of `world_model._frenet`, one scalar step at a time on one polyline's own arrays
+    p = np.asarray(xy, dtype=float)[:2]
+    last = len(line["seg_len"]) - 1
+    k = min(int(np.searchsorted(line["cum_len"], s_chord, side="right")) - 1, last)
+    u = _reference_foot(line, p, k)
+    step = 1 if u > line["seg_len"][k] else -1
+    while (u > line["seg_len"][k] if step > 0 else u < 0.0) and 0 <= k + step <= last:
+        k += step
+        u = _reference_foot(line, p, k)
+    if (u < 0.0 and k > 0) or (u > line["seg_len"][k] and k < last):
+        u = min(max(u, 0.0), float(line["seg_len"][k]))
+    n0, n1 = line["normals"][k], line["normals"][k + 1]
+    normal = n0 + (u / line["seg_len"][k]) * (n1 - n0)
+    off = p - line["seg_start"][k] - u * line["seg_dir"][k]
+    cross = (off[0] * normal[0] + off[1] * normal[1]) / math.hypot(normal[0], normal[1])
+    return float(line["cum_len"][k] + u), float(cross)
+
+
+def chord_loop_frenet(ref, point, margin=0.5, reach=True):
     """Reference: project onto each lanelet's polylines one lanelet at a time.
 
-    lines is `_reference_lines` of the map's dict; only the winner's Frenet
-    foot is taken from vmap. reach=False drops the reach-box condition and
-    leaves the bare chord tests.
+    ref is `reference_geometry` of the map's dict, so nothing is read from a
+    loaded map. reach=False drops the reach-box condition and leaves the bare
+    chord tests.
     """
     xy = np.asarray(point, dtype=float)[:2]
     best = None
-    for lid, (center, left, right) in sorted(lines.items()):
+    for lid, (center, left, right) in sorted(ref["lines"].items()):
         if reach and not _in_reach_box((center, left, right), xy):
             continue
         s, cross, dist, interior = _chord_project(center, xy)
@@ -504,9 +539,8 @@ def chord_loop_frenet(vmap, lines, point, margin=0.5, reach=True):
     if best is None:
         return None
     _, lid, s_chord = best
-    ll = vmap.lanelets[lid]
-    s, cross = ll.centerline.frenet(xy, s_chord)
-    return FrenetCoord(ll.chain_offset + s, cross, ll.lanelet_id, ll.lane_id)
+    s, cross = _reference_frenet(ref["lines"][lid][0], xy, s_chord)
+    return FrenetCoord(ref["offsets"][lid] + s, cross, lid, ref["lanes"][lid])
 
 
 def _on_polyline(line, s):
@@ -559,12 +593,12 @@ def test_to_frenet_matches_chord_loop(name):
         data = _right_angle_bend(10.0, 1.85)
     else:
         data = json.loads((MAPS / name).read_text())
-    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
+    vmap, ref = vector_map_from_dict(data), reference_geometry(data)
     rng = np.random.default_rng(17)
-    points = _probe_points(lines, rng, 400)
+    points = _probe_points(ref["lines"], rng, 400)
     results = []
     for p in points:
-        got, want = vmap.project([p])[0], chord_loop_frenet(vmap, lines, p)
+        got, want = vmap.project([p])[0], chord_loop_frenet(ref, p)
         assert got == want, p
         results.append(got)
     # the probes reach both sides of the road edge
@@ -580,7 +614,7 @@ def test_to_frenet_first_of_tied_chords_decides():
     data = _right_angle_bend(10.0, 1.85)
     vmap = vector_map_from_dict(data)
     assert vmap.project([(12.0, -3.0)])[0] is None
-    assert chord_loop_frenet(vmap, _reference_lines(data), (12.0, -3.0)) is None
+    assert chord_loop_frenet(reference_geometry(data), (12.0, -3.0)) is None
     assert vmap.project([(12.0, -2.2)])[0] is not None
 
 
@@ -602,10 +636,10 @@ def _notched_lanelet():
 def test_reach_box_rejects_what_the_bare_chord_tests_admit(data, point, crosstrack):
     # the nearest boundary chord's foot is clipped to its end, and the offset from
     # its extension line is small however far the point is
-    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
-    bare = chord_loop_frenet(vmap, lines, point, reach=False)
+    vmap, ref = vector_map_from_dict(data), reference_geometry(data)
+    bare = chord_loop_frenet(ref, point, reach=False)
     assert bare is not None and bare.crosstrack == pytest.approx(crosstrack, abs=0.005)
-    assert chord_loop_frenet(vmap, lines, point) is None
+    assert chord_loop_frenet(ref, point) is None
     assert vmap.project([point]) == [None]
 
 
@@ -620,10 +654,10 @@ WORKLOAD_ROADS = {
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_reach_box_changes_nothing_on_the_workload_roads(road):
     data = build_vector_map_dict(road)
-    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
-    points = _probe_points(lines, np.random.default_rng(23), 2000)[-2003:]  # the seeded probes, not the vertices
-    with_reach = [chord_loop_frenet(vmap, lines, p) for p in points]
-    assert with_reach == [chord_loop_frenet(vmap, lines, p, reach=False) for p in points]
+    ref = reference_geometry(data)
+    points = _probe_points(ref["lines"], np.random.default_rng(23), 2000)[-2003:]  # the seeded probes, not the vertices
+    with_reach = [chord_loop_frenet(ref, p) for p in points]
+    assert with_reach == [chord_loop_frenet(ref, p, reach=False) for p in points]
     assert any(r is None for r in with_reach) and any(r is not None for r in with_reach)
 
 
@@ -635,7 +669,8 @@ def _arc_fleet_map():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference on non-finite probes
 def test_project_batch_across_pair_splits_matches_single_points():
     data = build_vector_map_dict(WORKLOAD_ROADS["arc_fleet"])
-    vmap, lines = vector_map_from_dict(data), _reference_lines(data)
+    vmap, ref = vector_map_from_dict(data), reference_geometry(data)
+    lines = ref["lines"]
     rng = np.random.default_rng(19)
     probes = _probe_points(lines, rng, 300)
     points = [probes[i] for i in sorted(rng.choice(len(probes) - 303, 60, replace=False))] + probes[-303:]
@@ -645,7 +680,7 @@ def test_project_batch_across_pair_splits_matches_single_points():
     assert pairs > 2 * _PAIRS
     got = vmap.project(points)
     assert got == [vmap.project([p])[0] for p in points]
-    assert got == [chord_loop_frenet(vmap, lines, p) for p in points]
+    assert got == [chord_loop_frenet(ref, p) for p in points]
     assert any(r is None for r in got) and any(r is not None for r in got)
 
 
@@ -713,7 +748,7 @@ def test_malformed_point_rejected(straight, point):
 # --- stacked map load against the per-polyline arithmetic --------------------
 
 def reference_geometry(data):
-    """Per-polyline geometry with joint normals, chain offsets and reach boxes, in input order.
+    """Per-polyline geometry with joint normals, lanes, chain offsets and reach boxes, in input order.
 
     Each polyline and joint is computed on its own.
     """
@@ -739,7 +774,7 @@ def reference_geometry(data):
         offsets[lid] = offset
     boxes = [np.concatenate([line["points"][:, :2] for line in three]) for three in lines.values()]
     return {
-        "lines": lines, "offsets": offsets,
+        "lines": lines, "lanes": lane, "offsets": offsets,
         "reach_lo": np.array([box.min(axis=0) - 1.0 for box in boxes]).T,
         "reach_hi": np.array([box.max(axis=0) + 1.0 for box in boxes]).T,
     }
@@ -751,7 +786,7 @@ def _same_bits(a, b):
 
 
 def assert_geometry_matches_reference(data):
-    # the stack rows of every polyline, and the centerline views, against the reference
+    # the stack rows of every polyline, and each lanelet's chain offset and length, against the reference
     vmap = vector_map_from_dict(data)
     want = reference_geometry(data)
     assert list(vmap.lanelets) == list(want["lines"])
@@ -766,10 +801,7 @@ def assert_geometry_matches_reference(data):
                     "normals": stack.normals[start:end]}
             for field, got in rows.items():
                 assert _same_bits(got, ref[field]), (lid, SIDES[j], field)
-        center = want["lines"][lid][0]
-        for field in ("points", "seg_start", "seg_dir", "seg_len", "cum_len", "normals"):
-            assert _same_bits(getattr(ll.centerline, field), center[field]), (lid, field)
-        assert ll.centerline.length == ll.length == center["length"]
+        assert ll.length == want["lines"][lid][0]["length"], lid
     assert _same_bits(vmap._reach_lo, want["reach_lo"]) and _same_bits(vmap._reach_hi, want["reach_hi"])
 
 
@@ -877,11 +909,17 @@ def test_structural_rules_checked_before_geometry():
 
 
 def test_loaded_map_is_read_only(straight):
-    ll, stack = straight.lanelets[101], straight._stack
-    for array in (ll.centerline.normals, ll.centerline.seg_dir, stack.first, stack.points, stack.seg_dir,
-                  stack.seg_len, stack.cum_len, stack.normals, straight._reach_lo, straight._reach_hi):
+    stack = straight._stack
+    for array in (stack.first, stack.points, stack.seg_dir, stack.seg_len, stack.cum_len, stack.normals,
+                  straight._reach_lo, straight._reach_hi):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+    # neither a lanelet record nor the id mapping can change what `project` reports
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        straight.lanelets[101].chain_offset = 1000.0
+    with pytest.raises(TypeError):
+        del straight.lanelets[100]
+    assert straight.project([(60.0, 0.0)]) == [FrenetCoord(60.0, 0.0, 101, 1)]
 
 
 def test_load_memory_stays_linear_in_the_points():
