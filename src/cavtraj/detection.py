@@ -13,8 +13,10 @@ bins about `link_angle / 2` wide both ways, floored at `cell_size` near the
 sensor, the azimuth wrapped. A bin links to a bin within two steps only
 when the bounding boxes of their points lie within the link distance (the
 merge guard, needed because bins are coarser than points); the clusters are
-the connected components of those links. No two linked points end in
-different clusters; the rules and why they hold are in `cluster_points`.
+the connected components of those links, found by hook and compress over
+the link arrays (Shiloach & Vishkin, 1982) and each labelled by its least
+bin. No two linked points end in different clusters; the rules and why they
+hold are in `cluster_points`.
 
 Binning sorts the points once by bin key; the grid keeps their x, y and
 range in that order, so clustering reads contiguous columns. The keys are
@@ -23,22 +25,24 @@ them: at the default config every key is below 2**16, so the stable sort
 is a radix sort. Candidate bins are found in a dense table of bin slots,
 one int32 per possible key; `cluster_points` states its size.
 
-Boxes are fitted to all clusters of a frame at once, on their points
-concatenated into segments. Points strictly inside each cluster's
-extreme-point octagon are dropped (Akl & Toussaint, 1978); on a dense frame
-that leaves a few hundred of some 16 000 cluster points. The rest are
-sorted once, and every cluster's hull comes from one vectorised monotone
-chain (Andrew, 1979). Rotating calipers then score every hull edge of every
-cluster in one stacked matrix product.
+A cluster is the array of its frame rows. Boxes are fitted to all clusters
+of a frame at once: their rows are joined once, and x, y and z gathered
+from the frame's columns hold every cluster as a segment. Points strictly
+inside each cluster's extreme-point octagon are dropped (Akl & Toussaint,
+1978); on a dense frame that leaves a few hundred of some 16 000 cluster
+points. The rest are sorted once, and every cluster's hull comes from one
+vectorised monotone chain (Andrew, 1979). Rotating calipers then score
+every hull edge of every cluster in one stacked matrix product.
 
 No per-frame temporary of the fit holds more than one float64 column of the
 cluster points, bar the calipers' block, which grows with hull sizes: the
-fit reads the clusters' x, y and z as columns, the octagon works one key
-and one side at a time, and clustering gathers each cluster into its own
-array. Blocks of several columns (0.4-0.5 MiB each at 16 000 points) made
-glibc trim the heap after every dense frame and fault it back in on the
-next: 170-540 minor page faults and about 1 ms of system time per
-`freeway_baseline` frame, against 0-20 under this rule.
+fit gathers x, y and z as columns and frees the joined rows before the
+hull, the octagon works one key and one side at a time, and clustering
+hands the fit row indices, not copies of the points. Blocks of several
+columns (0.4-0.5 MiB each at 16 000 points) made glibc trim the heap
+after every dense frame and fault it back in on the next: 170-540 minor
+page faults and about 1 ms of system time per `freeway_baseline` frame,
+against 0-20 under this rule.
 
 A box's heading lies along the long side of its footprint; its sign is
 arbitrary (a box and its half-turn are the same box). Later stages treat it
@@ -48,13 +52,12 @@ track's heading is the direction of its estimated velocity).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidArgument
 from .geometry import wrap_angle
@@ -100,6 +103,8 @@ class PointCloudFrame:
         if points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 3):
             raise InvalidArgument(f"points must have shape (N, 3), got {points.shape}")
         self.points = points.reshape(-1, 3)
+        if isinstance(self.timestamp, bool):
+            raise InvalidArgument(f"timestamp must be a number of seconds, not {self.timestamp!r}")
         if not math.isfinite(self.timestamp):
             raise InvalidArgument("non-finite timestamp")
         if self.points.size and not np.all(np.isfinite(self.points)):
@@ -119,10 +124,12 @@ class BevGrid:
     same way. `keys` holds the sorted int64 keys ring * stride + sector of
     the K occupied bins, `starts` each bin's first position in `kept`, and
     `sectors` the sector count of every ring up to the outermost occupied
-    one; the stride is the largest sector count, so every key is below
-    len(sectors) * stride. The points are sorted on their keys cast to the
-    narrowest unsigned type below that bound: uint16 at the default config
-    (44 082 keys at most), uint32 for a finer `link_angle` (172 072 at 0.02).
+    one, a read-only view of a table shared by every grid of the same
+    (cell_size, link_angle, extent); the stride is the largest sector count,
+    so every key is below len(sectors) * stride. The points are sorted on
+    their keys cast to the narrowest unsigned type below that bound: uint16
+    at the default config (44 082 keys at most), uint32 for a finer
+    `link_angle` (172 072 at 0.02).
     """
 
     kept: np.ndarray
@@ -160,14 +167,25 @@ def _sector_counts(n_rings: int, config: DetectionConfig) -> np.ndarray:
     return np.where(k * config.link_angle / 2.0 < 1.0, near, far)
 
 
+@functools.lru_cache(maxsize=16)
+def _sector_table(cell_size: float, link_angle: float, extent: float) -> np.ndarray:
+    """Read-only `_sector_counts` of every ring up to the one of the extent's corner, hypot(extent, extent)."""
+    config = DetectionConfig(cell_size=cell_size, extent=extent, link_angle=link_angle)
+    table = _sector_counts(int(_rings(np.hypot(extent, extent), config)) + 1, config)
+    table.flags.writeable = False
+    return table
+
+
 def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGrid:
     """Bin the obstacle points on the log-polar range image; list the occupied bins.
 
     A point is kept when z >= ground_height and |x|, |y| <= extent; its bin
-    is (ring, sector) of its xy range and azimuth from the sensor.
+    is (ring, sector) of its xy range and azimuth from the sensor. Every
+    kept point lies within the extent's corner, so the sector counts are a
+    slice of one table per (cell_size, link_angle, extent).
     """
     kept = np.flatnonzero(frame.points[:, 2] >= config.ground_height)
-    x, y = frame.points[kept, 0], frame.points[kept, 1]
+    x, y = frame.points[:, 0][kept], frame.points[:, 1][kept]
     inside = (np.abs(x) <= config.extent) & (np.abs(y) <= config.extent)
     kept, x, y = kept[inside], x[inside], y[inside]
     r = np.hypot(x, y)
@@ -175,7 +193,7 @@ def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGri
         empty = np.zeros(0, dtype=np.int64)
         return BevGrid(kept, x, y, r, empty, empty, empty)
     ring = _rings(r, config)
-    sectors = _sector_counts(int(ring.max()) + 1, config)
+    sectors = _sector_table(config.cell_size, config.link_angle, config.extent)[:int(ring.max()) + 1]
     n = sectors[ring]
     sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64) % n
     stride = int(sectors.max())
@@ -193,7 +211,7 @@ _RING_STEP = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2])
 _SECTOR_STEP = np.array([1, 2, -2, -1, 0, 1, 2, -2, -1, 0, 1, 2])
 
 
-def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfig) -> list[np.ndarray]:
+def cluster_points(grid: BevGrid, config: DetectionConfig) -> list[np.ndarray]:
     """Group the obstacle points by range-adaptive single linkage on the range image.
 
     Two points p, q link when |p - q| <= max(link_angle * min(r_p, r_q),
@@ -216,7 +234,11 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
       bins' largest ranges. The guard splits neighbouring bins whose points
       are farther apart than a link.
     - The clusters are the connected components of the kept links, the
-      points of each bin joined.
+      points of each bin joined. They are found by hook and compress
+      (Shiloach & Vishkin, 1982): each round hooks the larger root of every
+      link whose ends have different roots to the smaller, then pointer
+      jumping makes every bin point at its root. A root is never hooked
+      above itself, so each component ends labelled by its least bin.
 
     Candidates are looked up in a dense int32 table of bin slots indexed by
     key, len(sectors) * stride entries: at most 2 / link_angle *
@@ -227,10 +249,10 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
 
     Guarantee: no two linked points end in different clusters, so every
     cluster is a union of whole components of exact single linkage; a bin
-    may join points up to a bin diagonal apart. Returns each cluster's (n, 3)
-    points in an array of its own, bin by bin and in frame order within a
-    bin; clusters are ordered by their first bin, and those smaller than
-    min_cluster_points are dropped.
+    may join points up to a bin diagonal apart. Returns each cluster's
+    frame rows (indices into the frame's points, as views of one array),
+    bin by bin and in frame order within a bin; clusters are ordered by
+    their first bin, and those smaller than min_cluster_points are dropped.
     """
     keys, starts, sectors = grid.keys, grid.starts, grid.sectors
     n_bins = len(keys)
@@ -262,14 +284,11 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     gap_y = np.maximum(0.0, np.maximum(y_lo[b] - y_hi[a], y_lo[a] - y_hi[b]))
     reach = np.maximum(config.link_angle * np.minimum(r_hi[a], r_hi[b]), 1.5 * config.cell_size)
     link = gap_x * gap_x + gap_y * gap_y <= reach * reach
-    # a is sorted, so the kept links are already rows of a CSR matrix
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(a[link], minlength=n_bins))))
-    graph = csr_matrix((np.ones(int(link.sum())), b[link], indptr), shape=(n_bins, n_bins))
-    n_comp, label = connected_components(graph, connection="weak")
+    label = _least_bin_labels(n_bins, a[link], b[link])
 
     # expand the bins of each big enough component, in label order
     size = np.diff(np.append(starts, len(grid.kept)))
-    comp_size = np.bincount(label, weights=size, minlength=n_comp).astype(np.int64)
+    comp_size = np.bincount(label, weights=size, minlength=n_bins).astype(np.int64)
     big = comp_size >= config.min_cluster_points
     if not big.any():
         return []
@@ -277,7 +296,33 @@ def cluster_points(grid: BevGrid, frame: PointCloudFrame, config: DetectionConfi
     use = use[np.argsort(label[use], kind="stable")]
     count = size[use]
     pos = np.repeat(starts[use] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return [np.take(frame.points, idx, axis=0) for idx in np.split(grid.kept[pos], np.cumsum(comp_size[big])[:-1])]
+    return np.split(grid.kept[pos], np.cumsum(comp_size[big])[:-1])
+
+
+def _least_bin_labels(n_bins: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each bin's component under the links (a[i], b[i]), labelled by the component's least bin.
+
+    Hook and compress: every round hooks the larger root of each link whose
+    ends have different roots to the smaller (the least such root wins),
+    then `parent = parent[parent]` repeats until every bin points at its
+    root. parent[i] <= i throughout, so a root is its tree's least bin; each
+    round hooks at least one root, so the loop ends, once both ends of every
+    link share a root.
+    """
+    parent = np.arange(n_bins)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent
+        # links whose ends share a root keep sharing it
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 @dataclass(frozen=True)
@@ -488,22 +533,27 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     return center, extents[rows, best], angle[rows, best], area[rows, best]
 
 
-def fit_boxes(clusters: list[np.ndarray]) -> list[OrientedBox]:
+def fit_boxes(points: np.ndarray, clusters: list[np.ndarray]) -> list[OrientedBox]:
     """Fit a minimum-area oriented box to every cluster of a frame in one pass.
 
-    A box's footprint is the rotating-calipers rectangle of its cluster's
-    projected hull; the heading lies along its long side, with an arbitrary
-    sign. The height spans min to max point z, floored at _MIN_BOX_HEIGHT,
-    and the confidence is min(1, points / _CONFIDENCE_SATURATION).
-    Degenerate clusters give no box: fewer than 3 points, all collinear or
-    repeated, or a zero-area footprint. The boxes keep the order of their
-    clusters.
+    `points` is the frame's (N, 3) array and each cluster an array of its
+    rows, as `cluster_points` returns them; the rows are joined once, x, y
+    and z gathered through them from the frame's columns, and the joined
+    rows freed before the hulls. A box's footprint is the rotating-calipers
+    rectangle of its cluster's projected hull; the heading lies along its
+    long side, with an arbitrary sign. The height spans min to max point z,
+    floored at _MIN_BOX_HEIGHT, and the confidence is min(1, points /
+    _CONFIDENCE_SATURATION). Degenerate clusters give no box: fewer than 3
+    points, all collinear or repeated, or a zero-area footprint. The boxes
+    keep the order of their clusters.
     """
     sizes = np.array([len(c) for c in clusters], dtype=int)
     use = np.flatnonzero(sizes >= 3)
     if len(use) == 0:
         return []
-    x, y, z = (np.concatenate([clusters[i][:, axis] for i in use]) for axis in range(3))
+    rows = np.concatenate([clusters[i] for i in use])
+    x, y, z = (points[:, axis][rows] for axis in range(3))
+    del rows
     sizes = sizes[use]
     starts = np.cumsum(sizes) - sizes
 
@@ -539,4 +589,4 @@ def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None
     """Full per-frame detector: grid features, clustering, box fitting."""
     config = config or DetectionConfig()
     # nested, so the grid is freed before the boxes are fitted
-    return fit_boxes(cluster_points(bev_grid_features(frame, config), frame, config))
+    return fit_boxes(frame.points, cluster_points(bev_grid_features(frame, config), config))

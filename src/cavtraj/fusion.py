@@ -77,8 +77,9 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     is also its nearest to the anchor, and the groups come out in anchor
     time order. Sets with no partner pass through alone.
     """
-    if not tolerance >= 0.0:
-        raise InvalidArgument(f"tolerance must be non-negative: {tolerance!r}")
+    # true and false are not durations
+    if isinstance(tolerance, bool) or not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidArgument(f"tolerance must be finite and non-negative: {tolerance!r}")
     for agent_id, sets in streams.items():
         times = [s.timestamp for s in sets]
         if not all(map(math.isfinite, times)):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple, replace
@@ -83,6 +84,13 @@ def test_frame_rejects_non_finite_values(timestamp, points):
         make_frame(points, timestamp=timestamp)
 
 
+@pytest.mark.parametrize("timestamp", [True, False])
+def test_frame_rejects_a_bool_timestamp(timestamp):
+    # true and false are not times: each was kept as 1 s or 0 s
+    with pytest.raises(InvalidArgument, match="timestamp"):
+        make_frame([[0.0, 0.0, 1.0]], timestamp=timestamp)
+
+
 def test_bev_single_point_features():
     # one point above the gate lists one bin; the same point on the ground lists none
     frame = make_frame([[3.0, 4.0, 1.5]])
@@ -117,7 +125,7 @@ def test_bev_empty_frame():
         frame = make_frame(points)
         grid = bev_grid_features(frame, CFG)
         assert grid.kept.shape == grid.keys.shape == grid.starts.shape == (0,)
-        assert cluster_points(grid, frame, CFG) == []
+        assert cluster_points(grid, CFG) == []
 
 
 def test_bev_occupancy_iff_count():
@@ -185,6 +193,25 @@ def test_both_key_widths(link_angle, key_type):
     assert same_partition(got, want) and got[-1] not in got[:-1]
 
 
+SECTOR_CONFIGS = {"default": DetectionConfig(), "coarse": CFG,
+                  "fine": DetectionConfig(cell_size=0.1, extent=60.0, link_angle=0.02)}
+
+
+@pytest.mark.parametrize("config", SECTOR_CONFIGS.values(), ids=SECTOR_CONFIGS.keys())
+def test_sector_table_slices_are_the_sector_counts(config):
+    # one read-only table per (cell_size, link_angle, extent), up to the ring
+    # of the extent's corner; every slice of it is _sector_counts' answer
+    table = detection._sector_table(config.cell_size, config.link_angle, config.extent)
+    corner = int(detection._rings(np.hypot(config.extent, config.extent), config))
+    assert len(table) == corner + 1 and not table.flags.writeable
+    for n in range(1, corner + 2):
+        np.testing.assert_array_equal(table[:n], detection._sector_counts(n, config))
+    # a point on the corner reaches the table's last ring; the grid holds a read-only slice
+    grid = bev_grid_features(make_frame([[config.extent, -config.extent, 1.0], [1.0, 2.0, 1.0]]), config)
+    np.testing.assert_array_equal(grid.sectors, table)
+    assert not grid.sectors.flags.writeable
+
+
 def cluster_of_each_point(clusters, points):
     """Index of the cluster holding each point (-1 for none), matched by coordinates."""
     where = {p.tobytes(): k for k, c in enumerate(clusters) for p in c}
@@ -205,7 +232,8 @@ def assert_no_component_split(points, config):
     """Cluster all of the points (no size floor) and check each exact component lies in one cluster."""
     config = replace(config, min_cluster_points=1)
     frame = make_frame(points)
-    got = cluster_of_each_point(cluster_points(bev_grid_features(frame, config), frame, config), points)
+    clusters = cluster_points(bev_grid_features(frame, config), config)
+    got = cluster_of_each_point([frame.points[c] for c in clusters], points)
     want = single_linkage(points, config)
     assert (got >= 0).all()
     for comp in np.unique(want):
@@ -216,6 +244,53 @@ def assert_no_component_split(points, config):
 def same_partition(a, b):
     pairs = np.unique(np.c_[a, b], axis=0)
     return len(pairs) == len(np.unique(a)) == len(np.unique(b))
+
+
+def assert_least_bin_components(n, a, b):
+    """_least_bin_labels gives scipy's partition of n nodes under links (a, b), each labelled by its least node."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    label = detection._least_bin_labels(n, a, b)
+    want = connected_components(coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)[1]
+    assert same_partition(label, want)
+    least = np.full(n, n)
+    np.minimum.at(least, want, np.arange(n))
+    np.testing.assert_array_equal(label, least[want])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_match_scipy_on_random_links(seed):
+    # 60 link sets a seed: one in six without links, the rest with repeated
+    # links (either way round) and self-links
+    rng = np.random.default_rng(seed)
+    for k in range(60):
+        n = int(rng.integers(1, 120))
+        if k % 6 == 0:
+            assert_least_bin_components(n, [], [])
+            continue
+        a, b = rng.integers(0, n, (2, int(rng.integers(1, 2 * n + 2))))
+        again = rng.integers(0, len(a), len(a) // 3 + 1)
+        loops = rng.integers(0, n, int(rng.integers(1, 4)))
+        assert_least_bin_components(n, np.r_[a, b[again], loops], np.r_[b, a[again], loops])
+
+
+def test_components_match_scipy_on_many_round_shapes():
+    rng = np.random.default_rng(9)
+    n = 400
+    path = rng.permutation(n)
+    assert_least_bin_components(n, path[:-1], path[1:])                      # a path, shuffled ids
+    assert_least_bin_components(n, np.full(n - 1, n - 1), np.arange(n - 1))  # a star, centre largest
+    assert_least_bin_components(n, np.arange(n - 1), np.full(n - 1, n - 1))
+    assert_least_bin_components(n, np.arange(n), (np.arange(n) + 1) % n)     # a ring
+    assert_least_bin_components(n, path, np.roll(path, 1))                   # a ring, shuffled ids
+    # a 30 x 30 grid of nodes linked right and down, as laid out and shuffled
+    cell = np.arange(900).reshape(30, 30)
+    a, b = np.r_[cell[:, :-1].ravel(), cell[:-1].ravel()], np.r_[cell[:, 1:].ravel(), cell[1:].ravel()]
+    assert_least_bin_components(900, a, b)
+    ids = rng.permutation(900)
+    assert_least_bin_components(900, ids[a], ids[b])
+    # two shuffled paths and isolated nodes
+    ids = rng.permutation(n)
+    assert_least_bin_components(n, np.r_[ids[:149], ids[150:299]], np.r_[ids[1:150], ids[151:300]])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -262,9 +337,10 @@ def test_scenario_clusters_never_split_exact_single_linkage(kind, seed):
         obstacle = frame.points[frame.points[:, 2] >= cfg.ground_height]
         assert_no_component_split(obstacle, cfg)
         # the size floor drops whole clusters only
-        kept = cluster_points(bev_grid_features(frame, cfg), frame, cfg)
-        every = cluster_points(bev_grid_features(frame, cfg), frame, replace(cfg, min_cluster_points=1))
-        assert [c.tobytes() for c in kept] == [c.tobytes() for c in every if len(c) >= cfg.min_cluster_points]
+        kept = cluster_points(bev_grid_features(frame, cfg), cfg)
+        every = cluster_points(bev_grid_features(frame, cfg), replace(cfg, min_cluster_points=1))
+        assert ([frame.points[c].tobytes() for c in kept]
+                == [frame.points[c].tobytes() for c in every if len(c) >= cfg.min_cluster_points])
 
 
 def test_cluster_mixed_cells_keep_only_obstacle_points():
@@ -273,9 +349,9 @@ def test_cluster_mixed_cells_keep_only_obstacle_points():
     rng = np.random.default_rng(4)
     ground = np.c_[rng.uniform(1.0, 3.0, (60, 2)), rng.uniform(-0.1, CFG.ground_height - 1e-6, 60)]
     frame = make_frame(np.vstack([ground[:30], obstacle, ground[30:]]))
-    clusters = cluster_points(bev_grid_features(frame, CFG), frame, CFG)
+    clusters = cluster_points(bev_grid_features(frame, CFG), CFG)
     assert len(clusters) == 1
-    np.testing.assert_array_equal(np.sort(clusters[0], axis=0), np.sort(obstacle, axis=0))
+    np.testing.assert_array_equal(np.sort(frame.points[clusters[0]], axis=0), np.sort(obstacle, axis=0))
 
 
 def test_detect_objects_looks_up_layers_at_call_time(monkeypatch):
@@ -309,20 +385,20 @@ def blob(center, n=40, size=0.8, z=1.0, seed=0):
 def test_cluster_two_blobs():
     frame = make_frame(np.vstack([blob((-5, 0)), blob((5, 0), seed=1)]))
     grid = bev_grid_features(frame, CFG)
-    clusters = cluster_points(grid, frame, CFG)
+    clusters = cluster_points(grid, CFG)
     assert len(clusters) == 2
 
 
 def test_cluster_below_ground_gate_filtered():
     frame = make_frame(blob((0, 0), z=0.0) * [1, 1, 0.3])  # all z below 0.3
     grid = bev_grid_features(frame, CFG)
-    assert cluster_points(grid, frame, CFG) == []
+    assert cluster_points(grid, CFG) == []
 
 
 def test_cluster_min_points_filter():
     frame = make_frame(blob((0, 0), n=5))
     grid = bev_grid_features(frame, CFG)
-    assert cluster_points(grid, frame, CFG) == []
+    assert cluster_points(grid, CFG) == []
 
 
 def test_cluster_obstacle_cells_on_grid_border():
@@ -330,9 +406,9 @@ def test_cluster_obstacle_cells_on_grid_border():
     lo, hi = -CFG.extent + 0.06, CFG.extent - 0.06
     pts = np.vstack([blob((lo, lo), size=0.05), blob((hi, hi), size=0.05, seed=1), blob((hi + 0.2, 0.0), size=0.05)])
     frame = make_frame(pts)
-    clusters = cluster_points(bev_grid_features(frame, CFG), frame, CFG)
+    clusters = cluster_points(bev_grid_features(frame, CFG), CFG)
     assert sorted(len(c) for c in clusters) == [40, 40]
-    np.testing.assert_array_equal(np.sort(np.vstack(clusters), axis=0), np.sort(pts[:80], axis=0))
+    np.testing.assert_array_equal(np.sort(frame.points[np.concatenate(clusters)], axis=0), np.sort(pts[:80], axis=0))
 
 
 def test_cluster_diagonal_touch_is_one_cluster():
@@ -345,14 +421,14 @@ def test_cluster_diagonal_touch_is_one_cluster():
     for gap, count in ((0.97 * reach, 1), (1.03 * reach, 2)):
         b = a + [0.6 + gap / math.sqrt(2), 0.6 + gap / math.sqrt(2), 0.0]
         frame = make_frame(np.vstack([a, b]))
-        assert len(cluster_points(bev_grid_features(frame, cfg), frame, cfg)) == count
+        assert len(cluster_points(bev_grid_features(frame, cfg), cfg)) == count
 
 
 def test_cluster_across_the_azimuth_seam_is_one_cluster():
     # a car 25 m behind the sensor straddles azimuth +-pi
     pts = box_surface_points((-25.0, 0.0), 4.6, 1.8, 1.6, heading=math.pi / 2, spacing=0.3)
     assert (pts[:, 1] > 0).any() and (pts[:, 1] < 0).any()
-    clusters = cluster_points(bev_grid_features(make_frame(pts), DetectionConfig()), make_frame(pts), DetectionConfig())
+    clusters = cluster_points(bev_grid_features(make_frame(pts), DetectionConfig()), DetectionConfig())
     assert len(clusters) == 1 and len(clusters[0]) == len(pts)
 
 
@@ -423,7 +499,7 @@ def test_cluster_k_separated_objects():
     frame = make_frame(np.vstack(frames))
     cfg = DetectionConfig(cell_size=0.2, extent=40.0)
     grid = bev_grid_features(frame, cfg)
-    clusters = cluster_points(grid, frame, cfg)
+    clusters = cluster_points(grid, cfg)
     assert len(clusters) == k
 
 
@@ -650,7 +726,7 @@ def test_rect_degenerate_inputs():
     assert area[0] == math.inf and area[1] < 1e-15 and area[2] == pytest.approx(1.0)
     # fit_boxes gives no box for either, nor for a two-point cluster
     flat = [np.c_[p, np.ones(len(p))] for p in (np.zeros((2, 2)), *polygons[:2])]
-    assert fit_boxes(flat) == []
+    assert fit_point_sets(flat) == []
 
 
 def test_rect_contains_all_hull_points():
@@ -669,8 +745,15 @@ def test_rect_contains_all_hull_points():
 # --- box fitting -------------------------------------------------------------
 
 
+def fit_point_sets(clusters):
+    """fit_boxes on (n, 3) point sets, each given as its rows of the sets stacked into one frame array."""
+    sizes = [len(c) for c in clusters]
+    points = np.concatenate([np.zeros((0, 3)), *clusters])
+    return fit_boxes(points, [np.arange(start, start + n) for start, n in zip(np.cumsum(sizes) - sizes, sizes)])
+
+
 def fit_one(pts):
-    (box,) = fit_boxes([pts])
+    (box,) = fit_point_sets([pts])
     return box
 
 
@@ -870,9 +953,9 @@ def test_fit_boxes_match_per_cluster_qhull_path(kind):
     cfg = DetectionConfig()
     n_boxes = 0
     for frame in (f for per_agent in generate_scenario(spec).frames.values() for f in per_agent):
-        clusters = cluster_points(bev_grid_features(frame, cfg), frame, cfg)
-        want = [b for b in (qhull_box(c) for c in clusters) if b is not None]
-        assert box_bits(fit_boxes(clusters)) == box_bits(want)
+        clusters = cluster_points(bev_grid_features(frame, cfg), cfg)
+        want = [b for b in (qhull_box(frame.points[c]) for c in clusters) if b is not None]
+        assert box_bits(fit_boxes(frame.points, clusters)) == box_bits(want)
         n_boxes += len(want)
     assert n_boxes >= 12  # sparse_arc: 2 SVs seen by 2 agents in 3 frames, one box each
 
@@ -894,8 +977,8 @@ def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
     ]
     clusters = [valid[0], degenerate[0], valid[1], degenerate[1], degenerate[2], valid[2], valid[3],
                 degenerate[3], valid[4], degenerate[4], valid[5], degenerate[5], valid[6]]
-    boxes = fit_boxes(clusters)
-    alone = [fit_boxes([c]) for c in valid]
+    boxes = fit_point_sets(clusters)
+    alone = [fit_point_sets([c]) for c in valid]
     assert [len(a) for a in alone] == [1] * len(valid)
     assert box_bits(boxes) == box_bits([a[0] for a in alone])
     ref = [qhull_box(c) for c in valid]
@@ -903,31 +986,34 @@ def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
     # the noiseless box's walls are collinear up to rounding: Qhull merges
     # those vertices, the chain keeps them, so the two differ in the last bits
     np.testing.assert_allclose(astuple(boxes[-1]), astuple(ref[-1]), rtol=0, atol=1e-12)
-    assert fit_boxes(degenerate) == []
+    assert fit_point_sets(degenerate) == []
     assert all(qhull_box(c) is None for c in degenerate)
-    assert fit_boxes([]) == []
+    assert fit_point_sets([]) == []
 
 
 def test_fit_boxes_are_layout_independent():
-    # fit_boxes reads each cluster's x, y and z as columns: clusters that are
-    # non-contiguous views give the boxes of their C-contiguous copies, bit for bit
+    # fit_boxes reads the frame's x, y and z as columns: a frame array that is
+    # a non-contiguous view gives the boxes of its C-contiguous copy, bit for bit
     clusters = [blob((3.0 * k, -2.0), n=30 + 7 * k, seed=k) for k in range(4)]
     clusters += [box_surface_points((-8.0, 6.0), 4.5, 1.9, 1.6, heading=0.3),
                  box_surface_points((12.0, 9.0), 4.2, 1.8, 1.5, heading=-1.1, rng=np.random.default_rng(3), noise=0.02)]
-    wider = [np.c_[c[:, 2], c, np.ones(len(c))] for c in clusters]
+    stacked = np.concatenate(clusters)
+    sizes = [len(c) for c in clusters]
+    rows = np.split(np.arange(len(stacked)), np.cumsum(sizes)[:-1])
+    wider = np.c_[stacked[:, 2], stacked, np.ones(len(stacked))]
     layouts = {
-        "reversed rows": [c[::-1] for c in clusters],
-        "fortran order": [np.asfortranarray(c) for c in clusters],
-        "columns of a wider array": [w[:, 1:4] for w in wider],
-        "every other row": [np.repeat(c, 2, axis=0)[::2] for c in clusters],
+        "reversed rows": stacked[::-1],
+        "fortran order": np.asfortranarray(stacked),
+        "columns of a wider array": wider[:, 1:4],
+        "every other row": np.repeat(stacked, 2, axis=0)[::2],
     }
-    # one batch of all four, cluster k in layout k mod 4
-    layouts["mixed"] = [views[k % 4] for k, views in enumerate(zip(*layouts.values()))]
-    for name, views in layouts.items():
-        assert not any(v.flags.c_contiguous for v in views), name
-        want = fit_boxes([np.ascontiguousarray(v) for v in views])
+    # all four at once: every other row, reversed, of a wider Fortran-ordered array
+    layouts["mixed"] = np.asfortranarray(np.repeat(wider, 2, axis=0))[::-2, 1:4]
+    for name, view in layouts.items():
+        assert not view.flags.c_contiguous, name
+        want = fit_boxes(np.ascontiguousarray(view), rows)
         assert len(want) == len(clusters)
-        assert box_bits(fit_boxes(views)) == box_bits(want), name
+        assert box_bits(fit_boxes(view, rows)) == box_bits(want), name
 
 
 def test_detect_objects_end_to_end():
@@ -1011,6 +1097,31 @@ def test_detect_objects_pinned():
         assert got == expected[name], name
 
 
+def test_cluster_points_of_the_pinned_frames_pinned():
+    # the frames of test_detect_objects_pinned: each cluster's points, as
+    # frame.points[rows] in cluster order, hash to the digest taken when
+    # clusters were still gathered into arrays of their own
+    v = VehicleSpec
+    dense = ScenarioSpec(duration=0.1, seed=11, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 100.0, 25.0)],
+                         svs=[v(101, 1, 100.0, 25.0), v(102, 3, 101.0, 25.1), v(103, 2, 112.0, 24.0)], poles=True)
+    arc = ScenarioSpec(duration=0.1, seed=7, road=RoadSpec(kind="arc", radius=150.0, arc_angle_deg=60.0, n_lanes=2),
+                       agents=[v(1, 1, 40.0, 20.0)], svs=[v(101, 2, 52.0, 20.0), v(102, 1, 70.0, 20.0)],
+                       sensor=SensorSpec(base_spacing=0.3), ground_spacing=0.0, poles=False)
+    expected = {
+        "dense": (11, 16_863, "ae4941d8d2c92d33c9e5dfafd70fcd8bbaad11dc1a7d47d53b20c3749689d3d2"),
+        "arc": (2, 298, "aa1969fc89b5f14cf8459d25bd2b88c6b493bb2b6f59109e9b0519ffa89f73c6"),
+    }
+    config = DetectionConfig()
+    for name, spec in (("dense", dense), ("arc", arc)):
+        frame = generate_scenario(spec).frames[1][0]
+        digest = hashlib.sha256()
+        clusters = cluster_points(bev_grid_features(frame, config), config)
+        for rows in clusters:
+            digest.update(len(rows).to_bytes(8, "little"))
+            digest.update(frame.points[rows].tobytes())
+        assert (len(clusters), sum(map(len, clusters)), digest.hexdigest()) == expected[name], name
+
+
 def traced_peak(call):
     """Peak bytes tracemalloc sees while call() runs."""
     tracemalloc.start()
@@ -1025,9 +1136,9 @@ def test_detect_objects_peak_memory_on_the_dense_frame():
     # the dense frame of test_detect_objects_pinned: 18 120 points, 16 863 of
     # them in 11 clusters. No per-frame temporary of the octagon prune is
     # wider than one float64 column of the cluster points (135 KB). One call's
-    # traced peak measured 1 889 692 B (1.80 MiB); the range image and the
+    # traced peak measured 1 783 791 B (1.70 MiB); the range image and the
     # clustering set it, so fit_boxes is bounded alone too: it measured
-    # 965 125 B (0.92 MiB), and one (n, 3) or (4, n) block more exceeds 1 MiB
+    # 965 085 B (0.92 MiB), and one (n, 3) or (4, n) block more exceeds 1 MiB
     v = VehicleSpec
     dense = ScenarioSpec(duration=0.1, seed=11, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 100.0, 25.0)],
                          svs=[v(101, 1, 100.0, 25.0), v(102, 3, 101.0, 25.1), v(103, 2, 112.0, 24.0)], poles=True)
@@ -1036,6 +1147,6 @@ def test_detect_objects_peak_memory_on_the_dense_frame():
     assert len(frame) == 18_120
     assert len(detect_objects(frame, config)) == 11   # also warms every first-call cache
     assert traced_peak(lambda: detect_objects(frame, config)) < 1.85 * 2**20
-    clusters = cluster_points(bev_grid_features(frame, config), frame, config)
+    clusters = cluster_points(bev_grid_features(frame, config), config)
     assert (len(clusters), sum(map(len, clusters))) == (11, 16_863)
-    assert traced_peak(lambda: fit_boxes(clusters)) < 1.0 * 2**20
+    assert traced_peak(lambda: fit_boxes(frame.points, clusters)) < 1.0 * 2**20

@@ -67,6 +67,15 @@ def test_sync_nan_or_negative_tolerance_rejected(tolerance):
         sync_sets(streams, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("tolerance", [True, False, math.inf])
+def test_sync_bool_or_infinite_tolerance_rejected(tolerance):
+    # true and false are not durations (each was read as 1 s or 0 s), and an
+    # infinite tolerance groups sets of any age
+    streams = {0: [make_set(0.0, 0)], 1: [make_set(0.01, 1)]}
+    with pytest.raises(InvalidArgument, match="tolerance"):
+        sync_sets(streams, tolerance=tolerance)
+
+
 def test_sync_zero_tolerance_pairs_only_equal_timestamps():
     streams = {0: [make_set(0.0, 0), make_set(0.1, 0)], 1: [make_set(0.0, 1), make_set(0.11, 1)]}
     assert [len(g) for g in sync_sets(streams, tolerance=0.0)] == [2, 1, 1]
