@@ -55,11 +55,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_number
 from .geometry import wrap_angle
 
 _MIN_BOX_HEIGHT = 0.1               # m, the height of a box fitted to a flat cluster
@@ -75,16 +74,10 @@ class DetectionConfig:
     link_angle: float = 0.045       # rad, obstacle points link within link_angle * range
 
     def __post_init__(self):
-        # true and false are not numbers here, as for min_cluster_points
         for name in ("cell_size", "extent", "link_angle"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise InvalidArgument(f"{name} must be finite and positive: {value!r}")
-        if isinstance(self.ground_height, bool) or not math.isfinite(self.ground_height):
-            raise InvalidArgument(f"ground_height must be finite: {self.ground_height!r}")
-        n = self.min_cluster_points
-        if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
-            raise InvalidArgument(f"min_cluster_points must be an integer >= 1: {n!r}")
+            check_number(getattr(self, name), name, positive=True)
+        check_number(self.ground_height, "ground_height")
+        check_number(self.min_cluster_points, "min_cluster_points", least=1, integer=True)
 
 
 @dataclass
@@ -103,10 +96,7 @@ class PointCloudFrame:
         if points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 3):
             raise InvalidArgument(f"points must have shape (N, 3), got {points.shape}")
         self.points = points.reshape(-1, 3)
-        if isinstance(self.timestamp, bool):
-            raise InvalidArgument(f"timestamp must be a number of seconds, not {self.timestamp!r}")
-        if not math.isfinite(self.timestamp):
-            raise InvalidArgument("non-finite timestamp")
+        check_number(self.timestamp, "timestamp")
         if self.points.size and not np.all(np.isfinite(self.points)):
             raise InvalidArgument("non-finite point coordinates")
 
@@ -277,8 +267,8 @@ def cluster_points(grid: BevGrid, config: DetectionConfig) -> list[np.ndarray]:
     slot = np.full(len(sectors) * stride, -1, dtype=np.int32)
     slot[keys] = np.arange(n_bins, dtype=np.int32)
     at = slot[t_key]
-    hit = inside.ravel() & (at >= 0)
-    a, b = np.repeat(np.arange(n_bins), len(_RING_STEP))[hit], at[hit]
+    idx = np.flatnonzero(inside.ravel() & (at >= 0))
+    a, b = idx // len(_RING_STEP), at[idx]
 
     gap_x = np.maximum(0.0, np.maximum(x_lo[b] - x_hi[a], x_lo[a] - x_hi[b]))
     gap_y = np.maximum(0.0, np.maximum(y_lo[b] - y_hi[a], y_lo[a] - y_hi[b]))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import OrientedBox
-from .errors import InvalidArgument, ValidationError
+from .errors import InvalidArgument, ValidationError, check_number
 from .geometry import RigidTransform
 
 _IOU_THRESHOLD = 0.3    # boxes overlapping at this BEV IoU or more are one object
@@ -77,9 +77,7 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     is also its nearest to the anchor, and the groups come out in anchor
     time order. Sets with no partner pass through alone.
     """
-    # true and false are not durations
-    if isinstance(tolerance, bool) or not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise InvalidArgument(f"tolerance must be finite and non-negative: {tolerance!r}")
+    check_number(tolerance, "tolerance", least=0)
     for agent_id, sets in streams.items():
         times = [s.timestamp for s in sets]
         if not all(map(math.isfinite, times)):
@@ -187,36 +185,34 @@ def late_fuse(sets: list[DetectionSet], transforms: dict[int, RigidTransform]) -
     candidates = []
     for ds in sorted(sets, key=lambda s: s.agent_id):
         candidates += [(box, ds.agent_id) for box in project_box(ds.boxes, transforms[ds.agent_id])]
+    # rank order: higher confidence first; ties by lower agent id, then input order (the sort is stable)
+    candidates.sort(key=lambda c: (-c[0].confidence, c[1]))
 
-    # higher confidence wins; ties by lower agent id, then input order
-    order = sorted(
-        range(len(candidates)),
-        key=lambda k: (-candidates[k][0].confidence, candidates[k][1], k),
-    )
     # the circle gate of every pair at once; a kept box is tested only if it meets the candidate's circle
     x = np.array([b.x for b, _ in candidates])
     y = np.array([b.y for b, _ in candidates])
     radius = np.array([0.5 * math.hypot(b.length, b.width) for b, _ in candidates])
     near = np.hypot(x[:, None] - x, y[:, None] - y) <= (radius[:, None] + radius) * (1.0 + 1e-9)
-    neighbours: list[list[int]] = [[] for _ in candidates]
-    for k, j in zip(*(a.tolist() for a in np.nonzero(near))):
-        neighbours[k].append(j)
+    # each candidate's higher-ranked neighbours, ascending; kept boxes are in rank order too
+    earlier: list[list[int]] = [[] for _ in candidates]
+    for k, j in zip(*(a.tolist() for a in np.nonzero(np.tril(near, -1)))):
+        earlier[k].append(j)
 
     kept: list[OrientedBox] = []
     kept_area: list[float] = []
     contributors: list[set[int]] = []
-    slot: dict[int, int] = {}  # candidate index -> its position in kept
-    for k in order:
-        box, aid = candidates[k]
+    slot: list[int | None] = []  # rank -> position in kept, None if merged
+    for (box, aid), neighbours in zip(candidates, earlier):
         area = box.length * box.width
-        for i in sorted(slot[j] for j in neighbours[k] if j in slot):
+        for i in (slot[j] for j in neighbours if slot[j] is not None):
             if min(area, kept_area[i]) < _AREA_FLOOR * max(area, kept_area[i]):
                 continue
             if iou_bev(box, kept[i]) >= _IOU_THRESHOLD:
                 contributors[i].add(aid)
+                slot.append(None)
                 break
         else:
-            slot[k] = len(kept)
+            slot.append(len(kept))
             kept.append(box)
             kept_area.append(area)
             contributors.append({aid})

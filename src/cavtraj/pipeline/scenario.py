@@ -12,30 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from ..detection import PointCloudFrame
-from ..errors import InvalidArgument, ValidationError
+from ..errors import InvalidArgument, ValidationError, check_number
 from ..geometry import RigidTransform, rotation_from_euler, wrap_angle
 from .frames_io import PoseSample, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
-
-
-def _check_finite(spec, names, zero_ok: bool = False) -> None:
-    """ValidationError unless each named field is a finite number > 0 (>= 0 if zero_ok).
-
-    True and false are not numbers here, as for the integer fields.
-    """
-    for name in names:
-        value = getattr(spec, name)
-        if not (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-                and (value > 0 or zero_ok and value == 0)):
-            bound = ">= 0" if zero_ok else "> 0"
-            raise ValidationError(f"{type(spec).__name__}.{name} must be finite and {bound}: {value!r}")
 
 
 @dataclass
@@ -51,9 +38,9 @@ class RoadSpec:
     def __post_init__(self):
         if self.kind not in ("straight", "arc"):
             raise ValidationError(f"unknown road kind {self.kind!r}")
-        if not (isinstance(self.n_lanes, Integral) and not isinstance(self.n_lanes, bool) and self.n_lanes >= 1):
-            raise ValidationError(f"RoadSpec.n_lanes must be an integer >= 1: {self.n_lanes!r}")
-        _check_finite(self, ("length", "radius", "arc_angle_deg", "lane_width", "sample_step"))
+        check_number(self.n_lanes, "RoadSpec.n_lanes", least=1, integer=True, error=ValidationError)
+        for name in ("length", "radius", "arc_angle_deg", "lane_width", "sample_step"):
+            check_number(getattr(self, name), f"RoadSpec.{name}", positive=True, error=ValidationError)
         if self.kind == "arc" and self.radius <= self.half_width:
             raise ValidationError(f"arc radius {self.radius} must exceed the road's half width {self.half_width}")
 
@@ -151,7 +138,11 @@ class VehicleSpec:
     height: float = 1.6
 
     def __post_init__(self):
-        _check_finite(self, ("length", "width", "height"))
+        check_number(self.vehicle_id, "VehicleSpec.vehicle_id", integer=True, error=ValidationError)
+        for name in ("start_s", "speed", "accel"):
+            check_number(getattr(self, name), f"VehicleSpec.{name}", error=ValidationError)
+        for name in ("length", "width", "height"):
+            check_number(getattr(self, name), f"VehicleSpec.{name}", positive=True, error=ValidationError)
 
     def s_at(self, t: float) -> float:
         return self.start_s + self.speed * t + 0.5 * self.accel * t * t
@@ -169,8 +160,10 @@ class SensorSpec:
     min_hull_z: float = 0.4         # hull points start above the ground gate
 
     def __post_init__(self):
-        _check_finite(self, ("range", "base_spacing", "reference_range"))
-        _check_finite(self, ("noise_sigma", "min_hull_z"), zero_ok=True)
+        for name in ("range", "base_spacing", "reference_range"):
+            check_number(getattr(self, name), f"SensorSpec.{name}", positive=True, error=ValidationError)
+        for name in ("noise_sigma", "min_hull_z"):
+            check_number(getattr(self, name), f"SensorSpec.{name}", least=0, error=ValidationError)
 
     def spacing_at(self, distance: float) -> float:
         """Hull sample spacing; density falls off as 1/distance^2."""
@@ -184,7 +177,9 @@ class DropoutWindow:
     t_end: float
 
     def __post_init__(self):
-        _check_finite(self, ("t_start", "t_end"), zero_ok=True)
+        check_number(self.sv_id, "DropoutWindow.sv_id", integer=True, error=ValidationError)
+        for name in ("t_start", "t_end"):
+            check_number(getattr(self, name), f"DropoutWindow.{name}", least=0, error=ValidationError)
         if not self.t_start < self.t_end:
             raise ValidationError(f"dropout of SV {self.sv_id} is empty or reversed: {self.t_start}..{self.t_end}")
 
@@ -205,8 +200,10 @@ class ScenarioSpec:
     walls: bool = False             # sound barriers (useful for scan matching)
 
     def validate(self):
-        _check_finite(self, ("duration", "dt"))
-        _check_finite(self, ("ground_spacing",), zero_ok=True)
+        for name in ("duration", "dt"):
+            check_number(getattr(self, name), f"ScenarioSpec.{name}", positive=True, error=ValidationError)
+        check_number(self.ground_spacing, "ScenarioSpec.ground_spacing", least=0, error=ValidationError)
+        check_number(self.seed, "ScenarioSpec.seed", least=0, integer=True, error=ValidationError)
         if not self.agents:
             raise ValidationError("scenario needs at least one agent")
         ids = [a.vehicle_id for a in self.agents]
@@ -215,12 +212,13 @@ class ScenarioSpec:
         sv_ids = [s.vehicle_id for s in self.svs]
         if len(set(sv_ids)) != len(sv_ids):
             raise ValidationError("duplicate sv ids")
+        if shared := sorted(set(ids) & set(sv_ids)):
+            raise ValidationError(f"ids of both an agent and an SV: {shared}")
         for d in self.dropouts:
             if d.sv_id not in sv_ids:
                 raise ValidationError(f"dropout names no SV: {d.sv_id!r}")
         for v in list(self.agents) + list(self.svs):
-            if not (isinstance(v.lane, Integral) and not isinstance(v.lane, bool)):
-                raise ValidationError(f"vehicle {v.vehicle_id} lane must be an integer: {v.lane!r}")
+            check_number(v.lane, f"vehicle {v.vehicle_id} lane", integer=True, error=ValidationError)
             # s(t) is a parabola: a vehicle that turns round between the ends goes farthest there
             times = [0.0, self.duration]
             if v.accel and 0.0 < -v.speed / v.accel < self.duration:

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .detection import OrientedBox
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_number
 from .fusion import FusedFrame
 from .geometry import wrap_angle
 
@@ -54,10 +53,8 @@ class TrackingConfig:
     max_age: int = 5            # missed steps before a track is dropped
 
     def __post_init__(self):
-        for name, least in (("confirm_hits", 1), ("max_age", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
-                raise InvalidArgument(f"{name} must be an integer >= {least}: {value!r}")
+        check_number(self.confirm_hits, "confirm_hits", least=1, integer=True)
+        check_number(self.max_age, "max_age", least=0, integer=True)
 
 
 @dataclass

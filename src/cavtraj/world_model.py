@@ -96,7 +96,6 @@ _END_TOL = 0.5  # m, how far past either end of a centerline the foot on its nea
 _MAP_KEYS = ("name", "lanelets")
 _POLYLINES = ("centerline", "left_boundary", "right_boundary")
 _LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
-_TINY = np.finfo(float).tiny
 _PAIRS = 16_384  # (point, centerline segment) pairs per split: float64 temporaries of about 128 KiB
 
 
@@ -458,17 +457,11 @@ def _first_nearest(diff_x: np.ndarray, diff_y: np.ndarray, first: np.ndarray, gr
     """Index of the first nearest chord in each group of point-to-chord offsets.
 
     Group g holds the offsets first[g]:first[g + 1], and group_of maps each
-    offset to its group. hypot decides only among offsets whose squared length
-    is within a relative 1e-9 of their group's least; the floor keeps
-    underflowed squares in.
+    offset to its group.
     """
-    dist2 = diff_x * diff_x + diff_y * diff_y
-    bound = np.minimum.reduceat(dist2, first) * (1.0 + 1e-9) + _TINY
-    cand = np.flatnonzero(dist2 <= bound[group_of])
-    cand_first = np.searchsorted(cand, first)  # each group's first candidate
-    dist = np.hypot(diff_x[cand], diff_y[cand])
-    hit = np.where(dist == np.minimum.reduceat(dist, cand_first)[group_of[cand]], cand, dist2.size)
-    return np.minimum.reduceat(hit, cand_first)
+    dist = np.hypot(diff_x, diff_y)
+    hit = np.where(dist == np.minimum.reduceat(dist, first)[group_of], np.arange(dist.size), dist.size)
+    return np.minimum.reduceat(hit, first)
 
 
 def _frenet(stack: _PolylineStack, i: int, xy: np.ndarray, s_chord: float) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """The benchmark in perfbench/ imports and runs against the package as it stands.
 
-No CI step runs the benchmark, so a change under src/ that breaks what
-perfbench/ uses of the package (a name, a signature, a return type) would
-otherwise show only when the benchmark itself runs. This runs one short pass
-of the benchmark's chain from memory and from files, and one traced pass.
+CI runs the benchmark only after the tests, one short untraced pass per
+workload, so a change under src/ that breaks what perfbench/ uses of the
+package (a name, a signature, a return type) would otherwise show late, and
+never on the traced path. This runs one short pass of the benchmark's chain
+from memory and from files, and one traced pass.
 """
 
 import math

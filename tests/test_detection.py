@@ -38,7 +38,9 @@ CFG = DetectionConfig(cell_size=0.5, extent=20.0)
      ("ground_height", math.nan), ("ground_height", math.inf), ("ground_height", -math.inf),
      # every cluster size >= NaN is false, so a NaN floor keeps no cluster in any frame
      ("min_cluster_points", math.nan), ("min_cluster_points", 0), ("min_cluster_points", 2.5),
-     ("min_cluster_points", True)],
+     ("min_cluster_points", True),
+     # text and integers too large for a float raised TypeError and OverflowError
+     ("cell_size", "0.2"), ("extent", 10**400), ("min_cluster_points", 10**400)],
 )
 def test_config_rejects_non_positive_or_non_finite_values(field, value):
     with pytest.raises(InvalidArgument, match=field):
@@ -89,6 +91,13 @@ def test_frame_rejects_a_bool_timestamp(timestamp):
     # true and false are not times: each was kept as 1 s or 0 s
     with pytest.raises(InvalidArgument, match="timestamp"):
         make_frame([[0.0, 0.0, 1.0]], timestamp=timestamp)
+
+
+@pytest.mark.parametrize("timestamp", ["1", None, 10**400], ids=["text", "none", "too_large"])
+def test_frame_rejects_a_timestamp_that_is_not_a_number(timestamp):
+    # text and None raised TypeError, and an integer too large for a float OverflowError
+    with pytest.raises(InvalidArgument, match="timestamp"):
+        make_frame([], timestamp=timestamp)
 
 
 def test_bev_single_point_features():
@@ -355,8 +364,8 @@ def test_cluster_mixed_cells_keep_only_obstacle_points():
 
 
 def test_detect_objects_looks_up_layers_at_call_time(monkeypatch):
-    # a tracer wraps these two by name on the module; detect_objects must see the wrappers
-    calls = {"bev_grid_features": 0, "cluster_points": 0}
+    # a tracer wraps layers by name on the module; detect_objects must look all three up at call time
+    calls = {"bev_grid_features": 0, "cluster_points": 0, "fit_boxes": 0}
 
     def counted(name):
         orig = getattr(detection, name)
@@ -372,7 +381,7 @@ def test_detect_objects_looks_up_layers_at_call_time(monkeypatch):
     frames = [make_frame(blob((k, 0.0), seed=k), timestamp=0.1 * k) for k in range(3)]
     for k, frame in enumerate(frames, start=1):
         assert len(detection.detect_objects(frame, CFG)) == 1
-        assert calls == {"bev_grid_features": k, "cluster_points": k}
+        assert calls == {"bev_grid_features": k, "cluster_points": k, "fit_boxes": k}
 
 
 def blob(center, n=40, size=0.8, z=1.0, seed=0):

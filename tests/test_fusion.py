@@ -76,6 +76,13 @@ def test_sync_bool_or_infinite_tolerance_rejected(tolerance):
         sync_sets(streams, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("tolerance", ["0.1", None, 10**400], ids=["text", "none", "too_large"])
+def test_sync_tolerance_that_is_not_a_number_rejected(tolerance):
+    # text and None raised TypeError, and an integer too large for a float OverflowError
+    with pytest.raises(InvalidArgument, match="tolerance"):
+        sync_sets({}, tolerance)
+
+
 def test_sync_zero_tolerance_pairs_only_equal_timestamps():
     streams = {0: [make_set(0.0, 0), make_set(0.1, 0)], 1: [make_set(0.0, 1), make_set(0.11, 1)]}
     assert [len(g) for g in sync_sets(streams, tolerance=0.0)] == [2, 1, 1]

@@ -127,6 +127,7 @@ BAD_ROADS = {
     "step_nan": dict(sample_step=math.nan),
     "length_zero": dict(length=0.0),
     "length_inf": dict(length=math.inf),
+    "length_too_large": dict(length=10**400),  # was OverflowError
     "lanes_zero": dict(n_lanes=0),
     "lanes_fraction": dict(n_lanes=2.5),
     "lanes_bool": dict(n_lanes=True),
@@ -186,6 +187,24 @@ def test_vehicle_spec_rejects_bad_value(fields):
         VehicleSpec(101, 1, 48.0, 20.0, **fields)
 
 
+BAD_MOTIONS = {
+    "speed_bool": (101, 1, 48.0, True),  # was 1 m/s
+    "speed_text": (101, 1, 48.0, "5"),  # was TypeError inside generate_scenario
+    "start_nan": (101, 1, math.nan, 20.0),
+    "start_none": (101, 1, None, 20.0),
+    "accel_inf": (101, 1, 48.0, 20.0, math.inf),
+    "accel_bool": (101, 1, 48.0, 20.0, True),
+    "id_bool": (True, 1, 48.0, 20.0),
+    "id_fraction": (101.5, 1, 48.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("args", BAD_MOTIONS.values(), ids=BAD_MOTIONS.keys())
+def test_vehicle_spec_rejects_bad_motion_or_id(args):
+    with pytest.raises(ValidationError):
+        VehicleSpec(*args)
+
+
 BAD_DROPOUTS = {
     # each was accepted and never fired
     "start_nan": (math.nan, 0.5),
@@ -204,12 +223,23 @@ def test_dropout_window_rejects_bad_value(window):
         DropoutWindow(101, *window)
 
 
+@pytest.mark.parametrize("sv_id", [True, 101.0, "101"])
+def test_dropout_window_rejects_an_sv_id_that_is_not_an_integer(sv_id):
+    # DropoutWindow(True, ...) named SV 1 and silently hid it
+    with pytest.raises(ValidationError, match="sv_id"):
+        DropoutWindow(sv_id, 0.0, 1.0)
+
+
 BAD_SCENARIOS = {
     "ground_spacing_nan": dict(ground_spacing=math.nan),  # was ValueError from the lattice
     "ground_spacing_negative": dict(ground_spacing=-0.4),
     "duration_nan": dict(duration=math.nan),
     "dt_zero": dict(dt=0.0),
     "dt_bool": dict(dt=True),  # was a 1 s step
+    "seed_negative": dict(seed=-1),  # was NumPy's ValueError
+    "seed_fraction": dict(seed=1.5),  # was TypeError
+    "seed_bool": dict(seed=True),  # was seed 1
+    "agent_and_sv_share_an_id": dict(svs=[VehicleSpec(2, 1, 60.0, 22.0)]),  # was two vehicles with one id
     "lane_fraction": dict(svs=[VehicleSpec(101, 1.5, 48.0, 20.0)]),  # was a vehicle between lanes
     "lane_bool": dict(agents=[VehicleSpec(1, True, 40.0, 20.0)]),
     "dropout_names_no_sv": dict(dropouts=[DropoutWindow(103, 0.1, 0.2)]),  # was silently ignored

@@ -228,6 +228,8 @@ BAD_TRACKING_CONFIGS = {
     "confirm_hits_bool": ("confirm_hits", True),
     "max_age_negative": ("max_age", -1),  # drops every track every step
     "max_age_nan": ("max_age", math.nan),
+    "max_age_text": ("max_age", "5"),
+    "confirm_hits_too_large": ("confirm_hits", 10**400),  # no float holds it
 }
 
 
