@@ -36,13 +36,18 @@ every hull edge of every cluster in one stacked matrix product.
 
 No per-frame temporary of the fit holds more than one float64 column of the
 cluster points, bar the calipers' block, which grows with hull sizes: the
-fit gathers x, y and z as columns and frees the joined rows before the
-hull, the octagon works one key and one side at a time, and clustering
-hands the fit row indices, not copies of the points. Blocks of several
-columns (0.4-0.5 MiB each at 16 000 points) made glibc trim the heap
-after every dense frame and fault it back in on the next: 170-540 minor
-page faults and about 1 ms of system time per `freeway_baseline` frame,
-against 0-20 under this rule.
+fit gathers x, y and z as columns and frees the joined rows and z before
+the hull, and clustering hands the fit row indices, not copies of the
+points. The octagon's corners are searched in two (4, n) bool blocks, half
+a column each: four keys' equalities to their segment extremes, then one
+search for every first hit. Its bounds and edges are tested one side and
+one edge at a time. Blocks of several columns (0.4-0.5 MiB each at 16 000
+points) made glibc trim the heap after every dense frame and fault it back
+in on the next: 170-540 minor page faults and about 1 ms of system time per
+`freeway_baseline` frame, against 0-20 under this rule. On small frames the
+NumPy calls, not the points, set detection's time, so passes of one shape
+share a call where this rule allows, and no pass runs whose result is
+known.
 
 A box's heading lies along the long side of its footprint; its sign is
 arbitrary (a box and its half-turn are the same box). Later stages treat it
@@ -55,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -97,6 +103,7 @@ class PointCloudFrame:
             raise InvalidArgument(f"points must have shape (N, 3), got {points.shape}")
         self.points = points.reshape(-1, 3)
         check_number(self.timestamp, "timestamp")
+        check_number(self.agent_id, "agent_id", integer=True)
         if self.points.size and not np.all(np.isfinite(self.points)):
             raise InvalidArgument("non-finite point coordinates")
 
@@ -174,24 +181,27 @@ def bev_grid_features(frame: PointCloudFrame, config: DetectionConfig) -> BevGri
     kept point lies within the extent's corner, so the sector counts are a
     slice of one table per (cell_size, link_angle, extent).
     """
-    kept = np.flatnonzero(frame.points[:, 2] >= config.ground_height)
-    x, y = frame.points[:, 0][kept], frame.points[:, 1][kept]
-    inside = (np.abs(x) <= config.extent) & (np.abs(y) <= config.extent)
-    kept, x, y = kept[inside], x[inside], y[inside]
+    points = frame.points
+    kept = (points[:, 2] >= config.ground_height).nonzero()[0]
+    x, y = points[:, 0][kept], points[:, 1][kept]
+    inside = np.maximum(np.abs(x), np.abs(y)) <= config.extent
+    if not inside.all():
+        kept, x, y = kept[inside], x[inside], y[inside]
     r = np.hypot(x, y)
-    if len(kept) == 0:
+    if not kept.size:
         empty = np.zeros(0, dtype=np.int64)
         return BevGrid(kept, x, y, r, empty, empty, empty)
     ring = _rings(r, config)
-    sectors = _sector_table(config.cell_size, config.link_angle, config.extent)[:int(ring.max()) + 1]
+    sectors = _sector_table(config.cell_size, config.link_angle, config.extent)[:ring.max() + 1]
+    stride = int(sectors[-1])       # sector counts never fall with the ring
     n = sectors[ring]
-    sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64) % n
-    stride = int(sectors.max())
+    sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64)
+    sector[sector == n] = 0         # the floor lies in [0, n], so this is sector % n
     key = ring * stride + sector
     # keys below 2**16 sort by radix in uint16, in the same stable order
-    order = np.argsort(key.astype(np.min_scalar_type(len(sectors) * stride)), kind="stable")
+    order = key.astype(np.min_scalar_type(len(sectors) * stride)).argsort(kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
     return BevGrid(kept[order], x[order], y[order], r[order], key[starts], starts, sectors)
 
 
@@ -245,48 +255,55 @@ def cluster_points(grid: BevGrid, config: DetectionConfig) -> list[np.ndarray]:
     their first bin, and those smaller than min_cluster_points are dropped.
     """
     keys, starts, sectors = grid.keys, grid.starts, grid.sectors
-    n_bins = len(keys)
+    n_bins = keys.size
     if n_bins == 0:
         return []
     x_lo, x_hi = np.minimum.reduceat(grid.x, starts), np.maximum.reduceat(grid.x, starts)
     y_lo, y_hi = np.minimum.reduceat(grid.y, starts), np.maximum.reduceat(grid.y, starts)
-    r_hi = np.maximum.reduceat(grid.r, starts)
+    # a link's reach, max(link_angle * min(r1, r2), 1.5 * cell_size) squared,
+    # is the lesser of its bins' own: each step is monotone, so it rounds alike
+    reach = np.maximum(config.link_angle * np.maximum.reduceat(grid.r, starts), 1.5 * config.cell_size)
+    reach *= reach
 
     # candidate bins, all offsets in one lookup; the sector under a bin's centre
     # in a ring of m sectors is floor((sector + 1/2) * m / n), its own for m = n
-    stride = int(sectors.max())
-    ring, sector = np.divmod(keys, stride)
-    t_ring = ring[:, None] - np.arange(3)
-    inside = (t_ring >= 0)[:, _RING_STEP]
-    t_ring = np.maximum(t_ring, 0)
+    stride = int(sectors[-1])
+    ring, sector = np.divmod(keys[:, None], stride)
+    t_ring = np.maximum(ring - np.arange(3), 0)
     m = sectors[t_ring]
-    centre = (2 * sector[:, None] + 1) * m // (2 * m[:, :1])
-    t_key = ((t_ring * stride)[:, _RING_STEP] + (centre[:, _RING_STEP] + _SECTOR_STEP) % m[:, _RING_STEP]).ravel()
+    centre = (2 * sector + 1) * m // (2 * m[:, :1])
+    t_sector = centre[:, _RING_STEP] + _SECTOR_STEP
+    m = m[:, _RING_STEP]
+    # rings have at least 3 sectors, so t_sector lies in [-2, m + 2) and one
+    # step wraps it: this is t_sector % m
+    np.subtract(t_sector, m, out=t_sector, where=t_sector >= m)
+    np.add(t_sector, m, out=t_sector, where=t_sector < 0)
     # every candidate key is below len(sectors) * stride, so a dense table
     # of bin slots (-1 where empty) answers each lookup in one gather
     slot = np.full(len(sectors) * stride, -1, dtype=np.int32)
     slot[keys] = np.arange(n_bins, dtype=np.int32)
-    at = slot[t_key]
-    idx = np.flatnonzero(inside.ravel() & (at >= 0))
-    a, b = idx // len(_RING_STEP), at[idx]
+    at = slot[(t_ring * stride)[:, _RING_STEP] + t_sector].ravel()
+    idx = ((ring >= _RING_STEP).ravel() & (at >= 0)).nonzero()[0]
+    a, b = idx // len(_RING_STEP), at[idx].astype(np.intp)     # gathers index faster by intp
 
     gap_x = np.maximum(0.0, np.maximum(x_lo[b] - x_hi[a], x_lo[a] - x_hi[b]))
     gap_y = np.maximum(0.0, np.maximum(y_lo[b] - y_hi[a], y_lo[a] - y_hi[b]))
-    reach = np.maximum(config.link_angle * np.minimum(r_hi[a], r_hi[b]), 1.5 * config.cell_size)
-    link = gap_x * gap_x + gap_y * gap_y <= reach * reach
+    link = gap_x * gap_x + gap_y * gap_y <= np.minimum(reach[a], reach[b])
     label = _least_bin_labels(n_bins, a[link], b[link])
 
     # expand the bins of each big enough component, in label order
-    size = np.diff(np.append(starts, len(grid.kept)))
+    size = np.concatenate((starts[1:], [grid.kept.size])) - starts
     comp_size = np.bincount(label, weights=size, minlength=n_bins).astype(np.int64)
     big = comp_size >= config.min_cluster_points
-    if not big.any():
+    use = big[label].nonzero()[0]
+    if not use.size:
         return []
-    use = np.flatnonzero(big[label])
-    use = use[np.argsort(label[use], kind="stable")]
+    use = use[label[use].argsort(kind="stable")]
     count = size[use]
-    pos = np.repeat(starts[use] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return np.split(grid.kept[pos], np.cumsum(comp_size[big])[:-1])
+    end = count.cumsum()
+    rows = grid.kept[(starts[use] - (end - count)).repeat(count) + np.arange(end[-1])]
+    ends = comp_size[big].cumsum().tolist()
+    return [rows[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def _least_bin_labels(n_bins: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,19 +317,20 @@ def _least_bin_labels(n_bins: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     link share a root.
     """
     parent = np.arange(n_bins)
+    ra, rb = a, b                       # every bin is its own root so far
     while True:
-        ra, rb = parent[a], parent[b]
-        split = ra != rb
-        if not split.any():
+        split = (ra != rb).nonzero()[0]
+        if not split.size:
             return parent
-        # links whose ends share a root keep sharing it
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        if split.size < ra.size:        # links whose ends share a root keep sharing it
+            a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
+        ra, rb = parent[a], parent[b]
 
 
 @dataclass(frozen=True)
@@ -367,18 +385,22 @@ def _octagon_corners(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndar
     """Each segment's first points of least and greatest x, y, x + y and y - x, as (8, K) positions.
 
     A segment's first point attaining an extreme is the first position of
-    that key's equality at or after the segment's start. The keys are
-    searched one at a time, so no temporary is wider than one column.
-    Rows run counter-clockwise from the lowest corner: directions -y,
-    x - y, x, x + y, y, y - x, -x, -x - y.
+    that key's equality at or after the segment's start. Rows run
+    counter-clockwise from the lowest corner: directions -y, x - y, x, x + y,
+    y, y - x, -x, -x - y. The even rows' four equalities are written into one
+    (4, n) bool block, then the odd rows', and each block's first hits come
+    from one search; no temporary is wider than one float64 column.
     """
-    starts = np.cumsum(sizes) - sizes
-    lo, hi = [], []
-    for key in (x, y, x + y, y - x):
-        for best, out in ((np.minimum, lo), (np.maximum, hi)):
-            flat = np.flatnonzero(key == np.repeat(best.reduceat(key, starts), sizes))
-            out.append(flat[np.searchsorted(flat, starts)])
-    return np.stack([lo[1], lo[3], hi[0], hi[2], hi[1], hi[3], lo[0], lo[2]])
+    starts = sizes.cumsum() - sizes
+    row_at = len(x) * np.arange(4)[:, None]     # each block row's offset in the flat block
+    hit = np.empty((4, len(x)), dtype=bool)
+    corner = np.empty((8, len(sizes)), dtype=np.int64)
+    for half, (u, v) in enumerate(((y, x), (y - x, x + y))):
+        for row, (key, best) in enumerate(((u, np.minimum), (v, np.maximum), (u, np.maximum), (v, np.minimum))):
+            np.equal(key, best.reduceat(key, starts).repeat(sizes), out=hit[row])
+        flat = hit.ravel().nonzero()[0]
+        corner[half::2] = flat[flat.searchsorted(starts + row_at)] - row_at
+    return corner
 
 
 def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -394,27 +416,29 @@ def _octagon_interior(x: np.ndarray, y: np.ndarray, seg: np.ndarray, sizes: np.n
     # fast path, exact in floating point: in every direction, one of the four
     # diagonal corners lies at least as far out as a point strictly inside
     # the box they bound; one side at a time, repeated over its segment's points
-    inside = np.repeat(np.maximum(cx[5], cx[7]), sizes) < x
-    inside &= x < np.repeat(np.minimum(cx[1], cx[3]), sizes)
-    inside &= np.repeat(np.maximum(cy[7], cy[1]), sizes) < y
-    inside &= y < np.repeat(np.minimum(cy[3], cy[5]), sizes)
+    inside = np.maximum(cx[5], cx[7]).repeat(sizes) < x
+    inside &= x < np.minimum(cx[1], cx[3]).repeat(sizes)
+    inside &= np.maximum(cy[7], cy[1]).repeat(sizes) < y
+    inside &= y < np.minimum(cy[3], cy[5]).repeat(sizes)
 
     # the rest against the octagon's edges: a point's cross product with edge
     # k, ex * y - ey * x - (ex * cy - ey * cx), must clear a margin far above
-    # its rounding error; zero-length edges are skipped
-    rest = np.flatnonzero(~inside)
-    ex, ey = np.roll(cx, -1, axis=0) - cx, np.roll(cy, -1, axis=0) - cy
-    bound = ex * cy - ey * cx + 1e-12 * (np.abs(ex) + np.abs(ey)) * max(np.abs(x).max(), np.abs(y).max())
+    # its rounding error, scaled by the largest |x| or |y|, which the corners
+    # of least and greatest x and y attain; zero-length edges are skipped
+    ex, ey = np.concatenate((cx[1:], cx[:1])) - cx, np.concatenate((cy[1:], cy[:1])) - cy
+    scale = max(np.abs(cx[2::4]).max(), np.abs(cy[::4]).max())
+    bound = ex * cy - ey * cx + 1e-12 * (np.abs(ex) + np.abs(ey)) * scale
     flat = (ex == 0) & (ey == 0)
     bound[flat] = -1.0                  # a zero-length edge passes every point
     bound[0, flat.all(axis=0)] = 1.0    # and a single-point octagon none
     # rest is sorted by segment, so each segment's edges repeat over its run;
     # one edge at a time
+    rest = (~inside).nonzero()[0]
     run = np.bincount(seg[rest], minlength=len(sizes))
     xr, yr = x[rest], y[rest]
-    clear = np.ones(len(rest), dtype=bool)
-    for k in range(8):
-        clear &= np.repeat(ex[k], run) * yr - np.repeat(ey[k], run) * xr > np.repeat(bound[k], run)
+    clear = ex[0].repeat(run) * yr - ey[0].repeat(run) * xr > bound[0].repeat(run)
+    for k in range(1, 8):
+        clear &= ex[k].repeat(run) * yr - ey[k].repeat(run) * xr > bound[k].repeat(run)
     inside[rest] = clear
     return inside
 
@@ -427,13 +451,15 @@ def _chain(x: np.ndarray, y: np.ndarray, group: np.ndarray) -> np.ndarray:
     ends of each group always stay.
     """
     pos = np.arange(len(x))
-    while len(pos) > 2:
+    # a point between two of its own group stays so, and only such a point is dropped
+    inner = np.concatenate(([False], group[:-2] == group[2:], [False]))
+    while pos.size > 2:
         cross = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
-        drop = (cross <= 0) & (group[:-2] == group[2:])
+        drop = (cross <= 0) & inner[1:-1]
         if not drop.any():
             break
-        keep = np.concatenate(([True], ~drop, [True]))
-        x, y, group, pos = x[keep], y[keep], group[keep], pos[keep]
+        keep = np.concatenate(([True], ~drop, [True])).nonzero()[0]
+        x, y, inner, pos = x[keep], y[keep], inner[keep], pos[keep]
     return pos
 
 
@@ -451,8 +477,8 @@ def convex_hulls(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> tuple[np.nd
     collinear has two and one whose points are all equal has one.
     """
     n_seg = len(sizes)
-    seg = np.repeat(np.arange(n_seg), sizes)
-    outer = ~_octagon_interior(x, y, seg, sizes)
+    seg = np.arange(n_seg).repeat(sizes)
+    outer = (~_octagon_interior(x, y, seg, sizes)).nonzero()[0]
     x, y, seg = x[outer], y[outer], seg[outer]
 
     # sorted, with repeated points dropped: a chain pass may drop a vertex only
@@ -461,27 +487,32 @@ def convex_hulls(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> tuple[np.nd
     xs, ys, ss = x[order], y[order], seg[order]
     order = order[np.concatenate(([True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]) | (ss[1:] != ss[:-1])))]
     counts = np.bincount(seg[order], minlength=n_seg)
-    first = np.cumsum(counts) - counts
+    first = counts.cumsum() - counts
     # each segment's points left to right (its lower chain), then right to
-    # left (its upper chain); group 2s is segment s's lower chain, 2s + 1 its upper
-    group = np.repeat(np.arange(2 * n_seg), np.repeat(counts, 2))
-    j = np.arange(len(group)) - np.repeat(2 * first, 2 * counts)
-    n = np.repeat(counts, 2 * counts)
-    walk = order[np.repeat(first, 2 * counts) + np.where(j < n, j, 2 * n - 1 - j)]
+    # left (its upper chain); group 2s is segment s's lower chain, 2s + 1 its
+    # upper. Walk step t of segment s takes its point min(t - f, 3f + 2c - 1 - t)
+    # in sorted order, f being the segment's first and c its count
+    twice = 2 * counts
+    group = np.arange(2 * n_seg).repeat(counts.repeat(2))
+    t = np.arange(group.size)
+    walk = order[np.minimum(t - first.repeat(twice), (3 * first + twice - 1).repeat(twice) - t)]
     kept = _chain(x[walk], y[walk], group)
     g = group[kept]
     # the upper chain's ends are the lower chain's
-    end = np.concatenate(([True], g[1:] != g[:-1])) | np.concatenate((g[:-1] != g[1:], [True]))
+    change = g[1:] != g[:-1]
+    end = np.concatenate(([True], change)) | np.concatenate((change, [True]))
     verts = walk[kept[~(end & (g % 2 == 1))]]
     vseg = seg[verts]
 
     # re-root each hull at its lowest, then leftmost, vertex
     counts = np.bincount(vseg, minlength=n_seg)
-    first = np.cumsum(counts) - counts
+    first = counts.cumsum() - counts
     root = np.lexsort((x[verts], y[verts], vseg))[first] - first
-    k = np.arange(len(verts)) - np.repeat(first, counts)
-    verts = verts[np.repeat(first, counts) + (k + np.repeat(root, counts)) % np.repeat(counts, counts)]
-    return np.stack([x[verts], y[verts]], axis=1), counts
+    f = first.repeat(counts)
+    verts = verts[f + (np.arange(verts.size) - f + root.repeat(counts)) % counts.repeat(counts)]
+    hulls = np.empty((verts.size, 2))
+    hulls[:, 0], hulls[:, 1] = x[verts], y[verts]
+    return hulls, counts
 
 
 def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -498,26 +529,28 @@ def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     """
     k_count, m = len(counts), int(counts.max())
     j = np.arange(m)
-    first = (np.cumsum(counts) - counts)[:, None]
-    vert = np.take(hulls, first + np.minimum(j, counts[:, None] - 1), axis=0)      # (K, m, 2)
-    edge = np.take(hulls, first + (j + 1) % counts[:, None], axis=0) - vert
+    first = (counts.cumsum() - counts)[:, None]
+    vert = hulls[first + np.minimum(j, counts[:, None] - 1)]      # (K, m, 2)
+    edge = hulls[first + (j + 1) % counts[:, None]] - vert
     angle = np.arctan2(edge[:, :, 1], edge[:, :, 0])
     c, s = np.cos(angle), np.sin(angle)
 
     # column pair k of a polygon's frames is edge k's rotation: its edge becomes
     # +x; matmul, not x * c + y * s, which rounds differently from the BLAS kernel
-    frames = np.stack([c, -s, s, c], axis=-1).reshape(k_count, m, 2, 2).transpose(0, 2, 1, 3).reshape(k_count, 2, 2 * m)
-    proj = (vert @ frames).reshape(k_count, m, m, 2)
+    frames = np.empty((k_count, 2, m, 2))
+    frames[:, 0, :, 0], frames[:, 0, :, 1], frames[:, 1, :, 0], frames[:, 1, :, 1] = c, -s, s, c
+    proj = (vert @ frames.reshape(k_count, 2, 2 * m)).reshape(k_count, m, m, 2)
     lo, hi = proj.min(axis=1), proj.max(axis=1)
     extents = hi - lo
     area = extents[:, :, 0] * extents[:, :, 1]
     area[(j >= counts[:, None]) | (np.hypot(edge[:, :, 0], edge[:, :, 1]) < 1e-12)] = np.inf
     rows = np.arange(k_count)
-    best = np.argmin(area, axis=1)
+    best = area.argmin(axis=1)
     cb, sb = c[rows, best], s[rows, best]
     # back to the map frame; matmul rounds each rotation's transposed view
     # differently from the same matrix stored C-ordered, so the center keeps this layout
-    rot = np.stack([cb, sb, -sb, cb], axis=-1).reshape(k_count, 2, 2)
+    rot = np.empty((k_count, 2, 2))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = cb, sb, -sb, cb
     mid = (lo[rows, best] + hi[rows, best]) / 2.0
     center = (rot.transpose(0, 2, 1) @ mid[:, :, None])[:, :, 0]
     return center, extents[rows, best], angle[rows, best], area[rows, best]
@@ -529,50 +562,47 @@ def fit_boxes(points: np.ndarray, clusters: list[np.ndarray]) -> list[OrientedBo
     `points` is the frame's (N, 3) array and each cluster an array of its
     rows, as `cluster_points` returns them; the rows are joined once, x, y
     and z gathered through them from the frame's columns, and the joined
-    rows freed before the hulls. A box's footprint is the rotating-calipers
-    rectangle of its cluster's projected hull; the heading lies along its
-    long side, with an arbitrary sign. The height spans min to max point z,
+    rows and z (once each cluster's z range is taken) freed before the
+    hulls. A box's footprint is the rotating-calipers rectangle of its
+    cluster's projected hull; the heading lies along its long side, with an
+    arbitrary sign. The height spans min to max point z,
     floored at _MIN_BOX_HEIGHT, and the confidence is min(1, points /
     _CONFIDENCE_SATURATION). Degenerate clusters give no box: fewer than 3
     points, all collinear or repeated, or a zero-area footprint. The boxes
     keep the order of their clusters.
     """
-    sizes = np.array([len(c) for c in clusters], dtype=int)
-    use = np.flatnonzero(sizes >= 3)
-    if len(use) == 0:
-        return []
-    rows = np.concatenate([clusters[i] for i in use])
-    x, y, z = (points[:, axis][rows] for axis in range(3))
-    del rows
+    sizes = np.fromiter(map(len, clusters), dtype=int, count=len(clusters))
+    use = sizes >= 3
     sizes = sizes[use]
-    starts = np.cumsum(sizes) - sizes
+    if not sizes.size:
+        return []
+    rows = np.concatenate(list(compress(clusters, use)))
+    starts = sizes.cumsum() - sizes
+    z = points[:, 2][rows]
+    z_min, z_max = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
+    x, y = points[:, 0][rows], points[:, 1][rows]
+    del rows, z
 
     hulls, counts = convex_hulls(x, y, sizes)
     polygon = counts >= 3
     if not polygon.any():
         return []
-    center, extents, angle, area = min_area_rects(hulls[np.repeat(polygon, counts)], counts[polygon])
+    center, extents, angle, area = min_area_rects(hulls[polygon.repeat(counts)], counts[polygon])
     ok = np.isfinite(area) & (area >= 1e-15)
 
-    fit = np.flatnonzero(polygon)[ok]
-    center, extents, angle = center[ok], extents[ok], angle[ok]
-    z_min = np.minimum.reduceat(z, starts)[fit]
-    z_max = np.maximum.reduceat(z, starts)[fit]
-    swap = extents[:, 0] < extents[:, 1]
-    heading = np.where(swap, angle + math.pi / 2.0, angle)  # OrientedBox wraps it
-    length = np.where(swap, extents[:, 1], extents[:, 0])
-    width = np.where(swap, extents[:, 0], extents[:, 1])
-    rows = zip(
-        center[:, 0].tolist(),
-        center[:, 1].tolist(),
-        ((z_min + z_max) / 2.0).tolist(),
-        np.maximum(length, 1e-6).tolist(),
-        np.maximum(width, 1e-6).tolist(),
-        np.maximum(z_max - z_min, _MIN_BOX_HEIGHT).tolist(),
-        heading.tolist(),
-        np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION).tolist(),
-    )
-    return [OrientedBox(*row) for row in rows]
+    # one row per box, in OrientedBox's field order; the long side is the length
+    fit = polygon.nonzero()[0][ok]
+    extents = extents[ok]
+    z_min, z_max = z_min[fit], z_max[fit]
+    box = np.empty((fit.size, 8))
+    box[:, :2] = center[ok]
+    box[:, 2] = (z_min + z_max) / 2.0
+    box[:, 3] = np.maximum(extents.max(axis=1), 1e-6)
+    box[:, 4] = np.maximum(extents.min(axis=1), 1e-6)
+    box[:, 5] = np.maximum(z_max - z_min, _MIN_BOX_HEIGHT)
+    box[:, 6] = np.where(extents[:, 0] < extents[:, 1], angle[ok] + math.pi / 2.0, angle[ok])  # OrientedBox wraps it
+    box[:, 7] = np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION)
+    return [OrientedBox(*row) for row in box.tolist()]
 
 
 def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None) -> list[OrientedBox]:

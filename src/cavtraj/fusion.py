@@ -80,8 +80,8 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     check_number(tolerance, "tolerance", least=0)
     for agent_id, sets in streams.items():
         times = [s.timestamp for s in sets]
-        if not all(map(math.isfinite, times)):
-            raise InvalidArgument(f"detection stream of agent {agent_id} has a non-finite timestamp")
+        for t in times:
+            check_number(t, f"timestamp in the detection stream of agent {agent_id}")
         if any(b < a for a, b in zip(times, times[1:])):
             raise InvalidArgument(f"detection stream of agent {agent_id} is not time-ordered")
         if any(s.agent_id != agent_id for s in sets):

@@ -94,8 +94,7 @@ class Track:
 
 def kf_predict(tracks: list[Track], dt: float) -> None:
     """Advance every track in place by dt with the constant-acceleration model."""
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise InvalidArgument(f"dt must be positive, got {dt}")
+    check_number(dt, "dt", positive=True)
     if not tracks:
         return
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
@@ -179,8 +178,7 @@ class MultiObjectTracker:
     def step(self, frame: FusedFrame) -> list[Track]:
         """Process one fused frame; returns the confirmed tracks seen in it."""
         c = self.config
-        if not math.isfinite(frame.timestamp):
-            raise InvalidArgument(f"non-finite frame timestamp: {frame.timestamp!r}")
+        check_number(frame.timestamp, "frame timestamp")
         if self._last_timestamp is not None and frame.timestamp <= self._last_timestamp:
             raise InvalidArgument(
                 f"frame timestamps must increase: {frame.timestamp} after {self._last_timestamp}"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -100,6 +101,12 @@ def test_frame_rejects_a_timestamp_that_is_not_a_number(timestamp):
         make_frame([], timestamp=timestamp)
 
 
+@pytest.mark.parametrize("agent_id", ["a", 1.5, True, None])
+def test_frame_rejects_an_agent_id_that_is_not_an_integer(agent_id):
+    with pytest.raises(InvalidArgument, match="agent_id must be an integer"):
+        make_frame([[1.0, 2.0, 3.0]], agent_id=agent_id)
+
+
 def test_bev_single_point_features():
     # one point above the gate lists one bin; the same point on the ground lists none
     frame = make_frame([[3.0, 4.0, 1.5]])
@@ -177,6 +184,74 @@ def check_bins(cfg):
     assert near > 10 and far > 10
     # sectors never get finer toward the sensor, and ring 0 has three
     assert grid.sectors[0] == 3 and (np.diff(grid.sectors) >= 0).all()
+
+
+def reference_grid(frame, cfg):
+    """Reference range image: every extent test compacts, and the sector is taken % n."""
+    kept = np.flatnonzero(frame.points[:, 2] >= cfg.ground_height)
+    x, y = frame.points[:, 0][kept], frame.points[:, 1][kept]
+    inside = (np.abs(x) <= cfg.extent) & (np.abs(y) <= cfg.extent)
+    kept, x, y = kept[inside], x[inside], y[inside]
+    r = np.hypot(x, y)
+    if len(kept) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return detection.BevGrid(kept, x, y, r, empty, empty, empty)
+    ring = detection._rings(r, cfg)
+    sectors = detection._sector_table(cfg.cell_size, cfg.link_angle, cfg.extent)[:int(ring.max()) + 1]
+    n = sectors[ring]
+    sector = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi))).astype(np.int64) % n
+    stride = int(sectors.max())
+    key = ring * stride + sector
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return detection.BevGrid(kept[order], x[order], y[order], r[order], key[starts], starts, sectors)
+
+
+def assert_same_grid(got, want):
+    for name in ("kept", "x", "y", "r", "keys", "starts", "sectors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_bev_sectors_at_the_azimuth_seam_and_on_sector_boundaries():
+    # azimuth +pi (y = +0.0, x < 0) puts the floor at n in some rings, where
+    # the sector wraps to 0; -pi (y = -0.0) is sector 0 itself. Points on and
+    # one float either side of every sector boundary of a few rings bin as
+    # the reference's % n does
+    cfg = DetectionConfig()
+    table = detection._sector_table(cfg.cell_size, cfg.link_angle, cfg.extent)
+    pts = []
+    for r in (0.1, 0.45, 3.3, 9.9, 23.0, 51.7, 79.0):
+        n = int(table[int(detection._rings(np.array([r]), cfg)[0])])
+        pts += [[-r, 0.0, 1.0], [-r, -0.0, 1.0]]
+        edge = np.arange(n) * (2.0 * math.pi / n) - math.pi
+        for a in np.concatenate((edge, np.nextafter(edge, -4.0), np.nextafter(edge, 4.0))):
+            pts.append([r * math.cos(a), r * math.sin(a), 1.0])
+    frame = make_frame(pts)
+    grid = bev_grid_features(frame, cfg)
+    assert_same_grid(grid, reference_grid(frame, cfg))
+    x, y = frame.points[:, 0], frame.points[:, 1]
+    n = table[detection._rings(np.hypot(x, y), cfg)]
+    floor = np.floor((np.arctan2(y, x) + math.pi) * (n / (2.0 * math.pi)))
+    assert (floor == n).any() and (floor <= n).all()
+    assert np.signbit(y).sum() > 7 and (y == 0.0).sum() >= 14
+
+
+@pytest.mark.parametrize("beyond", [True, False], ids=["points beyond the extent", "none beyond"])
+def test_bev_grid_equals_the_reference_with_and_without_points_beyond_the_extent(beyond):
+    rng = np.random.default_rng(53)
+    for cfg in (CFG, DetectionConfig()):
+        reach = 1.3 * cfg.extent if beyond else cfg.extent
+        pts = np.c_[rng.uniform(-reach, reach, (3000, 2)), rng.uniform(-0.5, 2.0, 3000)]
+        pts[:40, :2] = rng.choice([-1.0, 1.0], (40, 2)) * cfg.extent   # on the extent, kept
+        frame = make_frame(pts)
+        in_extent = (np.abs(pts[:, :2]) <= cfg.extent).all(axis=1)
+        assert in_extent.all() != beyond
+        assert_same_grid(bev_grid_features(frame, cfg), reference_grid(frame, cfg))
+    frame = make_frame([[0.0, 1.5 * CFG.extent, 1.0], [-2.0 * CFG.extent, 0.0, 3.0]])
+    assert_same_grid(bev_grid_features(frame, CFG), reference_grid(frame, CFG))
 
 
 @pytest.mark.parametrize("link_angle, key_type", [(0.045, np.uint16), (0.02, np.uint32)])
@@ -914,6 +989,23 @@ def test_octagon_corners_are_each_segments_first_extreme_points():
     assert ties > 300
 
 
+def test_octagon_corners_of_tied_lattice_segments_are_the_first_argmin_and_argmax():
+    # every key ties on these 0..2 lattices, so each block row has several
+    # hits per segment; the first at or after the segment's start is the
+    # first extreme point, as argmin / argmax on the segment alone returns it
+    rng = np.random.default_rng(59)
+    segments = [rng.integers(0, 3, size=(int(k), 2)).astype(float) for k in rng.integers(1, 30, 200)]
+    segments += [np.full((5, 2), 1.0), np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, 0.0]])]
+    sizes = np.array([len(s) for s in segments])
+    xy = np.concatenate(segments)
+    corners = detection._octagon_corners(xy[:, 0], xy[:, 1], sizes)
+    for pts, start, got in zip(segments, np.cumsum(sizes) - sizes, corners.T):
+        x, y = pts[:, 0], pts[:, 1]
+        want = [np.argmin(y), np.argmin(y - x), np.argmax(x), np.argmax(x + y),
+                np.argmax(y), np.argmax(y - x), np.argmin(x), np.argmin(x + y)]
+        assert (got - start).tolist() == [int(w) for w in want]
+
+
 def qhull_box(pts):
     """The per-cluster box fit that fit_boxes replaces; None for a degenerate cluster.
 
@@ -1159,3 +1251,37 @@ def test_detect_objects_peak_memory_on_the_dense_frame():
     clusters = cluster_points(bev_grid_features(frame, config), config)
     assert (len(clusters), sum(map(len, clusters))) == (11, 16_863)
     assert traced_peak(lambda: fit_boxes(frame.points, clusters)) < 1.0 * 2**20
+
+
+def c_calls(call):
+    """C functions called while call() runs, as sys.setprofile counts them (c_call events)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_detect_objects_c_calls_on_a_small_frame():
+    """Bound the fixed cost of one detect_objects call: C functions called, not time.
+
+    On small frames the number of NumPy calls, not the number of points,
+    sets detection time, so a change that brings back a pass per key or
+    per cluster, or NumPy helpers that loop in Python (np.split, np.stack,
+    np.roll, np.array_equal), fails here. The count depends on the NumPy
+    version: it measured 208 with numpy 2.4.6 (the CI pin) on this frame, 8
+    clusters of 20 points and 8 boxes, and the bound is that plus 10 %.
+    """
+    centres = [(-6.0, 1.0), (5.0, -3.0), (12.0, 8.0), (-12.0, -9.0), (0.0, 15.0), (16.0, -12.0), (-15.0, 12.0),
+               (8.0, 4.0)]
+    frame = make_frame(np.vstack([blob(c, n=20, seed=k) for k, c in enumerate(centres)]))
+    assert len(detect_objects(frame, CFG)) == 8    # also warms every first-call cache
+    assert c_calls(lambda: detect_objects(frame, CFG)) <= 208 * 1.1

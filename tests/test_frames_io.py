@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import zipfile
 
 import numpy as np
@@ -30,6 +31,17 @@ def test_fortran_order_frame_round_trip(tmp_path):
     back = read_frame(tmp_path / "frame_000000.npz")
     assert back.points.flags.c_contiguous
     np.testing.assert_array_equal(back.points, points)
+
+
+@pytest.mark.parametrize("agent_id", ["a", 2.0])
+def test_readers_reject_a_bad_agent_id_naming_the_path(tmp_path, agent_id):
+    write_frame_dir(tmp_path / "frames", [make_frame(np.ones((2, 3)), timestamp=0.1)])
+    path = tmp_path / "frames" / "frame_000000.npz"
+    message = re.escape(f"{path}: agent_id must be an integer")
+    with pytest.raises(ValidationError, match=message):
+        read_frame(path, agent_id=agent_id)
+    with pytest.raises(ValidationError, match=message):
+        read_frame_dir(tmp_path / "frames", agent_id=agent_id)
 
 
 def test_empty_frame_keeps_its_timestamp(tmp_path):

@@ -83,6 +83,12 @@ def test_sync_tolerance_that_is_not_a_number_rejected(tolerance):
         sync_sets({}, tolerance)
 
 
+def test_sync_timestamp_that_is_not_a_number_rejected():
+    # a string is no time, and math.isfinite would raise TypeError on it
+    with pytest.raises(InvalidArgument, match="timestamp in the detection stream of agent 0 must be a real number"):
+        sync_sets({0: [DetectionSet("0.1", 0)]}, 0.1)
+
+
 def test_sync_zero_tolerance_pairs_only_equal_timestamps():
     streams = {0: [make_set(0.0, 0), make_set(0.1, 0)], 1: [make_set(0.0, 1), make_set(0.11, 1)]}
     assert [len(g) for g in sync_sets(streams, tolerance=0.0)] == [2, 1, 1]

@@ -222,6 +222,26 @@ def test_tracker_rejects_non_finite_timestamp(t):
         tracker.step(frame(1.0, []))
 
 
+def test_tracker_rejects_a_bool_timestamp():
+    # True is no time: read as 1.0 it would pass the order check unseen
+    with pytest.raises(InvalidArgument, match="frame timestamp must be a real number"):
+        MultiObjectTracker().step(frame(True, []))
+
+
+def test_tracker_rejects_a_timestamp_that_is_not_a_number():
+    # a string is no time, and math.isfinite would raise TypeError on it
+    with pytest.raises(InvalidArgument, match="frame timestamp must be a real number"):
+        MultiObjectTracker().step(frame("1", []))
+
+
+def test_predict_rejects_a_bool_dt():
+    # True is no duration: read as 1 it would run a 1 s step
+    t = make_track(vel=(1, 0, 0))
+    with pytest.raises(InvalidArgument, match="dt must be a real number"):
+        kf_predict([t], True)
+    assert t.position[0] == 0.0
+
+
 BAD_TRACKING_CONFIGS = {
     "confirm_hits_zero": ("confirm_hits", 0),
     "confirm_hits_fraction": ("confirm_hits", 2.5),
