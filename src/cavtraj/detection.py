@@ -362,6 +362,21 @@ class OrientedBox:
             raise InvalidArgument(f"confidence must be in [0, 1]: {self.confidence}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
+    @classmethod
+    def _from_rows(cls, rows, finite: bool) -> list[OrientedBox]:
+        """One box per (x, y, z, length, width, height, heading, confidence) row, built without the checks above.
+
+        The caller establishes l >= w > 0, h > 0 and a confidence in [0, 1], and whether every value is finite;
+        if not, the checking constructor raises on a row. Headings still go through `wrap_angle`.
+        """
+        if not finite:
+            return [cls(*row) for row in rows]
+        boxes = [object.__new__(cls) for _ in rows]
+        for box, (x, y, z, length, width, height, heading, confidence) in zip(boxes, rows):
+            box.__dict__.update(x=x, y=y, z=z, length=length, width=width, height=height,
+                                heading=wrap_angle(heading), confidence=confidence)
+        return boxes
+
     def footprint(self) -> list[tuple[float, float]]:
         """BEV corners as four (x, y) float pairs, counter-clockwise.
 
@@ -600,9 +615,10 @@ def fit_boxes(points: np.ndarray, clusters: list[np.ndarray]) -> list[OrientedBo
     box[:, 3] = np.maximum(extents.max(axis=1), 1e-6)
     box[:, 4] = np.maximum(extents.min(axis=1), 1e-6)
     box[:, 5] = np.maximum(z_max - z_min, _MIN_BOX_HEIGHT)
-    box[:, 6] = np.where(extents[:, 0] < extents[:, 1], angle[ok] + math.pi / 2.0, angle[ok])  # OrientedBox wraps it
+    box[:, 6] = np.where(extents[:, 0] < extents[:, 1], angle[ok] + math.pi / 2.0, angle[ok])  # _from_rows wraps it
     box[:, 7] = np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION)
-    return [OrientedBox(*row) for row in box.tolist()]
+    # l >= w >= 1e-6, h >= 0.1 and a confidence in (0, 1] hold by construction
+    return OrientedBox._from_rows(box.tolist(), bool(np.isfinite(box).all()))
 
 
 def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None) -> list[OrientedBox]:

@@ -4,7 +4,9 @@ CI runs the benchmark only after the tests, one short untraced pass per
 workload, so a change under src/ that breaks what perfbench/ uses of the
 package (a name, a signature, a return type) would otherwise show late, and
 never on the traced path. This runs one short pass of the benchmark's chain
-from memory and from files, and one traced pass.
+from memory and from files, and one traced pass. It also pins the chain's
+trajectory digests on every workload, which otherwise only the benchmark's
+own check of a run would guard.
 """
 
 import math
@@ -82,3 +84,27 @@ def test_traced_pass_reads_every_counter(data, tmp_path):
     assert steps and tr.calls("tracking.kf_predict") <= steps and tr.calls("tracking.kf_update") <= steps
     metrics = tracer.layer_metrics(tr)
     assert metrics["world_model.map_load.lanelets"][0] == len(data.vector_map["lanelets"])
+
+
+# the first 8 hex digits of each workload's trajectory digest, at the default and the hold-out seed
+DIGESTS = {
+    ("freeway_baseline", 0): "bcf0ce98", ("freeway_baseline", 7): "a2d90d87",
+    ("arc_fleet", 0): "78029697", ("arc_fleet", 7): "e81f1454",
+    ("disk_replay", 0): "f9feb979", ("disk_replay", 7): "f7f3cbfb",
+}
+
+
+@pytest.mark.parametrize("name, seed", DIGESTS, ids=[f"{name}-seed{seed}" for name, seed in DIGESTS])
+def test_chain_digest_is_pinned(name, seed):
+    """One pass of the chain, run from memory, gives the pinned trajectory rows.
+
+    A change meant to keep every output, such as a speed-up, leaves these
+    digests as they are. A change that alters the rows on purpose, such as
+    an accuracy change, updates the pins and records the new digests in
+    CHANGES.md.
+    """
+    workload = workloads.WORKLOADS[name]
+    data = scenario.generate_scenario(workload.make_spec(seed))
+    result = _run(*bench._source(replace(workload, from_disk=False), data, None))
+    assert result.failed == 0
+    assert result.digest()[:8] == DIGESTS[name, seed]

@@ -2,7 +2,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -1092,6 +1092,50 @@ def test_fit_boxes_skip_degenerate_clusters_and_are_batch_independent():
     assert fit_point_sets([]) == []
 
 
+def assert_same_boxes(got, want):
+    # the same fields bit for bit, and boxes that behave alike: equal, hashed alike, frozen
+    assert [type(b) for b in got] == [OrientedBox] * len(want)
+    assert box_bits(got) == box_bits(want) and got == want
+    assert [hash(b) for b in got] == [hash(b) for b in want]
+    for b in got:
+        with pytest.raises(FrozenInstanceError):
+            b.x = 0.0
+
+
+def test_unchecked_boxes_equal_checked_ones():
+    rows = [
+        (1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 0.9),
+        (0.0, 0.0, 0.0, 3.0, 3.0, 0.1, -math.pi, 1.0),                          # stored as pi
+        (-5.0, 1e5, 2.0, 1e-6, 1e-6, 0.1, math.pi + 1e-9, 0.01),                # wraps to just above -pi
+        (7.0, -3.0, 1.0, 2.0, 1.0, 1.0, float(np.nextafter(math.pi, 0.0)), 0.5),  # wrap_angle rounds it to pi
+        (7.0, -3.0, 1.0, 2.0, 1.0, 1.0, 1.5 * math.pi, 0.0),
+    ]
+    got = OrientedBox._from_rows(rows, True)
+    assert_same_boxes(got, [OrientedBox(*row) for row in rows])
+    assert got[1].heading == got[3].heading == math.pi
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unchecked_boxes_with_a_non_finite_row_go_through_the_checks(bad):
+    rows = [(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 0.9), (bad, 0.0, 0.0, 3.0, 3.0, 1.0, 0.0, 1.0)]
+    with pytest.raises(InvalidArgument, match="finite"):
+        OrientedBox._from_rows(rows, False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fit_boxes_equal_checked_boxes_and_reject_non_finite_rows():
+    v = VehicleSpec
+    spec = ScenarioSpec(duration=0.2, seed=7, road=RoadSpec(length=200.0, n_lanes=2), agents=[v(1, 1, 60.0, 22.0)],
+                        svs=[v(101, 2, 70.0, 23.0), v(102, 1, 80.0, 21.0)], ground_spacing=0.4, walls=True, poles=True)
+    boxes = [b for frame in generate_scenario(spec).frames[1] for b in detect_objects(frame, DetectionConfig())]
+    assert len(boxes) >= 6
+    assert_same_boxes(boxes, [OrientedBox(*astuple(b)) for b in boxes])
+    # a cluster whose z range overflows has an infinite height, which OrientedBox rejects
+    points = np.array([[0.0, 0.0, -1e308], [1.0, 0.0, 1e308], [0.0, 1.0, 0.0], [1.0, 1.0, 5.0]])
+    with pytest.raises(InvalidArgument, match="finite"):
+        fit_boxes(points, [np.arange(4)])
+
+
 def test_fit_boxes_are_layout_independent():
     # fit_boxes reads the frame's x, y and z as columns: a frame array that is
     # a non-contiguous view gives the boxes of its C-contiguous copy, bit for bit
@@ -1237,9 +1281,9 @@ def test_detect_objects_peak_memory_on_the_dense_frame():
     # the dense frame of test_detect_objects_pinned: 18 120 points, 16 863 of
     # them in 11 clusters. No per-frame temporary of the octagon prune is
     # wider than one float64 column of the cluster points (135 KB). One call's
-    # traced peak measured 1 783 791 B (1.70 MiB); the range image and the
+    # traced peak measured 1 783 599 B (1.70 MiB); the range image and the
     # clustering set it, so fit_boxes is bounded alone too: it measured
-    # 965 085 B (0.92 MiB), and one (n, 3) or (4, n) block more exceeds 1 MiB
+    # 880 698 B (0.84 MiB), and one (n, 3) or (4, n) block more exceeds 1 MiB
     v = VehicleSpec
     dense = ScenarioSpec(duration=0.1, seed=11, road=RoadSpec(length=200.0, n_lanes=3), agents=[v(1, 2, 100.0, 25.0)],
                          svs=[v(101, 1, 100.0, 25.0), v(102, 3, 101.0, 25.1), v(103, 2, 112.0, 24.0)], poles=True)

@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -368,6 +370,34 @@ def test_project_box_rounds_as_one_mat_vec_per_box():
     assert project_box([], IDENTITY) == []
 
 
+def test_project_box_builds_the_boxes_of_the_checking_constructor():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        t = RigidTransform(
+            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rng.uniform(-500, 500, 3),
+        )
+        boxes = [box(*rng.uniform(-300, 300, 2), z=rng.uniform(-2, 2), l=rng.uniform(0.2, 9.0), w=0.2,
+                     heading=rng.uniform(-math.pi, math.pi), conf=rng.uniform(0.0, 1.0)) for _ in range(5)]
+        got = project_box(boxes, t)
+        want = [OrientedBox(*astuple(p)) for p in got]
+        assert [astuple(p) for p in got] == [astuple(p) for p in want] and got == want
+        assert [hash(p) for p in got] == [hash(p) for p in want]
+    # a half turn of yaw -pi turns the x axis to (-1, -1.2e-16): atan2 gives -pi, which OrientedBox stores as pi
+    half_turn = RigidTransform(rotation_from_euler(0.0, 0.0, -math.pi), [0.0, 0.0, 0.0])
+    axis = half_turn.rotation @ (1.0, 0.0, 0.0)
+    assert math.atan2(axis[1], axis[0]) == -math.pi
+    p, = project_box([box(1.0, 2.0, heading=0.0)], half_turn)
+    assert p.heading == math.pi
+    assert astuple(p) == astuple(OrientedBox(p.x, p.y, p.z, p.length, p.width, p.height, -math.pi, p.confidence))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_project_box_rejects_a_center_that_overflows():
+    with pytest.raises(InvalidArgument, match="finite"):
+        project_box([box(0.0, 0.0), box(1.5e308, 0.0)], RigidTransform(np.eye(3), [1.5e308, 0.0, 0.0]))
+
+
 def test_late_fuse_single_agent_passthrough():
     s = make_set(0.0, 0, [box(5, 0), box(20, 3)])
     fused = late_fuse([s], {0: IDENTITY})
@@ -499,12 +529,14 @@ def test_late_fuse_gate_lets_touching_circles_through(monkeypatch):
 
 def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
     calls = []
+    merges = fusion._merges
 
-    def counting_iou(a, b):
-        calls.append((round(a.x, 6), round(b.x, 6)))
-        return iou_bev(a, b)
+    def recording_merges(box, other, a, b):
+        calls.append((round(box.x, 6), round(other.x, 6)))
+        return merges(box, other, a, b)
 
-    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+    # every pair late_fuse tests goes through its pair test
+    monkeypatch.setattr(fusion, "_merges", recording_merges)
     sets = [make_set(0.0, 0, [box(0, 0), box(30, 0), box(60, 0)]),
             make_set(0.0, 1, [box(0.5, 0, conf=0.5), box(64.4, 0, conf=0.5)])]
     fused = late_fuse(sets, {0: IDENTITY, 1: IDENTITY})
@@ -515,20 +547,28 @@ def test_late_fuse_tests_only_kept_boxes_with_overlapping_circles(monkeypatch):
 
 def test_late_fuse_never_clips_a_pair_whose_areas_rule_out_the_threshold(monkeypatch):
     # IoU <= min(A, B) / max(A, B): a pole (0.04 m^2) against a wall (6 m^2) can
-    # never reach 0.3, so only the two walls and the two poles are clipped
-    calls = []
+    # never reach 0.3, so only the two walls and the two poles pass the area
+    # bound; the containment bound decides the poles, and the clip the walls
+    bounded, clipped = [], []
+    contained_enough = fusion._contained_enough
+
+    def recording_bound(a, b):
+        bounded.append(sorted((a[6], b[6])))
+        return contained_enough(a, b)
 
     def counting_iou(a, b):
-        calls.append(sorted((a.length * a.width, b.length * b.width)))
+        clipped.append(sorted((a.length * a.width, b.length * b.width)))
         return iou_bev(a, b)
 
+    monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
     monkeypatch.setattr(fusion, "iou_bev", counting_iou)
     wall, pole = dict(l=20.0, w=0.3, conf=0.9), dict(l=0.2, w=0.2, conf=0.3)
     sets = [make_set(0.0, 0, [box(0.0, 0.0, **wall), box(3.0, 0.4, **pole), box(-6.0, -0.3, **pole)]),
             make_set(0.0, 1, [box(0.2, 0.05, **wall), box(3.02, 0.41, **pole)])]
     transforms = {0: IDENTITY, 1: IDENTITY}
     fused = late_fuse(sets, transforms)
-    assert len(calls) == 2 and all(lo >= 0.3 * hi for lo, hi in calls)
+    assert len(bounded) == 2 and all(lo >= 0.3 * hi for lo, hi in bounded)
+    assert clipped == [pytest.approx([6.0, 6.0])]
     assert fused.provenance == [(0, 1), (0, 1), (0,)]
     monkeypatch.setattr(fusion, "iou_bev", iou_bev)
     assert (fused.boxes, fused.provenance) == all_pairs_fuse(sets, transforms)
@@ -540,6 +580,86 @@ def test_late_fuse_merges_a_box_inside_another_at_area_ratio_0_3():
     assert iou_bev(big, small) == 0.3
     fused = late_fuse([make_set(0.0, 0, [big]), make_set(0.0, 1, [small])], {0: IDENTITY, 1: IDENTITY})
     assert fused.boxes == [big] and fused.provenance == [(0, 1)]
+
+
+def shape_of(b):
+    """What late_fuse's pair test reads of a box."""
+    return (b.x, b.y, math.cos(b.heading), math.sin(b.heading), b.length, b.width, b.length * b.width)
+
+
+def containment_claims(pairs):
+    """Merges the containment bound claims among the pairs, both ways round; the clip must confirm each."""
+    claims = []
+    for a, b in pairs:
+        for p, q in ((a, b), (b, a)):
+            if fusion._contained_enough(shape_of(p), shape_of(q)):
+                iou = iou_bev(p, q)
+                assert iou >= fusion._IOU_THRESHOLD, (p, q, iou)
+                claims.append(iou)
+    return claims
+
+
+def near_threshold_pairs(rng, n):
+    """Pairs of a box and a shrunken copy of it, shifted and turned a little: IoU about 0.2 to 0.4."""
+    pairs = []
+    for _ in range(n):
+        l = float(rng.uniform(0.2, 8.0))
+        w = l * float(rng.uniform(0.1, 1.0))
+        h = float(rng.uniform(-math.pi, math.pi))
+        a = box(*rng.uniform(-3, 3, 2).tolist(), l=l, w=w, heading=h)
+        s = float(rng.uniform(0.45, 0.65))
+        shift = float(rng.uniform(0.0, 0.05)) * l
+        turn = h + float(rng.choice([0.0, math.pi])) + float(rng.normal(0.0, 0.01))
+        pairs.append((a, box(a.x + shift * math.cos(h), a.y + shift * math.sin(h), l=s * l, w=s * w, heading=turn)))
+    return pairs
+
+
+def overlapping_pairs(rng, n):
+    """Pairs of a box and another of similar size and any heading, centered inside it."""
+    pairs = []
+    for _ in range(n):
+        l = float(rng.uniform(0.5, 6.0))
+        w = l * float(rng.uniform(0.15, 1.0))
+        a = box(*rng.uniform(-3, 3, 2).tolist(), l=l, w=w, heading=float(rng.uniform(-math.pi, math.pi)))
+        l_b = l * float(rng.uniform(0.4, 1.2))
+        w_b = min(l_b, w * float(rng.uniform(0.4, 1.6)))
+        dx, dy = (rng.uniform(-0.3, 0.3, 2) * l).tolist()
+        pairs.append((a, box(a.x + dx, a.y + dy, l=l_b, w=w_b, heading=float(rng.uniform(-math.pi, math.pi)))))
+    return pairs
+
+
+def moved(pairs, dx, dy):
+    return [tuple(box(b.x + dx, b.y + dy, l=b.length, w=b.width, heading=b.heading) for b in pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("far", [0.0, 1e4, 1e5], ids=["near_origin", "at_10_km", "at_100_km"])
+def test_containment_bound_never_claims_a_merge_the_clip_rejects(far):
+    rng = np.random.default_rng(2211)
+    offset = rng.uniform(0.1, 1.0, 2) * far
+    pairs = oracle_pairs(rng, 200)
+    pairs["near_threshold"] = near_threshold_pairs(rng, 1500)
+    pairs["overlapping"] = overlapping_pairs(rng, 1500)
+    pairs["half_turned"] = [(a, box(a.x, a.y, l=a.length, w=a.width, heading=a.heading + math.pi))
+                            for a, _ in pairs["identical"]]
+    pairs["touching"] = [tuple(ds.boxes[0] for ds in _touching_sets()), tuple(ds.boxes[1] for ds in _touching_sets())]
+    claims = {kind: containment_claims(moved(kind_pairs, *offset)) for kind, kind_pairs in pairs.items()}
+    # a box and its copy, or its copy turned half a turn, contain each other
+    assert len(claims["identical"]) == len(claims["half_turned"]) == 2 * 200
+    # nested boxes of area ratio below 0.16 and boxes that do not overlap never merge
+    assert claims["nested"] == claims["disjoint"] == claims["shared_edge"] == claims["touching"] == []
+    # the bound reaches close to the threshold: claims whose clip IoU is below 0.31
+    assert sum(iou < 0.31 for iou in claims["near_threshold"]) > 100
+    assert len(claims["overlapping"]) > 50
+
+
+def test_containment_bound_leaves_the_exact_threshold_to_the_clip():
+    # the 3 x 3 box fills exactly 0.3 of the union with the 10 x 3 box around it:
+    # only the clip decides that pair, and it merges
+    big, small = box(0.0, 0.0, l=10.0, w=3.0), box(1.0, 0.0, l=3.0, w=3.0)
+    assert not fusion._contained_enough(shape_of(small), shape_of(big))
+    assert not fusion._contained_enough(shape_of(big), shape_of(small))
+    # a larger copy of the small box is decided by the bound
+    assert fusion._contained_enough(shape_of(box(1.0, 0.0, l=3.01, w=3.0)), shape_of(big))
 
 
 def short_arc_fleet(seed):
@@ -556,32 +676,68 @@ def short_arc_fleet(seed):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_late_fuse_decisions_on_scenario_match_numpy_reference(monkeypatch, seed):
+@functools.cache
+def short_arc_fleet_groups(seed):
+    """The scenario and its synchronized detection sets."""
     data = generate_scenario(short_arc_fleet(seed))
     config = DetectionConfig()
     streams = {aid: [DetectionSet(f.timestamp, aid, detect_objects(f, config)) for f in frames]
                for aid, frames in sorted(data.frames.items())}
-    groups = sync_sets(streams, tolerance=0.05)
+    return data, sync_sets(streams, tolerance=0.05)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_late_fuse_decisions_on_scenario_match_numpy_reference(monkeypatch, seed):
+    data, groups = short_arc_fleet_groups(seed)
     assert [len(g) for g in groups] == [4] * 10
 
     runs, asked = [], []
+    merges = fusion._merges
     for kernel in (iou_bev, reference_iou_bev):
         calls = []
 
-        def iou(a, b, kernel=kernel, calls=calls):
-            calls.append((a, b, kernel(a, b)))
+        def recording_merges(box, other, a, b, calls=calls):
+            calls.append((box, other, merges(box, other, a, b)))
             return calls[-1][2]
 
-        monkeypatch.setattr(fusion, "iou_bev", iou)
+        monkeypatch.setattr(fusion, "iou_bev", kernel)
+        monkeypatch.setattr(fusion, "_merges", recording_merges)
         runs.append([late_fuse(g, {ds.agent_id: pose_at(data.poses[ds.agent_id], ds.timestamp) for ds in g})
                      for g in groups])
         asked.append(calls)
     fast, ref = runs
     assert [(f.boxes, f.provenance) for f in fast] == [(r.boxes, r.provenance) for r in ref]
     assert sum(len(p) > 1 for f in fast for p in f.provenance) > 50
-    # both kernels were asked the same pairs; at map coordinates of some 300 m
-    # the shoelace sums cancel to about 1e-11 of the area, so the kernels'
-    # sums, taken in different orders, differ there
-    assert len(asked[0]) > 100 and [c[:2] for c in asked[0]] == [c[:2] for c in asked[1]]
-    assert max(abs(x[2] - y[2]) for x, y in zip(*asked)) <= 1e-10
+    # both runs tested the same pairs with the same outcome, and each outcome is both
+    # the clip's and the reference kernel's, whether or not a bound decided it
+    assert len(asked[0]) > 100 and asked[0] == asked[1]
+    t = fusion._IOU_THRESHOLD
+    assert all(merged == (iou_bev(a, b) >= t) == (reference_iou_bev(a, b) >= t) for a, b, merged in asked[0])
+    # on every pair tested, the clip and the reference kernel agree; at map
+    # coordinates of some 300 m the shoelace sums cancel to about 1e-11 of
+    # the area, so the kernels' sums, taken in different orders, differ there
+    assert max(abs(iou_bev(a, b) - reference_iou_bev(a, b)) for a, b, _ in asked[0]) <= 1e-10
+
+
+def test_containment_decides_the_merges_on_scenario(monkeypatch):
+    # on short_arc_fleet at seed 0, 285 of the 436 projected candidates merge
+    # into a kept box, and the containment bound decides every one of those
+    # merges: the clip is never called
+    data, groups = short_arc_fleet_groups(0)
+    bound, clipped = [], []
+    contained_enough = fusion._contained_enough
+
+    def recording_bound(a, b):
+        bound.append(contained_enough(a, b))
+        return bound[-1]
+
+    def counting_iou(a, b):
+        clipped.append((a, b))
+        return iou_bev(a, b)
+
+    monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
+    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+    fused = [late_fuse(g, {ds.agent_id: pose_at(data.poses[ds.agent_id], ds.timestamp) for ds in g}) for g in groups]
+    candidates = sum(len(ds.boxes) for g in groups for ds in g)
+    assert (candidates, sum(len(f.boxes) for f in fused)) == (436, 151)
+    assert (sum(bound), len(bound), len(clipped)) == (285, 285, 0)

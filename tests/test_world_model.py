@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavtraj import world_model
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj.pipeline.scenario import RoadSpec, build_vector_map_dict
 from cavtraj.world_model import _PAIRS, FrenetCoord, filter_on_road, load_vector_map, vector_map_from_dict
@@ -700,6 +701,87 @@ def test_project_does_not_depend_on_the_lanelet_order(order):
     got = vmap.project(points)
     assert got == by_id.project(points)
     assert any(r is None for r in got) and any(r is not None for r in got)
+
+
+def _uneven_lanes(kind):
+    """Two lanes side by side, 6 m and 2 m wide, each in two 40 m lanelets, on a straight road or a 60 m left arc.
+
+    A point 2 to 2.5 m left of the wide lane's centerline lies nearer the
+    narrow lane's centerline, but more than the margin outside its right
+    boundary: its least-keyed pair fails stage 2, and the wide lane's passes.
+    """
+    def line(offset, s0, s1):
+        return [[*_road_point(kind, s, offset), 0.0] for s in np.linspace(s0, s1, 21).tolist()]
+
+    lanelets = []
+    for lane_id, (center, half) in enumerate([(0.0, 3.0), (4.0, 1.0)], start=1):
+        for k, (s0, s1) in enumerate([(0.0, 40.0), (40.0, 80.0)]):
+            lid = 10 * lane_id + k
+            lanelets.append(_lanelet(lid, line(center, s0, s1), line(center + half, s0, s1),
+                                     line(center - half, s0, s1), lane_id=lane_id,
+                                     predecessors=[lid - 1] if k else [], successors=[] if k else [lid + 1]))
+    return {"lanelets": lanelets}
+
+
+def _road_point(kind, s, offset):
+    # the point at arc length s along the road's reference line, offset to the left
+    if kind == "straight":
+        return [s, offset]
+    return [(60.0 - offset) * math.sin(s / 60.0), 60.0 - (60.0 - offset) * math.cos(s / 60.0)]
+
+
+def stage_2_on_every_interior_pair(vmap, points):
+    """Reference: the projection with stage 2 on every interior pair, then the least key among those that pass.
+
+    Stage 2 ran so before it ran in key order. Also returns how many points
+    have a candidate while their least-keyed interior pair fails stage 2.
+    """
+    stack = vmap._stack
+    xy = np.array([np.asarray(p, dtype=float)[:2] for p in points])
+    (lo_x, lo_y), (hi_x, hi_y) = vmap._reach_lo, vmap._reach_hi
+    x, y = xy[:, :1], xy[:, 1:]
+    row, lane = np.nonzero((lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y))
+    seg, t_raw, t, diff_x, diff_y = world_model._nearest(stack, xy[row], 3 * lane)
+    length = stack.cum_len[stack.first[3 * lane + 1] - 1]
+    along = stack.cum_len[seg] + t_raw
+    interior = (-0.5 <= along) & (along <= length + 0.5)
+    row, lane, seg, t, diff_x, diff_y = (a[interior] for a in (row, lane, seg, t, diff_x, diff_y))
+    bseg, _, _, bdiff_x, bdiff_y = world_model._nearest(stack, np.repeat(xy[row], 2, axis=0),
+                                                        (3 * lane[:, None] + [1, 2]).ravel())
+    cross = bdiff_x * stack.seg_dir[bseg, 1] - bdiff_y * stack.seg_dir[bseg, 0]
+    inside = (cross[0::2] >= -0.5) & (cross[1::2] <= 0.5)
+    offset = diff_x * stack.seg_dir[seg, 1] - diff_y * stack.seg_dir[seg, 0]
+    best, least = {}, {}
+    for r, j, dist, off, s, ok in zip(row.tolist(), lane.tolist(), np.hypot(diff_x, diff_y).tolist(),
+                                      offset.tolist(), (stack.cum_len[seg] + t).tolist(), inside.tolist()):
+        key = (round(dist, 9), abs(off), vmap._lanelets[j].lanelet_id)
+        least[r] = min(least.get(r, (key, ok)), (key, ok))
+        if ok and (r not in best or key < best[r][0]):
+            best[r] = (key, j, s)
+    result = [None] * len(points)
+    for r, (_, j, s) in best.items():
+        ll = vmap._lanelets[j]
+        downtrack, crosstrack = world_model._frenet(stack, 3 * j, *xy[r].tolist(), s)
+        result[r] = FrenetCoord(ll.chain_offset + downtrack, crosstrack, ll.lanelet_id, ll.lane_id)
+    return result, sum(not least[r][1] for r in best)
+
+
+@pytest.mark.parametrize("kind", ["straight", "arc"])
+def test_project_runs_stage_2_in_key_order(kind):
+    data = _uneven_lanes(kind)
+    vmap = vector_map_from_dict(data)
+    rng = np.random.default_rng(53)
+    # over the road, past its edges and ends, and densely where the narrow lane's pair fails
+    s = rng.uniform(-2.0, 82.0, 4000)
+    offset = np.r_[rng.uniform(-5.0, 7.0, 3000), rng.uniform(1.9, 2.6, 1000)]
+    points = [_road_point(kind, a, b) for a, b in zip(s.tolist(), offset.tolist())]
+    want, best_failed = stage_2_on_every_interior_pair(vmap, points)
+    assert best_failed > 500
+    assert vmap.project(points) == want
+    assert sum(r is None for r in want) > 500
+    # the per-lanelet chord loop agrees
+    ref = reference_geometry(data)
+    assert want[::10] == [chord_loop_frenet(ref, p) for p in points[::10]]
 
 
 def test_project_memory_stays_bounded_for_a_large_batch():
