@@ -69,6 +69,7 @@ from .geometry import wrap_angle
 
 _MIN_BOX_HEIGHT = 0.1               # m, the height of a box fitted to a flat cluster
 _CONFIDENCE_SATURATION = 100        # points; a box's confidence is min(1, points / this)
+_INF = math.inf
 
 
 @dataclass
@@ -333,9 +334,16 @@ def _least_bin_labels(n_bins: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ra, rb = parent[a], parent[b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrientedBox:
-    """Upright oriented 3D box; heading points along the length axis."""
+    """Upright oriented 3D box; heading points along the length axis.
+
+    Its constructor is the only way to make a box: `fit_boxes`, `project_box`
+    and `dataclasses.replace` all go through it. It raises InvalidArgument
+    unless x, y, z and the heading are finite, l >= w > 0 and h > 0 with l
+    and h finite, and the confidence lies in [0, 1]; it stores the heading
+    wrapped to (-pi, pi] by `wrap_angle`.
+    """
 
     x: float
     y: float
@@ -346,36 +354,17 @@ class OrientedBox:
     heading: float
     confidence: float = 1.0
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.y, self.z, self.heading))):
+    def __init__(self, x, y, z, length, width, height, heading, confidence=1.0):
+        # plain comparisons, not math.isfinite: NaN fails every one and an infinity the strict bounds
+        if not (-_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF and -_INF < heading < _INF):
+            raise InvalidArgument(f"box center and heading must be finite: x={x} y={y} z={z} heading={heading}")
+        if not (_INF > length >= width > 0 and _INF > height > 0):
             raise InvalidArgument(
-                f"box center and heading must be finite: "
-                f"x={self.x} y={self.y} z={self.z} heading={self.heading}"
-            )
-        if not (self.length >= self.width > 0 and self.height > 0
-                and math.isfinite(self.length) and math.isfinite(self.height)):
-            raise InvalidArgument(
-                f"box dims must be finite and satisfy l >= w > 0, h > 0: "
-                f"l={self.length} w={self.width} h={self.height}"
-            )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvalidArgument(f"confidence must be in [0, 1]: {self.confidence}")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    @classmethod
-    def _from_rows(cls, rows, finite: bool) -> list[OrientedBox]:
-        """One box per (x, y, z, length, width, height, heading, confidence) row, built without the checks above.
-
-        The caller establishes l >= w > 0, h > 0 and a confidence in [0, 1], and whether every value is finite;
-        if not, the checking constructor raises on a row. Headings still go through `wrap_angle`.
-        """
-        if not finite:
-            return [cls(*row) for row in rows]
-        boxes = [object.__new__(cls) for _ in rows]
-        for box, (x, y, z, length, width, height, heading, confidence) in zip(boxes, rows):
-            box.__dict__.update(x=x, y=y, z=z, length=length, width=width, height=height,
-                                heading=wrap_angle(heading), confidence=confidence)
-        return boxes
+                f"box dims must be finite and satisfy l >= w > 0, h > 0: l={length} w={width} h={height}")
+        if not 0.0 <= confidence <= 1.0:
+            raise InvalidArgument(f"confidence must be in [0, 1]: {confidence}")
+        self.__dict__.update(x=x, y=y, z=z, length=length, width=width, height=height,
+                             heading=wrap_angle(heading), confidence=confidence)
 
     def footprint(self) -> list[tuple[float, float]]:
         """BEV corners as four (x, y) float pairs, counter-clockwise.
@@ -598,27 +587,29 @@ def fit_boxes(points: np.ndarray, clusters: list[np.ndarray]) -> list[OrientedBo
     x, y = points[:, 0][rows], points[:, 1][rows]
     del rows, z
 
-    hulls, counts = convex_hulls(x, y, sizes)
-    polygon = counts >= 3
-    if not polygon.any():
-        return []
-    center, extents, angle, area = min_area_rects(hulls[polygon.repeat(counts)], counts[polygon])
-    ok = np.isfinite(area) & (area >= 1e-15)
+    # a cluster whose coordinates overflow gets a non-finite footprint, dropped by the area test, or
+    # a non-finite z or height, refused by OrientedBox; neither warns on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        hulls, counts = convex_hulls(x, y, sizes)
+        polygon = counts >= 3
+        if not polygon.any():
+            return []
+        center, extents, angle, area = min_area_rects(hulls[polygon.repeat(counts)], counts[polygon])
+        ok = np.isfinite(area) & (area >= 1e-15)
 
-    # one row per box, in OrientedBox's field order; the long side is the length
-    fit = polygon.nonzero()[0][ok]
-    extents = extents[ok]
-    z_min, z_max = z_min[fit], z_max[fit]
-    box = np.empty((fit.size, 8))
-    box[:, :2] = center[ok]
-    box[:, 2] = (z_min + z_max) / 2.0
-    box[:, 3] = np.maximum(extents.max(axis=1), 1e-6)
-    box[:, 4] = np.maximum(extents.min(axis=1), 1e-6)
-    box[:, 5] = np.maximum(z_max - z_min, _MIN_BOX_HEIGHT)
-    box[:, 6] = np.where(extents[:, 0] < extents[:, 1], angle[ok] + math.pi / 2.0, angle[ok])  # _from_rows wraps it
-    box[:, 7] = np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION)
-    # l >= w >= 1e-6, h >= 0.1 and a confidence in (0, 1] hold by construction
-    return OrientedBox._from_rows(box.tolist(), bool(np.isfinite(box).all()))
+        # one row per box, in OrientedBox's field order; the long side is the length
+        fit = polygon.nonzero()[0][ok]
+        extents = extents[ok]
+        z_min, z_max = z_min[fit], z_max[fit]
+        box = np.empty((fit.size, 8))
+        box[:, :2] = center[ok]
+        box[:, 2] = (z_min + z_max) / 2.0
+        box[:, 3] = np.maximum(extents.max(axis=1), 1e-6)
+        box[:, 4] = np.maximum(extents.min(axis=1), 1e-6)
+        box[:, 5] = np.maximum(z_max - z_min, _MIN_BOX_HEIGHT)
+        box[:, 6] = np.where(extents[:, 0] < extents[:, 1], angle[ok] + math.pi / 2.0, angle[ok])
+        box[:, 7] = np.minimum(1.0, sizes[fit] / _CONFIDENCE_SATURATION)
+    return [OrientedBox(*row) for row in box.tolist()]
 
 
 def detect_objects(frame: PointCloudFrame, config: DetectionConfig | None = None) -> list[OrientedBox]:

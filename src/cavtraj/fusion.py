@@ -48,9 +48,7 @@ vehicle, at a quarter of the clip's cost.
 heading axes are stacked into (2N, 3, 1) columns and multiplied by the
 rotation as one stacked mat-vec, which rounds each vector exactly as the
 single product rot @ (x, y, z) does. Stacking them as rows, centers @
-rot.T, would sum in a different order and change the last bits. A
-rotation keeps every check of `OrientedBox` but the centers' finiteness,
-which is tested once per set; `OrientedBox._from_rows` builds the boxes.
+rot.T, would sum in a different order and change the last bits.
 """
 
 from __future__ import annotations
@@ -191,11 +189,11 @@ def project_box(boxes: list[OrientedBox], transform: RigidTransform) -> list[Ori
         return []
     # centers and heading axes, one stacked mat-vec per vector: each rounds as rot @ (x, y, z) alone does
     vectors = np.array([(b.x, b.y, b.z, math.cos(b.heading), math.sin(b.heading), 0.0) for b in boxes])
-    vectors = (transform.rotation @ vectors.reshape(-1, 3, 1)).reshape(-1, 6)
-    centers = vectors[:, :3] + transform.translation
-    rows = [(x, y, z, b.length, b.width, b.height, math.atan2(ay, ax), b.confidence)
+    with np.errstate(over="ignore", invalid="ignore"):     # a center that overflows is refused by OrientedBox
+        vectors = (transform.rotation @ vectors.reshape(-1, 3, 1)).reshape(-1, 6)
+        centers = vectors[:, :3] + transform.translation
+    return [OrientedBox(x, y, z, b.length, b.width, b.height, math.atan2(ay, ax), b.confidence)
             for b, (x, y, z), (ax, ay) in zip(boxes, centers.tolist(), vectors[:, 3:5].tolist())]
-    return OrientedBox._from_rows(rows, bool(np.isfinite(centers).all()))
 
 
 def late_fuse(sets: list[DetectionSet], transforms: dict[int, RigidTransform]) -> FusedFrame:

@@ -392,7 +392,6 @@ def test_project_box_builds_the_boxes_of_the_checking_constructor():
     assert astuple(p) == astuple(OrientedBox(p.x, p.y, p.z, p.length, p.width, p.height, -math.pi, p.confidence))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_project_box_rejects_a_center_that_overflows():
     with pytest.raises(InvalidArgument, match="finite"):
         project_box([box(0.0, 0.0), box(1.5e308, 0.0)], RigidTransform(np.eye(3), [1.5e308, 0.0, 0.0]))
