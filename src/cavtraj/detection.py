@@ -340,7 +340,8 @@ class OrientedBox:
 
     Its constructor is the only way to make a box: `fit_boxes`, `project_box`
     and `dataclasses.replace` all go through it. It raises InvalidArgument
-    unless x, y, z and the heading are finite, l >= w > 0 and h > 0 with l
+    unless every field is a real number as `check_number` has it (not a
+    bool), x, y, z and the heading are finite, l >= w > 0 and h > 0 with l
     and h finite, and the confidence lies in [0, 1]; it stores the heading
     wrapped to (-pi, pi] by `wrap_angle`.
     """
@@ -355,6 +356,12 @@ class OrientedBox:
     confidence: float = 1.0
 
     def __init__(self, x, y, z, length, width, height, heading, confidence=1.0):
+        if not (float is type(x) is type(y) is type(z) is type(length) is type(width) is type(height)
+                is type(heading) is type(confidence)):
+            # ints and NumPy floats pass the rule for every number; bools and non-numbers stop here
+            for name, value in zip(("x", "y", "z", "length", "width", "height", "heading", "confidence"),
+                                   (x, y, z, length, width, height, heading, confidence)):
+                check_number(value, f"box {name}")
         # plain comparisons, not math.isfinite: NaN fails every one and an infinity the strict bounds
         if not (-_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF and -_INF < heading < _INF):
             raise InvalidArgument(f"box center and heading must be finite: x={x} y={y} z={z} heading={heading}")

@@ -5,27 +5,33 @@ exactly two float64 arrays: ``timestamp`` (0-d), the capture time in
 seconds, and ``points`` (N, 3), the x, y, z of each return in metres in the
 sensor frame. Both are finite. Values round-trip bit for bit, and an empty
 frame keeps its timestamp. Frames of one agent live in a directory as
-``frame_000000.npz``, ``frame_000001.npz``, ... (index k as ``{k:06d}``);
-the writer refuses a directory that already holds ``.npz`` files. The
-reader orders them by k, so ``frame_1000000.npz`` follows
-``frame_999999.npz``, and a file whose timestamp falls below its
+``frame_000000.npz``, ``frame_000001.npz``, ... (index k as ``{k:06d}``).
+Before it creates anything, the writer refuses an empty frame list, a
+timestamp below the one before it and a directory that already holds
+``.npz`` files. The reader orders them by k, so ``frame_1000000.npz``
+follows ``frame_999999.npz``, and a file whose timestamp falls below its
 predecessor's raises ValidationError naming it. The reader accepts only
 what the writer writes: another ``.npz`` name, an archive with any other
 array, a missing one, another dtype or another shape raises
 ValidationError, and so does a path that cannot be opened. Each member must
-be stored (not compressed), hold a C-order array, match the CRC-32 of the
-zip directory, and be exactly as long as its ``.npy`` header says, within
-the file; a header that claims more rows than its member holds is refused
-before anything is allocated. The points of a frame are read straight from
-the file into their array. The frames that ``read_frame_dir`` returns are
-views of one (sum of N, 3) array, which stays alive while any of them does.
+be stored (not compressed), hold a C-order array under a ``.npy`` format
+1.0 header, match the CRC-32 of the zip directory, and be exactly as long
+as its header says, within the file; a header that claims more rows than
+its member holds is refused before anything is allocated. The points of a
+frame are read straight from the file into their array. The frames that
+``read_frame_dir`` returns are views of one (sum of N, 3) array, which
+stays alive while any of them does.
 
-Pose files: one CSV per agent with header ``t,x,y,z,roll,pitch,yaw``, the
-agent's map-frame pose at each time: translation in metres and ZYX Euler
-angles in radians. Each value is written as its shortest round-trip
-``repr``. The reader rejects any other header, a row that is not seven
-finite numbers, an empty body, times that do not strictly increase and a
-file that cannot be opened or decoded as text.
+Pose files: one CSV per agent with header
+``t,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22``, the agent's map-frame pose
+at each time: the translation in metres, then the rotation matrix row by
+row, each value as its shortest round-trip ``repr``, so every value reads
+back bit for bit, signed zeros included. Before it creates the file, the
+writer refuses an empty sample list and a time that is not finite or not
+above the one before. The reader rejects any other header, a row that is
+not 13 finite numbers, an empty body, times that do not strictly increase,
+a rotation that ``RigidTransform`` refuses (not orthonormal within 1e-9,
+or a reflection) and a file that cannot be opened or decoded as text.
 """
 
 from __future__ import annotations
@@ -44,14 +50,13 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError
-from ..geometry import RigidTransform, euler_from_rotation, rotation_from_euler
+from ..geometry import RigidTransform
 
 _FRAME_MEMBERS = ["points.npy", "timestamp.npy"]
 _LOCAL_HEADER = struct.Struct("<4s22xHH")   # signature, name and extra field lengths
-_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 _READ_ERRORS = (OSError, EOFError, ValueError, struct.error, zipfile.BadZipFile)
 _FRAME_NAME = re.compile(r"frame_([0-9]{6}|[1-9][0-9]{6,})\.npz")  # {k:06d}: one name per k
-_POSE_HEADER = "t,x,y,z,roll,pitch,yaw"
+_POSE_HEADER = "t,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22"
 _POSE_TOLERANCE = 0.5   # s, the farthest a pose may be taken from its nearest sample
 
 
@@ -81,9 +86,9 @@ def _member(fh, info: zipfile.ZipInfo, file_size: int) -> _Member:
     start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
     fh.seek(start)
     version = np.lib.format.read_magic(fh)
-    if version not in _HEADER_READERS:
+    if version != (1, 0):
         raise ValueError(f"{info.filename}: unsupported .npy version {version}")
-    shape, fortran_order, dtype = _HEADER_READERS[version](fh)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     head_size = fh.tell() - start
     if dtype != np.float64 or fortran_order or min(shape, default=0) < 0:
         raise ValueError(f"{info.filename}: expected a C-order float64 array, got {dtype} {shape}"
@@ -153,6 +158,12 @@ def read_frame(path, agent_id: int = 0) -> PointCloudFrame:
 
 
 def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
+    """Write frames as read_frame_dir reads them back: at least one, timestamps never falling."""
+    if not frames:
+        raise InvalidArgument("no frames to write")
+    for k in range(1, len(frames)):
+        if frames[k].timestamp < frames[k - 1].timestamp:
+            raise InvalidArgument(f"frame {k}: timestamp {frames[k].timestamp} falls below {frames[k - 1].timestamp}")
     directory = Path(directory)
     if any(directory.glob("*.npz")):
         raise InvalidArgument(f"{directory} already holds frame files")
@@ -186,10 +197,16 @@ class PoseSample(NamedTuple):
 
 
 def write_pose_csv(path, samples: list[PoseSample]) -> None:
+    """Write a map-frame pose stream that read_pose_csv reads back bit for bit."""
+    if not samples:
+        raise InvalidArgument("no pose samples to write")
+    for before, (t, _) in zip([-math.inf, *(s.timestamp for s in samples)], samples):
+        if not before < t < math.inf:
+            raise InvalidArgument(f"pose times must be finite and strictly increase: {t!r} after {before!r}")
     with Path(path).open("w") as fh:
         fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:
-            values = (t, *tf.translation, *euler_from_rotation(tf.rotation))
+            values = (t, *tf.translation.tolist(), *tf.rotation.ravel().tolist())
             fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
@@ -210,14 +227,16 @@ def read_pose_csv(path) -> list[PoseSample]:
         body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    if body.shape[1] != 7:
-        raise ValidationError(f"{path}: expected 7 columns, got {body.shape[1]}")
+    if body.shape[1] != 13:
+        raise ValidationError(f"{path}: expected 13 columns, got {body.shape[1]}")
     if not np.isfinite(body).all():
         raise ValidationError(f"{path}: non-finite pose value")
     if np.any(np.diff(body[:, 0]) <= 0.0):
         raise ValidationError(f"{path}: pose timestamps must strictly increase")
-    return [PoseSample(t, RigidTransform(rotation_from_euler(roll, pitch, yaw), (x, y, z)))
-            for t, x, y, z, roll, pitch, yaw in body.tolist()]
+    try:
+        return [PoseSample(float(row[0]), RigidTransform(row[4:].reshape(3, 3), row[1:4])) for row in body]
+    except InvalidArgument as exc:   # a rotation that is not orthonormal, or a reflection
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def pose_at(samples: list[PoseSample], t: float) -> RigidTransform:

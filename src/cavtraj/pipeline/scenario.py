@@ -19,7 +19,7 @@ import numpy as np
 
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError, check_number
-from ..geometry import RigidTransform, rotation_from_euler, wrap_angle
+from ..geometry import RigidTransform, wrap_angle
 from .frames_io import PoseSample, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
@@ -348,7 +348,8 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         for agent in agents:
             x, y, heading = road.point_at(agent.s_at(t), agent.lane)
             agent_states[agent.vehicle_id] = (x, y, heading)
-            pose = RigidTransform(rotation_from_euler(0.0, 0.0, heading), (x, y, 0.0))
+            cos_h, sin_h = math.cos(heading), math.sin(heading)
+            pose = RigidTransform([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]], (x, y, 0.0))
             poses[agent.vehicle_id].append(PoseSample(t, pose))
 
         visibility = {sv.vehicle_id: [] for sv in svs}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from cavtraj.detection import PointCloudFrame
 
@@ -40,6 +41,11 @@ def box_surface_points(center, length, width, height, heading=0.0, spacing=0.15,
     if noise > 0.0 and rng is not None:
         pts = pts + rng.normal(0.0, noise, size=pts.shape)
     return pts
+
+
+def rotation_matrix(roll, pitch, yaw):
+    """Rz(yaw) Ry(pitch) Rx(roll), about the fixed x, then y, then z axis, as SciPy builds it."""
+    return Rotation.from_euler("xyz", [roll, pitch, yaw]).as_matrix()
 
 
 def make_frame(points, timestamp=0.0, agent_id=0):

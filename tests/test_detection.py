@@ -1145,6 +1145,8 @@ def test_a_box_behaves_as_a_frozen_dataclass():
     ("width", 0.0), ("width", -1.0), ("length", math.inf), ("length", math.nan),
     ("height", 0.0), ("height", -1.0), ("height", math.inf),
     ("confidence", -0.1), ("confidence", 1.5), ("confidence", math.nan),
+    ("x", "a"), ("y", None), ("length", "a"), ("confidence", None),     # not numbers
+    ("z", True), ("heading", False), ("width", True), ("height", True), ("confidence", False),
 ])
 def test_every_way_to_make_a_box_refuses_a_bad_field(name, bad, monkeypatch):
     good = OrientedBox(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 0.9)
@@ -1154,13 +1156,15 @@ def test_every_way_to_make_a_box_refuses_a_bad_field(name, bad, monkeypatch):
     with pytest.raises(InvalidArgument):
         replace(good, **{name: bad})
     # project_box rebuilds every box from the fields it reads, so a record carrying the bad field is refused;
-    # an infinite heading stops at math.cos (ValueError) first, and no box holds one
-    if not (name == "heading" and math.isinf(bad)):
+    # it computes the center and heading as floats, so only a float is a bad value there, and an infinite
+    # heading stops at math.cos (ValueError) first; no box holds one
+    computed = name in ("x", "y", "z", "heading")
+    if not computed or type(bad) is float and not (name == "heading" and math.isinf(bad)):
         with pytest.raises(InvalidArgument):
             project_box([SimpleNamespace(**fields)], RigidTransform(np.eye(3), np.zeros(3)))
     # fit_boxes takes x, y and the heading from the calipers' rectangle and z from the points; its
     # dimensions and confidence keep the rules by construction (sorted extents, floors, min(1, ...))
-    if name in ("x", "y", "z", "heading"):
+    if computed and type(bad) is float:
         rects = detection.min_area_rects
 
         def bad_rects(hulls, counts):

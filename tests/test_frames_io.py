@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cavtraj.errors import InvalidArgument, ValidationError
-from cavtraj.geometry import RigidTransform, euler_from_rotation, rotation_from_euler, wrap_angle
+from cavtraj.geometry import RigidTransform, wrap_angle
 from cavtraj.pipeline.frames_io import (
     PoseSample, pose_at, read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv)
-from conftest import make_frame
+from conftest import make_frame, rotation_matrix
 
 
 def test_frame_round_trip(tmp_path, rng):
@@ -120,6 +120,14 @@ def test_write_frame_dir_refuses_a_directory_with_frames(tmp_path):
     assert [f.timestamp for f in read_frame_dir(tmp_path / "other")] == [0.0]
 
 
+@pytest.mark.parametrize("timestamps", [[], [0.2, 0.1], [0.0, 0.1, 0.1, 0.05]], ids=["empty", "falling", "falling_later"])
+def test_write_frame_dir_refuses_what_the_reader_refuses(tmp_path, timestamps):
+    frames = [make_frame(np.zeros((0, 3)), timestamp=t) for t in timestamps]
+    with pytest.raises(InvalidArgument, match="no frames" if not frames else "falls below"):
+        write_frame_dir(tmp_path / "frames", frames)
+    assert not (tmp_path / "frames").exists()
+
+
 def _savez(path, **overrides):
     """A frame archive with some arrays replaced; None leaves an array out."""
     arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3)}
@@ -145,10 +153,10 @@ def _points_member(path, data, name="points.npy"):
         zf.writestr(name, data)
 
 
-def _npy(points, **header):
+def _npy(points, write_header=np.lib.format.write_array_header_1_0, **header):
     """The .npy bytes of points, with header fields replaced."""
     buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": points.shape, **header})
+    write_header(buf, {"descr": "<f8", "fortran_order": False, "shape": points.shape, **header})
     return buf.getvalue() + points.tobytes()
 
 
@@ -177,6 +185,8 @@ MALFORMED_FRAMES = {
     "corrupt_payload": _corrupt_payload,
     "huge_shape": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3), shape=(10**12, 3))),
     "trailing_bytes": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3)) + bytes(24)),
+    "npy_format_2": lambda p: _points_member(
+        p, _npy(np.arange(12.0).reshape(4, 3), write_header=np.lib.format.write_array_header_2_0)),
     "compressed": _compressed,
     "fortran_order": lambda p: _savez(p, points=np.asfortranarray(np.arange(12.0).reshape(4, 3))),
     "timestamp_shape": lambda p: _savez(p, timestamp=np.array([0.5])),
@@ -199,20 +209,37 @@ def test_malformed_frame_rejected(tmp_path, write_bad):
         read_frame(path)
 
 
+def _bits(samples):
+    return [(np.float64(s.timestamp).tobytes(), s.transform.translation.tobytes(), s.transform.rotation.tobytes())
+            for s in samples]
+
+
 def test_pose_stream_round_trip(tmp_path):
-    samples = [
-        (0.1 * k, RigidTransform(
-            rotation_from_euler(0.01 * k, -0.02 * k, 0.3 * k - 1.0), (10.0 + k / 3, -5.0 * k, 0.5)))
-        for k in range(6)
-    ]
+    # general rotations, gimbal lock (pitch = +-pi/2) and signed zeros all read back bit for bit
+    rng = np.random.default_rng(35)
+    angles = np.r_[rng.uniform(-math.pi, math.pi, (1000, 3)), [[0.4, math.pi / 2, -2.0], [-1.0, -math.pi / 2, 3.0]]]
+    times = np.cumsum(rng.uniform(1e-9, 0.2, len(angles))) - 1.0
+    samples = [PoseSample(t, RigidTransform(rotation_matrix(*a), rng.uniform(-1e4, 1e4, 3)))
+               for t, a in zip(times.tolist(), angles)]
+    # heading 0 of the generator's yaw matrix: -sin(0) is -0.0
+    yaw_0 = RigidTransform([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (-0.0, 0.0, -0.0))
+    samples.append(PoseSample(times[-1] + 0.5, yaw_0))
     write_pose_csv(tmp_path / "poses.csv", samples)
+    lines = (tmp_path / "poses.csv").read_text().splitlines()
+    assert lines[0] == "t,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22"
+    assert lines[-1] == f"{float(times[-1] + 0.5)!r},-0.0,0.0,-0.0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0"
     back = read_pose_csv(tmp_path / "poses.csv")
-    assert [s.timestamp for s in back] == [t for t, _ in samples]
-    for s, (_, tf) in zip(back, samples):
-        np.testing.assert_array_equal(s.transform.translation, tf.translation)
-        # the rotation is rebuilt from exactly the written Euler angles
-        np.testing.assert_array_equal(s.transform.rotation, rotation_from_euler(*euler_from_rotation(tf.rotation)))
-        np.testing.assert_allclose(s.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
+    assert [type(s.timestamp) for s in back] == [float] * len(samples)
+    assert _bits(back) == _bits(samples)
+
+
+@pytest.mark.parametrize("times", [[], [0.0, math.nan], [math.inf], [-math.inf, 0.0], [0.1, 0.1], [0.0, 0.2, 0.1]],
+                         ids=["empty", "nan", "inf", "minus_inf", "repeated", "falling"])
+def test_write_pose_csv_refuses_what_the_reader_refuses(tmp_path, times):
+    samples = [PoseSample(t, RigidTransform(np.eye(3), (0.0, 0.0, 0.0))) for t in times]
+    with pytest.raises(InvalidArgument, match="no pose samples" if not times else "finite and strictly increase"):
+        write_pose_csv(tmp_path / "poses.csv", samples)
+    assert not (tmp_path / "poses.csv").exists()
 
 
 @pytest.mark.parametrize("reader", [read_frame, read_pose_csv])
@@ -223,16 +250,22 @@ def test_bad_header_rejected(tmp_path, reader):
         reader(path)
 
 
+_HEADER = "t,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22\n"
+_ROW = "0,0,0,1,0,0,0,1,0,0,0,1"     # x, y, z and the identity rotation, after the time
 MALFORMED_POSES = {
-    "malformed_number": "t,x,y,z,roll,pitch,yaw\n0.0,abc,0,0,0,0,0\n",
-    "ragged_row": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0,0\n0.1,0,0,0,0,0\n",
-    "header_only": "t,x,y,z,roll,pitch,yaw\n",
-    "blank_body": "t,x,y,z,roll,pitch,yaw\n\n  \n",
-    "six_columns": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0\n",
-    "nan_time": "t,x,y,z,roll,pitch,yaw\nnan,0,0,0,0,0,0\n",
-    "infinite_yaw": "t,x,y,z,roll,pitch,yaw\n0.0,0,0,0,0,0,inf\n",
-    "geodetic_header": "t,lat,lon,alt,roll,pitch,yaw\n0.0,48.0,11.0,0,0,0,0\n",
-    "time_not_increasing": "t,x,y,z,roll,pitch,yaw\n0.1,0,0,0,0,0,0\n0.1,1,0,0,0,0,0\n",
+    "malformed_number": _HEADER + "0.0,abc,0,0,1,0,0,0,1,0,0,0,1\n",
+    "ragged_row": _HEADER + f"0.0,{_ROW}\n0.1,{_ROW[:-2]}\n",
+    "header_only": _HEADER,
+    "blank_body": _HEADER + "\n  \n",
+    "six_columns": _HEADER + "0.0,0,0,0,0,0\n",
+    "twelve_columns": _HEADER + f"0.0,{_ROW[:-2]}\n",
+    "nan_time": _HEADER + f"nan,{_ROW}\n",
+    "infinite_rotation": _HEADER + "0.0,0,0,0,1,0,0,0,1,0,0,0,inf\n",
+    "geodetic_header": "t,lat,lon,alt,r00,r01,r02,r10,r11,r12,r20,r21,r22\n" + f"0.0,48.0,11.0,{_ROW[4:]}\n",
+    "time_not_increasing": _HEADER + f"0.1,{_ROW}\n0.1,{_ROW}\n",
+    "euler_file": "t,x,y,z,roll,pitch,yaw\n0.0,1.0,2.0,0.0,0.0,0.0,0.3\n",
+    "not_orthonormal": _HEADER + "0.0,0,0,0,1,0,0,0,1,0,0,0,1.000001\n",
+    "reflection": _HEADER + "0.0,0,0,0,1,0,0,0,1,0,0,0,-1\n",
 }
 
 
@@ -246,7 +279,7 @@ def test_malformed_pose_file_rejected(tmp_path, text):
 
 UNREADABLE_POSES = {
     "missing": lambda p: None,
-    "non_utf8": lambda p: p.write_bytes(b"t,x,y,z,roll,pitch,yaw\n0.0,\xff\xfe,0,0,0,0,0\n"),
+    "non_utf8": lambda p: p.write_bytes(_HEADER.encode() + b"0.0,\xff\xfe,0,0,1,0,0,0,1,0,0,0,1\n"),
 }
 
 
@@ -259,18 +292,18 @@ def test_unreadable_pose_file_rejected(tmp_path, make):
 
 
 def _yaw_pose(t, yaw, xyz):
-    return PoseSample(t, RigidTransform(rotation_from_euler(0.0, 0.0, yaw), xyz))
+    return PoseSample(t, RigidTransform(rotation_matrix(0.0, 0.0, yaw), xyz))
 
 
 def _yaw(transform):
-    return euler_from_rotation(transform.rotation)[2]
+    return math.atan2(transform.rotation[1, 0], transform.rotation[0, 0])
 
 
 def test_pose_at_halfway_interpolates():
     samples = [_yaw_pose(1.0, 0.1, (2.0, -4.0, 0.5)), _yaw_pose(1.2, 0.3, (6.0, 0.0, 1.5))]
     pose = pose_at(samples, 1.1)
     np.testing.assert_allclose(pose.translation, [4.0, -2.0, 1.0], rtol=0, atol=1e-12)
-    assert euler_from_rotation(pose.rotation) == pytest.approx((0.0, 0.0, 0.2), abs=1e-12)
+    np.testing.assert_allclose(pose.rotation, rotation_matrix(0.0, 0.0, 0.2), rtol=0, atol=1e-12)
     # a quarter of the way, off the midpoint
     assert _yaw(pose_at(samples, 1.05)) == pytest.approx(0.15, abs=1e-12)
 

@@ -9,10 +9,10 @@ from cavtraj.detection import DetectionConfig, OrientedBox, detect_objects
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj import fusion
 from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_sets
-from cavtraj.geometry import RigidTransform, rotation_from_euler
+from cavtraj.geometry import RigidTransform
 from cavtraj.pipeline.frames_io import pose_at
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
-from conftest import in_footprint
+from conftest import in_footprint, rotation_matrix
 
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
@@ -313,7 +313,7 @@ def test_project_box_preserves_dims():
         b = box(rng.uniform(-20, 20), rng.uniform(-20, 20), l=rng.uniform(3, 6),
                 w=rng.uniform(1.5, 2.5), heading=rng.uniform(-math.pi, math.pi))
         t = RigidTransform(
-            rotation_from_euler(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-math.pi, math.pi)),
+            rotation_matrix(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-50, 50, 3),
         )
         p, = project_box([b], t)
@@ -324,7 +324,7 @@ def test_project_box_preserves_dims():
 
 def test_project_box_pure_yaw_moves_heading():
     b = box(10.0, 0.0, heading=0.3)
-    t = RigidTransform(rotation_from_euler(0.0, 0.0, math.pi / 2), [0, 0, 0])
+    t = RigidTransform(rotation_matrix(0.0, 0.0, math.pi / 2), [0, 0, 0])
     p, = project_box([b], t)
     assert p.heading == pytest.approx(0.3 + math.pi / 2, abs=1e-9)
     assert (p.x, p.y) == pytest.approx((0.0, 10.0), abs=1e-9)
@@ -338,7 +338,7 @@ def test_project_box_matches_corner_reference():
         b = box(*rng.uniform(-60, 60, 2), z=rng.uniform(-2, 2), l=rng.uniform(3, 12),
                 w=rng.uniform(1.5, 2.9), h=rng.uniform(1.2, 4), heading=rng.uniform(-math.pi, math.pi))
         t = RigidTransform(
-            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rotation_matrix(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-500, 500, 3),
         )
         foot = b.footprint()
@@ -356,7 +356,7 @@ def test_project_box_rounds_as_one_mat_vec_per_box():
     rng = np.random.default_rng(43)
     for _ in range(100):
         t = RigidTransform(
-            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rotation_matrix(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-500, 500, 3),
         )
         boxes = [box(*rng.uniform(-300, 300, 2), z=rng.uniform(-2, 2), heading=rng.uniform(-math.pi, math.pi))
@@ -374,7 +374,7 @@ def test_project_box_builds_the_boxes_of_the_checking_constructor():
     rng = np.random.default_rng(47)
     for _ in range(20):
         t = RigidTransform(
-            rotation_from_euler(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+            rotation_matrix(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-500, 500, 3),
         )
         boxes = [box(*rng.uniform(-300, 300, 2), z=rng.uniform(-2, 2), l=rng.uniform(0.2, 9.0), w=0.2,
@@ -384,7 +384,7 @@ def test_project_box_builds_the_boxes_of_the_checking_constructor():
         assert [astuple(p) for p in got] == [astuple(p) for p in want] and got == want
         assert [hash(p) for p in got] == [hash(p) for p in want]
     # a half turn of yaw -pi turns the x axis to (-1, -1.2e-16): atan2 gives -pi, which OrientedBox stores as pi
-    half_turn = RigidTransform(rotation_from_euler(0.0, 0.0, -math.pi), [0.0, 0.0, 0.0])
+    half_turn = RigidTransform(rotation_matrix(0.0, 0.0, -math.pi), [0.0, 0.0, 0.0])
     axis = half_turn.rotation @ (1.0, 0.0, 0.0)
     assert math.atan2(axis[1], axis[0]) == -math.pi
     p, = project_box([box(1.0, 2.0, heading=0.0)], half_turn)

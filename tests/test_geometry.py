@@ -4,80 +4,36 @@ import numpy as np
 import pytest
 
 from cavtraj.errors import InvalidArgument
-from cavtraj.geometry import (
-    TAU,
-    RigidTransform,
-    euler_from_rotation,
-    rotation_from_euler,
-    wrap_angle,
-)
+from cavtraj.geometry import TAU, RigidTransform, wrap_angle
+from conftest import rotation_matrix
 
 
 def random_transform(rng):
-    return RigidTransform(rotation_from_euler(*rng.uniform(-math.pi, math.pi, size=3)), rng.uniform(-50, 50, size=3))
-
-
-def test_rotation_identity():
-    np.testing.assert_allclose(rotation_from_euler(0.0, 0.0, 0.0), np.eye(3))
-
-
-def test_rotation_pure_yaw_maps_x_to_y():
-    rot = rotation_from_euler(0.0, 0.0, math.pi / 2)
-    np.testing.assert_allclose(rot @ [1, 0, 0], [0, 1, 0], atol=1e-12)
-
-
-def test_rotation_terms_match_direct_evaluation():
-    # independent term-by-term evaluation of the yaw-pitch-roll matrix
-    roll, pitch, yaw = 0.1, 0.2, 0.3
-    sr, cr = math.sin(roll), math.cos(roll)
-    sp, cp = math.sin(pitch), math.cos(pitch)
-    sy, cy = math.sin(yaw), math.cos(yaw)
-    expected = np.array(
-        [
-            [cy * cp, -sy * cr + cy * sp * sr, sy * sr + cy * sp * cr],
-            [sy * cp, cy * cr + sy * sp * sr, -cy * sr + sy * sp * cr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
-    np.testing.assert_allclose(rotation_from_euler(roll, pitch, yaw), expected, atol=1e-15)
+    return RigidTransform(rotation_matrix(*rng.uniform(-math.pi, math.pi, size=3)), rng.uniform(-50, 50, size=3))
 
 
 def test_rotation_orthonormal_for_random_angles():
+    # every rotation passes the rule as given, a reflection of it or a copy off by 1e-9 does not;
+    # the rule is the rotation check of the pose file
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        rot = rotation_from_euler(*rng.uniform(-math.pi, math.pi, size=3))
-        assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-9
-        assert abs(np.linalg.det(rot) - 1.0) < 1e-9
+    angles = np.r_[rng.uniform(-math.pi, math.pi, (1000, 3)), [[0.3, math.pi / 2, -1.0], [2.0, -math.pi / 2, 0.5]]]
+    for roll, pitch, yaw in angles:
+        rot = rotation_matrix(roll, pitch, yaw)
+        assert RigidTransform(rot, [0, 0, 0]).rotation.tobytes() == rot.tobytes()
+        with pytest.raises(InvalidArgument, match="negative determinant"):
+            RigidTransform(-rot, [0, 0, 0])
+        with pytest.raises(InvalidArgument, match="not orthonormal"):
+            RigidTransform(rot * (1.0 + 1e-9), [0, 0, 0])
 
 
 def test_rotation_rejects_non_finite():
-    for angles in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
-        with pytest.raises(InvalidArgument, match="non-finite"):
-            RigidTransform(rotation_from_euler(*angles), [0, 0, 0])
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("axis", range(3), ids=["roll", "pitch", "yaw"])
-def test_rotation_from_euler_names_a_non_finite_angle(axis, value):
-    angles = [0.1, 0.2, 0.3]
-    angles[axis] = value
-    name = ("roll", "pitch", "yaw")[axis]
-    with pytest.raises(InvalidArgument, match=f"non-finite {name} angle: {value!r}"):
-        rotation_from_euler(*angles)
-
-
-def test_euler_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        roll, pitch, yaw = (
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01),
-            rng.uniform(-math.pi, math.pi),
-        )
-        back_roll, back_pitch, back_yaw = euler_from_rotation(rotation_from_euler(roll, pitch, yaw))
-        assert abs(wrap_angle(back_roll - roll)) < 1e-9
-        assert abs(back_pitch - pitch) < 1e-9
-        assert abs(wrap_angle(back_yaw - yaw)) < 1e-9
+    # any one of the nine rotation and three translation entries
+    for value in (math.inf, -math.inf, math.nan):
+        for k in range(12):
+            entries = np.r_[np.eye(3).ravel(), np.zeros(3)]
+            entries[k] = value
+            with pytest.raises(InvalidArgument, match="non-finite"):
+                RigidTransform(entries[:9].reshape(3, 3), entries[9:])
 
 
 def test_invert_identity():
@@ -111,7 +67,7 @@ def test_transform_points_identity_and_translation():
 
 
 def test_transform_points_yaw_90():
-    t = RigidTransform(rotation_from_euler(0.0, 0.0, math.pi / 2), [0, 0, 0])
+    t = RigidTransform([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0, 0, 0])
     np.testing.assert_allclose(t.apply([[1.0, 0.0, 0.0]]), [[0, 1, 0]], atol=1e-12)
 
 

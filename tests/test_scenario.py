@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cavtraj.errors import InvalidArgument, ValidationError
-from cavtraj.geometry import euler_from_rotation, rotation_from_euler
 from cavtraj.pipeline.frames_io import read_frame_dir, read_pose_csv
 from cavtraj.pipeline.scenario import (
     GROUND_TRUTH_HEADER,
@@ -62,10 +61,8 @@ def test_write_scenario_round_trip(tmp_path):
         assert len(poses) == len(data.poses[aid])
         for back, (t, tf) in zip(poses, data.poses[aid]):
             assert back.timestamp == t
-            np.testing.assert_array_equal(back.transform.translation, tf.translation)
-            # the rotation is rebuilt from exactly the written Euler angles
-            np.testing.assert_array_equal(back.transform.rotation, rotation_from_euler(*euler_from_rotation(tf.rotation)))
-            np.testing.assert_allclose(back.transform.rotation, tf.rotation, rtol=0, atol=1e-15)
+            assert back.transform.translation.tobytes() == tf.translation.tobytes()
+            assert back.transform.rotation.tobytes() == tf.rotation.tobytes()
 
     lines = (out / "ground_truth.csv").read_text().splitlines()
     assert lines[0] == GROUND_TRUTH_HEADER
