@@ -373,24 +373,6 @@ class OrientedBox:
         self.__dict__.update(x=x, y=y, z=z, length=length, width=width, height=height,
                              heading=wrap_angle(heading), confidence=confidence)
 
-    def footprint(self) -> list[tuple[float, float]]:
-        """BEV corners as four (x, y) float pairs, counter-clockwise.
-
-        Corner k is center ± half-length · (cos, sin) ± half-width · (−sin,
-        cos), summed in that order; BEV IoU clips these floats directly.
-        """
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        half_l, half_w = self.length / 2.0, self.width / 2.0
-        lc, ls, wc, ws = half_l * c, half_l * s, half_w * c, half_w * s
-        front_x, front_y = self.x + lc, self.y + ls
-        rear_x, rear_y = self.x - lc, self.y - ls
-        return [
-            (front_x - ws, front_y + wc),
-            (rear_x - ws, rear_y + wc),
-            (rear_x + ws, rear_y - wc),
-            (front_x + ws, front_y - wc),
-        ]
-
 
 def _octagon_corners(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each segment's first points of least and greatest x, y, x + y and y - x, as (8, K) positions.

@@ -4,13 +4,19 @@ Per-agent detection sets are synchronized by timestamp, projected into a
 common frame by rigid transform, and deduplicated by BEV IoU, keeping the
 higher-confidence box of each overlapping pair.
 
-BEV IoU clips one footprint by the other in plain Python floats, without
-NumPy: Sutherland-Hodgman (Sutherland & Hodgman, 1974) cuts the four
-corners of the first box by each edge of the second in turn. A vertex is
-inside an edge when its signed distance is >= -1e-12; where a polygon edge
-crosses the clip edge and the two signed distances differ by more than
-1e-15, the crossing point prev + t * (cur - prev) joins the polygon. The
-areas are shoelace sums.
+BEV IoU clips box a by box b in b's own frame, in plain Python floats,
+without NumPy. a's corners are its center offset (dx, dy) = (xa − xb, ya −
+yb) turned by b's heading, plus its half-extents turned by the heading
+difference (cosine and sine from products of the boxes' own), and
+Sutherland-Hodgman (Sutherland & Hodgman, 1974) cuts them by b's
+half-planes ±u <= ℓb/2 and ±v <= wb/2 in turn. A vertex up to 1e-12 m
+outside a line counts as inside; where an edge's ends fall on the two
+sides of that test and their distances differ by more than 1e-15 m, the
+edge's point on the line, clamped to the edge, joins the polygon. The
+intersection I is a shoelace sum, the union ℓa·wa + ℓb·wb − I. Only dx and
+dy read the map's coordinates, each rounding once (by at most 5e-10 m at
+UTM-sized x ≈ 4.5e5 m, y ≈ 5.4e6 m), so neither where the map sits nor the
+order of the arguments moves the IoU beyond rounding.
 
 The IoU is computed only for pairs whose circumcircles, of radius
 ½·hypot(length, width), meet (with a relative slack of 1e-9 against
@@ -22,27 +28,28 @@ with the same float operations as pair by pair.
 A pair that passes the gate is clipped only if two bounds leave it open;
 each decides only pairs the clip decides alike. Let t = 0.3, A and B be
 the areas (length times width), I and U = A + B − I the exact intersection
-and union, ε = 2^-52, w the lesser width and S = max(|xa|, |ya|, |xb|,
-|yb|) + ℓa + ℓb, which bounds every coordinate the clip handles. Shoelace
-sums of at most 8 vertices round by at most 32·ε·S², the vertices' own
-rounding moves an area by at most as much again, and a dropped crossing
-point loses at most 8e-15·S/w, so the clip's IoU is at least (I − e) /
-(U + 3e) for e = 64·ε·S² + 8e-15·S/w; its inside tolerance of 1e-12 grows
-the intersection by at most 4e-12·S/w. The area bound rules a pair out
-when min(A, B) < t·max(A, B)·(1 − 1e-6), as I <= min(A, B) and U >=
-max(A, B); its slack covers 1.9·e and that growth while they stay below
-t·1e-6·max(A, B): for w >= 0.1 m, out to S of about 2.7 km·√(max(A, B) /
-1 m²). The containment bound rules a pair in: with Δ the heading
-difference and (u, v) a's center in b's frame, a scaled by s about its
-center lies inside b if and only if |u| + s·(ℓa·|cos Δ| + wa·|sin Δ|)/2
-<= ℓb/2 and |v| + s·(ℓa·|sin Δ| + wa·|cos Δ|)/2 <= wb/2. With s_ab the
-largest such s in [0, 1] (0 if none) and s_ba that of b in a, I >= I' =
-max(s_ab²·A, s_ba²·B), which rounds by at most 32·ε·S²; the IoU grows
-with I, so the clip's IoU reaches t where (1 + t)·I' >= t·(A + B) +
-163·ε·S² + 1.52e-14·S/w. The bound adds 256·ε·S² + 2e-14·S/w, room for
-the rounding of the comparison and of the clip's division (2e-9 of
-t·(A + B) for a car at 400 m). It decides most merges of two views of one
-vehicle, at a quarter of the clip's cost.
+and union at the offset (dx, dy), ε = 2^-52, w the lesser width, ℓ the
+greater length and S = |dx| + |dy| + ℓa + ℓb, which bounds every
+coordinate the clip handles. Before rounding, the clipped polygon holds
+the intersection and lies in both footprints grown by 2e-12 m, adding at
+most g = 8e-12·S to I. Rounding moves the corners and crossing points by a
+few ε·S, the area by at most 64·ε·S², and the shoelace sum by 32·ε·S²; so
+for e = 96·ε·S² the clip's IoU lies between (I − e) / (U + e) and (I + e +
+g) / (U − e − g). The area bound rules a pair out when min(A, B) <
+t·max(A, B)·(1 − 1e-6), as I <= min(A, B) and U >= max(A, B); the clip
+agrees while 1.3·(e + g) <= t·1e-6·max(A, B). Through the gate S <=
+4.01·ℓ and max(A, B) >= ℓ·w, so that holds for w >= 1.4e-4 m + 1.5e-6·ℓ:
+for the 0.15 × 0.05 m poles as for cars, wherever the map sits. The
+containment bound rules a pair in: with Δ the heading difference and (u,
+v) a's center in b's frame, a scaled by s about its center lies inside b
+if and only if |u| + s·(ℓa·|cos Δ| + wa·|sin Δ|)/2 <= ℓb/2 and |v| +
+s·(ℓa·|sin Δ| + wa·|cos Δ|)/2 <= wb/2. With s_ab the largest such s in [0,
+1] (0 if none) and s_ba that of b in a, I >= I' = max(s_ab²·A, s_ba²·B),
+which rounds by at most 32·ε·S²; the IoU grows with I, so the clip's IoU
+reaches t where (1 + t)·I' >= t·(A + B) + 167·ε·S². The bound adds
+256·ε·S² + 2e-14·S/w, room for that and for the rounding of the
+comparison and of the clip's division. It decides most merges of two
+views of one vehicle, at a quarter of the clip's cost.
 
 `project_box` projects all boxes of one set at once: their centers and
 heading axes are stacked into (2N, 3, 1) columns and multiplied by the
@@ -117,42 +124,38 @@ def sync_sets(streams: dict[int, list[DetectionSet]], tolerance: float) -> list[
     return groups
 
 
-def _shoelace(poly: list[tuple[float, float]]) -> float:
-    """Area of a simple polygon given as (x, y) pairs."""
+def iou_bev(a: OrientedBox, b: OrientedBox) -> float:
+    """Bird's-eye-view IoU of two oriented boxes: a's corners clipped by b's half-planes in b's frame."""
+    ca, sa, cb, sb = math.cos(a.heading), math.sin(a.heading), math.cos(b.heading), math.sin(b.heading)
+    dx, dy = a.x - b.x, a.y - b.y
+    u, v = dx * cb + dy * sb, dy * cb - dx * sb     # a's center in b's frame
+    c, s = ca * cb + sa * sb, sa * cb - ca * sb     # cosine and sine of the heading difference
+    lc, ls, wc, ws = a.length / 2.0 * c, a.length / 2.0 * s, a.width / 2.0 * c, a.width / 2.0 * s
+    poly = [(u + lc - ws, v + ls + wc), (u - lc - ws, v - ls + wc), (u - lc + ws, v - ls - wc), (u + lc + ws, v + ls - wc)]
+    # each step keeps p <= bound and turns what it keeps a quarter turn, (p, q) -> (q, -p), which is
+    # exact: the steps clip by u <= lb/2, v <= wb/2, -u <= lb/2 and -v <= wb/2, and end in b's frame
+    for bound in (b.length / 2.0, b.width / 2.0, b.length / 2.0, b.width / 2.0):
+        kept = []
+        p_prev, q_prev = poly[-1]
+        s_prev = bound - p_prev     # distance inside the clip line; >= -1e-12 counts as inside
+        for p, q in poly:
+            s_cur = bound - p
+            if (s_cur >= -1e-12) != (s_prev >= -1e-12) and abs(s_prev - s_cur) > 1e-15:
+                t = min(1.0, max(0.0, s_prev / (s_prev - s_cur)))     # the edge's point on the line
+                kept.append((q_prev + t * (q - q_prev), -bound))
+            if s_cur >= -1e-12:
+                kept.append((q, -p))
+            p_prev, q_prev, s_prev = p, q, s_cur
+        if not kept:
+            return 0.0
+        poly = kept
     xy = yx = 0.0
     for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
         xy += x0 * y1
         yx += y0 * x1
-    return 0.5 * abs(xy - yx)
-
-
-def iou_bev(a: OrientedBox, b: OrientedBox) -> float:
-    """Bird's-eye-view IoU of two oriented boxes via convex polygon clipping."""
-    pa, pb = a.footprint(), b.footprint()
-    inter = pa
-    for (ax, ay), (bx, by) in zip(pb, pb[1:] + pb[:1]):
-        if not inter:
-            break
-        ex, ey = bx - ax, by - ay
-        inputs, inter = inter, []
-        # signed distance from the clip edge; >= -1e-12 means inside (left of edge)
-        px, py = inputs[-1]
-        s_prev = ex * (py - ay) - ey * (px - ax)
-        for cx, cy in inputs:
-            s_cur = ex * (cy - ay) - ey * (cx - ax)
-            if (s_cur >= -1e-12) != (s_prev >= -1e-12):
-                denom = s_prev - s_cur
-                if abs(denom) > 1e-15:
-                    t = s_prev / denom
-                    inter.append((px + t * (cx - px), py + t * (cy - py)))
-            if s_cur >= -1e-12:
-                inter.append((cx, cy))
-            px, py, s_prev = cx, cy, s_cur
-    inter_area = _shoelace(inter) if len(inter) >= 3 else 0.0
-    union = _shoelace(pa) + _shoelace(pb) - inter_area
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter_area / union))
+    inter = 0.5 * abs(xy - yx)
+    union = a.length * a.width + b.length * b.width - inter
+    return min(1.0, inter / union) if union > 0.0 else 0.0
 
 
 def _contained_enough(a: tuple, b: tuple) -> bool:
@@ -166,7 +169,7 @@ def _contained_enough(a: tuple, b: tuple) -> bool:
                         (bw - 2.0 * abs(dy * bc - dx * bs)) / (al * sin_d + aw * cos_d)))
     s_ba = max(0.0, min(1.0, (al - 2.0 * abs(dx * ac + dy * as_)) / (bl * cos_d + bw * sin_d),
                         (aw - 2.0 * abs(dy * ac - dx * as_)) / (bl * sin_d + bw * cos_d)))
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by)) + al + bl
+    scale = abs(dx) + abs(dy) + al + bl
     slack = 2.0 ** -44 * scale * scale + 2e-14 * scale / min(aw, bw)  # 256·ε·S² + 2e-14·S/w
     inter = max(s_ab * s_ab * a_area, s_ba * s_ba * b_area)
     return (1.0 + _IOU_THRESHOLD) * inter >= _IOU_THRESHOLD * (a_area + b_area) + slack

@@ -36,6 +36,7 @@ or a reflection) and a file that cannot be opened or decoded as text.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
@@ -242,18 +243,20 @@ def read_pose_csv(path) -> list[PoseSample]:
 def pose_at(samples: list[PoseSample], t: float) -> RigidTransform:
     """Pose at time t from time-ordered samples, one of which lies within 0.5 s of t.
 
-    Between two samples the translation is interpolated linearly and the
-    rotation by slerp. At a sample's own time, and before the first or after
-    the last sample, that sample's stored transform is returned as is.
+    The nearest sample (the earlier on a tie) is found by bisection. Between
+    two samples the translation is interpolated linearly and the rotation by
+    slerp. At a sample's own time, and before the first or after the last
+    sample, that sample's stored transform is returned as is.
     """
     if not samples:
         raise ValidationError(f"no pose samples to take t={t:.3f} from")
-    times = np.array([s.timestamp for s in samples])
-    k = int(np.argmin(np.abs(times - t)))
-    if not abs(times[k] - t) <= _POSE_TOLERANCE:
+    after = bisect.bisect_right(samples, t, key=lambda s: s.timestamp)
+    # the offsets from t never fall along the samples: the smallest lies beside t, and bisection finds its first sample
+    offset = min((s.timestamp - t for s in samples[max(after - 1, 0):after + 1]), key=abs)
+    k = bisect.bisect_left(samples, offset, key=lambda s: s.timestamp - t)
+    if not abs(offset) <= _POSE_TOLERANCE:
         raise ValidationError(f"no pose within {_POSE_TOLERANCE} s of t={t:.3f}")
-    after = int(np.searchsorted(times, t, side="right"))
-    if times[k] == t or after in (0, len(times)):
+    if offset == 0.0 or after in (0, len(samples)):
         return samples[k].transform
     (t0, a), (t1, b) = samples[after - 1], samples[after]
     w = (t - t0) / (t1 - t0)

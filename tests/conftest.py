@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from cavtraj.detection import PointCloudFrame
+from cavtraj.geometry import RigidTransform
+from cavtraj.pipeline.frames_io import PoseSample
+
+UTM_SHIFT = (4.5e5, 5.4e6)  # m: where a map in UTM coordinates sits, as real HD maps do
 
 
 def box_surface_points(center, length, width, height, heading=0.0, spacing=0.15,
@@ -52,6 +57,13 @@ def make_frame(points, timestamp=0.0, agent_id=0):
     return PointCloudFrame(timestamp=timestamp, points=points, agent_id=agent_id)
 
 
+def box_corners(box):
+    """A box's four BEV corners as a (4, 2) array, counter-clockwise from front left: its rotation of (±l/2, ±w/2)."""
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    local = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) * [box.length / 2.0, box.width / 2.0]
+    return local @ np.array([[c, s], [-s, c]]) + [box.x, box.y]
+
+
 def in_footprint(box, points, inflation=0.0):
     """Mask of the points whose xy falls inside the box's (inflated) footprint rectangle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -61,6 +73,29 @@ def in_footprint(box, points, inflation=0.0):
     along = dx * c + dy * s
     across = -dx * s + dy * c
     return (np.abs(along) <= box.length / 2.0 + inflation) & (np.abs(across) <= box.width / 2.0 + inflation)
+
+
+def moved_scenario(data, shift=(0.0, 0.0), turn=0.0, delay=0.0):
+    """The scenario with its map and poses moved by W, a turn about the map origin then a shift, and its clock by delay.
+
+    The frames keep their points, which are in the sensor frame. The ground
+    truth is left as it is.
+    """
+    c, s = math.cos(turn), math.sin(turn)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    translation = np.array([*shift, 0.0])
+
+    def moved(polyline):
+        return [[c * x - s * y + shift[0], s * x + c * y + shift[1], z] for x, y, z in polyline]
+
+    polylines = ("centerline", "left_boundary", "right_boundary")
+    lanelets = [{key: moved(value) if key in polylines else value for key, value in lanelet.items()}
+                for lanelet in data.vector_map["lanelets"]]
+    poses = {aid: [PoseSample(t + delay, RigidTransform(rotation @ tf.rotation, rotation @ tf.translation + translation))
+                   for t, tf in samples] for aid, samples in data.poses.items()}
+    frames = {aid: [replace(f, timestamp=f.timestamp + delay) for f in agent_frames]
+              for aid, agent_frames in data.frames.items()}
+    return replace(data, vector_map={**data.vector_map, "lanelets": lanelets}, poses=poses, frames=frames)
 
 
 @pytest.fixture

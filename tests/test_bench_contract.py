@@ -6,7 +6,8 @@ package (a name, a signature, a return type) would otherwise show late, and
 never on the traced path. This runs one short pass of the benchmark's chain
 from memory and from files, and one traced pass. It also pins the chain's
 trajectory digests on every workload, which otherwise only the benchmark's
-own check of a run would guard.
+own check of a run would guard, and runs every workload with its map
+moved to UTM-sized coordinates.
 """
 
 import math
@@ -23,6 +24,7 @@ import chain  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from cavtraj.pipeline import scenario  # noqa: E402
+from conftest import UTM_SHIFT, moved_scenario  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +110,39 @@ def test_chain_digest_is_pinned(name, seed):
     result = _run(*bench._source(replace(workload, from_disk=False), data, None))
     assert result.failed == 0
     assert result.digest()[:8] == DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_rows_follow_the_map_to_real_coordinates(name):
+    """Each workload at seed 0, from memory, with its map and poses moved by a rigid motion W.
+
+    Real HD maps sit at UTM-sized coordinates. W is UTM_SHIFT, alone or
+    after a 0.7 rad turn about the map origin; the frames stay as they are,
+    in the sensor frame. The rows must be W applied to the rows at the
+    origin, within 1e-6 m, with the same ids, times, lanes, lanelets and
+    provenance. A clock that reads Unix time, 1.7e9 s, keeps ids, times,
+    lanes and lanelets, and positions within 1e-5 m. Each pass runs the
+    workload's full length: on freeway_baseline a fusion decision that
+    flipped at t = 0.8 s under the shift showed only in a row at t = 1.5 s.
+    """
+    workload = replace(workloads.WORKLOADS[name], from_disk=False)
+    data = scenario.generate_scenario(workload.make_spec(0))
+
+    def rows(moved):
+        return _run(*bench._source(workload, moved, None)).rows
+
+    origin = rows(data)
+    for turn in (0.0, 0.7):
+        c, s = math.cos(turn), math.sin(turn)
+        moved = rows(moved_scenario(data, UTM_SHIFT, turn))
+        assert len(moved) == len(origin)
+        for row, at_origin in zip(moved, origin):
+            x, y = at_origin[2:4]
+            assert row[:2] + row[8:10] + row[13:] == at_origin[:2] + at_origin[8:10] + at_origin[13:]
+            assert math.hypot(row[2] - (c * x - s * y + UTM_SHIFT[0]), row[3] - (s * x + c * y + UTM_SHIFT[1])) <= 1e-6
+            assert abs(math.remainder(row[4] - at_origin[4] - turn, 2 * math.pi)) <= 1e-6
+            assert row[5:8] + row[10:13] == pytest.approx(at_origin[5:8] + at_origin[10:13], abs=1e-6)
+    delay = 1.7e9
+    later = rows(moved_scenario(data, delay=delay))
+    assert [(r[0], r[1], r[8], r[9]) for r in later] == [(r[0], r[1] + delay, r[8], r[9]) for r in origin]
+    assert max(math.hypot(r[2] - o[2], r[3] - o[3]) for r, o in zip(later, origin)) <= 1e-5

@@ -5,6 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation, Slerp
 
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj.geometry import RigidTransform, wrap_angle
@@ -329,6 +330,54 @@ def test_pose_at_beyond_tolerance_rejected(t):
     samples = [_yaw_pose(0.0, 0.0, (0.0, 0.0, 0.0)), _yaw_pose(0.4, 0.1, (1.0, 0.0, 0.0))]
     with pytest.raises(ValidationError, match="no pose within 0.5 s"):
         pose_at(samples, t)
+
+
+def full_scan_pose_at(samples, t):
+    """pose_at by an argmin over every sample time: the reference the bisection must match."""
+    times = np.array([s.timestamp for s in samples])
+    k = int(np.argmin(np.abs(times - t)))
+    if not abs(times[k] - t) <= 0.5:
+        raise ValidationError(f"no pose within 0.5 s of t={t:.3f}")
+    after = int(np.searchsorted(times, t, side="right"))
+    if times[k] == t or after in (0, len(times)):
+        return samples[k].transform
+    (t0, a), (t1, b) = samples[after - 1], samples[after]
+    w = (t - t0) / (t1 - t0)
+    rotation = Slerp([t0, t1], Rotation.from_matrix([a.rotation, b.rotation]))(t).as_matrix()
+    return RigidTransform(rotation, (1.0 - w) * a.translation + w * b.translation)
+
+
+def random_pose_stream(rng):
+    """1-12 time-ordered samples: on a 1/8 s grid with repeats, so midpoints tie exactly, or spread at random."""
+    n = int(rng.integers(1, 13))
+    times = np.sort(rng.integers(0, 40, n) / 8.0 if rng.random() < 0.5 else rng.uniform(-5.0, 5.0, n))
+    return [PoseSample(float(t), RigidTransform(rotation_matrix(*rng.uniform(-math.pi, math.pi, 3)),
+                                                rng.uniform(-100.0, 100.0, 3))) for t in times]
+
+
+def test_pose_at_matches_the_full_scan_reference():
+    rng = np.random.default_rng(53)
+    streams = [random_pose_stream(rng) for _ in range(100)]
+    # offsets below the rounding of t: every sample is as near as the first to t = 0.3 and 0.1
+    streams.append([_yaw_pose(t, 0.1 * k, (k, 0.0, 0.0)) for k, t in enumerate((0.0, 1e-17, 2e-17, 0.2))])
+    for samples in streams:
+        times = [s.timestamp for s in samples]
+        queries = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [
+            times[0] - 0.5, times[0] - 0.6, times[-1] + 0.5, times[-1] + 0.6, 0.1, 0.3, math.nan, math.inf]
+        queries += rng.uniform(times[0] - 1.0, times[-1] + 1.0, 5).tolist()
+        for t in queries:
+            try:
+                want = full_scan_pose_at(samples, t)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                    pose_at(samples, t)
+                continue
+            got = pose_at(samples, t)
+            if any(want is s.transform for s in samples):
+                assert got is want, (times, t)
+            else:
+                assert got.rotation.tobytes() == want.rotation.tobytes(), (times, t)
+                assert got.translation.tobytes() == want.translation.tobytes(), (times, t)
 
 
 def test_pose_at_without_samples_rejected():

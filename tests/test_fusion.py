@@ -1,6 +1,8 @@
 import functools
 import math
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from cavtraj.fusion import DetectionSet, iou_bev, late_fuse, project_box, sync_s
 from cavtraj.geometry import RigidTransform
 from cavtraj.pipeline.frames_io import pose_at
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
-from conftest import in_footprint, rotation_matrix
+from conftest import UTM_SHIFT, box_corners, in_footprint, moved_scenario, rotation_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
@@ -151,7 +156,7 @@ def test_sync_matches_nearest_partner_reference(tolerance):
 
 def raster_iou(a, b, n=700):
     """Fine-raster oracle: point-in-box tests on a dense grid."""
-    corners = np.vstack([a.footprint(), b.footprint()])
+    corners = np.vstack([box_corners(a), box_corners(b)])
     lo = corners.min(axis=0) - 0.1
     hi = corners.max(axis=0) + 0.1
     xs = np.linspace(lo[0], hi[0], n)
@@ -232,8 +237,8 @@ def reference_clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 def reference_iou_bev(a, b):
-    """BEV IoU by clipping NumPy corner arrays: the float kernel's oracle."""
-    pa, pb = np.array(a.footprint()), np.array(b.footprint())
+    """BEV IoU by clipping NumPy corner arrays in map coordinates, each edge of b's in turn: the float kernel's oracle."""
+    pa, pb = box_corners(a), box_corners(b)
     inter_poly = reference_clip_polygon(pa, pb)
     inter = reference_polygon_area(inter_poly) if len(inter_poly) >= 3 else 0.0
     union = reference_polygon_area(pa) + reference_polygon_area(pb) - inter
@@ -292,6 +297,7 @@ def test_iou_matches_numpy_reference_kernel():
         for a, b in kind_pairs:
             got, want = iou_bev(a, b), reference_iou_bev(a, b)
             assert abs(got - want) <= 1e-12, (kind, a, b, got, want)
+            assert abs(got - iou_bev(b, a)) <= 1e-12, (kind, a, b)
             if kind == "identical":
                 assert got == pytest.approx(1.0, abs=1e-12)
             elif kind == "nested":
@@ -300,8 +306,38 @@ def test_iou_matches_numpy_reference_kernel():
             elif kind in ("disjoint", "shared_edge"):
                 assert got <= 1e-12
             elif kind == "touching":
-                # the gate's corner case: a rounding-level sliver, but not zero
-                assert 0.0 < got < 1e-20
+                # the gate's corner case: in b's frame the two corners meet exactly, and the clip's area is 0
+                assert got == 0.0
+
+
+def moved(pairs, dx, dy, turn=0.0):
+    """The pairs turned by `turn` about the origin, then shifted by (dx, dy)."""
+    c, s = math.cos(turn), math.sin(turn)
+    return [tuple(box(c * b.x - s * b.y + dx, s * b.x + c * b.y + dy, l=b.length, w=b.width, heading=b.heading + turn)
+                  for b in pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.7], ids=["utm", "utm_turned"])
+def test_iou_is_the_same_both_ways_round_and_wherever_the_map_sits(turn):
+    pairs = oracle_pairs(np.random.default_rng(2024), 420)
+    pairs["touching"] = [tuple(ds.boxes[0] for ds in _touching_sets())]
+    for kind, kind_pairs in pairs.items():
+        for (a, b), (ma, mb) in zip(kind_pairs, moved(kind_pairs, *UTM_SHIFT, turn)):
+            got = iou_bev(ma, mb)
+            assert abs(got - iou_bev(mb, ma)) <= 1e-12, (kind, ma, mb)
+            # only the offset between the centers rounds at the map's coordinates, by at most 5e-10 m
+            assert abs(got - iou_bev(a, b)) <= 1e-9, (kind, a, b)
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.7])
+def test_iou_of_two_poles_is_the_same_at_map_coordinates(turn):
+    # two 0.15 x 0.05 m pole boxes of 0.0075 m^2 each, about what a shoelace
+    # sum of coordinates near UTM_SHIFT rounds away
+    a, b = box(1.0, 2.0, l=0.15, w=0.05, heading=0.3), box(1.03, 2.01, l=0.15, w=0.05, heading=0.25)
+    at_origin = iou_bev(a, b)
+    assert at_origin == pytest.approx(0.6137, abs=1e-4) and at_origin == pytest.approx(raster_iou(a, b), abs=1e-2)
+    (ma, mb), = moved([(a, b)], *UTM_SHIFT, turn)
+    assert abs(iou_bev(ma, mb) - at_origin) <= 1e-7 and abs(iou_bev(mb, ma) - at_origin) <= 1e-7
 
 
 # --- projection and late fusion ------------------------------------------------
@@ -341,7 +377,7 @@ def test_project_box_matches_corner_reference():
             rotation_matrix(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
             rng.uniform(-500, 500, 3),
         )
-        foot = b.footprint()
+        foot = box_corners(b)
         corners = np.vstack([np.c_[foot, np.full(4, b.z + dz)] for dz in (-b.height / 2, b.height / 2)])
         corners = t.apply(corners)
         edge = corners[0] - corners[1]
@@ -479,8 +515,8 @@ def all_pairs_fuse(sets, transforms):
 def _touching_sets():
     # two pairs whose circumcircles touch exactly (d == r_a + r_b in floating
     # point) where their footprints meet corner to corner, one rotated, one
-    # axis-aligned. Clipping the first pair leaves a sliver of rounding-level
-    # area (IoU about 2e-33): the gate must let touching circles through.
+    # axis-aligned. Both clip to an area of exactly 0: the gate must let
+    # touching circles through.
     diag = -math.atan2(3.0, 4.0)
     return [
         make_set(0.0, 0, [box(0.0, 0.0, l=4.0, w=3.0, heading=diag, conf=0.8),
@@ -627,11 +663,7 @@ def overlapping_pairs(rng, n):
     return pairs
 
 
-def moved(pairs, dx, dy):
-    return [tuple(box(b.x + dx, b.y + dy, l=b.length, w=b.width, heading=b.heading) for b in pair) for pair in pairs]
-
-
-@pytest.mark.parametrize("far", [0.0, 1e4, 1e5], ids=["near_origin", "at_10_km", "at_100_km"])
+@pytest.mark.parametrize("far", [0.0, 1e4, 1e5, 5.4e6], ids=["near_origin", "at_10_km", "at_100_km", "at_5400_km"])
 def test_containment_bound_never_claims_a_merge_the_clip_rejects(far):
     rng = np.random.default_rng(2211)
     offset = rng.uniform(0.1, 1.0, 2) * far
@@ -676,9 +708,9 @@ def short_arc_fleet(seed):
 
 
 @functools.cache
-def short_arc_fleet_groups(seed):
+def scenario_groups(make_spec, seed):
     """The scenario and its synchronized detection sets."""
-    data = generate_scenario(short_arc_fleet(seed))
+    data = generate_scenario(make_spec(seed))
     config = DetectionConfig()
     streams = {aid: [DetectionSet(f.timestamp, aid, detect_objects(f, config)) for f in frames]
                for aid, frames in sorted(data.frames.items())}
@@ -687,7 +719,7 @@ def short_arc_fleet_groups(seed):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_late_fuse_decisions_on_scenario_match_numpy_reference(monkeypatch, seed):
-    data, groups = short_arc_fleet_groups(seed)
+    data, groups = scenario_groups(short_arc_fleet, seed)
     assert [len(g) for g in groups] == [4] * 10
 
     runs, asked = [], []
@@ -712,31 +744,37 @@ def test_late_fuse_decisions_on_scenario_match_numpy_reference(monkeypatch, seed
     assert len(asked[0]) > 100 and asked[0] == asked[1]
     t = fusion._IOU_THRESHOLD
     assert all(merged == (iou_bev(a, b) >= t) == (reference_iou_bev(a, b) >= t) for a, b, merged in asked[0])
-    # on every pair tested, the clip and the reference kernel agree; at map
-    # coordinates of some 300 m the shoelace sums cancel to about 1e-11 of
-    # the area, so the kernels' sums, taken in different orders, differ there
+    # on every pair tested, the clip and the reference kernel agree; the
+    # reference clips absolute coordinates, and at map coordinates of some
+    # 300 m its shoelace sums cancel to about 1e-11 of the area
     assert max(abs(iou_bev(a, b) - reference_iou_bev(a, b)) for a, b, _ in asked[0]) <= 1e-10
 
 
 def test_containment_decides_the_merges_on_scenario(monkeypatch):
     # on short_arc_fleet at seed 0, 285 of the 436 projected candidates merge
     # into a kept box, and the containment bound decides every one of those
-    # merges: the clip is never called
-    data, groups = short_arc_fleet_groups(0)
-    bound, clipped = [], []
+    # merges: the clip is never called. On the arc_fleet workload it proves
+    # 723 merges and leaves 198 pairs to the clip. The pair test reads only
+    # the offset between two boxes, so a map at UTM_SHIFT gives the same counts.
     contained_enough = fusion._contained_enough
+    for make_spec, counts in ((short_arc_fleet, (436, 151, 285, 285, 0)),
+                              (workloads.arc_fleet, (1215, 490, 723, 921, 198))):
+        data, groups = scenario_groups(make_spec, 0)
+        for shift in ((0.0, 0.0), UTM_SHIFT):
+            poses = moved_scenario(data, shift).poses
+            bound, clipped = [], []
 
-    def recording_bound(a, b):
-        bound.append(contained_enough(a, b))
-        return bound[-1]
+            def recording_bound(a, b, bound=bound):
+                bound.append(contained_enough(a, b))
+                return bound[-1]
 
-    def counting_iou(a, b):
-        clipped.append((a, b))
-        return iou_bev(a, b)
+            def counting_iou(a, b, clipped=clipped):
+                clipped.append((a, b))
+                return iou_bev(a, b)
 
-    monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
-    monkeypatch.setattr(fusion, "iou_bev", counting_iou)
-    fused = [late_fuse(g, {ds.agent_id: pose_at(data.poses[ds.agent_id], ds.timestamp) for ds in g}) for g in groups]
-    candidates = sum(len(ds.boxes) for g in groups for ds in g)
-    assert (candidates, sum(len(f.boxes) for f in fused)) == (436, 151)
-    assert (sum(bound), len(bound), len(clipped)) == (285, 285, 0)
+            monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
+            monkeypatch.setattr(fusion, "iou_bev", counting_iou)
+            fused = [late_fuse(g, {ds.agent_id: pose_at(poses[ds.agent_id], ds.timestamp) for ds in g}) for g in groups]
+            candidates = sum(len(ds.boxes) for g in groups for ds in g)
+            got = (candidates, sum(len(f.boxes) for f in fused), sum(bound), len(bound), len(clipped))
+            assert got == counts, (make_spec.__name__, shift)
