@@ -421,7 +421,7 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
     """Write map, ground truth, and per-agent frames and poses; the fixed layout is the format.
 
     out_dir/map.json, out_dir/ground_truth.csv, and per agent out_dir/agents/agent_<id>/poses.csv
-    and out_dir/agents/agent_<id>/frames/frame_<k:06d>.npz; no manifest lists them. An out_dir
+    and the frame directory out_dir/agents/agent_<id>/frames/; no manifest lists them. An out_dir
     that exists and is not empty raises InvalidArgument before anything is written.
     """
     out = Path(out_dir)

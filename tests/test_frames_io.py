@@ -1,7 +1,8 @@
 import io
 import math
 import re
-import zipfile
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -10,26 +11,46 @@ from scipy.spatial.transform import Rotation, Slerp
 from cavtraj.errors import InvalidArgument, ValidationError
 from cavtraj.geometry import RigidTransform, wrap_angle
 from cavtraj.pipeline.frames_io import (
-    PoseSample, pose_at, read_frame, read_frame_dir, read_pose_csv, write_frame, write_frame_dir, write_pose_csv)
+    PoseSample, pose_at, read_frame_dir, read_pose_csv, write_frame_dir, write_pose_csv)
 from conftest import make_frame, rotation_matrix
+
+_TIMES = [0.5, 0.75]
+_ROWS = [np.arange(12.0).reshape(4, 3) / 7.0, np.arange(6.0).reshape(2, 3) - 2.5]
+
+
+def _index_text(times, rows):
+    """index.csv as the module docstring defines it, built without the writer."""
+    lines = [f"{t!r},{len(r)},{zlib.crc32(np.float64(t).tobytes(), zlib.crc32(r.tobytes()))}" for t, r in zip(times, rows)]
+    return "\n".join(["timestamp,points,crc32", *lines, ""])
+
+
+def _npy(points, write_header=np.lib.format.write_array_header_1_0, **header):
+    """The .npy bytes of points, with header fields replaced."""
+    buf = io.BytesIO()
+    write_header(buf, {"descr": "<f8", "fortran_order": False, "shape": points.shape, **header})
+    return buf.getvalue() + points.tobytes()
 
 
 def test_frame_round_trip(tmp_path, rng):
     frame = make_frame(rng.uniform(-40, 40, (50, 3)), timestamp=0.1 + 0.2, agent_id=2)
-    write_frame(tmp_path / "frame_000003.npz", frame)
-    back = read_frame(tmp_path / "frame_000003.npz", agent_id=2)
+    write_frame_dir(tmp_path, [frame])
+    back, = read_frame_dir(tmp_path, agent_id=2)
     assert back.timestamp == 0.1 + 0.2
     assert back.agent_id == 2
     np.testing.assert_array_equal(back.points, frame.points)
-    with np.load(tmp_path / "frame_000003.npz") as archive:
-        assert sorted(archive.files) == ["points", "timestamp"]
+    # the two files hold exactly the documented layout: a standard .npy block and the index
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.csv", "points.npy"]
+    saved = io.BytesIO()
+    np.save(saved, frame.points)
+    assert (tmp_path / "points.npy").read_bytes() == saved.getvalue()
+    assert (tmp_path / "index.csv").read_text() == _index_text([0.1 + 0.2], [frame.points])
 
 
 def test_fortran_order_frame_round_trip(tmp_path):
     # the writer stores C order, the only order the reader accepts
     points = np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7.0)
-    write_frame(tmp_path / "frame_000000.npz", make_frame(points, timestamp=0.5))
-    back = read_frame(tmp_path / "frame_000000.npz")
+    write_frame_dir(tmp_path, [make_frame(points, timestamp=0.5)])
+    back, = read_frame_dir(tmp_path)
     assert back.points.flags.c_contiguous
     np.testing.assert_array_equal(back.points, points)
 
@@ -37,18 +58,14 @@ def test_fortran_order_frame_round_trip(tmp_path):
 @pytest.mark.parametrize("agent_id", ["a", 2.0])
 def test_readers_reject_a_bad_agent_id_naming_the_path(tmp_path, agent_id):
     write_frame_dir(tmp_path / "frames", [make_frame(np.ones((2, 3)), timestamp=0.1)])
-    path = tmp_path / "frames" / "frame_000000.npz"
-    message = re.escape(f"{path}: agent_id must be an integer")
-    with pytest.raises(ValidationError, match=message):
-        read_frame(path, agent_id=agent_id)
+    message = re.escape(f"{tmp_path / 'frames' / 'points.npy'}: frame 0: agent_id must be an integer")
     with pytest.raises(ValidationError, match=message):
         read_frame_dir(tmp_path / "frames", agent_id=agent_id)
 
 
 def test_empty_frame_keeps_its_timestamp(tmp_path):
-    # the file name suggests t = 0.5 at 10 Hz; the recorded time must win
-    write_frame(tmp_path / "frame_000005.npz", make_frame(np.zeros((0, 3)), timestamp=1.25))
-    back = read_frame(tmp_path / "frame_000005.npz")
+    write_frame_dir(tmp_path, [make_frame(np.zeros((0, 3)), timestamp=1.25)])
+    back, = read_frame_dir(tmp_path)
     assert back.timestamp == 1.25
     assert len(back) == 0
     assert back.points.shape == (0, 3)
@@ -57,8 +74,7 @@ def test_empty_frame_keeps_its_timestamp(tmp_path):
 def test_frame_dir_round_trip(tmp_path, rng):
     frames = [make_frame(rng.uniform(-9, 9, (n, 3)), timestamp=0.1 * k) for k, n in enumerate([3, 0, 7])]
     write_frame_dir(tmp_path / "frames", frames)
-    assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == [
-        "frame_000000.npz", "frame_000001.npz", "frame_000002.npz"]
+    assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == ["index.csv", "points.npy"]
     back = read_frame_dir(tmp_path / "frames", agent_id=4)
     assert [f.timestamp for f in back] == [f.timestamp for f in frames]
     for b, f in zip(back, frames):
@@ -70,10 +86,9 @@ def test_frame_dir_frames_are_views_of_one_array(tmp_path, rng):
     frames = [make_frame(rng.uniform(-9, 9, (n, 3)), timestamp=0.1 * k + 0.05) for k, n in enumerate([5, 0, 4])]
     write_frame_dir(tmp_path, frames)
     back = read_frame_dir(tmp_path, agent_id=3)
-    for k, b in enumerate(back):
-        one = read_frame(tmp_path / f"frame_{k:06d}.npz", agent_id=3)
-        assert (b.timestamp, b.agent_id, b.points.shape) == (one.timestamp, one.agent_id, one.points.shape)
-        assert b.points.tobytes() == one.points.tobytes()
+    block = np.load(tmp_path / "points.npy")
+    for b, rows in zip(back, np.split(block, [5, 5])):
+        assert b.points.tobytes() == rows.tobytes()
     # the 0-point frame between the others keeps its time and shape
     assert (back[1].timestamp, back[1].points.shape) == (frames[1].timestamp, (0, 3))
     base = back[0].points.base
@@ -82,38 +97,69 @@ def test_frame_dir_frames_are_views_of_one_array(tmp_path, rng):
     assert np.shares_memory(back[0].points, base) and np.shares_memory(back[2].points, base)
 
 
-def test_frame_dir_reads_in_index_order_past_six_digits(tmp_path):
-    # by name, frame_1000000.npz would sort before frame_100001.npz
-    for k in (100_000, 100_001, 999_999, 1_000_000):
-        write_frame(tmp_path / f"frame_{k:06d}.npz", make_frame(np.zeros((0, 3)), timestamp=0.1 * k))
-    assert [f.timestamp for f in read_frame_dir(tmp_path)] == [0.1 * k for k in (100_000, 100_001, 999_999, 1_000_000)]
+def test_frame_dir_round_trip_is_bit_exact_on_random_frame_lists(tmp_path):
+    # empty frames, repeated timestamps, signed zeros, subnormals and values near the float range
+    rng = np.random.default_rng(37)
+    specials = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2])
+    for trial in range(40):
+        counts = rng.choice([0, 0, 1, 3, 50], int(rng.integers(1, 8)))
+        times = np.sort(rng.choice(np.r_[specials[:4], rng.uniform(-5.0, 5.0, 3)], len(counts)))
+        frames = []
+        for t, n in zip(times.tolist(), counts):
+            points = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+            points.flat[rng.integers(0, points.size or 1, min(points.size, 4))] = rng.choice(specials, min(points.size, 4))
+            frames.append(make_frame(points, timestamp=t))
+        write_frame_dir(tmp_path / str(trial), frames)
+        back = read_frame_dir(tmp_path / str(trial))
+        assert [np.float64(b.timestamp).tobytes() for b in back] == [np.float64(t).tobytes() for t in times]
+        assert [b.points.tobytes() for b in back] == [f.points.tobytes() for f in frames]
+
+
+def test_write_frame_dir_streams_each_frame(tmp_path):
+    # write_scenario runs in the benchmark process, so the writer never holds a second copy of all frames
+    rng = np.random.default_rng(20)
+    frames = [make_frame(rng.uniform(-50.0, 50.0, (10_000, 3)), timestamp=0.1 * k) for k in range(20)]
+    frame_bytes = frames[0].points.nbytes
+    tracemalloc.start()
+    try:
+        write_frame_dir(tmp_path, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame_bytes / 4, peak
+    assert [f.points.tobytes() for f in read_frame_dir(tmp_path)] == [f.points.tobytes() for f in frames]
 
 
 def test_frame_dir_out_of_time_order_rejected(tmp_path):
-    # the higher index carries the earlier timestamp
-    for k, t in ((0, 0.5), (1, 0.4)):
-        write_frame(tmp_path / f"frame_{k:06d}.npz", make_frame(np.zeros((0, 3)), timestamp=t))
-    with pytest.raises(ValidationError, match=r"frame_000001\.npz: timestamp 0\.4 falls below 0\.5"):
+    # the later frame carries the earlier timestamp
+    (tmp_path / "points.npy").write_bytes(_npy(np.zeros((0, 3))))
+    (tmp_path / "index.csv").write_text(_index_text([0.5, 0.4], [np.zeros((0, 3))] * 2))
+    with pytest.raises(ValidationError, match=r"index\.csv: frame 1: timestamp 0\.4 falls below 0\.5"):
         read_frame_dir(tmp_path)
 
 
-@pytest.mark.parametrize("name", ["frame_1.npz", "frame_0000001.npz", "frame_-00001.npz", "frame_00000a.npz", "extra.npz"])
-def test_frame_dir_with_a_name_the_writer_never_writes_rejected(tmp_path, name):
-    # six digits, or more without a leading zero, give each index one name
-    write_frame_dir(tmp_path, [make_frame(np.zeros((0, 3)), timestamp=0.0)])
-    write_frame(tmp_path / name, make_frame(np.zeros((0, 3)), timestamp=0.1))
-    with pytest.raises(ValidationError, match=name):
+def test_old_layout_directory_rejected(tmp_path):
+    # one .npz archive per frame has no index, and no reader of that layout is kept
+    with (tmp_path / "frame_000000.npz").open("wb") as fh:
+        np.savez(fh, timestamp=np.float64(0.5), points=np.zeros((0, 3)))
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'index.csv'}: ")):
         read_frame_dir(tmp_path)
 
 
 def test_write_frame_dir_refuses_a_directory_with_frames(tmp_path):
-    # a shorter stream written over a longer one would leave its last frames to be read as new
+    # a shorter stream written over a longer one would leave a block the index does not describe
     longer = [make_frame(np.zeros((0, 3)), timestamp=0.1 * k) for k in range(5)]
     write_frame_dir(tmp_path, longer)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(InvalidArgument, match="already holds frame files"):
         write_frame_dir(tmp_path, longer[:3])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # either file alone counts
+    for name in before:
+        (tmp_path / name).rename(tmp_path / "kept")
+        with pytest.raises(InvalidArgument, match="already holds frame files"):
+            write_frame_dir(tmp_path, longer[:3])
+        (tmp_path / "kept").rename(tmp_path / name)
     # files of another kind do not count
     (tmp_path / "other").mkdir()
     (tmp_path / "other" / "notes.txt").write_text("")
@@ -129,85 +175,139 @@ def test_write_frame_dir_refuses_what_the_reader_refuses(tmp_path, timestamps):
     assert not (tmp_path / "frames").exists()
 
 
-def _savez(path, **overrides):
-    """A frame archive with some arrays replaced; None leaves an array out."""
-    arrays = {"timestamp": np.float64(0.5), "points": np.arange(12.0).reshape(4, 3)}
-    arrays.update(overrides)
-    with path.open("wb") as fh:
-        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
+_BLOCK_ROWS = np.concatenate(_ROWS)
 
 
-def _truncated(path):
-    _savez(path)
-    path.write_bytes(path.read_bytes()[:-40])
+def _block(data):
+    """Replace points.npy with the given bytes."""
+    return lambda d: (d / "points.npy").write_bytes(data)
 
 
-def _plain_npy(path):
-    with path.open("wb") as fh:
-        np.save(fh, np.arange(12.0).reshape(4, 3))
+def _cell(frame, column, text):
+    """Replace one cell of index.csv, the header's at frame -1, by text or by text(cell)."""
+    def spoil(d):
+        lines = (d / "index.csv").read_text().split("\n")
+        cells = lines[frame + 1].split(",")
+        cells[column] = text(cells[column]) if callable(text) else text
+        lines[frame + 1] = ",".join(cells)
+        (d / "index.csv").write_text("\n".join(lines))
+    return spoil
 
 
-def _points_member(path, data, name="points.npy"):
-    """A frame archive whose points member holds the given bytes, with a CRC-32 that matches them."""
-    _savez(path, points=None)
-    with zipfile.ZipFile(path, "a") as zf:
-        zf.writestr(name, data)
+def _index(text):
+    """Replace index.csv with the given text."""
+    return lambda d: (d / "index.csv").write_text(text)
 
 
-def _npy(points, write_header=np.lib.format.write_array_header_1_0, **header):
-    """The .npy bytes of points, with header fields replaced."""
-    buf = io.BytesIO()
-    write_header(buf, {"descr": "<f8", "fortran_order": False, "shape": points.shape, **header})
-    return buf.getvalue() + points.tobytes()
+def _flip(position):
+    """Flip one bit of points.npy's byte at position (negative from the end)."""
+    def spoil(d):
+        raw = bytearray((d / "points.npy").read_bytes())
+        raw[position] ^= 0x01
+        (d / "points.npy").write_bytes(bytes(raw))
+    return spoil
 
 
-def _corrupt_payload(path):
-    _savez(path)
-    raw = bytearray(path.read_bytes())
-    raw[raw.index(np.arange(12.0).tobytes()) + 50] ^= 0x01
-    path.write_bytes(bytes(raw))
+def _rows(second):
+    """Both files for _ROWS with the second frame's rows replaced and a CRC-32 that matches them."""
+    def spoil(d):
+        _block(_npy(np.concatenate([_ROWS[0], second])))(d)
+        _index(_index_text(_TIMES, [_ROWS[0], second]))(d)
+    return spoil
 
 
-def _compressed(path):
-    with path.open("wb") as fh:
-        np.savez_compressed(fh, timestamp=np.float64(0.5), points=np.arange(12.0).reshape(4, 3))
+def _savez_compressed(d):
+    with (d / "points.npy").open("wb") as fh:
+        np.savez_compressed(fh, points=_BLOCK_ROWS)
 
 
+def _object_block(d):
+    with (d / "points.npy").open("wb") as fh:
+        np.save(fh, _BLOCK_ROWS.astype(object))
+
+
+# each case: the file the message names, the frame it names (None: the whole file) and how the
+# directory of _TIMES and _ROWS is spoiled
 MALFORMED_FRAMES = {
-    "not_a_zip": lambda p: p.write_text("t,x,y,z,intensity\n0.5,0.0,1.0,2.0,0.0\n"),
-    "empty_file": lambda p: p.write_bytes(b""),
-    "truncated_zip": _truncated,
-    "plain_npy": _plain_npy,
-    "missing_array": lambda p: _savez(p, points=None),
-    "extra_array": lambda p: _savez(p, ring=np.zeros(4)),
-    "leftover_intensities": lambda p: _savez(p, intensities=np.full(4, 20.0)),
-    "object_array": lambda p: _savez(p, points=np.arange(12.0).reshape(4, 3).astype(object)),
-    "raw_member": lambda p: _points_member(p, b"0.0,1.0,2.0,3.0", name="points"),
-    "corrupt_payload": _corrupt_payload,
-    "huge_shape": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3), shape=(10**12, 3))),
-    "trailing_bytes": lambda p: _points_member(p, _npy(np.arange(12.0).reshape(4, 3)) + bytes(24)),
-    "npy_format_2": lambda p: _points_member(
-        p, _npy(np.arange(12.0).reshape(4, 3), write_header=np.lib.format.write_array_header_2_0)),
-    "compressed": _compressed,
-    "fortran_order": lambda p: _savez(p, points=np.asfortranarray(np.arange(12.0).reshape(4, 3))),
-    "timestamp_shape": lambda p: _savez(p, timestamp=np.array([0.5])),
-    "timestamp_dtype": lambda p: _savez(p, timestamp=np.int64(5)),
-    "points_flat": lambda p: _savez(p, points=np.arange(12.0)),
-    "points_two_columns": lambda p: _savez(p, points=np.arange(8.0).reshape(4, 2)),
-    "points_float32": lambda p: _savez(p, points=np.arange(12.0, dtype=np.float32).reshape(4, 3)),
-    "nan_timestamp": lambda p: _savez(p, timestamp=np.float64("nan")),
-    "inf_point": lambda p: _savez(p, points=np.array([[0.0, 1.0, np.inf]] * 4)),
-    "missing_file": lambda p: None,
-    "directory": lambda p: p.mkdir(),
+    # points.npy
+    "not_a_zip": ("points.npy", None, _block(b"t,x,y,z,intensity\n0.5,0.0,1.0,2.0,0.0\n")),
+    "empty_file": ("points.npy", None, _block(b"")),
+    "truncated_zip": ("points.npy", None, _block(_npy(_BLOCK_ROWS)[:-40])),
+    "raw_member": ("points.npy", None, _block(_BLOCK_ROWS.tobytes())),
+    "compressed": ("points.npy", None, _savez_compressed),
+    "npy_format_2": ("points.npy", None, _block(_npy(_BLOCK_ROWS, write_header=np.lib.format.write_array_header_2_0))),
+    "fortran_order": ("points.npy", None, _block(_npy(_BLOCK_ROWS, fortran_order=True))),
+    "object_array": ("points.npy", None, _object_block),
+    "points_float32": ("points.npy", None, _block(_npy(_BLOCK_ROWS.astype(np.float32), descr="<f4"))),
+    "big_endian": ("points.npy", None, _block(_npy(_BLOCK_ROWS.astype(">f8"), descr=">f8"))),
+    "points_flat": ("points.npy", None, _block(_npy(_BLOCK_ROWS.ravel()))),
+    "points_two_columns": ("points.npy", None, _block(_npy(np.arange(12.0).reshape(6, 2)))),
+    "leftover_intensities": ("points.npy", None, _block(_npy(np.c_[_BLOCK_ROWS, np.full(6, 20.0)]))),
+    "huge_shape": ("points.npy", None, _block(_npy(_BLOCK_ROWS, shape=(10**12, 3)))),
+    "trailing_bytes": ("points.npy", None, _block(_npy(_BLOCK_ROWS) + bytes(24))),
+    "corrupt_payload": ("points.npy", 1, _flip(-1)),
+    "inf_point": ("points.npy", 1, _rows(np.array([[0.0, 1.0, np.inf]] * 2))),
+    "nan_point": ("points.npy", 1, _rows(np.array([[0.0, 1.0, 2.0], [np.nan, 0.0, 0.0]]))),
+    "missing_file": ("points.npy", None, lambda d: (d / "points.npy").unlink()),
+    "directory": ("points.npy", None, lambda d: ((d / "points.npy").unlink(), (d / "points.npy").mkdir())),
+    # index.csv
+    "plain_npy": ("index.csv", None, lambda d: (d / "index.csv").write_bytes(_npy(_BLOCK_ROWS))),
+    "missing_array": ("index.csv", None, lambda d: (d / "index.csv").unlink()),
+    "index_directory": ("index.csv", None, lambda d: ((d / "index.csv").unlink(), (d / "index.csv").mkdir())),
+    "wrong_header": ("index.csv", None, _cell(-1, 2, "crc")),
+    "extra_array": ("index.csv", None, _cell(-1, 2, "crc32,ring")),
+    "header_only": ("index.csv", None, _index("timestamp,points,crc32\n")),
+    "blank_row": ("index.csv", 1, _cell(0, 2, lambda cell: cell + "\n")),
+    "short_row": ("index.csv", 1, _cell(1, 2, "")),
+    "extra_cell": ("index.csv", 0, _cell(0, 2, "1,2")),
+    "timestamp_shape": ("index.csv", 0, _cell(0, 0, "[0.5]")),
+    "timestamp_dtype": ("index.csv", 0, _cell(0, 0, "(0.5+0j)")),
+    "nan_timestamp": ("index.csv", 0, _cell(0, 0, "nan")),
+    "inf_timestamp": ("index.csv", 1, _cell(1, 0, "inf")),
+    "falling_timestamp": ("index.csv", 1, _cell(1, 0, "0.25")),
+    "non_integer_count": ("index.csv", 1, _cell(1, 1, "1.5")),
+    "negative_count": ("index.csv", 0, _cell(0, 1, "-4")),
+    "negative_crc": ("index.csv", 1, _cell(1, 2, "-1")),
+    "crc_beyond_32_bits": ("index.csv", 1, _cell(1, 2, str(2**32))),
+    "counts_short_of_the_block": ("points.npy", None, _cell(1, 1, "1")),
+    "counts_beyond_the_block": ("points.npy", None, _cell(1, 1, "3")),
 }
 
 
-@pytest.mark.parametrize("write_bad", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys())
-def test_malformed_frame_rejected(tmp_path, write_bad):
-    path = tmp_path / "frame_000000.npz"
-    write_bad(path)
-    with pytest.raises(ValidationError, match="frame_000000.npz"):
-        read_frame(path)
+@pytest.mark.parametrize("name, frame, spoil", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys())
+def test_malformed_frame_rejected(tmp_path, name, frame, spoil):
+    write_frame_dir(tmp_path, [make_frame(rows, timestamp=t) for t, rows in zip(_TIMES, _ROWS)])
+    assert [f.points.tobytes() for f in read_frame_dir(tmp_path)] == [rows.tobytes() for rows in _ROWS]
+    spoil(tmp_path)
+    where = f"{tmp_path / name}: " + ("" if frame is None else f"frame {frame}: ")
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        read_frame_dir(tmp_path)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_flipped_byte_names_the_file_and_the_frame(tmp_path, k):
+    # CRC-32 catches every one-byte change, in a frame's rows or in its timestamp's digits
+    counts, times = [2, 5, 3], [0.25, 1.5, 2.75]
+    frames = [make_frame(np.arange(3.0 * n).reshape(n, 3) + j, timestamp=t) for j, (n, t) in enumerate(zip(counts, times))]
+    write_frame_dir(tmp_path, frames)
+    block = tmp_path / "points.npy"
+    clean = block.read_bytes()
+    start = len(clean) - 24 * sum(counts[k:])
+    for position in (start, start + 24 * counts[k] - 1):
+        raw = bytearray(clean)
+        raw[position] ^= 0x01
+        block.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match=re.escape(f"{block}: frame {k}: ")):
+            read_frame_dir(tmp_path)
+    block.write_bytes(clean)
+    # the last digit of 0.25, 1.5 or 2.75: the times keep their order
+    index = tmp_path / "index.csv"
+    lines = index.read_text().split("\n")
+    digit = lines[k + 1].index(",") - 1
+    lines[k + 1] = lines[k + 1][:digit] + chr(ord(lines[k + 1][digit]) ^ 0x01) + lines[k + 1][digit + 1:]
+    index.write_text("\n".join(lines))
+    with pytest.raises(ValidationError, match=rf"{re.escape(f'{block}: frame {k}: ')}.*index\.csv"):
+        read_frame_dir(tmp_path)
 
 
 def _bits(samples):
@@ -243,12 +343,12 @@ def test_write_pose_csv_refuses_what_the_reader_refuses(tmp_path, times):
     assert not (tmp_path / "poses.csv").exists()
 
 
-@pytest.mark.parametrize("reader", [read_frame, read_pose_csv])
-def test_bad_header_rejected(tmp_path, reader):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,x,y\n0.0,1.0,2.0\n")
-    with pytest.raises(ValidationError):
-        reader(path)
+@pytest.mark.parametrize("reader, name", [(read_frame_dir, "index.csv"), (read_pose_csv, "poses.csv")],
+                         ids=["read_frame_dir", "read_pose_csv"])
+def test_bad_header_rejected(tmp_path, reader, name):
+    (tmp_path / name).write_text("time,x,y\n0.0,1.0,2.0\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / name}: unrecognized header 'time,x,y'")):
+        reader(tmp_path if reader is read_frame_dir else tmp_path / name)
 
 
 _HEADER = "t,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22\n"
@@ -258,6 +358,8 @@ MALFORMED_POSES = {
     "ragged_row": _HEADER + f"0.0,{_ROW}\n0.1,{_ROW[:-2]}\n",
     "header_only": _HEADER,
     "blank_body": _HEADER + "\n  \n",
+    "blank_row": _HEADER + f"0.0,{_ROW}\n\n0.1,{_ROW}\n",
+    "blank_last_row": _HEADER + f"0.0,{_ROW}\n0.1,{_ROW}\n\n",
     "six_columns": _HEADER + "0.0,0,0,0,0,0\n",
     "twelve_columns": _HEADER + f"0.0,{_ROW[:-2]}\n",
     "nan_time": _HEADER + f"nan,{_ROW}\n",

@@ -35,7 +35,7 @@ def test_write_scenario_round_trip(tmp_path):
     data = generate_scenario(SPEC)
     out = write_scenario(data, tmp_path / "scenario")
 
-    frame_files = {f"agents/agent_{aid}/frames/frame_{k:06d}.npz" for aid in (1, 2) for k in range(3)}
+    frame_files = {f"agents/agent_{aid}/frames/{name}" for aid in (1, 2) for name in ("index.csv", "points.npy")}
     pose_files = {f"agents/agent_{aid}/poses.csv" for aid in (1, 2)}
     written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert written == {"map.json", "ground_truth.csv"} | pose_files | frame_files
@@ -98,7 +98,7 @@ def test_write_scenario_is_byte_identical_when_repeated(tmp_path):
     outs = [write_scenario(data, tmp_path / name) for name in ("first", "second")]
     files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
     assert files[0] == files[1]
-    assert any(p.suffix == ".npz" for p in files[0])
+    assert sum(p.name == "points.npy" for p in files[0]) == 2
     for rel in files[0]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
