@@ -46,7 +46,12 @@ normal: downtrack is the chain offset plus the centerline length up to the
 foot, crosstrack the signed distance from the foot along the normal. The
 normals form a continuous field, so downtrack advances smoothly along curves
 and across joints; for evenly spaced vertices on a circle the normal line is
-exactly radial.
+exactly radial. The field is coarse where a sharp bend is coarsely sampled:
+there the interpolated normals slant strongly, and |crosstrack| exceeds the
+point's distance to the centerline. On a left-hand right-angle bend with
+10 m legs and a single corner vertex, a point 2.33 m inside the corner reads
+crosstrack −3.28. Maps from `build_vector_map_dict` sample arcs every 0.5 m
+and are not affected; resampling long chords at load would bound it.
 
 At load the geometry of every polyline is built in one stacked pass, in
 input order: one type check over the distinct point and coordinate types,
@@ -59,7 +64,8 @@ of two of the segment count, so the padding stays below the points). The
 stack is read-only once the joint normals are written. The stack plus one
 frozen `Lanelet` per lanelet (ids, links, centerline length and chain offset)
 is the whole map, and the projection reads the stack's rows by polyline
-number.
+number. Its points and segment directions are stored column by column, so
+the chord search gathers from contiguous x, y and direction columns.
 
 The lanelet choice and the corridor test use the nearest chord of each
 polyline. Each lanelet has a reach box: the axis-aligned bounding box of its
@@ -94,6 +100,7 @@ _MAP_KEYS = ("name", "lanelets")
 _POLYLINES = ("centerline", "left_boundary", "right_boundary")
 _LANELET_KEYS = ("lanelet_id", "lane_id", *_POLYLINES)
 _PAIRS = 16_384  # (point, centerline segment) pairs per split: float64 temporaries of about 128 KiB
+_BOUNDARIES = np.array([1, 2])  # a lanelet's left and right boundary, after its centerline in the polyline stack
 
 
 @dataclass(frozen=True)
@@ -152,10 +159,14 @@ class _PolylineStack:
     owns the segment rows first[i]:first[i + 1] - 1 of `seg_dir` and
     `seg_len`; the row from one polyline's last vertex to the next one's
     first is no segment and holds NaN. `cum_len` holds each vertex's arc
-    length along its polyline.
+    length along its polyline. `seg_count` holds each polyline's segment
+    count. `points` and `seg_dir` are stored column by column, and `x`, `y`,
+    `dir_x` and `dir_y` are their columns, which the chord search gathers
+    from.
     """
 
-    __slots__ = ("first", "points", "seg_dir", "seg_len", "cum_len", "normals")
+    __slots__ = ("first", "seg_count", "points", "x", "y", "seg_dir", "dir_x", "dir_y", "seg_len", "cum_len",
+                 "normals")
 
     def __init__(self, polylines: list, lanelet_ids: list[int]):
         """Check and stack the polylines; polyline i is side i % 3 of lanelet lanelet_ids[i // 3].
@@ -187,6 +198,9 @@ class _PolylineStack:
                     fail(f, "{side}: coordinate out of float range")
         if not np.isfinite(points).all():
             fail(polyline_of(np.flatnonzero(~np.isfinite(points).all(axis=1))[0]), "{side}: non-finite coordinate")
+        # column by column, so that each column is a contiguous array: a 1-D gather from one is several
+        # times faster than from a row of a 2-D array
+        points = np.asfortranarray(points)
 
         with np.errstate(over="ignore"):  # between two polylines far apart; no segment
             d = np.diff(points[:, :2], axis=0)
@@ -197,7 +211,7 @@ class _PolylineStack:
         bad = np.flatnonzero(seg_len < 1e-9)
         if bad.size:
             fail(polyline_of(bad[0]), "polyline has zero-length segment")
-        seg_dir = d / seg_len[:, None]
+        seg_dir = np.asfortranarray(d / seg_len[:, None])
         seg_normal = _right_normal(seg_dir)
         # right-pointing unit normal per vertex, bisecting its two segments'
         # normals; the two ends of each polyline keep their segment's normal
@@ -223,9 +237,11 @@ class _PolylineStack:
             padded[inside] = seg_len[seg]
             cum_len[seg + 1] = np.cumsum(padded, axis=1)[inside]
         self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals = points, seg_dir, seg_len, cum_len, normals
+        self.seg_count, self.x, self.y, self.dir_x, self.dir_y = sizes, *points[:, :2].T, *seg_dir.T
 
     def freeze(self) -> None:
-        for a in (self.first, self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals):
+        for a in (self.first, self.seg_count, self.points, self.x, self.y, self.seg_dir, self.dir_x, self.dir_y,
+                  self.seg_len, self.cum_len, self.normals):
             a.flags.writeable = False
 
 
@@ -258,8 +274,9 @@ class VectorMap:
         same_lane_pred = self._join_lane_chains(lanelets, index, stack)
         stack.freeze()
         self._stack = stack
-        # each centerline's length is the arc length at its last vertex
-        length = dict(zip(index, stack.cum_len[stack.first[1::3] - 1].tolist()))
+        # each centerline's length is the arc length at its last vertex, and its segment count, in input order
+        self._length, self._segments = stack.cum_len[stack.first[1::3] - 1], stack.seg_count[::3]
+        length = dict(zip(index, self._length.tolist()))
         offset = _chain_offsets(same_lane_pred, length)
         self._lanelets = tuple(replace(ll, length=length[ll.lanelet_id], chain_offset=offset[ll.lanelet_id])
                                for ll in lanelets)  # in input order, as the stack
@@ -271,7 +288,8 @@ class VectorMap:
         xy, first = stack.points[:, :2], stack.first[:-1:3]
         self._reach_lo = (np.minimum.reduceat(xy, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
         self._reach_hi = (np.maximum.reduceat(xy, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
-        self._id_rank.flags.writeable = self._reach_lo.flags.writeable = self._reach_hi.flags.writeable = False
+        for a in (self._id_rank, self._reach_lo, self._reach_hi, self._length, self._segments):
+            a.flags.writeable = False
 
     @staticmethod
     def _join_lane_chains(lanelets: list[Lanelet], index: dict[int, int], stack: _PolylineStack) -> dict[int, int]:
@@ -358,7 +376,8 @@ class VectorMap:
         in key order winning (on an arc_fleet step, 15 pairs of 54). Each
         stage is split wherever the pairs' cumulative count of (point,
         centerline segment) pairs passes a multiple of `_PAIRS`, so the
-        temporaries stay bounded for any batch.
+        temporaries stay bounded for any batch; a batch within one split,
+        such as a tracker step's, runs each stage once on its whole arrays.
         """
         xy = np.empty((len(points), 2))
         for i, point in enumerate(points):
@@ -367,38 +386,41 @@ class VectorMap:
                 raise InvalidArgument(f"point {i} is not a sequence of at least two real numbers: {point!r}")
             xy[i] = coords[:2]
         result: list[FrenetCoord | None] = [None] * len(points)
-        finite = np.flatnonzero(np.isfinite(xy).all(axis=1))
-        xy = xy[finite]
+        # the reach boxes are finite, so a NaN or infinite coordinate fails one of their comparisons
         (lo_x, lo_y), (hi_x, hi_y) = self._reach_lo, self._reach_hi
         x, y = xy[:, :1], xy[:, 1:]
-        row, lane = np.nonzero((lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y))
+        row, lane = ((lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y)).nonzero()
         row, lane, seg, t, dist, offset = self._in_splits(self._centerline, xy, row, lane)
         if not row.size:
             return result
 
         # each point's interior pairs in key order, its least-keyed one first; np.round rounds otherwise
         order = np.lexsort((self._id_rank[lane], np.abs(offset), [round(d, 9) for d in dist.tolist()], row))
-        is_best = np.concatenate(([True], np.diff(row[order]) != 0))
+        ranked = row[order]
+        is_best = np.concatenate(([True], ranked[1:] != ranked[:-1]))
         best = order[is_best]
         ok, = self._in_splits(self._inside, xy, row[best], lane[best])
         won = best[ok]
         if not ok.all():
             # the other pairs of the points whose best pair fails; the first to pass wins
-            rest = order[~ok[np.cumsum(is_best) - 1] & ~is_best]
+            rest = order[~ok[is_best.cumsum() - 1] & ~is_best]
             rest = rest[self._in_splits(self._inside, xy, row[rest], lane[rest])[0]]
             won = np.concatenate((won, rest[np.unique(row[rest], return_index=True)[1]]))
 
         for r, j, s in zip(row[won].tolist(), lane[won].tolist(), (self._stack.cum_len[seg[won]] + t[won]).tolist()):
             ll = self._lanelets[j]
             downtrack, crosstrack = _frenet(self._stack, 3 * j, *xy[r].tolist(), s)
-            result[finite[r]] = FrenetCoord(ll.chain_offset + downtrack, crosstrack, ll.lanelet_id, ll.lane_id)
+            result[r] = FrenetCoord(ll.chain_offset + downtrack, crosstrack, ll.lanelet_id, ll.lane_id)
         return result
 
     def _in_splits(self, stage, xy: np.ndarray, row: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, ...]:
         """stage(xy, row, lane) on the (point row, lanelet position) pairs in splits (see `project`), joined."""
-        sizes = np.diff(self._stack.first)[3 * lane] - 1
-        split = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _PAIRS)) + 1
-        parts = [stage(xy, r, j) for r, j in zip(np.split(row, split), np.split(lane, split))]
+        sizes = self._segments[lane]
+        start = sizes.cumsum() - sizes     # each pair's first (point, centerline segment) pair
+        if not start.size or start[-1] < _PAIRS:
+            return stage(xy, row, lane)     # one split
+        bounds = [0, *(np.diff(start // _PAIRS).nonzero()[0] + 1).tolist(), start.size]
+        parts = [stage(xy, row[i:j], lane[i:j]) for i, j in zip(bounds, bounds[1:])]
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def _centerline(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray):
@@ -406,17 +428,16 @@ class VectorMap:
         stack = self._stack
         seg, t_raw, t, diff_x, diff_y = _nearest(stack, xy[row], 3 * lane)
         along = stack.cum_len[seg] + t_raw
-        length = stack.cum_len[stack.first[3 * lane + 1] - 1]
-        interior = (-_END_TOL <= along) & (along <= length + _END_TOL)
+        interior = (-_END_TOL <= along) & (along <= self._length[lane] + _END_TOL)
         row, lane, seg, t, diff_x, diff_y = (a[interior] for a in (row, lane, seg, t, diff_x, diff_y))
-        offset = diff_x * stack.seg_dir[seg, 1] - diff_y * stack.seg_dir[seg, 0]
+        offset = diff_x * stack.dir_y[seg] - diff_y * stack.dir_x[seg]
         return row, lane, seg, t, np.hypot(diff_x, diff_y), offset
 
     def _inside(self, xy: np.ndarray, row: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray]:
         """Stage 2: whether each pair's point is within the margin of its lanelet's left and right boundary."""
         stack = self._stack
-        bseg, _, _, bdiff_x, bdiff_y = _nearest(stack, np.repeat(xy[row], 2, axis=0), (3 * lane[:, None] + [1, 2]).ravel())
-        cross = bdiff_x * stack.seg_dir[bseg, 1] - bdiff_y * stack.seg_dir[bseg, 0]
+        bseg, _, _, bdiff_x, bdiff_y = _nearest(stack, xy[row].repeat(2, axis=0), (3 * lane[:, None] + _BOUNDARIES).ravel())
+        cross = bdiff_x * stack.dir_y[bseg] - bdiff_y * stack.dir_x[bseg]
         return ((cross[0::2] >= -_ON_ROAD_MARGIN) & (cross[1::2] <= _ON_ROAD_MARGIN),)
 
 
@@ -443,19 +464,17 @@ def _nearest(stack: _PolylineStack, xy: np.ndarray, poly: np.ndarray):
     Returns each chord's segment row, the foot's distance along it before and
     after clipping to the segment, and the offset from the foot to the point.
     """
-    start = stack.first[poly]
-    sizes = stack.first[poly + 1] - start - 1
-    first = np.cumsum(sizes) - sizes
-    idx = np.arange(sizes.sum()) + np.repeat(start - first, sizes)
-    x, y = np.repeat(xy[:, 0], sizes), np.repeat(xy[:, 1], sizes)
-    # gathered through column views: a 1-D gather is several times faster than indexing rows of a 2-D array
-    seg_x, seg_y = stack.points[:, 0][idx], stack.points[:, 1][idx]
-    seg_dx, seg_dy = stack.seg_dir[:, 0][idx], stack.seg_dir[:, 1][idx]
+    start, sizes = stack.first[poly], stack.seg_count[poly]
+    first = sizes.cumsum() - sizes
+    group_of = np.arange(sizes.size).repeat(sizes)
+    idx = np.arange(group_of.size) + (start - first)[group_of]
+    x, y = xy[:, 0][group_of], xy[:, 1][group_of]
+    seg_x, seg_y, seg_dx, seg_dy = stack.x[idx], stack.y[idx], stack.dir_x[idx], stack.dir_y[idx]
     t_raw = (x - seg_x) * seg_dx + (y - seg_y) * seg_dy
     t = np.minimum(np.maximum(t_raw, 0.0), stack.seg_len[idx])
     diff_x = x - (seg_x + t * seg_dx)
     diff_y = y - (seg_y + t * seg_dy)
-    k = _first_nearest(diff_x, diff_y, first, np.repeat(np.arange(sizes.size), sizes))
+    k = _first_nearest(diff_x, diff_y, first, group_of)
     return idx[k], t_raw[k], t[k], diff_x[k], diff_y[k]
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -101,3 +102,20 @@ def moved_scenario(data, shift=(0.0, 0.0), turn=0.0, delay=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def c_calls(call):
+    """C functions called while call() runs, as sys.setprofile counts them (c_call events)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count

@@ -5,6 +5,9 @@ implementation must reproduce them to 1e-9.
 """
 
 import math
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,10 @@ from cavtraj.fusion import DetectionSet, late_fuse
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
 from cavtraj.tracking import MultiObjectTracker, TrackingConfig
 from cavtraj.world_model import filter_on_road, vector_map_from_dict
+from conftest import c_calls
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def sparse_arc(seed, svs):
@@ -109,3 +116,30 @@ def test_heading_points_along_the_vehicle(seed):
             matched += 1
             assert abs(math.remainder(r[8] - g.heading, 2 * math.pi)) < math.pi / 2, (r, g)
     assert matched >= 20
+
+
+def test_back_half_c_calls_on_a_disk_replay_step():
+    """Bound the fixed cost of a step's late_fuse and filter_on_road: C functions called, not time.
+
+    A disk_replay step fuses about 16 boxes of one agent and projects about
+    14 track positions, 2 of them in a reach box, so the number of calls,
+    not the data, sets its time. A change that clips disjoint pairs again,
+    or brings back NumPy helpers that loop in Python (np.split, np.tril,
+    np.diff, np.flatnonzero), fails here. The count depends on the Python and
+    NumPy versions: on the last step of disk_replay's first second at seed 0
+    it measured 402 with Python 3.11 and numpy 2.4.6 (the CI pins), 326 in
+    late_fuse and 76 in filter_on_road (453 and 165 before the separation
+    bound and the trimmed projection), and the bound is that plus 10 %.
+    """
+    data = generate_scenario(replace(workloads.disk_replay(0), duration=1.0))
+    vmap = vector_map_from_dict(data.vector_map)
+    tracker = MultiObjectTracker(TrackingConfig())
+    config = DetectionConfig()
+    (aid, frames), = data.frames.items()
+    for frame, pose in zip(frames, data.poses[aid]):
+        sets, transforms = [DetectionSet(frame.timestamp, aid, detect_objects(frame, config))], {aid: pose.transform}
+        fused = late_fuse(sets, transforms)
+        tracks = tracker.step(fused)
+        kept = filter_on_road(tracks, vmap)
+    assert (len(frames), len(fused.boxes), len(tracks), len(kept)) == (10, 14, 14, 2)
+    assert c_calls(lambda: late_fuse(sets, transforms)) + c_calls(lambda: filter_on_road(tracks, vmap)) <= 402 * 1.1

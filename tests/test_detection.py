@@ -1,6 +1,5 @@
 import hashlib
 import math
-import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, astuple, replace
 from types import SimpleNamespace
@@ -26,7 +25,7 @@ from cavtraj.errors import InvalidArgument
 from cavtraj.fusion import project_box
 from cavtraj.geometry import RigidTransform, wrap_angle
 from cavtraj.pipeline.scenario import RoadSpec, ScenarioSpec, SensorSpec, VehicleSpec, generate_scenario
-from conftest import box_surface_points, in_footprint, make_frame
+from conftest import box_surface_points, c_calls, in_footprint, make_frame
 
 CFG = DetectionConfig(cell_size=0.5, extent=20.0)
 
@@ -1358,23 +1357,6 @@ def test_detect_objects_peak_memory_on_the_dense_frame():
     clusters = cluster_points(bev_grid_features(frame, config), config)
     assert (len(clusters), sum(map(len, clusters))) == (11, 16_863)
     assert traced_peak(lambda: fit_boxes(frame.points, clusters)) < 1.0 * 2**20
-
-
-def c_calls(call):
-    """C functions called while call() runs, as sys.setprofile counts them (c_call events)."""
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        count += event == "c_call"
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(previous)
-    return count
 
 
 def test_detect_objects_c_calls_on_a_small_frame():

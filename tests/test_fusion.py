@@ -585,17 +585,17 @@ def test_late_fuse_never_clips_a_pair_whose_areas_rule_out_the_threshold(monkeyp
     # never reach 0.3, so only the two walls and the two poles pass the area
     # bound; the containment bound decides the poles, and the clip the walls
     bounded, clipped = [], []
-    contained_enough = fusion._contained_enough
+    bound = fusion._bound
 
     def recording_bound(a, b):
         bounded.append(sorted((a[6], b[6])))
-        return contained_enough(a, b)
+        return bound(a, b)
 
     def counting_iou(a, b):
         clipped.append(sorted((a.length * a.width, b.length * b.width)))
         return iou_bev(a, b)
 
-    monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
+    monkeypatch.setattr(fusion, "_bound", recording_bound)
     monkeypatch.setattr(fusion, "iou_bev", counting_iou)
     wall, pole = dict(l=20.0, w=0.3, conf=0.9), dict(l=0.2, w=0.2, conf=0.3)
     sets = [make_set(0.0, 0, [box(0.0, 0.0, **wall), box(3.0, 0.4, **pole), box(-6.0, -0.3, **pole)]),
@@ -627,7 +627,7 @@ def containment_claims(pairs):
     claims = []
     for a, b in pairs:
         for p, q in ((a, b), (b, a)):
-            if fusion._contained_enough(shape_of(p), shape_of(q)):
+            if fusion._bound(shape_of(p), shape_of(q)) is True:
                 iou = iou_bev(p, q)
                 assert iou >= fusion._IOU_THRESHOLD, (p, q, iou)
                 claims.append(iou)
@@ -663,8 +663,8 @@ def overlapping_pairs(rng, n):
     return pairs
 
 
-@pytest.mark.parametrize("far", [0.0, 1e4, 1e5, 5.4e6], ids=["near_origin", "at_10_km", "at_100_km", "at_5400_km"])
-def test_containment_bound_never_claims_a_merge_the_clip_rejects(far):
+def bound_oracle_pairs(far):
+    """The seeded pairs, by kind, that the pair test's bounds are checked on, moved about `far` m from the origin."""
     rng = np.random.default_rng(2211)
     offset = rng.uniform(0.1, 1.0, 2) * far
     pairs = oracle_pairs(rng, 200)
@@ -673,7 +673,15 @@ def test_containment_bound_never_claims_a_merge_the_clip_rejects(far):
     pairs["half_turned"] = [(a, box(a.x, a.y, l=a.length, w=a.width, heading=a.heading + math.pi))
                             for a, _ in pairs["identical"]]
     pairs["touching"] = [tuple(ds.boxes[0] for ds in _touching_sets()), tuple(ds.boxes[1] for ds in _touching_sets())]
-    claims = {kind: containment_claims(moved(kind_pairs, *offset)) for kind, kind_pairs in pairs.items()}
+    return {kind: moved(kind_pairs, *offset) for kind, kind_pairs in pairs.items()}
+
+
+FAR = {"near_origin": 0.0, "at_10_km": 1e4, "at_100_km": 1e5, "at_5400_km": 5.4e6}
+
+
+@pytest.mark.parametrize("far", FAR.values(), ids=FAR.keys())
+def test_containment_bound_never_claims_a_merge_the_clip_rejects(far):
+    claims = {kind: containment_claims(pairs) for kind, pairs in bound_oracle_pairs(far).items()}
     # a box and its copy, or its copy turned half a turn, contain each other
     assert len(claims["identical"]) == len(claims["half_turned"]) == 2 * 200
     # nested boxes of area ratio below 0.16 and boxes that do not overlap never merge
@@ -687,10 +695,10 @@ def test_containment_bound_leaves_the_exact_threshold_to_the_clip():
     # the 3 x 3 box fills exactly 0.3 of the union with the 10 x 3 box around it:
     # only the clip decides that pair, and it merges
     big, small = box(0.0, 0.0, l=10.0, w=3.0), box(1.0, 0.0, l=3.0, w=3.0)
-    assert not fusion._contained_enough(shape_of(small), shape_of(big))
-    assert not fusion._contained_enough(shape_of(big), shape_of(small))
+    assert fusion._bound(shape_of(small), shape_of(big)) is None
+    assert fusion._bound(shape_of(big), shape_of(small)) is None
     # a larger copy of the small box is decided by the bound
-    assert fusion._contained_enough(shape_of(box(1.0, 0.0, l=3.01, w=3.0)), shape_of(big))
+    assert fusion._bound(shape_of(box(1.0, 0.0, l=3.01, w=3.0)), shape_of(big)) is True
 
 
 def short_arc_fleet(seed):
@@ -754,27 +762,85 @@ def test_containment_decides_the_merges_on_scenario(monkeypatch):
     # on short_arc_fleet at seed 0, 285 of the 436 projected candidates merge
     # into a kept box, and the containment bound decides every one of those
     # merges: the clip is never called. On the arc_fleet workload it proves
-    # 723 merges and leaves 198 pairs to the clip. The pair test reads only
-    # the offset between two boxes, so a map at UTM_SHIFT gives the same counts.
-    contained_enough = fusion._contained_enough
-    for make_spec, counts in ((short_arc_fleet, (436, 151, 285, 285, 0)),
-                              (workloads.arc_fleet, (1215, 490, 723, 921, 198))):
+    # 723 merges, the separation bound rules out 186 disjoint pairs, and the
+    # clip decides only the 12 pairs that overlap. On disk_replay (one agent,
+    # no merges) the separation bound rules out every pair the area bound
+    # leaves, and the clip never runs. The pair test reads only the offset
+    # between two boxes, so a map at UTM_SHIFT gives the same counts.
+    bound = fusion._bound
+    for make_spec, counts in ((short_arc_fleet, (436, 151, 285, 0, 285, 0)),
+                              (workloads.arc_fleet, (1215, 490, 723, 186, 921, 12)),
+                              (workloads.disk_replay, (493, 493, 0, 180, 180, 0))):
         data, groups = scenario_groups(make_spec, 0)
         for shift in ((0.0, 0.0), UTM_SHIFT):
             poses = moved_scenario(data, shift).poses
-            bound, clipped = [], []
+            verdicts, clipped = [], []
 
-            def recording_bound(a, b, bound=bound):
-                bound.append(contained_enough(a, b))
-                return bound[-1]
+            def recording_bound(a, b, verdicts=verdicts):
+                verdicts.append(bound(a, b))
+                return verdicts[-1]
 
             def counting_iou(a, b, clipped=clipped):
-                clipped.append((a, b))
-                return iou_bev(a, b)
+                clipped.append(iou_bev(a, b))
+                return clipped[-1]
 
-            monkeypatch.setattr(fusion, "_contained_enough", recording_bound)
+            monkeypatch.setattr(fusion, "_bound", recording_bound)
             monkeypatch.setattr(fusion, "iou_bev", counting_iou)
             fused = [late_fuse(g, {ds.agent_id: pose_at(poses[ds.agent_id], ds.timestamp) for ds in g}) for g in groups]
             candidates = sum(len(ds.boxes) for g in groups for ds in g)
-            got = (candidates, sum(len(f.boxes) for f in fused), sum(bound), len(bound), len(clipped))
+            got = (candidates, sum(len(f.boxes) for f in fused), verdicts.count(True), verdicts.count(False),
+                   len(verdicts), len(clipped))
             assert got == counts, (make_spec.__name__, shift)
+            assert all(iou > 0.0 for iou in clipped)
+
+
+def gated_pairs(monkeypatch, make_spec):
+    """Every pair that late_fuse hands to its pair test over one pass of the scenario at seed 0, as box pairs."""
+    data, groups = scenario_groups(make_spec, 0)
+    pairs = []
+    merges = fusion._merges
+
+    def recording_merges(box, other, a, b):
+        pairs.append((box, other))
+        return merges(box, other, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion, "_merges", recording_merges)
+        for g in groups:
+            late_fuse(g, {ds.agent_id: pose_at(data.poses[ds.agent_id], ds.timestamp) for ds in g})
+    return pairs
+
+
+def separation_claims(pairs):
+    """The pairs, both ways round, that the separation bound rules out; the clip must reject each."""
+    claims = []
+    for a, b in pairs:
+        for p, q in ((a, b), (b, a)):
+            if fusion._bound(shape_of(p), shape_of(q)) is False:
+                iou = iou_bev(p, q)
+                assert iou < fusion._IOU_THRESHOLD, (p, q, iou)
+                claims.append(iou)
+    return claims
+
+
+@pytest.mark.parametrize("far", FAR.values(), ids=FAR.keys())
+def test_separation_bound_never_rules_out_a_pair_the_clip_merges(far):
+    claims = {kind: separation_claims(pairs) for kind, pairs in bound_oracle_pairs(far).items()}
+    # boxes whose circles meet but whose footprints do not are ruled out, both ways round
+    assert len(claims["disjoint"]) == 2 * 200
+    # boxes that overlap are left to the other bound and the clip; boxes that share an edge or a
+    # corner may be ruled out where moving them rounds their centers apart
+    for kind in ("identical", "half_turned", "nested", "near_threshold"):
+        assert claims[kind] == [], kind
+    # every pair ruled out clips to nothing but rounding, the random and overlapping kinds' disjoint ones included
+    assert all(iou < 1e-9 for kind_claims in claims.values() for iou in kind_claims)
+    assert claims["random"] and claims["overlapping"]
+
+
+@pytest.mark.parametrize("make_spec", [workloads.arc_fleet, workloads.disk_replay], ids=["arc_fleet", "disk_replay"])
+def test_separation_bound_agrees_with_the_clip_on_every_gated_pair(monkeypatch, make_spec):
+    # every pair of one pass that meets the circle gate, both ways round, whatever the area bound says
+    pairs = gated_pairs(monkeypatch, make_spec)
+    claims = separation_claims(pairs)
+    assert len(pairs) == {"arc_fleet": 1058, "disk_replay": 755}[make_spec.__name__]
+    assert len(claims) > 300 and all(iou == 0.0 for iou in claims)

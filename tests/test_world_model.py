@@ -685,6 +685,34 @@ def test_project_batch_across_pair_splits_matches_single_points():
     assert any(r is None for r in got) and any(r is not None for r in got)
 
 
+def _long_lanelet():
+    """One 3.5 m wide lanelet whose centerline has _PAIRS / 16 segments of 1 m: 16 points fill one split."""
+    n = _PAIRS // 16
+    return {"lanelets": [_lanelet(1, [[float(k), 0.0, 0.0] for k in range(n + 1)], [[0.0, 1.75, 0.0], [n, 1.75, 0.0]],
+                                  [[0.0, -1.75, 0.0], [n, -1.75, 0.0]])]}
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 32, 33])
+def test_project_splits_at_each_multiple_of_the_pair_bound(monkeypatch, n):
+    # every point lies on the road, in the one reach box: point k's pairs start at k * _PAIRS / 16,
+    # so a split starts at every 16th point, and 16 or 32 points fill their splits exactly
+    vmap = vector_map_from_dict(_long_lanelet())
+    rng = np.random.default_rng(n)
+    points = [(x, y, 0.0) for x, y in zip(rng.uniform(0.0, _PAIRS // 16, n).tolist(), rng.uniform(-1.5, 1.5, n).tolist())]
+    want = [vmap.project([p])[0] for p in points]
+    parts = []
+    for name in ("_centerline", "_inside"):
+        def recording(self, xy, row, lane, stage=getattr(world_model.VectorMap, name), name=name):
+            parts.append((name, row.size))
+            return stage(self, xy, row, lane)
+
+        monkeypatch.setattr(world_model.VectorMap, name, recording)
+    got = vmap.project(points)
+    assert got == want and None not in got
+    sizes = [16] * (n // 16) + [n % 16] * (n % 16 > 0) or [0]
+    assert parts == [("_centerline", k) for k in sizes] + [("_inside", k) for k in sizes if n]
+
+
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_project_does_not_depend_on_the_lanelet_order(order):
     data = build_vector_map_dict(WORKLOAD_ROADS["arc_fleet"])
