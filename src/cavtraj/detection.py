@@ -465,9 +465,10 @@ def convex_hulls(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> tuple[np.nd
     are sorted by segment, x and y, and one monotone chain run (Andrew,
     1979) gives every segment's lower and upper chains. Returns the
     stacked (T, 2) hull vertices and each segment's vertex count. Each hull
-    runs counter-clockwise from its lowest, then leftmost, vertex. Collinear
-    and repeated points are no vertices, so a segment whose points are all
-    collinear has two and one whose points are all equal has one.
+    runs counter-clockwise from its leftmost, then lowest, vertex, where its
+    lower chain starts. Collinear and repeated points are no vertices, so a
+    segment whose points are all collinear has two and one whose points are
+    all equal has one.
     """
     n_seg = len(sizes)
     seg = np.arange(n_seg).repeat(sizes)
@@ -495,17 +496,9 @@ def convex_hulls(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> tuple[np.nd
     change = g[1:] != g[:-1]
     end = np.concatenate(([True], change)) | np.concatenate((change, [True]))
     verts = walk[kept[~(end & (g % 2 == 1))]]
-    vseg = seg[verts]
-
-    # re-root each hull at its lowest, then leftmost, vertex
-    counts = np.bincount(vseg, minlength=n_seg)
-    first = counts.cumsum() - counts
-    root = np.lexsort((x[verts], y[verts], vseg))[first] - first
-    f = first.repeat(counts)
-    verts = verts[f + (np.arange(verts.size) - f + root.repeat(counts)) % counts.repeat(counts)]
     hulls = np.empty((verts.size, 2))
     hulls[:, 0], hulls[:, 1] = x[verts], y[verts]
-    return hulls, counts
+    return hulls, np.bincount(seg[verts], minlength=n_seg)
 
 
 def min_area_rects(hulls: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -9,12 +9,13 @@ its capture time in seconds as its shortest round-trip ``repr``, its row
 count N, and the CRC-32 of its rows' bytes followed by the 8 bytes of its
 float64 timestamp, so both are checked. Values round-trip bit for bit, and
 an empty frame keeps its timestamp. Before it creates anything, the writer
-refuses an empty frame list, a timestamp below the one before it and a
-directory that already holds either file. The reader accepts only what the
-writer writes: timestamps that never fall, counts that are integers >= 0,
-CRCs that are integers in [0, 2**32), and a block with that header, that
-dtype and order, shape (sum of the counts, 3) and nothing after its data,
-checked before anything is allocated. Each frame's rows are read straight
+refuses an empty frame list, a timestamp below the one before it, a path
+that is not a directory and a directory that already holds either file.
+The reader accepts only what the writer writes: timestamps that never
+fall, counts that are integers >= 0, CRCs that are integers in
+[0, 2**32), and a block with that header, that dtype and order, shape
+(sum of the counts, 3) and nothing after its data, checked before
+anything is allocated. Each frame's rows are read straight
 from the file into one (sum of N, 3) array, which stays alive while any of
 the frames, its views, does. Rows or a timestamp that fail their CRC, or a
 point that is not finite, raise ValidationError naming the file and the
@@ -26,10 +27,11 @@ Pose files: one CSV file per agent with header
 at each time: the translation in metres, then the rotation matrix row by
 row, each value as its shortest round-trip ``repr``, so every value reads
 back bit for bit, signed zeros included. Before it creates the file, the
-writer refuses an empty sample list and a time that is not finite or not
-above the one before. The reader rejects times that do not strictly
-increase and a rotation that ``RigidTransform`` refuses (not orthonormal
-within 1e-9, or a reflection).
+writer refuses an empty sample list, a time that is not finite or not above
+the one before, and a path that already exists (a file or a directory).
+The reader rejects times that do not strictly increase and a rotation
+that ``RigidTransform`` refuses (not orthonormal within 1e-9, or a
+reflection).
 
 CSV files: exactly the header line, then at least one row, each of as many
 comma-separated finite numbers as the header has names. Any other header, a
@@ -92,6 +94,8 @@ def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
         if frames[k].timestamp < frames[k - 1].timestamp:
             raise InvalidArgument(f"frame {k}: timestamp {frames[k].timestamp} falls below {frames[k - 1].timestamp}")
     directory = Path(directory)
+    if directory.exists() and not directory.is_dir():
+        raise InvalidArgument(f"{directory} is not a directory")
     if any((directory / name).exists() for name in (_BLOCK, _INDEX)):
         raise InvalidArgument(f"{directory} already holds frame files")
     directory.mkdir(parents=True, exist_ok=True)
@@ -161,7 +165,10 @@ def write_pose_csv(path, samples: list[PoseSample]) -> None:
     for before, (t, _) in zip([-math.inf, *(s.timestamp for s in samples)], samples):
         if not before < t < math.inf:
             raise InvalidArgument(f"pose times must be finite and strictly increase: {t!r} after {before!r}")
-    with Path(path).open("w") as fh:
+    path = Path(path)
+    if path.exists():
+        raise InvalidArgument(f"{path} already exists")
+    with path.open("w") as fh:
         fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:
             values = (t, *tf.translation.tolist(), *tf.rotation.ravel().tolist())

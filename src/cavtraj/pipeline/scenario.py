@@ -422,9 +422,11 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
 
     out_dir/map.json, out_dir/ground_truth.csv, and per agent out_dir/agents/agent_<id>/poses.csv
     and the frame directory out_dir/agents/agent_<id>/frames/; no manifest lists them. An out_dir
-    that exists and is not empty raises InvalidArgument before anything is written.
+    that exists and is not an empty directory raises InvalidArgument before anything is written.
     """
     out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise InvalidArgument(f"{out} is not a directory")
     if out.exists() and any(out.iterdir()):
         raise InvalidArgument(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)

@@ -120,8 +120,7 @@ def kf_update(tracks: list[Track], boxes: list[OrientedBox]) -> None:
     gain = p[:, :, 0] / (p[:, 0, 0] + _R)[:, None]
     innovation = np.array([[b.x, b.y, b.z] for b in boxes]) - state[:, :, 0]
     state = state + innovation[:, :, None] * gain[:, None, :]
-    ikh = np.tile(np.eye(3), (len(tracks), 1, 1))
-    ikh[:, :, 0] -= gain
+    ikh = np.eye(3) - gain[:, :, None] * (1.0, 0.0, 0.0)  # I - K·H, with H = (1, 0, 0)
     cov = ikh @ p @ ikh.transpose(0, 2, 1) + _R * (gain[:, :, None] * gain[:, None, :])  # Joseph form
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
 
@@ -147,7 +146,8 @@ def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -
 
     track_pos = np.array([t.position for t in tracks])
     det_pos = np.array([[d.x, d.y, d.z] for d in detections])
-    cost = np.linalg.norm(track_pos[:, None, :] - det_pos[None, :, :], axis=2)
+    offset = track_pos[:, None, :] - det_pos[None, :, :]
+    cost = np.sqrt(np.add.reduce(offset * offset, axis=2))
     rows, cols = linear_sum_assignment(cost)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] <= gate]
 

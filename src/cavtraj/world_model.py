@@ -57,13 +57,12 @@ At load the geometry of every polyline is built in one stacked pass, in
 input order: one type check over the distinct point and coordinate types,
 one `np.fromiter` conversion, one `np.diff` with the rows that cross from one
 polyline to the next set to NaN (so nothing derived from them can fail a
-check), one `_bisect` for all interior vertex normals, one for all joint
-normals, and a row-wise cumsum over the segment lengths padded with zeros,
-which adds in the order of a cumsum per polyline (one padded block per power
-of two of the segment count, so the padding stays below the points). The
-stack is read-only once the joint normals are written. The stack plus one
-frozen `Lanelet` per lanelet (ids, links, centerline length and chain offset)
-is the whole map, and the projection reads the stack's rows by polyline
+check), one `_bisect` for all interior vertex normals and one for all
+joint normals. Arc lengths are one cumsum per centerline over its segment
+lengths; nothing reads a boundary's, so none is computed. The stack is
+read-only once the joint normals are written. The stack plus one frozen
+`Lanelet` per lanelet (ids, links, centerline length and chain offset) is
+the whole map, and the projection reads the stack's rows by polyline
 number. Its points and segment directions are stored column by column, so
 the chord search gathers from contiguous x, y and direction columns.
 
@@ -158,11 +157,12 @@ class _PolylineStack:
     `normals`. Segment j runs from vertex j to vertex j + 1, so polyline i
     owns the segment rows first[i]:first[i + 1] - 1 of `seg_dir` and
     `seg_len`; the row from one polyline's last vertex to the next one's
-    first is no segment and holds NaN. `cum_len` holds each vertex's arc
-    length along its polyline. `seg_count` holds each polyline's segment
-    count. `points` and `seg_dir` are stored column by column, and `x`, `y`,
-    `dir_x` and `dir_y` are their columns, which the chord search gathers
-    from.
+    first is no segment and holds NaN. `cum_len` holds each centerline
+    vertex's arc length along its centerline (polylines 0, 3, 6, ...); a
+    boundary's rows hold 0, and no code reads them. `seg_count` holds each
+    polyline's segment count. `points` and `seg_dir` are stored column by
+    column, and `x`, `y`, `dir_x` and `dir_y` are their columns, which the
+    chord search gathers from.
     """
 
     __slots__ = ("first", "seg_count", "points", "x", "y", "seg_dir", "dir_x", "dir_y", "seg_len", "cum_len",
@@ -223,21 +223,11 @@ class _PolylineStack:
         normals[first[:-1]] = seg_normal[first[:-1]]
         normals[first[1:] - 1] = seg_normal[first[1:] - 2]
 
-        # a cumsum along the rows of a zero-padded block adds in the order of a
-        # cumsum per polyline; each block holds the polylines whose segment
-        # counts share a power of two, so its padding stays below its size
         cum_len = np.zeros(first[-1])
-        sizes = counts - 1
-        block = np.frexp(sizes)[1]
-        for b in np.unique(block).tolist():
-            rows = np.flatnonzero(block == b)
-            inside = np.arange(sizes[rows].max()) < sizes[rows, None]
-            seg = (first[rows, None] + np.arange(inside.shape[1]))[inside]
-            padded = np.zeros(inside.shape)
-            padded[inside] = seg_len[seg]
-            cum_len[seg + 1] = np.cumsum(padded, axis=1)[inside]
+        for a, b in zip(first[:-1:3].tolist(), first[1::3].tolist()):  # the centerlines
+            np.cumsum(seg_len[a:b - 1], out=cum_len[a + 1:b])
         self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals = points, seg_dir, seg_len, cum_len, normals
-        self.seg_count, self.x, self.y, self.dir_x, self.dir_y = sizes, *points[:, :2].T, *seg_dir.T
+        self.seg_count, self.x, self.y, self.dir_x, self.dir_y = counts - 1, *points[:, :2].T, *seg_dir.T
 
     def freeze(self) -> None:
         for a in (self.first, self.seg_count, self.points, self.x, self.y, self.seg_dir, self.dir_x, self.dir_y,
@@ -274,8 +264,8 @@ class VectorMap:
         same_lane_pred = self._join_lane_chains(lanelets, index, stack)
         stack.freeze()
         self._stack = stack
-        # each centerline's length is the arc length at its last vertex, and its segment count, in input order
-        self._length, self._segments = stack.cum_len[stack.first[1::3] - 1], stack.seg_count[::3]
+        # each centerline's length is the arc length at its last vertex, in input order
+        self._length = stack.cum_len[stack.first[1::3] - 1]
         length = dict(zip(index, self._length.tolist()))
         offset = _chain_offsets(same_lane_pred, length)
         self._lanelets = tuple(replace(ll, length=length[ll.lanelet_id], chain_offset=offset[ll.lanelet_id])
@@ -288,7 +278,7 @@ class VectorMap:
         xy, first = stack.points[:, :2], stack.first[:-1:3]
         self._reach_lo = (np.minimum.reduceat(xy, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
         self._reach_hi = (np.maximum.reduceat(xy, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
-        for a in (self._id_rank, self._reach_lo, self._reach_hi, self._length, self._segments):
+        for a in (self._id_rank, self._reach_lo, self._reach_hi, self._length):
             a.flags.writeable = False
 
     @staticmethod
@@ -415,7 +405,7 @@ class VectorMap:
 
     def _in_splits(self, stage, xy: np.ndarray, row: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, ...]:
         """stage(xy, row, lane) on the (point row, lanelet position) pairs in splits (see `project`), joined."""
-        sizes = self._segments[lane]
+        sizes = self._stack.seg_count[3 * lane]
         start = sizes.cumsum() - sizes     # each pair's first (point, centerline segment) pair
         if not start.size or start[-1] < _PAIRS:
             return stage(xy, row, lane)     # one split

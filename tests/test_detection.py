@@ -604,7 +604,7 @@ def test_hull_unit_square_with_interior():
     hull = hull_of(pts)
     assert len(hull) == 4
     assert {(0, 0), (1, 0), (1, 1), (0, 1)} == {tuple(v) for v in hull}
-    # heavy duplicates: counter-clockwise from the lowest, then leftmost, vertex
+    # heavy duplicates: counter-clockwise from the leftmost, then lowest, vertex
     rect = [[2, 1], [0, 1], [2, 0], [0, 0], [1, 0.5]]
     hull = hull_of(np.repeat(rect, [5, 3, 7, 4, 9], axis=0))
     np.testing.assert_array_equal(hull, [[0, 0], [2, 0], [2, 1], [0, 1]])
@@ -913,14 +913,14 @@ def test_box_rejects_non_finite_fields(field, value):
 
 
 def qhull_hull(pts2d):
-    """Qhull's hull re-rooted at its lowest, then leftmost, vertex; None if Qhull finds no polygon."""
+    """Qhull's hull re-rooted at its leftmost, then lowest, vertex; None if Qhull finds no polygon."""
     if len(pts2d) < 3:
         return None
     try:
         hull = pts2d[ConvexHull(pts2d).vertices]
     except QhullError:
         return None
-    return np.roll(hull, -np.lexsort((hull[:, 0], hull[:, 1]))[0], axis=0)
+    return np.roll(hull, -np.lexsort((hull[:, 1], hull[:, 0]))[0], axis=0)
 
 
 def test_hulls_match_qhull_on_lattice_segments():

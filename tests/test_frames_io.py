@@ -167,6 +167,13 @@ def test_write_frame_dir_refuses_a_directory_with_frames(tmp_path):
     assert [f.timestamp for f in read_frame_dir(tmp_path / "other")] == [0.0]
 
 
+def test_write_frame_dir_refuses_a_file(tmp_path):
+    (tmp_path / "frames").write_text("kept")
+    with pytest.raises(InvalidArgument, match="is not a directory"):
+        write_frame_dir(tmp_path / "frames", [make_frame(np.zeros((0, 3)), timestamp=0.1)])
+    assert (tmp_path / "frames").read_text() == "kept"
+
+
 @pytest.mark.parametrize("timestamps", [[], [0.2, 0.1], [0.0, 0.1, 0.1, 0.05]], ids=["empty", "falling", "falling_later"])
 def test_write_frame_dir_refuses_what_the_reader_refuses(tmp_path, timestamps):
     frames = [make_frame(np.zeros((0, 3)), timestamp=t) for t in timestamps]
@@ -341,6 +348,20 @@ def test_write_pose_csv_refuses_what_the_reader_refuses(tmp_path, times):
     with pytest.raises(InvalidArgument, match="no pose samples" if not times else "finite and strictly increase"):
         write_pose_csv(tmp_path / "poses.csv", samples)
     assert not (tmp_path / "poses.csv").exists()
+
+
+def test_write_pose_csv_refuses_an_existing_path(tmp_path):
+    samples = [PoseSample(0.0, RigidTransform(np.eye(3), (0.0, 0.0, 0.0)))]
+    write_pose_csv(tmp_path / "poses.csv", samples)
+    before = (tmp_path / "poses.csv").read_bytes()
+    # a second stream is not written over the first
+    with pytest.raises(InvalidArgument, match="already exists"):
+        write_pose_csv(tmp_path / "poses.csv", samples + [PoseSample(0.1, samples[0].transform)])
+    assert (tmp_path / "poses.csv").read_bytes() == before
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(InvalidArgument, match="already exists"):
+        write_pose_csv(tmp_path / "dir", samples)
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize("reader, name", [(read_frame_dir, "index.csv"), (read_pose_csv, "poses.csv")],

@@ -118,6 +118,14 @@ def test_write_scenario_refuses_a_non_empty_directory(tmp_path):
     out = write_scenario(generate_scenario(SPEC), tmp_path / "empty")
     assert len(read_frame_dir(out / "agents" / "agent_1" / "frames")) == 3
 
+
+def test_write_scenario_refuses_a_file(tmp_path):
+    (tmp_path / "scenario").write_text("kept")
+    with pytest.raises(InvalidArgument, match="is not a directory"):
+        write_scenario(generate_scenario(SPEC), tmp_path / "scenario")
+    assert (tmp_path / "scenario").read_text() == "kept"
+
+
 BAD_ROADS = {
     "step_zero": dict(sample_step=0.0),  # was OverflowError when the map was built
     "step_negative": dict(sample_step=-2.0),  # was 2-point polylines
