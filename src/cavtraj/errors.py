@@ -12,6 +12,7 @@ class InvalidArgument(CavtrajError, ValueError):
     """An argument violates a precondition (non-finite, wrong range, ...)."""
 
 
+# never raised in the package; kept only because perfbench/tracer.py imports it (ROADMAP item 0)
 class DegenerateGeometry(CavtrajError, ValueError):
     """Geometry input is degenerate (too few points, collinear, zero area)."""
 

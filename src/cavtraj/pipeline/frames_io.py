@@ -9,8 +9,8 @@ its capture time in seconds as its shortest round-trip ``repr``, its row
 count N, and the CRC-32 of its rows' bytes followed by the 8 bytes of its
 float64 timestamp, so both are checked. Values round-trip bit for bit, and
 an empty frame keeps its timestamp. Before it creates anything, the writer
-refuses an empty frame list, a timestamp below the one before it, a path
-that is not a directory and a directory that already holds either file.
+refuses an empty frame list, a timestamp below the one before it, a file at
+the path or at a parent of it, and a directory that holds either file.
 The reader accepts only what the writer writes: timestamps that never
 fall, counts that are integers >= 0, CRCs that are integers in
 [0, 2**32), and a block with that header, that dtype and order, shape
@@ -28,7 +28,7 @@ at each time: the translation in metres, then the rotation matrix row by
 row, each value as its shortest round-trip ``repr``, so every value reads
 back bit for bit, signed zeros included. Before it creates the file, the
 writer refuses an empty sample list, a time that is not finite or not above
-the one before, and a path that already exists (a file or a directory).
+the one before, a path that already exists and a file at a parent of it.
 The reader rejects times that do not strictly increase and a rotation
 that ``RigidTransform`` refuses (not orthonormal within 1e-9, or a
 reflection).
@@ -86,6 +86,13 @@ def _read_csv(path: Path, header: str, row: str) -> np.ndarray:
     return np.array(body)
 
 
+def check_directory_path(path: Path) -> None:
+    """Raise InvalidArgument if path, or where it does not exist its nearest existing parent, is not a directory."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise InvalidArgument(f"{existing} is not a directory")
+
+
 def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
     """Write frames as read_frame_dir reads them back: at least one, timestamps never falling."""
     if not frames:
@@ -94,8 +101,7 @@ def write_frame_dir(directory, frames: list[PointCloudFrame]) -> None:
         if frames[k].timestamp < frames[k - 1].timestamp:
             raise InvalidArgument(f"frame {k}: timestamp {frames[k].timestamp} falls below {frames[k - 1].timestamp}")
     directory = Path(directory)
-    if directory.exists() and not directory.is_dir():
-        raise InvalidArgument(f"{directory} is not a directory")
+    check_directory_path(directory)
     if any((directory / name).exists() for name in (_BLOCK, _INDEX)):
         raise InvalidArgument(f"{directory} already holds frame files")
     directory.mkdir(parents=True, exist_ok=True)
@@ -168,6 +174,7 @@ def write_pose_csv(path, samples: list[PoseSample]) -> None:
     path = Path(path)
     if path.exists():
         raise InvalidArgument(f"{path} already exists")
+    check_directory_path(path.parent)
     with path.open("w") as fh:
         fh.write(_POSE_HEADER + "\n")
         for t, tf in samples:

@@ -20,7 +20,7 @@ import numpy as np
 from ..detection import PointCloudFrame
 from ..errors import InvalidArgument, ValidationError, check_number
 from ..geometry import RigidTransform, wrap_angle
-from .frames_io import PoseSample, write_frame_dir, write_pose_csv
+from .frames_io import PoseSample, check_directory_path, write_frame_dir, write_pose_csv
 
 _LANELET_CHUNK = 50.0  # m, lane split into lanelets of roughly this length
 
@@ -95,7 +95,7 @@ def _lanelet_bounds(road: RoadSpec, lane: int) -> np.ndarray:
 
 
 def build_vector_map_dict(road: RoadSpec, name: str = "road") -> dict:
-    """Vector map JSON content for a RoadSpec (lanelet chains per lane)."""
+    """Vector map JSON content for a RoadSpec in the `world_model` format: per lane, lanelets chained by successors."""
     step = road.sample_step if road.kind == "straight" else min(road.sample_step, 0.5)
     lanelets = []
     for lane in range(1, road.n_lanes + 1):
@@ -110,7 +110,7 @@ def build_vector_map_dict(road: RoadSpec, name: str = "road") -> dict:
                 s_road = s_road * road.radius / (road.radius + offset)
 
             def polyline(lat_offset):
-                return [[float(x), float(y), 0.0] for x, y in (road.offset_point(s, lat_offset) for s in s_road)]
+                return [[float(x), float(y)] for x, y in (road.offset_point(s, lat_offset) for s in s_road)]
 
             lanelet_id = lane * 100 + k
             entry = {
@@ -120,7 +120,6 @@ def build_vector_map_dict(road: RoadSpec, name: str = "road") -> dict:
                 "left_boundary": polyline(offset - road.lane_width / 2.0),
                 "right_boundary": polyline(offset + road.lane_width / 2.0),
                 "successors": [lane * 100 + k + 1] if k + 1 < n_chunks else [],
-                "predecessors": [lane * 100 + k - 1] if k > 0 else [],
             }
             lanelets.append(entry)
     return {"name": name, "lanelets": lanelets}
@@ -421,12 +420,11 @@ def write_scenario(data: ScenarioData, out_dir) -> Path:
     """Write map, ground truth, and per-agent frames and poses; the fixed layout is the format.
 
     out_dir/map.json, out_dir/ground_truth.csv, and per agent out_dir/agents/agent_<id>/poses.csv
-    and the frame directory out_dir/agents/agent_<id>/frames/; no manifest lists them. An out_dir
-    that exists and is not an empty directory raises InvalidArgument before anything is written.
+    and the frame directory out_dir/agents/agent_<id>/frames/; no manifest lists them. An out_dir that exists
+    and is not an empty directory, or lies under a file, raises InvalidArgument before anything is written.
     """
     out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise InvalidArgument(f"{out} is not a directory")
+    check_directory_path(out)
     if out.exists() and any(out.iterdir()):
         raise InvalidArgument(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)

@@ -5,20 +5,20 @@ boundary polylines, read from a JSON file in the map frame:
 
     {"name": "freeway",
      "lanelets": [{"lanelet_id": 100, "lane_id": 1,
-                   "centerline": [[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
+                   "centerline": [[0.0, 0.0], [50.0, 0.0]],
                    "left_boundary": [...], "right_boundary": [...],
-                   "predecessors": [], "successors": [101]}, ...]}
+                   "successors": [101]}, ...]}
 
 The top level is an object with only the keys `name` (optional, a string,
 which is checked and not kept) and `lanelets` (required, a non-empty list).
 Each lanelet is an object that needs `lanelet_id`, `lane_id` and the three
-polylines and may carry other keys, which are ignored. Ids are integers >= 0; an integral number
-such as 100.0 counts, true and false do not. `predecessors` and `successors` are
-optional lists of integer lanelet ids. A polyline is a list of at least two
-[x, y, z] points of finite numbers in metres, with no zero-length segment
-and no half-turn. Every listed predecessor and successor must exist, a
-lanelet's predecessors must list it as a successor, lanelet ids must be
-unique, a successor must start within 0.1 m of its predecessor's end, and
+polylines and may carry other keys, which are ignored. Ids are integers >= 0;
+an integral number such as 100.0 counts, true and false do not. The optional
+`successors`, a list of integer lanelet ids, states every link; a
+`predecessors` key is ignored like any other. A polyline is a list of at least
+two planar [x, y] points of finite numbers in metres, with no zero-length
+segment and no half-turn. Every listed successor must exist, lanelet ids must
+be unique, a successor must start within 0.1 m of its predecessor's end, and
 each lane's chain of same-lane successors must be linear (no lanelet has two
 same-lane predecessors or two same-lane successors) and acyclic. A breach of
 the structural rules raises ValidationError "vector map schema violation at
@@ -28,14 +28,12 @@ A file that cannot be read or parsed as JSON raises ValidationError too.
 The first breach is raised, with the checks in this order: the structural
 rules of every lanelet; the polylines' points and segments, naming the first
 faulty polyline in input order (lanelet by lanelet, centerline, left then
-right boundary); unique ids; unknown predecessors and successors;
-predecessors that do not list the lanelet as a successor; successor gaps;
-multiple same-lane predecessors or successors; half-turns at same-lane
-joints; cycles.
+right boundary); unique ids; unknown successors; successor gaps; multiple
+same-lane predecessors or successors; half-turns at same-lane joints; cycles.
 
-Downtrack distance is measured from the start of a
-lanelet's chain (predecessors of the same lane); crosstrack is positive to
-the right of the driving direction.
+Downtrack distance is measured from the start of a lanelet's chain (its
+same-lane predecessors); crosstrack is positive to the right of the driving
+direction.
 
 Each centerline vertex carries a unit normal that bisects the normals of its
 two adjacent segments; at a lanelet joint the neighbour segment is the first
@@ -139,28 +137,28 @@ def _numbers(polylines: list):
     return itertools.chain.from_iterable(itertools.chain.from_iterable(polylines))
 
 
-def _xyz_lists(polylines: list) -> bool:
-    """Whether every point of the polylines is an [x, y, z] list of numbers.
+def _xy_lists(polylines: list) -> bool:
+    """Whether every point of the polylines is an [x, y] list of numbers.
 
     Each distinct point and coordinate type is tested once, not each number.
     """
     point_types = set(map(type, itertools.chain.from_iterable(polylines)))
     return (all(issubclass(t, list) for t in point_types)
-            and set(map(len, itertools.chain.from_iterable(polylines))) == {3}
+            and set(map(len, itertools.chain.from_iterable(polylines))) == {2}
             and all(map(_is_number_type, set(map(type, _numbers(polylines))))))
 
 
 class _PolylineStack:
     """The checked geometry of a map's polylines, stacked in input order.
 
-    Polyline i holds the vertices first[i]:first[i + 1] of `points` and
-    `normals`. Segment j runs from vertex j to vertex j + 1, so polyline i
-    owns the segment rows first[i]:first[i + 1] - 1 of `seg_dir` and
-    `seg_len`; the row from one polyline's last vertex to the next one's
-    first is no segment and holds NaN. `cum_len` holds each centerline
-    vertex's arc length along its centerline (polylines 0, 3, 6, ...); a
-    boundary's rows hold 0, and no code reads them. `seg_count` holds each
-    polyline's segment count. `points` and `seg_dir` are stored column by
+    Polyline i holds the vertices first[i]:first[i + 1] of `points`, each an
+    (x, y) row, and of `normals`. Segment j runs from vertex j to vertex
+    j + 1, so polyline i owns the segment rows first[i]:first[i + 1] - 1 of
+    `seg_dir` and `seg_len`; the row from one polyline's last vertex to the
+    next one's first is no segment and holds NaN. `cum_len` holds each
+    centerline vertex's arc length along its centerline (polylines 0, 3, 6,
+    ...); a boundary's rows hold 0, and no code reads them. `seg_count` holds
+    each polyline's segment count. `points` and `seg_dir` are stored column by
     column, and `x`, `y`, `dir_x` and `dir_y` are their columns, which the
     chord search gathers from.
     """
@@ -183,13 +181,13 @@ class _PolylineStack:
         def polyline_of(vertex: int) -> int:
             return int(np.searchsorted(first, vertex, side="right")) - 1
 
-        if not _xyz_lists(polylines):
-            fail(next(f for f, line in enumerate(polylines) if not _xyz_lists([line])),
-                 "{side}: points must be [x, y, z] lists of numbers")
+        if not _xy_lists(polylines):
+            fail(next(f for f, line in enumerate(polylines) if not _xy_lists([line])),
+                 "{side}: points must be [x, y] lists of numbers")
         counts = np.fromiter(map(len, polylines), dtype=np.intp, count=len(polylines))
         self.first = first = np.r_[0, np.cumsum(counts)]
         try:
-            points = np.fromiter(_numbers(polylines), dtype=float, count=3 * first[-1]).reshape(-1, 3)
+            points = np.fromiter(_numbers(polylines), dtype=float, count=2 * first[-1]).reshape(-1, 2)
         except OverflowError:
             for f, line in enumerate(polylines):
                 try:
@@ -203,7 +201,7 @@ class _PolylineStack:
         points = np.asfortranarray(points)
 
         with np.errstate(over="ignore"):  # between two polylines far apart; no segment
-            d = np.diff(points[:, :2], axis=0)
+            d = np.diff(points, axis=0)
         seg_len = np.hypot(d[:, 0], d[:, 1])
         # the rows from one polyline's last vertex to the next one's first are
         # NaN, and so is everything derived from them
@@ -227,7 +225,7 @@ class _PolylineStack:
         for a, b in zip(first[:-1:3].tolist(), first[1::3].tolist()):  # the centerlines
             np.cumsum(seg_len[a:b - 1], out=cum_len[a + 1:b])
         self.points, self.seg_dir, self.seg_len, self.cum_len, self.normals = points, seg_dir, seg_len, cum_len, normals
-        self.seg_count, self.x, self.y, self.dir_x, self.dir_y = counts - 1, *points[:, :2].T, *seg_dir.T
+        self.seg_count, self.x, self.y, self.dir_x, self.dir_y = counts - 1, *points.T, *seg_dir.T
 
     def freeze(self) -> None:
         for a in (self.first, self.seg_count, self.points, self.x, self.y, self.seg_dir, self.dir_x, self.dir_y,
@@ -237,7 +235,7 @@ class _PolylineStack:
 
 @dataclass(frozen=True)
 class Lanelet:
-    """A lanelet's ids and links as its map entry gives them; load fills in the two lengths.
+    """A lanelet's ids and successors as its map entry gives them; load fills in the two lengths.
 
     Its geometry is the rows of the map's polyline stack: the lanelet at
     input position k owns polylines 3k (centerline), 3k + 1 and 3k + 2.
@@ -245,7 +243,6 @@ class Lanelet:
 
     lanelet_id: int
     lane_id: int
-    predecessors: tuple[int, ...]
     successors: tuple[int, ...]
     length: float = 0.0  # of the centerline
     chain_offset: float = 0.0  # downtrack of this lanelet's start within its lane chain
@@ -275,9 +272,9 @@ class VectorMap:
         self._id_rank = np.argsort(sorted(range(len(lanelets)), key=lambda k: lanelets[k].lanelet_id))
         # reach boxes, (2, n) arrays of x and y bounds in input order: the bounding box of
         # each lanelet's three polylines, grown by the on-road margin and the end tolerance
-        xy, first = stack.points[:, :2], stack.first[:-1:3]
-        self._reach_lo = (np.minimum.reduceat(xy, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
-        self._reach_hi = (np.maximum.reduceat(xy, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
+        first = stack.first[:-1:3]
+        self._reach_lo = (np.minimum.reduceat(stack.points, first) - (_ON_ROAD_MARGIN + _END_TOL)).T
+        self._reach_hi = (np.maximum.reduceat(stack.points, first) + (_ON_ROAD_MARGIN + _END_TOL)).T
         for a in (self._id_rank, self._reach_lo, self._reach_hi, self._length):
             a.flags.writeable = False
 
@@ -288,21 +285,15 @@ class VectorMap:
         Returns each lanelet's predecessor within its lane; lane chains must be linear.
         """
         for ll in lanelets:
-            for kind, others in (("successor", ll.successors), ("predecessor", ll.predecessors)):
-                for other in others:
-                    if other not in index:
-                        raise ValidationError(f"lanelet {ll.lanelet_id} references unknown {kind} {other}")
-        for ll in lanelets:
-            for other in ll.predecessors:
-                if ll.lanelet_id not in lanelets[index[other]].successors:
-                    raise ValidationError(
-                        f"lanelet {ll.lanelet_id} lists predecessor {other}, which does not list it as a successor")
+            for other in ll.successors:
+                if other not in index:
+                    raise ValidationError(f"lanelet {ll.lanelet_id} references unknown successor {other}")
         # (predecessor, successor) positions, and the last centerline vertex of
         # the one and the first of the other
         pred, succ = np.array([(k, index[sid]) for k, ll in enumerate(lanelets) for sid in ll.successors],
                               dtype=np.intp).reshape(-1, 2).T
         end, start = stack.first[3 * pred + 1] - 1, stack.first[3 * succ]
-        gap = np.hypot(*(stack.points[end, :2] - stack.points[start, :2]).T)
+        gap = np.hypot(*(stack.points[end] - stack.points[start]).T)
         far = np.flatnonzero(gap > _CONNECT_TOL)
         ids = list(index)  # lanelet ids in input order
         if far.size:
@@ -505,7 +496,7 @@ def _frenet(stack: _PolylineStack, i: int, px: float, py: float, s_chord: float)
         u = min(max(u, 0.0), length)
     (n0x, n0y), (n1x, n1y) = stack.normals[k:k + 2].tolist()
     normal_x, normal_y = n0x + u / length * (n1x - n0x), n0y + u / length * (n1y - n0y)
-    (x, y, _), (ex, ey) = stack.points[k].tolist(), stack.seg_dir[k].tolist()
+    (x, y), (ex, ey) = stack.points[k].tolist(), stack.seg_dir[k].tolist()
     off_x, off_y = px - x - u * ex, py - y - u * ey
     cross = (off_x * normal_x + off_y * normal_y) / math.hypot(normal_x, normal_y)
     return float(stack.cum_len[k]) + u, cross
@@ -520,7 +511,7 @@ def _foot(stack: _PolylineStack, px: float, py: float, k: int) -> tuple[float, f
     ex, ey = stack.seg_dir[k].tolist()
     (nx, ny), (n1x, n1y) = stack.normals[k:k + 2].tolist()
     mx, my = (n1x - nx) / length, (n1y - ny) / length
-    x, y, _ = stack.points[k].tolist()
+    x, y = stack.points[k].tolist()
     rx, ry = px - x, py - y
     qa = mx * ey - my * ex
     qb = (rx * my - ry * mx) - (ex * ny - ey * nx)
@@ -566,19 +557,16 @@ def _lanelet_links(entry, path: list) -> Lanelet:
     for key in ("lanelet_id", "lane_id"):
         if not (_is_integer(entry[key]) and entry[key] >= 0):
             raise _violation(path + [key], f"{entry[key]!r} is not an integer >= 0")
-    links = []
-    for key in ("predecessors", "successors"):
-        ids = entry.get(key, [])
-        if not isinstance(ids, list):
-            raise _violation(path + [key], f"{ids!r} is not a list of lanelet ids")
-        for k, value in enumerate(ids):
-            if not _is_integer(value):
-                raise _violation(path + [key, k], f"{value!r} is not an integer")
-        links.append(tuple(int(v) for v in ids))
+    successors = entry.get("successors", [])
+    if not isinstance(successors, list):
+        raise _violation(path + ["successors"], f"{successors!r} is not a list of lanelet ids")
+    for k, value in enumerate(successors):
+        if not _is_integer(value):
+            raise _violation(path + ["successors", k], f"{value!r} is not an integer")
     for side in _POLYLINES:
         if not (isinstance(entry[side], list) and len(entry[side]) >= 2):
             raise _violation(path + [side], "a polyline is a list of at least 2 points")
-    return Lanelet(int(entry["lanelet_id"]), int(entry["lane_id"]), *links)
+    return Lanelet(int(entry["lanelet_id"]), int(entry["lane_id"]), tuple(int(v) for v in successors))
 
 
 def vector_map_from_dict(data) -> VectorMap:

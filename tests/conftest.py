@@ -87,7 +87,7 @@ def moved_scenario(data, shift=(0.0, 0.0), turn=0.0, delay=0.0):
     translation = np.array([*shift, 0.0])
 
     def moved(polyline):
-        return [[c * x - s * y + shift[0], s * x + c * y + shift[1], z] for x, y, z in polyline]
+        return [[c * x - s * y + shift[0], s * x + c * y + shift[1]] for x, y in polyline]
 
     polylines = ("centerline", "left_boundary", "right_boundary")
     lanelets = [{key: moved(value) if key in polylines else value for key, value in lanelet.items()}

@@ -174,6 +174,14 @@ def test_write_frame_dir_refuses_a_file(tmp_path):
     assert (tmp_path / "frames").read_text() == "kept"
 
 
+@pytest.mark.parametrize("target", ["f/frames", "f/agent/frames"])
+def test_write_frame_dir_refuses_a_file_for_a_parent(tmp_path, target):
+    (tmp_path / "f").write_text("kept")
+    with pytest.raises(InvalidArgument, match=re.escape(f"{tmp_path / 'f'} is not a directory")):
+        write_frame_dir(tmp_path / target, [make_frame(np.zeros((0, 3)), timestamp=0.1)])
+    assert [p.name for p in tmp_path.iterdir()] == ["f"] and (tmp_path / "f").read_text() == "kept"
+
+
 @pytest.mark.parametrize("timestamps", [[], [0.2, 0.1], [0.0, 0.1, 0.1, 0.05]], ids=["empty", "falling", "falling_later"])
 def test_write_frame_dir_refuses_what_the_reader_refuses(tmp_path, timestamps):
     frames = [make_frame(np.zeros((0, 3)), timestamp=t) for t in timestamps]
@@ -362,6 +370,13 @@ def test_write_pose_csv_refuses_an_existing_path(tmp_path):
     with pytest.raises(InvalidArgument, match="already exists"):
         write_pose_csv(tmp_path / "dir", samples)
     assert not any((tmp_path / "dir").iterdir())
+
+
+def test_write_pose_csv_refuses_a_file_for_a_parent(tmp_path):
+    (tmp_path / "f").write_text("kept")
+    with pytest.raises(InvalidArgument, match=re.escape(f"{tmp_path / 'f'} is not a directory")):
+        write_pose_csv(tmp_path / "f" / "poses.csv", [PoseSample(0.0, RigidTransform(np.eye(3), (0.0, 0.0, 0.0)))])
+    assert [p.name for p in tmp_path.iterdir()] == ["f"] and (tmp_path / "f").read_text() == "kept"
 
 
 @pytest.mark.parametrize("reader, name", [(read_frame_dir, "index.csv"), (read_pose_csv, "poses.csv")],

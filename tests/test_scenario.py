@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_write_scenario_refuses_a_file(tmp_path):
     with pytest.raises(InvalidArgument, match="is not a directory"):
         write_scenario(generate_scenario(SPEC), tmp_path / "scenario")
     assert (tmp_path / "scenario").read_text() == "kept"
+
+
+def test_write_scenario_refuses_a_file_for_a_parent(tmp_path):
+    (tmp_path / "f").write_text("kept")
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(str(tmp_path / 'f'))} is not a directory$"):
+        write_scenario(generate_scenario(SPEC), tmp_path / "f" / "out")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"] and (tmp_path / "f").read_text() == "kept"
 
 
 BAD_ROADS = {
@@ -317,7 +325,7 @@ def scenario_digest(data) -> str:
             h.update(_rounded(frame.points))
     h.update(data.vector_map["name"].encode())
     for ll in data.vector_map["lanelets"]:
-        h.update(json.dumps([ll["lanelet_id"], ll["lane_id"], ll["successors"], ll["predecessors"]]).encode())
+        h.update(json.dumps([ll["lanelet_id"], ll["lane_id"], ll["successors"]]).encode())
         for side in ("centerline", "left_boundary", "right_boundary"):
             h.update(_rounded(ll[side]))
     for r in data.ground_truth:
@@ -332,4 +340,4 @@ def test_generator_output_pinned():
     assert {aid: len(f) for aid, f in data.frames.items()} == {1: 5, 2: 5}
     seen = {(r.sv_id, r.time) for r in data.ground_truth}
     assert (102, 0.1) in seen and (102, 0.2) not in seen and (102, 0.3) not in seen and (102, 0.4) in seen
-    assert scenario_digest(data) == "ea1bd9f9dfb592baabc81b703d927c8d57450283961577784701e449115fd7d3"
+    assert scenario_digest(data) == "0ecb297d7bdc0074c513d54b7d1a0a02123eb42d5336b800121e91cf49f38bfe"

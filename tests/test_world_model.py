@@ -57,9 +57,9 @@ def test_load_reversing_centerline_rejected():
     # a 180 degree turn has no vertex normal: inside a lanelet and at a joint
     data = json.loads((MAPS / "straight.json").read_text())
     inside, joint = copy.deepcopy(data), copy.deepcopy(data)
-    inside["lanelets"][0]["centerline"][-1] = [36.0, 0.0, 0.0]
-    joint["lanelets"][1]["centerline"] = [[40.0, 0.0, 0.0], [39.0, 0.0, 0.0]]
-    joint["lanelets"][1]["successors"] = joint["lanelets"][2]["predecessors"] = []
+    inside["lanelets"][0]["centerline"][-1] = [36.0, 0.0]
+    joint["lanelets"][1]["centerline"] = [[40.0, 0.0], [39.0, 0.0]]
+    joint["lanelets"][1]["successors"] = []
     with pytest.raises(ValidationError, match="lanelet 100: polyline turns back"):
         vector_map_from_dict(inside)
     with pytest.raises(ValidationError, match="lanelets 100 -> 101: polyline turns back"):
@@ -69,8 +69,8 @@ def test_load_reversing_centerline_rejected():
 
 def _ring():
     # two same-lane lanelets, each the other's successor
-    a = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 5.0, 0.0]]
-    b = [[10.0, 5.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]
+    a = [[0.0, 0.0], [10.0, 0.0], [10.0, 5.0]]
+    b = [[10.0, 5.0], [0.0, 5.0], [0.0, 0.0]]
     return {"lanelets": [
         {"lanelet_id": 1, "lane_id": 1, "centerline": a, "left_boundary": a, "right_boundary": a, "successors": [2]},
         {"lanelet_id": 2, "lane_id": 1, "centerline": b, "left_boundary": b, "right_boundary": b, "successors": [1]},
@@ -79,20 +79,15 @@ def _ring():
 
 def _fork(data):
     # lanelet 100 gets a second same-lane successor, 103, which starts at its end as 101 does
-    line = [[40.0, 0.0, 0.0], [50.0, 5.0, 0.0]]
-    data["lanelets"].append(_lanelet(103, line, line, line, predecessors=[100]))
+    line = [[40.0, 0.0], [50.0, 5.0]]
+    data["lanelets"].append(_lanelet(103, line, line, line))
     data["lanelets"][0]["successors"].append(103)
 
 
 # one case per link rule: (in-place edit of the straight map, the message)
 LINK_RULES = {
     "duplicate_id": (lambda d: d["lanelets"][2].update(lanelet_id=100), "duplicate lanelet_id 100"),
-    "unknown_predecessor": (lambda d: d["lanelets"][1].update(predecessors=[100, 7]),
-                            "lanelet 101 references unknown predecessor 7"),
-    # lanelet 101 names 100 as its predecessor, but 100 lists no successor
-    "unmatched_predecessor": (lambda d: d["lanelets"][0].update(successors=[]),
-                              "lanelet 101 lists predecessor 100, which does not list it as a successor"),
-    "successor_gap": (lambda d: d["lanelets"][2]["centerline"].__setitem__(0, [80.0, 0.5, 0.0]),
+    "successor_gap": (lambda d: d["lanelets"][2]["centerline"].__setitem__(0, [80.0, 0.5]),
                       "successor 102 of lanelet 101 starts 0.500 m away from its end (tolerance 0.1 m)"),
     "two_same_lane_predecessors": (lambda d: d["lanelets"][0].update(successors=[101, 101]),
                                    "lanelet 101 has multiple same-lane predecessors"),
@@ -150,11 +145,9 @@ MAP_RULES = {
     "lane_id_nan": (_lanelet_1(lane_id=math.nan), ["lanelets", 1, "lane_id"]),
     "successors_not_list": (_lanelet_1(successors=102), ["lanelets", 1, "successors"]),
     "successor_string": (_lanelet_1(successors=["102"]), ["lanelets", 1, "successors", 0]),
-    "predecessor_bool": (_lanelet_1(predecessors=[100, True]), ["lanelets", 1, "predecessors", 1]),
-    "predecessor_fraction": (_lanelet_1(predecessors=[100.5]), ["lanelets", 1, "predecessors", 0]),
-    "centerline_one_point": (_lanelet_1(centerline=[[50.0, 0.0, 0.0]]), ["lanelets", 1, "centerline"]),
-    "left_boundary_string": (_lanelet_1(left_boundary="50,1.85,0"), ["lanelets", 1, "left_boundary"]),
-    "right_boundary_tuple": (_lanelet_1(right_boundary=([50.0, -1.85, 0.0], [100.0, -1.85, 0.0])),
+    "centerline_one_point": (_lanelet_1(centerline=[[50.0, 0.0]]), ["lanelets", 1, "centerline"]),
+    "left_boundary_string": (_lanelet_1(left_boundary="50,1.85"), ["lanelets", 1, "left_boundary"]),
+    "right_boundary_tuple": (_lanelet_1(right_boundary=([50.0, -1.85], [100.0, -1.85])),
                              ["lanelets", 1, "right_boundary"]),
     "name_not_string": (lambda d: d.update(name=7), ["name"]),
     # not part of the format: rejected like any other extra key
@@ -179,14 +172,12 @@ def test_map_integral_float_ids_and_extra_lanelet_keys_accepted(straight):
         entry["note"] = "ignored"
         for key in ("lanelet_id", "lane_id"):
             entry[key] = float(entry[key])
-        for key in ("predecessors", "successors"):
-            entry[key] = [float(i) for i in entry[key]]
+        entry["successors"] = [float(i) for i in entry["successors"]]
     vmap = vector_map_from_dict(data)
     assert sorted(vmap.lanelets) == sorted(straight.lanelets)
     for lid, ll in vmap.lanelets.items():
         ref = straight.lanelets[lid]
-        assert (ll.lane_id, ll.predecessors, ll.successors, ll.chain_offset) == (
-            ref.lane_id, ref.predecessors, ref.successors, ref.chain_offset)
+        assert (ll.lane_id, ll.successors, ll.chain_offset) == (ref.lane_id, ref.successors, ref.chain_offset)
 
 
 @pytest.mark.parametrize(
@@ -215,19 +206,44 @@ def test_load_bad_coordinate_rejected(tmp_path, value, message):
 @pytest.mark.parametrize(
     "polyline, message",
     [
-        ([[40.0, 1.85], [42.0, 1.85]], "lanelet 101: right_boundary: .*lists of numbers"),
-        ([[40.0, 1.85, 0.0, 1.0], [42.0, 1.85, 0.0]], "lanelet 101: right_boundary: .*lists of numbers"),
-        ([[40.0, 1.85, 0.0], (42.0, 1.85, 0.0)], "lanelet 101: right_boundary: .*lists of numbers"),
-        ([[40.0, 1.85, 0.0]], "schema"),
-        ("40,1.85,0", "schema"),
+        # [x, y, z]: a point has no height in the format, and one that carries it is refused
+        ([[40.0, 1.85, 0.0], [42.0, 1.85, 0.0]],
+         r"^lanelet 101: right_boundary: points must be \[x, y\] lists of numbers$"),
+        ([[40.0, 1.85, 0.0, 1.0], [42.0, 1.85]], "lanelet 101: right_boundary: .*lists of numbers"),
+        ([[40.0, 1.85], (42.0, 1.85)], "lanelet 101: right_boundary: .*lists of numbers"),
+        ([[40.0, 1.85]], "schema"),
+        ("40,1.85", "schema"),
     ],
-    ids=["2-value-point", "4-value-point", "tuple-point", "single-point", "string"],
+    ids=["3-value-point", "4-value-point", "tuple-point", "single-point", "string"],
 )
 def test_load_bad_polyline_shape_rejected(polyline, message):
     data = json.loads((MAPS / "straight.json").read_text())
     data["lanelets"][1]["right_boundary"] = polyline
     with pytest.raises(ValidationError, match=message):
         vector_map_from_dict(data)
+
+
+def _with_predecessors(data, value):
+    # every lanelet gets a `predecessors` key: value, or if None the lanelets that list it as a successor
+    linked = {}
+    for entry in data["lanelets"]:
+        for sid in entry["successors"]:
+            linked.setdefault(sid, []).append(entry["lanelet_id"])
+    for entry in data["lanelets"]:
+        entry["predecessors"] = linked.get(entry["lanelet_id"], []) if value is None else copy.deepcopy(value)
+    return data
+
+
+@pytest.mark.parametrize("value", [None, [7], "junk", [True]], ids=["true_links", "unknown_id", "string", "bool"])
+def test_predecessors_key_changes_nothing(freeway, value):
+    # the successors state every link: a predecessors list, true or not, well-formed or not, is an ignored key
+    data = _with_predecessors(json.loads((MAPS / "freeway3.json").read_text()), value)
+    vmap = vector_map_from_dict(data)
+    assert dict(vmap.lanelets) == dict(freeway.lanelets)
+    points = _probe_points(_reference_lines(data), np.random.default_rng(41), 400)
+    got = vmap.project(points)
+    assert got == freeway.project(points)
+    assert any(r is None for r in got) and any(r is not None for r in got)
 
 
 def test_load_bad_json_file(tmp_path):
@@ -364,7 +380,7 @@ def test_downtrack_steps_evenly_across_arc_joint(arc, lateral):
 def _right_angle_bend(leg, half_width):
     # `leg` m east, then `leg` m north: vertex normals (0, -1), (1, -1)/sqrt(2), (1, 0)
     def polyline(offset):
-        return [[0.0, -offset, 0.0], [leg + offset, -offset, 0.0], [leg + offset, leg, 0.0]]
+        return [[0.0, -offset], [leg + offset, -offset], [leg + offset, leg]]
 
     return {"lanelets": [{
         "lanelet_id": 1, "lane_id": 1, "centerline": polyline(0.0),
@@ -448,14 +464,14 @@ SIDES = ("centerline", "left_boundary", "right_boundary")
 def _reference_polyline(points):
     # one polyline on its own, as map load computed it before the stacked pass
     pts = np.array(points, dtype=float)
-    d = np.diff(pts[:, :2], axis=0)
+    d = np.diff(pts, axis=0)
     seg_len = np.hypot(d[:, 0], d[:, 1])
     seg_dir = d / seg_len[:, None]
     cum_len = np.r_[0.0, np.cumsum(seg_len)]
     seg_normal = np.stack([seg_dir[:, 1], -seg_dir[:, 0]], axis=-1)
     mid = seg_normal[:-1] + seg_normal[1:]
     normals = np.r_[seg_normal[:1], mid / np.hypot(mid[:, 0], mid[:, 1])[:, None], seg_normal[-1:]]
-    return {"points": pts, "seg_start": pts[:-1, :2], "seg_dir": seg_dir, "seg_len": seg_len,
+    return {"points": pts, "seg_start": pts[:-1], "seg_dir": seg_dir, "seg_len": seg_len,
             "cum_len": cum_len, "length": float(cum_len[-1]), "normals": normals}
 
 
@@ -479,7 +495,7 @@ def _chord_project(line, xy):
 
 def _in_reach_box(lines, xy):
     # the bounding box of a lanelet's three polylines, grown by 0.5 m margin + 0.5 m end tolerance
-    vertices = np.concatenate([line["points"][:, :2] for line in lines])
+    vertices = np.concatenate([line["points"] for line in lines])
     return bool(np.all(vertices.min(axis=0) - 1.0 <= xy) and np.all(xy <= vertices.max(axis=0) + 1.0))
 
 
@@ -557,7 +573,7 @@ def _probe_points(lines, rng, n):
     lines is `_reference_lines` of the map's dict.
     """
     lines = [(three, line) for three in lines.values() for line in three]
-    points = [p for _, line in lines for p in line["points"][:, :2]]
+    points = [p for _, line in lines for p in line["points"]]
     lo = np.min(points, axis=0) - 100.0
     hi = np.max(points, axis=0) + 100.0
     points += [np.array([math.nan, 0.0]), np.array([math.inf, 1.0]), np.array([-math.inf, math.nan])]
@@ -578,7 +594,7 @@ def _probe_points(lines, rng, n):
             points.append(p + rng.uniform(-2.0, 2.0) * normal)
         elif kind == 3:  # near a vertex, where neighbouring chords tie
             angle = rng.uniform(-math.pi, math.pi)
-            points.append(line["points"][rng.integers(len(line["points"])), :2]
+            points.append(line["points"][rng.integers(len(line["points"]))]
                           + rng.uniform(0.0, 3.0) * np.array([math.cos(angle), math.sin(angle)]))
         elif kind == 4:  # anywhere around the map
             points.append(rng.uniform(lo, hi))
@@ -623,10 +639,9 @@ def _notched_lanelet():
     # a 1 m notch in the right boundary: its chord (5, -1.75) -> (5, -3) points straight at (5, -1000)
     return {"lanelets": [{
         "lanelet_id": 1, "lane_id": 1,
-        "centerline": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
-        "left_boundary": [[0.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
-        "right_boundary": [[0.0, -1.75, 0.0], [5.0, -1.75, 0.0], [5.0, -3.0, 0.0], [4.0, -3.0, 0.0],
-                           [4.0, -2.0, 0.0], [10.0, -2.0, 0.0]],
+        "centerline": [[0.0, 0.0], [10.0, 0.0]],
+        "left_boundary": [[0.0, 1.75], [10.0, 1.75]],
+        "right_boundary": [[0.0, -1.75], [5.0, -1.75], [5.0, -3.0], [4.0, -3.0], [4.0, -2.0], [10.0, -2.0]],
     }]}
 
 
@@ -688,8 +703,8 @@ def test_project_batch_across_pair_splits_matches_single_points():
 def _long_lanelet():
     """One 3.5 m wide lanelet whose centerline has _PAIRS / 16 segments of 1 m: 16 points fill one split."""
     n = _PAIRS // 16
-    return {"lanelets": [_lanelet(1, [[float(k), 0.0, 0.0] for k in range(n + 1)], [[0.0, 1.75, 0.0], [n, 1.75, 0.0]],
-                                  [[0.0, -1.75, 0.0], [n, -1.75, 0.0]])]}
+    return {"lanelets": [_lanelet(1, [[float(k), 0.0] for k in range(n + 1)], [[0.0, 1.75], [n, 1.75]],
+                                  [[0.0, -1.75], [n, -1.75]])]}
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 32, 33])
@@ -739,7 +754,7 @@ def _uneven_lanes(kind):
     boundary: its least-keyed pair fails stage 2, and the wide lane's passes.
     """
     def line(offset, s0, s1):
-        return [[*_road_point(kind, s, offset), 0.0] for s in np.linspace(s0, s1, 21).tolist()]
+        return [_road_point(kind, s, offset) for s in np.linspace(s0, s1, 21).tolist()]
 
     lanelets = []
     for lane_id, (center, half) in enumerate([(0.0, 3.0), (4.0, 1.0)], start=1):
@@ -747,7 +762,7 @@ def _uneven_lanes(kind):
             lid = 10 * lane_id + k
             lanelets.append(_lanelet(lid, line(center, s0, s1), line(center + half, s0, s1),
                                      line(center - half, s0, s1), lane_id=lane_id,
-                                     predecessors=[lid - 1] if k else [], successors=[] if k else [lid + 1]))
+                                     successors=[] if k else [lid + 1]))
     return {"lanelets": lanelets}
 
 
@@ -882,7 +897,7 @@ def reference_geometry(data):
             cur = same_lane_pred[cur]
             offset += lines[cur][0]["length"]
         offsets[lid] = offset
-    boxes = [np.concatenate([line["points"][:, :2] for line in three]) for three in lines.values()]
+    boxes = [np.concatenate([line["points"] for line in three]) for three in lines.values()]
     return {
         "lines": lines, "lanes": lane, "offsets": offsets,
         "reach_lo": np.array([box.min(axis=0) - 1.0 for box in boxes]).T,
@@ -932,32 +947,27 @@ def _lanelet(lanelet_id, centerline, left, right, lane_id=1, **links):
 
 # polylines in input order whose end meets the next one's start, or that turn back across that boundary
 SEAMS = {
-    "end_meets_next_start": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
-                                      [[10.0, 0.0, 0.0], [10.0, 1.75, 0.0], [0.0, 1.75, 0.0]],
-                                      [[0.0, 1.75, 0.0], [0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
-    "turns_back_to_next_start": [_lanelet(1, [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
-                                          [[5.0, 0.0, 0.0], [8.0, 0.0, 0.0], [8.0, 1.75, 0.0]],
-                                          [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
-    "turns_back_into_next": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
-                                      [[12.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.75, 0.0]],
-                                      [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]])],
+    "end_meets_next_start": [_lanelet(1, [[0.0, 0.0], [10.0, 0.0]], [[10.0, 0.0], [10.0, 1.75], [0.0, 1.75]],
+                                      [[0.0, 1.75], [0.0, -1.75], [10.0, -1.75]])],
+    "turns_back_to_next_start": [_lanelet(1, [[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]],
+                                          [[5.0, 0.0], [8.0, 0.0], [8.0, 1.75]], [[0.0, -1.75], [10.0, -1.75]])],
+    "turns_back_into_next": [_lanelet(1, [[0.0, 0.0], [10.0, 0.0]], [[12.0, 0.0], [0.0, 0.0], [0.0, 1.75]],
+                                      [[0.0, -1.75], [10.0, -1.75]])],
     "across_lanelets": [
-        _lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], [[0.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
-                 [[0.0, -1.75, 0.0], [10.0, -1.75, 0.0]], successors=[2]),
-        _lanelet(2, [[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]], [[10.0, 1.75, 0.0], [20.0, 1.75, 0.0]],
-                 [[20.0, -1.75, 0.0], [10.0, -1.75, 0.0]], predecessors=[1]),
-        _lanelet(3, [[10.0, -1.75, 0.0], [20.0, -1.75, 0.0]], [[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]],
-                 [[0.0, -3.5, 0.0], [20.0, -3.5, 0.0]], lane_id=2),
+        _lanelet(1, [[0.0, 0.0], [10.0, 0.0]], [[0.0, 1.75], [10.0, 1.75]], [[0.0, -1.75], [10.0, -1.75]],
+                 successors=[2]),
+        _lanelet(2, [[10.0, 0.0], [20.0, 0.0]], [[10.0, 1.75], [20.0, 1.75]], [[20.0, -1.75], [10.0, -1.75]]),
+        _lanelet(3, [[10.0, -1.75], [20.0, -1.75]], [[10.0, 0.0], [20.0, 0.0]], [[0.0, -3.5], [20.0, -3.5]],
+                 lane_id=2),
     ],
     # the step from lanelet 1's last polyline to lanelet 2's first overflows
-    "far_apart": [_lanelet(k, *([[x, y, 0.0], [x + 1e300, y, 0.0]] for y in (0.0, 1.75, -1.75)), lane_id=k)
+    "far_apart": [_lanelet(k, *([[x, y], [x + 1e300, y]] for y in (0.0, 1.75, -1.75)), lane_id=k)
                   for k, x in ((1, 1e308 - 1e300), (2, -1e308))],
     # centerlines of 1 and 2 segments beside boundaries of 3 and 299
-    "mixed_lengths": [_lanelet(1, [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
-                               [[0.0, 1.75, 0.0], [4.0, 1.75, 0.0], [6.0, 1.75, 0.0], [10.0, 1.75, 0.0]],
-                               [[x / 29.9, -1.75 - 0.01 * math.sin(x), 0.0] for x in range(300)], successors=[2]),
-                      _lanelet(2, [[10.0, 0.0, 0.0], [15.0, 0.1, 0.0], [20.0, 0.0, 0.0]],
-                               [[10.0, 1.75, 0.0], [20.0, 1.75, 0.0]], [[10.0, -1.75, 0.0], [20.0, -1.75, 0.0]])],
+    "mixed_lengths": [_lanelet(1, [[0.0, 0.0], [10.0, 0.0]], [[0.0, 1.75], [4.0, 1.75], [6.0, 1.75], [10.0, 1.75]],
+                               [[x / 29.9, -1.75 - 0.01 * math.sin(x)] for x in range(300)], successors=[2]),
+                      _lanelet(2, [[10.0, 0.0], [15.0, 0.1], [20.0, 0.0]], [[10.0, 1.75], [20.0, 1.75]],
+                               [[10.0, -1.75], [20.0, -1.75]])],
 }
 
 
@@ -967,10 +977,10 @@ def test_polyline_seams_load(lanelets):
 
 
 @pytest.mark.parametrize("lanelet, side, k, point, message", [
-    (0, "centerline", 1, [0.0, 0.0, 0.0], "lanelet 100: polyline has zero-length segment"),
-    (2, "right_boundary", -1, [118.0, -1.85, 0.0], "lanelet 102: polyline has zero-length segment"),
-    (1, "left_boundary", 2, [41.0, 1.85, 0.0], "lanelet 101: polyline turns back on itself"),
-    (0, "centerline", -1, [37.0, 0.0, 0.0], "lanelet 100: polyline turns back on itself"),
+    (0, "centerline", 1, [0.0, 0.0], "lanelet 100: polyline has zero-length segment"),
+    (2, "right_boundary", -1, [118.0, -1.85], "lanelet 102: polyline has zero-length segment"),
+    (1, "left_boundary", 2, [41.0, 1.85], "lanelet 101: polyline turns back on itself"),
+    (0, "centerline", -1, [37.0, 0.0], "lanelet 100: polyline turns back on itself"),
 ], ids=["zero-first-segment", "zero-last-segment", "half-turn-second-vertex", "half-turn-last-vertex"])
 def test_fault_inside_a_polyline_rejected(lanelet, side, k, point, message):
     data = json.loads((MAPS / "straight.json").read_text())
@@ -1013,7 +1023,7 @@ def test_first_faulty_polyline_is_named(earlier, later):
 def test_structural_rules_checked_before_geometry():
     # lanelet 100's centerline turns back, lanelet 101 misses a key: the structural breach is reported
     data = json.loads((MAPS / "straight.json").read_text())
-    data["lanelets"][0]["centerline"][-1] = [36.0, 0.0, 0.0]
+    data["lanelets"][0]["centerline"][-1] = [36.0, 0.0]
     del data["lanelets"][1]["lane_id"]
     with pytest.raises(ValidationError, match=re.escape("vector map schema violation at ['lanelets', 1]: ")):
         vector_map_from_dict(data)
@@ -1036,10 +1046,10 @@ def test_loaded_map_is_read_only(straight):
 def test_load_memory_stays_linear_in_the_points():
     # one 20 000-point centerline among 300 two-point lanelets: a cumsum over
     # one (polylines x longest) zero-padded array would need 145 MB
-    short = [_lanelet(k, [[0.0, 10.0 * k, 0.0], [5.0, 10.0 * k, 0.0]], [[0.0, 10.0 * k + 1, 0.0], [5.0, 10.0 * k + 1, 0.0]],
-                      [[0.0, 10.0 * k - 1, 0.0], [5.0, 10.0 * k - 1, 0.0]]) for k in range(1, 301)]
-    long = [[0.5 * k, -10.0, 0.0] for k in range(20_000)]
-    data = {"lanelets": [_lanelet(0, long, [[x, y + 1.0, z] for x, y, z in long], [[x, y - 1.0, z] for x, y, z in long]),
+    short = [_lanelet(k, [[0.0, 10.0 * k], [5.0, 10.0 * k]], [[0.0, 10.0 * k + 1], [5.0, 10.0 * k + 1]],
+                      [[0.0, 10.0 * k - 1], [5.0, 10.0 * k - 1]]) for k in range(1, 301)]
+    long = [[0.5 * k, -10.0] for k in range(20_000)]
+    data = {"lanelets": [_lanelet(0, long, [[x, y + 1.0] for x, y in long], [[x, y - 1.0] for x, y in long]),
                          *short]}
     tracemalloc.start()
     try:
