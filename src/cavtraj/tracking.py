@@ -13,17 +13,25 @@ all three axes. The filter model is fixed:
 
 The heading is the direction of the xy velocity (a box's long axis has no
 sign, so only its center and dimensions are read); a stopped object's
-heading follows its velocity noise. Detections are associated to predicted
-track positions with the Hungarian algorithm under a 4 m Euclidean gate.
+heading follows its velocity noise.
 
-Each step predicts all tracks in one `kf_predict` call and updates all
-matched tracks in one `kf_update` call: the states and covariances are
-stacked into (T, 3, 3) arrays, and every track then holds row views of the
-result. The stacked algebra is the single-track algebra term for term
-(state @ F^T, F @ P @ F^T, the Joseph form (I - K H) P (I - K H)^T, and the
-outer products as broadcast elementwise products), and NumPy's stacked
-matmul runs the same kernel on each (3, 3) matrix as it does on one alone,
-so a track's numbers do not depend on how many tracks share its step.
+`MultiObjectTracker` keeps its tracks as row-aligned arrays in birth order:
+ids, (T, 3, 3) states and covariances, (T, 3) box dimensions, hits and
+misses. `kf_predict`, `kf_update` and `associate` are pure functions of such
+stacked arrays. A step replaces the stored arrays instead of writing into
+them, so the `Track`s it returns are views of that step's rows and keep
+their values when later steps run.
+
+Detections are associated to predicted track positions with the Hungarian
+algorithm on Euclidean distance, gated at 4 m inside the solve: a cost
+beyond the gate becomes 1e9 before `linear_sum_assignment`, so a pair inside
+the gate is never traded for pairs outside it.
+
+The stacked algebra is the single-track algebra term for term (state @ F^T,
+F @ P @ F^T, the Joseph form (I - K H) P (I - K H)^T, and the outer products
+as broadcast elementwise products), and NumPy's stacked matmul runs the same
+kernel on each (3, 3) matrix as it does on one alone, so a track's numbers
+do not depend on how many tracks share its step.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detection import OrientedBox
 from .errors import InvalidArgument, check_number
 from .fusion import FusedFrame
 from .geometry import wrap_angle
@@ -59,10 +66,11 @@ class TrackingConfig:
 
 @dataclass
 class Track:
-    """One tracked object; box dims are EMA-smoothed.
+    """One track as a step left it; box dims are EMA-smoothed.
 
     `state` rows are x, y, z and its columns position, velocity, acceleration;
     `covariance` is the (3, 3) [p, v, a] covariance shared by the three axes.
+    Both are views of the tracker's rows, which no later step writes.
     """
 
     track_id: int
@@ -71,8 +79,8 @@ class Track:
     length: float
     width: float
     height: float
-    hits: int = 1
-    misses: int = 0
+    hits: int
+    misses: int
 
     @property
     def position(self) -> np.ndarray:
@@ -92,64 +100,41 @@ class Track:
         return wrap_angle(math.atan2(self.state[1, 1], self.state[0, 1]))
 
 
-def kf_predict(tracks: list[Track], dt: float) -> None:
-    """Advance every track in place by dt with the constant-acceleration model."""
+def kf_predict(state: np.ndarray, cov: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 3, 3) states and covariances advanced by dt with the constant-acceleration model."""
     check_number(dt, "dt", positive=True)
-    if not tracks:
-        return
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
-    state = np.array([t.state for t in tracks]) @ f.T
-    cov = f @ np.array([t.covariance for t in tracks]) @ f.T + _Q * (dt / _NOMINAL_DT)
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    for track, s, c in zip(tracks, state, cov):
-        track.state, track.covariance = s, c
+    cov = f @ cov @ f.T + _Q * (dt / _NOMINAL_DT)
+    return state @ f.T, 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def kf_update(tracks: list[Track], boxes: list[OrientedBox]) -> None:
-    """Measurement update in place of tracks[k] with the center and dimensions of boxes[k].
+def kf_update(state: np.ndarray, cov: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 3, 3) states and covariances updated with one (x, y, z) box center per row.
 
     Each axis measures only its position, so the innovation is a scalar per
     axis and every axis of a track shares the gain P[:, 0] / (P[0, 0] + R).
     """
-    if len(tracks) != len(boxes):
-        raise InvalidArgument(f"{len(tracks)} tracks for {len(boxes)} boxes")
-    if not tracks:
-        return
-    state = np.array([t.state for t in tracks])
-    p = np.array([t.covariance for t in tracks])
-    gain = p[:, :, 0] / (p[:, 0, 0] + _R)[:, None]
-    innovation = np.array([[b.x, b.y, b.z] for b in boxes]) - state[:, :, 0]
+    if len(state) != len(centers):
+        raise InvalidArgument(f"{len(state)} tracks for {len(centers)} box centers")
+    gain = cov[:, :, 0] / (cov[:, 0, 0] + _R)[:, None]
+    innovation = centers - state[:, :, 0]
     state = state + innovation[:, :, None] * gain[:, None, :]
     ikh = np.eye(3) - gain[:, :, None] * (1.0, 0.0, 0.0)  # I - K·H, with H = (1, 0, 0)
-    cov = ikh @ p @ ikh.transpose(0, 2, 1) + _R * (gain[:, :, None] * gain[:, None, :])  # Joseph form
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-
-    beta = _DIM_EMA
-    for track, box, s, c in zip(tracks, boxes, state, cov):
-        track.state, track.covariance = s, c
-        track.length = (1 - beta) * track.length + beta * box.length
-        track.width = (1 - beta) * track.width + beta * box.width
-        track.height = (1 - beta) * track.height + beta * box.height
-        track.hits += 1
-        track.misses = 0
+    cov = ikh @ cov @ ikh.transpose(0, 2, 1) + _R * (gain[:, :, None] * gain[:, None, :])  # Joseph form
+    return state, 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def associate(tracks: list[Track], detections: list[OrientedBox], gate: float) -> list[tuple[int, int]]:
-    """Hungarian assignment on Euclidean distance, gated at `gate` meters.
+def associate(track_pos: np.ndarray, box_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gated Hungarian assignment of (T, 3) track positions to (N, 3) box centers.
 
-    Returns the matched (track index, detection index) pairs.
+    Returns the matched track rows and box rows, two index arrays.
     """
-    if not gate > 0.0:  # NaN too: every cost <= NaN is false
-        raise InvalidArgument(f"gate must be positive: {gate!r}")
-    if not tracks or not detections:
-        return []
-
-    track_pos = np.array([t.position for t in tracks])
-    det_pos = np.array([[d.x, d.y, d.z] for d in detections])
-    offset = track_pos[:, None, :] - det_pos[None, :, :]
+    offset = track_pos[:, None, :] - box_pos[None, :, :]
     cost = np.sqrt(np.add.reduce(offset * offset, axis=2))
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] <= gate]
+    inside = cost <= _GATE
+    rows, cols = linear_sum_assignment(np.where(inside, cost, 1e9))
+    matched = inside[rows, cols]
+    return rows[matched], cols[matched]
 
 
 class MultiObjectTracker:
@@ -157,44 +142,56 @@ class MultiObjectTracker:
 
     def __init__(self, config: TrackingConfig | None = None):
         self.config = config or TrackingConfig()
-        self.tracks: list[Track] = []
+        # one row per alive track, in birth order; dims are length, width, height.
+        # A step replaces these arrays and never writes into them.
+        self._ids = self._hits = self._misses = np.zeros(0, dtype=np.int64)
+        self._state = self._cov = np.zeros((0, 3, 3))
+        self._dims = np.zeros((0, 3))
         self._next_id = 1
         self._last_timestamp: float | None = None
 
-    def _new_track(self, box: OrientedBox) -> Track:
-        state = np.zeros((3, 3))
-        state[:, 0] = [box.x, box.y, box.z]
-        track = Track(
-            track_id=self._next_id,
-            state=state,
-            covariance=_P0.copy(),
-            length=box.length,
-            width=box.width,
-            height=box.height,
-        )
-        self._next_id += 1
-        return track
+    @property
+    def tracks(self) -> list[Track]:
+        """The alive tracks in birth order."""
+        return self._tracks(range(len(self._ids)))
+
+    def _tracks(self, rows) -> list[Track]:
+        ids, dims, hits, misses = self._ids.tolist(), self._dims.tolist(), self._hits.tolist(), self._misses.tolist()
+        return [Track(ids[k], self._state[k], self._cov[k], *dims[k], hits[k], misses[k]) for k in rows]
 
     def step(self, frame: FusedFrame) -> list[Track]:
         """Process one fused frame; returns the confirmed tracks seen in it."""
         c = self.config
         check_number(frame.timestamp, "frame timestamp")
         if self._last_timestamp is not None and frame.timestamp <= self._last_timestamp:
-            raise InvalidArgument(
-                f"frame timestamps must increase: {frame.timestamp} after {self._last_timestamp}"
-            )
+            raise InvalidArgument(f"frame timestamps must increase: {frame.timestamp} after {self._last_timestamp}")
 
+        state, cov = self._state, self._cov
         if self._last_timestamp is not None:
-            kf_predict(self.tracks, frame.timestamp - self._last_timestamp)
+            state, cov = kf_predict(state, cov, frame.timestamp - self._last_timestamp)
+        boxes = np.array([(b.x, b.y, b.z, b.length, b.width, b.height) for b in frame.boxes]).reshape(-1, 6)
+        ti, di = associate(state[:, :, 0], boxes[:, :3])
+        # kf_predict made new arrays (the first step has no rows), so no returned Track views these
+        state[ti], cov[ti] = kf_update(state[ti], cov[ti], boxes[di, :3])
+        dims, hits, misses = self._dims.copy(), self._hits.copy(), self._misses + 1
+        dims[ti] = (1 - _DIM_EMA) * dims[ti] + _DIM_EMA * boxes[di, 3:]
+        hits[ti] += 1
+        misses[ti] = 0
 
-        pairs = associate(self.tracks, frame.boxes, _GATE)
-        for track in self.tracks:
-            track.misses += 1  # kf_update resets a matched track's count
-        kf_update([self.tracks[ti] for ti, _ in pairs], [frame.boxes[di] for _, di in pairs])
-        self.tracks = [t for t in self.tracks if t.misses <= c.max_age]
-
-        matched = {di for _, di in pairs}
-        self.tracks += [self._new_track(box) for di, box in enumerate(frame.boxes) if di not in matched]
+        kept = misses <= c.max_age
+        unmatched = np.ones(len(boxes), dtype=bool)
+        unmatched[di] = False
+        born = boxes[unmatched]
+        new_state = np.zeros((len(born), 3, 3))
+        new_state[:, :, 0] = born[:, :3]
+        self._ids = np.concatenate([self._ids[kept], self._next_id + np.arange(len(born))])
+        self._state = np.concatenate([state[kept], new_state])
+        self._cov = np.concatenate([cov[kept], np.repeat(_P0[None], len(born), axis=0)])
+        self._dims = np.concatenate([dims[kept], born[:, 3:]])
+        self._hits = np.concatenate([hits[kept], np.ones(len(born), dtype=np.int64)])
+        self._misses = np.concatenate([misses[kept], np.zeros(len(born), dtype=np.int64)])
+        self._next_id += len(born)
 
         self._last_timestamp = frame.timestamp
-        return [t for t in self.tracks if t.hits >= c.confirm_hits and t.misses == 0]
+        confirmed = (self._hits >= c.confirm_hits) & (self._misses == 0)
+        return self._tracks(np.flatnonzero(confirmed).tolist())

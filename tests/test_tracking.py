@@ -21,15 +21,14 @@ from cavtraj.tracking import (
 CFG = TrackingConfig()
 
 
-def make_track(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0), track_id=1):
-    return Track(
-        track_id=track_id,
-        state=np.array([pos, vel, acc], dtype=float).T,
-        covariance=np.eye(3) * 0.1,
-        length=4.0,
-        width=2.0,
-        height=1.5,
-    )
+def one_track(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
+    """Stacked (1, 3, 3) state and covariance of one track."""
+    return np.array([pos, vel, acc], dtype=float).T[None], np.eye(3)[None] * 0.1
+
+
+def as_track(state, cov):
+    """The one track of stacked (1, 3, 3) arrays, as a Track."""
+    return Track(1, state[0], cov[0], 4.0, 2.0, 1.5, hits=1, misses=0)
 
 
 def det(x, y, z=0.75, heading=0.0, conf=0.9):
@@ -44,99 +43,130 @@ def frame(t, boxes):
 
 
 def test_predict_constant_velocity():
-    t = make_track(vel=(10, 0, 0))
-    kf_predict([t], 0.1)
-    assert t.position[0] == pytest.approx(1.0)
-    assert t.velocity[0] == pytest.approx(10.0)
+    state, cov = kf_predict(*one_track(vel=(10, 0, 0)), 0.1)
+    assert state[0, 0, 0] == pytest.approx(1.0)
+    assert state[0, 0, 1] == pytest.approx(10.0)
 
 
 def test_predict_stationary_grows_covariance():
-    t = make_track()
-    trace_before = np.trace(t.covariance)
-    kf_predict([t], 0.1)
-    np.testing.assert_allclose(t.position, [0, 0, 0])
-    assert np.trace(t.covariance) > trace_before
+    state, cov = one_track()
+    trace_before = np.trace(cov[0])
+    state, cov = kf_predict(state, cov, 0.1)
+    np.testing.assert_allclose(state[0, :, 0], [0, 0, 0])
+    assert np.trace(cov[0]) > trace_before
 
 
 def test_predict_constant_acceleration():
-    t = make_track(acc=(1, 0, 0))
-    kf_predict([t], 1.0)
-    assert t.position[0] == pytest.approx(0.5)
-    assert t.velocity[0] == pytest.approx(1.0)
+    state, cov = kf_predict(*one_track(acc=(1, 0, 0)), 1.0)
+    assert state[0, 0, 0] == pytest.approx(0.5)
+    assert state[0, 0, 1] == pytest.approx(1.0)
 
 
 def test_predict_rejects_bad_dt():
-    t = make_track()
     for dt in (0.0, -0.1, float("nan")):
         with pytest.raises(InvalidArgument):
-            kf_predict([t], dt)
+            kf_predict(*one_track(), dt)
 
 
 def test_update_rejects_unpaired_lists():
     with pytest.raises(InvalidArgument):
-        kf_update([make_track()], [])
+        kf_update(*one_track(), np.zeros((0, 3)))
+
+
+def random_tracks(seed, n=4):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0, 1, (n, 3, 3))
+    return rng.normal(0, 5, (n, 3, 3)), a @ a.transpose(0, 2, 1) + np.eye(3), rng.normal(0, 5, (n, 3))
+
+
+def test_predict_leaves_its_inputs_unchanged():
+    state, cov, _ = random_tracks(41)
+    before = state.tobytes(), cov.tobytes()
+    new_state, new_cov = kf_predict(state, cov, 0.1)
+    assert (state.tobytes(), cov.tobytes()) == before
+    assert not np.shares_memory(new_state, state) and not np.shares_memory(new_cov, cov)
+
+
+def test_update_leaves_its_inputs_unchanged():
+    state, cov, centers = random_tracks(43)
+    before = state.tobytes(), cov.tobytes(), centers.tobytes()
+    new_state, new_cov = kf_update(state, cov, centers)
+    assert (state.tobytes(), cov.tobytes(), centers.tobytes()) == before
+    assert not np.shares_memory(new_state, state) and not np.shares_memory(new_cov, cov)
 
 
 # --- association ------------------------------------------------------------------
 
 
+def pairs(track_pos, box_pos):
+    rows, cols = associate(np.asarray(track_pos, dtype=float), np.asarray(box_pos, dtype=float))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def test_associate_simple_match():
-    assert associate([make_track()], [det(0.5, 0.0, z=0.0)], gate=2.0) == [(0, 0)]
+    assert pairs([[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]]) == [(0, 0)]
 
 
 def test_associate_gated_out():
-    assert associate([make_track()], [det(5.0, 0.0, z=0.0)], gate=2.0) == []
+    assert pairs([[0.0, 0.0, 0.0]], [[4.5, 0.0, 0.0]]) == []
 
 
-@pytest.mark.parametrize("gate", [0.0, -1.0, math.nan, -math.inf])
-def test_associate_rejects_non_positive_or_nan_gate(gate):
-    with pytest.raises(InvalidArgument, match="gate"):
-        associate([make_track()], [det(0.5, 0.0, z=0.0)], gate=gate)
+# Two tracks at x = 0 and 20 m, two boxes at x = 0.01 and -30 m: ungated, 30 + 19.99 m beats
+# 0.01 + 50 m, and the 4 m gate would then drop both pairs.
 
 
-def test_associate_accepts_infinite_gate():
-    assert associate([make_track()], [det(500.0, 0.0, z=0.0)], gate=math.inf) == [(0, 0)]
+def test_associate_never_trades_a_pair_inside_the_gate_for_pairs_outside_it():
+    assert pairs([[0.0, 0.0, 0.75], [20.0, 0.0, 0.75]], [[0.01, 0.0, 0.75], [-30.0, 0.0, 0.75]]) == [(0, 0)]
 
 
-def brute_force_min_cost(cost):
+def test_tracker_updates_the_track_whose_box_is_inside_the_gate():
+    tracker = MultiObjectTracker()
+    tracker.step(frame(0.1, [det(0.0, 0.0), det(20.0, 0.0)]))
+    tracker.step(frame(0.2, [det(0.01, 0.0), det(-30.0, 0.0)]))
+    assert [(t.track_id, t.hits, t.misses) for t in tracker.tracks] == [(1, 2, 0), (2, 1, 1), (3, 1, 0)]
+
+
+def brute_force_best(cost):
+    """The most pairs inside the gate, then their least total: what the gated solve optimises."""
     n_rows, n_cols = cost.shape
-    best = math.inf
     if n_rows <= n_cols:
-        for perm in itertools.permutations(range(n_cols), n_rows):
-            best = min(best, sum(cost[i, j] for i, j in enumerate(perm)))
+        assignments = [list(enumerate(perm)) for perm in itertools.permutations(range(n_cols), n_rows)]
     else:
-        for perm in itertools.permutations(range(n_rows), n_cols):
-            best = min(best, sum(cost[i, j] for j, i in enumerate(perm)))
-    return best
+        assignments = [[(i, j) for j, i in enumerate(perm)] for perm in itertools.permutations(range(n_rows), n_cols)]
+    best = (0, 0.0)
+    for assignment in assignments:
+        inside = [cost[i, j] for i, j in assignment if cost[i, j] <= tracking._GATE]
+        best = min(best, (-len(inside), sum(inside)))
+    return -best[0], best[1]
 
 
 def test_associate_matches_permutation_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(40):
+    traded = 0
+    for _ in range(60):
         n_t = int(rng.integers(1, 8))
         n_d = int(rng.integers(1, 8))
-        tracks = [make_track(pos=rng.uniform(-20, 20, 3), track_id=i) for i in range(n_t)]
-        dets = [det(*rng.uniform(-20, 20, 2), z=float(rng.uniform(-2, 2))) for _ in range(n_d)]
-        pairs = associate(tracks, dets, gate=1e9)
-        cost = np.array(
-            [[np.linalg.norm(t.position - np.array([d.x, d.y, d.z])) for d in dets] for t in tracks]
-        )
-        total = sum(cost[i, j] for i, j in pairs)
-        assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
-        assert len(pairs) == min(n_t, n_d)
+        track_pos = np.column_stack([rng.uniform(-6, 6, (n_t, 2)), rng.uniform(-1, 1, n_t)])
+        box_pos = np.column_stack([rng.uniform(-6, 6, (n_d, 2)), rng.uniform(-1, 1, n_d)])
+        got = pairs(track_pos, box_pos)
+        cost = np.array([[np.linalg.norm(t - b) for b in box_pos] for t in track_pos])
+        count, total = brute_force_best(cost)
+        assert len({i for i, _ in got}) == len({j for _, j in got}) == len(got) == count
+        assert all(cost[i, j] <= tracking._GATE for i, j in got)
+        assert sum(cost[i, j] for i, j in got) == pytest.approx(total, abs=1e-9)
+        traded += count < min(n_t, n_d)
+    assert traded > 10  # the gate binds on many draws
 
 
 def test_associate_invariant_under_detection_permutation():
     rng = np.random.default_rng(9)
-    tracks = [make_track(pos=rng.uniform(-20, 20, 3), track_id=i) for i in range(5)]
-    dets = [det(*rng.uniform(-20, 20, 2), z=float(rng.uniform(-2, 2))) for _ in range(5)]
-    base = associate(tracks, dets, gate=1e9)
-    base_set = {(ti, (dets[di].x, dets[di].y)) for ti, di in base}
+    track_pos = np.column_stack([rng.uniform(-6, 6, (5, 2)), rng.uniform(-1, 1, 5)])
+    box_pos = np.column_stack([rng.uniform(-6, 6, (5, 2)), rng.uniform(-1, 1, 5)])
+    base = {(ti, tuple(box_pos[di])) for ti, di in pairs(track_pos, box_pos)}
+    assert 0 < len(base) < 5
     for _ in range(10):
-        perm = rng.permutation(5)
-        shuffled = [dets[k] for k in perm]
-        got = {(ti, (shuffled[di].x, shuffled[di].y)) for ti, di in associate(tracks, shuffled, gate=1e9)}
-        assert got == base_set
+        shuffled = box_pos[rng.permutation(5)]
+        assert {(ti, tuple(shuffled[di])) for ti, di in pairs(track_pos, shuffled)} == base
 
 
 # --- tracker lifecycle ---------------------------------------------------------------
@@ -204,6 +234,32 @@ def test_tracker_ids_strictly_increase():
     assert len(ids) == len(set(ids))
 
 
+def test_tracks_lists_the_alive_tracks_in_birth_order():
+    tracker = MultiObjectTracker(TrackingConfig(max_age=1))
+    tracker.step(frame(0.1, [det(0.0, 0.0), det(30.0, 5.0)]))
+    tracker.step(frame(0.2, [det(60.0, -7.0), det(0.0, 0.0), det(90.0, 11.0)]))
+    assert [t.track_id for t in tracker.tracks] == [1, 2, 3, 4]
+    tracker.step(frame(0.3, [det(-40.0, 3.0), det(0.0, 0.0)]))  # 2 is dropped, 3 and 4 coast
+    assert [(t.track_id, t.misses) for t in tracker.tracks] == [(1, 0), (3, 1), (4, 1), (5, 0)]
+    tracker.step(frame(0.4, [det(90.0, 11.0)]))
+    assert [t.track_id for t in tracker.tracks] == [1, 4, 5]
+
+
+def test_returned_track_keeps_its_values_after_later_steps():
+    tracker = MultiObjectTracker()
+    for k in range(4):
+        out = tracker.step(frame(0.1 * (k + 1), [det(1.2 * k, 0.5)]))
+    track = out[0]
+    kept = (track.track_id, track.state.copy(), track.covariance.copy(), track.length, track.width,
+            track.height, track.hits, track.misses)
+    for k in range(4, 9):  # two updates, then misses
+        tracker.step(frame(0.1 * (k + 1), [det(1.2 * k, 0.5)] if k < 6 else []))
+    assert tracker.tracks[0].hits == track.hits + 2
+    assert (track.track_id, track.length, track.width, track.height, track.hits, track.misses) == kept[:1] + kept[3:]
+    assert track.state.tobytes() == kept[1].tobytes()
+    assert track.covariance.tobytes() == kept[2].tobytes()
+
+
 def test_tracker_rejects_time_regression():
     tracker = MultiObjectTracker()
     tracker.step(frame(1.0, []))
@@ -236,10 +292,8 @@ def test_tracker_rejects_a_timestamp_that_is_not_a_number():
 
 def test_predict_rejects_a_bool_dt():
     # True is no duration: read as 1 it would run a 1 s step
-    t = make_track(vel=(1, 0, 0))
     with pytest.raises(InvalidArgument, match="dt must be a real number"):
-        kf_predict([t], True)
-    assert t.position[0] == 0.0
+        kf_predict(*one_track(vel=(1, 0, 0)), True)
 
 
 BAD_TRACKING_CONFIGS = {
@@ -265,16 +319,15 @@ def test_tracking_config_accepts_the_range_ends():
 
 
 def test_covariance_stays_spd_over_many_cycles():
-    track = make_track(vel=(5, 0, 0))
+    state, cov = one_track(vel=(5, 0, 0))
     rng = np.random.default_rng(17)
     for k in range(10_000):
-        kf_predict([track], 0.1)
-        box = det(track.position[0] + rng.normal(0, 0.2), rng.normal(0, 0.2))
-        kf_update([track], [box])
+        state, cov = kf_predict(state, cov, 0.1)
+        center = [[state[0, 0, 0] + rng.normal(0, 0.2), rng.normal(0, 0.2), 0.75]]
+        state, cov = kf_update(state, cov, np.array(center))
         if k % 997 == 0:
-            cov = track.covariance
-            np.testing.assert_allclose(cov, cov.T, atol=1e-12)
-            assert np.min(np.linalg.eigvalsh(cov)) > 0
+            np.testing.assert_allclose(cov[0], cov[0].T, atol=1e-12)
+            assert np.min(np.linalg.eigvalsh(cov[0])) > 0
 
 
 # --- heading ----------------------------------------------------------------------------
@@ -287,18 +340,20 @@ def test_covariance_stays_spd_over_many_cycles():
     ids=["east", "north", "north_west", "south_east", "west", "west_negative_zero"],
 )
 def test_heading_is_direction_of_velocity(vx, vy, expected):
-    track = make_track(vel=(vx, vy, 0.7))
+    track = as_track(*one_track(vel=(vx, vy, 0.7)))
     assert track.heading == expected
     assert -math.pi < track.heading <= math.pi
 
 
 def test_heading_follows_velocity_through_predict_and_update():
-    track = MultiObjectTracker(CFG)._new_track(det(0.0, 0.0))
-    assert track.heading == 0.0  # a new track has no velocity yet
+    tracker = MultiObjectTracker(CFG)
+    tracker.step(frame(0.0, [det(0.0, 0.0)]))
+    assert tracker.tracks[0].heading == 0.0  # a new track has no velocity yet
     rng = np.random.default_rng(5)
     for k in range(40):  # a vehicle driving north-west at 14 m/s
-        kf_predict([track], 0.1)
-        kf_update([track], [det(-10.0 * 0.1 * (k + 1), 10.0 * 0.1 * (k + 1), heading=float(rng.uniform(-4, 4)))])
+        s = 0.1 * (k + 1)
+        tracker.step(frame(s, [det(-10.0 * s, 10.0 * s, heading=float(rng.uniform(-4, 4)))]))
+        track = tracker.tracks[0]
         assert track.heading == wrap_angle(math.atan2(track.velocity[1], track.velocity[0]))
     assert track.heading == pytest.approx(3 * math.pi / 4, abs=0.01)
 
@@ -306,14 +361,13 @@ def test_heading_follows_velocity_through_predict_and_update():
 def test_box_heading_turned_by_pi_changes_nothing():
     """A fitted box's heading has no sign; the tracker does not read it at all."""
     rng = np.random.default_rng(13)
-    tracks = {turn: make_track(pos=(1.0, 2.0, 0.7), vel=(8.0, -3.0, 0.0)) for turn in (0.0, math.pi)}
+    trackers = {turn: MultiObjectTracker() for turn in (0.0, math.pi)}
     for k in range(30):
         x, y = 1.0 + 0.8 * (k + 1) + rng.normal(0, 0.2), 2.0 - 0.3 * (k + 1) + rng.normal(0, 0.2)
         heading = float(rng.uniform(-math.pi, math.pi))
-        for turn, track in tracks.items():
-            kf_predict([track], 0.1)
-            kf_update([track], [det(x, y, heading=heading + turn)])
-        a, b = tracks.values()
+        for turn, tracker in trackers.items():
+            tracker.step(frame(0.1 * (k + 1), [det(x, y, heading=heading + turn)]))
+        (a,), (b,) = (tracker.tracks for tracker in trackers.values())
         np.testing.assert_array_equal(a.state, b.state)
         np.testing.assert_array_equal(a.covariance, b.covariance)
         assert a.heading == b.heading
@@ -324,8 +378,8 @@ def test_box_heading_turned_by_pi_changes_nothing():
 #
 # The reference below is a 9-state filter, state [x, y, z, vx, vy, vz, ax,
 # ay, az], in the earlier 10-state filter's code less its heading row:
-# full matrices and a matrix inverse, taking and returning (state,
-# covariance) arrays instead of a Track. Its noise is the model the tracking
+# full matrices and a matrix inverse, taking and returning one (state,
+# covariance) pair instead of stacked arrays. Its noise is the model the tracking
 # module states: Q = diag(0.1, 0.5, 0.5)^2 per 0.1 s, R = 0.3^2 and P0 =
 # diag(0.3, 10, 3)^2.
 
@@ -397,23 +451,27 @@ def test_matches_nine_state_reference():
         return det(x, y, z=z, heading=float(rng.uniform(-math.pi, math.pi)))  # read by neither filter
 
     first = box_at()
-    track = MultiObjectTracker()._new_track(first)
+    tracker = MultiObjectTracker()
+    tracker.step(frame(0.0, [first]))  # the tracker's own birth row
+    track = tracker.tracks[0]
+    t_state, t_cov = track.state[None], track.covariance[None]
     state, cov = _ref_new(first)
     updates, sides = 0, set()
     for k in range(300):
         dt = float(rng.uniform(0.05, 0.3))
         pos = pos + vel * dt
         vel = vel + np.array([math.sin(0.1 * k), -0.5, 0.0]) * dt  # vy turns negative: westward across +-pi
-        kf_predict([track], dt)
+        t_state, t_cov = kf_predict(t_state, t_cov, dt)
         state, cov = _ref_predict(state, cov, dt)
         _assert_axes_decoupled(cov)
-        _assert_matches_reference(track, state, cov)
+        _assert_matches_reference(as_track(t_state, t_cov), state, cov)
         if rng.random() < 0.3:  # missed step: predict only
             continue
         box = box_at()
-        kf_update([track], [box])
+        t_state, t_cov = kf_update(t_state, t_cov, np.array([[box.x, box.y, box.z]]))
         state, cov = _ref_update(state, cov, box)
         updates += 1
+        track = as_track(t_state, t_cov)
         if abs(track.heading) > math.pi / 2:
             sides.add(track.heading > 0)
         _assert_axes_decoupled(cov)
@@ -425,47 +483,41 @@ def test_matches_nine_state_reference():
 # --- equivalence with the per-track filter -------------------------------------------
 #
 # The reference below is the filter as it was before kf_predict and kf_update
-# took lists: the same algebra on one track's (3, 3) arrays at a time. The
-# batched functions run it on stacked (T, 3, 3) arrays, where NumPy's stacked
-# matmul runs the same kernel per matrix, so every bit must agree.
+# ran on stacked arrays: the same algebra on one track's (3, 3) arrays at a
+# time. The batched functions run it on stacked (T, 3, 3) arrays, where
+# NumPy's stacked matmul runs the same kernel per matrix, so every bit must
+# agree.
 
 
-def _per_track_predict(track, dt):
+def _per_track_predict(state, covariance, dt):
     if dt <= 0.0 or not math.isfinite(dt):
         raise InvalidArgument(f"dt must be positive, got {dt}")
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
-    track.state = track.state @ f.T
-    cov = f @ track.covariance @ f.T + tracking._Q * (dt / tracking._NOMINAL_DT)
-    track.covariance = 0.5 * (cov + cov.T)
+    cov = f @ covariance @ f.T + tracking._Q * (dt / tracking._NOMINAL_DT)
+    return state @ f.T, 0.5 * (cov + cov.T)
 
 
-def _per_track_update(track, box):
-    p = track.covariance
+def _per_track_update(state, p, center):
     gain = p[:, 0] / (p[0, 0] + tracking._R)
-    innovation = np.array([box.x, box.y, box.z]) - track.position
-    track.state = track.state + np.outer(innovation, gain)
+    innovation = center - state[:, 0]
     ikh = np.eye(3)
     ikh[:, 0] -= gain
     cov = ikh @ p @ ikh.T + tracking._R * np.outer(gain, gain)  # Joseph form
-    track.covariance = 0.5 * (cov + cov.T)
+    return state + np.outer(innovation, gain), 0.5 * (cov + cov.T)
 
-    beta = tracking._DIM_EMA
-    track.length = (1 - beta) * track.length + beta * box.length
-    track.width = (1 - beta) * track.width + beta * box.width
-    track.height = (1 - beta) * track.height + beta * box.height
-    track.hits += 1
-    track.misses = 0
+
+def _restacked(rows):
+    states, covs = zip(*rows) if rows else ((), ())
+    return np.array(states).reshape(-1, 3, 3), np.array(covs).reshape(-1, 3, 3)
 
 
 def _per_track_tracker_step(monkeypatch, tracker, fr):
     """One step of `tracker` with the per-track reference in place of the batched filter."""
-    def predict(tracks, dt):
-        for t in tracks:
-            _per_track_predict(t, dt)
+    def predict(state, cov, dt):
+        return _restacked([_per_track_predict(s, c, dt) for s, c in zip(state, cov)])
 
-    def update(tracks, boxes):
-        for t, b in zip(tracks, boxes):
-            _per_track_update(t, b)
+    def update(state, cov, centers):
+        return _restacked([_per_track_update(s, c, z) for s, c, z in zip(state, cov, centers)])
 
     with monkeypatch.context() as m:
         m.setattr(tracking, "kf_predict", predict)
