@@ -65,7 +65,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InvalidArgument, check_number
-from .geometry import wrap_angle
+from .geometry import real_array, wrap_angle
 
 _MIN_BOX_HEIGHT = 0.1               # m, the height of a box fitted to a flat cluster
 _CONFIDENCE_SATURATION = 100        # points; a box's confidence is min(1, points / this)
@@ -96,10 +96,7 @@ class PointCloudFrame:
     agent_id: int = 0
 
     def __post_init__(self):
-        try:
-            points = np.asarray(self.points, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgument(f"points are not an array of numbers: {exc}") from None
+        points = real_array(self.points, "points")
         if points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 3):
             raise InvalidArgument(f"points must have shape (N, 3), got {points.shape}")
         self.points = points.reshape(-1, 3)

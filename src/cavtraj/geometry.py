@@ -19,6 +19,21 @@ from .errors import InvalidArgument
 TAU = 2.0 * math.pi
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """`value` as a float array; InvalidArgument unless it is an array of real numbers.
+
+    Booleans, text, complex and object entries are not real numbers here,
+    even where NumPy would cast them to float.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{name} are not an array of numbers: {exc}") from None
+    if array.dtype.kind not in "fiu":
+        raise InvalidArgument(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def wrap_angle(a: float) -> float:
     """Wrap a finite angle to (-pi, pi]."""
     wrapped = a - TAU * math.floor((a + math.pi) / TAU)
@@ -31,10 +46,10 @@ class RigidTransform:
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation, translation):
-        rotation = np.array(rotation, dtype=float)
-        translation = np.array(translation, dtype=float).reshape(3)
-        if rotation.shape != (3, 3):
-            raise InvalidArgument(f"rotation must be 3x3, got {rotation.shape}")
+        rotation = np.array(real_array(rotation, "rotation"))
+        translation = np.array(real_array(translation, "translation"))
+        if rotation.shape != (3, 3) or translation.shape != (3,):
+            raise InvalidArgument(f"rotation must be 3x3 and translation (3,): {rotation.shape}, {translation.shape}")
         if not np.all(np.isfinite(rotation)) or not np.all(np.isfinite(translation)):
             raise InvalidArgument("non-finite transform")
         if np.linalg.norm(rotation.T @ rotation - np.eye(3)) >= 1e-9:

@@ -1,36 +1,36 @@
 """Kalman-filter multi-object tracker over fused detections.
 
-x, y and z run identical constant-acceleration filters over [position,
+x and y run identical constant-acceleration filters over [position,
 velocity, acceleration] that never couple, so one (3, 3) covariance serves
-all three axes. The filter model is fixed:
+both axes. The filter model is fixed:
 
 - process noise Q = diag(0.1 m, 0.5 m/s, 0.5 m/s^2)^2 per nominal 0.1 s
   step, scaled linearly with the step: Q * dt / 0.1 s;
-- measurement noise R = (0.3 m)^2 on each axis of the box center;
-- a new track starts at its box center with P0 = diag(0.3 m, 10 m/s,
+- measurement noise R = (0.3 m)^2 on the box center's x and on its y;
+- a new track starts at its box's xy center with P0 = diag(0.3 m, 10 m/s,
   3 m/s^2)^2 and zero velocity and acceleration;
 - box dimensions are smoothed by an EMA of weight 0.3 on each new box.
 
-The heading is the direction of the xy velocity (a box's long axis has no
-sign, so only its center and dimensions are read); a stopped object's
-heading follows its velocity noise.
+The heading is the direction of the xy velocity. A box's long axis has no
+sign and every output is planar, so only its xy center and its dimensions
+are read; a stopped object's heading follows its velocity noise.
 
 `MultiObjectTracker` keeps its tracks as row-aligned arrays in birth order:
-ids, (T, 3, 3) states and covariances, (T, 3) box dimensions, hits and
+ids, (T, 2, 3) states, (T, 3, 3) covariances, (T, 3) box dimensions, hits and
 misses. `kf_predict`, `kf_update` and `associate` are pure functions of such
 stacked arrays. A step replaces the stored arrays instead of writing into
 them, so the `Track`s it returns are views of that step's rows and keep
 their values when later steps run.
 
 Detections are associated to predicted track positions with the Hungarian
-algorithm on Euclidean distance, gated at 4 m inside the solve: a cost
-beyond the gate becomes 1e9 before `linear_sum_assignment`, so a pair inside
-the gate is never traded for pairs outside it.
+algorithm on their distance in the xy plane, gated at 4 m inside the solve:
+a cost beyond the gate becomes 1e9 before `linear_sum_assignment`, so a pair
+inside the gate is never traded for pairs outside it.
 
 The stacked algebra is the single-track algebra term for term (state @ F^T,
 F @ P @ F^T, the Joseph form (I - K H) P (I - K H)^T, and the outer products
 as broadcast elementwise products), and NumPy's stacked matmul runs the same
-kernel on each (3, 3) matrix as it does on one alone, so a track's numbers
+kernel on each matrix as it does on one alone, so a track's numbers
 do not depend on how many tracks share its step.
 """
 
@@ -68,8 +68,8 @@ class TrackingConfig:
 class Track:
     """One track as a step left it; box dims are EMA-smoothed.
 
-    `state` rows are x, y, z and its columns position, velocity, acceleration;
-    `covariance` is the (3, 3) [p, v, a] covariance shared by the three axes.
+    `state` rows are x and y and its columns position, velocity, acceleration;
+    `covariance` is the (3, 3) [p, v, a] covariance shared by both axes.
     Both are views of the tracker's rows, which no later step writes.
     """
 
@@ -101,7 +101,7 @@ class Track:
 
 
 def kf_predict(state: np.ndarray, cov: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 3, 3) states and covariances advanced by dt with the constant-acceleration model."""
+    """(T, 2, 3) states and (T, 3, 3) covariances advanced by dt with the constant-acceleration model."""
     check_number(dt, "dt", positive=True)
     f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
     cov = f @ cov @ f.T + _Q * (dt / _NOMINAL_DT)
@@ -109,10 +109,10 @@ def kf_predict(state: np.ndarray, cov: np.ndarray, dt: float) -> tuple[np.ndarra
 
 
 def kf_update(state: np.ndarray, cov: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 3, 3) states and covariances updated with one (x, y, z) box center per row.
+    """(T, 2, 3) states and (T, 3, 3) covariances updated with one (x, y) box center per row.
 
     Each axis measures only its position, so the innovation is a scalar per
-    axis and every axis of a track shares the gain P[:, 0] / (P[0, 0] + R).
+    axis and both axes of a track share the gain P[:, 0] / (P[0, 0] + R).
     """
     if len(state) != len(centers):
         raise InvalidArgument(f"{len(state)} tracks for {len(centers)} box centers")
@@ -125,7 +125,7 @@ def kf_update(state: np.ndarray, cov: np.ndarray, centers: np.ndarray) -> tuple[
 
 
 def associate(track_pos: np.ndarray, box_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gated Hungarian assignment of (T, 3) track positions to (N, 3) box centers.
+    """Gated Hungarian assignment of (T, 2) track positions to (N, 2) box centers in the xy plane.
 
     Returns the matched track rows and box rows, two index arrays.
     """
@@ -145,7 +145,7 @@ class MultiObjectTracker:
         # one row per alive track, in birth order; dims are length, width, height.
         # A step replaces these arrays and never writes into them.
         self._ids = self._hits = self._misses = np.zeros(0, dtype=np.int64)
-        self._state = self._cov = np.zeros((0, 3, 3))
+        self._state, self._cov = np.zeros((0, 2, 3)), np.zeros((0, 3, 3))
         self._dims = np.zeros((0, 3))
         self._next_id = 1
         self._last_timestamp: float | None = None
@@ -169,12 +169,12 @@ class MultiObjectTracker:
         state, cov = self._state, self._cov
         if self._last_timestamp is not None:
             state, cov = kf_predict(state, cov, frame.timestamp - self._last_timestamp)
-        boxes = np.array([(b.x, b.y, b.z, b.length, b.width, b.height) for b in frame.boxes]).reshape(-1, 6)
-        ti, di = associate(state[:, :, 0], boxes[:, :3])
+        boxes = np.array([(b.x, b.y, b.length, b.width, b.height) for b in frame.boxes]).reshape(-1, 5)
+        ti, di = associate(state[:, :, 0], boxes[:, :2])
         # kf_predict made new arrays (the first step has no rows), so no returned Track views these
-        state[ti], cov[ti] = kf_update(state[ti], cov[ti], boxes[di, :3])
+        state[ti], cov[ti] = kf_update(state[ti], cov[ti], boxes[di, :2])
         dims, hits, misses = self._dims.copy(), self._hits.copy(), self._misses + 1
-        dims[ti] = (1 - _DIM_EMA) * dims[ti] + _DIM_EMA * boxes[di, 3:]
+        dims[ti] = (1 - _DIM_EMA) * dims[ti] + _DIM_EMA * boxes[di, 2:]
         hits[ti] += 1
         misses[ti] = 0
 
@@ -182,12 +182,12 @@ class MultiObjectTracker:
         unmatched = np.ones(len(boxes), dtype=bool)
         unmatched[di] = False
         born = boxes[unmatched]
-        new_state = np.zeros((len(born), 3, 3))
-        new_state[:, :, 0] = born[:, :3]
+        new_state = np.zeros((len(born), 2, 3))
+        new_state[:, :, 0] = born[:, :2]
         self._ids = np.concatenate([self._ids[kept], self._next_id + np.arange(len(born))])
         self._state = np.concatenate([state[kept], new_state])
         self._cov = np.concatenate([cov[kept], np.repeat(_P0[None], len(born), axis=0)])
-        self._dims = np.concatenate([dims[kept], born[:, 3:]])
+        self._dims = np.concatenate([dims[kept], born[:, 2:]])
         self._hits = np.concatenate([hits[kept], np.ones(len(born), dtype=np.int64)])
         self._misses = np.concatenate([misses[kept], np.zeros(len(born), dtype=np.int64)])
         self._next_id += len(born)

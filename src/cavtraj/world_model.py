@@ -525,7 +525,7 @@ def _foot(stack: _PolylineStack, px: float, py: float, k: int) -> tuple[float, f
 def filter_on_road(tracks, vmap: VectorMap):
     """Keep tracks whose center projects on-road; annotate with FrenetCoord.
 
-    `tracks` is any iterable of objects exposing .position (3-vector); all
+    `tracks` is any iterable of objects exposing .position (2-vector); all
     positions go through one `VectorMap.project` call. Returns a list of
     (track, FrenetCoord) pairs in input order.
     """

@@ -91,7 +91,7 @@ def test_traced_pass_reads_every_counter(data, tmp_path):
 # the first 8 hex digits of each workload's trajectory digest, at the default and the hold-out seed
 DIGESTS = {
     ("freeway_baseline", 0): "bcf0ce98", ("freeway_baseline", 7): "a2d90d87",
-    ("arc_fleet", 0): "78029697", ("arc_fleet", 7): "e81f1454",
+    ("arc_fleet", 0): "e1f98219", ("arc_fleet", 7): "e81f1454",
     ("disk_replay", 0): "f9feb979", ("disk_replay", 7): "f7f3cbfb",
 }
 

@@ -81,6 +81,21 @@ def test_frame_rejects_points_not_n_by_3(points):
         make_frame(points)
 
 
+# each was cast to float; the complex one raised a bare ComplexWarning under -W error, and lost its imaginary part
+NOT_REAL_POINTS = {
+    "text": [["1", "2", "3"]],
+    "bool": [[True, False, True]],
+    "complex": np.array([[1.0 + 2.0j, 2.0, 3.0]]),
+    "object": np.array([[1.0, 2.0, 3.0]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("points", NOT_REAL_POINTS.values(), ids=NOT_REAL_POINTS.keys())
+def test_frame_rejects_points_that_are_not_real_numbers(points):
+    with pytest.raises(InvalidArgument, match="points must be real numbers"):
+        make_frame(points)
+
+
 @pytest.mark.parametrize("timestamp, points", [(math.nan, [[0.0, 0.0, 0.0]]), (0.0, [[0.0, math.inf, 0.0]])],
                          ids=["nan_timestamp", "inf_point"])
 def test_frame_rejects_non_finite_values(timestamp, points):

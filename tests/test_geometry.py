@@ -92,6 +92,28 @@ def test_rigid_transform_rejects_bad_rotation():
         RigidTransform(np.eye(3) * 1.1, [0, 0, 0])
 
 
+@pytest.mark.parametrize("rotation, translation", [(np.eye(3), [1.0, 2.0]), (np.eye(3), np.zeros((3, 1))),
+                                                   (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3))],
+                         ids=["short_translation", "column_translation", "2x2_rotation", "flat_rotation"])
+def test_rigid_transform_rejects_wrong_shapes(rotation, translation):
+    # a short translation raised a bare ValueError from reshape
+    with pytest.raises(InvalidArgument, match="rotation must be 3x3 and translation"):
+        RigidTransform(rotation, translation)
+
+
+# each was cast to float (a bool identity to a valid rotation); a complex one raised a bare
+# ComplexWarning under -W error, and lost its imaginary part
+NOT_REAL = {"text": str, "bool": bool, "complex": complex, "object": object}
+
+
+@pytest.mark.parametrize("kind", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_rigid_transform_rejects_entries_that_are_not_real_numbers(kind):
+    with pytest.raises(InvalidArgument, match="rotation must be real numbers"):
+        RigidTransform(np.eye(3).astype(kind), [0.0, 0.0, 0.0])
+    with pytest.raises(InvalidArgument, match="translation must be real numbers"):
+        RigidTransform(np.eye(3), np.ones(3).astype(kind))
+
+
 def test_wrap_angle_range():
     for a in np.linspace(-20, 20, 2001):
         w = wrap_angle(a)

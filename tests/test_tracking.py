@@ -21,13 +21,13 @@ from cavtraj.tracking import (
 CFG = TrackingConfig()
 
 
-def one_track(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
-    """Stacked (1, 3, 3) state and covariance of one track."""
+def one_track(pos=(0, 0), vel=(0, 0), acc=(0, 0)):
+    """Stacked (1, 2, 3) state and (1, 3, 3) covariance of one track."""
     return np.array([pos, vel, acc], dtype=float).T[None], np.eye(3)[None] * 0.1
 
 
 def as_track(state, cov):
-    """The one track of stacked (1, 3, 3) arrays, as a Track."""
+    """The one track of stacked arrays, as a Track."""
     return Track(1, state[0], cov[0], 4.0, 2.0, 1.5, hits=1, misses=0)
 
 
@@ -43,7 +43,7 @@ def frame(t, boxes):
 
 
 def test_predict_constant_velocity():
-    state, cov = kf_predict(*one_track(vel=(10, 0, 0)), 0.1)
+    state, cov = kf_predict(*one_track(vel=(10, 0)), 0.1)
     assert state[0, 0, 0] == pytest.approx(1.0)
     assert state[0, 0, 1] == pytest.approx(10.0)
 
@@ -52,12 +52,12 @@ def test_predict_stationary_grows_covariance():
     state, cov = one_track()
     trace_before = np.trace(cov[0])
     state, cov = kf_predict(state, cov, 0.1)
-    np.testing.assert_allclose(state[0, :, 0], [0, 0, 0])
+    np.testing.assert_allclose(state[0, :, 0], [0, 0])
     assert np.trace(cov[0]) > trace_before
 
 
 def test_predict_constant_acceleration():
-    state, cov = kf_predict(*one_track(acc=(1, 0, 0)), 1.0)
+    state, cov = kf_predict(*one_track(acc=(1, 0)), 1.0)
     assert state[0, 0, 0] == pytest.approx(0.5)
     assert state[0, 0, 1] == pytest.approx(1.0)
 
@@ -70,13 +70,13 @@ def test_predict_rejects_bad_dt():
 
 def test_update_rejects_unpaired_lists():
     with pytest.raises(InvalidArgument):
-        kf_update(*one_track(), np.zeros((0, 3)))
+        kf_update(*one_track(), np.zeros((0, 2)))
 
 
 def random_tracks(seed, n=4):
     rng = np.random.default_rng(seed)
     a = rng.normal(0, 1, (n, 3, 3))
-    return rng.normal(0, 5, (n, 3, 3)), a @ a.transpose(0, 2, 1) + np.eye(3), rng.normal(0, 5, (n, 3))
+    return rng.normal(0, 5, (n, 2, 3)), a @ a.transpose(0, 2, 1) + np.eye(3), rng.normal(0, 5, (n, 2))
 
 
 def test_predict_leaves_its_inputs_unchanged():
@@ -104,11 +104,11 @@ def pairs(track_pos, box_pos):
 
 
 def test_associate_simple_match():
-    assert pairs([[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]]) == [(0, 0)]
+    assert pairs([[0.0, 0.0]], [[0.5, 0.0]]) == [(0, 0)]
 
 
 def test_associate_gated_out():
-    assert pairs([[0.0, 0.0, 0.0]], [[4.5, 0.0, 0.0]]) == []
+    assert pairs([[0.0, 0.0]], [[4.5, 0.0]]) == []
 
 
 # Two tracks at x = 0 and 20 m, two boxes at x = 0.01 and -30 m: ungated, 30 + 19.99 m beats
@@ -116,7 +116,7 @@ def test_associate_gated_out():
 
 
 def test_associate_never_trades_a_pair_inside_the_gate_for_pairs_outside_it():
-    assert pairs([[0.0, 0.0, 0.75], [20.0, 0.0, 0.75]], [[0.01, 0.0, 0.75], [-30.0, 0.0, 0.75]]) == [(0, 0)]
+    assert pairs([[0.0, 0.0], [20.0, 0.0]], [[0.01, 0.0], [-30.0, 0.0]]) == [(0, 0)]
 
 
 def test_tracker_updates_the_track_whose_box_is_inside_the_gate():
@@ -124,6 +124,15 @@ def test_tracker_updates_the_track_whose_box_is_inside_the_gate():
     tracker.step(frame(0.1, [det(0.0, 0.0), det(20.0, 0.0)]))
     tracker.step(frame(0.2, [det(0.01, 0.0), det(-30.0, 0.0)]))
     assert [(t.track_id, t.hits, t.misses) for t in tracker.tracks] == [(1, 2, 0), (2, 1, 1), (3, 1, 0)]
+
+
+def test_tracker_gates_on_xy_and_never_reads_z():
+    # 5 m up is beyond the 4 m gate in 3-D, but the box has not moved in the plane
+    tracker = MultiObjectTracker()
+    tracker.step(frame(0.1, [det(10.0, 2.0, z=0.75)]))
+    tracker.step(frame(0.2, [det(10.0, 2.0, z=5.75)]))
+    assert [(t.track_id, t.hits, t.misses) for t in tracker.tracks] == [(1, 2, 0)]
+    np.testing.assert_array_equal(tracker.tracks[0].position, [10.0, 2.0])
 
 
 def brute_force_best(cost):
@@ -146,8 +155,8 @@ def test_associate_matches_permutation_oracle():
     for _ in range(60):
         n_t = int(rng.integers(1, 8))
         n_d = int(rng.integers(1, 8))
-        track_pos = np.column_stack([rng.uniform(-6, 6, (n_t, 2)), rng.uniform(-1, 1, n_t)])
-        box_pos = np.column_stack([rng.uniform(-6, 6, (n_d, 2)), rng.uniform(-1, 1, n_d)])
+        track_pos = rng.uniform(-6, 6, (n_t, 2))
+        box_pos = rng.uniform(-6, 6, (n_d, 2))
         got = pairs(track_pos, box_pos)
         cost = np.array([[np.linalg.norm(t - b) for b in box_pos] for t in track_pos])
         count, total = brute_force_best(cost)
@@ -160,8 +169,8 @@ def test_associate_matches_permutation_oracle():
 
 def test_associate_invariant_under_detection_permutation():
     rng = np.random.default_rng(9)
-    track_pos = np.column_stack([rng.uniform(-6, 6, (5, 2)), rng.uniform(-1, 1, 5)])
-    box_pos = np.column_stack([rng.uniform(-6, 6, (5, 2)), rng.uniform(-1, 1, 5)])
+    track_pos = rng.uniform(-6, 6, (5, 2))
+    box_pos = rng.uniform(-6, 6, (5, 2))
     base = {(ti, tuple(box_pos[di])) for ti, di in pairs(track_pos, box_pos)}
     assert 0 < len(base) < 5
     for _ in range(10):
@@ -200,7 +209,7 @@ def test_tracker_speed_converges_to_truth():
     for k in range(25):
         t = 0.1 * (k + 1)
         out = tracker.step(frame(t, [det(speed * t, 0.0)]))
-    assert out and np.hypot(*out[0].velocity[:2]) == pytest.approx(speed, rel=0.02)
+    assert out and np.hypot(*out[0].velocity) == pytest.approx(speed, rel=0.02)
 
 
 def test_tracker_id_switch_after_long_dropout():
@@ -293,7 +302,7 @@ def test_tracker_rejects_a_timestamp_that_is_not_a_number():
 def test_predict_rejects_a_bool_dt():
     # True is no duration: read as 1 it would run a 1 s step
     with pytest.raises(InvalidArgument, match="dt must be a real number"):
-        kf_predict(*one_track(vel=(1, 0, 0)), True)
+        kf_predict(*one_track(vel=(1, 0)), True)
 
 
 BAD_TRACKING_CONFIGS = {
@@ -319,11 +328,11 @@ def test_tracking_config_accepts_the_range_ends():
 
 
 def test_covariance_stays_spd_over_many_cycles():
-    state, cov = one_track(vel=(5, 0, 0))
+    state, cov = one_track(vel=(5, 0))
     rng = np.random.default_rng(17)
     for k in range(10_000):
         state, cov = kf_predict(state, cov, 0.1)
-        center = [[state[0, 0, 0] + rng.normal(0, 0.2), rng.normal(0, 0.2), 0.75]]
+        center = [[state[0, 0, 0] + rng.normal(0, 0.2), rng.normal(0, 0.2)]]
         state, cov = kf_update(state, cov, np.array(center))
         if k % 997 == 0:
             np.testing.assert_allclose(cov[0], cov[0].T, atol=1e-12)
@@ -340,7 +349,7 @@ def test_covariance_stays_spd_over_many_cycles():
     ids=["east", "north", "north_west", "south_east", "west", "west_negative_zero"],
 )
 def test_heading_is_direction_of_velocity(vx, vy, expected):
-    track = as_track(*one_track(vel=(vx, vy, 0.7)))
+    track = as_track(*one_track(vel=(vx, vy)))
     assert track.heading == expected
     assert -math.pi < track.heading <= math.pi
 
@@ -374,37 +383,37 @@ def test_box_heading_turned_by_pi_changes_nothing():
         assert (a.length, a.width, a.height) == (b.length, b.width, b.height)
 
 
-# --- equivalence with the 9-state filter --------------------------------------------
+# --- equivalence with the 6-state filter --------------------------------------------
 #
-# The reference below is a 9-state filter, state [x, y, z, vx, vy, vz, ax,
-# ay, az], in the earlier 10-state filter's code less its heading row:
-# full matrices and a matrix inverse, taking and returning one (state,
+# The reference below is a 6-state filter, state [x, y, vx, vy, ax, ay], in
+# the earlier 10-state filter's code less its z and heading rows: full
+# matrices and a matrix inverse, taking and returning one (state,
 # covariance) pair instead of stacked arrays. Its noise is the model the tracking
 # module states: Q = diag(0.1, 0.5, 0.5)^2 per 0.1 s, R = 0.3^2 and P0 =
 # diag(0.3, 10, 3)^2.
 
-_NX = 9
-_H = np.zeros((3, _NX))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = 1.0
+_NX = 6
+_H = np.zeros((2, _NX))
+_H[0, 0] = _H[1, 1] = 1.0
 
 
 def _ref_transition(dt):
     f = np.eye(_NX)
-    for axis in range(3):
-        f[axis, 3 + axis] = dt
-        f[axis, 6 + axis] = 0.5 * dt * dt
-        f[3 + axis, 6 + axis] = dt
+    for axis in range(2):
+        f[axis, 2 + axis] = dt
+        f[axis, 4 + axis] = 0.5 * dt * dt
+        f[2 + axis, 4 + axis] = dt
     return f
 
 
 def _ref_process_noise(dt):
-    return np.diag(np.repeat([0.1, 0.5, 0.5], 3) ** 2 * (dt / 0.1))
+    return np.diag(np.repeat([0.1, 0.5, 0.5], 2) ** 2 * (dt / 0.1))
 
 
 def _ref_new(box):
     state = np.zeros(_NX)
-    state[0:3] = [box.x, box.y, box.z]
-    return state, np.diag(np.repeat([0.3, 10.0, 3.0], 3) ** 2)
+    state[0:2] = [box.x, box.y]
+    return state, np.diag(np.repeat([0.3, 10.0, 3.0], 2) ** 2)
 
 
 def _ref_predict(state, covariance, dt):
@@ -414,8 +423,8 @@ def _ref_predict(state, covariance, dt):
 
 
 def _ref_update(state, covariance, box):
-    r = np.eye(3) * 0.3**2
-    innovation = np.array([box.x, box.y, box.z]) - _H @ state
+    r = np.eye(2) * 0.3**2
+    innovation = np.array([box.x, box.y]) - _H @ state
     s = _H @ covariance @ _H.T + r
     gain = covariance @ _H.T @ np.linalg.inv(s)
     state = state + gain @ innovation
@@ -425,30 +434,27 @@ def _ref_update(state, covariance, box):
 
 
 def _assert_axes_decoupled(cov):
-    """Every cross-axis entry is exactly 0 and the x, y, z blocks are bit-identical."""
-    blocks = [[a, 3 + a, 6 + a] for a in range(3)]
-    for i, rows in enumerate(blocks):
-        for j, cols in enumerate(blocks):
-            if i != j:
-                assert not cov[np.ix_(rows, cols)].any()
-    for rows in blocks[1:]:
-        np.testing.assert_array_equal(cov[np.ix_(rows, rows)], cov[np.ix_(blocks[0], blocks[0])])
+    """Every cross-axis entry is exactly 0 and the x and y blocks are bit-identical."""
+    x, y = [0, 2, 4], [1, 3, 5]
+    assert not cov[np.ix_(x, y)].any() and not cov[np.ix_(y, x)].any()
+    np.testing.assert_array_equal(cov[np.ix_(y, y)], cov[np.ix_(x, x)])
 
 
 def _assert_matches_reference(track, state, cov):
-    np.testing.assert_allclose(track.state, state.reshape(3, 3).T, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(track.covariance, cov[0:9:3, 0:9:3], rtol=0, atol=1e-9)
-    assert abs(wrap_angle(track.heading - math.atan2(state[4], state[3]))) <= 1e-9
+    np.testing.assert_allclose(track.state, state.reshape(3, 2).T, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(track.covariance, cov[0:6:2, 0:6:2], rtol=0, atol=1e-9)
+    assert abs(wrap_angle(track.heading - math.atan2(state[3], state[2]))) <= 1e-9
 
 
-def test_matches_nine_state_reference():
+def test_matches_six_state_reference():
     """Seeded drive of both filters: mixed dt, updates and misses, a heading across the seam."""
     rng = np.random.default_rng(29)
-    pos, vel = np.array([5.0, -3.0, 0.75]), np.array([-20.0, 1.5, 0.0])
+    pos, vel = np.array([5.0, -3.0]), np.array([-20.0, 1.5])
 
     def box_at():
-        x, y, z = pos + rng.normal(0, 0.2, 3)
-        return det(x, y, z=z, heading=float(rng.uniform(-math.pi, math.pi)))  # read by neither filter
+        x, y = pos + rng.normal(0, 0.2, 2)
+        z = float(rng.uniform(-5, 5))  # like the heading, read by neither filter
+        return det(x, y, z=z, heading=float(rng.uniform(-math.pi, math.pi)))
 
     first = box_at()
     tracker = MultiObjectTracker()
@@ -460,7 +466,7 @@ def test_matches_nine_state_reference():
     for k in range(300):
         dt = float(rng.uniform(0.05, 0.3))
         pos = pos + vel * dt
-        vel = vel + np.array([math.sin(0.1 * k), -0.5, 0.0]) * dt  # vy turns negative: westward across +-pi
+        vel = vel + np.array([math.sin(0.1 * k), -0.5]) * dt  # vy turns negative: westward across +-pi
         t_state, t_cov = kf_predict(t_state, t_cov, dt)
         state, cov = _ref_predict(state, cov, dt)
         _assert_axes_decoupled(cov)
@@ -468,7 +474,7 @@ def test_matches_nine_state_reference():
         if rng.random() < 0.3:  # missed step: predict only
             continue
         box = box_at()
-        t_state, t_cov = kf_update(t_state, t_cov, np.array([[box.x, box.y, box.z]]))
+        t_state, t_cov = kf_update(t_state, t_cov, np.array([[box.x, box.y]]))
         state, cov = _ref_update(state, cov, box)
         updates += 1
         track = as_track(t_state, t_cov)
@@ -483,10 +489,10 @@ def test_matches_nine_state_reference():
 # --- equivalence with the per-track filter -------------------------------------------
 #
 # The reference below is the filter as it was before kf_predict and kf_update
-# ran on stacked arrays: the same algebra on one track's (3, 3) arrays at a
-# time. The batched functions run it on stacked (T, 3, 3) arrays, where
-# NumPy's stacked matmul runs the same kernel per matrix, so every bit must
-# agree.
+# ran on stacked arrays: the same algebra on one track's (2, 3) state and
+# (3, 3) covariance at a time. The batched functions run it on stacked
+# arrays, where NumPy's stacked matmul runs the same kernel per matrix, so
+# every bit must agree.
 
 
 def _per_track_predict(state, covariance, dt):
@@ -508,7 +514,7 @@ def _per_track_update(state, p, center):
 
 def _restacked(rows):
     states, covs = zip(*rows) if rows else ((), ())
-    return np.array(states).reshape(-1, 3, 3), np.array(covs).reshape(-1, 3, 3)
+    return np.array(states).reshape(-1, 2, 3), np.array(covs).reshape(-1, 3, 3)
 
 
 def _per_track_tracker_step(monkeypatch, tracker, fr):

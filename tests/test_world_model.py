@@ -420,7 +420,7 @@ def test_downtrack_monotone_along_route(freeway):
 
 class FakeTrack:
     def __init__(self, x, y):
-        self.position = np.array([x, y, 0.0])
+        self.position = np.array([x, y])
 
 
 def test_filter_on_road_keeps_and_drops(straight):
